@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import diagnostics, engine, limits, pgf
 from .errors import (
@@ -31,27 +30,12 @@ EXIT_WRONG_REGIME = 5
 _DEFAULT_TOL = 1e-7
 
 
-def _effective_tol(cfg: "RunConfig", sf: "ScenarioFile") -> float:
-    if cfg.tol is not None:
-        return cfg.tol
+def _effective_tol(args: argparse.Namespace, sf: ScenarioFile) -> float:
+    if args.tol is not None:
+        return args.tol
     if sf.defaults.tol is not None:
         return sf.defaults.tol
     return _DEFAULT_TOL
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    scenario: str
-    command: str
-    n: int | None = None
-    n_grid: tuple[int, ...] | None = None
-    k_trunc: int | None = None
-    reps: int | None = None
-    seed: int | None = None
-    x_grid: tuple[float, ...] | None = None
-    tol: float | None = None
-    out: str | None = None
-    format: str = "csv"
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -107,65 +91,65 @@ def _pgf_grid_text(xs, values, fmt: str, meta: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _limit_output(sf: ScenarioFile, cfg: RunConfig, k: int, xs) -> str:
+def _limit_output(sf: ScenarioFile, args: argparse.Namespace, k: int, xs) -> str:
     spec = sf.spec
     law = classify(spec)
     meta = {"scenario": spec.name, "law": law.describe()}
     if isinstance(law, PoissonLimit):
-        return _pmf_text(limits.poisson_pmf(law.lam, k), cfg.format, meta)
+        return _pmf_text(limits.poisson_pmf(law.lam, k), args.format, meta)
     if isinstance(law, NegativeBinomialLimit):
-        return _pmf_text(limits.nb_pmf(law.r, law.p, k), cfg.format, meta)
+        return _pmf_text(limits.nb_pmf(law.r, law.p, k), args.format, meta)
     if isinstance(law, CompoundPoissonLimit):
         measure = limits.cp_intensity_finite(law.lambdas)
         meta["atoms"] = [float(v) for v in measure.atoms]
-        return _pmf_text(limits.cp_pmf(measure, k), cfg.format, meta)
+        return _pmf_text(limits.cp_pmf(measure, k), args.format, meta)
     if isinstance(law, GeneralExpLimit):
-        tol = _effective_tol(cfg, sf)
+        tol = _effective_tol(args, sf)
         vals = [
             limits.general_limit_pgf(spec.lambda_over_factorial, x, tol)
             for x in xs
         ]
-        return _pgf_grid_text(xs, vals, cfg.format, meta)
+        return _pgf_grid_text(xs, vals, args.format, meta)
     # product regime: PGF on the grid
-    tol = _effective_tol(cfg, sf)
+    tol = _effective_tol(args, sf)
     vals = [limits.product_law_eval(spec, x, tol) for x in xs]
-    return _pgf_grid_text(xs, vals, cfg.format, meta)
+    return _pgf_grid_text(xs, vals, args.format, meta)
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one command; returns the exit status, writing artifacts."""
-    sf = parse_scenario(cfg.scenario)
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command; returns the exit status, writing artifacts."""
+    sf = parse_scenario(args.scenario)
     spec = sf.spec
     for note in sf.notes:
         print(f"warning: {note}", file=sys.stderr)
-    k = cfg.k_trunc if cfg.k_trunc is not None else spec.k_trunc
-    n = cfg.n if cfg.n is not None else spec.horizon
-    seed = cfg.seed if cfg.seed is not None else (sf.defaults.seed or 0)
-    xs = cfg.x_grid or sf.defaults.x_grid or diagnostics.DEFAULT_X_GRID
+    k = args.k_trunc if args.k_trunc is not None else spec.k_trunc
+    n = args.n if args.n is not None else spec.horizon
+    seed = args.seed if args.seed is not None else (sf.defaults.seed or 0)
+    xs = args.x_grid or sf.defaults.x_grid or diagnostics.DEFAULT_X_GRID
 
-    if cfg.command == "classify":
+    if args.command == "classify":
         law = classify(spec)
-        if cfg.format == "json":
+        if args.format == "json":
             text = json.dumps(
                 {"scenario": spec.name, "law": law.describe()}, sort_keys=True
             ) + "\n"
         else:
             text = law.describe() + "\n"
-    elif cfg.command == "propagate":
+    elif args.command == "propagate":
         state = engine.propagate(spec, n, k)
         text = _pmf_text(
             state.pmf,
-            cfg.format,
+            args.format,
             {"scenario": spec.name, "command": "propagate", "n": n, "K": k},
         )
-    elif cfg.command == "simulate":
-        reps = cfg.reps if cfg.reps is not None else sf.defaults.reps
+    elif args.command == "simulate":
+        reps = args.reps if args.reps is not None else sf.defaults.reps
         if reps is None:
             raise ScenarioValidationError("simulate needs --reps")
         empirical = engine.simulate(spec, n, reps, seed)
         text = _pmf_text(
             empirical,
-            cfg.format,
+            args.format,
             {
                 "scenario": spec.name,
                 "command": "simulate",
@@ -174,21 +158,22 @@ def run(cfg: RunConfig) -> int:
                 "seed": seed,
             },
         )
-    elif cfg.command == "report":
-        grid = cfg.n_grid or sf.defaults.n_grid or (spec.horizon,)
+    elif args.command == "report":
+        grid = args.n_grid or sf.defaults.n_grid or (spec.horizon,)
         rep = diagnostics.report(
-            spec, grid, k, reps=cfg.reps, seed=seed, x_grid=xs
+            spec, grid, k, reps=args.reps, seed=seed, x_grid=xs,
+            tol=_effective_tol(args, sf),
         )
-        text = rep.to_json() if cfg.format == "json" else rep.to_csv(
-            include_mc=cfg.reps is not None
+        text = rep.to_json() if args.format == "json" else rep.to_csv(
+            include_mc=args.reps is not None
         )
-    elif cfg.command == "limits":
-        text = _limit_output(sf, cfg, k, xs)
+    elif args.command == "limits":
+        text = _limit_output(sf, args, k, xs)
     else:  # pragma: no cover - argparse restricts choices
-        raise ScenarioValidationError(f"unknown command {cfg.command!r}")
+        raise ScenarioValidationError(f"unknown command {args.command!r}")
 
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -197,21 +182,8 @@ def run(cfg: RunConfig) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        scenario=args.scenario,
-        command=args.command,
-        n=args.n,
-        n_grid=args.n_grid,
-        k_trunc=args.k_trunc,
-        reps=args.reps,
-        seed=args.seed,
-        x_grid=args.x_grid,
-        tol=args.tol,
-        out=args.out,
-        format=args.format,
-    )
     try:
-        return run(cfg)
+        return run(args)
     except ScenarioParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

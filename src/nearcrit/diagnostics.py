@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import engine, limits, pgf
-from .errors import SeriesDivergenceError, WrongRegimeError
+from .errors import WrongRegimeError
 from .families import (
     CompoundPoissonLimit,
     ConditionRatios,
@@ -197,7 +197,7 @@ def _limit_moments(law: LimitLaw, spec: ScenarioSpec) -> tuple[float, float]:
     raise ValueError(f"no limit moments for {law.describe()}")
 
 
-def _limit_pmf(law: LimitLaw, spec: ScenarioSpec, k_trunc: int) -> pgf.Pmf | None:
+def _limit_pmf(law: LimitLaw, k_trunc: int) -> pgf.Pmf | None:
     """Limit PMF when computable, else None (PGF-grid comparison instead)."""
     if isinstance(law, PoissonLimit):
         return limits.poisson_pmf(law.lam, k_trunc)
@@ -205,38 +205,27 @@ def _limit_pmf(law: LimitLaw, spec: ScenarioSpec, k_trunc: int) -> pgf.Pmf | Non
         return limits.nb_pmf(law.r, law.p, k_trunc)
     if isinstance(law, CompoundPoissonLimit):
         return limits.cp_pmf(limits.cp_intensity_finite(law.lambdas), k_trunc)
-    if isinstance(law, GeneralExpLimit):
-        if law.rule == "log_series":
-            return limits.cp_pmf(limits.log_series_measure(), k_trunc)
-        try:
-            return limits.general_limit_pmf(spec.lambda_over_factorial, k_trunc)
-        except SeriesDivergenceError:
-            return None
+    if isinstance(law, GeneralExpLimit) and law.rule == "log_series":
+        return limits.cp_pmf(limits.log_series_measure(), k_trunc)
     return None
-
-
-def _limit_pgf(law: LimitLaw, spec: ScenarioSpec, x: float) -> float:
-    if isinstance(law, ProductLimit):
-        return limits.product_law_eval(spec, x)
-    if isinstance(law, GeneralExpLimit):
-        return limits.general_limit_pgf(spec.lambda_over_factorial, x)
-    raise ValueError(f"no PGF path for {law.describe()}")
 
 
 def report(spec: ScenarioSpec, n_grid, k_trunc: int | None = None,
            reps: int | None = None, seed: int = 0,
-           x_grid=DEFAULT_X_GRID) -> ConvergenceReport:
+           x_grid=DEFAULT_X_GRID, tol: float = 1e-7) -> ConvergenceReport:
     """Per-n convergence table against the classified limit law.
 
-    When the limit PMF is unavailable (product regime, or an exponential
-    limit whose compound-Poisson series diverges) the tv column carries the
-    sup-norm PGF gap over ``x_grid`` instead.
+    When the limit PMF is unavailable (product regime) the tv column
+    carries the sup-norm PGF gap over ``x_grid`` instead, against the
+    product law evaluated to within ``tol``.
     """
     law = classify(spec)
     if isinstance(law, OutsideScope):
         raise WrongRegimeError(f"cannot build a report: {law.reason}")
     k = spec.k_trunc if k_trunc is None else k_trunc
-    target_pmf = _limit_pmf(law, spec, k)
+    target_pmf = _limit_pmf(law, k)
+    if target_pmf is None:
+        target_pgf = [limits.product_law_eval(spec, x, tol) for x in x_grid]
     lim_mean, lim_m2 = _limit_moments(law, spec)
     states = engine.propagate_sequence(spec, n_grid, k)
     rows = []
@@ -247,8 +236,8 @@ def report(spec: ScenarioSpec, n_grid, k_trunc: int | None = None,
             gap = tv
         else:
             gaps = [
-                abs(pgf.evaluate(state.pmf, x) - _limit_pgf(law, spec, x))
-                for x in x_grid
+                abs(pgf.evaluate(state.pmf, x) - g)
+                for x, g in zip(x_grid, target_pgf)
             ]
             gap = float(max(gaps))
             tv = gap

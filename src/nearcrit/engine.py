@@ -88,12 +88,7 @@ def composed_eval(spec: ScenarioSpec, j: int, n: int, x: float) -> float:
     """Scalar value of the composed map G_{j+1} o ... o G_n at ``x``."""
     if j > n:
         raise ValueError("need j <= n")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("PGF argument must lie in [0, 1]")
-    y = x
-    for l in range(n, j, -1):
-        y = spec.offspring.pgf_at(l, y)
-    return y
+    return float(composed_eval_all(spec, n, x)[j])
 
 
 def composed_eval_all(spec: ScenarioSpec, n: int, x: float) -> np.ndarray:
@@ -109,94 +104,28 @@ def composed_eval_all(spec: ScenarioSpec, n: int, x: float) -> np.ndarray:
     return vals
 
 
+def _finite_factors(spec: ScenarioSpec, n: int, x: float) -> np.ndarray:
+    """H_j(Gbar_{j+1,n}(x)) for j = 1..n at the clamped (finite-n) rates."""
+    vals = composed_eval_all(spec, n, x)
+    return spec.immigration.pgf_values(np.arange(1, n + 1), vals[1:], "clamped")
+
+
 def pgf_via_product(spec: ScenarioSpec, n: int, x: float) -> float:
     """F_n(x) as the product of immigration factors over composed maps.
 
     Independent of :func:`propagate`'s coefficient route; the two agree up
     to the accumulated truncation deficiency.
     """
-    vals = composed_eval_all(spec, n, x)
-    out = 1.0
-    for j in range(1, n + 1):
-        out *= spec.immigration.pgf_at(j, float(vals[j]))
-    return out
+    return float(np.prod(_finite_factors(spec, n, x)))
 
 
 def accompanying_eval(spec: ScenarioSpec, n: int, x: float) -> float:
     """Exponential companion exp{sum_j (H_j(Gbar_{j+1,n}(x)) - 1)}."""
-    vals = composed_eval_all(spec, n, x)
-    total = 0.0
-    for j in range(1, n + 1):
-        total += spec.immigration.pgf_at(j, float(vals[j])) - 1.0
-    return math.exp(total)
+    return math.exp(float(np.sum(_finite_factors(spec, n, x) - 1.0)))
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
-
-
-def _offspring_totals(spec: ScenarioSpec, n: int, counts: np.ndarray,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Total offspring of ``counts`` parents in generation ``n``, exactly."""
-    fam = spec.offspring
-    if fam.kind == "bernoulli":
-        return rng.binomial(counts, float(fam.rho_rule.rho(n)))
-    if fam.kind == "quadratic":
-        p0, p1, p2 = fam.quadratic_coeffs(n)
-        two = rng.binomial(counts, p2)
-        rest = counts - two
-        one = rng.binomial(rest, p1 / (p1 + p0)) if p1 + p0 > 0 else 0
-        return 2 * two + one
-    if fam.kind == "linear_fractional":
-        par = fam.lf_params(n)
-        nonzero = rng.binomial(counts, par.alpha / (1.0 - par.beta))
-        extra = np.zeros_like(nonzero)
-        pos = nonzero > 0
-        if par.beta > 0.0 and np.any(pos):
-            extra[pos] = rng.negative_binomial(nonzero[pos], 1.0 - par.beta)
-        return nonzero + extra
-    # custom table: one categorical draw per individual
-    table = np.asarray(fam.table(n), dtype=float)
-    probs = _sampling_probs(table)
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros_like(counts)
-    draws = rng.choice(table.shape[0], size=total, p=probs)
-    owner = np.repeat(np.arange(counts.shape[0]), counts)
-    return np.bincount(owner, weights=draws, minlength=counts.shape[0]).astype(
-        np.int64
-    )
-
-
-def _immigration_draws(spec: ScenarioSpec, n: int, size: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    fam = spec.immigration
-    if fam.table is not None:
-        table = np.asarray(fam.table(n), dtype=float)
-        return rng.choice(table.shape[0], size=size, p=_sampling_probs(table))
-    if fam.kind == "bernoulli":
-        return (rng.random(size) < fam.bernoulli_rate(n)).astype(np.int64)
-    if fam.kind == "poisson":
-        return rng.poisson(float(fam.m1.at(n)), size)
-    # base-law mixture: draw from the base with the mixing probability
-    w = fam.mix_weight(n)
-    out = np.zeros(size, dtype=np.int64)
-    chosen = rng.random(size) < w
-    hits = int(chosen.sum())
-    if hits:
-        base = np.asarray(fam.base, dtype=float)
-        out[chosen] = rng.choice(base.shape[0], size=hits, p=_sampling_probs(base))
-    return out
-
-
-def _sampling_probs(table: np.ndarray) -> np.ndarray:
-    total = float(table.sum())
-    if total < 1.0 - 1e-9:
-        raise NumericError(
-            f"cannot sample a law missing {1.0 - total:.3e} mass; "
-            "raise the table support"
-        )
-    return table / total
 
 
 def simulate(spec: ScenarioSpec, n: int, reps: int, seed: int) -> pgf.Pmf:
@@ -216,8 +145,8 @@ def simulate(spec: ScenarioSpec, n: int, reps: int, seed: int) -> pgf.Pmf:
         rng = np.random.default_rng([seed, chunk_idx])
         x = np.zeros(size, dtype=np.int64)
         for gen in range(1, n + 1):
-            x = _offspring_totals(spec, gen, x, rng) + _immigration_draws(
-                spec, gen, size, rng
+            x = spec.offspring.sample(gen, x, rng) + spec.immigration.sample(
+                gen, size, rng
             )
         chunk_counts = np.bincount(x).astype(float)
         if chunk_counts.shape[0] > counts.shape[0]:

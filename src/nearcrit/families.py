@@ -3,9 +3,9 @@
 Families are immutable value objects built from closed-form parameter
 rules: the offspring mean follows rho_n = 1 - c (n + n0)^(-gamma) and
 immigration means are finite sums of power terms coef (n + shift)^(-power).
-Each family exposes PGF values, derivatives at 1 and extracted PMFs per
-generation, and the scenario wrapper dispatches the limit-law hypotheses
-over the declared constants.
+Each family exposes PGF values, derivatives at 1, extracted PMFs and exact
+samplers per generation, and the scenario wrapper dispatches the limit-law
+hypotheses over the declared constants.
 """
 
 from __future__ import annotations
@@ -19,17 +19,20 @@ from typing import Callable, Union
 import numpy as np
 
 from . import pgf
-from .errors import ScenarioValidationError
+from .errors import NumericError, ScenarioValidationError
 from .linfrac import LinearFractional, lf_from_derivatives
 
+_NUM = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _TERM_RE = re.compile(
-    r"""^\s*
-    (?:(?P<coef>[0-9][0-9.eE+-]*)\s*\*\s*)?      # optional leading coefficient
-    (?: \(\s*n\s*(?:\+\s*(?P<shift>[0-9.]+))?\s*\) | n )
-    \s*\^\s*(?P<power>-?[0-9.]+)\s*$""",
+    rf"""^\s*
+    (?:(?P<coef>{_NUM})\s*\*\s*)?      # optional leading coefficient
+    (?: \(\s*n\s*(?:\+\s*(?P<shift>{_NUM}))?\s*\) | n )
+    \s*\^\s*(?P<power>-?{_NUM})\s*$""",
     re.VERBOSE,
 )
-_CONST_RE = re.compile(r"^\s*(?P<coef>[0-9][0-9.eE+-]*)\s*$")
+_CONST_RE = re.compile(rf"^\s*(?P<coef>{_NUM})\s*$")
+# a '+' separates terms unless it is the sign of a float exponent (5e+0)
+_TERM_SEP = re.compile(r"(?<![0-9.][eE])\+")
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ class PowerSum:
     def parse(cls, text: str) -> "PowerSum":
         # split on '+' but rejoin pieces cut inside a "(n+shift)" group
         pieces, buf = [], ""
-        for chunk in text.split("+"):
+        for chunk in _TERM_SEP.split(text):
             buf = f"{buf}+{chunk}" if buf else chunk
             if buf.count("(") == buf.count(")"):
                 pieces.append(buf)
@@ -283,6 +286,47 @@ class OffspringFamily:
             coeffs = np.asarray(self.table(n), dtype=float)
         return pgf.Pmf(coeffs[:k_trunc])
 
+    def sample(self, n: int, counts: np.ndarray,
+               rng: np.random.Generator) -> np.ndarray:
+        """Total offspring of ``counts`` parents in generation ``n``, exactly."""
+        if self.kind == "bernoulli":
+            return rng.binomial(counts, float(self.rho_rule.rho(n)))
+        if self.kind == "quadratic":
+            p0, p1, p2 = self.quadratic_coeffs(n)
+            two = rng.binomial(counts, p2)
+            rest = counts - two
+            one = rng.binomial(rest, p1 / (p1 + p0)) if p1 + p0 > 0 else 0
+            return 2 * two + one
+        if self.kind == "linear_fractional":
+            par = self.lf_params(n)
+            nonzero = rng.binomial(counts, par.alpha / (1.0 - par.beta))
+            extra = np.zeros_like(nonzero)
+            pos = nonzero > 0
+            if par.beta > 0.0 and np.any(pos):
+                extra[pos] = rng.negative_binomial(nonzero[pos], 1.0 - par.beta)
+            return nonzero + extra
+        # custom table: one categorical draw per individual
+        table = np.asarray(self.table(n), dtype=float)
+        probs = _sampling_probs(table)
+        total = int(counts.sum())
+        if total == 0:
+            return np.zeros_like(counts)
+        draws = rng.choice(table.shape[0], size=total, p=probs)
+        owner = np.repeat(np.arange(counts.shape[0]), counts)
+        return np.bincount(owner, weights=draws, minlength=counts.shape[0]).astype(
+            np.int64
+        )
+
+
+def _sampling_probs(table: np.ndarray) -> np.ndarray:
+    total = float(table.sum())
+    if total < 1.0 - 1e-9:
+        raise NumericError(
+            f"cannot sample a law missing {1.0 - total:.3e} mass; "
+            "raise the table support"
+        )
+    return table / total
+
 
 # ---------------------------------------------------------------------------
 # immigration
@@ -307,6 +351,21 @@ BASE_LAWS: dict[str, Callable[[int], np.ndarray]] = {
 }
 
 
+RATE_RULES = ("declared", "clamped")
+
+
+def _clamp_rates(m):
+    """Bernoulli rates capped at 1, with a warning whenever the cap bites."""
+    if np.any(m > 1.0):
+        warnings.warn(
+            "Bernoulli immigration mean exceeds 1 for early generations; "
+            "rate clamped (early-generation adjustment)",
+            stacklevel=3,
+        )
+        return np.minimum(m, 1.0)
+    return m
+
+
 @dataclass(frozen=True)
 class ImmigrationFamily:
     """Immigration law per generation.
@@ -314,36 +373,30 @@ class ImmigrationFamily:
     * bernoulli: H_n(x) = 1 + m_{n,1}(x - 1)
     * poisson:   H_n(x) = exp{m_{n,1}(x - 1)}
     * custom:    mixture toward a fixed base law B: H_n = 1 + w_n (B - 1),
-      with w_n scaled so the mean matches the m1 rule; or a per-n PMF table.
+      with w_n scaled so the mean matches the m1 rule.
+
+    Bernoulli rates follow one of two rules (:data:`RATE_RULES`): the
+    product law uses the declared rates, the finite-n routes (PMFs,
+    sampling, and their PGF oracles) clamp them at 1 with a warning.
     """
 
     kind: str
     m1: PowerSum | None = None
     base: tuple[float, ...] | None = None
     base_name: str | None = None
-    table: Callable[[int], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.kind not in ("bernoulli", "poisson", "custom"):
             raise ScenarioValidationError(f"unknown immigration family {self.kind!r}")
-        if self.m1 is None and self.table is None:
-            raise ScenarioValidationError(
-                "immigration needs an m1 rule unless backed by a PMF table"
-            )
+        if self.m1 is None:
+            raise ScenarioValidationError("immigration needs an m1 rule")
         if self.kind == "custom":
-            if self.base is None and self.table is None:
-                raise ScenarioValidationError(
-                    "custom immigration needs a base law or a PMF table"
-                )
-            if self.base is not None:
-                object.__setattr__(
-                    self, "base", tuple(float(v) for v in self.base)
-                )
+            if self.base is None:
+                raise ScenarioValidationError("custom immigration needs a base law")
+            object.__setattr__(self, "base", tuple(float(v) for v in self.base))
 
     def mean(self, n):
         """Declared m_{n,1} straight from the rule (never clamped)."""
-        if self.table is not None:
-            return _table_moment(self.table, n, 1)
         return self.m1.at(n)
 
     def _base_pmf(self) -> pgf.Pmf:
@@ -353,22 +406,17 @@ class ImmigrationFamily:
         base_mean = pgf.factorial_moment(self._base_pmf(), 1)
         return self.m1.at(n) / base_mean
 
+    def _rates(self, ns, rates: str):
+        """m_{n,1} under the named rate rule (see :data:`RATE_RULES`)."""
+        m = self.m1.at(ns)
+        return _clamp_rates(m) if rates == "clamped" else m
+
     def bernoulli_rate(self, n: int) -> float:
         """Bernoulli parameter for sampling/PMF use, clamped into [0, 1]."""
-        m = float(self.m1.at(n))
-        if m > 1.0:
-            warnings.warn(
-                "Bernoulli immigration mean exceeds 1 for early generations; "
-                "rate clamped (early-generation adjustment)",
-                stacklevel=2,
-            )
-            return 1.0
-        return m
+        return float(self._rates(n, "clamped"))
 
     def factorial_moment_at(self, n: int, k: int) -> float:
         """m_{n,k} = H_n^(k)(1)."""
-        if self.table is not None:
-            return pgf.factorial_moment(pgf.Pmf(self.table(n)), k)
         if self.kind == "bernoulli":
             return float(self.m1.at(n)) if k == 1 else 0.0
         if self.kind == "poisson":
@@ -382,28 +430,31 @@ class ImmigrationFamily:
         p1, _ = self.m1.leading()
         if self.kind == "poisson":
             return 2.0 * p1 > rho_rule.gamma
-        if self.table is not None:
-            return False  # undecidable from a bare table
         if pgf.factorial_moment(self._base_pmf(), 2) == 0.0:
             return True
         return p1 > rho_rule.gamma
 
+    def pgf_values(self, ns, xs, rates: str) -> np.ndarray:
+        """H_n(x) at generations ``ns`` and matching points ``xs``.
+
+        ``rates`` names the Bernoulli rate rule, "declared" or "clamped".
+        """
+        if rates not in RATE_RULES:
+            raise ValueError(f"unknown rate rule {rates!r}")
+        if self.kind == "custom":
+            base = np.asarray(self.base)
+            return 1.0 + self.mix_weight(ns) * (np.polyval(base[::-1], xs) - 1.0)
+        if self.kind == "poisson":
+            return np.exp(self.m1.at(ns) * (xs - 1.0))
+        # the rate array stays an unnamed temporary, which numpy reuses in place
+        return 1.0 + self._rates(ns, rates) * (xs - 1.0)
+
     def pgf_at(self, n: int, x: float) -> float:
         if not 0.0 <= x <= 1.0:
             raise ValueError("PGF argument must lie in [0, 1]")
-        if self.table is not None:
-            return float(np.polyval(np.asarray(self.table(n))[::-1], x))
-        if self.kind == "bernoulli":
-            return 1.0 + self.bernoulli_rate(n) * (x - 1.0)
-        if self.kind == "poisson":
-            return math.exp(float(self.m1.at(n)) * (x - 1.0))
-        w = self.mix_weight(n)
-        base = np.asarray(self.base)
-        return 1.0 + w * (float(np.polyval(base[::-1], x)) - 1.0)
+        return float(self.pgf_values(n, x, "clamped"))
 
     def pmf(self, n: int, k_trunc: int) -> pgf.Pmf:
-        if self.table is not None:
-            return pgf.Pmf(np.asarray(self.table(n), dtype=float)[:k_trunc])
         if self.kind == "bernoulli":
             m = self.bernoulli_rate(n)
             return pgf.Pmf(np.array([1.0 - m, m])[:k_trunc])
@@ -417,6 +468,22 @@ class ImmigrationFamily:
         out = w * np.asarray(self.base)
         out[0] += 1.0 - w
         return pgf.Pmf(out[:k_trunc])
+
+    def sample(self, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+        """``size`` independent immigration counts of generation ``n``."""
+        if self.kind == "bernoulli":
+            return (rng.random(size) < self.bernoulli_rate(n)).astype(np.int64)
+        if self.kind == "poisson":
+            return rng.poisson(float(self.m1.at(n)), size)
+        # base-law mixture: draw from the base with the mixing probability
+        w = self.mix_weight(n)
+        out = np.zeros(size, dtype=np.int64)
+        chosen = rng.random(size) < w
+        hits = int(chosen.sum())
+        if hits:
+            base = np.asarray(self.base, dtype=float)
+            out[chosen] = rng.choice(base.shape[0], size=hits, p=_sampling_probs(base))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +652,6 @@ def classify(spec: ScenarioSpec) -> LimitLaw:
     estimated from finitely many terms.
     """
     if not spec.divergent:
-        if spec.immigration.table is not None:
-            return OutsideScope("custom immigration tables cannot be rule-checked")
         if spec.immigration.m1.summable():
             return ProductLimit()
         return OutsideScope(
@@ -597,9 +662,7 @@ def classify(spec: ScenarioSpec) -> LimitLaw:
             return CompoundPoissonLimit(tuple(spec.lambda_seq))
         if spec.lambda_rule is not None:
             return GeneralExpLimit(spec.lambda_rule, spec.lam, spec.nu)
-        if spec.immigration.kind == "bernoulli" or spec.immigration.m2_ratio_vanishes(
-            spec.offspring.rho_rule
-        ):
+        if spec.immigration.m2_ratio_vanishes(spec.offspring.rho_rule):
             return PoissonLimit(spec.lam)
         return OutsideScope(
             "second immigration moments do not vanish relative to 1-rho"

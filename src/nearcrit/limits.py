@@ -289,21 +289,6 @@ def general_limit_pgf(c_rule: Callable[[int], float], x: float,
 # infinite-product limit (fast-convergence regime)
 
 
-def _product_factors(spec: ScenarioSpec, idx: np.ndarray,
-                     gbar: np.ndarray) -> np.ndarray:
-    """Immigration factors H_j(gbar_j) with the declared (unclamped) rates."""
-    fam = spec.immigration
-    if fam.kind == "bernoulli":
-        return 1.0 + fam.m1.at(idx) * (gbar - 1.0)
-    if fam.kind == "poisson":
-        return np.exp(fam.m1.at(idx) * (gbar - 1.0))
-    if fam.base is not None:
-        base = np.asarray(fam.base)
-        w = fam.m1.at(idx) / pgf.factorial_moment(pgf.Pmf(base), 1)
-        return 1.0 + w * (np.polyval(base[::-1], gbar) - 1.0)
-    raise WrongRegimeError("product law needs rule-based immigration")
-
-
 def _bernoulli_log_tail(spec: ScenarioSpec, top: int) -> float:
     """Analytic estimate of -sum_{l>top} log rho_l for the rho rule."""
     rule = spec.offspring.rho_rule
@@ -358,44 +343,43 @@ def product_law_eval(spec: ScenarioSpec, x: float, tol: float = 1e-7) -> float:
         raise ValueError("PGF argument must lie in [0, 1]")
     if x == 1.0:
         return 1.0
-    if spec.immigration.table is not None:
-        raise WrongRegimeError("product law needs rule-based immigration")
     eps = 0.1
     target = tol / (1.0 + eps) / (1.0 - x)
     j_top = 64
     while spec.immigration.m1.tail_bound(j_top) >= target:
         j_top *= 2
-    log_total = 0.0
     if spec.offspring.kind == "bernoulli":
-        for idx, logs in _rho_inf_logs(spec, j_top):
-            gbar = 1.0 + np.exp(logs) * (x - 1.0)
-            factors = _product_factors(spec, idx, gbar)
-            if np.any(factors <= 0.0):
-                if np.any(factors < -1e-12):
-                    raise NotADistributionError(
-                        "a product factor went negative; immigration rates "
-                        "are inconsistent with the composed maps"
-                    )
-                return 0.0
-            log_total += float(np.sum(np.log(factors)))
-        return math.exp(log_total)
-    # generic offspring: evaluate Gbar_{j+1,N}(x) with growing horizon N
+        chunks = (
+            (idx, 1.0 + np.exp(logs) * (x - 1.0))
+            for idx, logs in _rho_inf_logs(spec, j_top)
+        )
+    else:
+        chunks = [(np.arange(1, j_top + 1), _generic_gbar(spec, x, j_top, tol))]
+    log_total = 0.0
+    for idx, gbar in chunks:
+        factors = spec.immigration.pgf_values(idx, gbar, "declared")
+        if np.any(factors <= 0.0):
+            if np.any(factors < -1e-12):
+                raise NotADistributionError(
+                    "a product factor went negative; immigration rates "
+                    "are inconsistent with the composed maps"
+                )
+            return 0.0
+        log_total += float(np.sum(np.log(factors)))
+    return math.exp(log_total)
+
+
+def _generic_gbar(spec: ScenarioSpec, x: float, j_top: int,
+                  tol: float) -> np.ndarray:
+    """Gbar_{j+1,N}(x) for j = 1..j_top, doubling N until it stabilizes."""
     horizon = 2 * j_top
     vals = engine.composed_eval_all(spec, horizon, x)[: j_top + 1]
     while True:
         horizon *= 2
         nxt = engine.composed_eval_all(spec, horizon, x)[: j_top + 1]
         if float(np.max(np.abs(nxt - vals))) < tol / 10.0:
-            vals = nxt
-            break
+            return nxt[1:]
         vals = nxt
-    idx = np.arange(1, j_top + 1)
-    factors = _product_factors(spec, idx, vals[1:])
-    if np.any(factors <= 0.0):
-        if np.any(factors < -1e-12):
-            raise NotADistributionError("a product factor went negative")
-        return 0.0
-    return math.exp(float(np.sum(np.log(factors))))
 
 
 def product_law_mean(spec: ScenarioSpec, tol: float = 1e-8) -> float:

@@ -165,40 +165,34 @@ def composed_map(spec: "ScenarioSpec", j: int, n: int) -> LinearFractional:
     return LinearFractional(float(alpha[j]), float(beta[j]))
 
 
-def _bernoulli_rates(spec: "ScenarioSpec", n: int) -> np.ndarray:
+def _closed_form_factors(spec: "ScenarioSpec", n: int, x: float) -> np.ndarray:
+    """H_j(Gbar_{j+1,n}(x)) for j = 1..n from the exact composed maps.
+
+    Rates are clamped like the engine's PMF path, so the two routes stay
+    oracles for each other even on rate rules that overshoot 1 early.
+    """
+    if not 0.0 <= x <= 1.0:
+        raise ValueError("PGF argument must lie in [0, 1]")
+    if n == 0:
+        return np.empty(0)
     if spec.immigration.kind != "bernoulli":
         raise UnsupportedFamilyError(
             "the exact product form needs Bernoulli immigration"
         )
-    # same clamp as the engine's PMF path, so the two routes stay oracles
-    # for each other even on rate rules that overshoot 1 early
-    return np.minimum(spec.immigration.mean(np.arange(1, n + 1)), 1.0)
+    alpha, beta = composed_params_all(spec, n)
+    a, b = alpha[1 : n + 1], beta[1 : n + 1]
+    gbar = 1.0 - a / (1.0 - b) + a * x / (1.0 - b * x)
+    return spec.immigration.pgf_values(np.arange(1, n + 1), gbar, "clamped")
 
 
 def generation_pgf(spec: "ScenarioSpec", n: int, x: float) -> float:
     """F_n(x) as the exact product prod_j [1 + m_j (Gbar_{j+1,n}(x) - 1)]."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("PGF argument must lie in [0, 1]")
-    if n == 0:
-        return 1.0
-    m = _bernoulli_rates(spec, n)
-    alpha, beta = composed_params_all(spec, n)
-    a, b = alpha[1 : n + 1], beta[1 : n + 1]
-    gbar = 1.0 - a / (1.0 - b) + a * x / (1.0 - b * x)
-    return float(np.prod(1.0 + m * (gbar - 1.0)))
+    return float(np.prod(_closed_form_factors(spec, n, x)))
 
 
 def accompanying_pgf(spec: "ScenarioSpec", n: int, x: float) -> float:
     """Exponential companion exp{sum_j m_j (Gbar_{j+1,n}(x) - 1)}."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("PGF argument must lie in [0, 1]")
-    if n == 0:
-        return 1.0
-    m = _bernoulli_rates(spec, n)
-    alpha, beta = composed_params_all(spec, n)
-    a, b = alpha[1 : n + 1], beta[1 : n + 1]
-    gbar = 1.0 - a / (1.0 - b) + a * x / (1.0 - b * x)
-    return float(math.exp(np.sum(m * (gbar - 1.0))))
+    return math.exp(float(np.sum(_closed_form_factors(spec, n, x) - 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +300,7 @@ def composed_deriv(spec: "ScenarioSpec", j: int, n: int, k: int) -> float:
         raise ValueError("need j <= n")
     if k == 1:
         return chain_product(spec, j, n)
-    state = np.zeros(k)
-    state[0] = 1.0
-    for l in range(n, j, -1):
-        outer = np.array([spec.offspring.deriv_at_1(l, s) for s in range(1, k + 1)])
-        state = _compose_derivs(outer, state)
-    return float(state[k - 1])
+    return float(composed_deriv_profile(spec, n, k)[j, k - 1])
 
 
 def deriv_sum_limit(lam: float, nu: float, k: int) -> float:

@@ -69,7 +69,7 @@ class Pmf:
 
     @property
     def truncation_len(self) -> int:
-        return self.coeffs.shape[0]
+        return len(self)
 
     @classmethod
     def delta(cls, k: int, length: int | None = None) -> "Pmf":
@@ -193,19 +193,23 @@ def to_centered(p: Pmf) -> CenteredSeries:
     return CenteredSeries(c)
 
 
-def from_centered(c: CenteredSeries, k_trunc: int | None = None) -> Pmf:
-    """Inverse of :func:`to_centered`: p_k = sum_{l>=k} c_l C(l,k) (-1)^(l-k).
+def _x_basis(c: np.ndarray, k_out: int) -> np.ndarray:
+    """First ``k_out`` x-basis coefficients sum_{l>=k} c_l C(l,k) (-1)^(l-k).
 
     The alternating sums are accumulated with numpy's pairwise summation to
     limit cancellation.
     """
-    n = c.coeffs.shape[0]
-    k_out = n if k_trunc is None else k_trunc
+    n = c.shape[0]
     p = np.zeros(k_out)
     for k in range(min(k_out, n)):
         signs = np.where((np.arange(k, n) - k) % 2 == 0, 1.0, -1.0)
-        p[k] = np.sum(_comb_column(k, n - 1, k) * c.coeffs[k:] * signs)
-    return Pmf(p)
+        p[k] = np.sum(_comb_column(k, n - 1, k) * c[k:] * signs)
+    return p
+
+
+def from_centered(c: CenteredSeries, k_trunc: int | None = None) -> Pmf:
+    """Inverse of :func:`to_centered`: p_k = sum_{l>=k} c_l C(l,k) (-1)^(l-k)."""
+    return Pmf(_x_basis(c.coeffs, len(c) if k_trunc is None else k_trunc))
 
 
 def exp_series(a: np.ndarray, k_trunc: int) -> Pmf:
@@ -239,12 +243,7 @@ def exp_centered(c: CenteredSeries, k_trunc: int) -> Pmf:
     """
     if abs(float(c.coeffs[0])) > 1e-12:
         raise ValueError("centered series must vanish at x = 1 (c_0 = 0)")
-    n = c.coeffs.shape[0]
-    a = np.zeros(min(k_trunc, n))
-    for k in range(a.shape[0]):
-        signs = np.where((np.arange(k, n) - k) % 2 == 0, 1.0, -1.0)
-        a[k] = np.sum(_comb_column(k, n - 1, k) * c.coeffs[k:] * signs)
-    return exp_series(a, k_trunc)
+    return exp_series(_x_basis(c.coeffs, min(k_trunc, len(c))), k_trunc)
 
 
 def poisson_coeffs(lam: float, k_trunc: int) -> np.ndarray:

@@ -220,7 +220,7 @@ def serialize_scenario(sf: ScenarioFile) -> str:
     """Canonical text for a scenario; parse(serialize(.)) round-trips."""
     spec = sf.spec
     off, imm = spec.offspring, spec.immigration
-    if off.table is not None or imm.table is not None:
+    if off.table is not None:
         raise ScenarioValidationError("table-backed families have no file form")
     lines = [
         f"offspring.family = {off.kind}",
@@ -230,7 +230,7 @@ def serialize_scenario(sf: ScenarioFile) -> str:
         f"offspring.nu = {_fmt(off.nu)}",
         f"immigration.family = {imm.kind}",
     ]
-    if imm.kind == "custom":
+    if imm.base is not None:
         if imm.base_name is None:
             raise ScenarioValidationError(
                 "custom immigration without a named base has no file form"

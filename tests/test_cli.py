@@ -110,6 +110,33 @@ def test_report_json_format(tmp_path):
     assert payload["law"].startswith("NegativeBinomial")
 
 
+def test_report_honours_tol_in_product_regime(tmp_path):
+    from nearcrit import engine, limits, pgf
+
+    path = fixture_path("thm6_example1", tmp_path)
+    out = tmp_path / "report.json"
+    spec = scenarios.load_fixture("thm6_example1").spec
+    # propagation clamps the declared m_1 = 2 of this fixture
+    with pytest.warns(UserWarning, match="clamped"):
+        code = cli.main(
+            ["--scenario", path, "--command", "report", "--n-grid", "50",
+             "--x-grid", "0,0.5", "--tol", "1e-3", "--format", "json",
+             "--out", str(out)]
+        )
+        state = engine.propagate(spec, 50, spec.k_trunc)
+    assert code == 0
+    row = json.loads(out.read_text())["rows"][0]
+    want = max(
+        abs(pgf.evaluate(state.pmf, x) - limits.product_law_eval(spec, x, 1e-3))
+        for x in (0.0, 0.5)
+    )
+    assert row["tv"] == want
+    # the default tolerance gives a different product value at x = 0.5
+    assert limits.product_law_eval(spec, 0.5, 1e-3) != limits.product_law_eval(
+        spec, 0.5
+    )
+
+
 def test_simulate_outputs_are_byte_identical(tmp_path):
     path = fixture_path("thm1_poisson", tmp_path)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -28,7 +28,8 @@ def test_power_sum_parse_and_eval():
 
 
 def test_power_sum_str_roundtrip():
-    for text in ("2*(n+1)^-1", "1*n^-2 + 1*n^-3", "0.5"):
+    for text in ("2*(n+1)^-1", "1*n^-2 + 1*n^-3", "0.5", "2e+3*n^-2",
+                 "1e+20*(n+1)^-2"):
         rule = PowerSum.parse(text)
         again = PowerSum.parse(str(rule))
         assert again == rule

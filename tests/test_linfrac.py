@@ -133,6 +133,18 @@ def test_accompanying_single_factor():
     assert linfrac.accompanying_pgf(spec, 1, 1.0) == 1.0
 
 
+def test_generation_pgf_warns_when_rates_are_clamped():
+    # thm6_example1 declares m_1 = 2; the finite-n routes clamp it to 1
+    from nearcrit import engine, pgf
+
+    spec = load_fixture("thm6_example1").spec
+    with pytest.warns(UserWarning, match="clamped"):
+        val = linfrac.generation_pgf(spec, 5, 0.0)
+    with pytest.warns(UserWarning, match="clamped"):
+        state = engine.propagate(spec, 5, 64)
+    assert val == pytest.approx(pgf.evaluate(state.pmf, 0.0), abs=1e-14)
+
+
 def test_accompanying_gap_below_bound():
     from nearcrit.diagnostics import accompanying_gap_bound
 
