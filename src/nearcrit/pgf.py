@@ -28,20 +28,29 @@ _MASS_SLACK = 1e-9
 _COUNT_TAIL_EXIT = 1e-15
 
 
-def _clean_coeffs(raw) -> np.ndarray:
+def _clean_coeffs(raw) -> tuple[np.ndarray, float]:
+    """Validated coefficient vector and its total mass.
+
+    The minimum is taken first: once no entry is below the clamp (so none
+    is -inf), a nan or +inf entry makes the sum non-finite without an
+    inf - inf warning, and one sum checks both finiteness and mass. The
+    vector is summed again only when a roundoff negative was clamped.
+    """
     c = np.atleast_1d(np.asarray(raw, dtype=float))
     if c.ndim != 1 or c.size == 0:
         raise ValueError("coefficients must form a non-empty 1-D vector")
-    if not np.all(np.isfinite(c)):
-        raise NotADistributionError("coefficients must be finite")
     worst = float(c.min())
     if worst < -NEGATIVE_CLAMP:
         raise NotADistributionError(
             f"negative coefficient {worst:.3e} exceeds the roundoff clamp"
         )
+    total = float(c.sum())
+    if not math.isfinite(total):
+        raise NotADistributionError("coefficients must be finite")
     if worst < 0.0:
         c = np.where(c < 0.0, 0.0, c)
-    return c
+        total = float(c.sum())
+    return c, total
 
 
 @dataclass(frozen=True)
@@ -56,8 +65,7 @@ class Pmf:
     deficiency: float = field(init=False)
 
     def __post_init__(self):
-        c = _clean_coeffs(self.coeffs)
-        total = float(c.sum())
+        c, total = _clean_coeffs(self.coeffs)
         if total > 1.0 + _MASS_SLACK:
             raise NotADistributionError(f"total mass {total!r} exceeds 1")
         c.setflags(write=False)
@@ -128,27 +136,43 @@ def compound(count: Pmf, jump: Pmf, k_trunc: int) -> Pmf:
     """Law of a ``count``-indexed sum of i.i.d. ``jump`` draws.
 
     Coefficient view of composing the count PGF with the jump PGF:
-    sum_k count_k * (jump pgf)^k, truncated at ``k_trunc``. Jump powers are
-    accumulated iteratively with an early exit once the remaining count
-    tail is below 1e-15.
+    sum_k count_k * (jump pgf)^k, truncated at ``k_trunc``. The sum stops
+    before the first index k >= 1 whose coefficient suffix
+    count_k + count_{k+1} + ... is below 1e-15; ``count.deficiency`` is not
+    part of that suffix, since mass that was never kept cannot be applied.
+    The dropped terms carry less than 1e-15 of mass, which lands in the
+    result's deficiency and is never renormalized.
+
+    The kept polynomial sum_{k<top} count_k J^k is evaluated by the
+    baby-step/giant-step scheme of Paterson & Stockmeyer (SIAM J. Comput. 2,
+    1973): with s = ceil(sqrt(top)), the powers J^0..J^s take s - 1
+    convolutions, one matrix product forms the blocks
+    B_b = sum_{i<s} count_{bs+i} J^i, and Horner in J^s combines them in
+    ceil(top/s) - 1 more. Every operand is nonnegative, so each output
+    coefficient keeps its relative accuracy and stays a lower bound on the
+    untruncated sum.
     """
     if k_trunc <= 0:
         raise ValueError("truncation length must be positive")
     cw = count.coeffs
-    out = np.zeros(k_trunc)
-    out[0] = cw[0]
-    # tail[k] = mass of `count` still unapplied after index k
-    tail = count.deficiency + np.concatenate(
-        [np.cumsum(cw[::-1])[-2::-1], [0.0]]
-    )
-    power = np.zeros(k_trunc)
-    power[0] = 1.0
-    for k in range(1, cw.shape[0]):
-        if tail[k - 1] < _COUNT_TAIL_EXIT:
-            break
-        power = np.convolve(power, jump.coeffs)[:k_trunc]
-        if cw[k] != 0.0:
-            out += cw[k] * power
+    suffix = np.cumsum(cw[::-1])[::-1]
+    below = np.flatnonzero(suffix[1:] < _COUNT_TAIL_EXIT)
+    top = 1 + int(below[0]) if below.size else cw.shape[0]
+    s = math.isqrt(top - 1) + 1
+    q = -(-top // s)
+    jc = jump.coeffs[:k_trunc]
+    powers = np.zeros((s, k_trunc))
+    powers[0, 0] = 1.0
+    giant = jc
+    for i in range(1, s):
+        powers[i, : giant.shape[0]] = giant
+        giant = np.convolve(giant, jc)[:k_trunc]
+    kept = np.zeros(q * s)
+    kept[:top] = cw[:top]
+    blocks = kept.reshape(q, s) @ powers
+    out = blocks[q - 1]
+    for b in range(q - 2, -1, -1):
+        out = np.convolve(out, giant)[:k_trunc] + blocks[b]
     return Pmf(out)
 
 

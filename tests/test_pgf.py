@@ -29,6 +29,21 @@ def test_pmf_rejects_real_negatives():
         pgf.Pmf(np.array([1.0, -1e-9]))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [[0.5, math.nan], [0.5, math.inf], [0.5, -math.inf], [0.2, math.inf, -math.inf]],
+)
+def test_pmf_rejects_non_finite(bad):
+    with pytest.raises(NotADistributionError):
+        pgf.Pmf(np.array(bad))
+
+
+def test_pmf_deficiency_comes_from_clamped_sum():
+    p = pgf.Pmf(np.array([0.5, -1e-13, 0.25]))
+    assert p.coeffs[1] == 0.0
+    assert p.deficiency == 0.25
+
+
 def test_convolve_identity_element():
     p = pgf.Pmf(np.array([0.2, 0.5, 0.3]))
     out = pgf.convolve(pgf.Pmf.delta(0), p, 3)
@@ -75,6 +90,24 @@ def test_compound_with_unit_jump_is_exact():
     count = pgf.Pmf(np.array([0.125, 0.5, 0.25, 0.125]))
     out = pgf.compound(count, pgf.Pmf.delta(1, 2), 4)
     assert np.array_equal(out.coeffs, count.coeffs)
+
+
+def test_compound_exit_ignores_rounding_deficiency(monkeypatch):
+    # A deficiency of rounding size must not keep the loop running: the
+    # Poisson(2) suffix drops below 1e-15 near k = 22 of 64.
+    count = pgf.Pmf(pgf.poisson_coeffs(2.0, 64) * (1.0 - 1e-14))
+    assert count.deficiency > 1e-15
+    jump = bern(0.5)
+    calls = []
+    real = np.convolve
+
+    def counting(a, v, *args, **kwargs):
+        calls.append(1)
+        return real(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "convolve", counting)
+    pgf.compound(count, jump, 64)
+    assert len(calls) <= 2 * math.ceil(math.sqrt(30)) + 2
 
 
 def test_evaluate_normalization():
@@ -200,3 +233,33 @@ def test_exp_centered_matches_log_of_eval(tail):
     for x in np.arange(0.1, 1.0, 0.1):
         logv = math.log(pgf.evaluate(out, float(x)))
         assert logv == pytest.approx(c.value_at(float(x)), abs=1e-9)
+
+
+def weights(max_size):
+    return st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1,
+                    max_size=max_size).filter(lambda ws: sum(ws) > 0.0)
+
+
+@given(
+    weights(40),
+    weights(8),
+    st.floats(min_value=0.5, max_value=1.0),
+    st.integers(min_value=1, max_value=60),
+)
+@settings(max_examples=200, deadline=None)
+def test_compound_matches_plain_power_sum(count_ws, jump_ws, mass, k_trunc):
+    count = pgf.Pmf(mass * np.array(count_ws) / sum(count_ws))
+    jump = pgf.Pmf(np.array(jump_ws) / sum(jump_ws))
+    # oracle: sum_k count_k J^k over every k, no early exit
+    acc = np.zeros(k_trunc)
+    power = np.zeros(k_trunc)
+    power[0] = 1.0
+    for c in count.coeffs:
+        acc += c * power
+        power = np.convolve(power, jump.coeffs)[:k_trunc]
+    oracle = pgf.Pmf(acc)
+    out = pgf.compound(count, jump, k_trunc)
+    assert np.all(out.coeffs <= oracle.coeffs + 1e-15)
+    tol = 1e-15 + 1e-13 * oracle.coeffs.max()
+    assert np.max(np.abs(out.coeffs - oracle.coeffs)) <= tol
+    assert out.deficiency >= oracle.deficiency - 1e-15
