@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import engine, limits, pgf
-from .errors import WrongRegimeError
+from .errors import NumericError, WrongRegimeError
 from .families import (
     CompoundPoissonLimit,
     ConditionRatios,
@@ -66,13 +66,11 @@ def _vartheta_all(spec: ScenarioSpec, n: int) -> np.ndarray:
     """vartheta_{j,n} for j = 1..n in one pass."""
     s = chain_logs(spec, n)
     rho_jn = np.exp(s[n] - s[1:])
-    return np.array(
-        [
-            (1.0 - spec.offspring.pgf_at(j, 1.0 - float(rho_jn[j - 1])))
-            / float(rho_jn[j - 1])
-            for j in range(1, n + 1)
-        ]
-    )
+    if not np.all(rho_jn > 0.0):
+        j = int(np.argmin(rho_jn > 0.0)) + 1
+        raise NumericError(f"chain product rho_[{j},{n}] underflows to 0")
+    g = spec.offspring.pgf_at(np.arange(1, n + 1), 1.0 - rho_jn)
+    return (1.0 - g) / rho_jn
 
 
 def toeplitz_weights(spec: ScenarioSpec, n: int) -> tuple[float, float]:

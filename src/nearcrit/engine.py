@@ -92,16 +92,31 @@ def composed_eval(spec: ScenarioSpec, j: int, n: int, x: float) -> float:
 
 
 def composed_eval_all(spec: ScenarioSpec, n: int, x: float) -> np.ndarray:
-    """vals[j] = (G_{j+1} o ... o G_n)(x) for j = 0..n, one backward pass."""
+    """vals[j] = (G_{j+1} o ... o G_n)(x) for j = 0..n, one backward pass.
+
+    Closed-form families take the parameters of all n generations in one
+    array call and run the sequential recurrence on plain floats; custom
+    tables are evaluated one generation at a time.
+    """
     if not 0.0 <= x <= 1.0:
         raise ValueError("PGF argument must lie in [0, 1]")
-    vals = np.empty(n + 1)
-    vals[n] = x
-    y = x
-    for l in range(n, 0, -1):
-        y = spec.offspring.pgf_at(l, y)
-        vals[l - 1] = y
-    return vals
+    fam = spec.offspring
+    if fam.kind == "custom":
+        step, args = fam.pgf_at, range(n, 0, -1)
+    else:
+        cols = fam.params(np.arange(1, n + 1))
+        step, args = fam.pgf_formula, zip(*(c.tolist()[::-1] for c in cols))
+    y = float(x)
+    vals = [y]
+    for par in args:
+        y = step(par, y)
+        if not 0.0 <= y <= 1.0:
+            raise NumericError(
+                f"composed offspring map left [0, 1] at generation "
+                f"{n + 1 - len(vals)}: {y!r}"
+            )
+        vals.append(y)
+    return np.array(vals[::-1])
 
 
 def _finite_factors(spec: ScenarioSpec, n: int, x: float) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import pgf
 from .errors import NumericError, ScenarioValidationError
-from .linfrac import LinearFractional, lf_from_derivatives
+from .linfrac import LinearFractional, lf_alpha_beta, lf_value
 
 _NUM = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _TERM_RE = re.compile(
@@ -162,6 +162,34 @@ def _table_moment(table, n, k: int):
     return pgf.factorial_moment(pgf.Pmf(table(int(n))), k)
 
 
+def _table_pgf(table, n, x):
+    """Custom-table PGF values, one generation at a time; maps over arrays."""
+    ns, xs = np.broadcast_arrays(n, x)
+    vals = [
+        np.polyval(np.asarray(table(int(m)))[::-1], y)
+        for m, y in zip(ns.flat, xs.flat)
+    ]
+    return np.reshape(vals, ns.shape)
+
+
+def _bernoulli_pgf(par, x):
+    p0, p1 = par
+    return p0 + p1 * x
+
+
+def _quadratic_pgf(par, x):
+    p0, p1, p2 = par
+    return (p2 * x + p1) * x + p0
+
+
+# G_n(x) = formula(params(n), x) for each closed-form kind
+_PGF_FORMULAS = {
+    "bernoulli": _bernoulli_pgf,
+    "quadratic": _quadratic_pgf,
+    "linear_fractional": lf_value,
+}
+
+
 @dataclass(frozen=True)
 class OffspringFamily:
     """Offspring law per generation; kind selects the closed form.
@@ -246,44 +274,63 @@ class OffspringFamily:
             return self.lf_params(n).deriv_at_1(s)
         return pgf.factorial_moment(pgf.Pmf(self.table(n)), s)
 
+    def params(self, ns):
+        """Closed-form parameters of G_n; maps over arrays of generations.
+
+        * bernoulli: (1 - rho_n, rho_n)
+        * quadratic: (p0, p1, p2)
+        * linear_fractional: (alpha, beta), checked like LinearFractional
+        """
+        if self.kind == "custom":
+            raise ScenarioValidationError("custom offspring has no closed form")
+        rho = self.rho_rule.rho(ns)
+        if self.kind == "bernoulli":
+            return 1.0 - rho, rho
+        if self.kind == "quadratic":
+            p2 = self.nu_eff(ns) * (1.0 - rho) / 2.0
+            p1 = rho - 2.0 * p2
+            return 1.0 - p1 - p2, p1, p2
+        return lf_alpha_beta(rho, self.nu * (1.0 - rho))
+
+    @property
+    def pgf_formula(self) -> Callable:
+        """f with G_n(x) = f(params(n), x), on floats or broadcasting arrays."""
+        if self.kind == "custom":
+            raise ScenarioValidationError("custom offspring has no closed form")
+        return _PGF_FORMULAS[self.kind]
+
     def lf_params(self, n: int) -> LinearFractional:
         if self.kind == "linear_fractional":
-            rho = float(self.rho_rule.rho(n))
-            return lf_from_derivatives(rho, self.nu * (1.0 - rho))
+            return LinearFractional(*(float(v) for v in self.params(n)))
         if self.kind == "bernoulli":
-            rho = float(self.rho_rule.rho(n))
-            return lf_from_derivatives(rho, 0.0)
+            return LinearFractional(float(self.params(n)[1]), 0.0)
         raise ScenarioValidationError(f"{self.kind} offspring has no LF parameters")
 
     def quadratic_coeffs(self, n: int) -> np.ndarray:
-        rho = float(self.rho_rule.rho(n))
-        p2 = float(self.nu_eff(n)) * (1.0 - rho) / 2.0
-        p1 = rho - 2.0 * p2
-        return np.array([1.0 - p1 - p2, p1, p2])
+        return np.array(self.params(n))
 
-    def pgf_at(self, n: int, x: float) -> float:
-        """G_n(x); convex, nondecreasing, G_n(1) = 1."""
-        if not 0.0 <= x <= 1.0:
+    def pgf_at(self, n, x):
+        """G_n(x); convex, nondecreasing, G_n(1) = 1.
+
+        Arrays of generations and points broadcast against each other;
+        scalar n and x give a float.
+        """
+        xs = np.asarray(x, dtype=float)
+        if not np.all((0.0 <= xs) & (xs <= 1.0)):
             raise ValueError("PGF argument must lie in [0, 1]")
-        if self.kind == "bernoulli":
-            rho = float(self.rho_rule.rho(n))
-            return 1.0 - rho + rho * x
-        if self.kind == "quadratic":
-            return float(np.polyval(self.quadratic_coeffs(n)[::-1], x))
-        if self.kind == "linear_fractional":
-            return self.lf_params(n).value_at(x)
-        return float(np.polyval(np.asarray(self.table(n))[::-1], x))
+        if self.kind == "custom":
+            vals = _table_pgf(self.table, n, xs)
+        else:
+            vals = self.pgf_formula(self.params(n), xs)
+        return float(vals) if np.ndim(vals) == 0 else vals
 
     def pmf(self, n: int, k_trunc: int) -> pgf.Pmf:
-        if self.kind == "bernoulli":
-            rho = float(self.rho_rule.rho(n))
-            coeffs = np.array([1.0 - rho, rho])
-        elif self.kind == "quadratic":
-            coeffs = self.quadratic_coeffs(n)
-        elif self.kind == "linear_fractional":
+        if self.kind == "linear_fractional":
             coeffs = self.lf_params(n).pmf_coeffs(k_trunc)
-        else:
+        elif self.kind == "custom":
             coeffs = np.asarray(self.table(n), dtype=float)
+        else:
+            coeffs = np.array(self.params(n))
         return pgf.Pmf(coeffs[:k_trunc])
 
     def sample(self, n: int, counts: np.ndarray,

@@ -23,6 +23,27 @@ if TYPE_CHECKING:  # pragma: no cover
     from .families import ScenarioSpec
 
 
+def _holds(mask) -> bool:
+    """Whether a condition holds everywhere; np.all costs microseconds on scalars."""
+    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _check_params(alpha, beta) -> None:
+    """The proper-PGF conditions on (alpha, beta); maps over arrays."""
+    if not _holds((0.0 < alpha) & (alpha <= 1.0)):
+        raise ValueError("alpha must lie in (0, 1]")
+    if not _holds((0.0 <= beta) & (beta < 1.0)):
+        raise ValueError("beta must lie in [0, 1)")
+    if not _holds(alpha + beta <= 1.0 + 1e-12):
+        raise ValueError("alpha + beta must not exceed 1")
+
+
+def lf_value(par, x):
+    """f(x) for parameters par = (alpha, beta); floats or broadcasting arrays."""
+    alpha, beta = par
+    return 1.0 - alpha / (1.0 - beta) + alpha * x / (1.0 - beta * x)
+
+
 @dataclass(frozen=True)
 class LinearFractional:
     """Parameters (alpha, beta) of f(s) = 1 - a/(1-b) + a s/(1-b s).
@@ -35,17 +56,10 @@ class LinearFractional:
     beta: float
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError("alpha must lie in (0, 1]")
-        if not (0.0 <= self.beta < 1.0):
-            raise ValueError("beta must lie in [0, 1)")
-        if self.alpha + self.beta > 1.0 + 1e-12:
-            raise ValueError("alpha + beta must not exceed 1")
+        _check_params(self.alpha, self.beta)
 
     def value_at(self, x: float) -> float:
-        return 1.0 - self.alpha / (1.0 - self.beta) + self.alpha * x / (
-            1.0 - self.beta * x
-        )
+        return lf_value((self.alpha, self.beta), x)
 
     def deriv_at_1(self, s: int) -> float:
         """s-th derivative at 1: s! alpha beta^(s-1) / (1-beta)^(s+1)."""
@@ -72,17 +86,24 @@ class LinearFractional:
 IDENTITY = LinearFractional(1.0, 0.0)
 
 
-def lf_from_derivatives(d1: float, d2: float) -> LinearFractional:
-    """Invert (f'(1), f''(1)) = (d1, d2) to the (alpha, beta) parameters.
+def lf_alpha_beta(d1, d2):
+    """Invert (f'(1), f''(1)) = (d1, d2) to checked (alpha, beta); maps over arrays.
 
     alpha = 4 d1^3 / (2 d1 + d2)^2, beta = d2 / (2 d1 + d2).
     """
-    if d1 <= 0.0:
+    if not _holds(d1 > 0.0):
         raise ValueError("first derivative must be positive")
-    if d2 < 0.0:
+    if not _holds(d2 >= 0.0):
         raise ValueError("second derivative must be nonnegative")
     denom = 2.0 * d1 + d2
-    return LinearFractional(4.0 * d1**3 / denom**2, d2 / denom)
+    alpha, beta = 4.0 * d1**3 / denom**2, d2 / denom
+    _check_params(alpha, beta)
+    return alpha, beta
+
+
+def lf_from_derivatives(d1: float, d2: float) -> LinearFractional:
+    """The LF map with (f'(1), f''(1)) = (d1, d2), see :func:`lf_alpha_beta`."""
+    return LinearFractional(*lf_alpha_beta(d1, d2))
 
 
 def lf_compose(outer: LinearFractional, inner: LinearFractional) -> LinearFractional:
@@ -180,8 +201,7 @@ def _closed_form_factors(spec: "ScenarioSpec", n: int, x: float) -> np.ndarray:
             "the exact product form needs Bernoulli immigration"
         )
     alpha, beta = composed_params_all(spec, n)
-    a, b = alpha[1 : n + 1], beta[1 : n + 1]
-    gbar = 1.0 - a / (1.0 - b) + a * x / (1.0 - b * x)
+    gbar = lf_value((alpha[1 : n + 1], beta[1 : n + 1]), x)
     return spec.immigration.pgf_values(np.arange(1, n + 1), gbar, "clamped")
 
 

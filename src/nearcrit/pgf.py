@@ -34,9 +34,11 @@ def _clean_coeffs(raw) -> tuple[np.ndarray, float]:
     The minimum is taken first: once no entry is below the clamp (so none
     is -inf), a nan or +inf entry makes the sum non-finite without an
     inf - inf warning, and one sum checks both finiteness and mass. The
-    vector is summed again only when a roundoff negative was clamped.
+    vector is summed again only when a roundoff negative was clamped. The
+    input is always copied, so freezing the result never freezes an array
+    the caller still owns.
     """
-    c = np.atleast_1d(np.asarray(raw, dtype=float))
+    c = np.array(raw, dtype=float, ndmin=1)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("coefficients must form a non-empty 1-D vector")
     worst = float(c.min())

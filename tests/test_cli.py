@@ -8,6 +8,7 @@ from nearcrit.families import (
     CompoundPoissonLimit,
     GeneralExpLimit,
     NegativeBinomialLimit,
+    OffspringFamily,
     PoissonLimit,
     ProductLimit,
     classify,
@@ -240,6 +241,25 @@ def test_exit_code_numeric_error(tmp_path, capsys):
     p = tmp_path / "negatom.scn"
     p.write_text(text)
     assert cli.main(["--scenario", str(p), "--command", "limits"]) == 4
+
+
+def test_exit_code_numeric_error_from_composed_maps(tmp_path, monkeypatch):
+    # offspring coefficients summing above 1 push a composed value past 1
+    # on the generic product-law path: a numeric failure, not bad input
+    real = OffspringFamily.params
+
+    def leaky(self, ns):
+        p0, p1, p2 = real(self, ns)
+        return p0 + 0.25, p1, p2
+
+    monkeypatch.setattr(OffspringFamily, "params", leaky)
+    text = scenarios.fixture_text("thm6_example1").replace(
+        "offspring.family = bernoulli", "offspring.family = quadratic"
+    ) + "offspring.nu = 1e-9\n"
+    p = tmp_path / "leaky.scn"
+    p.write_text(text)
+    args = ["--scenario", str(p), "--command", "limits", "--x-grid", "0.5"]
+    assert cli.main(args) == 4
 
 
 def test_exit_code_wrong_regime(tmp_path):

@@ -8,6 +8,7 @@ from scipy import stats
 from conftest import constant_spec, make_spec
 from nearcrit import limits, pgf
 from nearcrit.diagnostics import (
+    _vartheta_all,
     accompanying_gap_bound,
     report,
     riemann_gap,
@@ -15,7 +16,7 @@ from nearcrit.diagnostics import (
     tv_distance,
     vartheta,
 )
-from nearcrit.errors import WrongRegimeError
+from nearcrit.errors import NumericError, WrongRegimeError
 from nearcrit.families import OffspringFamily, RhoRule
 from nearcrit.linfrac import chain_product
 from nearcrit.scenarios import load_fixture
@@ -130,6 +131,22 @@ def test_vartheta_sum_below_rho_sum():
     spec = make_spec("quadratic", nu=0.8, m1="1*(n+1)^-1")
     rho_sum, theta_sum = toeplitz_weights(spec, 60)
     assert theta_sum <= rho_sum + 1e-14
+
+
+def test_vartheta_all_matches_scalar_chord_slopes(fixture_specs):
+    for name in ("thm1_poisson", "thm5_nb", "lf_crosscheck"):
+        spec = fixture_specs[name]
+        n = 150
+        got = _vartheta_all(spec, n)
+        want = np.array([vartheta(spec, j, n) for j in range(1, n + 1)])
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_vartheta_all_rejects_underflowed_chain_product():
+    # sum_l log rho_l ~ -n^0.7 / 0.7 passes -745 near n = 7500
+    spec = make_spec(gamma=0.3, n0=0.0)
+    with pytest.raises(NumericError, match="underflows"):
+        toeplitz_weights(spec, 10_000)
 
 
 def test_accompanying_gap_bound_edges():

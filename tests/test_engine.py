@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import constant_spec, make_spec
-from nearcrit import engine, linfrac, pgf
+from nearcrit import diagnostics, engine, linfrac, pgf
 from nearcrit.diagnostics import accompanying_gap_bound
+from nearcrit.errors import NumericError
+from nearcrit.families import OffspringFamily
+
+CLOSED_FORMS = ("bernoulli", "quadratic", "linear_fractional")
 
 
 def bern(p):
@@ -101,6 +105,98 @@ def test_composed_eval_matches_lf_closed_form():
         assert engine.composed_eval(spec, j, n, x) == pytest.approx(
             par.value_at(x), abs=1e-12
         )
+
+
+def _per_step_composed(fam, n, x):
+    """The backward pass one scalar pgf_at call at a time (the oracle)."""
+    y, vals = x, [x]
+    for l in range(n, 0, -1):
+        y = fam.pgf_at(l, y)
+        vals.append(y)
+    return np.array(vals[::-1])
+
+
+@given(
+    kind=st.sampled_from(CLOSED_FORMS),
+    gamma=st.floats(0.3, 2.5),
+    n0=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    rho1=st.floats(0.01, 0.99),
+    nu=st.floats(0.01, 100.0),
+    n=st.integers(0, 300),
+    x=st.floats(0.0, 1.0),
+)
+# rho_1 = 0.05 puts the early quadratic generations outside the nu window
+@example(kind="quadratic", gamma=0.5, n0=0.0, rho1=0.05, nu=40.0, n=200, x=0.3)
+@example(kind="linear_fractional", gamma=1.5, n0=2.0, rho1=0.2, nu=3.0, n=300, x=0.0)
+@settings(max_examples=150, deadline=None)
+def test_array_evaluation_matches_per_generation_route(kind, gamma, n0, rho1,
+                                                       nu, n, x):
+    spec = make_spec(kind, c=(1.0 - rho1) * (1.0 + n0) ** gamma, gamma=gamma,
+                     n0=n0, nu=0.0 if kind == "bernoulli" else nu)
+    fam = spec.offspring
+    ns = np.arange(1, n + 1)
+    xs = (x + 0.6180339887498949 * ns) % 1.0
+    xs[::7] = 1.0
+    arr = fam.pgf_at(ns, xs)
+    per_n = np.array([fam.pgf_at(int(l), float(y)) for l, y in zip(ns, xs)])
+    # Array and scalar rules differ by an ulp in rho_n (numpy's vectorized
+    # pow); the tolerance is 4 ulp of 1 times how far that moves G_n(x):
+    # by nu through the curvature term, and by 1/(1 - beta) through the
+    # LF formula's division.
+    scale = 1.0 + fam.nu
+    if kind == "linear_fractional":
+        scale = scale / (1.0 - fam.params(ns)[1])
+    assert np.all(np.abs(arr - per_n) <= 4 * np.finfo(float).eps * scale)
+    got = engine.composed_eval_all(spec, n, x)
+    assert np.max(np.abs(got - _per_step_composed(fam, n, x))) <= 1e-14
+
+
+def test_composed_eval_all_custom_table_goes_step_by_step(monkeypatch):
+    spec = constant_spec(0.6, 0.3, offspring_coeffs=[0.3, 0.4, 0.3])
+    want = _per_step_composed(spec.offspring, 5, 0.4)
+    calls = []
+    real = OffspringFamily.pgf_at
+
+    def counting(self, n, x):
+        calls.append(n)
+        return real(self, n, x)
+
+    monkeypatch.setattr(OffspringFamily, "pgf_at", counting)
+    got = engine.composed_eval_all(spec, 5, 0.4)
+    assert calls == [5, 4, 3, 2, 1]
+    assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("kind", CLOSED_FORMS)
+def test_closed_forms_make_no_scalar_pgf_calls(monkeypatch, kind):
+    spec = make_spec(kind, nu=0.0 if kind == "bernoulli" else 0.7)
+    calls = []
+    real = OffspringFamily.pgf_at
+
+    def counting(self, n, x):
+        calls.append(n)
+        return real(self, n, x)
+
+    monkeypatch.setattr(OffspringFamily, "pgf_at", counting)
+    engine.composed_eval_all(spec, 300, 0.4)
+    assert calls == []
+    diagnostics._vartheta_all(spec, 300)
+    assert len(calls) == 1
+
+
+def test_composed_value_outside_unit_interval_is_numeric_error(monkeypatch):
+    spec = make_spec("quadratic", nu=0.5)
+    real = OffspringFamily.params
+
+    def leaky(self, ns):
+        p0, p1, p2 = real(self, ns)
+        return p0 + 0.25, p1, p2  # coefficients sum to 1.25
+
+    monkeypatch.setattr(OffspringFamily, "params", leaky)
+    with pytest.raises(NumericError, match="generation 40"):
+        engine.composed_eval_all(spec, 40, 0.9)
+    with pytest.raises(ValueError):
+        engine.composed_eval_all(spec, 40, 1.5)
 
 
 def test_accompanying_eval_poisson_first_step():

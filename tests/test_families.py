@@ -157,6 +157,19 @@ def test_pgf_normalized_and_mean_matches_across_families():
             )
 
 
+def test_custom_table_pgf_at_broadcasts():
+    fam = OffspringFamily(
+        kind="custom", table=lambda n: np.array([0.5 / n, 1.0 - 0.5 / n])
+    )
+    ns = np.arange(1, 6)
+    xs = np.linspace(0.0, 1.0, 5)
+    want = [0.5 / n + (1.0 - 0.5 / n) * x for n, x in zip(ns, xs)]
+    assert np.allclose(fam.pgf_at(ns, xs), want, rtol=0.0, atol=1e-15)
+    assert np.allclose(fam.pgf_at(ns, 0.5), [fam.pgf_at(int(n), 0.5) for n in ns],
+                       rtol=0.0, atol=0.0)
+    assert isinstance(fam.pgf_at(3, 0.5), float)
+
+
 def test_lf_pmf_expansion_matches_function_values():
     # dual route: the geometric coefficient formula against direct
     # evaluation of the rational generating function

@@ -202,8 +202,8 @@ def test_product_law_example2_poisson_mean():
 def test_product_law_generic_path_matches_affine_fast_path():
     # quadratic offspring in the convergent regime exercises the horizon-
     # doubling route; with nu tiny it must approach the Bernoulli value.
-    # The generic route walks the composition chain scalar-wise, so keep
-    # the tolerance modest.
+    # The generic route stops growing its composition horizon within tol,
+    # so keep the tolerance modest.
     spec_q = make_spec(
         "quadratic", gamma=2.0, n0=1.0, nu=1e-9, m1="1*n^-2", lam=1.0,
         divergent=False,

@@ -19,6 +19,18 @@ def test_pmf_tracks_deficiency():
     assert p.truncation_len == 2
 
 
+def test_pmf_leaves_callers_array_writable():
+    a = np.array([0.5, 0.5])
+    p = pgf.Pmf(a)
+    a[0] = 0.25
+    assert p.coeffs.tolist() == [0.5, 0.5]
+    assert not p.coeffs.flags.writeable
+    window = np.array([0.2, 0.3, 0.5, 0.0])
+    q = pgf.Pmf(window[:3])
+    window[0] = 0.9
+    assert q.coeffs.tolist() == [0.2, 0.3, 0.5]
+
+
 def test_pmf_clamps_roundoff_negatives():
     p = pgf.Pmf(np.array([1.0, -1e-14]))
     assert p.coeffs[1] == 0.0
