@@ -148,7 +148,11 @@ def simulate(spec: ScenarioSpec, n: int, reps: int, seed: int) -> pgf.Pmf:
 
     Trajectories run vectorized in fixed-size chunks; chunk i draws from
     numpy's PCG64 seeded with SeedSequence([seed, i]), so results are
-    reproducible and independent of chunk execution order.
+    reproducible and independent of chunk execution order. Each generation
+    draws only its rare events (parents without exactly one child, and the
+    trajectories that receive immigrants; see ``families._thin``), so one
+    seed gives a different sample, of the same law, than releases that
+    drew one variate per trajectory.
     """
     if reps < 1:
         raise ValueError("need at least one trajectory")

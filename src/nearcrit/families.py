@@ -178,8 +178,10 @@ def _bernoulli_pgf(par, x):
 
 
 def _quadratic_pgf(par, x):
-    p0, p1, p2 = par
-    return (p2 * x + p1) * x + p0
+    # 1 - G(x) = (1 - x)(p1 + p2 (1 + x)): exactly 1 at x = 1 and never
+    # above it, where p0 + (p1 + p2 x) x can round to 1 + eps
+    _, p1, p2 = par
+    return 1.0 - (1.0 - x) * (p1 + p2 * (1.0 + x))
 
 
 # G_n(x) = formula(params(n), x) for each closed-form kind
@@ -283,13 +285,17 @@ class OffspringFamily:
         """
         if self.kind == "custom":
             raise ScenarioValidationError("custom offspring has no closed form")
+        if self.kind == "quadratic":
+            # From the unrounded 1 - rho_n, and nu_eff (1 - rho_n) as
+            # min(nu (1 - rho_n), rho_n): a window-clamped generation gets
+            # p1 = 0 exactly, never a rounded p1 < 0 or p0 + p2 > 1.
+            delta = self.rho_rule.one_minus_rho(ns)
+            rho = 1.0 - delta
+            p2 = np.minimum(self.nu * delta, rho) / 2.0
+            return delta + p2, rho - 2.0 * p2, p2
         rho = self.rho_rule.rho(ns)
         if self.kind == "bernoulli":
             return 1.0 - rho, rho
-        if self.kind == "quadratic":
-            p2 = self.nu_eff(ns) * (1.0 - rho) / 2.0
-            p1 = rho - 2.0 * p2
-            return 1.0 - p1 - p2, p1, p2
         return lf_alpha_beta(rho, self.nu * (1.0 - rho))
 
     @property
@@ -335,23 +341,28 @@ class OffspringFamily:
 
     def sample(self, n: int, counts: np.ndarray,
                rng: np.random.Generator) -> np.ndarray:
-        """Total offspring of ``counts`` parents in generation ``n``, exactly."""
+        """Total offspring of ``counts`` parents in generation ``n``, exactly.
+
+        The closed-form kinds draw only the parents that do not have
+        exactly one child, which are rare near criticality (see _thin).
+        """
         if self.kind == "bernoulli":
-            return rng.binomial(counts, float(self.rho_rule.rho(n)))
+            return counts - _thin(counts, float(self.one_minus_rho(n)), rng)
         if self.kind == "quadratic":
-            p0, p1, p2 = self.quadratic_coeffs(n)
-            two = rng.binomial(counts, p2)
-            rest = counts - two
-            one = rng.binomial(rest, p1 / (p1 + p0)) if p1 + p0 > 0 else 0
-            return 2 * two + one
+            p0, _, p2 = (float(v) for v in self.params(n))
+            # parents with 0 or 2 children, then the ones with 2 among them
+            split = _thin(counts, p0 + p2, rng)
+            return counts - split + 2 * _thin(split, p2 / (p0 + p2), rng)
         if self.kind == "linear_fractional":
             par = self.lf_params(n)
-            nonzero = rng.binomial(counts, par.alpha / (1.0 - par.beta))
-            extra = np.zeros_like(nonzero)
-            pos = nonzero > 0
-            if par.beta > 0.0 and np.any(pos):
-                extra[pos] = rng.negative_binomial(nonzero[pos], 1.0 - par.beta)
-            return nonzero + extra
+            alive = counts - _thin(counts, 1.0 - par.alpha / (1.0 - par.beta), rng)
+            # a parent with children has more than one with probability beta,
+            # and then Geometric(1 - beta) more
+            more = _thin(alive, par.beta, rng)
+            hit = np.flatnonzero(more)
+            owner = np.repeat(hit, more[hit])
+            np.add.at(alive, owner, rng.geometric(1.0 - par.beta, owner.shape[0]))
+            return alive
         # custom table: one categorical draw per individual
         table = np.asarray(self.table(n), dtype=float)
         probs = _sampling_probs(table)
@@ -363,6 +374,29 @@ class OffspringFamily:
         return np.bincount(owner, weights=draws, minlength=counts.shape[0]).astype(
             np.int64
         )
+
+
+def _events(total: int, q: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted positions of the events when each of ``total`` units has one
+    independently with probability ``q``.
+
+    The event count is Binomial(total, q) and, given it, the positions are
+    a uniform subset, so only the events themselves are drawn.
+    """
+    k = rng.binomial(total, q)
+    return np.sort(rng.choice(total, k, replace=False, shuffle=False))
+
+
+def _thin(counts: np.ndarray, q: float, rng: np.random.Generator) -> np.ndarray:
+    """Per-trajectory event counts, each of the ``counts[i]`` units of
+    trajectory i having an event independently with probability ``q``.
+
+    Units are laid end to end, trajectory by trajectory; sorted positions
+    keep the ``searchsorted`` that finds their owners cheap.
+    """
+    pos = _events(int(counts.sum()), q, rng)
+    owner = np.searchsorted(np.cumsum(counts), pos, side="right")
+    return np.bincount(owner, minlength=counts.shape[0])
 
 
 def _sampling_probs(table: np.ndarray) -> np.ndarray:
@@ -453,6 +487,15 @@ class ImmigrationFamily:
         base_mean = pgf.factorial_moment(self._base_pmf(), 1)
         return self.m1.at(n) / base_mean
 
+    def mixture_prob(self, n: int) -> float:
+        """Mixing weight w_n of the finite-n routes, checked to be a probability."""
+        w = float(self.mix_weight(n))
+        if not 0.0 <= w <= 1.0:
+            raise ScenarioValidationError(
+                f"mixture weight {w:.4g} at n={n} is not a probability"
+            )
+        return w
+
     def _rates(self, ns, rates: str):
         """m_{n,1} under the named rate rule (see :data:`RATE_RULES`)."""
         m = self.m1.at(ns)
@@ -507,29 +550,29 @@ class ImmigrationFamily:
             return pgf.Pmf(np.array([1.0 - m, m])[:k_trunc])
         if self.kind == "poisson":
             return pgf.Pmf(pgf.poisson_coeffs(float(self.m1.at(n)), k_trunc))
-        w = self.mix_weight(n)
-        if not 0.0 <= w <= 1.0:
-            raise ScenarioValidationError(
-                f"mixture weight {w:.4g} at n={n} is not a probability"
-            )
+        w = self.mixture_prob(n)
         out = w * np.asarray(self.base)
         out[0] += 1.0 - w
         return pgf.Pmf(out[:k_trunc])
 
     def sample(self, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-        """``size`` independent immigration counts of generation ``n``."""
+        """``size`` independent immigration counts of generation ``n``.
+
+        Only the trajectories that receive immigrants are drawn.
+        """
         if self.kind == "bernoulli":
-            return (rng.random(size) < self.bernoulli_rate(n)).astype(np.int64)
+            return np.bincount(_events(size, self.bernoulli_rate(n), rng),
+                               minlength=size)
         if self.kind == "poisson":
-            return rng.poisson(float(self.m1.at(n)), size)
-        # base-law mixture: draw from the base with the mixing probability
-        w = self.mix_weight(n)
+            # a Poisson(size m) total split uniformly: iid Poisson(m) counts
+            arrivals = rng.poisson(size * float(self.m1.at(n)))
+            return np.bincount(rng.integers(0, size, arrivals), minlength=size)
+        # base-law mixture: draw from the base for the mixed-in trajectories
+        mixed = _events(size, self.mixture_prob(n), rng)
+        base = np.asarray(self.base, dtype=float)
         out = np.zeros(size, dtype=np.int64)
-        chosen = rng.random(size) < w
-        hits = int(chosen.sum())
-        if hits:
-            base = np.asarray(self.base, dtype=float)
-            out[chosen] = rng.choice(base.shape[0], size=hits, p=_sampling_probs(base))
+        out[mixed] = rng.choice(base.shape[0], size=mixed.shape[0],
+                                p=_sampling_probs(base))
         return out
 
 

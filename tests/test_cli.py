@@ -233,6 +233,19 @@ def test_exit_code_validation_error(tmp_path):
     assert cli.main(["--scenario", str(p), "--command", "classify"]) == 3
 
 
+def test_simulate_rejects_mixture_weight_above_one(tmp_path, capsys):
+    # delta2 has mean 2, so the rule 5/(n+1) asks for weight 1.25 at n = 1
+    text = scenarios.fixture_text("thm3_cp_finite").replace(
+        "immigration.m1.rule = 2*(n+1)^-1", "immigration.m1.rule = 5*(n+1)^-1"
+    )
+    p = tmp_path / "heavy_mixture.scn"
+    p.write_text(text)
+    for flags in (["--command", "simulate", "--n", "3", "--reps", "100"],
+                  ["--command", "propagate", "--n", "3"]):
+        assert cli.main(["--scenario", str(p), *flags]) == 3
+        assert "mixture weight 1.25 at n=1" in capsys.readouterr().err
+
+
 def test_exit_code_numeric_error(tmp_path, capsys):
     # a lambda sequence with a negative intensity atom trips the numeric path
     text = scenarios.fixture_text("thm3_cp_finite").replace(
@@ -244,13 +257,13 @@ def test_exit_code_numeric_error(tmp_path, capsys):
 
 
 def test_exit_code_numeric_error_from_composed_maps(tmp_path, monkeypatch):
-    # offspring coefficients summing above 1 push a composed value past 1
+    # offspring coefficients summing above 1 push a composed value below 0
     # on the generic product-law path: a numeric failure, not bad input
     real = OffspringFamily.params
 
     def leaky(self, ns):
         p0, p1, p2 = real(self, ns)
-        return p0 + 0.25, p1, p2
+        return p0, p1 + 0.25, p2
 
     monkeypatch.setattr(OffspringFamily, "params", leaky)
     text = scenarios.fixture_text("thm6_example1").replace(

@@ -128,6 +128,9 @@ def _per_step_composed(fam, n, x):
 # rho_1 = 0.05 puts the early quadratic generations outside the nu window
 @example(kind="quadratic", gamma=0.5, n0=0.0, rho1=0.05, nu=40.0, n=200, x=0.3)
 @example(kind="linear_fractional", gamma=1.5, n0=2.0, rho1=0.2, nu=3.0, n=300, x=0.0)
+# p0 + (p1 + p2 x) x rounds to 1 + eps at x = 1 for this rule
+@example(kind="quadratic", gamma=0.6506331121686338, n0=0.0, rho1=0.46875, nu=5.0,
+         n=5, x=1.0)
 @settings(max_examples=150, deadline=None)
 def test_array_evaluation_matches_per_generation_route(kind, gamma, n0, rho1,
                                                        nu, n, x):
@@ -190,11 +193,11 @@ def test_composed_value_outside_unit_interval_is_numeric_error(monkeypatch):
 
     def leaky(self, ns):
         p0, p1, p2 = real(self, ns)
-        return p0 + 0.25, p1, p2  # coefficients sum to 1.25
+        return p0, p1 + 0.25, p2  # coefficients sum to 1.25, G_n(0) < 0
 
     monkeypatch.setattr(OffspringFamily, "params", leaky)
     with pytest.raises(NumericError, match="generation 40"):
-        engine.composed_eval_all(spec, 40, 0.9)
+        engine.composed_eval_all(spec, 40, 0.0)
     with pytest.raises(ValueError):
         engine.composed_eval_all(spec, 40, 1.5)
 

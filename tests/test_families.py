@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from conftest import make_spec
 from nearcrit import pgf
@@ -135,6 +138,21 @@ def test_quadratic_window_clamps_early_generations():
     assert fam.start_offset() > 1
     p = fam.pmf(1, 3)
     assert np.all(p.coeffs >= 0)
+
+
+def test_quadratic_window_clamped_params_stay_probabilities():
+    # a window-clamped generation needs p1 = 0 exactly: a rounded p1 < 0 or
+    # p0 + p2 > 1 is not a probability, and the sampler rejects it
+    for nu in np.linspace(0.5, 20.0, 40):
+        fam = OffspringFamily(
+            kind="quadratic", rho_rule=RhoRule(c=1.0, gamma=1.0, n0=0.0), nu=nu
+        )
+        ns = np.arange(1, 61)
+        p0, p1, p2 = fam.params(ns)
+        assert np.all(p1 >= 0.0) and np.all(p0 + p2 <= 1.0)
+        assert np.all(p1[nu > ns - 1] == 0.0)  # nu > rho_n/(1 - rho_n)
+        for n in range(1, int(nu) + 3):
+            fam.sample(n, np.array([3, 1, 0, 2]), np.random.default_rng(n))
 
 
 def test_pgf_normalized_and_mean_matches_across_families():
@@ -301,3 +319,147 @@ def test_validate_rejects_divergence_contradiction():
         make_spec(gamma=2.0, n0=0.0, divergent=True).validate()
     with pytest.raises(ScenarioValidationError):
         make_spec(gamma=1.0, divergent=False).validate()
+
+
+# ---------------------------------------------------------------------------
+# exactness of the samplers: one seeded generation against the exact law
+
+# 4 000 trajectories for each starting count; 0 checks the empty trajectory
+START_COUNTS = np.repeat(np.array([0, 1, 2, 3, 7], dtype=np.int64), 4000)
+# Pearson p-values below this fail; with the asymptotic chi-square law
+# each assertion has a false-alarm probability of about 1e-6
+P_FLOOR = 1e-6
+
+
+def _pearson(draws, probs):
+    """Pearson statistic and degrees of freedom of ``draws`` against ``probs``.
+
+    Adjacent values are pooled until every cell expects at least 5 draws. A
+    draw where the law has no mass gives an infinite statistic.
+    """
+    top = max(probs.shape[0], int(draws.max()) + 1)
+    obs = np.bincount(draws, minlength=top)
+    exp = np.zeros(top)
+    exp[: probs.shape[0]] = probs * draws.shape[0]
+    if np.any(obs[exp == 0.0] > 0):
+        return math.inf, 1
+    cells_obs, cells_exp, o, e = [], [], 0, 0.0
+    for k in range(top):
+        o, e = o + obs[k], e + exp[k]
+        if e >= 5.0:
+            cells_obs.append(o)
+            cells_exp.append(e)
+            o, e = 0, 0.0
+    cells_obs[-1] += o
+    cells_exp[-1] += e
+    cells_obs, cells_exp = np.array(cells_obs), np.array(cells_exp)
+    return float(np.sum((cells_obs - cells_exp) ** 2 / cells_exp)), len(cells_exp) - 1
+
+
+def _one_step_pvalue(draws, counts, unit_law):
+    """Chi-square p-value of per-trajectory ``draws`` against the exact law of
+    a sum of ``counts[i]`` independent ``unit_law`` variables, pooled over
+    the distinct counts."""
+    assert draws.shape == counts.shape and np.all(draws >= 0)
+    stat, dof = 0.0, 0
+    for c in np.unique(counts):
+        law = np.array([1.0])
+        for _ in range(int(c)):
+            law = np.convolve(law, unit_law)
+        s, d = _pearson(draws[counts == c], law)
+        stat, dof = stat + s, dof + d
+    if math.isinf(stat):
+        return 0.0
+    return float(stats.chi2.sf(stat, dof)) if dof else 1.0
+
+
+def _offspring(kind, c=1.0, gamma=1.0, n0=1.0, nu=0.0):
+    return OffspringFamily(kind=kind, rho_rule=RhoRule(c=c, gamma=gamma, n0=n0),
+                           nu=nu)
+
+
+OFFSPRING_CASES = {
+    # near critical: q = 1/201 of the parents die
+    "bernoulli_n200": (_offspring("bernoulli"), 200),
+    # rho_1 = 0.2, so the event probability is 0.8 > 1/2
+    "bernoulli_early": (_offspring("bernoulli", c=0.8, n0=0.0), 1),
+    "quadratic_n200": (_offspring("quadratic", nu=1.0), 200),
+    "quadratic_n5": (_offspring("quadratic", nu=1.0), 5),
+    # nu = 2 > rho_2/(1 - rho_2) = 1: window-clamped, p1 = 0 and q = 1
+    "quadratic_clamped": (_offspring("quadratic", n0=0.0, nu=2.0), 2),
+    # rho_1 = 1/2 and beta = 1/2: many parents with several extra children
+    "lf_early": (_offspring("linear_fractional", nu=2.0), 1),
+    "lf_n200": (_offspring("linear_fractional", nu=2.0), 200),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OFFSPRING_CASES))
+def test_offspring_sampler_draws_the_exact_one_step_law(case):
+    fam, n = OFFSPRING_CASES[case]
+    draws = fam.sample(n, START_COUNTS.copy(), np.random.default_rng([5, n]))
+    law = fam.pmf(n, 200)
+    assert law.deficiency < 1e-12
+    assert _one_step_pvalue(draws, START_COUNTS, law.coeffs) > P_FLOOR
+
+
+def test_quadratic_clamped_generation_has_no_single_children():
+    fam, n = OFFSPRING_CASES["quadratic_clamped"]
+    p0, p1, p2 = fam.params(n)
+    assert p1 == 0.0 and p0 + p2 == 1.0
+    draws = fam.sample(n, START_COUNTS.copy(), np.random.default_rng(3))
+    assert np.all(draws % 2 == 0)
+
+
+def test_bernoulli_offspring_all_die_when_rho_is_zero(fixture_specs):
+    fam = fixture_specs["thm4_log2"].offspring
+    assert float(fam.rho_rule.rho(1)) == 0.0
+    draws = fam.sample(1, START_COUNTS.copy(), np.random.default_rng(1))
+    assert not np.any(draws)
+
+
+@pytest.mark.parametrize("case", sorted(OFFSPRING_CASES))
+def test_offspring_sampler_on_empty_population(case):
+    fam, n = OFFSPRING_CASES[case]
+    draws = fam.sample(n, np.zeros(50, dtype=np.int64), np.random.default_rng(1))
+    assert draws.shape == (50,) and not np.any(draws)
+
+
+def _immigration(kind, m1, base=None):
+    if base is None:
+        return ImmigrationFamily(kind=kind, m1=PowerSum.parse(m1))
+    return ImmigrationFamily(kind=kind, m1=PowerSum.parse(m1), base=tuple(base))
+
+
+IMMIGRATION_CASES = {
+    "bernoulli": (_immigration("bernoulli", "1*(n+1)^-1"), 3),
+    "bernoulli_n200": (_immigration("bernoulli", "1*(n+1)^-1"), 200),
+    "poisson": (_immigration("poisson", "2*(n+1)^-1"), 3),
+    "poisson_n200": (_immigration("poisson", "2*(n+1)^-1"), 200),
+    "custom_delta2": (_immigration("custom", "2*(n+1)^-1", [0.0, 0.0, 1.0]), 3),
+    "custom_log_two": (_immigration("custom", "1*n^-1", log_two_base(64)), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IMMIGRATION_CASES))
+def test_immigration_sampler_draws_the_exact_law(case):
+    imm, n = IMMIGRATION_CASES[case]
+    draws = imm.sample(n, 20_000, np.random.default_rng([7, n]))
+    law = imm.pmf(n, 64)
+    assert law.deficiency < 1e-12
+    ones = np.ones(draws.shape[0], dtype=np.int64)
+    assert _one_step_pvalue(draws, ones, law.coeffs) > P_FLOOR
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "poisson", "custom"])
+def test_immigration_sampler_with_zero_rate(kind):
+    imm = _immigration(kind, "0", [0.0, 0.0, 1.0] if kind == "custom" else None)
+    draws = imm.sample(4, 1000, np.random.default_rng(2))
+    assert draws.shape == (1000,) and not np.any(draws)
+
+
+def test_mixture_weight_above_one_is_rejected_by_sampler_and_pmf():
+    imm = _immigration("custom", "5*(n+1)^-1", [0.0, 0.0, 1.0])
+    for call in (lambda: imm.pmf(1, 8),
+                 lambda: imm.sample(1, 10, np.random.default_rng(0))):
+        with pytest.raises(ScenarioValidationError, match="mixture weight 1.25"):
+            call()
