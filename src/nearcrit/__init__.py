@@ -26,7 +26,7 @@ from .limits import (
     poisson_pmf,
     product_law_eval,
 )
-from .linfrac import LinearFractional, lf_compose, lf_from_derivatives
+from .linfrac import LinearFractional
 from .pgf import CenteredSeries, Pmf, compound, convolve, evaluate, factorial_moment
 from .scenarios import ScenarioFile, load_fixture, parse_scenario
 
@@ -55,8 +55,6 @@ __all__ = [
     "evaluate",
     "factorial_moment",
     "general_limit_pmf",
-    "lf_compose",
-    "lf_from_derivatives",
     "load_fixture",
     "nb_params",
     "nb_pmf",

@@ -51,19 +51,12 @@ def tv_distance(a: pgf.Pmf, b: pgf.Pmf) -> float:
     )
 
 
-def vartheta(spec: ScenarioSpec, j: int, n: int) -> float:
-    """Chord slope (1 - G_j(1 - rho_[j,n])) / rho_[j,n], the upper-bound rate.
-
-    Lies in (0, rho_j] by convexity; rho_j - vartheta <= rho_[j,n] G_j''(1).
-    """
-    if not 1 <= j <= n:
-        raise ValueError("need 1 <= j <= n")
-    rho_jn = chain_product(spec, j, n)
-    return (1.0 - spec.offspring.pgf_at(j, 1.0 - rho_jn)) / rho_jn
-
-
 def _vartheta_all(spec: ScenarioSpec, n: int) -> np.ndarray:
-    """vartheta_{j,n} for j = 1..n in one pass."""
+    """Chord slopes vartheta_{j,n} = (1 - G_j(1 - rho_[j,n])) / rho_[j,n], j = 1..n.
+
+    Each lies in (0, rho_j] by convexity, with rho_j - vartheta_{j,n} <=
+    rho_[j,n] G_j''(1); they are the rates of the upper bound.
+    """
     s = chain_logs(spec, n)
     rho_jn = np.exp(s[n] - s[1:])
     if not np.all(rho_jn > 0.0):

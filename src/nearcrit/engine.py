@@ -84,13 +84,6 @@ def propagate(spec: ScenarioSpec, n: int, k_trunc: int | None = None,
     return propagate_sequence(spec, [n], k_trunc, initial)[0]
 
 
-def composed_eval(spec: ScenarioSpec, j: int, n: int, x: float) -> float:
-    """Scalar value of the composed map G_{j+1} o ... o G_n at ``x``."""
-    if j > n:
-        raise ValueError("need j <= n")
-    return float(composed_eval_all(spec, n, x)[j])
-
-
 def composed_eval_all(spec: ScenarioSpec, n: int, x: float) -> np.ndarray:
     """vals[j] = (G_{j+1} o ... o G_n)(x) for j = 0..n, one backward pass.
 
@@ -184,11 +177,7 @@ def default_truncation(spec: ScenarioSpec) -> int:
     if isinstance(law, PoissonLimit):
         return 2 * _tail_index(pgf.poisson_coeffs(law.lam, 4096))
     if isinstance(law, NegativeBinomialLimit):
-        out = np.empty(4096)
-        out[0] = math.exp(law.r * math.log1p(-law.p))
-        for k in range(out.shape[0] - 1):
-            out[k + 1] = out[k] * law.p * (k + law.r) / (k + 1)
-        return 2 * _tail_index(out)
+        return 2 * _tail_index(pgf.nb_coeffs(law.r, law.p, 4096))
     return max(2 * spec.k_trunc, 64)
 
 

@@ -256,8 +256,6 @@ class OffspringFamily:
 
     def second_deriv(self, n):
         """G_n''(1); equals nu_eff (1 - rho_n) for the constructed families."""
-        if self.kind == "bernoulli":
-            return np.zeros(np.shape(n)) if np.ndim(n) else 0.0
         if self.kind == "custom":
             return _table_moment(self.table, n, 2)
         return self.nu_eff(n) * self.one_minus_rho(n)
@@ -285,18 +283,18 @@ class OffspringFamily:
         """
         if self.kind == "custom":
             raise ScenarioValidationError("custom offspring has no closed form")
-        if self.kind == "quadratic":
-            # From the unrounded 1 - rho_n, and nu_eff (1 - rho_n) as
-            # min(nu (1 - rho_n), rho_n): a window-clamped generation gets
-            # p1 = 0 exactly, never a rounded p1 < 0 or p0 + p2 > 1.
-            delta = self.rho_rule.one_minus_rho(ns)
-            rho = 1.0 - delta
-            p2 = np.minimum(self.nu * delta, rho) / 2.0
-            return delta + p2, rho - 2.0 * p2, p2
-        rho = self.rho_rule.rho(ns)
+        # curvatures come from the unrounded 1 - rho_n, never from 1 - rho_n
+        # rounded through rho_n
+        delta = self.rho_rule.one_minus_rho(ns)
+        rho = 1.0 - delta
         if self.kind == "bernoulli":
             return 1.0 - rho, rho
-        return lf_alpha_beta(rho, self.nu * (1.0 - rho))
+        if self.kind == "linear_fractional":
+            return lf_alpha_beta(rho, self.nu * delta)
+        # nu_eff (1 - rho_n) as min(nu (1 - rho_n), rho_n): a window-clamped
+        # generation gets p1 = 0 exactly, never a rounded p1 < 0 or p0 + p2 > 1
+        p2 = np.minimum(self.nu * delta, rho) / 2.0
+        return delta + p2, rho - 2.0 * p2, p2
 
     @property
     def pgf_formula(self) -> Callable:
@@ -311,9 +309,6 @@ class OffspringFamily:
         if self.kind == "bernoulli":
             return LinearFractional(float(self.params(n)[1]), 0.0)
         raise ScenarioValidationError(f"{self.kind} offspring has no LF parameters")
-
-    def quadratic_coeffs(self, n: int) -> np.ndarray:
-        return np.array(self.params(n))
 
     def pgf_at(self, n, x):
         """G_n(x); convex, nondecreasing, G_n(1) = 1.

@@ -91,15 +91,9 @@ def nb_params(lam: float, nu: float) -> NegBinParams:
 
 
 def nb_pmf(r: float, p: float, k_trunc: int) -> pgf.Pmf:
-    """NB(r, p) by the recurrence p_{k+1} = p_k p (k+r)/(k+1)."""
-    if k_trunc <= 0:
-        raise ValueError("truncation length must be positive")
+    """NB(r, p) truncated at ``k_trunc``, see :func:`pgf.nb_coeffs`."""
     NegBinParams(r, p)
-    out = np.empty(k_trunc)
-    out[0] = math.exp(r * math.log1p(-p))
-    for k in range(k_trunc - 1):
-        out[k + 1] = out[k] * p * (k + r) / (k + 1)
-    return pgf.Pmf(out)
+    return pgf.Pmf(pgf.nb_coeffs(r, p, k_trunc))
 
 
 # ---------------------------------------------------------------------------

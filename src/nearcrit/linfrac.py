@@ -3,16 +3,16 @@
 The two-parameter family f(s) = 1 - a/(1-b) + a s/(1-b s) is closed under
 composition and is pinned down by its first two derivatives at 1, which
 makes exact evaluation of composed offspring maps possible. This module
-holds that calculus plus the derivative recursions of composed maps at 1
-(chain products for order 1, weighted sums for order 2, and the full
-composite-derivative accumulation for higher orders).
+holds that calculus, the chain products rho_[j,n] in log space, the
+closed-form product F_n(x) for LF or Bernoulli offspring, and the
+derivatives at 1 of composed maps of any family, by truncated
+Taylor-series composition.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -83,9 +83,6 @@ class LinearFractional:
         return out
 
 
-IDENTITY = LinearFractional(1.0, 0.0)
-
-
 def lf_alpha_beta(d1, d2):
     """Invert (f'(1), f''(1)) = (d1, d2) to checked (alpha, beta); maps over arrays.
 
@@ -99,18 +96,6 @@ def lf_alpha_beta(d1, d2):
     alpha, beta = 4.0 * d1**3 / denom**2, d2 / denom
     _check_params(alpha, beta)
     return alpha, beta
-
-
-def lf_from_derivatives(d1: float, d2: float) -> LinearFractional:
-    """The LF map with (f'(1), f''(1)) = (d1, d2), see :func:`lf_alpha_beta`."""
-    return LinearFractional(*lf_alpha_beta(d1, d2))
-
-
-def lf_compose(outer: LinearFractional, inner: LinearFractional) -> LinearFractional:
-    """Parameters of outer(inner(.)), via chain-rule derivatives at 1."""
-    d1o, d2o = outer.deriv_at_1(1), outer.deriv_at_1(2)
-    d1i, d2i = inner.deriv_at_1(1), inner.deriv_at_1(2)
-    return lf_from_derivatives(d1o * d1i, d2o * d1i**2 + d1o * d2i)
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +161,8 @@ def composed_params_all(spec: "ScenarioSpec", n: int):
     return alpha, beta
 
 
-def composed_map(spec: "ScenarioSpec", j: int, n: int) -> LinearFractional:
-    """Exact parameters of the composed map G_{j+1} o ... o G_n."""
-    if j > n:
-        raise ValueError("need j <= n")
-    if j == n:
-        return IDENTITY
-    alpha, beta = composed_params_all(spec, n)
-    return LinearFractional(float(alpha[j]), float(beta[j]))
-
-
-def _closed_form_factors(spec: "ScenarioSpec", n: int, x: float) -> np.ndarray:
-    """H_j(Gbar_{j+1,n}(x)) for j = 1..n from the exact composed maps.
+def generation_pgf(spec: "ScenarioSpec", n: int, x: float) -> float:
+    """F_n(x) as the exact product prod_j [1 + m_j (Gbar_{j+1,n}(x) - 1)].
 
     Rates are clamped like the engine's PMF path, so the two routes stay
     oracles for each other even on rate rules that overshoot 1 early.
@@ -195,132 +170,46 @@ def _closed_form_factors(spec: "ScenarioSpec", n: int, x: float) -> np.ndarray:
     if not 0.0 <= x <= 1.0:
         raise ValueError("PGF argument must lie in [0, 1]")
     if n == 0:
-        return np.empty(0)
+        return 1.0
     if spec.immigration.kind != "bernoulli":
         raise UnsupportedFamilyError(
             "the exact product form needs Bernoulli immigration"
         )
     alpha, beta = composed_params_all(spec, n)
     gbar = lf_value((alpha[1 : n + 1], beta[1 : n + 1]), x)
-    return spec.immigration.pgf_values(np.arange(1, n + 1), gbar, "clamped")
-
-
-def generation_pgf(spec: "ScenarioSpec", n: int, x: float) -> float:
-    """F_n(x) as the exact product prod_j [1 + m_j (Gbar_{j+1,n}(x) - 1)]."""
-    return float(np.prod(_closed_form_factors(spec, n, x)))
-
-
-def accompanying_pgf(spec: "ScenarioSpec", n: int, x: float) -> float:
-    """Exponential companion exp{sum_j m_j (Gbar_{j+1,n}(x) - 1)}."""
-    return math.exp(float(np.sum(_closed_form_factors(spec, n, x) - 1.0)))
+    ns = np.arange(1, n + 1)
+    return float(np.prod(spec.immigration.pgf_values(ns, gbar, "clamped")))
 
 
 # ---------------------------------------------------------------------------
 # derivatives of composed maps at 1
 
 
-def faa_weight(k: int, i: int) -> float:
-    """Pair weight in the f''(g) coefficient: C(k,i), halved at the midpoint."""
-    if i == k - i:
-        return 0.5 * math.comb(k, i)
-    return float(math.comb(k, i))
-
-
-def faa_f2_coefficient(g_derivs, k: int) -> float:
-    """Coefficient of f''(g) in d^k/dx^k f(g(x)).
-
-    ``g_derivs[i-1]`` must supply g^(i) for i = 1..k-1. The value is
-    sum_{i=1..k/2} w_{k,i} g^(i) g^(k-i) with w the halved-midpoint
-    binomial weights.
-    """
-    if k < 2:
-        raise ValueError("order must be >= 2")
-    g = list(g_derivs)
-    if len(g) < k - 1:
-        raise ValueError(f"need g^(i) for i = 1..{k - 1}")
-    total = 0.0
-    for i in range(1, k // 2 + 1):
-        total += faa_weight(k, i) * g[i - 1] * g[k - i - 1]
-    return total
-
-
-@lru_cache(maxsize=None)
-def _partitions(k: int):
-    """Partitions of k as (s, multiplier, parts) with parts ((m, mult), ...).
-
-    ``multiplier`` is k! / prod(mult_m! (m!)^mult_m), the count of ways the
-    partition arises when differentiating a composition k times; ``s`` is
-    the number of parts, i.e. the order of the outer derivative it feeds.
-    """
-    result = []
-
-    def recurse(remaining, max_part, acc):
-        if remaining == 0:
-            s = sum(mult for _, mult in acc)
-            denom = 1
-            for m, mult in acc:
-                denom *= math.factorial(mult) * math.factorial(m) ** mult
-            result.append((s, math.factorial(k) // denom, tuple(acc)))
-            return
-        for m in range(min(remaining, max_part), 0, -1):
-            top = remaining // m
-            for mult in range(top, 0, -1):
-                recurse(remaining - m * mult, m - 1, acc + [(m, mult)])
-
-    recurse(k, k, [])
-    return tuple(result)
-
-
-def _compose_derivs(outer_derivs: np.ndarray, inner_derivs: np.ndarray) -> np.ndarray:
-    """Derivatives at 1 of f(g(.)) from those of f and g (g(1) = 1).
-
-    Index i-1 holds order i; both inputs must cover the requested k_max.
-    """
-    k_max = inner_derivs.shape[0]
-    out = np.empty(k_max)
-    for k in range(1, k_max + 1):
-        total = 0.0
-        for s, mult, parts in _partitions(k):
-            f_s = outer_derivs[s - 1]
-            if f_s == 0.0:
-                continue
-            term = float(mult) * f_s
-            for m, count in parts:
-                term *= inner_derivs[m - 1] ** count
-            total += term
-        out[k - 1] = total
-    return out
-
-
 def composed_deriv_profile(spec: "ScenarioSpec", n: int, k_max: int) -> np.ndarray:
     """Array of shape (n+1, k_max): row j holds Gbar_{j+1,n}^(k)(1), k = 1..k_max.
 
-    Single backward sweep l = n..1; row n is the identity map. Families with
-    vanishing higher derivatives (Bernoulli, quadratic) shortcut naturally
-    because zero outer derivatives drop their partition terms.
+    Single backward sweep l = n..1 over the truncated Taylor series at 1,
+    h(t) = Gbar_{l+1,n}(1 + t) - 1 = sum_m b_m t^m with b_m = Gbar^(m)(1)/m!.
+    Row n is the identity map, h = t. Each G_l maps h to
+    sum_s (G_l^(s)(1)/s!) h^s, applied by Horner with one truncated
+    convolution per order; the constant term of h is 0, so orders above
+    k_max never feed back into the kept ones.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    fact = np.array([math.factorial(m) for m in range(1, k_max + 1)], dtype=float)
     out = np.zeros((n + 1, k_max))
-    state = np.zeros(k_max)
-    state[0] = 1.0
-    out[n] = state
+    h = np.zeros(k_max + 1)
+    h[1] = 1.0
+    out[n] = h[1:] * fact
     for l in range(n, 0, -1):
-        outer = np.array(
-            [spec.offspring.deriv_at_1(l, s) for s in range(1, k_max + 1)]
-        )
-        state = _compose_derivs(outer, state)
-        out[l - 1] = state
+        acc = np.zeros(k_max + 1)
+        for s in range(k_max, 0, -1):
+            acc[0] += spec.offspring.deriv_at_1(l, s) / fact[s - 1]
+            acc = np.convolve(acc, h)[: k_max + 1]
+        h = acc
+        out[l - 1] = h[1:] * fact
     return out
-
-
-def composed_deriv(spec: "ScenarioSpec", j: int, n: int, k: int) -> float:
-    """Gbar_{j+1,n}^(k)(1); for k = 1 this is the product rho_{j+1}...rho_n."""
-    if j > n:
-        raise ValueError("need j <= n")
-    if k == 1:
-        return chain_product(spec, j, n)
-    return float(composed_deriv_profile(spec, n, k)[j, k - 1])
 
 
 def deriv_sum_limit(lam: float, nu: float, k: int) -> float:

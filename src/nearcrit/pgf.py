@@ -77,10 +77,6 @@ class Pmf:
     def __len__(self) -> int:
         return self.coeffs.shape[0]
 
-    @property
-    def truncation_len(self) -> int:
-        return len(self)
-
     @classmethod
     def delta(cls, k: int, length: int | None = None) -> "Pmf":
         """Point mass at ``k``."""
@@ -282,4 +278,15 @@ def poisson_coeffs(lam: float, k_trunc: int) -> np.ndarray:
     out[0] = math.exp(-lam)
     for k in range(k_trunc - 1):
         out[k + 1] = out[k] * lam / (k + 1)
+    return out
+
+
+def nb_coeffs(r: float, p: float, k_trunc: int) -> np.ndarray:
+    """NB(r, p) coefficients by the recurrence p_{k+1} = p_k p (k+r)/(k+1)."""
+    if k_trunc <= 0:
+        raise ValueError("truncation length must be positive")
+    out = np.empty(k_trunc)
+    out[0] = math.exp(r * math.log1p(-p))
+    for k in range(k_trunc - 1):
+        out[k + 1] = out[k] * p * (k + r) / (k + 1)
     return out

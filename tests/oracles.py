@@ -1,0 +1,60 @@
+"""Reference implementations the tests check the library against.
+
+Each one is a scalar or textbook form of a quantity the library computes
+by another route: the LF composition by chain-rule derivatives, the
+Faà di Bruno coefficient of f''(g), and the chord slope vartheta.
+"""
+
+from __future__ import annotations
+
+import math
+
+from nearcrit.linfrac import LinearFractional, chain_product, lf_alpha_beta
+
+
+def lf_from_derivatives(d1: float, d2: float) -> LinearFractional:
+    """The LF map with (f'(1), f''(1)) = (d1, d2), see ``lf_alpha_beta``."""
+    return LinearFractional(*lf_alpha_beta(d1, d2))
+
+
+def lf_compose(outer: LinearFractional, inner: LinearFractional) -> LinearFractional:
+    """Parameters of outer(inner(.)), via chain-rule derivatives at 1."""
+    d1o, d2o = outer.deriv_at_1(1), outer.deriv_at_1(2)
+    d1i, d2i = inner.deriv_at_1(1), inner.deriv_at_1(2)
+    return lf_from_derivatives(d1o * d1i, d2o * d1i**2 + d1o * d2i)
+
+
+def faa_weight(k: int, i: int) -> float:
+    """Pair weight in the f''(g) coefficient: C(k,i), halved at the midpoint."""
+    if i == k - i:
+        return 0.5 * math.comb(k, i)
+    return float(math.comb(k, i))
+
+
+def faa_f2_coefficient(g_derivs, k: int) -> float:
+    """Coefficient of f''(g) in d^k/dx^k f(g(x)).
+
+    ``g_derivs[i-1]`` must supply g^(i) for i = 1..k-1. The value is
+    sum_{i=1..k/2} w_{k,i} g^(i) g^(k-i) with w the halved-midpoint
+    binomial weights.
+    """
+    if k < 2:
+        raise ValueError("order must be >= 2")
+    g = list(g_derivs)
+    if len(g) < k - 1:
+        raise ValueError(f"need g^(i) for i = 1..{k - 1}")
+    total = 0.0
+    for i in range(1, k // 2 + 1):
+        total += faa_weight(k, i) * g[i - 1] * g[k - i - 1]
+    return total
+
+
+def vartheta(spec, j: int, n: int) -> float:
+    """Chord slope (1 - G_j(1 - rho_[j,n])) / rho_[j,n], the upper-bound rate.
+
+    Lies in (0, rho_j] by convexity; rho_j - vartheta <= rho_[j,n] G_j''(1).
+    """
+    if not 1 <= j <= n:
+        raise ValueError("need 1 <= j <= n")
+    rho_jn = chain_product(spec, j, n)
+    return (1.0 - spec.offspring.pgf_at(j, 1.0 - rho_jn)) / rho_jn

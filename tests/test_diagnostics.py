@@ -14,12 +14,12 @@ from nearcrit.diagnostics import (
     riemann_gap,
     toeplitz_weights,
     tv_distance,
-    vartheta,
 )
 from nearcrit.errors import NumericError, WrongRegimeError
 from nearcrit.families import OffspringFamily, RhoRule
 from nearcrit.linfrac import chain_product
 from nearcrit.scenarios import load_fixture
+from oracles import vartheta
 
 
 def bern(p):

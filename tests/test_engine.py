@@ -10,6 +10,7 @@ from nearcrit import diagnostics, engine, linfrac, pgf
 from nearcrit.diagnostics import accompanying_gap_bound
 from nearcrit.errors import NumericError
 from nearcrit.families import OffspringFamily
+from oracles import vartheta
 
 CLOSED_FORMS = ("bernoulli", "quadratic", "linear_fractional")
 
@@ -92,18 +93,18 @@ def test_propagate_flags_small_truncation():
 
 def test_composed_eval_diagonal_and_bernoulli_affine():
     spec = make_spec()
-    assert engine.composed_eval(spec, 9, 9, 0.37) == 0.37
+    assert engine.composed_eval_all(spec, 9, 0.37)[9] == 0.37
     j, n, x = 2, 17, 0.3
     want = 1.0 + linfrac.chain_product(spec, j, n) * (x - 1.0)
-    assert engine.composed_eval(spec, j, n, x) == pytest.approx(want, abs=1e-14)
+    assert engine.composed_eval_all(spec, n, x)[j] == pytest.approx(want, abs=1e-14)
 
 
 def test_composed_eval_matches_lf_closed_form():
     spec = make_spec("linear_fractional", nu=1.0)
-    for j, n, x in ((0, 12, 0.0), (3, 12, 0.5), (11, 12, 0.9)):
-        par = linfrac.composed_map(spec, j, n)
-        assert engine.composed_eval(spec, j, n, x) == pytest.approx(
-            par.value_at(x), abs=1e-12
+    alpha, beta = linfrac.composed_params_all(spec, 12)
+    for j, x in ((0, 0.0), (3, 0.5), (11, 0.9)):
+        assert engine.composed_eval_all(spec, 12, x)[j] == pytest.approx(
+            linfrac.lf_value((alpha[j], beta[j]), x), abs=1e-12
         )
 
 
@@ -252,8 +253,6 @@ def test_mean_identity(fixture_specs):
 
 
 def test_sandwich_bounds_on_fixtures(fixture_specs):
-    from nearcrit.diagnostics import vartheta
-
     for name in ("thm1_poisson", "thm5_nb", "lf_crosscheck"):
         spec = fixture_specs[name]
         n = 30
@@ -261,7 +260,7 @@ def test_sandwich_bounds_on_fixtures(fixture_specs):
             rho_jn = linfrac.chain_product(spec, j, n)
             theta_jn = math.prod(vartheta(spec, l, n) for l in range(j + 1, n + 1))
             for x in np.linspace(0.0, 1.0, 9):
-                val = engine.composed_eval(spec, j, n, float(x))
+                val = engine.composed_eval_all(spec, n, float(x))[j]
                 lo = 1.0 + rho_jn * (x - 1.0)
                 hi = 1.0 + theta_jn * (x - 1.0)
                 assert lo - 1e-12 <= val <= hi + 1e-12

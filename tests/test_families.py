@@ -75,7 +75,7 @@ def test_quadratic_construction_and_value():
     fam = OffspringFamily(
         kind="quadratic", rho_rule=RhoRule(c=1.0, gamma=1.0, n0=9.0), nu=1.0
     )
-    assert np.allclose(fam.quadratic_coeffs(1), [0.15, 0.8, 0.05], atol=1e-15)
+    assert np.allclose(np.array(fam.params(1)), [0.15, 0.8, 0.05], atol=1e-15)
     assert fam.pgf_at(1, 0.5) == pytest.approx(0.5625, abs=1e-15)
 
 
@@ -88,6 +88,17 @@ def test_linear_fractional_normalization_and_derivs():
         assert fam.pgf_at(n, 1.0) == pytest.approx(1.0, abs=1e-14)
         assert fam.deriv_at_1(n, 1) == pytest.approx(rho, abs=1e-12)
         assert fam.deriv_at_1(n, 2) == pytest.approx(1.0 - rho, abs=1e-12)
+
+
+def test_lf_curvature_from_unrounded_one_minus_rho():
+    # 1 - rho_n = 1e-10 here: curvature built from the rounded 1.0 - rho_n
+    # carries a relative error near eps / 1e-10
+    fam = OffspringFamily(
+        kind="linear_fractional", rho_rule=RhoRule(c=1.0, gamma=2.0), nu=1.0
+    )
+    n = 100_000
+    want = fam.nu * float(fam.one_minus_rho(n))
+    assert fam.deriv_at_1(n, 2) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_lf_known_parameter_pair():

@@ -224,9 +224,9 @@ def test_composed_eval_monotone_in_horizon():
         divergent=False,
     )
     x = 0.3
-    prev = [engine.composed_eval(spec, j, 20, x) for j in range(0, 11)]
+    prev = engine.composed_eval_all(spec, 20, x)[:11]
     for horizon in (40, 80, 160):
-        cur = [engine.composed_eval(spec, j, horizon, x) for j in range(0, 11)]
+        cur = engine.composed_eval_all(spec, horizon, x)[:11]
         assert all(c >= p - 1e-15 for c, p in zip(cur, prev))
         prev = cur
 

@@ -3,21 +3,15 @@ import math
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_spec
 from nearcrit.scenarios import load_fixture
-from nearcrit import linfrac
+from nearcrit import engine, linfrac
 from nearcrit.errors import UnsupportedFamilyError
-from nearcrit.linfrac import (
-    IDENTITY,
-    LinearFractional,
-    faa_f2_coefficient,
-    faa_weight,
-    lf_compose,
-    lf_from_derivatives,
-)
+from nearcrit.linfrac import LinearFractional
+from oracles import faa_f2_coefficient, faa_weight, lf_compose, lf_from_derivatives
 
 
 def test_inversion_identity_map():
@@ -47,7 +41,7 @@ def test_inversion_rejects_bad_first_derivative():
 
 def test_compose_with_identity():
     f = LinearFractional(0.729, 0.1)
-    out = lf_compose(IDENTITY, f)
+    out = lf_compose(LinearFractional(1.0, 0.0), f)
     assert out.alpha == pytest.approx(f.alpha, abs=1e-14)
     assert out.beta == pytest.approx(f.beta, abs=1e-14)
 
@@ -83,32 +77,32 @@ def test_composition_closure_property(outer, inner):
 
 def test_composed_map_at_the_diagonal_is_identity():
     spec = make_spec("linear_fractional", nu=1.0)
-    par = linfrac.composed_map(spec, 7, 7)
-    assert (par.alpha, par.beta) == (1.0, 0.0)
+    alpha, beta = linfrac.composed_params_all(spec, 7)
+    assert (alpha[7], beta[7]) == (1.0, 0.0)
 
 
 def test_composed_map_bernoulli_collapses_to_chain_product():
     spec = make_spec("bernoulli")
-    par = linfrac.composed_map(spec, 2, 9)
-    assert par.beta == pytest.approx(0.0, abs=1e-15)
-    assert par.alpha == pytest.approx(linfrac.chain_product(spec, 2, 9), abs=1e-12)
+    alpha, beta = linfrac.composed_params_all(spec, 9)
+    assert beta[2] == pytest.approx(0.0, abs=1e-15)
+    assert alpha[2] == pytest.approx(linfrac.chain_product(spec, 2, 9), abs=1e-12)
 
 
 def test_composed_map_matches_compose_fold():
     spec = make_spec("linear_fractional", nu=1.0)
     j, n = 3, 6
-    folded = IDENTITY
+    folded = LinearFractional(1.0, 0.0)  # identity map
     for l in range(n, j, -1):
         folded = lf_compose(spec.offspring.lf_params(l), folded)
-    closed = linfrac.composed_map(spec, j, n)
-    assert closed.alpha == pytest.approx(folded.alpha, abs=1e-12)
-    assert closed.beta == pytest.approx(folded.beta, abs=1e-12)
+    alpha, beta = linfrac.composed_params_all(spec, n)
+    assert alpha[j] == pytest.approx(folded.alpha, abs=1e-12)
+    assert beta[j] == pytest.approx(folded.beta, abs=1e-12)
 
 
 def test_composed_map_rejects_other_families():
     spec = make_spec("quadratic", nu=1.0)
     with pytest.raises(UnsupportedFamilyError):
-        linfrac.composed_map(spec, 1, 4)
+        linfrac.composed_params_all(spec, 4)
 
 
 def test_generation_pgf_first_step_is_immigration():
@@ -127,15 +121,15 @@ def test_generation_pgf_normalized_at_one():
 
 def test_accompanying_single_factor():
     spec = make_spec(m1="0.5", lam=0.5)
-    assert linfrac.accompanying_pgf(spec, 1, 0.0) == pytest.approx(
+    assert engine.accompanying_eval(spec, 1, 0.0) == pytest.approx(
         math.exp(-0.5), abs=1e-14
     )
-    assert linfrac.accompanying_pgf(spec, 1, 1.0) == 1.0
+    assert engine.accompanying_eval(spec, 1, 1.0) == 1.0
 
 
 def test_generation_pgf_warns_when_rates_are_clamped():
     # thm6_example1 declares m_1 = 2; the finite-n routes clamp it to 1
-    from nearcrit import engine, pgf
+    from nearcrit import pgf
 
     spec = load_fixture("thm6_example1").spec
     with pytest.warns(UserWarning, match="clamped"):
@@ -153,7 +147,7 @@ def test_accompanying_gap_below_bound():
         for x in (0.0, 0.5, 0.9):
             gap = abs(
                 linfrac.generation_pgf(spec, n, x)
-                - linfrac.accompanying_pgf(spec, n, x)
+                - engine.accompanying_eval(spec, n, x)
             )
             assert gap <= accompanying_gap_bound(spec, n, x) + 1e-12
 
@@ -219,14 +213,18 @@ def test_composed_deriv_order_one_is_chain_product():
         [spec.offspring.rho_rule.rho(l) for l in range(2, n + 1)]
     ).sum()
     want = float(spec.offspring.rho_rule.rho(1)) * math.exp(logs)
-    assert linfrac.composed_deriv(spec, 0, n, 1) == pytest.approx(want, rel=1e-12)
-    assert linfrac.composed_deriv(spec, n, n, 1) == 1.0
+    assert linfrac.chain_product(spec, 0, n) == pytest.approx(want, rel=1e-12)
+    assert linfrac.chain_product(spec, n, n) == 1.0
+    prof = linfrac.composed_deriv_profile(spec, n, 1)
+    assert prof[0, 0] == pytest.approx(want, rel=1e-12)
+    assert prof[n, 0] == 1.0
 
 
 def test_composed_deriv_bernoulli_higher_orders_vanish():
     spec = make_spec("bernoulli")
+    prof = linfrac.composed_deriv_profile(spec, 12, 4)
     for k in (2, 3, 4):
-        assert linfrac.composed_deriv(spec, 2, 12, k) == 0.0
+        assert prof[2, k - 1] == 0.0
 
 
 def test_composed_deriv_quadratic_two_step_hand_sum():
@@ -236,27 +234,93 @@ def test_composed_deriv_quadratic_two_step_hand_sum():
     g2 = [float(spec.offspring.second_deriv(l)) for l in range(0, n + 1)]
     # sum_i G_i''(1) rho_[j,i-1] rho_[i,n]^2 over i = j+1..n
     want = g2[5] * 1.0 * (rho[6]) ** 2 + g2[6] * rho[5] * 1.0
-    assert linfrac.composed_deriv(spec, j, n, 2) == pytest.approx(want, rel=1e-12)
+    got = linfrac.composed_deriv_profile(spec, n, 2)[j, 1]
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_composed_deriv_matches_lf_closed_form():
     spec = make_spec("linear_fractional", nu=1.0)
     j, n = 2, 20
-    par = linfrac.composed_map(spec, j, n)
+    alpha, beta = linfrac.composed_params_all(spec, n)
+    par = LinearFractional(alpha[j], beta[j])
+    prof = linfrac.composed_deriv_profile(spec, n, 4)
     for k in (1, 2, 3, 4):
-        assert linfrac.composed_deriv(spec, j, n, k) == pytest.approx(
-            par.deriv_at_1(k), rel=1e-10
-        )
+        assert prof[j, k - 1] == pytest.approx(par.deriv_at_1(k), rel=1e-10)
 
 
 def test_deriv_profile_agrees_with_pointwise():
     spec = make_spec("quadratic", nu=1.0)
     prof = linfrac.composed_deriv_profile(spec, 30, 3)
     for j in (0, 10, 29, 30):
-        for k in (1, 2, 3):
+        assert prof[j, 0] == pytest.approx(
+            linfrac.chain_product(spec, j, 30), rel=1e-12, abs=1e-300
+        )
+        for k in (2, 3):
             assert prof[j, k - 1] == pytest.approx(
-                linfrac.composed_deriv(spec, j, 30, k), rel=1e-12, abs=1e-300
+                linfrac.composed_deriv_profile(spec, 30, k)[j, k - 1],
+                rel=1e-12, abs=1e-300,
             )
+
+
+def _taylor_at_1(poly, k_max):
+    """Exact derivatives poly^(i)(1), i = 0..k_max."""
+    vals = []
+    for _ in range(k_max + 1):
+        vals.append(poly.eval(1))
+        poly = poly.diff()
+    return vals
+
+
+def _symbolic_profile(spec, n, k_max):
+    """Gbar_{j+1,n}^(k)(1) by exact differentiation of the explicit composition.
+
+    Each G_l is written out from its closed-form parameters with exact
+    rationals and composed from l = n down to 1 into one quotient of sympy
+    polynomials num/den (den stays 1 for Bernoulli and quadratic rules).
+    The derivatives of the quotient at 1 follow from num = Gbar * den by
+    the Leibniz rule.
+    """
+    x = sympy.symbols("x")
+    out = np.empty((n + 1, k_max))
+    num, den = sympy.Poly(x, x), sympy.Poly(1, x)
+    for j in range(n, -1, -1):
+        if j < n:
+            par = [sympy.Rational(float(v)) for v in spec.offspring.params(j + 1)]
+            if spec.offspring.kind == "linear_fractional":
+                # 1 - a/(1-b) + a g/(1 - b g) with g = num/den
+                a, b = par
+                num, den = (1 - a / (1 - b)) * (den - b * num) + a * num, den - b * num
+            else:
+                num = sympy.Poly(list(reversed(par)), x).compose(num)
+        nd, dd = _taylor_at_1(num, k_max), _taylor_at_1(den, k_max)
+        g = [nd[0] / dd[0]]
+        for k in range(1, k_max + 1):
+            rest = sum(math.comb(k, i) * g[i] * dd[k - i] for i in range(k))
+            g.append((nd[k] - rest) / dd[0])
+            out[j, k - 1] = float(g[k])
+    return out
+
+
+@given(
+    kind=st.sampled_from(["bernoulli", "quadratic", "linear_fractional"]),
+    c=st.floats(min_value=0.05, max_value=1.0),
+    gamma=st.floats(min_value=0.3, max_value=2.0),
+    n0=st.floats(min_value=0.0, max_value=4.0),
+    nu=st.floats(min_value=0.1, max_value=4.0),
+    n=st.integers(min_value=1, max_value=6),
+    k_max=st.integers(min_value=1, max_value=5),
+)
+# quadratic with G_1 window-clamped: rho_1 = 1/2, so nu_eff = 1 < 3
+@example(kind="quadratic", c=1.0, gamma=1.0, n0=1.0, nu=3.0, n=4, k_max=5)
+@settings(max_examples=100, deadline=None)
+def test_deriv_profile_matches_symbolic_composition(kind, c, gamma, n0, nu, n, k_max):
+    # keep rho_1 >= 0.1: the rule must be valid, and LF needs G_1'(1) > 0
+    c = min(c, 0.9 * (1.0 + n0) ** gamma)
+    spec = make_spec(kind, c=c, gamma=gamma, n0=n0,
+                     nu=0.0 if kind == "bernoulli" else nu)
+    got = linfrac.composed_deriv_profile(spec, n, k_max)
+    want = _symbolic_profile(spec, n, k_max)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
 
 
 def test_composed_params_partial_fraction_form():
