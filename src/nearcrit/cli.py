@@ -103,16 +103,12 @@ def _limit_output(sf: ScenarioFile, args: argparse.Namespace, k: int, xs) -> str
         measure = limits.cp_intensity_finite(law.lambdas)
         meta["atoms"] = [float(v) for v in measure.atoms]
         return _pmf_text(limits.cp_pmf(measure, k), args.format, meta)
-    if isinstance(law, GeneralExpLimit):
-        tol = _effective_tol(args, sf)
-        vals = [
-            limits.general_limit_pgf(spec.lambda_over_factorial, x, tol)
-            for x in xs
-        ]
-        return _pgf_grid_text(xs, vals, args.format, meta)
-    # product regime: PGF on the grid
     tol = _effective_tol(args, sf)
-    vals = [limits.product_law_eval(spec, x, tol) for x in xs]
+    if isinstance(law, GeneralExpLimit):
+        vals = [limits.general_limit_pgf(spec.lambda_over_factorial, x, tol)
+                for x in xs]
+    else:  # product regime: PGF on the grid, one call
+        vals = limits.product_law_eval(spec, xs, tol).tolist()
     return _pgf_grid_text(xs, vals, args.format, meta)
 
 

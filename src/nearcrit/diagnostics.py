@@ -183,8 +183,7 @@ def _limit_moments(law: LimitLaw, spec: ScenarioSpec) -> tuple[float, float]:
         lam1 = spec.lambda_l(1)
         return lam1, lam1**2 + spec.lambda_l(2)
     if isinstance(law, ProductLimit):
-        mean = limits.product_law_mean(spec)
-        return mean, math.nan
+        return limits.product_law_mean(spec), math.nan
     raise ValueError(f"no limit moments for {law.describe()}")
 
 
@@ -216,7 +215,7 @@ def report(spec: ScenarioSpec, n_grid, k_trunc: int | None = None,
     k = spec.k_trunc if k_trunc is None else k_trunc
     target_pmf = _limit_pmf(law, k)
     if target_pmf is None:
-        target_pgf = [limits.product_law_eval(spec, x, tol) for x in x_grid]
+        target_pgf = limits.product_law_eval(spec, x_grid, tol).tolist()
     lim_mean, lim_m2 = _limit_moments(law, spec)
     states = engine.propagate_sequence(spec, n_grid, k)
     rows = []
@@ -226,12 +225,8 @@ def report(spec: ScenarioSpec, n_grid, k_trunc: int | None = None,
             tv = tv_distance(state.pmf, target_pmf)
             gap = tv
         else:
-            gaps = [
-                abs(pgf.evaluate(state.pmf, x) - g)
-                for x, g in zip(x_grid, target_pgf)
-            ]
-            gap = float(max(gaps))
-            tv = gap
+            tv = gap = max(abs(pgf.evaluate(state.pmf, x) - g)
+                           for x, g in zip(x_grid, target_pgf))
         mean_gap = abs(pgf.factorial_moment(state.pmf, 1) - lim_mean)
         m2 = pgf.factorial_moment(state.pmf, 2)
         m2_gap = abs(m2 - lim_m2) if math.isfinite(lim_m2) else math.nan

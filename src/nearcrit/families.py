@@ -35,6 +35,19 @@ _CONST_RE = re.compile(rf"^\s*(?P<coef>{_NUM})\s*$")
 _TERM_SEP = re.compile(r"(?<![0-9.][eE])\+")
 
 
+def hurwitz_zeta(s: float, q: float, log_scale: float = 0.0) -> tuple[float, float]:
+    """(e^log_scale zeta(s, q), error bound), zeta(s, q) = sum_{n>=0} (n+q)^-s.
+
+    Euler-Maclaurin for s > 1: the remainder is below the first omitted
+    correction (completely monotone summand), of order s^8 q^(-s-7)."""
+    base = math.exp(log_scale - s * math.log(q)) if log_scale else q**-s
+    terms, rising = [base * (q / (s - 1.0) + 0.5)], s  # s (s+1) ... (s+2k-2)
+    for k, w in enumerate((1 / 12, -1 / 720, 1 / 30240, -1 / 1209600), start=1):
+        terms.append(w * rising * base * q ** (1 - 2 * k))  # w = B_2k / (2k)!
+        rising *= (s + 2 * k - 1) * (s + 2 * k)
+    return sum(terms[:-1]), abs(terms[-1])
+
+
 @dataclass(frozen=True)
 class PowerTerm:
     """One term coef * (n + shift)^(-power)."""
@@ -109,13 +122,11 @@ class PowerSum:
         return all(t.power > 1 for t in self.terms)
 
     def tail_bound(self, j: int) -> float:
-        """Upper bound on sum_{n > j} of the rule (integral comparison)."""
+        """sum_{n > j} of the rule plus the error bound of :func:`hurwitz_zeta`."""
         if not self.summable():
             raise ScenarioValidationError("tail bound needs all exponents > 1")
-        return sum(
-            t.coef * (j + t.shift) ** (1.0 - t.power) / (t.power - 1.0)
-            for t in self.terms
-        )
+        return sum(t.coef * sum(hurwitz_zeta(t.power, j + 1 + t.shift))
+                   for t in self.terms)
 
     def __str__(self) -> str:
         return " + ".join(str(t) for t in self.terms)
@@ -140,6 +151,16 @@ class RhoRule:
 
     def rho(self, n):
         return 1.0 - self.one_minus_rho(n)
+
+    def log_tail(self, j: int) -> float:
+        """Lambda_j = -log prod_{l>j} rho_l, for d = 1 - rho_{j+1} <= 1/2.
+
+        sum_k c^k/k zeta(k gamma, j+1+n0), from -log(1-d) = sum_k d^k/k; term k
+        is below d^(k-1) times the first, so terms up to d^k <= 1e-17 suffice."""
+        q, d = j + 1.0 + self.n0, float(self.one_minus_rho(j + 1))
+        ks = range(1, 1 + math.ceil(math.log(1e-17) / math.log(d)))
+        return sum(hurwitz_zeta(k * self.gamma, q, k * math.log(self.c))[0] / k
+                   for k in ks)
 
     def divergent_sum(self) -> bool:
         """Whether sum (1 - rho_n) diverges; decided from the rule, gamma <= 1."""
@@ -689,6 +710,9 @@ class ScenarioSpec:
         """Hard checks raise; soft mismatches come back as warnings."""
         notes = []
         rho_rule = self.offspring.rho_rule
+        if self.offspring.kind == "linear_fractional" and rho_rule.rho(1) <= 0.0:
+            raise ScenarioValidationError("offspring.rho gives rho_1 = 0, which "
+                                          "linear-fractional offspring cannot take")
         if rho_rule is not None and rho_rule.divergent_sum() != self.divergent:
             raise ScenarioValidationError(
                 "declared divergence flag contradicts the rho rule "

@@ -18,10 +18,12 @@ import numpy as np
 from . import engine, pgf
 from .errors import (
     NotADistributionError,
+    NumericError,
     SeriesDivergenceError,
+    UnsupportedFamilyError,
     WrongRegimeError,
 )
-from .families import ScenarioSpec
+from .families import ScenarioSpec, hurwitz_zeta
 
 _ATOM_CLAMP = 1e-12
 
@@ -282,123 +284,106 @@ def general_limit_pgf(c_rule: Callable[[int], float], x: float,
 # ---------------------------------------------------------------------------
 # infinite-product limit (fast-convergence regime)
 
-
-def _bernoulli_log_tail(spec: ScenarioSpec, top: int) -> float:
-    """Analytic estimate of -sum_{l>top} log rho_l for the rho rule."""
-    rule = spec.offspring.rho_rule
-    return rule.c * (top + rule.n0) ** (1.0 - rule.gamma) / (rule.gamma - 1.0)
+# longest explicit head, and longest composition pass (a Python loop that
+# holds about 170 MB at 2^20), the product law may use
+PRODUCT_CAP, HORIZON_CAP = 1 << 22, 1 << 20
 
 
-def _rho_inf_logs(spec: ScenarioSpec, j_top: int, chunk: int = 1 << 20):
-    """Yield (idx, log rho_[j,inf]) for j = 1..j_top in chunks.
-
-    rho_[j,inf] = prod_{l>j} rho_l only ever involves l >= 2, so rho_1 = 0
-    (legal for Bernoulli offspring) never enters. The tail beyond the
-    accumulation depth is folded in through the integral estimate of the
-    rho rule, leaving a second-order error.
-    """
-    depth = max(j_top, 1 << 20)
-    tail_correction = -_bernoulli_log_tail(spec, depth)
-    # prefix[j] = sum_{2 <= l <= j} log rho_l, for j = 1..j_top
-    prefix = np.empty(j_top + 1)
-    prefix[0] = 0.0
-    prefix[1] = 0.0
-    running = 0.0
-    pos = 2
-    for lo in range(2, depth + 1, chunk):
-        hi = min(lo + chunk - 1, depth)
-        delta = spec.offspring.one_minus_rho(np.arange(lo, hi + 1))
-        cums = running + np.cumsum(np.log1p(-delta))
-        take = max(0, min(hi, j_top) - lo + 1)
-        if take > 0:
-            prefix[pos : pos + take] = cums[:take]
-            pos += take
-        running = float(cums[-1])
-    total = running + tail_correction
-    for lo in range(1, j_top + 1, chunk):
-        hi = min(lo + chunk - 1, j_top)
-        idx = np.arange(lo, hi + 1)
-        yield idx, total - prefix[lo : hi + 1]
+def _power_of_two(start: int, ok: Callable, what: str, tol: float) -> int:
+    """Smallest power-of-two multiple of ``start`` that passes ``ok``."""
+    j, cap = start, HORIZON_CAP if what == "horizon" else PRODUCT_CAP
+    while not ok(j):
+        j *= 2
+        if j > cap:
+            raise NumericError(f"the product law at tol={tol:g} needs a {what} "
+                               f"beyond {cap} generations")
+    return j
 
 
-def product_law_eval(spec: ScenarioSpec, x: float, tol: float = 1e-7) -> float:
-    """g(x) = prod_j H_j(Gbar_{j+1,inf}(x)) to within ``tol``.
+def _r_bracket(imm, nu: float, tail, v: float) -> tuple[float, float]:
+    """(midpoint, half-width) of an interval holding sum_{j>J} r_j at x = 1 - v,
+    from ``tail`` = (sum_{j>J} m_{j,1}, Lambda_J, m_{J+1}); see README.md."""
+    (s, lam, m_next), chi_lo, chi_hi = tail, 0.0, 0.0
+    if imm.kind == "custom":
+        base = imm._base_pmf()
+        u_lo = max(0.0, math.exp(-lam) * v - nu * lam * v * v / 2)
+        chi_lo, chi_hi = (u - (1.0 - pgf.evaluate(base, 1.0 - u))
+                          / pgf.factorial_moment(base, 1) for u in (u_lo, v))
+    p3 = m_next * v * v / (2 * (1 - m_next * v)) if m_next * v < 1 else math.inf
+    lo = s * chi_lo - (0.0 if imm.kind == "poisson" else s * p3)
+    hi = s * (chi_hi + nu * lam * v * v / 2)
+    return (lo + hi) / 2, (hi - lo) / 2
 
-    The product is truncated at J with the dropped log-tail bounded by
-    (1+eps) (1-x) sum_{j>J} m_{j,1}; Bernoulli offspring use the exact
-    affine composed maps, other families grow the composition horizon until
-    the (monotone increasing) values stabilize.
-    """
+
+def _product_terms(spec: ScenarioSpec, tol: float) -> tuple:
+    """x-independent part: (log rho_[j,inf] and m_{j,1} for j = 1..J, M, head,
+    r-tail data). The M tail and the r tail each get tol/8 of log g(0); their
+    closed-form bounds pick J and the head, from where log_tail holds."""
     if spec.divergent:
-        raise WrongRegimeError(
-            "the product law exists only when sum(1-rho_n) converges"
-        )
-    if not 0.0 <= x <= 1.0:
+        raise WrongRegimeError("the product law needs sum(1-rho_n) < inf")
+    off, imm = spec.offspring, spec.immigration
+    rule, m1, nu = off.rho_rule, imm.m1, off.nu
+    if rule is None:
+        raise UnsupportedFamilyError("the product law needs a rho rule")
+    share = tol / 8
+    start = _power_of_two(64, lambda j: rule.one_minus_rho(j + 1) <= 0.5, "head", tol)
+
+    def tail(j):
+        return m1.tail_bound(j), rule.log_tail(j), float(m1.at(j + 1))
+
+    head = _power_of_two(
+        start, lambda j: _r_bracket(imm, nu, tail(j), 1.0)[1] <= share, "head", tol)
+    # the M tail beyond J lies in [e^-Lambda_J, 1] sum_{j>J} m_{j,1}
+    top = max(head, _power_of_two(
+        start, lambda j: -math.expm1(-rule.log_tail(j)) * m1.tail_bound(j) / 2
+        <= share, "head", tol))
+    # log rho_[j,inf] = sum_{j<l<=top} log rho_l - Lambda_top; rho_1 never enters
+    logs = np.log1p(-off.one_minus_rho(np.arange(top, 1, -1)))
+    log_rho = np.concatenate([np.cumsum(logs)[::-1], [0.0]]) - rule.log_tail(top)
+    m = m1.at(np.arange(1, top + 1))
+    mean = float(np.sum(m * np.exp(log_rho))
+                 + m1.tail_bound(top) * (1 + np.exp(log_rho[-1])) / 2)
+    return log_rho, m, mean, head, tail(head)
+
+
+def product_law_eval(spec: ScenarioSpec, x, tol: float = 1e-7):
+    """g(x) = prod_j H_j(Gbar_{j+1,inf}(x)) within ``tol``, at a float or array x.
+
+    log g(x) = -(1-x) M + sum_j r_j(x), with the mean M = sum_j m_{j,1}
+    rho_[j,inf] shared by all x and r_j = log H_j(Gbar_{j+1,inf}(x)) + (1-x)
+    m_{j,1} rho_[j,inf] summed over a head, the rest bracketed (README.md).
+    Rounding adds a few ulps per head term; past the caps: NumericError.
+    """
+    xs = np.asarray(x, dtype=float)
+    if not np.all((0.0 <= xs) & (xs <= 1.0)):
         raise ValueError("PGF argument must lie in [0, 1]")
-    if x == 1.0:
-        return 1.0
-    eps = 0.1
-    target = tol / (1.0 + eps) / (1.0 - x)
-    j_top = 64
-    while spec.immigration.m1.tail_bound(j_top) >= target:
-        j_top *= 2
-    if spec.offspring.kind == "bernoulli":
-        chunks = (
-            (idx, 1.0 + np.exp(logs) * (x - 1.0))
-            for idx, logs in _rho_inf_logs(spec, j_top)
-        )
-    else:
-        chunks = [(np.arange(1, j_top + 1), _generic_gbar(spec, x, j_top, tol))]
-    log_total = 0.0
-    for idx, gbar in chunks:
-        factors = spec.immigration.pgf_values(idx, gbar, "declared")
-        if np.any(factors <= 0.0):
-            if np.any(factors < -1e-12):
-                raise NotADistributionError(
-                    "a product factor went negative; immigration rates "
-                    "are inconsistent with the composed maps"
-                )
-            return 0.0
-        log_total += float(np.sum(np.log(factors)))
-    return math.exp(log_total)
-
-
-def _generic_gbar(spec: ScenarioSpec, x: float, j_top: int,
-                  tol: float) -> np.ndarray:
-    """Gbar_{j+1,N}(x) for j = 1..j_top, doubling N until it stabilizes."""
-    horizon = 2 * j_top
-    vals = engine.composed_eval_all(spec, horizon, x)[: j_top + 1]
-    while True:
-        horizon *= 2
-        nxt = engine.composed_eval_all(spec, horizon, x)[: j_top + 1]
-        if float(np.max(np.abs(nxt - vals))) < tol / 10.0:
-            return nxt[1:]
-        vals = nxt
+    log_rho, m, mean, head, tail = _product_terms(spec, tol)
+    off, imm, rho, vals = spec.offspring, spec.immigration, np.exp(log_rho[:head]), []
+    if off.kind != "bernoulli":  # the composition start gets tol/8, see README.md
+        m_all, lam = imm.m1.tail_bound(0), off.rho_rule.log_tail
+        horizon = _power_of_two(
+            head, lambda j: off.nu * lam(j) * m_all / 2 <= tol / 8, "horizon", tol)
+    for v in 1.0 - xs.ravel():
+        if off.kind == "bernoulli":
+            y = 1.0 - rho * v
+        else:  # 1 - rho_[N,inf] v is below Gbar_{N+1,inf}(x) by convexity
+            start = 1.0 - math.exp(-lam(horizon)) * v
+            y = engine.composed_eval_all(spec, horizon, start)[1 : head + 1]
+        h = imm.pgf_values(np.arange(1, head + 1), y, "declared")
+        if np.min(h) < -1e-12:
+            raise NotADistributionError("a product factor went negative; immigration "
+                                        "rates are inconsistent with the composed maps")
+        r = np.sum(np.log(np.maximum(h, tol / 2)) + m[:head] * rho * v)
+        r += _r_bracket(imm, off.nu, tail, v)[0]
+        # g is at most its least factor, so a factor below tol/2 gives 0
+        vals.append(math.exp(r - v * mean) if np.min(h) > tol / 2 else 0.0)
+    return vals[0] if xs.ndim == 0 else np.reshape(vals, xs.shape)
 
 
 def product_law_mean(spec: ScenarioSpec, tol: float = 1e-8) -> float:
-    """Mean of the product law, sum_j m_{j,1} rho_[j,inf], to within ``tol``.
-
-    Only for Bernoulli/Poisson immigration over Bernoulli offspring, where
-    the composed-map derivative is the exact product of means.
-    """
-    if spec.divergent:
-        raise WrongRegimeError(
-            "the product law exists only when sum(1-rho_n) converges"
-        )
-    if spec.offspring.kind != "bernoulli":
-        raise WrongRegimeError("closed mean needs Bernoulli offspring")
-    j_top = 1024
-    while True:
-        total = 0.0
-        rho_last = 0.0
-        for idx, logs in _rho_inf_logs(spec, j_top):
-            total += float(np.sum(spec.immigration.m1.at(idx) * np.exp(logs)))
-            rho_last = float(np.exp(logs[-1]))
-        tail = spec.immigration.m1.tail_bound(j_top)
-        if (1.0 - rho_last) * tail < tol:
-            return total + 0.5 * (1.0 + rho_last) * tail
-        j_top *= 2
+    """Mean sum_j m_{j,1} rho_[j,inf] of the product law within ``tol``;
+    by the chain rule it holds for every offspring and immigration kind."""
+    return _product_terms(spec, tol)[2]
 
 
 def inverse_square_product_pgf(x: float) -> float:

@@ -2,13 +2,18 @@
 
 Each one is a scalar or textbook form of a quantity the library computes
 by another route: the LF composition by chain-rule derivatives, the
-Faà di Bruno coefficient of f''(g), and the chord slope vartheta.
+Faà di Bruno coefficient of f''(g), the chord slope vartheta, and the
+product law by explicit summation.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from nearcrit import engine
+from nearcrit.errors import NumericError
 from nearcrit.linfrac import LinearFractional, chain_product, lf_alpha_beta
 
 
@@ -58,3 +63,45 @@ def vartheta(spec, j: int, n: int) -> float:
         raise ValueError("need 1 <= j <= n")
     rho_jn = chain_product(spec, j, n)
     return (1.0 - spec.offspring.pgf_at(j, 1.0 - rho_jn)) / rho_jn
+
+
+def product_law_bruteforce(spec, x: float, tol: float,
+                           horizon_cap: int = 1 << 20) -> float:
+    """Product law g(x) by explicit summation of its log factors.
+
+    The head j <= j_top doubles until (1 - x) sum_{j > j_top} m_{j,1} is
+    below tol / 1.1. Bernoulli offspring take rho_[j,inf] from a prefix at
+    least 2^20 deep plus the integral estimate of the remaining log tail;
+    other offspring double the composition horizon until no value moves by
+    tol/10, and raise NumericError past ``horizon_cap``.
+    """
+    if x == 1.0:
+        return 1.0
+    m1, rule = spec.immigration.m1, spec.offspring.rho_rule
+    j_top = 64
+    while m1.tail_bound(j_top) >= tol / 1.1 / (1.0 - x):
+        j_top *= 2
+    idx = np.arange(1, j_top + 1)
+    if spec.offspring.kind == "bernoulli":
+        depth = max(j_top, 1 << 20)
+        delta = spec.offspring.one_minus_rho(np.arange(2, depth + 1))
+        prefix = np.concatenate([[0.0], np.cumsum(np.log1p(-delta))])
+        total = prefix[-1] - rule.c * (depth + rule.n0) ** (1.0 - rule.gamma) / (
+            rule.gamma - 1.0)
+        gbar = 1.0 + np.exp(total - prefix[:j_top]) * (x - 1.0)
+    else:
+        horizon = 2 * j_top
+        gbar = engine.composed_eval_all(spec, horizon, x)[1 : j_top + 1]
+        while True:
+            horizon *= 2
+            if horizon > horizon_cap:
+                raise NumericError(f"composition horizon beyond {horizon_cap}")
+            nxt = engine.composed_eval_all(spec, horizon, x)[1 : j_top + 1]
+            if float(np.max(np.abs(nxt - gbar))) < tol / 10.0:
+                break
+            gbar = nxt
+        gbar = nxt
+    factors = spec.immigration.pgf_values(idx, gbar, "declared")
+    if np.any(factors <= 0.0):
+        return 0.0
+    return math.exp(float(np.sum(np.log(factors))))

@@ -1,8 +1,14 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from nearcrit import cli, scenarios
+import nearcrit
+from nearcrit import cli, limits, scenarios
 from nearcrit.errors import ScenarioParseError, ScenarioValidationError
 from nearcrit.families import (
     CompoundPoissonLimit,
@@ -286,3 +292,66 @@ def test_exit_code_wrong_regime(tmp_path):
     p = tmp_path / "outside.scn"
     p.write_text(text)
     assert cli.main(["--scenario", str(p), "--command", "report"]) == 5
+
+
+def _quadratic_example1(tmp_path):
+    """thm6_example1 with quadratic offspring, nu = 1e-9 (generic product law)."""
+    text = scenarios.fixture_text("thm6_example1").replace(
+        "offspring.family = bernoulli", "offspring.family = quadratic"
+    ) + "offspring.nu = 1e-9\n"
+    p = tmp_path / "quadratic_example1.scn"
+    p.write_text(text)
+    return str(p)
+
+
+def test_report_in_product_regime_with_quadratic_offspring(tmp_path, capsys):
+    # the product-law mean holds for every offspring kind (chain rule)
+    args = ["--scenario", _quadratic_example1(tmp_path), "--command", "report",
+            "--n-grid", "50", "--tol", "1e-4"]
+    with pytest.warns(UserWarning, match="clamped"):
+        assert cli.main(args) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0].startswith("n,tv,") and rows[1].startswith("50,")
+
+
+def test_generic_product_law_under_a_memory_limit(tmp_path):
+    # this case once grew the composition horizon without bound and ran
+    # out of memory; it must now finish within 1.5 GB of address space and
+    # 10 s, within 1e-6 of the Bernoulli twin, or refuse with exit 4
+    src = str(Path(nearcrit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    limit = 1_500_000_000
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    run = subprocess.run(
+        [sys.executable, "-m", "nearcrit.cli", "--scenario",
+         _quadratic_example1(tmp_path), "--command", "limits", "--x-grid", "0.5",
+         "--tol", "1e-7"],
+        env=env, preexec_fn=cap_memory, capture_output=True, text=True, timeout=10,
+    )
+    assert run.returncode in (0, 4), run.stderr
+    if run.returncode == 0:
+        got = float(run.stdout.splitlines()[1].split(",")[1])
+        twin = scenarios.load_fixture("thm6_example1").spec
+        assert got == pytest.approx(limits.product_law_eval(twin, 0.5, 1e-7), abs=1e-6)
+    else:
+        assert "beyond" in run.stderr
+
+
+def test_lf_rate_rule_with_rho1_zero_is_rejected_by_every_command(tmp_path, capsys):
+    # c (1 + n0)^-gamma = 1 means rho_1 = 0, which no LF map has
+    text = scenarios.fixture_text("lf_crosscheck").replace(
+        "offspring.rho.n0 = 1", "offspring.rho.n0 = 0"
+    )
+    p = tmp_path / "lf_rho1_zero.scn"
+    p.write_text(text)
+    errors = set()
+    for command in ("classify", "propagate", "simulate", "report", "limits"):
+        args = ["--scenario", str(p), "--command", command, "--n", "20",
+                "--K", "32", "--reps", "100"]
+        assert cli.main(args) == 3
+        errors.add(capsys.readouterr().err)
+    assert len(errors) == 1
+    assert "offspring.rho" in errors.pop()
