@@ -27,8 +27,6 @@ from .families import (
 
 DEFICIENCY_FLAG = 1e-6
 
-_SIM_CHUNK = 1 << 17
-
 
 @dataclass(frozen=True)
 class GenerationState:
@@ -139,36 +137,29 @@ def accompanying_eval(spec: ScenarioSpec, n: int, x: float) -> float:
 def simulate(spec: ScenarioSpec, n: int, reps: int, seed: int) -> pgf.Pmf:
     """Empirical law of generation ``n`` from ``reps`` seeded trajectories.
 
-    Trajectories run vectorized in fixed-size chunks; chunk i draws from
-    numpy's PCG64 seeded with SeedSequence([seed, i]), so results are
-    reproducible and independent of chunk execution order. Each generation
-    draws only its rare events (parents without exactly one child, and the
-    trajectories that receive immigrants; see ``families._thin``), so one
-    seed gives a different sample, of the same law, than releases that
-    drew one variate per trajectory.
+    Trajectories are i.i.d., so the population is held as a histogram:
+    h[s] trajectories with s individuals. Each generation the family
+    samplers split every occupied state exactly by conditional binomials
+    (offspring, then immigrants), and the new histogram sums the
+    anti-diagonals of the immigration split. One PCG64 stream seeded with
+    ``seed`` drives the whole run, so results are reproducible, and the work
+    per generation depends on the occupied states, not on ``reps``. One seed
+    gives a different sample, of the same law, than releases that drew
+    per-trajectory variates.
     """
     if reps < 1:
         raise ValueError("need at least one trajectory")
-    counts = np.zeros(1)
-    done = 0
-    chunk_idx = 0
-    while done < reps:
-        size = min(_SIM_CHUNK, reps - done)
-        rng = np.random.default_rng([seed, chunk_idx])
-        x = np.zeros(size, dtype=np.int64)
-        for gen in range(1, n + 1):
-            x = spec.offspring.sample(gen, x, rng) + spec.immigration.sample(
-                gen, size, rng
-            )
-        chunk_counts = np.bincount(x).astype(float)
-        if chunk_counts.shape[0] > counts.shape[0]:
-            chunk_counts[: counts.shape[0]] += counts
-            counts = chunk_counts
-        else:
-            counts[: chunk_counts.shape[0]] += chunk_counts
-        done += size
-        chunk_idx += 1
-    return pgf.Pmf(counts / reps)
+    if reps > np.iinfo(np.int64).max:
+        raise ValueError(f"reps={reps} does not fit in a 64-bit count")
+    rng = np.random.default_rng(seed)
+    h = np.array([reps], dtype=np.int64)
+    for gen in range(1, n + 1):
+        kids = spec.offspring.sample(gen, h, rng).sum(axis=0)
+        arrivals = spec.immigration.sample(gen, kids, rng)
+        h = np.zeros(arrivals.shape[0] + arrivals.shape[1] - 1, dtype=np.int64)
+        for k in range(arrivals.shape[1]):
+            h[k : k + arrivals.shape[0]] += arrivals[:, k]
+    return pgf.Pmf(h[: np.flatnonzero(h)[-1] + 1] / reps)
 
 
 def default_truncation(spec: ScenarioSpec) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
@@ -355,64 +355,145 @@ class OffspringFamily:
             coeffs = np.array(self.params(n))
         return pgf.Pmf(coeffs[:k_trunc])
 
-    def sample(self, n: int, counts: np.ndarray,
-               rng: np.random.Generator) -> np.ndarray:
-        """Total offspring of ``counts`` parents in generation ``n``, exactly.
+    def sample(self, n: int, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """out[s, t]: how many of the h[s] trajectories with s parents in
+        generation ``n`` have t children in total, drawn exactly.
 
-        The closed-form kinds draw only the parents that do not have
-        exactly one child, which are rare near criticality (see _thin).
+        The closed-form kinds draw in stages over histograms: for Bernoulli
+        the deaths, for quadratic the parents without exactly one child and
+        then the ones with two among them, for linear-fractional the parents
+        with children, the ones among them with extra children and then the
+        extra children. Each stage splits every occupied cell by
+        conditional binomials (see _split), so the work depends on the
+        occupied states, not on the number of trajectories.
         """
+        states = np.flatnonzero(h)
         if self.kind == "bernoulli":
-            return counts - _thin(counts, float(self.one_minus_rho(n)), rng)
-        if self.kind == "quadratic":
+            row, dead, cnt = _binomial_cells(h[states], states,
+                                             float(self.one_minus_rho(n)), rng)
+            kids = states[row] - dead
+        elif self.kind == "quadratic":
             p0, _, p2 = (float(v) for v in self.params(n))
-            # parents with 0 or 2 children, then the ones with 2 among them
-            split = _thin(counts, p0 + p2, rng)
-            return counts - split + 2 * _thin(split, p2 / (p0 + p2), rng)
-        if self.kind == "linear_fractional":
+            row, split, cnt = _binomial_cells(h[states], states, p0 + p2, rng)
+            cell, twos, cnt = _binomial_cells(cnt, split, p2 / (p0 + p2), rng)
+            row = row[cell]
+            kids = states[row] - split[cell] + 2 * twos
+        elif self.kind == "linear_fractional":
             par = self.lf_params(n)
-            alive = counts - _thin(counts, 1.0 - par.alpha / (1.0 - par.beta), rng)
+            row, alive, cnt = _binomial_cells(h[states], states,
+                                              par.alpha / (1.0 - par.beta), rng)
             # a parent with children has more than one with probability beta,
-            # and then Geometric(1 - beta) more
-            more = _thin(alive, par.beta, rng)
-            hit = np.flatnonzero(more)
-            owner = np.repeat(hit, more[hit])
-            np.add.at(alive, owner, rng.geometric(1.0 - par.beta, owner.shape[0]))
-            return alive
-        # custom table: one categorical draw per individual
-        table = np.asarray(self.table(n), dtype=float)
-        probs = _sampling_probs(table)
-        total = int(counts.sum())
-        if total == 0:
-            return np.zeros_like(counts)
-        draws = rng.choice(table.shape[0], size=total, p=probs)
-        owner = np.repeat(np.arange(counts.shape[0]), counts)
-        return np.bincount(owner, weights=draws, minlength=counts.shape[0]).astype(
-            np.int64
-        )
+            # and then Geometric(1 - beta) more: m such parents add m plus a
+            # NegativeBinomial(m, 1 - beta) count of extra children
+            cell, more, cnt = _binomial_cells(cnt, alive, par.beta, rng)
+            row, kids = row[cell], alive[cell] + more
+            cell, extra, cnt = _cells(_split(
+                cnt, lambda y: _nb_hazard(more, par.beta, y), rng))
+            row, kids = row[cell], kids[cell] + extra
+        else:
+            # custom table: the s-fold convolution of the table for s parents
+            probs = _sampling_probs(np.asarray(self.table(n), dtype=float))
+            laws = [np.ones(1)]
+            for _ in range(int(states.max(initial=0))):
+                laws.append(np.convolve(laws[-1], probs))
+            cols = np.zeros((laws[-1].shape[0], states.shape[0]))
+            for i, s in enumerate(states):
+                cols[: laws[s].shape[0], i] = laws[s]
+            haz = _table_hazards(cols)
+            row, kids, cnt = _cells(_split(h[states], lambda k: haz[k], rng))
+        out = np.zeros((h.shape[0], int(kids.max(initial=0)) + 1), dtype=np.int64)
+        np.add.at(out, (states[row], kids), cnt)
+        return out
 
 
-def _events(total: int, q: float, rng: np.random.Generator) -> np.ndarray:
-    """Sorted positions of the events when each of ``total`` units has one
-    independently with probability ``q``.
+def _split(counts: np.ndarray, hazard: Callable, rng: np.random.Generator) -> np.ndarray:
+    """out[i, k]: how many of ``counts[i]`` independent draws take the value k.
 
-    The event count is Binomial(total, q) and, given it, the positions are
-    a uniform subset, so only the events themselves are drawn.
+    ``hazard(k)`` is P(X = k | X >= k), a scalar or one value per row. The
+    values are visited in increasing order, each taking a Binomial share of
+    the draws still left (the conditional-binomial method; Davis, CSDA 16,
+    1993), until no draw is left: an unbounded law is never truncated, and
+    a bounded one stops at its last support point, whose hazard is 1.
     """
-    k = rng.binomial(total, q)
-    return np.sort(rng.choice(total, k, replace=False, shuffle=False))
+    left = np.array(counts, dtype=np.int64)
+    cols = []
+    while left.any():
+        cols.append(rng.binomial(left, hazard(len(cols))))
+        left -= cols[-1]
+    return np.array(cols or [left]).T
 
 
-def _thin(counts: np.ndarray, q: float, rng: np.random.Generator) -> np.ndarray:
-    """Per-trajectory event counts, each of the ``counts[i]`` units of
-    trajectory i having an event independently with probability ``q``.
+def _cells(out: np.ndarray):
+    """(row, value, count) of the nonzero entries of a split matrix."""
+    row, value = np.nonzero(out)
+    return row, value, out[row, value]
 
-    Units are laid end to end, trajectory by trajectory; sorted positions
-    keep the ``searchsorted`` that finds their owners cheap.
+
+def _table_hazards(probs: np.ndarray) -> np.ndarray:
+    """P(X = k | X >= k) of bounded laws whose values run down the first axis.
+
+    The tails are summed from the top, so no hazard rounds above 1 and the
+    last support point gets exactly 1.
     """
-    pos = _events(int(counts.sum()), q, rng)
-    owner = np.searchsorted(np.cumsum(counts), pos, side="right")
-    return np.bincount(owner, minlength=counts.shape[0])
+    tails = np.cumsum(probs[::-1], axis=0)[::-1]
+    return np.divide(probs, tails, out=np.ones_like(probs), where=tails > 0.0)
+
+
+def _binomial_cells(counts: np.ndarray, sizes: np.ndarray, p: float,
+                    rng: np.random.Generator):
+    """Cells (i, k, c): c of the ``counts[i]`` trajectories, each of
+    ``sizes[i]`` units, have exactly k units with an event of probability p.
+
+    Events are counted on the rarer side, probability q = min(p, 1 - p).
+    The hazards come from the binomial weights relative to k = 0,
+    prod_{l<k} (s - l) q / ((l + 1)(1 - q)), summed in logs and scaled by
+    their maximum over k, so no size overflows or vanishes.
+    """
+    q = 1.0 - p if p > 0.5 else p
+    if q == 0.0:
+        row, k, cnt = np.arange(counts.shape[0]), np.zeros_like(sizes), counts
+    else:
+        ks = np.arange(int(sizes.max(initial=0)) + 1)[:, None]
+        logw = np.zeros((ks.shape[0], sizes.shape[0]))
+        np.cumsum(np.log(np.maximum(sizes - ks[:-1], 1) * (q / (1.0 - q) / ks[1:])),
+                  axis=0, out=logw[1:])
+        logw[ks > sizes] = -np.inf
+        haz = _table_hazards(np.exp(logw - logw.max(axis=0)))
+        row, k, cnt = _cells(_split(counts, lambda d: haz[d], rng))
+    return row, (sizes[row] - k if p > 0.5 else k), cnt
+
+
+def _nb_hazard(m: np.ndarray, beta: float, y: int) -> np.ndarray:
+    """P(Y = y | Y >= y) for Y ~ NegativeBinomial(m, 1 - beta), per entry of m.
+
+    P(Y >= y) = P(Binomial(m + y - 1, 1 - beta) <= m - 1) is a finite sum,
+    which makes the hazard (1 - beta) over 1 + sum_{j=1..m-1} of
+    prod_{l<j} (m - 1 - l) beta / ((y + 1 + l)(1 - beta)); m = 0 is Y = 0.
+    Every term is positive, so the sums carry no cancellation; a sum beyond
+    the float range is inf and its hazard 0.
+    """
+    ls = np.arange(max(int(m.max(initial=0)) - 1, 0))
+    inside = ls < m[:, None] - 1
+    factors = np.where(inside, (m[:, None] - 1 - ls)
+                       * (beta / (1.0 - beta) / (y + 1.0 + ls)), 1.0)
+    sums = 1.0 + np.sum(np.cumprod(factors, axis=1), axis=1, where=inside)
+    return np.where(m > 0, (1.0 - beta) / sums, 1.0)
+
+
+def _poisson_hazard(lam: float, k: int) -> float:
+    """P(X = k | X >= k) for X ~ Poisson(lam).
+
+    The inverse of sum_{i>=0} lam^i k!/(k+i)!, a series of positive terms
+    summed until the rest, below term * lam/(j + 1 - lam) once j + 1 > lam,
+    is under half an ulp of the sum.
+    """
+    total, term, j = 1.0, 1.0, k + 1
+    while True:
+        term *= lam / j
+        total += term
+        if j + 1 > lam and term * lam <= (j + 1 - lam) * 2.0**-53 * total:
+            return 1.0 / total
+        j += 1
 
 
 def _sampling_probs(table: np.ndarray) -> np.ndarray:
@@ -481,6 +562,11 @@ class ImmigrationFamily:
     m1: PowerSum | None = None
     base: tuple[float, ...] | None = None
     base_name: str | None = None
+    # the validated base law of the custom kind and its mean, built once
+    base_law: pgf.Pmf | None = field(default=None, init=False, repr=False,
+                                     compare=False)
+    base_mean: float | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         if self.kind not in ("bernoulli", "poisson", "custom"):
@@ -491,17 +577,16 @@ class ImmigrationFamily:
             if self.base is None:
                 raise ScenarioValidationError("custom immigration needs a base law")
             object.__setattr__(self, "base", tuple(float(v) for v in self.base))
+            law = pgf.Pmf(np.asarray(self.base))
+            object.__setattr__(self, "base_law", law)
+            object.__setattr__(self, "base_mean", pgf.factorial_moment(law, 1))
 
     def mean(self, n):
         """Declared m_{n,1} straight from the rule (never clamped)."""
         return self.m1.at(n)
 
-    def _base_pmf(self) -> pgf.Pmf:
-        return pgf.Pmf(np.asarray(self.base))
-
     def mix_weight(self, n) -> float:
-        base_mean = pgf.factorial_moment(self._base_pmf(), 1)
-        return self.m1.at(n) / base_mean
+        return self.m1.at(n) / self.base_mean
 
     def mixture_prob(self, n: int) -> float:
         """Mixing weight w_n of the finite-n routes, checked to be a probability."""
@@ -527,7 +612,7 @@ class ImmigrationFamily:
             return float(self.m1.at(n)) if k == 1 else 0.0
         if self.kind == "poisson":
             return float(self.m1.at(n)) ** k
-        return self.mix_weight(n) * pgf.factorial_moment(self._base_pmf(), k)
+        return self.mix_weight(n) * pgf.factorial_moment(self.base_law, k)
 
     def m2_ratio_vanishes(self, rho_rule: RhoRule) -> bool:
         """Whether m_{n,2}/(1 - rho_n) -> 0, decided from the rules."""
@@ -536,7 +621,7 @@ class ImmigrationFamily:
         p1, _ = self.m1.leading()
         if self.kind == "poisson":
             return 2.0 * p1 > rho_rule.gamma
-        if pgf.factorial_moment(self._base_pmf(), 2) == 0.0:
+        if pgf.factorial_moment(self.base_law, 2) == 0.0:
             return True
         return p1 > rho_rule.gamma
 
@@ -571,24 +656,24 @@ class ImmigrationFamily:
         out[0] += 1.0 - w
         return pgf.Pmf(out[:k_trunc])
 
-    def sample(self, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-        """``size`` independent immigration counts of generation ``n``.
+    def sample(self, n: int, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """out[v, k]: how many of the h[v] trajectories in state v receive k
+        immigrants in generation ``n``, drawn exactly (see _split).
 
-        Only the trajectories that receive immigrants are drawn.
+        Bernoulli is one Binomial per state, Poisson runs the conditional
+        binomials over k until every trajectory is placed, and the mixture
+        draws its weight and then the base law.
         """
         if self.kind == "bernoulli":
-            return np.bincount(_events(size, self.bernoulli_rate(n), rng),
-                               minlength=size)
+            got = rng.binomial(h, self.bernoulli_rate(n))
+            return np.stack([h - got, got], axis=1)
         if self.kind == "poisson":
-            # a Poisson(size m) total split uniformly: iid Poisson(m) counts
-            arrivals = rng.poisson(size * float(self.m1.at(n)))
-            return np.bincount(rng.integers(0, size, arrivals), minlength=size)
-        # base-law mixture: draw from the base for the mixed-in trajectories
-        mixed = _events(size, self.mixture_prob(n), rng)
-        base = np.asarray(self.base, dtype=float)
-        out = np.zeros(size, dtype=np.int64)
-        out[mixed] = rng.choice(base.shape[0], size=mixed.shape[0],
-                                p=_sampling_probs(base))
+            lam = float(self.m1.at(n))
+            return _split(h, lambda k: _poisson_hazard(lam, k), rng)
+        mixed = rng.binomial(h, self.mixture_prob(n))
+        haz = _table_hazards(_sampling_probs(self.base_law.coeffs))
+        out = _split(mixed, lambda k: haz[k], rng)
+        out[:, 0] += h - mixed
         return out
 
 

@@ -305,10 +305,9 @@ def _r_bracket(imm, nu: float, tail, v: float) -> tuple[float, float]:
     from ``tail`` = (sum_{j>J} m_{j,1}, Lambda_J, m_{J+1}); see README.md."""
     (s, lam, m_next), chi_lo, chi_hi = tail, 0.0, 0.0
     if imm.kind == "custom":
-        base = imm._base_pmf()
         u_lo = max(0.0, math.exp(-lam) * v - nu * lam * v * v / 2)
-        chi_lo, chi_hi = (u - (1.0 - pgf.evaluate(base, 1.0 - u))
-                          / pgf.factorial_moment(base, 1) for u in (u_lo, v))
+        chi_lo, chi_hi = (u - (1.0 - pgf.evaluate(imm.base_law, 1.0 - u))
+                          / imm.base_mean for u in (u_lo, v))
     p3 = m_next * v * v / (2 * (1 - m_next * v)) if m_next * v < 1 else math.inf
     lo = s * chi_lo - (0.0 if imm.kind == "poisson" else s * p3)
     hi = s * (chi_hi + nu * lam * v * v / 2)

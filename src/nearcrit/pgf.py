@@ -269,24 +269,23 @@ def exp_centered(c: CenteredSeries, k_trunc: int) -> Pmf:
 
 
 def poisson_coeffs(lam: float, k_trunc: int) -> np.ndarray:
-    """Poisson(lam) coefficients by the stable recurrence p_{k+1} = p_k lam/(k+1)."""
+    """Poisson(lam) coefficients, e^-lam times the running product of lam/k."""
     if lam < 0:
         raise ValueError("Poisson mean must be nonnegative")
     if k_trunc <= 0:
         raise ValueError("truncation length must be positive")
-    out = np.empty(k_trunc)
-    out[0] = math.exp(-lam)
-    for k in range(k_trunc - 1):
-        out[k + 1] = out[k] * lam / (k + 1)
-    return out
+    ratios = np.empty(k_trunc)
+    ratios[0] = math.exp(-lam)
+    ratios[1:] = lam / np.arange(1.0, k_trunc)
+    return np.cumprod(ratios)
 
 
 def nb_coeffs(r: float, p: float, k_trunc: int) -> np.ndarray:
-    """NB(r, p) coefficients by the recurrence p_{k+1} = p_k p (k+r)/(k+1)."""
+    """NB(r, p) coefficients, (1-p)^r times the running product of p (k+r)/(k+1)."""
     if k_trunc <= 0:
         raise ValueError("truncation length must be positive")
-    out = np.empty(k_trunc)
-    out[0] = math.exp(r * math.log1p(-p))
-    for k in range(k_trunc - 1):
-        out[k + 1] = out[k] * p * (k + r) / (k + 1)
-    return out
+    ks = np.arange(k_trunc - 1.0)
+    ratios = np.empty(k_trunc)
+    ratios[0] = math.exp(r * math.log1p(-p))
+    ratios[1:] = p * (ks + r) / (ks + 1.0)
+    return np.cumprod(ratios)

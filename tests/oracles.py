@@ -2,8 +2,9 @@
 
 Each one is a scalar or textbook form of a quantity the library computes
 by another route: the LF composition by chain-rule derivatives, the
-Faà di Bruno coefficient of f''(g), the chord slope vartheta, and the
-product law by explicit summation.
+Faà di Bruno coefficient of f''(g), the chord slope vartheta, the product
+law by explicit summation, and the Poisson and negative binomial
+coefficients by their step-by-step recurrences.
 """
 
 from __future__ import annotations
@@ -105,3 +106,21 @@ def product_law_bruteforce(spec, x: float, tol: float,
     if np.any(factors <= 0.0):
         return 0.0
     return math.exp(float(np.sum(np.log(factors))))
+
+
+def poisson_coeffs_loop(lam: float, k_trunc: int) -> np.ndarray:
+    """Poisson(lam) coefficients by the recurrence p_{k+1} = p_k lam/(k+1)."""
+    out = np.empty(k_trunc)
+    out[0] = math.exp(-lam)
+    for k in range(k_trunc - 1):
+        out[k + 1] = out[k] * lam / (k + 1)
+    return out
+
+
+def nb_coeffs_loop(r: float, p: float, k_trunc: int) -> np.ndarray:
+    """NB(r, p) coefficients by the recurrence p_{k+1} = p_k p (k+r)/(k+1)."""
+    out = np.empty(k_trunc)
+    out[0] = math.exp(r * math.log1p(-p))
+    for k in range(k_trunc - 1):
+        out[k + 1] = out[k] * p * (k + r) / (k + 1)
+    return out

@@ -252,6 +252,13 @@ def test_simulate_rejects_mixture_weight_above_one(tmp_path, capsys):
         assert "mixture weight 1.25 at n=1" in capsys.readouterr().err
 
 
+def test_simulate_reps_beyond_int64_is_a_validation_error(tmp_path, capsys):
+    path = fixture_path("thm1_poisson", tmp_path)
+    args = ["--scenario", path, "--command", "simulate", "--n", "3", "--reps"]
+    assert cli.main(args + [str(2**63)]) == 3
+    assert "does not fit in a 64-bit count" in capsys.readouterr().err
+
+
 def test_exit_code_numeric_error(tmp_path, capsys):
     # a lambda sequence with a negative intensity atom trips the numeric path
     text = scenarios.fixture_text("thm3_cp_finite").replace(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -342,6 +343,52 @@ def test_simulate_custom_families():
     emp = engine.simulate(spec, 30, 60_000, seed=21)
     state = engine.propagate(spec, 30, 128)
     assert tv_distance(emp, state.pmf) <= 0.03
+
+
+def _billion_spec(offspring, immigration):
+    from nearcrit.families import ImmigrationFamily, PowerSum, log_two_base
+
+    kind = "bernoulli" if immigration == "custom" else immigration
+    spec = make_spec(offspring, nu=0.0 if offspring == "bernoulli" else 1.0,
+                     imm_kind=kind, k_trunc=128)
+    if immigration != "custom":
+        return spec
+    mix = ImmigrationFamily(kind="custom", m1=PowerSum.parse("1*(n+1)^-1"),
+                            base=tuple(log_two_base(64)), base_name="log_two")
+    return dataclasses.replace(spec, immigration=mix)
+
+
+@pytest.mark.parametrize("offspring, immigration", [
+    ("bernoulli", "poisson"), ("quadratic", "bernoulli"),
+    ("linear_fractional", "custom"),
+])
+def test_simulate_at_a_billion_reps(offspring, immigration):
+    # the population is a histogram of trajectory states, so neither time
+    # nor memory grows with reps: 10^9 trajectories need a few MB
+    import tracemalloc
+
+    spec = _billion_spec(offspring, immigration)
+    reps = 10**9
+    tracemalloc.start()
+    try:
+        emp = engine.simulate(spec, 40, reps, seed=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    counts = emp.coeffs * reps
+    whole = np.round(counts)
+    assert np.all(np.abs(counts - whole) <= 1e-6) and whole.sum() == reps
+    exact = engine.propagate(spec, 40, 128).pmf
+    assert diagnostics.tv_distance(emp, exact) <= 1e-3
+
+
+def test_simulate_rejects_reps_beyond_int64():
+    spec = make_spec()
+    with pytest.raises(ValueError, match="64-bit"):
+        engine.simulate(spec, 3, 2**63, seed=1)
+    emp = engine.simulate(spec, 3, 2**63 - 1, seed=1)
+    assert emp.coeffs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_default_truncation_poisson_target():

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from conftest import make_spec
-from nearcrit import pgf
+from nearcrit import families, pgf
 from nearcrit.errors import ScenarioValidationError
 from nearcrit.families import (
     ImmigrationFamily,
@@ -335,23 +335,26 @@ def test_validate_rejects_divergence_contradiction():
 # ---------------------------------------------------------------------------
 # exactness of the samplers: one seeded generation against the exact law
 
-# 4 000 trajectories for each starting count; 0 checks the empty trajectory
-START_COUNTS = np.repeat(np.array([0, 1, 2, 3, 7], dtype=np.int64), 4000)
+# state histogram: 4 000 trajectories for each starting count; state 0 checks
+# the empty trajectory
+START = np.zeros(8, dtype=np.int64)
+START[[0, 1, 2, 3, 7]] = 4000
 # Pearson p-values below this fail; with the asymptotic chi-square law
 # each assertion has a false-alarm probability of about 1e-6
 P_FLOOR = 1e-6
 
 
-def _pearson(draws, probs):
-    """Pearson statistic and degrees of freedom of ``draws`` against ``probs``.
+def _pearson(obs, probs):
+    """Pearson statistic and degrees of freedom of the value counts ``obs``
+    against ``probs``.
 
     Adjacent values are pooled until every cell expects at least 5 draws. A
     draw where the law has no mass gives an infinite statistic.
     """
-    top = max(probs.shape[0], int(draws.max()) + 1)
-    obs = np.bincount(draws, minlength=top)
+    top = max(probs.shape[0], obs.shape[0])
+    obs = np.pad(obs, (0, top - obs.shape[0]))
     exp = np.zeros(top)
-    exp[: probs.shape[0]] = probs * draws.shape[0]
+    exp[: probs.shape[0]] = probs * obs.sum()
     if np.any(obs[exp == 0.0] > 0):
         return math.inf, 1
     cells_obs, cells_exp, o, e = [], [], 0, 0.0
@@ -367,21 +370,29 @@ def _pearson(draws, probs):
     return float(np.sum((cells_obs - cells_exp) ** 2 / cells_exp)), len(cells_exp) - 1
 
 
-def _one_step_pvalue(draws, counts, unit_law):
-    """Chi-square p-value of per-trajectory ``draws`` against the exact law of
-    a sum of ``counts[i]`` independent ``unit_law`` variables, pooled over
-    the distinct counts."""
-    assert draws.shape == counts.shape and np.all(draws >= 0)
+def _split_pvalue(out, h, row_law):
+    """Chi-square p-value of the split matrix ``out`` of histogram ``h``: row
+    s must hold the h[s] trajectories of state s, distributed by
+    ``row_law(s)``; the statistics of the occupied rows are pooled."""
+    assert out.shape[0] == h.shape[0] and np.all(out >= 0)
+    assert np.array_equal(out.sum(axis=1), h)
     stat, dof = 0.0, 0
-    for c in np.unique(counts):
-        law = np.array([1.0])
-        for _ in range(int(c)):
-            law = np.convolve(law, unit_law)
-        s, d = _pearson(draws[counts == c], law)
-        stat, dof = stat + s, dof + d
+    for s in np.flatnonzero(h):
+        st, d = _pearson(out[s], row_law(int(s)))
+        stat, dof = stat + st, dof + d
     if math.isinf(stat):
         return 0.0
     return float(stats.chi2.sf(stat, dof)) if dof else 1.0
+
+
+def _power_law(unit_law):
+    """s -> law of a sum of s independent ``unit_law`` variables."""
+    def law(s):
+        out = np.array([1.0])
+        for _ in range(s):
+            out = np.convolve(out, unit_law)
+        return out
+    return law
 
 
 def _offspring(kind, c=1.0, gamma=1.0, n0=1.0, nu=0.0):
@@ -401,38 +412,45 @@ OFFSPRING_CASES = {
     # rho_1 = 1/2 and beta = 1/2: many parents with several extra children
     "lf_early": (_offspring("linear_fractional", nu=2.0), 1),
     "lf_n200": (_offspring("linear_fractional", nu=2.0), 200),
+    "custom_table": (OffspringFamily(kind="custom",
+                                     table=lambda n: np.array([0.3, 0.4, 0.3])), 1),
 }
 
 
 @pytest.mark.parametrize("case", sorted(OFFSPRING_CASES))
 def test_offspring_sampler_draws_the_exact_one_step_law(case):
     fam, n = OFFSPRING_CASES[case]
-    draws = fam.sample(n, START_COUNTS.copy(), np.random.default_rng([5, n]))
+    out = fam.sample(n, START.copy(), np.random.default_rng([5, n]))
     law = fam.pmf(n, 200)
     assert law.deficiency < 1e-12
-    assert _one_step_pvalue(draws, START_COUNTS, law.coeffs) > P_FLOOR
+    assert _split_pvalue(out, START, _power_law(law.coeffs)) > P_FLOOR
 
 
 def test_quadratic_clamped_generation_has_no_single_children():
     fam, n = OFFSPRING_CASES["quadratic_clamped"]
     p0, p1, p2 = fam.params(n)
     assert p1 == 0.0 and p0 + p2 == 1.0
-    draws = fam.sample(n, START_COUNTS.copy(), np.random.default_rng(3))
-    assert np.all(draws % 2 == 0)
+    out = fam.sample(n, START.copy(), np.random.default_rng(3))
+    assert np.array_equal(out.sum(axis=1), START)
+    assert not np.any(out[:, 1::2])
 
 
 def test_bernoulli_offspring_all_die_when_rho_is_zero(fixture_specs):
     fam = fixture_specs["thm4_log2"].offspring
     assert float(fam.rho_rule.rho(1)) == 0.0
-    draws = fam.sample(1, START_COUNTS.copy(), np.random.default_rng(1))
-    assert not np.any(draws)
+    out = fam.sample(1, START.copy(), np.random.default_rng(1))
+    assert out.shape == (START.shape[0], 1) and np.array_equal(out[:, 0], START)
 
 
 @pytest.mark.parametrize("case", sorted(OFFSPRING_CASES))
 def test_offspring_sampler_on_empty_population(case):
     fam, n = OFFSPRING_CASES[case]
-    draws = fam.sample(n, np.zeros(50, dtype=np.int64), np.random.default_rng(1))
-    assert draws.shape == (50,) and not np.any(draws)
+    # 50 trajectories without parents have no children
+    out = fam.sample(n, np.array([50]), np.random.default_rng(1))
+    assert np.array_equal(out, [[50]])
+    # no trajectories at all: every row is empty
+    out = fam.sample(n, np.zeros(4, dtype=np.int64), np.random.default_rng(1))
+    assert out.shape == (4, 1) and not np.any(out)
 
 
 def _immigration(kind, m1, base=None):
@@ -446,6 +464,8 @@ IMMIGRATION_CASES = {
     "bernoulli_n200": (_immigration("bernoulli", "1*(n+1)^-1"), 200),
     "poisson": (_immigration("poisson", "2*(n+1)^-1"), 3),
     "poisson_n200": (_immigration("poisson", "2*(n+1)^-1"), 200),
+    # mean 5: the conditional binomials run well past the mode
+    "poisson_heavy": (_immigration("poisson", "5"), 1),
     "custom_delta2": (_immigration("custom", "2*(n+1)^-1", [0.0, 0.0, 1.0]), 3),
     "custom_log_two": (_immigration("custom", "1*n^-1", log_two_base(64)), 2),
 }
@@ -454,23 +474,57 @@ IMMIGRATION_CASES = {
 @pytest.mark.parametrize("case", sorted(IMMIGRATION_CASES))
 def test_immigration_sampler_draws_the_exact_law(case):
     imm, n = IMMIGRATION_CASES[case]
-    draws = imm.sample(n, 20_000, np.random.default_rng([7, n]))
+    out = imm.sample(n, START.copy(), np.random.default_rng([7, n]))
     law = imm.pmf(n, 64)
     assert law.deficiency < 1e-12
-    ones = np.ones(draws.shape[0], dtype=np.int64)
-    assert _one_step_pvalue(draws, ones, law.coeffs) > P_FLOOR
+    assert _split_pvalue(out, START, lambda s: law.coeffs) > P_FLOOR
 
 
 @pytest.mark.parametrize("kind", ["bernoulli", "poisson", "custom"])
 def test_immigration_sampler_with_zero_rate(kind):
     imm = _immigration(kind, "0", [0.0, 0.0, 1.0] if kind == "custom" else None)
-    draws = imm.sample(4, 1000, np.random.default_rng(2))
-    assert draws.shape == (1000,) and not np.any(draws)
+    out = imm.sample(4, START.copy(), np.random.default_rng(2))
+    assert np.array_equal(out[:, 0], START) and not np.any(out[:, 1:])
 
 
 def test_mixture_weight_above_one_is_rejected_by_sampler_and_pmf():
     imm = _immigration("custom", "5*(n+1)^-1", [0.0, 0.0, 1.0])
     for call in (lambda: imm.pmf(1, 8),
-                 lambda: imm.sample(1, 10, np.random.default_rng(0))):
+                 lambda: imm.sample(1, np.array([10]), np.random.default_rng(0))):
         with pytest.raises(ScenarioValidationError, match="mixture weight 1.25"):
             call()
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-9, 0.3, 2.0, 40.0])
+def test_poisson_hazard_matches_the_exact_tail(lam):
+    for k in range(0, 60):
+        sf = stats.poisson.sf(k - 1, lam)
+        if sf < 1e-250:
+            break
+        want = stats.poisson.pmf(k, lam) / sf
+        assert families._poisson_hazard(lam, k) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.01, 0.5, 0.9])
+def test_nb_hazard_matches_the_exact_tail(beta):
+    ms = np.arange(0, 9)
+    for y in range(0, 40):
+        got = families._nb_hazard(ms, beta, y)
+        assert got[0] == 1.0  # no producers, no extra children
+        sf = stats.nbinom.sf(y - 1, ms[1:], 1.0 - beta)
+        ok = sf > 1e-250
+        want = stats.nbinom.pmf(y, ms[1:][ok], 1.0 - beta) / sf[ok]
+        assert np.allclose(got[1:][ok], want, rtol=1e-10, atol=0.0)
+
+
+def test_binomial_split_handles_large_states():
+    # a state of 5000 parents: relative binomial weights reach C(5000, 2500),
+    # far beyond the float range, and stay finite through the log scaling
+    h = np.zeros(5001, dtype=np.int64)
+    h[[3, 5000]] = [7, 4000]
+    rng = np.random.default_rng(4)
+    fam = _offspring("bernoulli", c=0.5, n0=0.0)  # q = 1/2 at n = 1
+    out = fam.sample(1, h, rng)
+    assert np.array_equal(out.sum(axis=1), h)
+    assert _split_pvalue(out, h, lambda s: stats.binom.pmf(np.arange(s + 1), s, 0.5)
+                         ) > P_FLOOR

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nearcrit import pgf
 from nearcrit.errors import NotADistributionError
+from oracles import nb_coeffs_loop, poisson_coeffs_loop
 
 
 def bern(p):
@@ -284,3 +285,36 @@ def test_compound_matches_plain_power_sum(count_ws, jump_ws, mass, k_trunc):
     tol = 1e-15 + 1e-13 * oracle.coeffs.max()
     assert np.max(np.abs(out.coeffs - oracle.coeffs)) <= tol
     assert out.deficiency >= oracle.deficiency - 1e-15
+
+
+# Each route rounds at most four times per coefficient step (a ratio of up
+# to three operations and the running product), so coefficient k of the two
+# differs by at most 8 k half-ulps: 4 K eps relative over K coefficients.
+# The bound holds while the coefficients are normal floats; past that both
+# routes have underflowed to below the smallest normal.
+_K = 256
+_COEFF_RTOL = 4 * _K * np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny
+
+
+def _agree(got, want):
+    normal = want >= _TINY
+    return (np.all(np.abs(got - want)[normal] <= _COEFF_RTOL * want[normal])
+            and np.all(got[~normal] < _TINY))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-300, 1e-3, 0.5, 2.0, 30.0, 700.0])
+def test_poisson_coeffs_match_the_loop_recurrence(lam):
+    got, want = pgf.poisson_coeffs(lam, _K), poisson_coeffs_loop(lam, _K)
+    assert _agree(got, want)
+    if lam == 0.0:
+        assert got.tolist() == [1.0] + [0.0] * (_K - 1)
+
+
+@pytest.mark.parametrize("r, p", [(2.0, 0.0), (0.0, 0.5), (2.0, 1.0 / 3.0),
+                                  (0.5, 0.9), (40.0, 0.2), (1e-3, 1e-3)])
+def test_nb_coeffs_match_the_loop_recurrence(r, p):
+    got, want = pgf.nb_coeffs(r, p, _K), nb_coeffs_loop(r, p, _K)
+    assert _agree(got, want)
+    if p == 0.0 or r == 0.0:
+        assert got.tolist() == [1.0] + [0.0] * (_K - 1)
