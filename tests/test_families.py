@@ -518,10 +518,11 @@ def test_nb_hazard_matches_the_exact_tail(beta):
 
 
 def test_binomial_split_handles_large_states():
-    # a state of 5000 parents: relative binomial weights reach C(5000, 2500),
-    # far beyond the float range, and stay finite through the log scaling
-    h = np.zeros(5001, dtype=np.int64)
-    h[[3, 5000]] = [7, 4000]
+    # a state of 1100 parents: relative binomial weights reach
+    # C(1100, 550) ~ 1e329, beyond the float range, and stay finite through
+    # the log scaling
+    h = np.zeros(1101, dtype=np.int64)
+    h[[3, 1100]] = [7, 4000]
     rng = np.random.default_rng(4)
     fam = _offspring("bernoulli", c=0.5, n0=0.0)  # q = 1/2 at n = 1
     out = fam.sample(1, h, rng)
