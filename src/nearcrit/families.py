@@ -198,6 +198,22 @@ def _bernoulli_pgf(par, x):
     return p0 + p1 * x
 
 
+def _quadratic_g2(delta, nu):
+    """G''(1) = min(nu delta, 1 - delta) of the quadratic law of mean 1 - delta.
+
+    nu delta <= 1 - delta is the window nu <= rho/(1 - rho); a generation
+    outside it is clamped to the edge, where p1 = 0.
+    """
+    return np.minimum(nu * delta, 1.0 - delta)
+
+
+def _quadratic_params(delta, nu):
+    """(p0, p1, p2) with p2 = G''(1)/2; a clamped generation gets p1 = 0
+    exactly, never a rounded p1 < 0 or p0 + p2 > 1."""
+    p2 = _quadratic_g2(delta, nu) / 2.0
+    return delta + p2, 1.0 - delta - 2.0 * p2, p2
+
+
 def _quadratic_pgf(par, x):
     # 1 - G(x) = (1 - x)(p1 + p2 (1 + x)): exactly 1 at x = 1 and never
     # above it, where p0 + (p1 + p2 x) x can round to 1 + eps
@@ -217,9 +233,10 @@ _PGF_FORMULAS = {
 class OffspringFamily:
     """Offspring law per generation; kind selects the closed form.
 
-    * bernoulli: G_n(x) = 1 - rho_n + rho_n x
-    * quadratic: degree-2 polynomial with G_n''(1) = nu (1 - rho_n)
-    * linear_fractional: LF map with the same first two derivatives
+    * quadratic: degree-2 polynomial with G_n''(1) = nu (1 - rho_n), capped
+      at rho_n in the early generations outside the window
+    * bernoulli: G_n(x) = 1 - rho_n + rho_n x, the quadratic with nu = 0
+    * linear_fractional: LF map with G_n''(1) = nu (1 - rho_n)
     * custom: user PMF table per n
     """
 
@@ -254,32 +271,26 @@ class OffspringFamily:
             return 1.0 - self.mean(n)
         return self.rho_rule.one_minus_rho(n)
 
-    def nu_eff(self, n):
-        """Per-generation curvature target, clamped to the admissible window.
-
-        The quadratic family needs nu <= rho_n/(1-rho_n); early generations
-        are adjusted down to the window edge so finite-n laws stay defined.
-        """
-        if self.kind != "quadratic":
-            return np.broadcast_to(np.float64(self.nu), np.shape(n)) if np.ndim(n) else self.nu
-        delta = self.rho_rule.one_minus_rho(n)
-        return np.minimum(self.nu, (1.0 - delta) / delta)
-
     def start_offset(self, horizon: int = 10**6) -> int:
-        """First generation whose parameters are not window-clamped."""
-        if self.kind != "quadratic" or self.nu == 0.0:
+        """First generation whose parameters are not window-clamped, by the
+        test of :func:`_quadratic_g2`."""
+        if self.kind != "quadratic":
             return 1
         for n in range(1, horizon + 1):
             delta = float(self.rho_rule.one_minus_rho(n))
-            if self.nu <= (1.0 - delta) / delta:
+            if self.nu * delta <= 1.0 - delta:
                 return n
         raise ScenarioValidationError("quadratic family never becomes admissible")
 
     def second_deriv(self, n):
-        """G_n''(1); equals nu_eff (1 - rho_n) for the constructed families."""
+        """G_n''(1): nu (1 - rho_n), for quadratic (and Bernoulli, nu = 0)
+        capped at rho_n by the window of :func:`_quadratic_g2`."""
         if self.kind == "custom":
             return _table_moment(self.table, n, 2)
-        return self.nu_eff(n) * self.one_minus_rho(n)
+        delta = self.one_minus_rho(n)
+        if self.kind == "linear_fractional":
+            return self.nu * delta
+        return _quadratic_g2(delta, self.nu)
 
     def deriv_at_1(self, n: int, s: int) -> float:
         """s-th derivative of G_n at 1."""
@@ -287,13 +298,11 @@ class OffspringFamily:
             raise ValueError("derivative order must be >= 1")
         if s == 1:
             return float(self.mean(n))
-        if self.kind == "bernoulli":
-            return 0.0
-        if self.kind == "quadratic":
-            return float(self.second_deriv(n)) if s == 2 else 0.0
         if self.kind == "linear_fractional":
             return self.lf_params(n).deriv_at_1(s)
-        return pgf.factorial_moment(pgf.Pmf(self.table(n)), s)
+        if self.kind == "custom":
+            return pgf.factorial_moment(pgf.Pmf(self.table(n)), s)
+        return float(self.second_deriv(n)) if s == 2 else 0.0
 
     def params(self, ns):
         """Closed-form parameters of G_n; maps over arrays of generations.
@@ -307,15 +316,12 @@ class OffspringFamily:
         # curvatures come from the unrounded 1 - rho_n, never from 1 - rho_n
         # rounded through rho_n
         delta = self.rho_rule.one_minus_rho(ns)
-        rho = 1.0 - delta
         if self.kind == "bernoulli":
+            rho = 1.0 - delta
             return 1.0 - rho, rho
         if self.kind == "linear_fractional":
-            return lf_alpha_beta(rho, self.nu * delta)
-        # nu_eff (1 - rho_n) as min(nu (1 - rho_n), rho_n): a window-clamped
-        # generation gets p1 = 0 exactly, never a rounded p1 < 0 or p0 + p2 > 1
-        p2 = np.minimum(self.nu * delta, rho) / 2.0
-        return delta + p2, rho - 2.0 * p2, p2
+            return lf_alpha_beta(1.0 - delta, self.nu * delta)
+        return _quadratic_params(delta, self.nu)
 
     @property
     def pgf_formula(self) -> Callable:
@@ -359,25 +365,24 @@ class OffspringFamily:
         """out[s, t]: how many of the h[s] trajectories with s parents in
         generation ``n`` have t children in total, drawn exactly.
 
-        The closed-form kinds draw in stages over histograms: for Bernoulli
-        the deaths, for quadratic the parents without exactly one child and
-        then the ones with two among them, for linear-fractional the parents
-        with children, the ones among them with extra children and then the
-        extra children. Each stage splits every occupied cell by
-        conditional binomials (see _split), so the work depends on the
+        The closed-form kinds draw in stages over histograms: for quadratic
+        (Bernoulli being the nu = 0 case) the parents without exactly one
+        child and then the ones with two among them, for linear-fractional
+        the parents with children, the ones among them with extra children
+        and then the extra children. Each stage splits every occupied cell
+        by conditional binomials (see _split), so the work depends on the
         occupied states, not on the number of trajectories.
         """
         states = np.flatnonzero(h)
-        if self.kind == "bernoulli":
-            row, dead, cnt = _binomial_cells(h[states], states,
-                                             float(self.one_minus_rho(n)), rng)
-            kids = states[row] - dead
-        elif self.kind == "quadratic":
-            p0, _, p2 = (float(v) for v in self.params(n))
+        if self.kind in ("bernoulli", "quadratic"):
+            # Bernoulli is the nu = 0 quadratic
+            p0, _, p2 = (float(v) for v in
+                         _quadratic_params(self.one_minus_rho(n), self.nu))
             row, split, cnt = _binomial_cells(h[states], states, p0 + p2, rng)
-            cell, twos, cnt = _binomial_cells(cnt, split, p2 / (p0 + p2), rng)
-            row = row[cell]
-            kids = states[row] - split[cell] + 2 * twos
+            kids = states[row] - split
+            if p2:  # none of the split parents has two children when p2 = 0
+                cell, twos, cnt = _binomial_cells(cnt, split, p2 / (p0 + p2), rng)
+                row, kids = row[cell], kids[cell] + 2 * twos
         elif self.kind == "linear_fractional":
             par = self.lf_params(n)
             row, alive, cnt = _binomial_cells(h[states], states,
@@ -532,37 +537,27 @@ BASE_LAWS: dict[str, Callable[[int], np.ndarray]] = {
 RATE_RULES = ("declared", "clamped")
 
 
-def _clamp_rates(m):
-    """Bernoulli rates capped at 1, with a warning whenever the cap bites."""
-    if np.any(m > 1.0):
-        warnings.warn(
-            "Bernoulli immigration mean exceeds 1 for early generations; "
-            "rate clamped (early-generation adjustment)",
-            stacklevel=3,
-        )
-        return np.minimum(m, 1.0)
-    return m
-
-
 @dataclass(frozen=True)
 class ImmigrationFamily:
     """Immigration law per generation.
 
-    * bernoulli: H_n(x) = 1 + m_{n,1}(x - 1)
     * poisson:   H_n(x) = exp{m_{n,1}(x - 1)}
     * custom:    mixture toward a fixed base law B: H_n = 1 + w_n (B - 1),
-      with w_n scaled so the mean matches the m1 rule.
+      with w_n = m_{n,1}/B'(1) so the mean matches the m1 rule
+    * bernoulli: the mixture toward B(x) = x, H_n(x) = 1 + m_{n,1}(x - 1)
 
-    Bernoulli rates follow one of two rules (:data:`RATE_RULES`): the
-    product law uses the declared rates, the finite-n routes (PMFs,
-    sampling, and their PGF oracles) clamp them at 1 with a warning.
+    Mixture weights follow one of two rules (:data:`RATE_RULES`): the
+    product law uses the declared weights; the finite-n routes (PMFs,
+    sampling, and their PGF oracles) need probabilities, so there Bernoulli
+    weights are clamped at 1 with a warning and custom weights above 1 are
+    rejected.
     """
 
     kind: str
     m1: PowerSum | None = None
     base: tuple[float, ...] | None = None
     base_name: str | None = None
-    # the validated base law of the custom kind and its mean, built once
+    # the validated base law of a mixture kind and its mean, built once
     base_law: pgf.Pmf | None = field(default=None, init=False, repr=False,
                                      compare=False)
     base_mean: float | None = field(default=None, init=False, repr=False,
@@ -577,7 +572,9 @@ class ImmigrationFamily:
             if self.base is None:
                 raise ScenarioValidationError("custom immigration needs a base law")
             object.__setattr__(self, "base", tuple(float(v) for v in self.base))
-            law = pgf.Pmf(np.asarray(self.base))
+        if self.kind != "poisson":
+            base = self.base if self.kind == "custom" else (0.0, 1.0)
+            law = pgf.Pmf(np.asarray(base))
             object.__setattr__(self, "base_law", law)
             object.__setattr__(self, "base_mean", pgf.factorial_moment(law, 1))
 
@@ -585,74 +582,61 @@ class ImmigrationFamily:
         """Declared m_{n,1} straight from the rule (never clamped)."""
         return self.m1.at(n)
 
-    def mix_weight(self, n) -> float:
-        return self.m1.at(n) / self.base_mean
+    def weight(self, ns, rates: str):
+        """Mixture weights w_n = m_{n,1}/B'(1) under the named rule.
 
-    def mixture_prob(self, n: int) -> float:
-        """Mixing weight w_n of the finite-n routes, checked to be a probability."""
-        w = float(self.mix_weight(n))
-        if not 0.0 <= w <= 1.0:
+        "declared" returns them as they are; "clamped" (the finite-n routes)
+        caps Bernoulli weights at 1 with a warning and rejects a custom
+        weight above 1.
+        """
+        if rates not in RATE_RULES:
+            raise ValueError(f"unknown rate rule {rates!r}")
+        w = self.m1.at(ns) / self.base_mean
+        if rates == "declared" or (w <= 1.0).all():
+            return w
+        if self.kind == "custom":
+            first = np.flatnonzero(~(np.ravel(w) <= 1.0))[0]
             raise ScenarioValidationError(
-                f"mixture weight {w:.4g} at n={n} is not a probability"
+                f"mixture weight {np.ravel(w)[first]:.4g} at "
+                f"n={np.ravel(ns)[first]} is not a probability"
             )
-        return w
-
-    def _rates(self, ns, rates: str):
-        """m_{n,1} under the named rate rule (see :data:`RATE_RULES`)."""
-        m = self.m1.at(ns)
-        return _clamp_rates(m) if rates == "clamped" else m
-
-    def bernoulli_rate(self, n: int) -> float:
-        """Bernoulli parameter for sampling/PMF use, clamped into [0, 1]."""
-        return float(self._rates(n, "clamped"))
+        warnings.warn(
+            "Bernoulli immigration mean exceeds 1 for early generations; "
+            "rate clamped (early-generation adjustment)",
+            stacklevel=3,
+        )
+        return np.minimum(w, 1.0)
 
     def factorial_moment_at(self, n: int, k: int) -> float:
         """m_{n,k} = H_n^(k)(1)."""
-        if self.kind == "bernoulli":
-            return float(self.m1.at(n)) if k == 1 else 0.0
         if self.kind == "poisson":
             return float(self.m1.at(n)) ** k
-        return self.mix_weight(n) * pgf.factorial_moment(self.base_law, k)
+        return float(self.weight(n, "declared")) * pgf.factorial_moment(self.base_law, k)
 
     def m2_ratio_vanishes(self, rho_rule: RhoRule) -> bool:
         """Whether m_{n,2}/(1 - rho_n) -> 0, decided from the rules."""
-        if self.kind == "bernoulli":
-            return True
         p1, _ = self.m1.leading()
         if self.kind == "poisson":
             return 2.0 * p1 > rho_rule.gamma
-        if pgf.factorial_moment(self.base_law, 2) == 0.0:
-            return True
-        return p1 > rho_rule.gamma
+        return pgf.factorial_moment(self.base_law, 2) == 0.0 or p1 > rho_rule.gamma
 
     def pgf_values(self, ns, xs, rates: str) -> np.ndarray:
         """H_n(x) at generations ``ns`` and matching points ``xs``.
 
-        ``rates`` names the Bernoulli rate rule, "declared" or "clamped".
+        ``rates`` names the weight rule, "declared" or "clamped".
         """
-        if rates not in RATE_RULES:
-            raise ValueError(f"unknown rate rule {rates!r}")
-        if self.kind == "custom":
-            base = np.asarray(self.base)
-            return 1.0 + self.mix_weight(ns) * (np.polyval(base[::-1], xs) - 1.0)
         if self.kind == "poisson":
             return np.exp(self.m1.at(ns) * (xs - 1.0))
-        # the rate array stays an unnamed temporary, which numpy reuses in place
-        return 1.0 + self._rates(ns, rates) * (xs - 1.0)
-
-    def pgf_at(self, n: int, x: float) -> float:
-        if not 0.0 <= x <= 1.0:
-            raise ValueError("PGF argument must lie in [0, 1]")
-        return float(self.pgf_values(n, x, "clamped"))
+        # B(x) = x itself for Bernoulli, sparing a polynomial evaluation
+        base = (xs if self.kind == "bernoulli"
+                else np.polyval(self.base_law.coeffs[::-1], xs))
+        return 1.0 + self.weight(ns, rates) * (base - 1.0)
 
     def pmf(self, n: int, k_trunc: int) -> pgf.Pmf:
-        if self.kind == "bernoulli":
-            m = self.bernoulli_rate(n)
-            return pgf.Pmf(np.array([1.0 - m, m])[:k_trunc])
         if self.kind == "poisson":
             return pgf.Pmf(pgf.poisson_coeffs(float(self.m1.at(n)), k_trunc))
-        w = self.mixture_prob(n)
-        out = w * np.asarray(self.base)
+        w = float(self.weight(n, "clamped"))
+        out = w * self.base_law.coeffs
         out[0] += 1.0 - w
         return pgf.Pmf(out[:k_trunc])
 
@@ -660,17 +644,16 @@ class ImmigrationFamily:
         """out[v, k]: how many of the h[v] trajectories in state v receive k
         immigrants in generation ``n``, drawn exactly (see _split).
 
-        Bernoulli is one Binomial per state, Poisson runs the conditional
-        binomials over k until every trajectory is placed, and the mixture
-        draws its weight and then the base law.
+        Poisson runs the conditional binomials over k until every trajectory
+        is placed; a mixture draws its weight and then the base law, which
+        for Bernoulli is the point mass at 1 and needs no draw.
         """
-        if self.kind == "bernoulli":
-            got = rng.binomial(h, self.bernoulli_rate(n))
-            return np.stack([h - got, got], axis=1)
         if self.kind == "poisson":
             lam = float(self.m1.at(n))
             return _split(h, lambda k: _poisson_hazard(lam, k), rng)
-        mixed = rng.binomial(h, self.mixture_prob(n))
+        mixed = rng.binomial(h, float(self.weight(n, "clamped")))
+        if self.kind == "bernoulli":
+            return np.stack([h - mixed, mixed], axis=1)
         haz = _table_hazards(_sampling_probs(self.base_law.coeffs))
         out = _split(mixed, lambda k: haz[k], rng)
         out[:, 0] += h - mixed

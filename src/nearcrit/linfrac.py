@@ -162,19 +162,16 @@ def composed_params_all(spec: "ScenarioSpec", n: int):
 
 
 def generation_pgf(spec: "ScenarioSpec", n: int, x: float) -> float:
-    """F_n(x) as the exact product prod_j [1 + m_j (Gbar_{j+1,n}(x) - 1)].
+    """F_n(x) as the exact product prod_j H_j(Gbar_{j+1,n}(x)), any immigration.
 
-    Rates are clamped like the engine's PMF path, so the two routes stay
-    oracles for each other even on rate rules that overshoot 1 early.
+    Weights follow the "clamped" rule like the engine's PMF path, so the two
+    routes stay oracles for each other even on rate rules that overshoot 1
+    early.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError("PGF argument must lie in [0, 1]")
     if n == 0:
         return 1.0
-    if spec.immigration.kind != "bernoulli":
-        raise UnsupportedFamilyError(
-            "the exact product form needs Bernoulli immigration"
-        )
     alpha, beta = composed_params_all(spec, n)
     gbar = lf_value((alpha[1 : n + 1], beta[1 : n + 1]), x)
     ns = np.arange(1, n + 1)

@@ -1,13 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import make_spec
-from nearcrit import families, pgf
+from nearcrit import engine, families, pgf
 from nearcrit.errors import ScenarioValidationError
 from nearcrit.families import (
+    RATE_RULES,
     ImmigrationFamily,
     NegativeBinomialLimit,
     OffspringFamily,
@@ -144,8 +148,8 @@ def test_quadratic_window_clamps_early_generations():
     fam = OffspringFamily(
         kind="quadratic", rho_rule=RhoRule(c=1.0, gamma=1.0, n0=0.0), nu=2.0
     )
-    # rho_1 = 0 forces nu_eff(1) = 0; admissibility starts later
-    assert float(fam.nu_eff(1)) == 0.0
+    # rho_1 = 0 forces G_1''(1) = 0; admissibility starts later
+    assert float(fam.second_deriv(1)) == 0.0
     assert fam.start_offset() > 1
     p = fam.pmf(1, 3)
     assert np.all(p.coeffs >= 0)
@@ -239,9 +243,46 @@ def test_immigration_mixture_pmf_mass():
 def test_bernoulli_rate_clamps_with_warning():
     imm = ImmigrationFamily(kind="bernoulli", m1=PowerSum.parse("2*n^-1"))
     with pytest.warns(UserWarning):
-        assert imm.bernoulli_rate(1) == 1.0
-    assert imm.bernoulli_rate(4) == pytest.approx(0.5)
+        assert float(imm.weight(1, "clamped")) == 1.0
+    assert float(imm.weight(4, "clamped")) == pytest.approx(0.5)
     assert imm.mean(1) == pytest.approx(2.0)  # declared mean is never clamped
+
+
+def test_custom_weight_above_one_is_rejected_on_every_finite_route(fixture_specs):
+    # w_1 = 3 is no probability: every finite-n route raises the same way
+    spec = fixture_specs["thm4_log2"]
+    imm = dataclasses.replace(spec.immigration, m1=PowerSum.parse("3*n^-1"))
+    spec = dataclasses.replace(spec, immigration=imm)
+    for call in (lambda: imm.pgf_values(1, 0.0, "clamped"),
+                 lambda: engine.pgf_via_product(spec, 5, 0.0),
+                 lambda: engine.propagate(spec, 5, 64),
+                 lambda: engine.simulate(spec, 5, 100, 1)):
+        with pytest.raises(ScenarioValidationError,
+                           match=r"^mixture weight 3 at n=1 is not a probability$"):
+            call()
+    # the message names the first bad generation, not the array
+    with pytest.raises(ScenarioValidationError, match=r"^mixture weight 4 at n=3 "):
+        dataclasses.replace(imm, m1=PowerSum.parse("12*n^-1")).pgf_values(
+            np.arange(3, 8), np.zeros(5), "clamped")
+    # the product law keeps the declared weight: 1 + 3 (B(0) - 1) = 1 - 3 log 2
+    assert imm.pgf_values(1, 0.0, "declared") == pytest.approx(
+        1.0 - 3.0 * math.log(2.0), abs=1e-15)
+
+
+@pytest.mark.parametrize("m1", ["1*(n+1)^-1", "0.5*n^-2 + 0.5*n^-3", "1", "0"])
+def test_bernoulli_immigration_is_the_mixture_toward_one(m1):
+    # weights at most 1: Bernoulli and the custom mixture toward the point
+    # mass at 1 agree bit for bit
+    bern = ImmigrationFamily(kind="bernoulli", m1=PowerSum.parse(m1))
+    mix = ImmigrationFamily(kind="custom", m1=PowerSum.parse(m1), base=(0.0, 1.0))
+    ns, xs = np.arange(1, 41), np.linspace(0.0, 1.0, 40)
+    for rates in RATE_RULES:
+        assert np.array_equal(bern.pgf_values(ns, xs, rates),
+                              mix.pgf_values(ns, xs, rates))
+    for n in (1, 2, 7, 200):
+        assert np.array_equal(bern.pmf(n, 64).coeffs, mix.pmf(n, 64).coeffs)
+        for k in (1, 2, 3):
+            assert bern.factorial_moment_at(n, k) == mix.factorial_moment_at(n, k)
 
 
 def test_classify_poisson_regime():
@@ -440,6 +481,41 @@ def test_bernoulli_offspring_all_die_when_rho_is_zero(fixture_specs):
     assert float(fam.rho_rule.rho(1)) == 0.0
     out = fam.sample(1, START.copy(), np.random.default_rng(1))
     assert out.shape == (START.shape[0], 1) and np.array_equal(out[:, 0], START)
+
+
+@pytest.mark.parametrize("c, n0, n", [(1.0, 1.0, 200), (0.8, 0.0, 1), (1.0, 0.0, 1),
+                                       (1.0, 1.0, 3)])
+def test_bernoulli_offspring_samples_as_the_nu_zero_quadratic(c, n0, n):
+    bern = _offspring("bernoulli", c=c, n0=n0)
+    quad = _offspring("quadratic", c=c, n0=n0, nu=0.0)
+    for seed in range(3):
+        assert np.array_equal(bern.sample(n, START.copy(), np.random.default_rng(seed)),
+                              quad.sample(n, START.copy(), np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("kind, nu", [("bernoulli", 0.0), ("quadratic", 1.0)])
+def test_offspring_sampler_when_one_minus_rho_underflows(kind, nu):
+    # 11^-400 underflows to 0: every parent has exactly one child, and the
+    # twos stage (probability p2/(p0 + p2)) must not divide 0 by 0
+    fam = _offspring(kind, gamma=400.0, nu=nu)
+    assert float(fam.one_minus_rho(10)) == 0.0
+    out = fam.sample(10, START.copy(), np.random.default_rng(4))
+    assert np.array_equal(np.diagonal(out), START[: out.shape[1]])
+    assert out.sum() == START.sum()
+
+
+@given(c=st.floats(min_value=0.05, max_value=1.0),
+       gamma=st.floats(min_value=0.5, max_value=2.0),
+       n0=st.floats(min_value=0.0, max_value=4.0),
+       nu=st.floats(min_value=0.0, max_value=20.0))
+@settings(max_examples=100, deadline=None)
+def test_start_offset_is_the_first_generation_outside_the_clamp(c, gamma, n0, nu):
+    # the validate note and params share one window test
+    fam = _offspring("quadratic", c=c, gamma=gamma, n0=n0, nu=nu)
+    start = fam.start_offset()
+    for n in range(1, start + 20):
+        clamped = fam.second_deriv(n) < nu * fam.one_minus_rho(n)
+        assert clamped == (n < start)
 
 
 @pytest.mark.parametrize("case", sorted(OFFSPRING_CASES))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import make_spec
 from nearcrit.scenarios import load_fixture
-from nearcrit import engine, linfrac
+from nearcrit import engine, linfrac, pgf
 from nearcrit.errors import UnsupportedFamilyError
+from nearcrit.families import ImmigrationFamily, log_two_base
 from nearcrit.linfrac import LinearFractional
 from oracles import faa_f2_coefficient, faa_weight, lf_compose, lf_from_derivatives
 
@@ -111,6 +113,20 @@ def test_generation_pgf_first_step_is_immigration():
         assert linfrac.generation_pgf(spec, 1, x) == pytest.approx(
             1.0 + 0.5 * (x - 1.0), abs=1e-14
         )
+
+
+@pytest.mark.parametrize("kind", ["poisson", "custom"])
+def test_generation_pgf_takes_every_immigration_kind(kind):
+    # H_j(Gbar) is exact for every kind: the product form agrees with
+    # coefficient propagation within the truncated mass
+    spec = load_fixture("lf_crosscheck").spec
+    base = tuple(log_two_base(64)) if kind == "custom" else None
+    imm = ImmigrationFamily(kind=kind, m1=spec.immigration.m1, base=base)
+    spec = dataclasses.replace(spec, immigration=imm)
+    law = engine.propagate(spec, 50, 400).pmf
+    for x in np.linspace(0.0, 1.0, 11):
+        got = linfrac.generation_pgf(spec, 50, float(x))
+        assert abs(got - pgf.evaluate(law, float(x))) <= law.deficiency + 1e-12
 
 
 def test_generation_pgf_normalized_at_one():
@@ -310,7 +326,7 @@ def _symbolic_profile(spec, n, k_max):
     n=st.integers(min_value=1, max_value=6),
     k_max=st.integers(min_value=1, max_value=5),
 )
-# quadratic with G_1 window-clamped: rho_1 = 1/2, so nu_eff = 1 < 3
+# quadratic with G_1 window-clamped: rho_1 = 1/2, so G_1''(1) = rho_1 < 3 (1 - rho_1)
 @example(kind="quadratic", c=1.0, gamma=1.0, n0=1.0, nu=3.0, n=4, k_max=5)
 @settings(max_examples=100, deadline=None)
 def test_deriv_profile_matches_symbolic_composition(kind, c, gamma, n0, nu, n, k_max):
