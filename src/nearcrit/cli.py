@@ -20,7 +20,7 @@ from .families import (
     PoissonLimit,
     classify,
 )
-from .scenarios import ScenarioFile, parse_scenario
+from .scenarios import KEYS, ScenarioFile, parse_scenario
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -30,20 +30,9 @@ EXIT_WRONG_REGIME = 5
 _DEFAULT_TOL = 1e-7
 
 
-def _effective_tol(args: argparse.Namespace, sf: ScenarioFile) -> float:
-    if args.tol is not None:
-        return args.tol
-    if sf.defaults.tol is not None:
-        return sf.defaults.tol
-    return _DEFAULT_TOL
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+def _first(*values):
+    """The first value that is set: run flag, scenario file, built-in default."""
+    return next((v for v in values if v is not None), None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,11 +48,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("classify", "propagate", "simulate", "report", "limits"),
     )
     p.add_argument("--n", type=int, help="generation index")
-    p.add_argument("--n-grid", type=_int_list, help="comma list of generations")
+    p.add_argument("--n-grid", type=KEYS["run.n_grid"].parse,
+                   help="comma list of generations")
     p.add_argument("--K", type=int, dest="k_trunc", help="truncation length")
     p.add_argument("--reps", type=int, help="Monte Carlo trajectories")
     p.add_argument("--seed", type=int, help="RNG seed")
-    p.add_argument("--x-grid", type=_float_list, help="comma list of PGF points")
+    p.add_argument("--x-grid", type=KEYS["run.x_grid"].parse,
+                   help="comma list of PGF points")
     p.add_argument("--tol", type=float, help="series/product tolerance")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -91,7 +82,8 @@ def _pgf_grid_text(xs, values, fmt: str, meta: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _limit_output(sf: ScenarioFile, args: argparse.Namespace, k: int, xs) -> str:
+def _limit_output(sf: ScenarioFile, args: argparse.Namespace, k: int, xs,
+                  tol: float) -> str:
     spec = sf.spec
     law = classify(spec)
     meta = {"scenario": spec.name, "law": law.describe()}
@@ -103,7 +95,6 @@ def _limit_output(sf: ScenarioFile, args: argparse.Namespace, k: int, xs) -> str
         measure = limits.cp_intensity_finite(law.lambdas)
         meta["atoms"] = [float(v) for v in measure.atoms]
         return _pmf_text(limits.cp_pmf(measure, k), args.format, meta)
-    tol = _effective_tol(args, sf)
     if isinstance(law, GeneralExpLimit):
         vals = [limits.general_limit_pgf(spec.lambda_over_factorial, x, tol)
                 for x in xs]
@@ -118,10 +109,11 @@ def run(args: argparse.Namespace) -> int:
     spec = sf.spec
     for note in sf.notes:
         print(f"warning: {note}", file=sys.stderr)
-    k = args.k_trunc if args.k_trunc is not None else spec.k_trunc
-    n = args.n if args.n is not None else spec.horizon
-    seed = args.seed if args.seed is not None else (sf.defaults.seed or 0)
-    xs = args.x_grid or sf.defaults.x_grid or diagnostics.DEFAULT_X_GRID
+    k = _first(args.k_trunc, spec.k_trunc)
+    n = _first(args.n, spec.horizon)
+    seed = _first(args.seed, sf.defaults.seed, 0)
+    xs = _first(args.x_grid, sf.defaults.x_grid, diagnostics.DEFAULT_X_GRID)
+    tol = _first(args.tol, sf.defaults.tol, _DEFAULT_TOL)
 
     if args.command == "classify":
         law = classify(spec)
@@ -139,7 +131,7 @@ def run(args: argparse.Namespace) -> int:
             {"scenario": spec.name, "command": "propagate", "n": n, "K": k},
         )
     elif args.command == "simulate":
-        reps = args.reps if args.reps is not None else sf.defaults.reps
+        reps = _first(args.reps, sf.defaults.reps)
         if reps is None:
             raise ScenarioValidationError("simulate needs --reps")
         empirical = engine.simulate(spec, n, reps, seed)
@@ -155,16 +147,16 @@ def run(args: argparse.Namespace) -> int:
             },
         )
     elif args.command == "report":
-        grid = args.n_grid or sf.defaults.n_grid or (spec.horizon,)
+        # the Monte Carlo column comes from --reps only, never from run.reps
+        grid = _first(args.n_grid, sf.defaults.n_grid, (spec.horizon,))
         rep = diagnostics.report(
-            spec, grid, k, reps=args.reps, seed=seed, x_grid=xs,
-            tol=_effective_tol(args, sf),
+            spec, grid, k, reps=args.reps, seed=seed, x_grid=xs, tol=tol
         )
         text = rep.to_json() if args.format == "json" else rep.to_csv(
             include_mc=args.reps is not None
         )
     elif args.command == "limits":
-        text = _limit_output(sf, args, k, xs)
+        text = _limit_output(sf, args, k, xs, tol)
     else:  # pragma: no cover - argparse restricts choices
         raise ScenarioValidationError(f"unknown command {args.command!r}")
 

@@ -101,10 +101,6 @@ class PowerSum:
                 parsed.append(PowerTerm(float(m.group("coef")), 0.0, 0.0))
                 continue
             raise ScenarioValidationError(f"cannot parse rule term {piece!r}")
-        if not parsed:
-            raise ScenarioValidationError(f"empty rate rule {text!r}")
-        if any(t.coef < 0 for t in parsed):
-            raise ScenarioValidationError("rate rules must have nonnegative terms")
         return cls(tuple(parsed))
 
     def at(self, n):

@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedFamilyError,
     WrongRegimeError,
 )
-from .families import ScenarioSpec, hurwitz_zeta
+from .families import ScenarioSpec
 
 _ATOM_CLAMP = 1e-12
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+from operator import attrgetter
+from typing import Any, Callable, NamedTuple
 
 from .errors import ScenarioParseError, ScenarioValidationError
 from .families import (
@@ -20,30 +22,6 @@ from .families import (
     RhoRule,
     ScenarioSpec,
 )
-
-_KNOWN_KEYS = {
-    "offspring.family",
-    "offspring.rho.c",
-    "offspring.rho.gamma",
-    "offspring.rho.n0",
-    "offspring.nu",
-    "immigration.family",
-    "immigration.base",
-    "immigration.support",
-    "immigration.m1.rule",
-    "limits.lambda",
-    "limits.nu",
-    "limits.divergent",
-    "limits.lambda_seq",
-    "limits.lambda_rule",
-    "run.n",
-    "run.K",
-    "run.seed",
-    "run.reps",
-    "run.tol",
-    "run.n_grid",
-    "run.x_grid",
-}
 
 
 @dataclass(frozen=True)
@@ -64,7 +42,82 @@ class ScenarioFile:
     notes: tuple[str, ...]
 
 
-def _parse_kv(text: str, origin: str) -> dict[str, str]:
+def _bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+# a parser's ValueError reads "value for <key> is not <what>"; the rule
+# grammar and the family names raise ScenarioValidationError themselves
+_WHAT = {float: "a number", int: "an integer", _bool: "'true' or 'false'",
+         _ints: "a comma list of integers", _floats: "a comma list of numbers"}
+
+
+def _show(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    if isinstance(v, tuple):
+        return ",".join(_show(x) for x in v)
+    return str(v)
+
+
+def _support(sf: ScenarioFile) -> int | None:
+    base = sf.spec.immigration.base
+    return None if base is None else len(base)
+
+
+class Key(NamedTuple):
+    """One scenario-file key: its parser, its default (REQUIRED when the file
+    must give it) and its value in a ScenarioFile (None: left out)."""
+
+    parse: Callable[[str], Any]
+    default: Any
+    get: Callable[[ScenarioFile], Any]
+
+
+REQUIRED = object()
+
+# every key of the format, in file order
+KEYS = {
+    "offspring.family": Key(str, REQUIRED, attrgetter("spec.offspring.kind")),
+    "offspring.rho.c": Key(float, 1.0, attrgetter("spec.offspring.rho_rule.c")),
+    "offspring.rho.gamma": Key(float, 1.0,
+                               attrgetter("spec.offspring.rho_rule.gamma")),
+    "offspring.rho.n0": Key(float, 0.0, attrgetter("spec.offspring.rho_rule.n0")),
+    "offspring.nu": Key(float, 0.0, attrgetter("spec.offspring.nu")),
+    "immigration.family": Key(str, REQUIRED, attrgetter("spec.immigration.kind")),
+    "immigration.base": Key(str, None, attrgetter("spec.immigration.base_name")),
+    "immigration.support": Key(int, 64, _support),
+    "immigration.m1.rule": Key(PowerSum.parse, REQUIRED,
+                               attrgetter("spec.immigration.m1")),
+    "limits.lambda": Key(float, 0.0, attrgetter("spec.lam")),
+    "limits.nu": Key(float, 0.0, attrgetter("spec.nu")),
+    "limits.divergent": Key(_bool, REQUIRED, attrgetter("spec.divergent")),
+    "limits.lambda_seq": Key(_floats, None, attrgetter("spec.lambda_seq")),
+    "limits.lambda_rule": Key(str, None, attrgetter("spec.lambda_rule")),
+    "run.n": Key(int, 1000, attrgetter("spec.horizon")),
+    "run.K": Key(int, 64, attrgetter("spec.k_trunc")),
+    "run.seed": Key(int, None, attrgetter("defaults.seed")),
+    "run.reps": Key(int, None, attrgetter("defaults.reps")),
+    "run.tol": Key(float, None, attrgetter("defaults.tol")),
+    "run.n_grid": Key(_ints, None, attrgetter("defaults.n_grid")),
+    "run.x_grid": Key(_floats, None, attrgetter("defaults.x_grid")),
+}
+
+
+def _parse_kv(text: str, origin: str) -> dict[str, Any]:
+    """Every key of KEYS, converted from the text or defaulted."""
     table: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -75,72 +128,36 @@ def _parse_kv(text: str, origin: str) -> dict[str, str]:
                 f"{origin}:{lineno}: expected 'key = value', got {raw!r}"
             )
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in KEYS:
             raise ScenarioParseError(f"{origin}:{lineno}: unknown key {key!r}")
         if key in table:
             raise ScenarioParseError(f"{origin}:{lineno}: duplicate key {key!r}")
         if not value:
             raise ScenarioParseError(f"{origin}:{lineno}: empty value for {key!r}")
         table[key] = value
-    return table
-
-
-def _get_float(table, key, origin, default=None) -> float | None:
-    if key not in table:
-        if default is None:
-            return None
-        return default
-    try:
-        return float(table[key])
-    except ValueError:
-        raise ScenarioParseError(
-            f"{origin}: value for {key} is not a number: {table[key]!r}"
-        ) from None
-
-
-def _get_int(table, key, origin, default=None) -> int | None:
-    if key not in table:
-        return default
-    try:
-        return int(table[key])
-    except ValueError:
-        raise ScenarioParseError(
-            f"{origin}: value for {key} is not an integer: {table[key]!r}"
-        ) from None
-
-
-def _get_bool(table, key, origin) -> bool:
-    raw = table.get(key)
-    if raw not in ("true", "false"):
-        raise ScenarioParseError(f"{origin}: {key} must be 'true' or 'false'")
-    return raw == "true"
+    values = {}
+    for key, entry in KEYS.items():
+        raw = table.get(key)
+        if raw is None and entry.default is REQUIRED:
+            raise ScenarioParseError(f"{origin}: missing required key {key!r}")
+        try:
+            values[key] = entry.default if raw is None else entry.parse(raw)
+        except ValueError:
+            raise ScenarioParseError(
+                f"{origin}: value for {key} is not {_WHAT[entry.parse]}: {raw!r}"
+            ) from None
+    return values
 
 
 def parse_scenario_text(text: str, origin: str = "<string>",
                         name: str = "scenario") -> ScenarioFile:
-    table = _parse_kv(text, origin)
-
-    def require(key):
-        if key not in table:
-            raise ScenarioParseError(f"{origin}: missing required key {key!r}")
-        return table[key]
-
-    rho = RhoRule(
-        c=_get_float(table, "offspring.rho.c", origin, 1.0),
-        gamma=_get_float(table, "offspring.rho.gamma", origin, 1.0),
-        n0=_get_float(table, "offspring.rho.n0", origin, 0.0),
-    )
-    offspring = OffspringFamily(
-        kind=require("offspring.family"),
-        rho_rule=rho,
-        nu=_get_float(table, "offspring.nu", origin, 0.0),
-    )
-
-    imm_kind = require("immigration.family")
-    m1 = PowerSum.parse(require("immigration.m1.rule"))
-    base = None
-    base_name = table.get("immigration.base")
-    if imm_kind == "custom":
+    v = _parse_kv(text, origin)
+    rho = RhoRule(c=v["offspring.rho.c"], gamma=v["offspring.rho.gamma"],
+                  n0=v["offspring.rho.n0"])
+    offspring = OffspringFamily(kind=v["offspring.family"], rho_rule=rho,
+                                nu=v["offspring.nu"])
+    base, base_name = None, v["immigration.base"]
+    if v["immigration.family"] == "custom":
         if base_name is None:
             raise ScenarioParseError(
                 f"{origin}: custom immigration needs immigration.base"
@@ -150,54 +167,21 @@ def parse_scenario_text(text: str, origin: str = "<string>",
                 f"{origin}: unknown immigration base {base_name!r} "
                 f"(known: {sorted(BASE_LAWS)})"
             )
-        support = _get_int(table, "immigration.support", origin, 64)
-        base = tuple(float(v) for v in BASE_LAWS[base_name](support))
-    immigration = ImmigrationFamily(
-        kind=imm_kind, m1=m1, base=base, base_name=base_name
-    )
-
-    lambda_seq = None
-    if "limits.lambda_seq" in table:
-        try:
-            lambda_seq = tuple(
-                float(v) for v in table["limits.lambda_seq"].split(",")
-            )
-        except ValueError:
-            raise ScenarioParseError(
-                f"{origin}: limits.lambda_seq must be a comma list of numbers"
-            ) from None
-
+        support = v["immigration.support"]
+        base = tuple(float(x) for x in BASE_LAWS[base_name](support))
+    immigration = ImmigrationFamily(kind=v["immigration.family"],
+                                    m1=v["immigration.m1.rule"], base=base,
+                                    base_name=base_name)
     spec = ScenarioSpec(
-        offspring=offspring,
-        immigration=immigration,
-        lam=_get_float(table, "limits.lambda", origin, 0.0),
-        nu=_get_float(table, "limits.nu", origin, 0.0),
-        divergent=_get_bool(table, "limits.divergent", origin),
-        horizon=_get_int(table, "run.n", origin, 1000),
-        k_trunc=_get_int(table, "run.K", origin, 64),
-        lambda_seq=lambda_seq,
-        lambda_rule=table.get("limits.lambda_rule"),
-        name=name,
+        offspring=offspring, immigration=immigration,
+        lam=v["limits.lambda"], nu=v["limits.nu"], divergent=v["limits.divergent"],
+        lambda_seq=v["limits.lambda_seq"], lambda_rule=v["limits.lambda_rule"],
+        horizon=v["run.n"], k_trunc=v["run.K"], name=name,
     )
     notes = spec.validate()
-
-    n_grid = x_grid = None
-    try:
-        if "run.n_grid" in table:
-            n_grid = tuple(int(v) for v in table["run.n_grid"].split(","))
-        if "run.x_grid" in table:
-            x_grid = tuple(float(v) for v in table["run.x_grid"].split(","))
-    except ValueError:
-        raise ScenarioParseError(
-            f"{origin}: run.n_grid/run.x_grid must be comma lists of numbers"
-        ) from None
-    defaults = RunDefaults(
-        seed=_get_int(table, "run.seed", origin),
-        reps=_get_int(table, "run.reps", origin),
-        tol=_get_float(table, "run.tol", origin),
-        n_grid=n_grid,
-        x_grid=x_grid,
-    )
+    defaults = RunDefaults(seed=v["run.seed"], reps=v["run.reps"],
+                           tol=v["run.tol"], n_grid=v["run.n_grid"],
+                           x_grid=v["run.x_grid"])
     return ScenarioFile(spec=spec, defaults=defaults, notes=tuple(notes))
 
 
@@ -212,54 +196,20 @@ def parse_scenario(path) -> ScenarioFile:
     return parse_scenario_text(text, origin=str(path), name=name)
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def serialize_scenario(sf: ScenarioFile) -> str:
     """Canonical text for a scenario; parse(serialize(.)) round-trips."""
-    spec = sf.spec
-    off, imm = spec.offspring, spec.immigration
-    if off.table is not None:
+    imm = sf.spec.immigration
+    if sf.spec.offspring.table is not None:
         raise ScenarioValidationError("table-backed families have no file form")
-    lines = [
-        f"offspring.family = {off.kind}",
-        f"offspring.rho.c = {_fmt(off.rho_rule.c)}",
-        f"offspring.rho.gamma = {_fmt(off.rho_rule.gamma)}",
-        f"offspring.rho.n0 = {_fmt(off.rho_rule.n0)}",
-        f"offspring.nu = {_fmt(off.nu)}",
-        f"immigration.family = {imm.kind}",
-    ]
-    if imm.base is not None:
-        if imm.base_name is None:
-            raise ScenarioValidationError(
-                "custom immigration without a named base has no file form"
-            )
-        lines.append(f"immigration.base = {imm.base_name}")
-        lines.append(f"immigration.support = {len(imm.base)}")
-    lines.append(f"immigration.m1.rule = {imm.m1}")
-    lines.append(f"limits.lambda = {_fmt(spec.lam)}")
-    lines.append(f"limits.nu = {_fmt(spec.nu)}")
-    lines.append(f"limits.divergent = {'true' if spec.divergent else 'false'}")
-    if spec.lambda_seq is not None:
-        lines.append(
-            "limits.lambda_seq = " + ",".join(_fmt(v) for v in spec.lambda_seq)
+    if imm.base is not None and imm.base_name is None:
+        raise ScenarioValidationError(
+            "custom immigration without a named base has no file form"
         )
-    if spec.lambda_rule is not None:
-        lines.append(f"limits.lambda_rule = {spec.lambda_rule}")
-    lines.append(f"run.n = {spec.horizon}")
-    lines.append(f"run.K = {spec.k_trunc}")
-    d = sf.defaults
-    if d.seed is not None:
-        lines.append(f"run.seed = {d.seed}")
-    if d.reps is not None:
-        lines.append(f"run.reps = {d.reps}")
-    if d.tol is not None:
-        lines.append(f"run.tol = {_fmt(d.tol)}")
-    if d.n_grid is not None:
-        lines.append("run.n_grid = " + ",".join(str(v) for v in d.n_grid))
-    if d.x_grid is not None:
-        lines.append("run.x_grid = " + ",".join(_fmt(v) for v in d.x_grid))
+    lines = []
+    for key, entry in KEYS.items():
+        value = entry.get(sf)
+        if value is not None:
+            lines.append(f"{key} = {_show(value)}")
     return "\n".join(lines) + "\n"
 
 

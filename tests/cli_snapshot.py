@@ -1,13 +1,21 @@
-"""Write the CLI byte-identity snapshot of this checkout into OUTDIR.
+"""Write the CLI byte-identity snapshot of a checkout into OUTDIR.
 
-Usage: python tests/cli_snapshot.py OUTDIR
+Usage: python tests/cli_snapshot.py OUTDIR [SRC]
+
+SRC is the ``src`` directory of the checkout to run (default: the one next
+to this script), so one script can snapshot two checkouts.
 
 Runs five commands on every bundled fixture in csv and json (70 runs):
 ``classify``, ``report`` and ``limits`` at the fixture defaults,
 ``propagate --n 200 --K 64`` and ``simulate --n 50 --reps 20000 --seed 7``.
-Each run leaves ``<fixture>.<command>.<format>.out`` (stdout) and ``.rc``
-(exit code). Two checkouts agree when ``diff -r`` of their snapshots is
-empty.
+Then ``classify`` on malformed copies of ``thm1_poisson`` and
+``thm3_cp_finite``, one per fault of the scenario-file format (MALFORMED).
+Each run leaves ``<stem>.out`` (stdout), ``<stem>.rc`` (exit code) and
+``<stem>.err``, the stderr lines that start with ``error:`` or
+``warning:``; Python's own warning lines carry source line numbers, which
+any edit moves. Scenario paths are relative to the working directory, so
+messages that name the file read the same for every checkout. Two
+checkouts agree when ``diff -r`` of their snapshots is empty.
 """
 
 from __future__ import annotations
@@ -15,10 +23,8 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-FIXTURES = SRC / "nearcrit" / "fixtures"
 
 COMMANDS = {
     "classify": [],
@@ -28,25 +34,63 @@ COMMANDS = {
     "simulate": ["--n", "50", "--reps", "20000", "--seed", "7"],
 }
 
+# stem: (fixture, line to replace, replacement)
+MALFORMED = {
+    "bad_duplicate_key": ("thm1_poisson", "run.K = 64", "run.K = 64\nrun.K = 32"),
+    "bad_empty_value": ("thm1_poisson", "run.K = 64", "run.K ="),
+    "bad_not_a_number": ("thm1_poisson", "offspring.rho.c = 1", "offspring.rho.c = one"),
+    "bad_not_an_integer": ("thm1_poisson", "run.K = 64", "run.K = 6.4"),
+    "bad_divergent": ("thm1_poisson", "limits.divergent = true",
+                      "limits.divergent = yes"),
+    "bad_missing_key": ("thm1_poisson", "immigration.family = bernoulli\n", ""),
+    "bad_no_base": ("thm3_cp_finite", "immigration.base = delta2\n", ""),
+    "bad_unknown_base": ("thm3_cp_finite", "immigration.base = delta2",
+                         "immigration.base = delta3"),
+    "bad_lambda_seq": ("thm3_cp_finite", "limits.lambda_seq = 2,1,0",
+                       "limits.lambda_seq = 2;1;0"),
+    "bad_n_grid": ("thm1_poisson", "run.n_grid = 100,1000,10000",
+                   "run.n_grid = 100,1e3"),
+    "bad_x_grid": ("thm3_cp_finite", "run.n_grid = 100,1000",
+                   "run.n_grid = 100,1000\nrun.x_grid = 0.5,x"),
+    "bad_rule": ("thm1_poisson", "immigration.m1.rule = 2*(n+1)^-1",
+                 "immigration.m1.rule = 2*(n+1)^+1"),
+}
+
+
+def _run(out: Path, stem: str, cwd: Path, env: dict, argv: list[str]) -> None:
+    proc = subprocess.run([sys.executable, "-m", "nearcrit.cli", *argv],
+                          capture_output=True, cwd=cwd, env=env, check=False)
+    (out / f"{stem}.out").write_bytes(proc.stdout)
+    (out / f"{stem}.rc").write_text(f"{proc.returncode}\n")
+    kept = [line for line in proc.stderr.decode().splitlines(keepends=True)
+            if line.startswith(("error:", "warning:"))]
+    (out / f"{stem}.err").write_text("".join(kept))
+
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python tests/cli_snapshot.py OUTDIR", file=sys.stderr)
+    if len(argv) not in (1, 2):
+        print("usage: python tests/cli_snapshot.py OUTDIR [SRC]", file=sys.stderr)
         return 2
-    out = Path(argv[0])
+    out = Path(argv[0]).resolve()
+    src = Path(argv[1]).resolve() if len(argv) == 2 else (
+        Path(__file__).resolve().parents[1] / "src")
+    fixtures = src / "nearcrit" / "fixtures"
     out.mkdir(parents=True, exist_ok=True)
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    for scn in sorted(FIXTURES.glob("*.scn")):
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for scn in sorted(fixtures.glob("*.scn")):
         for command, extra in COMMANDS.items():
             for fmt in ("csv", "json"):
-                proc = subprocess.run(
-                    [sys.executable, "-m", "nearcrit.cli", "--scenario", str(scn),
-                     "--command", command, "--format", fmt, *extra],
-                    capture_output=True, env=env, check=False,
-                )
-                stem = f"{scn.stem}.{command}.{fmt}"
-                (out / f"{stem}.out").write_bytes(proc.stdout)
-                (out / f"{stem}.rc").write_text(f"{proc.returncode}\n")
+                _run(out, f"{scn.stem}.{command}.{fmt}", fixtures, env,
+                     ["--scenario", scn.name, "--command", command,
+                      "--format", fmt, *extra])
+    with tempfile.TemporaryDirectory() as tmp:
+        for stem, (fixture, old, new) in MALFORMED.items():
+            text = (fixtures / f"{fixture}.scn").read_text()
+            if old not in text:
+                raise SystemExit(f"{fixture}.scn has no line {old!r}")
+            (Path(tmp) / f"{stem}.scn").write_text(text.replace(old, new))
+            _run(out, f"{stem}.classify.csv", Path(tmp), env,
+                 ["--scenario", f"{stem}.scn", "--command", "classify"])
     return 0
 
 

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import make_spec
-from nearcrit import engine, families, pgf
+from nearcrit import engine, families, pgf, scenarios
 from nearcrit.errors import ScenarioValidationError
 from nearcrit.families import (
     RATE_RULES,
     ImmigrationFamily,
     NegativeBinomialLimit,
     OffspringFamily,
+    OutsideScope,
     PoissonLimit,
     PowerSum,
     ProductLimit,
@@ -47,6 +48,18 @@ def test_power_sum_rejects_growth_and_junk():
         PowerSum.parse("n^2")
     with pytest.raises(ScenarioValidationError):
         PowerSum.parse("frog")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("-1*n^-2", "cannot parse rule term '-1*n^-2'"),  # _NUM has no sign
+    ("2*n^-1 + -1", "cannot parse rule term ' -1'"),
+    ("", "cannot parse rule term ''"),
+    ("(n+1^-2", "unbalanced parentheses"),
+])
+def test_power_sum_rejects_signs_blanks_and_open_groups(text, message):
+    with pytest.raises(ScenarioValidationError) as info:
+        PowerSum.parse(text)
+    assert message in str(info.value)
 
 
 def test_power_sum_tail_bound_dominates():
@@ -326,6 +339,37 @@ def test_classify_outside_scope_for_fat_second_moments():
     assert law.describe().startswith("OutsideScope")
 
 
+def _with_poisson_immigration(fixture, *edits):
+    text = scenarios.fixture_text(fixture).replace(
+        "immigration.family = bernoulli", "immigration.family = poisson")
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    return scenarios.parse_scenario_text(text).spec
+
+
+def test_classify_with_poisson_immigration():
+    # m_{n,2} = m_{n,1}^2 vanishes against 1 - rho_n iff 2 p1 > gamma
+    assert classify(_with_poisson_immigration("thm1_poisson")) == PoissonLimit(2.0)
+    slow = _with_poisson_immigration(
+        "thm1_poisson", ("2*(n+1)^-1", "2*(n+1)^-0.5"))
+    assert isinstance(classify(slow), OutsideScope)
+    law = classify(_with_poisson_immigration("thm5_nb"))
+    assert isinstance(law, NegativeBinomialLimit)
+    assert (law.r, law.p) == (2.0, pytest.approx(1.0 / 3.0))
+
+
+def test_declared_moment_ratio_limits(fixture_specs):
+    seq = fixture_specs["thm3_cp_finite"]  # lambda_seq = 2,1,0
+    assert [seq.lambda_l(l) for l in (1, 2, 3, 4)] == [2.0, 1.0, 0.0, 0.0]
+    assert seq.lambda_over_factorial(2) == 0.5
+    plain = fixture_specs["thm1_poisson"]  # lambda = 2, no sequence or rule
+    assert [plain.lambda_l(l) for l in (1, 2)] == [2.0, 0.0]
+    assert [plain.lambda_over_factorial(l) for l in (1, 2)] == [2.0, 0.0]
+    with pytest.raises(ValueError):
+        plain.lambda_l(0)
+
+
 def test_classify_ignores_horizon():
     a = make_spec(m1="2*(n+1)^-1", lam=2.0, horizon=10)
     b = make_spec(m1="2*(n+1)^-1", lam=2.0, horizon=100000)
@@ -364,6 +408,15 @@ def test_validate_flags_lambda_mismatch():
     spec = make_spec(m1="2*(n+1)^-1", lam=1.0, horizon=500)  # rule says 2
     notes = spec.validate()
     assert any("lambda" in note for note in notes)
+
+
+def test_validate_notes_a_declared_nu_the_rule_does_not_give():
+    # quadratic nu = 1: G_n''(1)/(1 - rho_n) = 1 at n = 100
+    off = make_spec("quadratic", nu=1.0, decl_nu=2.0).validate()
+    assert any(n.startswith("declared nu=2 vs rule value 1") for n in off)
+    zero = make_spec("quadratic", nu=1.0, decl_nu=0.0).validate()
+    assert any(n.startswith("declared nu=0 but rule gives 1") for n in zero)
+    assert not any("nu" in n for n in make_spec("quadratic", nu=1.0).validate())
 
 
 def test_validate_rejects_divergence_contradiction():
