@@ -38,9 +38,18 @@ class GenerationState:
     truncated: bool = False
 
 
-def step(prev: pgf.Pmf, offspring_pmf: pgf.Pmf, immigration_pmf: pgf.Pmf,
-         k_trunc: int) -> pgf.Pmf:
-    """One generation: compound with offspring, convolve in immigration."""
+# generations whose family tables one fetch covers in the forward sweep;
+# in perfbench's exact_deep, blocks of 64 to 256 ran alike, while 512 ran
+# about 12 % slower and held 0.4 MB more at peak
+BLOCK = 256
+
+
+def step(prev, offspring_pmf, immigration_pmf, k_trunc: int):
+    """One generation: compound with offspring, convolve in immigration.
+
+    Takes :class:`pgf.Pmf`s or coefficient vectors and returns the kind of
+    ``prev``, as :func:`pgf.compound` and :func:`pgf.convolve` do.
+    """
     return pgf.convolve(
         pgf.compound(prev, offspring_pmf, k_trunc), immigration_pmf, k_trunc
     )
@@ -48,21 +57,43 @@ def step(prev: pgf.Pmf, offspring_pmf: pgf.Pmf, immigration_pmf: pgf.Pmf,
 
 def propagate_sequence(spec: ScenarioSpec, ns, k_trunc: int | None = None,
                        initial: pgf.Pmf | None = None) -> list[GenerationState]:
-    """States at every requested generation, sharing one forward sweep."""
+    """States at every requested generation, sharing one forward sweep.
+
+    The sweep runs on plain coefficient vectors. For each block of
+    :data:`BLOCK` generations it fetches one validated offspring table and
+    one immigration table, then calls :func:`step` on their rows; the law
+    is wrapped in a validated :class:`pgf.Pmf` only at a requested
+    generation, where its deficiency is read off.
+
+    No per-step validation is needed. Every operand of ``compound`` and
+    ``convolve`` is nonnegative and finite with mass at most 1, up to the
+    slack a :class:`pgf.Pmf` allows: the starting law and the table rows
+    are validated, and each later law is made of sums and products of
+    such coefficients, truncated. So an intermediate law has no negative
+    entry, no non-finite entry and no excess mass, and the roundoff clamp
+    never acts on one: the sweep is bit-equal to a loop of
+    :class:`pgf.Pmf`-typed steps over the scalar ``pmf(n, K)``. (A custom
+    offspring table whose width changes with n is zero-padded to the
+    widest row of a block, and the padding can move the last bit.)
+    """
     targets = sorted(set(int(n) for n in ns))
     if targets and targets[0] < 0:
         raise ValueError("generation index must be >= 0")
     k = spec.k_trunc if k_trunc is None else k_trunc
-    law = pgf.Pmf.delta(0) if initial is None else initial
+    law = (pgf.Pmf.delta(0) if initial is None else initial).coeffs
     wanted = set(targets)
     out = {}
     if 0 in wanted:
-        out[0] = law
+        out[0] = pgf.Pmf(law)
     top = targets[-1] if targets else 0
-    for n in range(1, top + 1):
-        law = step(law, spec.offspring.pmf(n, k), spec.immigration.pmf(n, k), k)
-        if n in wanted:
-            out[n] = law
+    for start in range(1, top + 1, BLOCK):
+        block = np.arange(start, min(start + BLOCK, top + 1))
+        offspring = spec.offspring.pmf(block, k)
+        immigration = spec.immigration.pmf(block, k)
+        for i, n in enumerate(block.tolist()):
+            law = step(law, offspring[i], immigration[i], k)
+            if n in wanted:
+                out[n] = pgf.Pmf(law)
     states = []
     for n in targets:
         deficiency = out[n].deficiency

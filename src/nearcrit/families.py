@@ -348,14 +348,32 @@ class OffspringFamily:
             vals = self.pgf_formula(self.params(n), xs)
         return float(vals) if np.ndim(vals) == 0 else vals
 
-    def pmf(self, n: int, k_trunc: int) -> pgf.Pmf:
-        if self.kind == "linear_fractional":
-            coeffs = self.lf_params(n).pmf_coeffs(k_trunc)
-        elif self.kind == "custom":
-            coeffs = np.asarray(self.table(n), dtype=float)
+    def pmf(self, n, k_trunc: int):
+        """Coefficients of G_n truncated at ``k_trunc``.
+
+        A scalar n gives a :class:`pgf.Pmf`; an array of generations gives
+        a :func:`pgf.coeff_table` with one row per generation, from one
+        ``params`` call. The scalar is the one-row case of the same table.
+        Linear-fractional rows hold p_0 = 1 - alpha/(1 - beta) and
+        p_k = alpha beta^(k-1), custom rows are zero-padded to the widest
+        row, and the other kinds hold their parameters.
+        """
+        ns = np.atleast_1d(n)
+        if self.kind == "custom":
+            rows = [np.asarray(self.table(int(m)), dtype=float)[:k_trunc]
+                    for m in ns]
+            raw = np.zeros((len(rows), max(r.shape[0] for r in rows)))
+            for row, r in zip(raw, rows):
+                row[: r.shape[0]] = r
+        elif self.kind == "linear_fractional":
+            alpha, beta = self.params(ns)
+            raw = np.empty((ns.shape[0], k_trunc))
+            raw[:, 0] = 1.0 - alpha / (1.0 - beta)
+            np.power(beta[:, None], np.arange(k_trunc - 1), out=raw[:, 1:])
+            raw[:, 1:] *= alpha[:, None]
         else:
-            coeffs = np.array(self.params(n))
-        return pgf.Pmf(coeffs[:k_trunc])
+            raw = np.stack(self.params(ns), axis=1)[:, :k_trunc]
+        return pgf.coeff_table(raw) if np.ndim(n) else pgf.Pmf(raw[0])
 
     def sample(self, n: int, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """out[s, t]: how many of the h[s] trajectories with s parents in
@@ -628,13 +646,22 @@ class ImmigrationFamily:
                 else np.polyval(self.base_law.coeffs[::-1], xs))
         return 1.0 + self.weight(ns, rates) * (base - 1.0)
 
-    def pmf(self, n: int, k_trunc: int) -> pgf.Pmf:
+    def pmf(self, n, k_trunc: int):
+        """Coefficients of H_n truncated at ``k_trunc``, at the clamped rates.
+
+        A scalar n gives a :class:`pgf.Pmf`; an array of generations gives
+        a :func:`pgf.coeff_table` with one row per generation, from one
+        ``m1.at`` or ``weight`` call. The scalar is the one-row case of the
+        same table.
+        """
+        ns = np.atleast_1d(n)
         if self.kind == "poisson":
-            return pgf.Pmf(pgf.poisson_coeffs(float(self.m1.at(n)), k_trunc))
-        w = float(self.weight(n, "clamped"))
-        out = w * self.base_law.coeffs
-        out[0] += 1.0 - w
-        return pgf.Pmf(out[:k_trunc])
+            raw = pgf.poisson_coeffs(self.m1.at(ns), k_trunc)
+        else:
+            w = self.weight(ns, "clamped")
+            raw = w[:, None] * self.base_law.coeffs[:k_trunc]
+            raw[:, 0] += 1.0 - w
+        return pgf.coeff_table(raw) if np.ndim(n) else pgf.Pmf(raw[0])
 
     def sample(self, n: int, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """out[v, k]: how many of the h[v] trajectories in state v receive k

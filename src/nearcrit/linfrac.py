@@ -74,14 +74,6 @@ class LinearFractional:
             / (1.0 - self.beta) ** (s + 1)
         )
 
-    def pmf_coeffs(self, k_trunc: int) -> np.ndarray:
-        """p_0 = 1 - alpha/(1-beta), p_k = alpha beta^(k-1) for k >= 1."""
-        out = np.zeros(k_trunc)
-        out[0] = 1.0 - self.alpha / (1.0 - self.beta)
-        if k_trunc > 1:
-            out[1:] = self.alpha * self.beta ** np.arange(k_trunc - 1)
-        return out
-
 
 def lf_alpha_beta(d1, d2):
     """Invert (f'(1), f''(1)) = (d1, d2) to checked (alpha, beta); maps over arrays.

@@ -28,31 +28,59 @@ _MASS_SLACK = 1e-9
 _COUNT_TAIL_EXIT = 1e-15
 
 
-def _clean_coeffs(raw) -> tuple[np.ndarray, float]:
-    """Validated coefficient vector and its total mass.
+def _clean(c: np.ndarray):
+    """``c`` with roundoff negatives clamped, and its totals over the last axis.
 
-    The minimum is taken first: once no entry is below the clamp (so none
-    is -inf), a nan or +inf entry makes the sum non-finite without an
-    inf - inf warning, and one sum checks both finiteness and mass. The
-    vector is summed again only when a roundoff negative was clamped. The
-    input is always copied, so freezing the result never freezes an array
-    the caller still owns.
+    The minimum is taken first: once no entry is below the clamp, a nan or
+    +inf entry makes its sum non-finite, and one sum per law checks both
+    finiteness and mass. A nan in one row of a table hides a -inf in
+    another from the minimum; that row then sums inf - inf to nan, which
+    the same check rejects. The laws are summed again only when a roundoff
+    negative was clamped.
     """
-    c = np.array(raw, dtype=float, ndmin=1)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("coefficients must form a non-empty 1-D vector")
     worst = float(c.min())
     if worst < -NEGATIVE_CLAMP:
         raise NotADistributionError(
             f"negative coefficient {worst:.3e} exceeds the roundoff clamp"
         )
-    total = float(c.sum())
-    if not math.isfinite(total):
+    with np.errstate(invalid="ignore"):
+        total = c.sum(axis=-1)
+    if not np.isfinite(total).all():
         raise NotADistributionError("coefficients must be finite")
     if worst < 0.0:
         c = np.where(c < 0.0, 0.0, c)
-        total = float(c.sum())
+        total = c.sum(axis=-1)
+    if (total > 1.0 + _MASS_SLACK).any():
+        raise NotADistributionError(f"total mass {float(total.max())!r} exceeds 1")
     return c, total
+
+
+def _clean_coeffs(raw) -> tuple[np.ndarray, float]:
+    """Validated coefficient vector and its total mass.
+
+    The input is always copied, so freezing the result never freezes an
+    array the caller still owns.
+    """
+    c = np.array(raw, dtype=float, ndmin=1)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("coefficients must form a non-empty 1-D vector")
+    c, total = _clean(c)
+    return c, float(total)
+
+
+def coeff_table(raw) -> np.ndarray:
+    """Validated table with one law per row, each checked as :class:`Pmf`
+    checks one: the negative clamp, finiteness and mass at most 1 + slack.
+
+    A table that :class:`Pmf` would reject in any row raises the same
+    exception class; the rows need no further validation. Unlike
+    :class:`Pmf` it does not copy: when no entry needed clamping, the
+    result is ``raw`` itself (as a float array).
+    """
+    c = np.asarray(raw, dtype=float)
+    if c.ndim != 2 or c.size == 0:
+        raise ValueError("a coefficient table must be a non-empty 2-D array")
+    return _clean(c)[0]
 
 
 @dataclass(frozen=True)
@@ -68,8 +96,6 @@ class Pmf:
 
     def __post_init__(self):
         c, total = _clean_coeffs(self.coeffs)
-        if total > 1.0 + _MASS_SLACK:
-            raise NotADistributionError(f"total mass {total!r} exceeds 1")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "deficiency", max(0.0, 1.0 - total))
@@ -115,22 +141,33 @@ class CenteredSeries:
         return float(np.polyval(self.coeffs[::-1], x - 1.0))
 
 
-def convolve(a: Pmf, b: Pmf, k_trunc: int) -> Pmf:
+def _coeffs(p) -> np.ndarray:
+    return p.coeffs if isinstance(p, Pmf) else p
+
+
+def _as_given(out: np.ndarray, first):
+    """A validated :class:`Pmf` when the first operand was one, else the array."""
+    return Pmf(out) if isinstance(first, Pmf) else out
+
+
+def convolve(a, b, k_trunc: int):
     """Law of the sum of independent draws from ``a`` and ``b``.
 
     Coefficient k of the result is sum_{i+j=k} a_i b_j for k < k_trunc;
     everything beyond goes into the deficiency. The result always has
-    exactly ``k_trunc`` coefficients.
+    exactly ``k_trunc`` coefficients. The operands are :class:`Pmf`s or
+    coefficient vectors; the result is a :class:`Pmf` when ``a`` is one,
+    and a plain vector, left unvalidated, when ``a`` is a vector.
     """
     if k_trunc <= 0:
         raise ValueError("truncation length must be positive")
-    full = np.convolve(a.coeffs, b.coeffs)[:k_trunc]
+    full = np.convolve(_coeffs(a), _coeffs(b))[:k_trunc]
     out = np.zeros(k_trunc)
     out[: full.shape[0]] = full
-    return Pmf(out)
+    return _as_given(out, a)
 
 
-def compound(count: Pmf, jump: Pmf, k_trunc: int) -> Pmf:
+def compound(count, jump, k_trunc: int):
     """Law of a ``count``-indexed sum of i.i.d. ``jump`` draws.
 
     Coefficient view of composing the count PGF with the jump PGF:
@@ -149,16 +186,19 @@ def compound(count: Pmf, jump: Pmf, k_trunc: int) -> Pmf:
     ceil(top/s) - 1 more. Every operand is nonnegative, so each output
     coefficient keeps its relative accuracy and stays a lower bound on the
     untruncated sum.
+
+    Operands and result follow :func:`convolve`: a :class:`Pmf` ``count``
+    gives a validated :class:`Pmf` out, a vector gives a vector out.
     """
     if k_trunc <= 0:
         raise ValueError("truncation length must be positive")
-    cw = count.coeffs
+    cw = _coeffs(count)
     suffix = np.cumsum(cw[::-1])[::-1]
     below = np.flatnonzero(suffix[1:] < _COUNT_TAIL_EXIT)
     top = 1 + int(below[0]) if below.size else cw.shape[0]
     s = math.isqrt(top - 1) + 1
     q = -(-top // s)
-    jc = jump.coeffs[:k_trunc]
+    jc = _coeffs(jump)[:k_trunc]
     powers = np.zeros((s, k_trunc))
     powers[0, 0] = 1.0
     giant = jc
@@ -171,7 +211,7 @@ def compound(count: Pmf, jump: Pmf, k_trunc: int) -> Pmf:
     out = blocks[q - 1]
     for b in range(q - 2, -1, -1):
         out = np.convolve(out, giant)[:k_trunc] + blocks[b]
-    return Pmf(out)
+    return _as_given(out, count)
 
 
 def evaluate(p: Pmf, x: float) -> float:
@@ -268,16 +308,20 @@ def exp_centered(c: CenteredSeries, k_trunc: int) -> Pmf:
     return exp_series(_x_basis(c.coeffs, min(k_trunc, len(c))), k_trunc)
 
 
-def poisson_coeffs(lam: float, k_trunc: int) -> np.ndarray:
-    """Poisson(lam) coefficients, e^-lam times the running product of lam/k."""
-    if lam < 0:
+def poisson_coeffs(lam, k_trunc: int) -> np.ndarray:
+    """Poisson(lam) coefficients, e^-lam times the running product of lam/k.
+
+    An array of means gives one row per mean.
+    """
+    lams = np.asarray(lam, dtype=float)
+    if (lams < 0).any():
         raise ValueError("Poisson mean must be nonnegative")
     if k_trunc <= 0:
         raise ValueError("truncation length must be positive")
-    ratios = np.empty(k_trunc)
-    ratios[0] = math.exp(-lam)
-    ratios[1:] = lam / np.arange(1.0, k_trunc)
-    return np.cumprod(ratios)
+    ratios = np.empty(lams.shape + (k_trunc,))
+    ratios[..., 0] = np.exp(-lams)
+    ratios[..., 1:] = lams[..., None] / np.arange(1.0, k_trunc)
+    return np.cumprod(ratios, axis=-1, out=ratios)
 
 
 def nb_coeffs(r: float, p: float, k_trunc: int) -> np.ndarray:

@@ -116,6 +116,10 @@ KEYS = {
 }
 
 
+# keys that only a custom immigration law reads
+_CUSTOM_IMMIGRATION_KEYS = ("immigration.base", "immigration.support")
+
+
 def _parse_kv(text: str, origin: str) -> dict[str, Any]:
     """Every key of KEYS, converted from the text or defaulted."""
     table: dict[str, str] = {}
@@ -146,6 +150,12 @@ def _parse_kv(text: str, origin: str) -> dict[str, Any]:
             raise ScenarioParseError(
                 f"{origin}: value for {key} is not {_WHAT[entry.parse]}: {raw!r}"
             ) from None
+    if values["immigration.family"] in ("bernoulli", "poisson"):
+        for key in _CUSTOM_IMMIGRATION_KEYS:
+            if key in table:
+                raise ScenarioParseError(
+                    f"{origin}: {key} applies only to custom immigration"
+                )
     return values
 
 

@@ -1,7 +1,8 @@
 """Reference implementations the tests check the library against.
 
 Each one is a scalar or textbook form of a quantity the library computes
-by another route: the LF composition by chain-rule derivatives, the
+by another route: the LF composition by chain-rule derivatives, the LF
+coefficients of one generation from its scalar parameters, the
 Faà di Bruno coefficient of f''(g), the chord slope vartheta, the product
 law by explicit summation, and the Poisson and negative binomial
 coefficients by their step-by-step recurrences.
@@ -28,6 +29,15 @@ def lf_compose(outer: LinearFractional, inner: LinearFractional) -> LinearFracti
     d1o, d2o = outer.deriv_at_1(1), outer.deriv_at_1(2)
     d1i, d2i = inner.deriv_at_1(1), inner.deriv_at_1(2)
     return lf_from_derivatives(d1o * d1i, d2o * d1i**2 + d1o * d2i)
+
+
+def lf_pmf_coeffs(par: LinearFractional, k_trunc: int) -> np.ndarray:
+    """p_0 = 1 - alpha/(1-beta), p_k = alpha beta^(k-1) for k >= 1."""
+    out = np.zeros(k_trunc)
+    out[0] = 1.0 - par.alpha / (1.0 - par.beta)
+    if k_trunc > 1:
+        out[1:] = par.alpha * par.beta ** np.arange(k_trunc - 1)
+    return out
 
 
 def faa_weight(k: int, i: int) -> float:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,10 +8,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import constant_spec, make_spec
-from nearcrit import diagnostics, engine, linfrac, pgf
+from nearcrit import diagnostics, engine, linfrac, pgf, scenarios
 from nearcrit.diagnostics import accompanying_gap_bound
 from nearcrit.errors import NumericError
-from nearcrit.families import OffspringFamily
+from nearcrit.families import (
+    ImmigrationFamily,
+    OffspringFamily,
+    PowerSum,
+    RhoRule,
+    ScenarioSpec,
+    log_two_base,
+)
 from oracles import vartheta
 
 CLOSED_FORMS = ("bernoulli", "quadratic", "linear_fractional")
@@ -405,3 +413,110 @@ def test_default_truncation_nb_target():
     spec = make_spec("quadratic", nu=1.0, m1="1*(n+1)^-1", lam=1.0)
     k = engine.default_truncation(spec)
     assert limits.nb_pmf(2.0, 1.0 / 3.0, k // 2).deficiency < 1e-10
+
+
+def _step_loop(spec, targets, k):
+    """The forward sweep one Pmf-typed step at a time, over the scalar
+    pmf(n, K) of each generation (the oracle of the coefficient sweep)."""
+    law, out = pgf.Pmf.delta(0), {}
+    for n in range(1, max(targets) + 1):
+        law = engine.step(law, spec.offspring.pmf(n, k), spec.immigration.pmf(n, k), k)
+        if n in targets:
+            out[n] = law
+    return out
+
+
+# generations on both sides of the first and second table block
+_EDGES = (engine.BLOCK - 1, engine.BLOCK, engine.BLOCK + 1, 2 * engine.BLOCK)
+
+
+def _assert_sweep_is_the_step_loop(spec, targets, k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # clamped rates, small-K truncation
+        states = engine.propagate_sequence(spec, targets, k)
+        want = _step_loop(spec, set(targets), k)
+    assert [s.n for s in states] == sorted(set(targets))
+    for state in states:
+        assert np.array_equal(state.pmf.coeffs, want[state.n].coeffs), state.n
+        assert state.cumulative_deficiency == want[state.n].deficiency
+
+
+@pytest.mark.parametrize("name", scenarios.FIXTURE_NAMES)
+def test_sweep_is_bit_equal_to_the_pmf_step_loop(fixture_specs, name):
+    _assert_sweep_is_the_step_loop(fixture_specs[name], [1, 37, *_EDGES], 40)
+
+
+def _sweep_spec(offspring, immigration, rho1, gamma, nu, coef):
+    if offspring == "custom":
+        # a law of fixed width whose weights move with n
+        def table(n):
+            p0, p2 = rho1 / (n + 1.0), nu / (n + 2.0)
+            return np.array([p0, 1.0 - p0 - p2, p2])
+
+        off = OffspringFamily(kind="custom", table=table)
+    else:
+        off = OffspringFamily(kind=offspring,
+                              nu=0.0 if offspring == "bernoulli" else nu,
+                              rho_rule=RhoRule(c=1.0 - rho1, gamma=gamma))
+    rule = PowerSum.parse(f"{coef}*(n+1)^-{gamma}")
+    if immigration == "custom":
+        imm = ImmigrationFamily(kind="custom", m1=rule, base=tuple(log_two_base(6)),
+                                base_name="log_two")
+    else:
+        imm = ImmigrationFamily(kind=immigration, m1=rule)
+    return ScenarioSpec(offspring=off, immigration=imm, lam=coef, nu=0.0,
+                        divergent=gamma <= 1.0)
+
+
+@given(
+    offspring=st.sampled_from(("bernoulli", "quadratic", "linear_fractional",
+                               "custom")),
+    immigration=st.sampled_from(("bernoulli", "poisson", "custom")),
+    rho1=st.floats(0.05, 0.95),
+    gamma=st.floats(0.3, 1.5),
+    nu=st.floats(0.01, 0.4),
+    coef=st.floats(0.0, 1.0),
+    k=st.integers(1, 8),
+    extra=st.lists(st.integers(1, 2 * engine.BLOCK), max_size=3),
+)
+@settings(max_examples=30, deadline=None)
+def test_sweep_matches_the_step_loop_for_every_kind(offspring, immigration, rho1,
+                                                     gamma, nu, coef, k, extra):
+    spec = _sweep_spec(offspring, immigration, rho1, gamma, nu, coef)
+    _assert_sweep_is_the_step_loop(spec, [*_EDGES, *extra], k)
+
+
+@pytest.mark.parametrize("immigration", ["bernoulli", "poisson"])
+def test_sweep_pads_a_custom_law_of_changing_width(immigration):
+    # rows of width 2 and 3 share a table; the zero padding enters the
+    # convolutions, so the sweep agrees with the step loop to roundoff
+    off = OffspringFamily(kind="custom", table=lambda n: np.array(
+        [0.3, 0.5, 0.2] if n % 3 else [0.4, 0.6]))
+    imm = ImmigrationFamily(kind=immigration, m1=PowerSum.parse("0.9*(n+1)^-0.8"))
+    spec = ScenarioSpec(offspring=off, immigration=imm, lam=1.0, nu=0.0,
+                        divergent=True)
+    targets = [engine.BLOCK, engine.BLOCK + 1]
+    want = _step_loop(spec, set(targets), 48)
+    for state in engine.propagate_sequence(spec, targets, 48):
+        assert np.max(np.abs(state.pmf.coeffs - want[state.n].coeffs)) <= 1e-15
+        assert state.cumulative_deficiency == pytest.approx(
+            want[state.n].deficiency, abs=1e-15)
+
+
+@pytest.mark.parametrize("immigration", ["bernoulli", "poisson"])
+def test_deep_propagation_holds_one_block_of_tables(fixture_specs, immigration):
+    # a table for all 20000 generations at K = 128 would take 20 MB; with
+    # Poisson immigration every row of the table is K wide
+    import tracemalloc
+
+    spec = fixture_specs["thm1_poisson"]
+    imm = ImmigrationFamily(kind=immigration, m1=spec.immigration.m1)
+    spec = dataclasses.replace(spec, immigration=imm)
+    tracemalloc.start()
+    try:
+        state = engine.propagate(spec, 20000, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20000 * 128 * 8
+    assert state.n == 20000 and not state.truncated

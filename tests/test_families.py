@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy import stats
 
 from conftest import make_spec
 from nearcrit import engine, families, pgf, scenarios
-from nearcrit.errors import ScenarioValidationError
+from nearcrit.errors import NotADistributionError, ScenarioValidationError
 from nearcrit.families import (
     RATE_RULES,
     ImmigrationFamily,
@@ -25,6 +26,8 @@ from nearcrit.families import (
     condition_ratios,
     log_two_base,
 )
+from nearcrit.linfrac import LinearFractional
+from oracles import lf_pmf_coeffs
 
 
 def test_power_sum_parse_and_eval():
@@ -658,3 +661,88 @@ def test_binomial_split_handles_large_states():
     assert np.array_equal(out.sum(axis=1), h)
     assert _split_pvalue(out, h, lambda s: stats.binom.pmf(np.arange(s + 1), s, 0.5)
                          ) > P_FLOOR
+
+
+# one family of each kind, for the table tests
+_TABLE_OFFSPRING = {
+    "bernoulli": OffspringFamily(kind="bernoulli",
+                                 rho_rule=RhoRule(c=1.0, gamma=0.7, n0=1.0)),
+    "quadratic": OffspringFamily(kind="quadratic",
+                                 rho_rule=RhoRule(c=1.0, gamma=0.7, n0=0.0), nu=3.0),
+    "linear_fractional": OffspringFamily(
+        kind="linear_fractional", rho_rule=RhoRule(c=1.0, gamma=0.7, n0=1.0), nu=1.3),
+    # the width of the law changes with n: rows are zero-padded
+    "custom": OffspringFamily(
+        kind="custom",
+        table=lambda n: np.array([0.3, 0.5, 0.2] if n % 3 else [0.4, 0.6])),
+}
+_TABLE_IMMIGRATION = {
+    "bernoulli": ImmigrationFamily(kind="bernoulli", m1=PowerSum.parse("2*n^-0.8")),
+    "poisson": ImmigrationFamily(kind="poisson", m1=PowerSum.parse("3*(n+1)^-0.8")),
+    "custom": ImmigrationFamily(kind="custom", m1=PowerSum.parse("1*(n+1)^-0.8"),
+                                base=tuple(log_two_base(48)), base_name="log_two"),
+}
+_TABLE_NS = np.concatenate([np.arange(1, 40), [511, 512, 513, 1024, 5000]])
+
+
+@pytest.mark.parametrize("k_trunc", [1, 2, 3, 20, 64])
+@pytest.mark.parametrize("side, kind", [("offspring", k) for k in _TABLE_OFFSPRING]
+                         + [("immigration", k) for k in _TABLE_IMMIGRATION])
+def test_table_rows_are_the_scalar_pmfs(side, kind, k_trunc):
+    fam = (_TABLE_OFFSPRING if side == "offspring" else _TABLE_IMMIGRATION)[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # early Bernoulli rates are clamped
+        table = fam.pmf(_TABLE_NS, k_trunc)
+        laws = [fam.pmf(int(n), k_trunc) for n in _TABLE_NS]
+    assert type(table) is np.ndarray and table.shape[0] == _TABLE_NS.shape[0]
+    for row, law in zip(table, laws):
+        assert isinstance(law, pgf.Pmf)
+        width = law.coeffs.shape[0]
+        assert np.array_equal(row[:width], law.coeffs)
+        assert not row[width:].any()
+
+
+def test_lf_rows_match_the_geometric_oracle():
+    fam = _TABLE_OFFSPRING["linear_fractional"]
+    table = fam.pmf(_TABLE_NS, 64)
+    alpha, beta = fam.params(_TABLE_NS)
+    for row, a, b, n in zip(table, alpha, beta, _TABLE_NS):
+        # the same (alpha, beta) give the same coefficients
+        assert np.array_equal(row, lf_pmf_coeffs(LinearFractional(a, b), 64))
+        # the scalar parameter rule differs from the array rule by an ulp in
+        # (alpha, beta), which p_k = alpha beta^(k-1) scales by at most k
+        want = lf_pmf_coeffs(fam.lf_params(int(n)), 64)
+        assert np.all(np.abs(row - want) <= 64 * 4 * np.finfo(float).eps * want)
+
+
+# a row no law may hold, each against a valid row for the other generations
+_BAD_ROWS = {
+    "negative_beyond_clamp": [0.5, -1e-9, 0.5],
+    "mass_above_slack": [0.7, 0.4, 0.0],
+    "nan": [0.5, math.nan, 0.25],
+}
+
+
+@pytest.mark.parametrize("bad", _BAD_ROWS)
+def test_bad_custom_row_is_rejected_by_the_table_as_by_pmf(bad):
+    row = np.array(_BAD_ROWS[bad])
+    fam = OffspringFamily(
+        kind="custom", table=lambda n: row if n == 3 else np.array([0.2, 0.5, 0.3]))
+    with pytest.raises(NotADistributionError) as by_pmf:
+        pgf.Pmf(row)
+    with pytest.raises(NotADistributionError) as by_table:
+        fam.pmf(np.arange(1, 6), 8)
+    assert type(by_table.value) is type(by_pmf.value)
+    with pytest.raises(NotADistributionError):
+        fam.pmf(3, 8)
+    assert isinstance(fam.pmf(np.arange(4, 9), 8), np.ndarray)
+
+
+def test_a_table_warns_when_any_generation_is_clamped():
+    imm = _TABLE_IMMIGRATION["bernoulli"]  # w_n = 2 n^-0.8 exceeds 1 up to n = 2
+    with pytest.warns(UserWarning, match="clamped"):
+        table = imm.pmf(np.array([7, 50, 2]), 4)
+    assert table[2].tolist() == [0.0, 1.0]  # the base law is the point mass at 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        imm.pmf(np.arange(3, 600), 4)

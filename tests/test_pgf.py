@@ -318,3 +318,69 @@ def test_nb_coeffs_match_the_loop_recurrence(r, p):
     assert _agree(got, want)
     if p == 0.0 or r == 0.0:
         assert got.tolist() == [1.0] + [0.0] * (_K - 1)
+
+
+def test_kernels_return_the_kind_they_were_given():
+    a, b = bern(0.3), pgf.Pmf(np.array([0.2, 0.5, 0.3]))
+    for kernel in (pgf.convolve, pgf.compound):
+        typed = kernel(a, b, 4)
+        raw = kernel(a.coeffs, b.coeffs, 4)
+        assert isinstance(typed, pgf.Pmf)
+        assert type(raw) is np.ndarray
+        assert np.array_equal(typed.coeffs, raw)
+
+
+# table entries: ordinary masses, roundoff negatives the clamp removes, and
+# now and then an entry no law may hold
+_entries = st.one_of(
+    st.floats(0.0, 0.3),
+    st.floats(-1e-12, 0.0),
+    st.sampled_from([-1e-9, 0.9, math.nan, math.inf, -math.inf]),
+)
+
+
+@pytest.mark.filterwarnings("error")
+@given(st.integers(1, 5), st.integers(1, 6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_coeff_table_checks_each_row_as_pmf_does(rows, width, data):
+    raw = np.array(data.draw(st.lists(
+        st.lists(_entries, min_size=width, max_size=width),
+        min_size=rows, max_size=rows)))
+    laws, errors = [], set()
+    for row in raw:
+        try:
+            laws.append(pgf.Pmf(row))
+        except Exception as exc:  # noqa: BLE001 - the class is compared
+            errors.add(type(exc))
+    if errors:
+        with pytest.raises(Exception) as info:
+            pgf.coeff_table(raw)
+        assert type(info.value) in errors
+        return
+    table = pgf.coeff_table(raw)
+    for row, law in zip(table, laws):
+        assert np.array_equal(row, law.coeffs)
+
+
+@pytest.mark.filterwarnings("error")
+def test_coeff_table_rejects_a_minus_inf_that_a_nan_hides():
+    # the nan of row 0 makes the minimum nan, so row 1's -inf passes the
+    # negative check and its sum is inf - inf
+    with pytest.raises(NotADistributionError, match="finite"):
+        pgf.coeff_table(np.array([[math.nan, 0.1], [math.inf, -math.inf]]))
+
+
+@pytest.mark.parametrize("raw", [np.zeros((0, 3)), np.zeros(3), np.zeros((2, 2, 2))])
+def test_coeff_table_needs_a_non_empty_2d_array(raw):
+    with pytest.raises(ValueError, match="2-D"):
+        pgf.coeff_table(raw)
+
+
+def test_poisson_coeffs_map_over_an_array_of_means():
+    lams = np.array([0.0, 0.5, 2.0, 30.0])
+    rows = pgf.poisson_coeffs(lams, 40)
+    assert rows.shape == (4, 40)
+    for row, lam in zip(rows, lams):
+        assert _agree(row, poisson_coeffs_loop(float(lam), 40))
+    with pytest.raises(ValueError, match="nonnegative"):
+        pgf.poisson_coeffs(np.array([1.0, -0.5]), 8)

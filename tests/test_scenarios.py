@@ -42,6 +42,12 @@ PARSE_FAULTS = {
                             "immigration.base"),
     "custom_unknown_base": ("thm3_cp_finite", "immigration.base = delta2",
                             "immigration.base = delta3", "delta3"),
+    "base_outside_custom": ("thm1_poisson", "immigration.family = bernoulli",
+                            "immigration.family = bernoulli\n"
+                            "immigration.base = nosuchlaw", "immigration.base"),
+    "support_outside_custom": ("thm6_example2", "immigration.family = poisson",
+                               "immigration.family = poisson\n"
+                               "immigration.support = 32", "immigration.support"),
     "bad_lambda_seq": ("thm3_cp_finite", "limits.lambda_seq = 2,1,0",
                        "limits.lambda_seq = 2;1;0", "limits.lambda_seq"),
     "bad_n_grid": ("thm1_poisson", "run.n_grid = 100,1000,10000",
