@@ -16,8 +16,8 @@ from .errors import (
 from .families import (
     CompoundPoissonLimit,
     GeneralExpLimit,
-    NegativeBinomialLimit,
-    PoissonLimit,
+    OutsideScope,
+    ProductLimit,
     classify,
 )
 from .scenarios import KEYS, ScenarioFile, parse_scenario
@@ -86,20 +86,19 @@ def _limit_output(sf: ScenarioFile, args: argparse.Namespace, k: int, xs,
                   tol: float) -> str:
     spec = sf.spec
     law = classify(spec)
+    if isinstance(law, OutsideScope):
+        raise WrongRegimeError(f"no limit law to output: {law.reason}")
     meta = {"scenario": spec.name, "law": law.describe()}
-    if isinstance(law, PoissonLimit):
-        return _pmf_text(limits.poisson_pmf(law.lam, k), args.format, meta)
-    if isinstance(law, NegativeBinomialLimit):
-        return _pmf_text(limits.nb_pmf(law.r, law.p, k), args.format, meta)
-    if isinstance(law, CompoundPoissonLimit):
-        measure = limits.cp_intensity_finite(law.lambdas)
-        meta["atoms"] = [float(v) for v in measure.atoms]
-        return _pmf_text(limits.cp_pmf(measure, k), args.format, meta)
     if isinstance(law, GeneralExpLimit):
         vals = [limits.general_limit_pgf(spec.lambda_over_factorial, x, tol)
                 for x in xs]
-    else:  # product regime: PGF on the grid, one call
+    elif isinstance(law, ProductLimit):  # PGF on the grid, one call
         vals = limits.product_law_eval(spec, xs, tol).tolist()
+    else:  # Poisson, negative binomial and compound Poisson have a PMF
+        if isinstance(law, CompoundPoissonLimit):
+            meta["atoms"] = [float(v) for v in
+                             limits.cp_intensity_finite(law.lambdas).atoms]
+        return _pmf_text(diagnostics._limit_pmf(law, k), args.format, meta)
     return _pgf_grid_text(xs, vals, args.format, meta)
 
 
@@ -181,8 +180,8 @@ def main(argv=None) -> int:
     except WrongRegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WRONG_REGIME
-    except (NumericError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NumericError, OverflowError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

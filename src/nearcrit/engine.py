@@ -116,22 +116,18 @@ def propagate(spec: ScenarioSpec, n: int, k_trunc: int | None = None,
 def composed_eval_all(spec: ScenarioSpec, n: int, x: float) -> np.ndarray:
     """vals[j] = (G_{j+1} o ... o G_n)(x) for j = 0..n, one backward pass.
 
-    Closed-form families take the parameters of all n generations in one
-    array call and run the sequential recurrence on plain floats; custom
-    tables are evaluated one generation at a time.
+    The parameters of all n generations come from one array call (a custom
+    table's coefficients too), and the sequential recurrence runs the
+    family's formula on plain floats.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError("PGF argument must lie in [0, 1]")
-    fam = spec.offspring
-    if fam.kind == "custom":
-        step, args = fam.pgf_at, range(n, 0, -1)
-    else:
-        cols = fam.params(np.arange(1, n + 1))
-        step, args = fam.pgf_formula, zip(*(c.tolist()[::-1] for c in cols))
+    formula = spec.offspring.pgf_formula
+    cols = spec.offspring.params(np.arange(1, n + 1))
     y = float(x)
     vals = [y]
-    for par in args:
-        y = step(par, y)
+    for par in zip(*(c.tolist()[::-1] for c in cols)):
+        y = formula(par, y)
         if not 0.0 <= y <= 1.0:
             raise NumericError(
                 f"composed offspring map left [0, 1] at generation "
@@ -178,6 +174,8 @@ def simulate(spec: ScenarioSpec, n: int, reps: int, seed: int) -> pgf.Pmf:
     gives a different sample, of the same law, than releases that drew
     per-trajectory variates.
     """
+    if n < 0:
+        raise ValueError("generation index must be >= 0")
     if reps < 1:
         raise ValueError("need at least one trajectory")
     if reps > np.iinfo(np.int64).max:

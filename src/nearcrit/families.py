@@ -179,19 +179,13 @@ def _table_moment(table, n, k: int):
     return pgf.factorial_moment(pgf.Pmf(table(int(n))), k)
 
 
-def _table_pgf(table, n, x):
-    """Custom-table PGF values, one generation at a time; maps over arrays."""
-    ns, xs = np.broadcast_arrays(n, x)
-    vals = [
-        np.polyval(np.asarray(table(int(m)))[::-1], y)
-        for m, y in zip(ns.flat, xs.flat)
-    ]
-    return np.reshape(vals, ns.shape)
-
-
-def _bernoulli_pgf(par, x):
-    p0, p1 = par
-    return p0 + p1 * x
+def _polynomial_pgf(par, x):
+    """sum_k par[k] x^k by Horner from the top coefficient; the coefficients
+    and x broadcast, and the result is np.polyval(par[::-1], x) bit for bit."""
+    y = 0.0 * x
+    for c in par[::-1]:
+        y = y * x + c
+    return y
 
 
 def _quadratic_g2(delta, nu):
@@ -219,21 +213,23 @@ def _quadratic_pgf(par, x):
 
 # G_n(x) = formula(params(n), x) for each closed-form kind
 _PGF_FORMULAS = {
-    "bernoulli": _bernoulli_pgf,
+    "bernoulli": _polynomial_pgf,
     "quadratic": _quadratic_pgf,
     "linear_fractional": lf_value,
+    "custom": _polynomial_pgf,
 }
 
 
 @dataclass(frozen=True)
 class OffspringFamily:
-    """Offspring law per generation; kind selects the closed form.
+    """Offspring law per generation; kind selects the closed form
+    G_n(x) = pgf_formula(params(n), x).
 
     * quadratic: degree-2 polynomial with G_n''(1) = nu (1 - rho_n), capped
       at rho_n in the early generations outside the window
     * bernoulli: G_n(x) = 1 - rho_n + rho_n x, the quadratic with nu = 0
     * linear_fractional: LF map with G_n''(1) = nu (1 - rho_n)
-    * custom: user PMF table per n
+    * custom: user PMF table per n, the polynomial sum_k p_k(n) x^k
     """
 
     kind: str
@@ -267,16 +263,26 @@ class OffspringFamily:
             return 1.0 - self.mean(n)
         return self.rho_rule.one_minus_rho(n)
 
-    def start_offset(self, horizon: int = 10**6) -> int:
+    def start_offset(self) -> int:
         """First generation whose parameters are not window-clamped, by the
-        test of :func:`_quadratic_g2`."""
+        test of :func:`_quadratic_g2`; 1 - rho_n decreases to 0, so the test
+        holds from one generation on, which doubling and bisection find."""
         if self.kind != "quadratic":
             return 1
-        for n in range(1, horizon + 1):
+
+        def opened(n: int) -> bool:
             delta = float(self.rho_rule.one_minus_rho(n))
-            if self.nu * delta <= 1.0 - delta:
-                return n
-        raise ScenarioValidationError("quadratic family never becomes admissible")
+            return self.nu * delta <= 1.0 - delta
+
+        lo, hi = 0, 1  # opened(hi), and lo = 0 or not opened(lo)
+        while not opened(hi):
+            if hi == 2**1023:  # the next generation is beyond the float range
+                raise NumericError("quadratic window stays clamped beyond n = 2^1023")
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if opened(mid) else (mid, hi)
+        return hi
 
     def second_deriv(self, n):
         """G_n''(1): nu (1 - rho_n), for quadratic (and Bernoulli, nu = 0)
@@ -306,9 +312,17 @@ class OffspringFamily:
         * bernoulli: (1 - rho_n, rho_n)
         * quadratic: (p0, p1, p2)
         * linear_fractional: (alpha, beta), checked like LinearFractional
+        * custom: the table's coefficients (p_0, ..., p_d), each row
+          zero-padded to the widest row; an empty ``ns`` gives one zero
+          column
         """
         if self.kind == "custom":
-            raise ScenarioValidationError("custom offspring has no closed form")
+            ns = np.asarray(ns)
+            rows = [np.asarray(self.table(int(m)), dtype=float) for m in ns.flat]
+            raw = np.zeros((ns.size, max((r.shape[0] for r in rows), default=1)))
+            for row, r in zip(raw, rows):
+                row[: r.shape[0]] = r
+            return tuple(col.reshape(ns.shape) for col in raw.T)
         # curvatures come from the unrounded 1 - rho_n, never from 1 - rho_n
         # rounded through rho_n
         delta = self.rho_rule.one_minus_rho(ns)
@@ -322,15 +336,11 @@ class OffspringFamily:
     @property
     def pgf_formula(self) -> Callable:
         """f with G_n(x) = f(params(n), x), on floats or broadcasting arrays."""
-        if self.kind == "custom":
-            raise ScenarioValidationError("custom offspring has no closed form")
         return _PGF_FORMULAS[self.kind]
 
     def lf_params(self, n: int) -> LinearFractional:
         if self.kind == "linear_fractional":
             return LinearFractional(*(float(v) for v in self.params(n)))
-        if self.kind == "bernoulli":
-            return LinearFractional(float(self.params(n)[1]), 0.0)
         raise ScenarioValidationError(f"{self.kind} offspring has no LF parameters")
 
     def pgf_at(self, n, x):
@@ -342,10 +352,7 @@ class OffspringFamily:
         xs = np.asarray(x, dtype=float)
         if not np.all((0.0 <= xs) & (xs <= 1.0)):
             raise ValueError("PGF argument must lie in [0, 1]")
-        if self.kind == "custom":
-            vals = _table_pgf(self.table, n, xs)
-        else:
-            vals = self.pgf_formula(self.params(n), xs)
+        vals = self.pgf_formula(self.params(n), xs)
         return float(vals) if np.ndim(vals) == 0 else vals
 
     def pmf(self, n, k_trunc: int):
@@ -355,17 +362,10 @@ class OffspringFamily:
         a :func:`pgf.coeff_table` with one row per generation, from one
         ``params`` call. The scalar is the one-row case of the same table.
         Linear-fractional rows hold p_0 = 1 - alpha/(1 - beta) and
-        p_k = alpha beta^(k-1), custom rows are zero-padded to the widest
-        row, and the other kinds hold their parameters.
+        p_k = alpha beta^(k-1); the other kinds hold their parameters.
         """
         ns = np.atleast_1d(n)
-        if self.kind == "custom":
-            rows = [np.asarray(self.table(int(m)), dtype=float)[:k_trunc]
-                    for m in ns]
-            raw = np.zeros((len(rows), max(r.shape[0] for r in rows)))
-            for row, r in zip(raw, rows):
-                row[: r.shape[0]] = r
-        elif self.kind == "linear_fractional":
+        if self.kind == "linear_fractional":
             alpha, beta = self.params(ns)
             raw = np.empty((ns.shape[0], k_trunc))
             raw[:, 0] = 1.0 - alpha / (1.0 - beta)
@@ -641,9 +641,7 @@ class ImmigrationFamily:
         """
         if self.kind == "poisson":
             return np.exp(self.m1.at(ns) * (xs - 1.0))
-        # B(x) = x itself for Bernoulli, sparing a polynomial evaluation
-        base = (xs if self.kind == "bernoulli"
-                else np.polyval(self.base_law.coeffs[::-1], xs))
+        base = _polynomial_pgf(self.base_law.coeffs, xs)
         return 1.0 + self.weight(ns, rates) * (base - 1.0)
 
     def pmf(self, n, k_trunc: int):

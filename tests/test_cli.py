@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import nearcrit
-from nearcrit import cli, limits, scenarios
+from nearcrit import cli, engine, limits, scenarios
 from nearcrit.errors import ScenarioParseError, ScenarioValidationError
 from nearcrit.families import (
     CompoundPoissonLimit,
@@ -299,6 +299,52 @@ def test_exit_code_wrong_regime(tmp_path):
     p = tmp_path / "outside.scn"
     p.write_text(text)
     assert cli.main(["--scenario", str(p), "--command", "report"]) == 5
+
+
+@pytest.mark.parametrize("fixture,old,new,reason", [
+    # convergent offspring, immigration means not summable
+    ("thm6_example1", "immigration.m1.rule = 1*n^-2 + 1*n^-3",
+     "immigration.m1.rule = 1*n^-1", "needs summable immigration means"),
+    # nu > 0 with delta2 immigration: second moments of the order of 1 - rho
+    ("thm5_nb", "immigration.family = bernoulli",
+     "immigration.family = custom\nimmigration.base = delta2",
+     "requires second immigration moments"),
+], ids=["convergent", "divergent"])
+def test_limits_outside_every_regime_names_the_reason(tmp_path, capsys, fixture,
+                                                       old, new, reason):
+    text = scenarios.fixture_text(fixture)
+    assert old in text
+    p = tmp_path / "outside.scn"
+    p.write_text(text.replace(old, new))
+    for command in ("limits", "report"):
+        assert cli.main(["--scenario", str(p), "--command", command]) == 5
+        err = capsys.readouterr().err
+        assert reason in err and "error:" in err
+
+
+def test_simulate_negative_generation_is_a_validation_error(tmp_path, capsys):
+    path = fixture_path("thm1_poisson", tmp_path)
+    args = ["--scenario", path, "--command", "simulate", "--reps", "10", "--n", "-5"]
+    assert cli.main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "generation index must be >= 0" in captured.err
+
+
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError("Unable to allocate 8.00 EiB"), "error: Unable to allocate 8.00 EiB"),
+    (MemoryError(), "error: MemoryError"),
+], ids=["message", "bare"])
+def test_memory_error_is_a_numeric_failure_not_a_traceback(tmp_path, capsys,
+                                                           monkeypatch, exc, line):
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(engine, "simulate", exhausted)
+    path = fixture_path("thm1_poisson", tmp_path)
+    args = ["--scenario", path, "--command", "simulate", "--reps", "10", "--n", "3"]
+    assert cli.main(args) == 4
+    assert capsys.readouterr().err.splitlines()[-1] == line
 
 
 def _quadratic_example1(tmp_path):

@@ -164,25 +164,21 @@ def test_array_evaluation_matches_per_generation_route(kind, gamma, n0, rho1,
     assert np.max(np.abs(got - _per_step_composed(fam, n, x))) <= 1e-14
 
 
-def test_composed_eval_all_custom_table_goes_step_by_step(monkeypatch):
-    spec = constant_spec(0.6, 0.3, offspring_coeffs=[0.3, 0.4, 0.3])
+def test_composed_eval_all_custom_table_goes_step_by_step():
+    # rows of two widths: the zero padding of the narrow ones moves no bit
+    table = {n: [0.3, 0.4, 0.3] if n % 2 else [0.45, 0.55] for n in range(1, 6)}
+    spec = dataclasses.replace(constant_spec(0.6, 0.3), offspring=OffspringFamily(
+        kind="custom", table=lambda n: np.array(table[n])))
     want = _per_step_composed(spec.offspring, 5, 0.4)
-    calls = []
-    real = OffspringFamily.pgf_at
-
-    def counting(self, n, x):
-        calls.append(n)
-        return real(self, n, x)
-
-    monkeypatch.setattr(OffspringFamily, "pgf_at", counting)
     got = engine.composed_eval_all(spec, 5, 0.4)
-    assert calls == [5, 4, 3, 2, 1]
     assert got.tolist() == want.tolist()
 
 
-@pytest.mark.parametrize("kind", CLOSED_FORMS)
+@pytest.mark.parametrize("kind", CLOSED_FORMS + ("custom",))
 def test_closed_forms_make_no_scalar_pgf_calls(monkeypatch, kind):
-    spec = make_spec(kind, nu=0.0 if kind == "bernoulli" else 0.7)
+    spec = (constant_spec(0.6, 0.3, offspring_coeffs=[0.3, 0.4, 0.3])
+            if kind == "custom" else
+            make_spec(kind, nu=0.0 if kind == "bernoulli" else 0.7))
     calls = []
     real = OffspringFamily.pgf_at
 
@@ -397,6 +393,14 @@ def test_simulate_rejects_reps_beyond_int64():
         engine.simulate(spec, 3, 2**63, seed=1)
     emp = engine.simulate(spec, 3, 2**63 - 1, seed=1)
     assert emp.coeffs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_simulate_rejects_a_negative_generation_as_propagate_does():
+    spec = make_spec()
+    for route in (lambda: engine.propagate(spec, -5, 8),
+                  lambda: engine.simulate(spec, -5, 100, seed=1)):
+        with pytest.raises(ValueError, match="generation index must be >= 0"):
+            route()
 
 
 def test_default_truncation_poisson_target():

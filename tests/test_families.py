@@ -10,7 +10,8 @@ from scipy import stats
 
 from conftest import make_spec
 from nearcrit import engine, families, pgf, scenarios
-from nearcrit.errors import NotADistributionError, ScenarioValidationError
+from nearcrit.errors import (NotADistributionError, NumericError,
+                             ScenarioValidationError)
 from nearcrit.families import (
     RATE_RULES,
     ImmigrationFamily,
@@ -217,6 +218,33 @@ def test_custom_table_pgf_at_broadcasts():
     assert np.allclose(fam.pgf_at(ns, 0.5), [fam.pgf_at(int(n), 0.5) for n in ns],
                        rtol=0.0, atol=0.0)
     assert isinstance(fam.pgf_at(3, 0.5), float)
+
+
+@given(coeffs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+       pad=st.integers(0, 3),
+       x=st.one_of(st.floats(0.0, 1.0),
+                   st.lists(st.floats(0.0, 1.0), min_size=0, max_size=5)))
+@settings(max_examples=200, deadline=None)
+def test_polynomial_pgf_is_polyval_bit_for_bit(coeffs, pad, x):
+    c = np.array(coeffs + [0.0] * pad)
+    xs = np.asarray(x) if isinstance(x, list) else x
+    got = families._polynomial_pgf(c, xs)
+    want = np.polyval(c[::-1], xs)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_custom_params_are_the_padded_table_columns():
+    fam = OffspringFamily(kind="custom",
+                          table=lambda n: np.array([0.5, 0.5] if n % 2 else [0.25] * 4))
+    cols = fam.params(np.array([[1, 2], [3, 4]]))
+    assert len(cols) == 4 and all(col.shape == (2, 2) for col in cols)
+    assert np.stack(cols, axis=-1).tolist() == [
+        [[0.5, 0.5, 0.0, 0.0], [0.25] * 4], [[0.5, 0.5, 0.0, 0.0], [0.25] * 4]]
+    assert [col.shape for col in fam.params(3)] == [()] * 2
+    empty = fam.params(np.arange(1, 1))
+    assert len(empty) == 1 and empty[0].shape == (0,)
+    assert fam.pgf_formula(fam.params(2), 0.5) == fam.pgf_at(2, 0.5) == 0.46875
 
 
 def test_lf_pmf_expansion_matches_function_values():
@@ -572,6 +600,13 @@ def test_start_offset_is_the_first_generation_outside_the_clamp(c, gamma, n0, nu
     for n in range(1, start + 20):
         clamped = fam.second_deriv(n) < nu * fam.one_minus_rho(n)
         assert clamped == (n < start)
+
+
+def test_start_offset_beyond_the_float_range_is_a_numeric_error():
+    # nu (1 - rho_n) > rho_n still at n = 2^1023: 1 - rho_n = n^-0.01 > 8e-4
+    fam = _offspring("quadratic", c=1.0, gamma=0.01, n0=0.0, nu=1e6)
+    with pytest.raises(NumericError, match="beyond n = 2\\^1023"):
+        fam.start_offset()
 
 
 @pytest.mark.parametrize("case", sorted(OFFSPRING_CASES))

@@ -81,6 +81,21 @@ def test_bad_rate_rule_in_a_file_is_a_validation_error(tmp_path, capsys):
     assert "cannot parse rule term" in capsys.readouterr().err
 
 
+def test_quadratic_window_opening_late_is_found_and_noted():
+    # 1 - rho_n = n^-1/2 with nu = 2000: the window nu (1 - rho_n) <= rho_n
+    # opens near n = 2001^2 = 4004001, four times beyond a linear scan's reach
+    text = _edit("thm5_nb", "offspring.rho.gamma = 1\noffspring.rho.n0 = 1\n"
+                 "offspring.nu = 1", "offspring.rho.gamma = 0.5\n"
+                 "offspring.rho.n0 = 0\noffspring.nu = 2000")
+    sf = scenarios.parse_scenario_text(text)
+    start = sf.spec.offspring.start_offset()
+    assert abs(start - 2001**2) <= 1
+    assert f"quadratic window clamps generations below n={start}" in sf.notes
+    g2, delta = sf.spec.offspring.second_deriv, sf.spec.offspring.one_minus_rho
+    assert g2(start) == 2000 * delta(start)
+    assert g2(start - 1) < 2000 * delta(start - 1)
+
+
 def _file(offspring, immigration):
     spec = ScenarioSpec(offspring=offspring, immigration=immigration, lam=1.0,
                         nu=0.0, divergent=True)
