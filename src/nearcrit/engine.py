@@ -1,11 +1,13 @@
 """Exact propagation of the generation law and Monte Carlo simulation.
 
-One step of the process compounds the previous law with the offspring law
-and convolves in the immigration law; iterating from a point mass at zero
-yields the exact (truncated) distribution of any generation. The same
-quantities can be evaluated scalar-wise through the composed offspring
-maps, giving an independent second route for cross-checks, and a seeded
-vectorized simulator gives a third.
+The law of generation b follows from the law at any earlier a < b by the
+product over immigrant cohorts,
+F_b(x) = F_a(Gbar_{a+1,b}(x)) prod_{j=a+1..b} H_j(Gbar_{j+1,b}(x)), with
+Gbar_{j,b} = G_j o ... o G_b; :func:`propagate_sequence` evaluates it on
+truncated coefficient series. The same quantities can be evaluated
+scalar-wise through the composed offspring maps, giving an independent
+second route for cross-checks, and a seeded vectorized simulator gives a
+third. The one-generation :func:`step` stays as the forward oracle.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import pgf
+from . import linfrac, pgf
 from .errors import NumericError
 from .families import (
     NegativeBinomialLimit,
     PoissonLimit,
     ScenarioSpec,
     classify,
+    lf_coeffs,
 )
 
 DEFICIENCY_FLAG = 1e-6
@@ -38,9 +41,9 @@ class GenerationState:
     truncated: bool = False
 
 
-# generations whose family tables one fetch covers in the forward sweep;
-# in perfbench's exact_deep, blocks of 64 to 256 ran alike, while 512 ran
-# about 12 % slower and held 0.4 MB more at peak
+# generations whose family tables and composed maps one fetch covers in the
+# backward pass; in perfbench's exact_deep, blocks of 64 to 256 ran alike,
+# while 512 ran about 12 % slower and held 0.4 MB more at peak
 BLOCK = 256
 
 
@@ -48,52 +51,77 @@ def step(prev, offspring_pmf, immigration_pmf, k_trunc: int):
     """One generation: compound with offspring, convolve in immigration.
 
     Takes :class:`pgf.Pmf`s or coefficient vectors and returns the kind of
-    ``prev``, as :func:`pgf.compound` and :func:`pgf.convolve` do.
+    ``prev``, as :func:`pgf.compound` and :func:`pgf.convolve` do. With a
+    composed map Gbar_{a+1,b} for the offspring law and the product of the
+    cohorts for the immigration law it closes a whole interval.
     """
     return pgf.convolve(
         pgf.compound(prev, offspring_pmf, k_trunc), immigration_pmf, k_trunc
     )
 
 
+def _advance(spec: ScenarioSpec, law: np.ndarray, a: int, b: int,
+             k: int) -> np.ndarray:
+    """Coefficients of the law at generation b > a from those at a.
+
+    Walks j = b, ..., a+1 backward in blocks of :data:`BLOCK`, holding the
+    composed maps Gbar_{j+1,b} of one block as series truncated at k
+    (linear-fractional maps from their closed form, the polynomial kinds by
+    composing each generation's map onto the last one) and multiplying in
+    the block's cohorts H_j(Gbar_{j+1,b}); one :func:`step` then applies
+    Gbar_{a+1,b} to the law at a and convolves in the cohorts.
+    """
+    off = spec.offspring
+    lf = off.kind == "linear_fractional"
+    if lf:
+        alpha, beta = linfrac.composed_params_all(spec, b)
+        g = lf_coeffs(alpha[a : a + 1], beta[a : a + 1], k)[0]
+    else:
+        g = np.array([0.0, 1.0])[:k]  # Gbar_{b+1,b}(x) = x
+    cohorts = np.ones(1)
+    for hi in range(b, a, -BLOCK):
+        ns = np.arange(max(a, hi - BLOCK) + 1, hi + 1)
+        if lf:
+            maps = lf_coeffs(alpha[ns], beta[ns], k)
+        else:
+            maps, g = off.compose_back(ns, g, k)
+        block = spec.immigration.cohort_product(ns, maps, k)
+        cohorts = np.convolve(cohorts, block)[:k]
+    return step(law, g, cohorts, k)
+
+
 def propagate_sequence(spec: ScenarioSpec, ns, k_trunc: int | None = None,
                        initial: pgf.Pmf | None = None) -> list[GenerationState]:
-    """States at every requested generation, sharing one forward sweep.
+    """States at every requested generation, one interval after another.
 
-    The sweep runs on plain coefficient vectors. For each block of
-    :data:`BLOCK` generations it fetches one validated offspring table and
-    one immigration table, then calls :func:`step` on their rows; the law
-    is wrapped in a validated :class:`pgf.Pmf` only at a requested
-    generation, where its deficiency is read off.
+    Each interval between consecutive targets (from 0, with X_0 = 0 or the
+    ``initial`` law) is closed by :func:`_advance`, the product formula of
+    the module docstring. The work per generation is one offspring map
+    applied to a series, one cohort term and one convolution, and memory
+    stays at one block of maps and tables, whatever n is. The law is
+    wrapped in a validated :class:`pgf.Pmf` at each target, where its
+    deficiency is read off.
 
-    No per-step validation is needed. Every operand of ``compound`` and
-    ``convolve`` is nonnegative and finite with mass at most 1, up to the
-    slack a :class:`pgf.Pmf` allows: the starting law and the table rows
-    are validated, and each later law is made of sums and products of
-    such coefficients, truncated. So an intermediate law has no negative
-    entry, no non-finite entry and no excess mass, and the roundoff clamp
-    never acts on one: the sweep is bit-equal to a loop of
-    :class:`pgf.Pmf`-typed steps over the scalar ``pmf(n, K)``. (A custom
-    offspring table whose width changes with n is zero-padded to the
-    widest row of a block, and the padding can move the last bit.)
+    Every series operation is a sum of products of nonnegative
+    coefficients truncated at K (the Poisson exponent's constant term only
+    scales the result), so each coefficient below K is exact up to
+    rounding, given the family laws as their ``pmf`` rows truncated at K.
+    The deficiency is the mass beyond K at the interval ends, plus what
+    those rows drop from a custom table or base law wider than K: never
+    more than a forward loop of :func:`step` loses, which truncates every
+    generation.
     """
     targets = sorted(set(int(n) for n in ns))
     if targets and targets[0] < 0:
         raise ValueError("generation index must be >= 0")
     k = spec.k_trunc if k_trunc is None else k_trunc
     law = (pgf.Pmf.delta(0) if initial is None else initial).coeffs
-    wanted = set(targets)
-    out = {}
-    if 0 in wanted:
-        out[0] = pgf.Pmf(law)
-    top = targets[-1] if targets else 0
-    for start in range(1, top + 1, BLOCK):
-        block = np.arange(start, min(start + BLOCK, top + 1))
-        offspring = spec.offspring.pmf(block, k)
-        immigration = spec.immigration.pmf(block, k)
-        for i, n in enumerate(block.tolist()):
-            law = step(law, offspring[i], immigration[i], k)
-            if n in wanted:
-                out[n] = pgf.Pmf(law)
+    out, prev = {}, 0
+    for n in targets:
+        if n > prev:
+            law = _advance(spec, law, prev, n, k)
+        out[n] = pgf.Pmf(law)
+        prev = n
     states = []
     for n in targets:
         deficiency = out[n].deficiency

@@ -10,6 +10,7 @@ hypotheses over the declared constants.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import warnings
@@ -167,16 +168,98 @@ class RhoRule:
 # offspring
 
 
-def _table_moment(table, n, k: int):
-    """Factorial moment of a per-generation PMF table; maps over arrays."""
-    if np.ndim(n):
-        return np.array(
-            [
-                pgf.factorial_moment(pgf.Pmf(table(int(v))), k)
-                for v in np.asarray(n).ravel()
-            ]
-        )
-    return pgf.factorial_moment(pgf.Pmf(table(int(n))), k)
+def _table_moment(family, n, k: int):
+    """k-th factorial moment of a custom table at generations ``n``.
+
+    One array operation on the ``params`` columns, validated as one
+    :func:`pgf.coeff_table`; maps over arrays, a scalar n gives a float.
+    """
+    cols = family.params(n)
+    table = np.stack(cols, axis=-1).reshape(-1, len(cols))
+    if table.size:
+        table = pgf.coeff_table(table)
+    j = np.arange(len(cols), dtype=float)
+    ff = np.ones_like(j)
+    for i in range(k):
+        ff *= j - i
+    moments = np.sum(table * ff, axis=-1)
+    return moments.reshape(np.shape(n)) if np.ndim(n) else float(moments[0])
+
+
+def _poly_series(p, g, k_trunc: int) -> np.ndarray:
+    """Series of sum_i p[i] g^i truncated at ``k_trunc``, by Horner from the
+    top coefficient: one convolution per degree above 1.
+
+    For the two- and three-term rows of the offspring families this is one
+    convolution where :func:`pgf.compound` makes several (10 against 23 µs
+    at K = 64); wide polynomials go to ``compound``.
+    """
+    if p.shape[0] == 1:
+        return p[:1].copy()
+    y = p[-1] * g
+    y[0] += p[-2]
+    for c in p[-3::-1]:
+        y = np.convolve(y, g)[:k_trunc]
+        y[0] += c
+    return y
+
+
+@functools.lru_cache(maxsize=16)
+def _binomial_hankel(b: tuple):
+    """H[m, l] = b[l+m] C(l+m, l), zero where l + m is beyond ``b``; None when
+    a binomial overflows the float range (a base law wider than ~1000)."""
+    w = len(b)
+    pascal = np.zeros((w, w))  # pascal[n, l] = C(n, l)
+    pascal[:, 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, w):
+            pascal[n, 1:] = pascal[n - 1, 1:] + pascal[n - 1, :-1]
+    if not np.isfinite(pascal).all():
+        return None
+    n = np.add.outer(np.arange(w), np.arange(w))
+    inside = n < w
+    n = np.minimum(n, w - 1)
+    hank = np.where(inside, np.asarray(b)[n] * pascal[n, np.arange(w)], 0.0)
+    hank.setflags(write=False)
+    return hank
+
+
+def _affine_compose(b: np.ndarray, maps: np.ndarray):
+    """Rows b(g0 + g1 x) for the affine maps g0 + g1 x held in ``maps``.
+
+    b(g0 + g1 x)_l = g1^l sum_m b_{l+m} C(l+m, l) g0^m: one product of the
+    Vandermonde matrix of g0 with :func:`_binomial_hankel`, all terms
+    nonnegative.
+    None when the binomials overflow.
+    """
+    hank = _binomial_hankel(tuple(b.tolist()))
+    if hank is None:
+        return None
+    g1 = maps[:, 1] if maps.shape[1] > 1 else np.zeros(maps.shape[0])
+    # einsum, not matmul: a threaded BLAS product of a block spends more
+    # waking its thread pool (about 6 ms on 2 cores) than computing
+    vander = np.einsum("jm,ml->jl", _powers(maps[:, 0], b.shape[0]), hank)
+    return vander * _powers(g1, b.shape[0])
+
+
+def _powers(x: np.ndarray, count: int) -> np.ndarray:
+    """out[i, m] = x[i]^m for m < count, by running products."""
+    out = np.empty((x.shape[0], count))
+    out[:, 0] = 1.0
+    out[:, 1:] = x[:, None]
+    return np.cumprod(out, axis=1, out=out)
+
+
+def lf_coeffs(alpha, beta, k_trunc: int) -> np.ndarray:
+    """Coefficient table of linear-fractional maps, one row per (alpha, beta):
+    p_0 = 1 - alpha/(1 - beta) and p_k = alpha beta^(k-1), truncated at
+    ``k_trunc`` and validated as :func:`pgf.coeff_table`."""
+    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    raw = np.empty((alpha.shape[0], k_trunc))
+    raw[:, 0] = 1.0 - alpha / (1.0 - beta)
+    np.power(beta[:, None], np.arange(k_trunc - 1), out=raw[:, 1:])
+    raw[:, 1:] *= alpha[:, None]
+    return pgf.coeff_table(raw)
 
 
 def _polynomial_pgf(par, x):
@@ -255,7 +338,7 @@ class OffspringFamily:
 
     def mean(self, n):
         if self.kind == "custom":
-            return _table_moment(self.table, n, 1)
+            return _table_moment(self, n, 1)
         return self.rho_rule.rho(n)
 
     def one_minus_rho(self, n):
@@ -288,7 +371,7 @@ class OffspringFamily:
         """G_n''(1): nu (1 - rho_n), for quadratic (and Bernoulli, nu = 0)
         capped at rho_n by the window of :func:`_quadratic_g2`."""
         if self.kind == "custom":
-            return _table_moment(self.table, n, 2)
+            return _table_moment(self, n, 2)
         delta = self.one_minus_rho(n)
         if self.kind == "linear_fractional":
             return self.nu * delta
@@ -303,7 +386,7 @@ class OffspringFamily:
         if self.kind == "linear_fractional":
             return self.lf_params(n).deriv_at_1(s)
         if self.kind == "custom":
-            return pgf.factorial_moment(pgf.Pmf(self.table(n)), s)
+            return _table_moment(self, n, s)
         return float(self.second_deriv(n)) if s == 2 else 0.0
 
     def params(self, ns):
@@ -366,14 +449,45 @@ class OffspringFamily:
         """
         ns = np.atleast_1d(n)
         if self.kind == "linear_fractional":
-            alpha, beta = self.params(ns)
-            raw = np.empty((ns.shape[0], k_trunc))
-            raw[:, 0] = 1.0 - alpha / (1.0 - beta)
-            np.power(beta[:, None], np.arange(k_trunc - 1), out=raw[:, 1:])
-            raw[:, 1:] *= alpha[:, None]
+            raw = lf_coeffs(*self.params(ns), k_trunc)
         else:
-            raw = np.stack(self.params(ns), axis=1)[:, :k_trunc]
-        return pgf.coeff_table(raw) if np.ndim(n) else pgf.Pmf(raw[0])
+            raw = pgf.coeff_table(np.stack(self.params(ns), axis=1)[:, :k_trunc])
+        return raw if np.ndim(n) else pgf.Pmf(raw[0])
+
+    def compose_back(self, ns, g, k_trunc: int):
+        """Apply the maps of generations ``ns`` (ascending) to the series
+        ``g``, last generation first; polynomial kinds only.
+
+        Returns ``(maps, out)``: maps[i] = G_{ns[i]+1} o ... o G_{ns[-1]} o g,
+        so maps[-1] is ``g`` itself, zero-padded to a common width; and
+        out = G_{ns[0]} o maps[0]. Each G_n is its ``pmf`` row truncated at
+        ``k_trunc``, applied by Horner (one convolution per degree above 1);
+        every term is a sum of products of nonnegative coefficients, so
+        nothing below ``k_trunc`` is lost. Under rows of width 2 an affine
+        ``g`` stays affine, and the recurrence runs on its two coefficients.
+        """
+        rows = self.pmf(ns, k_trunc)
+        count = rows.shape[0]
+        if rows.shape[1] <= 2 and g.shape[0] <= 2:
+            # the chain g1 = p1 p1' ... is shared by every cohort after it,
+            # so it runs in long double: its rounding would otherwise grow
+            # with the length of the chain
+            wide = np.zeros((count, 2), dtype=np.longdouble)
+            wide[:, : rows.shape[1]] = rows
+            p0, p1 = list(wide[:, 0]), list(wide[:, 1])
+            g0, g1 = (np.longdouble(v) for v in (g.tolist() + [0.0])[:2])
+            for i in range(count - 1, -1, -1):
+                wide[i] = g0, g1
+                g0, g1 = p0[i] + p1[i] * g0, p1[i] * g1
+            width = min(2, k_trunc)
+            return wide[:, :width].astype(float), np.array([g0, g1][:width], dtype=float)
+        maps = np.zeros((count, k_trunc))
+        width = 1
+        for i in range(count - 1, -1, -1):
+            maps[i, : g.shape[0]] = g
+            width = max(width, g.shape[0])
+            g = _poly_series(rows[i], g, k_trunc)
+        return maps[:, :width], g
 
     def sample(self, n: int, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """out[s, t]: how many of the h[s] trajectories with s parents in
@@ -660,6 +774,46 @@ class ImmigrationFamily:
             raw = w[:, None] * self.base_law.coeffs[:k_trunc]
             raw[:, 0] += 1.0 - w
         return pgf.coeff_table(raw) if np.ndim(n) else pgf.Pmf(raw[0])
+
+    def cohort_product(self, ns, maps, k_trunc: int) -> np.ndarray:
+        """prod_i H_{ns[i]}(maps[i]) truncated at ``k_trunc``, at the clamped
+        rates; ``maps`` holds one coefficient series per generation.
+
+        * poisson: one :func:`pgf.exp_series` of sum_i m_i (maps_i - 1);
+        * a custom mixture over affine maps g0 + g1 x: H = 1 - w + w B, with
+          B(g0 + g1 x) for the whole block from one matrix product
+          (:func:`_affine_compose`) on the base law truncated at k_trunc;
+        * otherwise the ``pmf`` rows I_n applied to the maps: I_n0 + I_n1 g
+          for Bernoulli, :func:`pgf.compound` for wider rows.
+
+        The cohort series are then multiplied by one convolution each. All
+        terms are nonnegative apart from the Poisson exponent's constant,
+        which only scales the result.
+        """
+        if self.kind == "poisson":
+            m = self.m1.at(ns)
+            expo = np.zeros(k_trunc)
+            expo[: maps.shape[1]] = np.einsum("j,jl->l", m, maps)
+            expo[0] = m @ (maps[:, 0] - 1.0)
+            return pgf.exp_series(expo, k_trunc).coeffs
+        terms = None
+        if self.kind == "custom" and maps.shape[1] <= 2 < self.base_law.coeffs.shape[0]:
+            wide = _affine_compose(self.base_law.coeffs[:k_trunc], maps)
+            if wide is not None:
+                w = self.weight(ns, "clamped")
+                terms = w[:, None] * wide
+                terms[:, 0] += 1.0 - w
+        if terms is None:
+            rows = self.pmf(ns, k_trunc)
+            if rows.shape[1] == 2:
+                terms = rows[:, 1:] * maps
+                terms[:, 0] += rows[:, 0]
+            else:
+                terms = [pgf.compound(r, g, k_trunc) for r, g in zip(rows, maps)]
+        out = np.ones(1)
+        for t in terms:
+            out = np.convolve(out, t)[:k_trunc]
+        return out
 
     def sample(self, n: int, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """out[v, k]: how many of the h[v] trajectories in state v receive k

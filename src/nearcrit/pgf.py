@@ -25,8 +25,6 @@ NEGATIVE_CLAMP = 1e-12
 # Mass overshoot tolerated before the coefficients are rejected outright.
 _MASS_SLACK = 1e-9
 
-_COUNT_TAIL_EXIT = 1e-15
-
 
 def _clean(c: np.ndarray):
     """``c`` with roundoff negatives clamped, and its totals over the last axis.
@@ -171,21 +169,20 @@ def compound(count, jump, k_trunc: int):
     """Law of a ``count``-indexed sum of i.i.d. ``jump`` draws.
 
     Coefficient view of composing the count PGF with the jump PGF:
-    sum_k count_k * (jump pgf)^k, truncated at ``k_trunc``. The sum stops
-    before the first index k >= 1 whose coefficient suffix
-    count_k + count_{k+1} + ... is below 1e-15; ``count.deficiency`` is not
-    part of that suffix, since mass that was never kept cannot be applied.
-    The dropped terms carry less than 1e-15 of mass, which lands in the
-    result's deficiency and is never renormalized.
+    sum_k count_k * (jump pgf)^k, truncated at ``k_trunc``. Every count
+    term up to the last nonzero one enters, however small; only exact
+    trailing zeros are skipped.
 
-    The kept polynomial sum_{k<top} count_k J^k is evaluated by the
+    The polynomial sum_{k<top} count_k J^k is evaluated by the
     baby-step/giant-step scheme of Paterson & Stockmeyer (SIAM J. Comput. 2,
     1973): with s = ceil(sqrt(top)), the powers J^0..J^s take s - 1
     convolutions, one matrix product forms the blocks
     B_b = sum_{i<s} count_{bs+i} J^i, and Horner in J^s combines them in
-    ceil(top/s) - 1 more. Every operand is nonnegative, so each output
-    coefficient keeps its relative accuracy and stays a lower bound on the
-    untruncated sum.
+    ceil(top/s) - 1 more. Each output coefficient below ``k_trunc`` is a sum
+    of products of nonnegative operands, so it carries only rounding error,
+    relative to its own size, of a few ulps per operation on its path; the
+    one loss is the mass beyond ``k_trunc``, which lands in the deficiency
+    and is never renormalized.
 
     Operands and result follow :func:`convolve`: a :class:`Pmf` ``count``
     gives a validated :class:`Pmf` out, a vector gives a vector out.
@@ -193,9 +190,8 @@ def compound(count, jump, k_trunc: int):
     if k_trunc <= 0:
         raise ValueError("truncation length must be positive")
     cw = _coeffs(count)
-    suffix = np.cumsum(cw[::-1])[::-1]
-    below = np.flatnonzero(suffix[1:] < _COUNT_TAIL_EXIT)
-    top = 1 + int(below[0]) if below.size else cw.shape[0]
+    nonzero = np.flatnonzero(cw)
+    top = int(nonzero[-1]) + 1 if nonzero.size else 1
     s = math.isqrt(top - 1) + 1
     q = -(-top // s)
     jc = _coeffs(jump)[:k_trunc]

@@ -1,6 +1,8 @@
-"""Write the CLI byte-identity snapshot of a checkout into OUTDIR.
+"""Write the CLI byte-identity snapshot of a checkout into OUTDIR, or
+compare two snapshots.
 
 Usage: python tests/cli_snapshot.py OUTDIR [SRC]
+       python tests/cli_snapshot.py --compare A B
 
 SRC is the ``src`` directory of the checkout to run (default: the one next
 to this script), so one script can snapshot two checkouts.
@@ -16,11 +18,19 @@ Each run leaves ``<stem>.out`` (stdout), ``<stem>.rc`` (exit code) and
 any edit moves. Scenario paths are relative to the working directory, so
 messages that name the file read the same for every checkout. Two
 checkouts agree when ``diff -r`` of their snapshots is empty.
+
+``--compare A B`` lists every file of two snapshots that differs, one line
+each: for a file whose text differs only in its numbers, how many numbers
+moved and the largest absolute and relative difference among them
+(relative to the larger magnitude of the pair); otherwise that the text
+differs, or that the file is missing on one side. The exit status is 0
+when the snapshots agree and 1 when a file differs.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -67,9 +77,42 @@ def _run(out: Path, stem: str, cwd: Path, env: dict, argv: list[str]) -> None:
     (out / f"{stem}.err").write_text("".join(kept))
 
 
+_NUMBER = re.compile(r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+
+
+def _moved(old: str, new: str) -> str:
+    """How the text ``new`` differs from ``old``, as one report field."""
+    if _NUMBER.sub("#", old) != _NUMBER.sub("#", new):
+        return "text differs"
+    pairs = [(float(a), float(b)) for a, b in
+             zip(_NUMBER.findall(old), _NUMBER.findall(new)) if a != b]
+    abs_gap = max(abs(a - b) for a, b in pairs)
+    rel_gap = max(abs(a - b) / max(abs(a), abs(b)) for a, b in pairs)
+    return f"{len(pairs)} numbers moved, max abs {abs_gap:.3e}, max rel {rel_gap:.3e}"
+
+
+def compare(old_dir: Path, new_dir: Path) -> list[str]:
+    """One line per file that differs between two snapshot directories."""
+    lines = []
+    names = sorted({p.name for p in old_dir.iterdir()}
+                   | {p.name for p in new_dir.iterdir()})
+    for name in names:
+        old, new = old_dir / name, new_dir / name
+        if not old.exists() or not new.exists():
+            lines.append(f"{name}: only in {old_dir if old.exists() else new_dir}")
+        elif old.read_bytes() != new.read_bytes():
+            lines.append(f"{name}: {_moved(old.read_text(), new.read_text())}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        lines = compare(Path(argv[1]), Path(argv[2]))
+        print("\n".join(lines) if lines else "snapshots agree")
+        return 1 if lines else 0
     if len(argv) not in (1, 2):
-        print("usage: python tests/cli_snapshot.py OUTDIR [SRC]", file=sys.stderr)
+        print("usage: python tests/cli_snapshot.py OUTDIR [SRC]\n"
+              "       python tests/cli_snapshot.py --compare A B", file=sys.stderr)
         return 2
     out = Path(argv[0]).resolve()
     src = Path(argv[1]).resolve() if len(argv) == 2 else (

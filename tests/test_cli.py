@@ -408,3 +408,26 @@ def test_lf_rate_rule_with_rho1_zero_is_rejected_by_every_command(tmp_path, caps
         errors.add(capsys.readouterr().err)
     assert len(errors) == 1
     assert "offspring.rho" in errors.pop()
+
+
+def test_snapshot_compare_lists_moved_numbers(tmp_path, capsys):
+    import cli_snapshot
+
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    (old / "same.out").write_text("k,p\n0,0.5\n")
+    (new / "same.out").write_text("k,p\n0,0.5\n")
+    (old / "moved.out").write_text("k,p\n0,0.25\n1,1e-20\n2,3\n")
+    (new / "moved.out").write_text("k,p\n0,0.2500000000000001\n1,2e-20\n2,3\n")
+    (old / "reworded.err").write_text("error: bad key\n")
+    (new / "reworded.err").write_text("error: unknown key\n")
+    (old / "gone.rc").write_text("0\n")
+    assert cli_snapshot.main(["--compare", str(old), str(new)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"gone.rc: only in {old}"
+    assert lines[1] == ("moved.out: 2 numbers moved, max abs 1.110e-16, "
+                               "max rel 5.000e-01")
+    assert lines[2] == "reworded.err: text differs"
+    assert len(lines) == 3
+    assert cli_snapshot.main(["--compare", str(old), str(old)]) == 0

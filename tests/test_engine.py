@@ -419,10 +419,10 @@ def test_default_truncation_nb_target():
     assert limits.nb_pmf(2.0, 1.0 / 3.0, k // 2).deficiency < 1e-10
 
 
-def _step_loop(spec, targets, k):
-    """The forward sweep one Pmf-typed step at a time, over the scalar
-    pmf(n, K) of each generation (the oracle of the coefficient sweep)."""
-    law, out = pgf.Pmf.delta(0), {}
+def _step_loop(spec, targets, k, initial=None):
+    """The forward recursion one Pmf-typed step at a time, over the scalar
+    pmf(n, K) of each generation (the oracle of propagate_sequence)."""
+    law, out = pgf.Pmf.delta(0) if initial is None else initial, {}
     for n in range(1, max(targets) + 1):
         law = engine.step(law, spec.offspring.pmf(n, k), spec.immigration.pmf(n, k), k)
         if n in targets:
@@ -430,24 +430,90 @@ def _step_loop(spec, targets, k):
     return out
 
 
-# generations on both sides of the first and second table block
-_EDGES = (engine.BLOCK - 1, engine.BLOCK, engine.BLOCK + 1, 2 * engine.BLOCK)
-
-
-def _assert_sweep_is_the_step_loop(spec, targets, k):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # clamped rates, small-K truncation
-        states = engine.propagate_sequence(spec, targets, k)
-        want = _step_loop(spec, set(targets), k)
-    assert [s.n for s in states] == sorted(set(targets))
-    for state in states:
-        assert np.array_equal(state.pmf.coeffs, want[state.n].coeffs), state.n
-        assert state.cumulative_deficiency == want[state.n].deficiency
+def _long_double_sweep(spec, n, k):
+    """First k coefficients of the forward recursion run in np.longdouble
+    at 2k, every count term kept: Horner in the offspring law, then the
+    immigration convolution."""
+    wide = 2 * k
+    law = np.ones(1, dtype=np.longdouble)
+    for m in range(1, n + 1):
+        g = spec.offspring.pmf(m, wide).coeffs.astype(np.longdouble)
+        h = spec.immigration.pmf(m, wide).coeffs.astype(np.longdouble)
+        top = np.flatnonzero(law)[-1]
+        acc = law[top : top + 1].copy()
+        for c in law[:top][::-1]:
+            acc = np.convolve(acc, g)[:wide]
+            acc[0] += c
+        law = np.convolve(acc, h)[:wide]
+    return law[:k]
 
 
 @pytest.mark.parametrize("name", scenarios.FIXTURE_NAMES)
-def test_sweep_is_bit_equal_to_the_pmf_step_loop(fixture_specs, name):
-    _assert_sweep_is_the_step_loop(fixture_specs[name], [1, 37, *_EDGES], 40)
+def test_propagation_is_exact_to_rounding_below_k(fixture_specs, name):
+    # every coefficient of 1e-12 or more agrees with an extended-precision
+    # sweep to 1e-11 relative; a forward sweep that dropped count terms
+    # below 1e-15 of suffix mass was off by up to 5e-3 here
+    spec = fixture_specs[name]
+    n, k = (200, 32) if spec.offspring.kind == "linear_fractional" else (250, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # clamped rates of thm6_example1
+        got = engine.propagate(spec, n, k).pmf.coeffs
+        ref = _long_double_sweep(spec, n, k)
+    big = ref >= 1e-12
+    assert big.sum() >= 10
+    rel = np.abs(got[big] - ref[big]) / ref[big]
+    assert float(rel.max()) <= 1e-11
+
+
+def test_bernoulli_law_is_poisson_binomial_to_its_last_coefficient(fixture_specs):
+    # Bernoulli offspring and immigration: X_n counts independent cohorts,
+    # immigrant j surviving with probability w_j rho_[j,n]; all 64
+    # coefficients, down to 1.9e-70, match that law in long double
+    spec = fixture_specs["thm1_poisson"]
+    n, k = 1600, 64
+    got = engine.propagate(spec, n, k).pmf.coeffs
+    s = linfrac.chain_logs(spec, n)
+    q = spec.immigration.weight(np.arange(1, n + 1), "clamped") * np.exp(s[n] - s[1:])
+    law = np.zeros(k, dtype=np.longdouble)
+    law[0] = 1.0
+    for qj in q.astype(np.longdouble):
+        law[1:] = law[1:] * (1 - qj) + law[:-1] * qj
+        law[0] *= 1 - qj
+    assert float(law[-1]) < 1e-60
+    assert float(np.max(np.abs(got - law) / law)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", scenarios.FIXTURE_NAMES)
+def test_propagation_agrees_with_the_product_route(fixture_specs, name):
+    spec = fixture_specs[name]
+    n = 280
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        state = engine.propagate(spec, n, 64)
+        for x in (0.0, 0.45, 0.9):
+            gap = engine.pgf_via_product(spec, n, x) - pgf.evaluate(state.pmf, x)
+            assert -1e-13 <= gap <= state.cumulative_deficiency + 1e-13, x
+
+
+# generations on both sides of the first and second block
+_EDGES = (engine.BLOCK - 1, engine.BLOCK, engine.BLOCK + 1, 2 * engine.BLOCK)
+
+
+def _assert_within_the_step_loop_deficiency(spec, targets, k, initial=None):
+    """propagate_sequence loses no more mass than the step loop, and differs
+    from it by no more than that loss: both sit below the exact law, and the
+    step loop truncates every generation where propagation truncates only
+    at the targets."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # clamped rates, small-K truncation
+        states = engine.propagate_sequence(spec, targets, k, initial)
+        want = _step_loop(spec, set(targets), k, initial)
+    assert [s.n for s in states] == sorted(set(targets))
+    for state in states:
+        ref = want[state.n]
+        gap = float(np.sum(np.abs(state.pmf.coeffs - ref.coeffs)))
+        assert gap <= ref.deficiency + 1e-14, state.n
+        assert state.cumulative_deficiency <= ref.deficiency + 1e-15, state.n
 
 
 def _sweep_spec(offspring, immigration, rho1, gamma, nu, coef):
@@ -482,29 +548,40 @@ def _sweep_spec(offspring, immigration, rho1, gamma, nu, coef):
     coef=st.floats(0.0, 1.0),
     k=st.integers(1, 8),
     extra=st.lists(st.integers(1, 2 * engine.BLOCK), max_size=3),
+    start=st.one_of(st.none(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)),
 )
 @settings(max_examples=30, deadline=None)
 def test_sweep_matches_the_step_loop_for_every_kind(offspring, immigration, rho1,
-                                                     gamma, nu, coef, k, extra):
+                                                     gamma, nu, coef, k, extra,
+                                                     start):
     spec = _sweep_spec(offspring, immigration, rho1, gamma, nu, coef)
-    _assert_sweep_is_the_step_loop(spec, [*_EDGES, *extra], k)
+    initial = None
+    if start is not None and sum(start) > 0:
+        initial = pgf.Pmf(np.array(start) / sum(start))
+    _assert_within_the_step_loop_deficiency(spec, [*_EDGES, *extra], k, initial)
 
 
 @pytest.mark.parametrize("immigration", ["bernoulli", "poisson"])
 def test_sweep_pads_a_custom_law_of_changing_width(immigration):
-    # rows of width 2 and 3 share a table; the zero padding enters the
-    # convolutions, so the sweep agrees with the step loop to roundoff
+    # rows of width 2 and 3 share a table, zero-padded to the wider one
     off = OffspringFamily(kind="custom", table=lambda n: np.array(
         [0.3, 0.5, 0.2] if n % 3 else [0.4, 0.6]))
     imm = ImmigrationFamily(kind=immigration, m1=PowerSum.parse("0.9*(n+1)^-0.8"))
     spec = ScenarioSpec(offspring=off, immigration=imm, lam=1.0, nu=0.0,
                         divergent=True)
-    targets = [engine.BLOCK, engine.BLOCK + 1]
-    want = _step_loop(spec, set(targets), 48)
-    for state in engine.propagate_sequence(spec, targets, 48):
-        assert np.max(np.abs(state.pmf.coeffs - want[state.n].coeffs)) <= 1e-15
-        assert state.cumulative_deficiency == pytest.approx(
-            want[state.n].deficiency, abs=1e-15)
+    _assert_within_the_step_loop_deficiency(spec, [engine.BLOCK, engine.BLOCK + 1], 48)
+
+
+def test_a_base_law_too_wide_for_float_binomials_is_applied_row_by_row():
+    # C(1099, 549) overflows a float, so the block's Vandermonde product is
+    # unavailable and each cohort applies its pmf row instead
+    from nearcrit import families
+
+    base = np.full(1100, 1.0 / 1100)
+    assert families._affine_compose(base, np.array([[0.5, 0.5]])) is None
+    spec = dataclasses.replace(make_spec(), immigration=ImmigrationFamily(
+        kind="custom", m1=PowerSum.parse("0.5*(n+1)^-1"), base=tuple(base)))
+    _assert_within_the_step_loop_deficiency(spec, [1, 3], 1100)
 
 
 @pytest.mark.parametrize("immigration", ["bernoulli", "poisson"])

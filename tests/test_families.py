@@ -247,6 +247,31 @@ def test_custom_params_are_the_padded_table_columns():
     assert fam.pgf_formula(fam.params(2), 0.5) == fam.pgf_at(2, 0.5) == 0.46875
 
 
+def test_custom_moments_come_from_the_table_columns():
+    # rows of widths 2 to 4 whose weights move with n; the array call on
+    # the params columns matches one validated Pmf per generation
+    def table(n):
+        q = 1.0 / (n + 2.0)
+        return np.array([[0.5 - q, 0.5 + q], [q, 0.25, 0.75 - q],
+                         [0.25, q, 0.25, 0.5 - q]][n % 3])
+
+    fam = OffspringFamily(kind="custom", table=table)
+    ns = np.arange(1, 40).reshape(3, 13)
+    by_pmf = {k: np.array([pgf.factorial_moment(pgf.Pmf(table(int(n))), k)
+                           for n in ns.flat]).reshape(ns.shape) for k in (1, 2, 3)}
+    assert np.max(np.abs(fam.mean(ns) - by_pmf[1])) <= 1e-15
+    assert np.max(np.abs(fam.one_minus_rho(ns) - (1.0 - by_pmf[1]))) <= 1e-15
+    assert np.max(np.abs(fam.second_deriv(ns) - by_pmf[2])) <= 1e-15
+    for n in (1, 2, 3, 17):
+        for s, k in ((1, 1), (2, 2), (3, 3)):
+            assert abs(fam.deriv_at_1(n, s) - by_pmf[k].flat[n - 1]) <= 1e-15
+        assert isinstance(fam.mean(n), float) and fam.deriv_at_1(n, 4) == 0.0
+    assert fam.one_minus_rho(np.arange(1, 1)).shape == (0,)
+    bad = OffspringFamily(kind="custom", table=lambda n: np.array([0.7, 0.4]))
+    with pytest.raises(NotADistributionError):
+        bad.mean(np.arange(1, 4))
+
+
 def test_lf_pmf_expansion_matches_function_values():
     # dual route: the geometric coefficient formula against direct
     # evaluation of the rational generating function

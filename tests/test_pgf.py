@@ -105,22 +105,18 @@ def test_compound_with_unit_jump_is_exact():
     assert np.array_equal(out.coeffs, count.coeffs)
 
 
-def test_compound_exit_ignores_rounding_deficiency(monkeypatch):
-    # A deficiency of rounding size must not keep the loop running: the
-    # Poisson(2) suffix drops below 1e-15 near k = 22 of 64.
-    count = pgf.Pmf(pgf.poisson_coeffs(2.0, 64) * (1.0 - 1e-14))
-    assert count.deficiency > 1e-15
-    jump = bern(0.5)
-    calls = []
-    real = np.convolve
-
-    def counting(a, v, *args, **kwargs):
-        calls.append(1)
-        return real(a, v, *args, **kwargs)
-
-    monkeypatch.setattr(np, "convolve", counting)
-    pgf.compound(count, jump, 64)
-    assert len(calls) <= 2 * math.ceil(math.sqrt(30)) + 2
+def test_compound_keeps_a_tiny_count_term():
+    # no suffix of the count law is dropped for being small: a term of
+    # 1e-20 at k = 25 reaches every output coefficient it feeds, to
+    # rounding, and the trailing zeros behind it change nothing
+    raw = np.zeros(40)
+    raw[:2] = 0.5, 0.5 - 1e-20
+    raw[25] = 1e-20
+    out = pgf.compound(pgf.Pmf(raw), bern(0.5), 64)
+    want = [1e-20 * math.comb(25, k) * 0.5**25 for k in range(2, 26)]
+    assert np.allclose(out.coeffs[2:26], want, rtol=1e-13, atol=0.0)
+    assert not out.coeffs[26:].any()
+    assert np.array_equal(out.coeffs, pgf.compound(pgf.Pmf(raw[:26]), bern(0.5), 64).coeffs)
 
 
 def test_evaluate_normalization():
