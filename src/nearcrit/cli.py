@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -35,6 +36,8 @@ def _first(*values):
     return next((v for v in values if v is not None), None)
 
 
+# built once per process: it took about a fifth of a 1.8 ms ``limits`` call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nearcrit",

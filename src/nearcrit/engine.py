@@ -66,10 +66,11 @@ def _advance(spec: ScenarioSpec, law: np.ndarray, a: int, b: int,
 
     Walks j = b, ..., a+1 backward in blocks of :data:`BLOCK`, holding the
     composed maps Gbar_{j+1,b} of one block as series truncated at k
-    (linear-fractional maps from their closed form, the polynomial kinds by
-    composing each generation's map onto the last one) and multiplying in
-    the block's cohorts H_j(Gbar_{j+1,b}); one :func:`step` then applies
-    Gbar_{a+1,b} to the law at a and convolves in the cohorts.
+    (linear-fractional maps from their closed form, affine maps under
+    binomial thinning from one scan over the block, the other polynomial
+    kinds by composing each generation's map onto the last one) and
+    multiplying in the block's cohorts H_j(Gbar_{j+1,b}); one :func:`step`
+    then applies Gbar_{a+1,b} to the law at a and convolves in the cohorts.
     """
     off = spec.offspring
     lf = off.kind == "linear_fractional"
@@ -97,10 +98,11 @@ def propagate_sequence(spec: ScenarioSpec, ns, k_trunc: int | None = None,
     Each interval between consecutive targets (from 0, with X_0 = 0 or the
     ``initial`` law) is closed by :func:`_advance`, the product formula of
     the module docstring. The work per generation is one offspring map
-    applied to a series, one cohort term and one convolution, and memory
-    stays at one block of maps and tables, whatever n is. The law is
-    wrapped in a validated :class:`pgf.Pmf` at each target, where its
-    deficiency is read off.
+    applied to a series and one cohort term, which :func:`pgf.product`
+    multiplies out per block; under Bernoulli offspring both are built for
+    the whole block at once. Memory stays at one block of maps and tables,
+    whatever n is. The law is wrapped in a validated :class:`pgf.Pmf` at
+    each target, where its deficiency is read off.
 
     Every series operation is a sum of products of nonnegative
     coefficients truncated at K (the Poisson exponent's constant term only

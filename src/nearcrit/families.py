@@ -461,26 +461,34 @@ class OffspringFamily:
         Returns ``(maps, out)``: maps[i] = G_{ns[i]+1} o ... o G_{ns[-1]} o g,
         so maps[-1] is ``g`` itself, zero-padded to a common width; and
         out = G_{ns[0]} o maps[0]. Each G_n is its ``pmf`` row truncated at
-        ``k_trunc``, applied by Horner (one convolution per degree above 1);
-        every term is a sum of products of nonnegative coefficients, so
-        nothing below ``k_trunc`` is lost. Under rows of width 2 an affine
-        ``g`` stays affine, and the recurrence runs on its two coefficients.
+        ``k_trunc``, without the block's all-zero top columns, applied by
+        Horner (one convolution per degree above 1); every term is a sum of
+        products of nonnegative coefficients, so nothing below ``k_trunc``
+        is lost. Under rows of width 2 an affine ``g`` stays affine, and one
+        scan composes the block's (p0, p1) pairs.
         """
         rows = self.pmf(ns, k_trunc)
+        # a zero top column (quadratic with nu = 0) would only add width
+        used = np.flatnonzero(rows.any(axis=0))
+        rows = rows[:, : used[-1] + 1 if used.size else 1]
         count = rows.shape[0]
         if rows.shape[1] <= 2 and g.shape[0] <= 2:
-            # the chain g1 = p1 p1' ... is shared by every cohort after it,
-            # so it runs in long double: its rounding would otherwise grow
-            # with the length of the chain
-            wide = np.zeros((count, 2), dtype=np.longdouble)
-            wide[:, : rows.shape[1]] = rows
-            p0, p1 = list(wide[:, 0]), list(wide[:, 1])
-            g0, g1 = (np.longdouble(v) for v in (g.tolist() + [0.0])[:2])
-            for i in range(count - 1, -1, -1):
-                wide[i] = g0, g1
-                g0, g1 = p0[i] + p1[i] * g0, p1[i] * g1
+            # row i starts as G_{ns[i]} = (p0, p1) and row count as g; a
+            # step of span d composes rows i and i + d into
+            # (a_i + s_i a_{i+d}, s_i s_{i+d}), so after log2(count) doubling
+            # steps a_i + s_i x = G_{ns[i]} o ... o g. Every later cohort
+            # shares the chain s = p1 p1' ..., so it runs in long double
+            pairs = np.zeros((count + 1, 2), dtype=np.longdouble)
+            pairs[:count, : rows.shape[1]] = rows
+            pairs[count, : g.shape[0]] = g
+            a, s = pairs[:, 0], pairs[:, 1]
+            span = 1
+            while span <= count:
+                a[:-span] = a[:-span] + s[:-span] * a[span:]
+                s[:-span] = s[:-span] * s[span:]
+                span *= 2
             width = min(2, k_trunc)
-            return wide[:, :width].astype(float), np.array([g0, g1][:width], dtype=float)
+            return pairs[1:, :width].astype(float), pairs[0, :width].astype(float)
         maps = np.zeros((count, k_trunc))
         width = 1
         for i in range(count - 1, -1, -1):
@@ -779,19 +787,26 @@ class ImmigrationFamily:
         """prod_i H_{ns[i]}(maps[i]) truncated at ``k_trunc``, at the clamped
         rates; ``maps`` holds one coefficient series per generation.
 
-        * poisson: one :func:`pgf.exp_series` of sum_i m_i (maps_i - 1);
+        * poisson: the exponent sum_i m_i (maps_i - 1); over affine maps it
+          is A + lam x, with lam = sum_i m_i g1_i, and the product is
+          e^(A + lam) times the Poisson(lam) coefficients; over wider maps
+          it goes through one :func:`pgf.exp_series`;
         * a custom mixture over affine maps g0 + g1 x: H = 1 - w + w B, with
           B(g0 + g1 x) for the whole block from one matrix product
           (:func:`_affine_compose`) on the base law truncated at k_trunc;
         * otherwise the ``pmf`` rows I_n applied to the maps: I_n0 + I_n1 g
           for Bernoulli, :func:`pgf.compound` for wider rows.
 
-        The cohort series are then multiplied by one convolution each. All
-        terms are nonnegative apart from the Poisson exponent's constant,
-        which only scales the result.
+        :func:`pgf.product` then multiplies the cohort series. All terms
+        are nonnegative apart from the Poisson exponent's constant, which
+        only scales the result.
         """
         if self.kind == "poisson":
             m = self.m1.at(ns)
+            if maps.shape[1] <= 2:
+                lam = float(m @ maps[:, 1]) if maps.shape[1] == 2 else 0.0
+                scale = math.exp(float(m @ (maps[:, 0] - 1.0)) + lam)
+                return scale * pgf.poisson_coeffs(lam, k_trunc)
             expo = np.zeros(k_trunc)
             expo[: maps.shape[1]] = np.einsum("j,jl->l", m, maps)
             expo[0] = m @ (maps[:, 0] - 1.0)
@@ -810,10 +825,7 @@ class ImmigrationFamily:
                 terms[:, 0] += rows[:, 0]
             else:
                 terms = [pgf.compound(r, g, k_trunc) for r, g in zip(rows, maps)]
-        out = np.ones(1)
-        for t in terms:
-            out = np.convolve(out, t)[:k_trunc]
-        return out
+        return pgf.product(terms, k_trunc)
 
     def sample(self, n: int, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """out[v, k]: how many of the h[v] trajectories in state v receive k

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NotADistributionError, NumericError
 
@@ -208,6 +209,57 @@ def compound(count, jump, k_trunc: int):
     for b in range(q - 2, -1, -1):
         out = np.convolve(out, giant)[:k_trunc] + blocks[b]
     return _as_given(out, count)
+
+
+# rows at most this wide are multiplied pairwise while at least this many
+# remain (see :func:`product`)
+_PAIR_WIDTH, _PAIR_ROWS = 32, 16
+
+
+def _pair_level(t: np.ndarray, k_trunc: int) -> np.ndarray:
+    """Row i is t[2i] t[2i+1] truncated at ``k_trunc``, for an even number
+    of rows: one einsum of each even row against the sliding windows of the
+    zero-padded odd row after it."""
+    h, w = t.shape[0] // 2, t.shape[1]
+    ow = min(2 * w - 1, k_trunc)
+    pad = np.zeros((h, w - 1 + ow), dtype=t.dtype)
+    pad[:, w - 1 : w - 1 + min(w, ow)] = t[1::2, :ow]
+    win = sliding_window_view(pad, w, axis=1)
+    return np.einsum("ri,rli->rl", t[0::2, ::-1], win)
+
+
+def product(terms, k_trunc: int) -> np.ndarray:
+    """Coefficients of the product of the series in the rows of ``terms``,
+    truncated at ``k_trunc``; no rows give the series 1.
+
+    While at least ``_PAIR_ROWS`` rows remain, none wider than
+    ``_PAIR_WIDTH``, they are multiplied in pairs, all pairs of a level in
+    one vectorized pass, so each level halves the rows and about doubles
+    their width (an odd row out waits for the end). The rest is multiplied
+    in by one ``np.convolve`` each. A level of narrow rows costs about as
+    much as five convolutions and saves one per pair, but its multiply-adds
+    grow with the square of the width: 256 rows of width 2 take 5 levels
+    and 8 convolutions, while 64-wide rows take one convolution each, as a
+    running product would. Either way each coefficient is a sum of
+    products of nonnegative operands, exact up to rounding.
+    """
+    t = np.asarray(terms, dtype=float)
+    rest = []
+    if t.shape[0] >= _PAIR_ROWS and t.shape[1] <= _PAIR_WIDTH:
+        # the rows of one block are nearly equal, so a level rounds them
+        # alike and doubles the rounding of the levels before it; in long
+        # double that stays far below float64's own rounding
+        t = t.astype(np.longdouble)
+        while t.shape[0] >= _PAIR_ROWS and t.shape[1] <= _PAIR_WIDTH:
+            if t.shape[0] % 2:
+                rest.append(t[-1].astype(float))
+                t = t[:-1]
+            t = _pair_level(t, k_trunc)
+        t = t.astype(float)
+    out = np.ones(1)
+    for row in (*t, *rest):
+        out = np.convolve(out, row)[:k_trunc]
+    return out
 
 
 def evaluate(p: Pmf, x: float) -> float:

@@ -601,3 +601,80 @@ def test_deep_propagation_holds_one_block_of_tables(fixture_specs, immigration):
         tracemalloc.stop()
     assert peak < 20000 * 128 * 8
     assert state.n == 20000 and not state.truncated
+
+
+def test_quadratic_offspring_without_curvature_propagates_as_bernoulli():
+    # nu = 0 leaves the quadratic rows an all-zero third column, which
+    # compose_back drops, so both kinds take the affine route
+    quad_spec = make_spec("quadratic", nu=0.0)
+    maps, _ = quad_spec.offspring.compose_back(np.arange(1, 257), np.array([0.0, 1.0]), 64)
+    assert maps.shape == (256, 2)
+    for n, k in [(1400, 64), (300, 32), (1000, 128)]:
+        quad = engine.propagate(quad_spec, n, k).pmf.coeffs
+        bern = engine.propagate(make_spec("bernoulli"), n, k).pmf.coeffs
+        big = bern >= 1e-300
+        assert big.sum() == k
+        assert float(np.max(np.abs(quad[big] - bern[big]) / bern[big])) <= 1e-13
+
+
+def test_affine_chain_matches_long_double_at_n_10000(fixture_specs):
+    # the same pmf rows composed and multiplied out one cohort at a time in
+    # np.longdouble; the chain of products rho_j ... rho_n is shared by every
+    # later cohort, so its rounding must not grow with the chain's length
+    spec = fixture_specs["thm1_poisson"]
+    n, k = 10_000, 64
+    got = engine.propagate(spec, n, k).pmf.coeffs
+    ns = np.arange(1, n + 1)
+    p0, p1 = spec.offspring.pmf(ns, k).astype(np.longdouble).T
+    i0, i1 = spec.immigration.pmf(ns, k).astype(np.longdouble).T
+    law = np.zeros(k, dtype=np.longdouble)
+    law[0] = 1.0
+    g0, g1 = np.longdouble(0.0), np.longdouble(1.0)  # Gbar_{j+1,n}
+    for j in range(n - 1, -1, -1):
+        c0, c1 = i0[j] + i1[j] * g0, i1[j] * g1
+        law[1:] = law[1:] * c0 + law[:-1] * c1
+        law[0] *= c0
+        g0, g1 = p0[j] + p1[j] * g0, p1[j] * g1
+    big = law >= 1e-300
+    assert big.sum() == k
+    assert float(np.max(np.abs(got[big] - law[big]) / law[big])) <= 1e-13
+
+
+@pytest.mark.parametrize("table", [
+    lambda n: np.array([0.3, 0.5]),                                   # deficient
+    lambda n: np.array([1.0, 0.0]) if n == 300 else np.array([0.2, 0.8]),  # rho = 0
+    lambda n: np.array([0.25 / n, 1.0 - 0.5 / n]),
+])
+def test_affine_maps_match_the_sequential_recurrence(table):
+    off = OffspringFamily(kind="custom", table=table)
+    ns = np.arange(200, 456)
+    g = np.array([0.1, 0.7])
+    maps, out = off.compose_back(ns, g, 16)
+    rows = off.pmf(ns, 16).astype(np.longdouble)
+    want = np.zeros((ns.shape[0] + 1, 2), dtype=np.longdouble)
+    want[-1] = g
+    for i in range(ns.shape[0] - 1, -1, -1):
+        want[i] = rows[i, 0] + rows[i, 1] * want[i + 1, 0], rows[i, 1] * want[i + 1, 1]
+    assert maps.shape == (ns.shape[0], 2)
+    np.testing.assert_allclose(maps, want[1:].astype(float), rtol=4e-16, atol=0)
+    np.testing.assert_allclose(out, want[0].astype(float), rtol=4e-16, atol=0)
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_poisson_cohorts_over_affine_maps_match_exp_series(width):
+    # the exponent sum_j m_j (g_j - 1) = A + lam x gives e^(A + lam) times
+    # the Poisson(lam) law
+    imm = ImmigrationFamily(kind="poisson", m1=PowerSum.parse("3*(n+1)^-0.7"))
+    ns = np.arange(1, 257)
+    rng = np.random.default_rng(1)
+    maps = rng.uniform(0.0, 0.5, (ns.shape[0], 2))[:, :width]
+    k = 48
+    got = imm.cohort_product(ns, maps, k)
+    m = imm.m1.at(ns)
+    expo = np.zeros(k)
+    expo[:width] = m @ maps
+    expo[0] = m @ (maps[:, 0] - 1.0)
+    want = pgf.exp_series(expo, k).coeffs
+    big = want >= 1e-300
+    assert float(np.max(np.abs(got[big] - want[big]) / want[big])) <= 1e-13
+    assert np.all(got[~big] < 1e-300)

@@ -380,3 +380,43 @@ def test_poisson_coeffs_map_over_an_array_of_means():
         assert _agree(row, poisson_coeffs_loop(float(lam), 40))
     with pytest.raises(ValueError, match="nonnegative"):
         pgf.poisson_coeffs(np.array([1.0, -0.5]), 8)
+
+
+_PRODUCT_K = 64
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, _PRODUCT_K // 2, _PRODUCT_K])
+@pytest.mark.parametrize("rows", [1, 2, 255, 256])
+def test_product_matches_a_running_convolution(width, rows):
+    # row coefficients decay geometrically towards 1e-200 at index K - 1, so
+    # every product coefficient below K stays a normal float; rows of width
+    # K/2 are the widest that are multiplied pairwise
+    k = _PRODUCT_K
+    rng = np.random.default_rng(width * 1000 + rows)
+    decay = 10.0 ** (-200.0 * np.arange(width) / (k - 1))
+    terms = rng.uniform(0.5, 1.0, (rows, width)) * decay
+    want = np.ones(1)
+    for row in terms:
+        want = np.convolve(want, row)[:k]
+    got = pgf.product(terms, k)
+    assert got.shape == want.shape
+    assert float(np.max(np.abs(got - want) / want)) <= 1e-14
+
+
+def test_product_of_no_rows_is_one():
+    assert pgf.product(np.zeros((0, 3)), 8).tolist() == [1.0]
+
+
+def test_compound_at_large_k_matches_horner():
+    # q s K > 2^18, where OpenBLAS runs the block product on its threads
+    k = 520
+    rng = np.random.default_rng(3)
+    count, jump = rng.uniform(size=k), rng.uniform(size=k)
+    count, jump = count / count.sum(), jump / jump.sum()
+    want = np.array([count[-1]])
+    for c in count[-2::-1]:
+        want = np.convolve(want, jump)[:k]
+        want[0] += c
+    got = pgf.compound(count, jump, k)
+    big = want >= 1e-300
+    assert float(np.max(np.abs(got[big] - want[big]) / want[big])) <= 1e-12
