@@ -173,13 +173,8 @@ def _limit_moments(law: LimitLaw, spec: ScenarioSpec) -> tuple[float, float]:
         mean = law.r * law.p / (1.0 - law.p)
         m2 = law.r * (law.r + 1.0) * (law.p / (1.0 - law.p)) ** 2
         return mean, m2
-    if isinstance(law, CompoundPoissonLimit):
-        measure = limits.cp_intensity_finite(law.lambdas)
-        jj = np.arange(1, measure.atoms.shape[0] + 1)
-        mean = measure.mean()
-        m2 = mean**2 + float(np.sum(jj * (jj - 1) * measure.atoms))
-        return mean, m2
-    if isinstance(law, GeneralExpLimit):
+    if isinstance(law, (CompoundPoissonLimit, GeneralExpLimit)):
+        # (log PGF)'(1) = lambda_1 and (log PGF)''(1) = lambda_2
         lam1 = spec.lambda_l(1)
         return lam1, lam1**2 + spec.lambda_l(2)
     if isinstance(law, ProductLimit):

@@ -153,11 +153,12 @@ class RhoRule:
         """Lambda_j = -log prod_{l>j} rho_l, for d = 1 - rho_{j+1} <= 1/2.
 
         sum_k c^k/k zeta(k gamma, j+1+n0), from -log(1-d) = sum_k d^k/k; term k
-        is below d^(k-1) times the first, so terms up to d^k <= 1e-17 suffice."""
+        is below d^(k-1) times the first, so terms up to d^k <= 1e-17 suffice;
+        d = 0 means the whole tail is below the float range, and one does."""
         q, d = j + 1.0 + self.n0, float(self.one_minus_rho(j + 1))
-        ks = range(1, 1 + math.ceil(math.log(1e-17) / math.log(d)))
+        terms = 1 if d == 0.0 else math.ceil(math.log(1e-17) / math.log(d))
         return sum(hurwitz_zeta(k * self.gamma, q, k * math.log(self.c))[0] / k
-                   for k in ks)
+                   for k in range(1, 1 + terms))
 
     def divergent_sum(self) -> bool:
         """Whether sum (1 - rho_n) diverges; decided from the rule, gamma <= 1."""
@@ -1051,12 +1052,14 @@ def condition_ratios(spec: ScenarioSpec, n: int) -> ConditionRatios:
     """Per-n values of the moment ratios the limit-law hypotheses constrain."""
     if n < 1:
         raise ValueError("generation index must be >= 1")
-    delta = float(spec.offspring.one_minus_rho(n))
+    delta = np.float64(spec.offspring.one_minus_rho(n))
     partial = float(np.sum(spec.offspring.one_minus_rho(np.arange(1, n + 1))))
-    return ConditionRatios(
-        m1_ratio=spec.immigration.factorial_moment_at(n, 1) / delta,
-        m2_ratio=spec.immigration.factorial_moment_at(n, 2) / delta,
-        g2_ratio=float(spec.offspring.second_deriv(n)) / delta,
-        g3_ratio=spec.offspring.deriv_at_1(n, 3) / delta,
-        partial_sum=partial,
-    )
+    # 1 - rho_n can underflow to 0: the IEEE quotient, inf or nan, says so
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ConditionRatios(
+            m1_ratio=float(spec.immigration.factorial_moment_at(n, 1) / delta),
+            m2_ratio=float(spec.immigration.factorial_moment_at(n, 2) / delta),
+            g2_ratio=float(spec.offspring.second_deriv(n) / delta),
+            g3_ratio=float(spec.offspring.deriv_at_1(n, 3) / delta),
+            partial_sum=partial,
+        )

@@ -117,8 +117,10 @@ def _check_cascade(lambdas) -> None:
 def cp_intensity_finite(lambdas) -> IntensityMeasure:
     """Atoms mu{j} = (1/j!) sum_{i=0}^{J-j-1} (-1)^i lambda_{j+i} / i!.
 
-    The sequence must end in a zero and respect the cascade rule; a
-    negative atom means the lambda sequence is inadmissible.
+    They are the x-basis coefficients j >= 1 of sum_l lambda_l (x-1)^l / l!,
+    so one :func:`pgf.taylor_shift` by -1 gives them all. The sequence must
+    end in a zero and respect the cascade rule; a negative atom means the
+    lambda sequence is inadmissible.
     """
     lam = [float(v) for v in lambdas]
     if len(lam) < 2:
@@ -128,13 +130,8 @@ def cp_intensity_finite(lambdas) -> IntensityMeasure:
     if any(v < 0 for v in lam):
         raise ValueError("lambda values must be nonnegative")
     _check_cascade(lam)
-    big_j = len(lam)
-    atoms = np.empty(big_j - 1)
-    for j in range(1, big_j):
-        total = 0.0
-        for i in range(big_j - j):
-            total += (-1.0) ** i / math.factorial(i) * lam[j + i - 1]
-        atoms[j - 1] = total / math.factorial(j)
+    c = [0.0] + [v / math.factorial(l) for l, v in enumerate(lam, start=1)]
+    atoms = pgf.taylor_shift(c, -1.0, len(lam))[1:]
     if np.any(atoms < -_ATOM_CLAMP):
         raise NotADistributionError(
             "lambda sequence produces a negative intensity atom"

@@ -280,46 +280,36 @@ def factorial_moment(p: Pmf, k: int) -> float:
     return float(np.sum(ff * p.coeffs))
 
 
-def _comb_column(lo: int, hi: int, k: int) -> np.ndarray:
-    """C(l, k) for l = lo..hi as floats, falling back to logs on overflow."""
-    try:
-        return np.array([float(math.comb(l, k)) for l in range(lo, hi + 1)])
-    except OverflowError:
-        ls = np.arange(lo, hi + 1, dtype=float)
-        logs = (
-            np.vectorize(math.lgamma)(ls + 1.0)
-            - math.lgamma(k + 1.0)
-            - np.vectorize(math.lgamma)(ls - k + 1.0)
-        )
-        return np.exp(logs)
+def taylor_shift(c, a: float, k_trunc: int) -> np.ndarray:
+    """First ``k_trunc`` coefficients of sum_l c_l (x + a)^l.
+
+    Horner from the top coefficient: out <- (x + a) out + c_l, cut at
+    ``k_trunc`` each time. Multiplying by (x + a) moves coefficient i only
+    into i and i + 1, so a kept coefficient never depends on a cut one and
+    the cost is O(len(c) k_trunc) (von zur Gathen & Gerhard, ISSAC 1997).
+    a = 1 rewrites an x-basis series in the (x-1) basis, by sums of
+    nonnegative terms when c >= 0; a = -1 is the inverse, with alternating
+    signs.
+    """
+    if k_trunc <= 0:
+        raise ValueError("truncation length must be positive")
+    out = np.zeros(k_trunc)
+    for cl in np.asarray(c, dtype=float)[::-1]:
+        out[1:] = out[:-1] + a * out[1:]
+        out[0] = a * out[0] + cl
+    return out
 
 
 def to_centered(p: Pmf) -> CenteredSeries:
-    """Rewrite sum p_k x^k as sum c_l (x-1)^l; c_l = sum_{k>=l} p_k C(k,l)."""
-    n = p.coeffs.shape[0]
-    c = np.empty(n)
-    for l in range(n):
-        c[l] = np.sum(_comb_column(l, n - 1, l) * p.coeffs[l:])
-    return CenteredSeries(c)
-
-
-def _x_basis(c: np.ndarray, k_out: int) -> np.ndarray:
-    """First ``k_out`` x-basis coefficients sum_{l>=k} c_l C(l,k) (-1)^(l-k).
-
-    The alternating sums are accumulated with numpy's pairwise summation to
-    limit cancellation.
-    """
-    n = c.shape[0]
-    p = np.zeros(k_out)
-    for k in range(min(k_out, n)):
-        signs = np.where((np.arange(k, n) - k) % 2 == 0, 1.0, -1.0)
-        p[k] = np.sum(_comb_column(k, n - 1, k) * c[k:] * signs)
-    return p
+    """Rewrite sum p_k x^k as sum c_l (x-1)^l by the shift by +1:
+    c_l = sum_{k>=l} p_k C(k,l)."""
+    return CenteredSeries(taylor_shift(p.coeffs, 1.0, len(p)))
 
 
 def from_centered(c: CenteredSeries, k_trunc: int | None = None) -> Pmf:
-    """Inverse of :func:`to_centered`: p_k = sum_{l>=k} c_l C(l,k) (-1)^(l-k)."""
-    return Pmf(_x_basis(c.coeffs, len(c) if k_trunc is None else k_trunc))
+    """Inverse of :func:`to_centered`, the shift by -1:
+    p_k = sum_{l>=k} c_l C(l,k) (-1)^(l-k), for k < ``k_trunc``."""
+    return Pmf(taylor_shift(c.coeffs, -1.0, len(c) if k_trunc is None else k_trunc))
 
 
 def exp_series(a: np.ndarray, k_trunc: int) -> Pmf:
@@ -346,14 +336,14 @@ def exp_series(a: np.ndarray, k_trunc: int) -> Pmf:
 def exp_centered(c: CenteredSeries, k_trunc: int) -> Pmf:
     """PMF whose PGF is exp of the centered series ``c``.
 
-    Requires c_0 = 0 so the PGF equals 1 at x = 1. Only the ``k_trunc``
-    x-basis columns that feed the output are transformed. A negative output
-    coefficient beyond the clamp signals that the series does not define a
-    distribution.
+    Requires c_0 = 0 so the PGF equals 1 at x = 1. The series is moved to
+    the x basis by :func:`taylor_shift` by -1, only the ``k_trunc`` columns
+    that feed the output. A negative output coefficient beyond the clamp
+    signals that the series does not define a distribution.
     """
     if abs(float(c.coeffs[0])) > 1e-12:
         raise ValueError("centered series must vanish at x = 1 (c_0 = 0)")
-    return exp_series(_x_basis(c.coeffs, min(k_trunc, len(c))), k_trunc)
+    return exp_series(taylor_shift(c.coeffs, -1.0, min(k_trunc, len(c))), k_trunc)
 
 
 def poisson_coeffs(lam, k_trunc: int) -> np.ndarray:

@@ -4,8 +4,9 @@ Each one is a scalar or textbook form of a quantity the library computes
 by another route: the LF composition by chain-rule derivatives, the LF
 coefficients of one generation from its scalar parameters, the
 Faà di Bruno coefficient of f''(g), the chord slope vartheta, the product
-law by explicit summation, and the Poisson and negative binomial
-coefficients by their step-by-step recurrences.
+law by explicit summation, the Poisson and negative binomial
+coefficients by their step-by-step recurrences, and the changes between
+the x and (x-1) bases by binomial columns and alternating sums.
 """
 
 from __future__ import annotations
@@ -134,3 +135,50 @@ def nb_coeffs_loop(r: float, p: float, k_trunc: int) -> np.ndarray:
     for k in range(k_trunc - 1):
         out[k + 1] = out[k] * p * (k + r) / (k + 1)
     return out
+
+
+def comb_column(lo: int, hi: int, k: int) -> np.ndarray:
+    """C(l, k) for l = lo..hi as floats, falling back to logs on overflow."""
+    try:
+        return np.array([float(math.comb(l, k)) for l in range(lo, hi + 1)])
+    except OverflowError:
+        ls = np.arange(lo, hi + 1, dtype=float)
+        logs = (
+            np.vectorize(math.lgamma)(ls + 1.0)
+            - math.lgamma(k + 1.0)
+            - np.vectorize(math.lgamma)(ls - k + 1.0)
+        )
+        return np.exp(logs)
+
+
+def centered_by_binomials(p) -> np.ndarray:
+    """(x-1)-basis coefficients c_l = sum_{k>=l} p_k C(k,l) of sum p_k x^k."""
+    p = np.asarray(p, dtype=float)
+    n = p.shape[0]
+    return np.array([np.sum(comb_column(l, n - 1, l) * p[l:]) for l in range(n)])
+
+
+def x_basis_by_binomials(c, k_out: int) -> np.ndarray:
+    """First ``k_out`` x-basis coefficients sum_{l>=k} c_l C(l,k) (-1)^(l-k)
+    of sum c_l (x-1)^l, each alternating sum by numpy's pairwise summation."""
+    c = np.asarray(c, dtype=float)
+    n = c.shape[0]
+    p = np.zeros(k_out)
+    for k in range(min(k_out, n)):
+        signs = np.where((np.arange(k, n) - k) % 2 == 0, 1.0, -1.0)
+        p[k] = np.sum(comb_column(k, n - 1, k) * c[k:] * signs)
+    return p
+
+
+def cp_atoms_loop(lambdas) -> np.ndarray:
+    """Compound Poisson atoms mu{j} = (1/j!) sum_{i<J-j} (-1)^i lambda_{j+i}/i!,
+    j = 1..J-1, by the double loop of alternating sums, unchecked."""
+    lam = [float(v) for v in lambdas]
+    big_j = len(lam)
+    atoms = np.empty(big_j - 1)
+    for j in range(1, big_j):
+        total = 0.0
+        for i in range(big_j - j):
+            total += (-1.0) ** i / math.factorial(i) * lam[j + i - 1]
+        atoms[j - 1] = total / math.factorial(j)
+    return atoms

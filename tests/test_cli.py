@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import resource
 import subprocess
@@ -257,6 +258,30 @@ def test_simulate_reps_beyond_int64_is_a_validation_error(tmp_path, capsys):
     args = ["--scenario", path, "--command", "simulate", "--n", "3", "--reps"]
     assert cli.main(args + [str(2**63)]) == 3
     assert "does not fit in a 64-bit count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rule", [
+    "offspring.rho.gamma = 400",
+    "offspring.rho.gamma = 60\noffspring.rho.n0 = 1000000",
+])
+def test_product_limit_with_rates_below_the_float_range(tmp_path, capsys, rule):
+    # 1 - rho_n underflows to 0 from n = 2 on, so every rho_[j,inf] is 1
+    # and g(x) = exp(-(1-x) sum_j m_{j,1}) with m_{j,1} = j^-2 + j^-3
+    text = scenarios.fixture_text("thm6_example2").replace(
+        "offspring.rho.gamma = 2\noffspring.rho.n0 = 0", rule)
+    p = tmp_path / "steep.scn"
+    p.write_text(text)
+    args = ["--scenario", str(p), "--command", "limits", "--x-grid", "0.9"]
+    assert cli.main(args) == 0
+    x, g = capsys.readouterr().out.splitlines()[1].split(",")
+    want = math.exp(-0.1 * (math.pi**2 / 6 + 1.2020569031595942))
+    assert float(x) == 0.9 and float(g) == pytest.approx(want, abs=1e-7)
+    args = ["--scenario", str(p), "--command", "report", "--n-grid", "3,10",
+            "--format", "json"]
+    assert cli.main(args) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows[1]["n"] == 10
+    assert rows[1]["condition_ratios"]["m1_ratio"] == math.inf
 
 
 def test_exit_code_numeric_error(tmp_path, capsys):

@@ -8,6 +8,7 @@ from scipy import stats
 from conftest import constant_spec, make_spec
 from nearcrit import limits, pgf
 from nearcrit.diagnostics import (
+    _limit_moments,
     _vartheta_all,
     accompanying_gap_bound,
     report,
@@ -16,7 +17,7 @@ from nearcrit.diagnostics import (
     tv_distance,
 )
 from nearcrit.errors import NumericError, WrongRegimeError
-from nearcrit.families import OffspringFamily, RhoRule
+from nearcrit.families import CompoundPoissonLimit, OffspringFamily, RhoRule
 from nearcrit.linfrac import chain_product
 from nearcrit.scenarios import load_fixture
 from oracles import vartheta
@@ -236,6 +237,18 @@ def test_report_compound_poisson_regime():
     assert rep.law.startswith("CompoundPoisson")
     assert rep.rows[1].tv < rep.rows[0].tv
     assert rep.rows[1].tv < 0.01
+
+
+@pytest.mark.parametrize("lambdas", [(2.0, 1.0, 0.0), (1.5, 0.0, 0.0),
+                                     (3.0, 2.0, 1.0, 0.0), (0.5, 0.25, 0.1, 0.0, 0.0)])
+def test_compound_poisson_limit_moments_are_those_of_its_atoms(lambdas):
+    spec = make_spec(lam=lambdas[0], lambda_seq=lambdas)
+    atoms = limits.cp_intensity_finite(lambdas).atoms
+    jj = np.arange(1, atoms.shape[0] + 1)
+    mean = float(np.sum(jj * atoms))
+    m2 = mean**2 + float(np.sum(jj * (jj - 1) * atoms))
+    got = _limit_moments(CompoundPoissonLimit(lambdas), spec)
+    assert got == pytest.approx((mean, m2), rel=1e-14)
 
 
 def test_report_log2_regime_uses_intensity_atoms():

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from nearcrit import pgf
 from nearcrit.errors import NotADistributionError
-from oracles import nb_coeffs_loop, poisson_coeffs_loop
+from oracles import (
+    centered_by_binomials,
+    cp_atoms_loop,
+    nb_coeffs_loop,
+    poisson_coeffs_loop,
+    x_basis_by_binomials,
+)
 
 
 def bern(p):
@@ -191,6 +197,57 @@ def test_shift_basis_roundtrip_poisson():
     p = pgf.Pmf(pgf.poisson_coeffs(2.0, 50))
     back = pgf.from_centered(pgf.to_centered(p))
     assert np.max(np.abs(back.coeffs - p.coeffs)) <= 1e-10
+
+
+def _shift_magnitude(c, b: float) -> np.ndarray:
+    """sum_l |c_l| C(l,k) b^(l-k) for every k: the scale of the rounding
+    error of any summation of the shift of c by +-b."""
+    c = np.abs(np.asarray(c, dtype=float))
+    return np.array([sum(c[l] * math.comb(l, k) * b ** (l - k)
+                         for l in range(k, len(c))) for k in range(len(c))])
+
+
+def _rounding_bound(c, b: float) -> np.ndarray:
+    # each coefficient takes at most len(c) multiply-adds on either route
+    return 4 * (len(c) + 1) * np.finfo(float).eps * _shift_magnitude(c, b) + 1e-300
+
+
+signed_vectors = st.lists(st.floats(min_value=-1.0, max_value=1.0),
+                          min_size=1, max_size=12)
+
+
+@given(signed_vectors, st.sampled_from([1.0, -1.0]), st.integers(1, 15))
+@settings(max_examples=100, deadline=None)
+def test_taylor_shift_matches_binomial_columns(c, a, k):
+    got = pgf.taylor_shift(c, a, k)
+    assert got.shape == (k,)
+    want = centered_by_binomials(c) if a == 1.0 else x_basis_by_binomials(c, len(c))
+    bound = _rounding_bound(c, 1.0)
+    m = min(k, len(c))
+    assert np.all(np.abs(got[:m] - want[:m]) <= bound[:m])
+    assert np.all(got[m:] == 0.0)
+
+
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=1, max_size=1),
+    st.lists(st.floats(min_value=0.01, max_value=3.0), max_size=5),
+    st.integers(1, 3),
+)
+@settings(max_examples=100, deadline=None)
+def test_taylor_shift_gives_the_compound_poisson_atoms(first, rest, zeros):
+    # admissible sequences: nonnegative, ending in zeros that never stop
+    lam = first + rest + [0.0] * zeros
+    c = [0.0] + [v / math.factorial(l) for l, v in enumerate(lam, start=1)]
+    got = pgf.taylor_shift(c, -1.0, len(lam))[1:]
+    bound = _rounding_bound(c, 1.0)[1 : len(lam)]
+    assert np.all(np.abs(got - cp_atoms_loop(lam)) <= bound)
+
+
+@given(signed_vectors, st.floats(min_value=-2.0, max_value=2.0))
+@settings(max_examples=100, deadline=None)
+def test_taylor_shift_round_trip(c, a):
+    back = pgf.taylor_shift(pgf.taylor_shift(c, a, len(c)), -a, len(c))
+    assert np.all(np.abs(back - c) <= 2 * _rounding_bound(c, 2.0 * abs(a)))
 
 
 small_pmfs = (
