@@ -15,7 +15,6 @@ from .errors import (
     WrongRegimeError,
 )
 from .families import (
-    CompoundPoissonLimit,
     GeneralExpLimit,
     OutsideScope,
     ProductLimit,
@@ -58,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="RNG seed")
     p.add_argument("--x-grid", type=KEYS["run.x_grid"].parse,
                    help="comma list of PGF points")
-    p.add_argument("--tol", type=float, help="series/product tolerance")
+    p.add_argument("--tol", type=float,
+                   help="tolerance of the product law (fast-convergence regime)")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     return p
@@ -92,15 +92,14 @@ def _limit_output(sf: ScenarioFile, args: argparse.Namespace, k: int, xs,
     if isinstance(law, OutsideScope):
         raise WrongRegimeError(f"no limit law to output: {law.reason}")
     meta = {"scenario": spec.name, "law": law.describe()}
-    if isinstance(law, GeneralExpLimit):
-        vals = [limits.general_limit_pgf(spec.lambda_over_factorial, x, tol)
-                for x in xs]
+    atoms = limits.limit_atoms(law)
+    if isinstance(law, GeneralExpLimit):  # PGF on the grid from its atoms
+        vals = [atoms.pgf_at(x) for x in xs]
     elif isinstance(law, ProductLimit):  # PGF on the grid, one call
         vals = limits.product_law_eval(spec, xs, tol).tolist()
     else:  # Poisson, negative binomial and compound Poisson have a PMF
-        if isinstance(law, CompoundPoissonLimit):
-            meta["atoms"] = [float(v) for v in
-                             limits.cp_intensity_finite(law.lambdas).atoms]
+        if atoms is not None:
+            meta["atoms"] = [float(v) for v in atoms.atoms]
         return _pmf_text(diagnostics._limit_pmf(law, k), args.format, meta)
     return _pgf_grid_text(xs, vals, args.format, meta)
 

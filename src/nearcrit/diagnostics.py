@@ -188,11 +188,8 @@ def _limit_pmf(law: LimitLaw, k_trunc: int) -> pgf.Pmf | None:
         return limits.poisson_pmf(law.lam, k_trunc)
     if isinstance(law, NegativeBinomialLimit):
         return limits.nb_pmf(law.r, law.p, k_trunc)
-    if isinstance(law, CompoundPoissonLimit):
-        return limits.cp_pmf(limits.cp_intensity_finite(law.lambdas), k_trunc)
-    if isinstance(law, GeneralExpLimit) and law.rule == "log_series":
-        return limits.cp_pmf(limits.log_series_measure(), k_trunc)
-    return None
+    atoms = limits.limit_atoms(law)
+    return None if atoms is None else limits.cp_pmf(atoms, k_trunc)
 
 
 def report(spec: ScenarioSpec, n_grid, k_trunc: int | None = None,

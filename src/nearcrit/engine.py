@@ -12,7 +12,6 @@ third. The one-generation :func:`step` stays as the forward oracle.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -180,11 +179,6 @@ def pgf_via_product(spec: ScenarioSpec, n: int, x: float) -> float:
     to the accumulated truncation deficiency.
     """
     return float(np.prod(_finite_factors(spec, n, x)))
-
-
-def accompanying_eval(spec: ScenarioSpec, n: int, x: float) -> float:
-    """Exponential companion exp{sum_j (H_j(Gbar_{j+1,n}(x)) - 1)}."""
-    return math.exp(float(np.sum(_finite_factors(spec, n, x) - 1.0)))
 
 
 # ---------------------------------------------------------------------------

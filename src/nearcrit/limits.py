@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedFamilyError,
     WrongRegimeError,
 )
-from .families import ScenarioSpec
+from .families import CompoundPoissonLimit, GeneralExpLimit, LimitLaw, ScenarioSpec
 
 _ATOM_CLAMP = 1e-12
 
@@ -141,59 +141,31 @@ def cp_intensity_finite(lambdas) -> IntensityMeasure:
 
 def cp_intensity_series(rule: Callable[[int], float], tol: float,
                         j_max: int = 64, i_max: int = 10_000) -> IntensityMeasure:
-    """Atoms mu{j} = (1/j!) sum_{i>=0} (-1)^i lambda_{j+i}/i! from a rule.
+    """Atoms mu{j} = (1/j!) sum_{i>=0} (-1)^i lambda_{j+i}/i!, j <= ``j_max``,
+    from a rule l -> lambda_l.
 
-    Convergence requires 30 consecutive term magnitudes below ``tol`` with
-    a decreasing alternating pattern; otherwise (or on overflow of the
-    terms) an explicit divergence signal is raised.
+    As in :func:`cp_intensity_finite` they are the x-basis coefficients of
+    sum_l lambda_l (x-1)^l / l!: the centered series is cut for the
+    ``j_max`` + 1 columns 0..j_max by :func:`_centered_cut`, which also ends
+    it at the first lambda_l = 0, and one :func:`pgf.taylor_shift` by -1
+    gives every atom. No cut within ``j_max`` + ``i_max`` terms, or a term
+    that overflows, raises :class:`SeriesDivergenceError`; a negative atom
+    means the rule is inadmissible.
     """
-    atoms = np.empty(j_max)
-    depth = 0
-    for j in range(1, j_max + 1):
-        total = 0.0
-        small_run = 0
-        grow_run = 0
-        prev_mag = math.inf
-        converged = False
-        for i in range(i_max):
-            try:
-                term = (-1.0) ** i * rule(j + i) / math.factorial(i)
-            except OverflowError:
-                raise SeriesDivergenceError(
-                    f"intensity series terms overflow at j={j}, i={i}"
-                ) from None
-            if not math.isfinite(term):
-                raise SeriesDivergenceError(
-                    f"intensity series terms overflow at j={j}, i={i}"
-                )
-            total += term
-            mag = abs(term)
-            small_run = small_run + 1 if mag < tol else 0
-            grow_run = grow_run + 1 if mag >= prev_mag and mag > tol else 0
-            prev_mag = mag
-            if small_run >= 30:
-                converged = True
-                depth = max(depth, i + 1)
-                break
-            if grow_run >= 64:
-                raise SeriesDivergenceError(
-                    f"intensity series does not converge at j={j}: term "
-                    f"magnitudes stopped decreasing"
-                )
-        if not converged:
-            raise SeriesDivergenceError(
-                f"intensity series for atom j={j} showed no convergence "
-                f"within {i_max} terms"
-            )
-        atoms[j - 1] = total / math.factorial(j)
+    c = _centered_cut(lambda l: rule(l) / math.factorial(l), j_max + 1, tol,
+                      j_max + i_max)
+    atoms = pgf.taylor_shift(c, -1.0, j_max + 1)[1:]
+    if not np.all(np.isfinite(atoms)):
+        raise SeriesDivergenceError("intensity series terms overflow in the shift")
     if np.any(atoms < -_ATOM_CLAMP):
         raise NotADistributionError("rule produces a negative intensity atom")
-    tail = float(abs(atoms[-1]))
-    return IntensityMeasure(atoms, tail_bound=tail, series_depth=depth)
+    return IntensityMeasure(atoms, tail_bound=float(abs(atoms[-1])),
+                            series_depth=c.shape[0] - 1)
 
 
 def log_series_intensity(j: int) -> float:
-    """Worked intensity mu{j} = (1/j)[log 2 - sum_{k<j} 1/(k 2^k)].
+    """Worked intensity mu{j} = (1/j) sum_{k>=j} 1/(k 2^k), the j-th atom of
+    :func:`log_series_measure`.
 
     This is the compound Poisson representation of the limit whose
     moment-ratio sequence is lambda_l = (l-1)!/l, for which the alternating
@@ -201,12 +173,20 @@ def log_series_intensity(j: int) -> float:
     """
     if j < 1:
         raise ValueError("atom index must be >= 1")
-    partial = sum(1.0 / (k * 2.0**k) for k in range(1, j))
-    return (math.log(2.0) - partial) / j
+    return float(log_series_measure(j).atoms[-1])
 
 
 def log_series_measure(j_max: int = 64) -> IntensityMeasure:
-    atoms = np.array([log_series_intensity(j) for j in range(1, j_max + 1)])
+    """Atoms mu{j} = (1/j) sum_{k>=j} 1/(k 2^k), j = 1..``j_max``.
+
+    Each tail is a sum of positive terms, taken from its small end over
+    k <= j_max + 64 (the rest is below 2^-64 of it), so every atom is
+    exact to rounding. The form (log 2 - sum_{k<j} 1/(k 2^k))/j cancels:
+    its relative error is 4e-6 at j = 30 and above 1 at j = 50.
+    """
+    k = np.arange(1, j_max + 65)
+    tails = np.cumsum(np.ldexp(1.0 / k, -k)[::-1])[::-1]
+    atoms = tails[:j_max] / k[:j_max]
     return IntensityMeasure(atoms, tail_bound=float(atoms[-1]))
 
 
@@ -228,54 +208,60 @@ def _max_binom_log(l: int, k_trunc: int) -> float:
     )
 
 
-def general_limit_pmf(c_rule: Callable[[int], float], k_trunc: int,
-                      tol: float = 1e-10, l_cap: int = 10_000) -> pgf.Pmf:
-    """PMF of the law with PGF exp{sum_l c_l (x-1)^l}, c_l = lambda_l / l!.
+def _centered_cut(c_rule: Callable[[int], float], k_trunc: int, tol: float,
+                  l_cap: int) -> np.ndarray:
+    """(0, c_1, ..., c_L): the centered series sum_l c_l (x-1)^l, cut for
+    its x-basis coefficients below x^``k_trunc``.
 
-    The series is cut at the first l where the dropped term cannot move any
-    of the ``k_trunc`` output columns by more than tol/100; the binomial
-    factor of the basis change makes that bound |c_l| max_k C(l,k). If the
-    bound never triggers before ``l_cap`` the series is reported as
-    non-truncatable. A negative output coefficient signals that the
-    sequence does not define a distribution at this truncation.
+    The term c_l (x-1)^l moves coefficient k by |c_l| C(l, k), so the series
+    ends at the first l with |c_l| max_{k < k_trunc} C(l, k) below tol/100,
+    or at the first c_l = 0: by the cascade rule a vanished moment ratio
+    never reappears. The test looks at that one term and trusts the rest to
+    be smaller. No cut within ``l_cap`` terms, or a term that overflows,
+    raises :class:`SeriesDivergenceError`.
     """
     log_target = math.log(tol * 1e-2)
     coeffs = [0.0]
     for l in range(1, l_cap + 1):
-        c = float(c_rule(l))
+        try:
+            c = float(c_rule(l))
+        except OverflowError:
+            c = math.inf
+        if not math.isfinite(c):
+            raise SeriesDivergenceError(f"centered coefficient c_{l} overflows")
         coeffs.append(c)
         if c == 0.0 or math.log(abs(c)) + _max_binom_log(l, k_trunc) < log_target:
-            break
-    else:
-        raise SeriesDivergenceError(
-            f"centered coefficients do not truncate within {l_cap} terms "
-            f"for {k_trunc} output columns"
-        )
-    return pgf.exp_centered(pgf.CenteredSeries(np.array(coeffs)), k_trunc)
+            return np.array(coeffs)
+    raise SeriesDivergenceError(
+        f"centered coefficients do not truncate within {l_cap} terms "
+        f"for {k_trunc} output columns"
+    )
 
 
-def general_limit_pgf(c_rule: Callable[[int], float], x: float,
-                      tol: float = 1e-10, l_cap: int = 10_000_000) -> float:
-    """Direct evaluation of exp{sum_l c_l (x-1)^l} at one point of [0, 1]."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("PGF argument must lie in [0, 1]")
-    u = x - 1.0
-    total = 0.0
-    power = 1.0
-    grow_run = 0
-    prev_mag = math.inf
-    for l in range(1, l_cap + 1):
-        power *= u
-        term = float(c_rule(l)) * power
-        total += term
-        mag = abs(term)
-        if mag < tol * 1e-2:
-            return math.exp(total)
-        grow_run = grow_run + 1 if mag >= prev_mag else 0
-        prev_mag = mag
-        if grow_run >= 1000:
-            break
-    raise SeriesDivergenceError("centered series shows no convergence at x")
+def general_limit_pmf(c_rule: Callable[[int], float], k_trunc: int,
+                      tol: float = 1e-10, l_cap: int = 10_000) -> pgf.Pmf:
+    """PMF of the law with PGF exp{sum_l c_l (x-1)^l}, c_l = lambda_l / l!.
+
+    The series is cut by :func:`_centered_cut`: at the first term that
+    moves none of the ``k_trunc`` output columns by tol/100, or at the first
+    c_l = 0. No cut within ``l_cap`` terms, or a term that overflows,
+    raises :class:`SeriesDivergenceError`. A negative output coefficient
+    signals that the sequence does not define a distribution at this
+    truncation.
+    """
+    c = _centered_cut(c_rule, k_trunc, tol, l_cap)
+    return pgf.exp_centered(pgf.CenteredSeries(c), k_trunc)
+
+
+def limit_atoms(law: LimitLaw) -> IntensityMeasure | None:
+    """Compound Poisson atoms of a classified limit law: the finite form for
+    a lambda sequence, the closed form for the log-series rule; None for
+    every other law."""
+    if isinstance(law, CompoundPoissonLimit):
+        return cp_intensity_finite(law.lambdas)
+    if isinstance(law, GeneralExpLimit) and law.rule == "log_series":
+        return log_series_measure()
+    return None
 
 
 # ---------------------------------------------------------------------------

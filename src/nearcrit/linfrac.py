@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NumericError, UnsupportedFamilyError
+from .errors import UnsupportedFamilyError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .families import ScenarioSpec
@@ -199,21 +199,3 @@ def composed_deriv_profile(spec: "ScenarioSpec", n: int, k_max: int) -> np.ndarr
         h = acc
         out[l - 1] = h[1:] * fact
     return out
-
-
-def deriv_sum_limit(lam: float, nu: float, k: int) -> float:
-    """Limit of sum_j m_{j,1} Gbar_{j+1,n}^(k)(1): (k-1)! lam (nu/2)^(k-1)."""
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k == 1:
-        return lam
-    if lam == 0.0:
-        return 0.0
-    log_val = math.lgamma(k) + math.log(lam) + (k - 1) * math.log(nu / 2.0)
-    if log_val > 700.0:
-        raise NumericError(f"limit value overflows at k = {k}")
-    return math.exp(log_val)

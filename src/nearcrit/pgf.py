@@ -300,18 +300,6 @@ def taylor_shift(c, a: float, k_trunc: int) -> np.ndarray:
     return out
 
 
-def to_centered(p: Pmf) -> CenteredSeries:
-    """Rewrite sum p_k x^k as sum c_l (x-1)^l by the shift by +1:
-    c_l = sum_{k>=l} p_k C(k,l)."""
-    return CenteredSeries(taylor_shift(p.coeffs, 1.0, len(p)))
-
-
-def from_centered(c: CenteredSeries, k_trunc: int | None = None) -> Pmf:
-    """Inverse of :func:`to_centered`, the shift by -1:
-    p_k = sum_{l>=k} c_l C(l,k) (-1)^(l-k), for k < ``k_trunc``."""
-    return Pmf(taylor_shift(c.coeffs, -1.0, len(c) if k_trunc is None else k_trunc))
-
-
 def exp_series(a: np.ndarray, k_trunc: int) -> Pmf:
     """Coefficients of exp of a power series given in the x basis.
 

@@ -5,8 +5,11 @@ by another route: the LF composition by chain-rule derivatives, the LF
 coefficients of one generation from its scalar parameters, the
 Faà di Bruno coefficient of f''(g), the chord slope vartheta, the product
 law by explicit summation, the Poisson and negative binomial
-coefficients by their step-by-step recurrences, and the changes between
-the x and (x-1) bases by binomial columns and alternating sums.
+coefficients by their step-by-step recurrences, the changes between
+the x and (x-1) bases by binomial columns and alternating sums, the
+general exponential law by pointwise summation of its centered series,
+the exponential companion of the product over composed maps, and the
+limits of the derivative sums of composed maps.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 import numpy as np
 
 from nearcrit import engine
-from nearcrit.errors import NumericError
+from nearcrit.errors import NumericError, SeriesDivergenceError
 from nearcrit.linfrac import LinearFractional, chain_product, lf_alpha_beta
 
 
@@ -182,3 +185,53 @@ def cp_atoms_loop(lambdas) -> np.ndarray:
             total += (-1.0) ** i / math.factorial(i) * lam[j + i - 1]
         atoms[j - 1] = total / math.factorial(j)
     return atoms
+
+
+def general_limit_pgf(c_rule, x: float, tol: float = 1e-10,
+                      l_cap: int = 10_000_000) -> float:
+    """exp{sum_l c_l (x-1)^l} at one point of [0, 1] by summing the series
+    until a term falls below tol/100; SeriesDivergenceError after 1000
+    growing terms or ``l_cap`` terms."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError("PGF argument must lie in [0, 1]")
+    u = x - 1.0
+    total = 0.0
+    power = 1.0
+    grow_run = 0
+    prev_mag = math.inf
+    for l in range(1, l_cap + 1):
+        power *= u
+        term = float(c_rule(l)) * power
+        total += term
+        mag = abs(term)
+        if mag < tol * 1e-2:
+            return math.exp(total)
+        grow_run = grow_run + 1 if mag >= prev_mag else 0
+        prev_mag = mag
+        if grow_run >= 1000:
+            break
+    raise SeriesDivergenceError("centered series shows no convergence at x")
+
+
+def accompanying_eval(spec, n: int, x: float) -> float:
+    """Exponential companion exp{sum_j (H_j(Gbar_{j+1,n}(x)) - 1)} of the
+    product ``engine.pgf_via_product``, at the clamped (finite-n) rates."""
+    return math.exp(float(np.sum(engine._finite_factors(spec, n, x) - 1.0)))
+
+
+def deriv_sum_limit(lam: float, nu: float, k: int) -> float:
+    """Limit of sum_j m_{j,1} Gbar_{j+1,n}^(k)(1): (k-1)! lam (nu/2)^(k-1)."""
+    if lam < 0:
+        raise ValueError("lam must be nonnegative")
+    if nu <= 0:
+        raise ValueError("nu must be positive")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k == 1:
+        return lam
+    if lam == 0.0:
+        return 0.0
+    log_val = math.lgamma(k) + math.log(lam) + (k - 1) * math.log(nu / 2.0)
+    if log_val > 700.0:
+        raise NumericError(f"limit value overflows at k = {k}")
+    return math.exp(log_val)

@@ -15,7 +15,14 @@ from nearcrit import cli, engine, limits, linfrac, pgf
 from nearcrit.diagnostics import accompanying_gap_bound, toeplitz_weights, tv_distance
 from nearcrit.linfrac import chain_product
 from nearcrit.scenarios import fixture_text, load_fixture
-from oracles import faa_f2_coefficient, faa_weight, vartheta
+from oracles import (
+    accompanying_eval,
+    deriv_sum_limit,
+    faa_f2_coefficient,
+    faa_weight,
+    general_limit_pgf,
+    vartheta,
+)
 
 X_GRID_11 = tuple(round(0.1 * i, 1) for i in range(11))
 
@@ -70,7 +77,7 @@ def test_criterion_3_negative_binomial_convergence():
     rels = []
     for k in (1, 2, 3):
         total = float(np.sum(m * prof[1:, k - 1]))
-        target_k = linfrac.deriv_sum_limit(1.0, 1.0, k)
+        target_k = deriv_sum_limit(1.0, 1.0, k)
         rels.append(abs(total - target_k) / target_k)
     ok_sums = all(r <= 0.05 for r in rels)
     _criterion(
@@ -121,7 +128,7 @@ def test_criterion_5_limit_constructors_cross_checks():
     worst = max(
         abs(
             atoms.pgf_at(x)
-            - limits.general_limit_pgf(spec.lambda_over_factorial, x, tol=1e-10)
+            - general_limit_pgf(spec.lambda_over_factorial, x, tol=1e-10)
         )
         for x in X_GRID_11
     )
@@ -218,7 +225,7 @@ def test_criterion_6_invariant_suite():
                 for xv in (0.0, 0.5, 0.9):
                     gap = abs(
                         engine.pgf_via_product(spec, n, xv)
-                        - engine.accompanying_eval(spec, n, xv)
+                        - accompanying_eval(spec, n, xv)
                     )
                     if gap > accompanying_gap_bound(spec, n, xv) + 1e-12:
                         failures.append(

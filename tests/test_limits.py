@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nearcrit.errors import (
 )
 from nearcrit.linfrac import chain_product
 from nearcrit.scenarios import load_fixture
+from oracles import general_limit_pgf
 
 
 def test_poisson_pmf_degenerate_and_values():
@@ -97,6 +99,17 @@ def test_cp_intensity_series_geometric_closed_form():
     assert np.max(np.abs(measure.atoms - want)) < 1e-12
 
 
+def test_cp_intensity_series_on_a_finite_sequence():
+    # lambda = (2, 1, 0), zero beyond: the atoms of the finite form
+    lam = (2.0, 1.0, 0.0)
+    measure = limits.cp_intensity_series(
+        lambda l: lam[l - 1] if l <= len(lam) else 0.0, tol=1e-12, j_max=8
+    )
+    assert list(measure.atoms[:2]) == list(limits.cp_intensity_finite(lam).atoms)
+    assert list(measure.atoms[:2]) == [1.0, 0.5]
+    assert np.all(measure.atoms[2:] == 0.0)
+
+
 def test_cp_intensity_series_divergence_signal():
     with pytest.raises(SeriesDivergenceError):
         limits.cp_intensity_series(
@@ -109,9 +122,19 @@ def test_log_series_intensity_values():
     assert limits.log_series_intensity(2) == pytest.approx(
         (math.log(2.0) - 0.5) / 2.0, abs=1e-15
     )
-    vals = [limits.log_series_intensity(j) for j in range(1, 30)]
+    vals = [limits.log_series_intensity(j) for j in range(1, 65)]
     assert all(v > 0 for v in vals)
     assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def test_log_series_atoms_match_exact_tail_sums():
+    # mu{j} = (1/j) sum_{k>=j} 1/(k 2^k); the rational sum over k < j + 150
+    # leaves out less than 2^-149 of the tail
+    measure = limits.log_series_measure(64)
+    for j in range(1, 65):
+        exact = sum(Fraction(1, k * 2**k) for k in range(j, j + 150)) / j
+        for got in (measure.atoms[j - 1], limits.log_series_intensity(j)):
+            assert abs(Fraction(got) - exact) <= Fraction(1, 10**15) * exact
 
 
 def test_log_series_paths_agree_on_grid():
@@ -120,7 +143,7 @@ def test_log_series_paths_agree_on_grid():
     spec = load_fixture("thm4_log2").spec
     for x in np.arange(0.0, 1.0, 0.1):
         a = measure.pgf_at(float(x))
-        b = limits.general_limit_pgf(spec.lambda_over_factorial, float(x), tol=1e-10)
+        b = general_limit_pgf(spec.lambda_over_factorial, float(x), tol=1e-10)
         assert a == pytest.approx(b, abs=1e-8)
 
 
@@ -135,7 +158,7 @@ def test_cp_consistency_for_convergent_series():
 
     for x in np.arange(0.0, 1.01, 0.25):
         assert measure.pgf_at(float(x)) == pytest.approx(
-            limits.general_limit_pgf(c_rule, float(x), tol=1e-12), abs=1e-8
+            general_limit_pgf(c_rule, float(x), tol=1e-12), abs=1e-8
         )
 
 

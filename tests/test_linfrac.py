@@ -13,7 +13,14 @@ from nearcrit import engine, linfrac, pgf
 from nearcrit.errors import UnsupportedFamilyError
 from nearcrit.families import ImmigrationFamily, log_two_base
 from nearcrit.linfrac import LinearFractional
-from oracles import faa_f2_coefficient, faa_weight, lf_compose, lf_from_derivatives
+from oracles import (
+    accompanying_eval,
+    deriv_sum_limit,
+    faa_f2_coefficient,
+    faa_weight,
+    lf_compose,
+    lf_from_derivatives,
+)
 
 
 def test_inversion_identity_map():
@@ -137,10 +144,10 @@ def test_generation_pgf_normalized_at_one():
 
 def test_accompanying_single_factor():
     spec = make_spec(m1="0.5", lam=0.5)
-    assert engine.accompanying_eval(spec, 1, 0.0) == pytest.approx(
+    assert accompanying_eval(spec, 1, 0.0) == pytest.approx(
         math.exp(-0.5), abs=1e-14
     )
-    assert engine.accompanying_eval(spec, 1, 1.0) == 1.0
+    assert accompanying_eval(spec, 1, 1.0) == 1.0
 
 
 def test_generation_pgf_warns_when_rates_are_clamped():
@@ -163,7 +170,7 @@ def test_accompanying_gap_below_bound():
         for x in (0.0, 0.5, 0.9):
             gap = abs(
                 linfrac.generation_pgf(spec, n, x)
-                - engine.accompanying_eval(spec, n, x)
+                - accompanying_eval(spec, n, x)
             )
             assert gap <= accompanying_gap_bound(spec, n, x) + 1e-12
 
@@ -378,8 +385,8 @@ def test_composed_deriv_asymptotic_shape():
 
 
 def test_deriv_sum_limit_values():
-    assert linfrac.deriv_sum_limit(2.0, 1.0, 1) == 2.0
-    assert linfrac.deriv_sum_limit(1.0, 1.0, 2) == pytest.approx(0.5)
-    assert linfrac.deriv_sum_limit(1.0, 1.0, 3) == pytest.approx(0.5)
+    assert deriv_sum_limit(2.0, 1.0, 1) == 2.0
+    assert deriv_sum_limit(1.0, 1.0, 2) == pytest.approx(0.5)
+    assert deriv_sum_limit(1.0, 1.0, 3) == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        linfrac.deriv_sum_limit(1.0, 0.0, 2)
+        deriv_sum_limit(1.0, 0.0, 2)
