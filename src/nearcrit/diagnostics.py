@@ -4,6 +4,15 @@ Builds per-generation tables of total-variation distance (or an x-grid
 PGF sup-gap when the limit has no computable PMF), factorial-moment gaps,
 the explicit accompanying-law gap bound, the telescoping weight sums and
 the hypothesis condition ratios.
+
+A report over an n-grid costs one propagation pass up to its largest n
+(see :func:`engine.propagate_sequence`) and one pass of each row helper:
+:func:`toeplitz_weights`, :func:`accompanying_gap_bound` and
+``condition_ratios`` take the whole grid, build the chain logs, 1 - rho_j
+and m_{j,1} once up to the largest n, and sum each row over its own
+prefix, so every row is bit for bit its one-generation call. What stays
+O(n) per row is the second Toeplitz sum, which the report discards: its
+chord slopes need one ``pgf_at`` pass of length n per row.
 """
 
 from __future__ import annotations
@@ -51,14 +60,17 @@ def tv_distance(a: pgf.Pmf, b: pgf.Pmf) -> float:
     )
 
 
-def _vartheta_all(spec: ScenarioSpec, n: int) -> np.ndarray:
-    """Chord slopes vartheta_{j,n} = (1 - G_j(1 - rho_[j,n])) / rho_[j,n], j = 1..n.
+def _grid(n) -> tuple[np.ndarray, int]:
+    """(generations, largest) of one generation or an array of them."""
+    ns = np.atleast_1d(np.asarray(n, dtype=int))
+    if ns.size and ns.min() < 0:
+        raise ValueError("generation index must be >= 0")
+    return ns, int(ns.max(initial=0))
 
-    Each lies in (0, rho_j] by convexity, with rho_j - vartheta_{j,n} <=
-    rho_[j,n] G_j''(1); they are the rates of the upper bound.
-    """
-    s = chain_logs(spec, n)
-    rho_jn = np.exp(s[n] - s[1:])
+
+def _chord_slopes(spec: ScenarioSpec, rho_jn: np.ndarray) -> np.ndarray:
+    """vartheta_{j,n} for j = 1..n from rho_jn[j-1] = rho_[j,n]."""
+    n = len(rho_jn)
     if not np.all(rho_jn > 0.0):
         j = int(np.argmin(rho_jn > 0.0)) + 1
         raise NumericError(f"chain product rho_[{j},{n}] underflows to 0")
@@ -66,35 +78,61 @@ def _vartheta_all(spec: ScenarioSpec, n: int) -> np.ndarray:
     return (1.0 - g) / rho_jn
 
 
-def toeplitz_weights(spec: ScenarioSpec, n: int) -> tuple[float, float]:
+def _vartheta_all(spec: ScenarioSpec, n: int) -> np.ndarray:
+    """Chord slopes vartheta_{j,n} = (1 - G_j(1 - rho_[j,n])) / rho_[j,n], j = 1..n.
+
+    Each lies in (0, rho_j] by convexity, with rho_j - vartheta_{j,n} <=
+    rho_[j,n] G_j''(1); they are the rates of the upper bound.
+    """
+    s = chain_logs(spec, n)
+    return _chord_slopes(spec, np.exp(s[n] - s[1:]))
+
+
+def toeplitz_weights(spec: ScenarioSpec, n):
     """Weight sums sum_j (1-rho_j) rho_[j,n] and sum_j (1-rho_j) theta_[j,n].
 
     The first telescopes to 1 - rho_[0,n] exactly; both must approach 1 in
     the divergent regime for the Toeplitz averaging argument to bite.
+
+    A scalar n gives two floats; an array of generations gives two arrays,
+    entry i for generation n[i], from one :func:`chain_logs` and one
+    ``one_minus_rho`` call up to the largest. Each entry is summed over its
+    own prefix, so the scalar is the one-row case of the same code. The
+    second sum costs one ``pgf_at`` pass of length n per entry.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    s = chain_logs(spec, n)
+    ns, top = _grid(n)
+    s = chain_logs(spec, top)
     one_minus = np.asarray(
-        spec.offspring.one_minus_rho(np.arange(1, n + 1)), dtype=float
+        spec.offspring.one_minus_rho(np.arange(1, top + 1)), dtype=float
     )
-    rho_jn = np.exp(s[n] - s[1:])
-    rho_sum = float(np.sum(one_minus * rho_jn))
-    theta = _vartheta_all(spec, n)
-    # theta_[j,n] = prod_{l=j+1..n} theta_{l,n}, built as suffix products
-    suffix = np.concatenate([np.cumprod(theta[::-1])[::-1], [1.0]])
-    theta_sum = float(np.sum(one_minus * suffix[1:]))
-    return rho_sum, theta_sum
+    sums = np.zeros((2, ns.size))
+    for i, m in enumerate(ns):
+        rho_jn = np.exp(s[m] - s[1 : m + 1])
+        sums[0, i] = np.sum(one_minus[:m] * rho_jn)
+        theta = _chord_slopes(spec, rho_jn)
+        # theta_[j,n] = prod_{l=j+1..n} theta_{l,n}, built as suffix products
+        suffix = np.concatenate([np.cumprod(theta[::-1])[::-1], [1.0]])
+        sums[1, i] = np.sum(one_minus[:m] * suffix[1:])
+    if np.ndim(n):
+        return sums[0], sums[1]
+    return float(sums[0, 0]), float(sums[1, 0])
 
 
-def accompanying_gap_bound(spec: ScenarioSpec, n: int, x: float) -> float:
-    """(1-x)^2 sum_j m_{j,1}^2 rho_[j,n]^2, the exponential-companion bound."""
+def accompanying_gap_bound(spec: ScenarioSpec, n, x: float):
+    """(1-x)^2 sum_j m_{j,1}^2 rho_[j,n]^2, the exponential-companion bound.
+
+    A scalar n gives a float; an array of generations gives one bound per
+    entry, from one :func:`chain_logs` and one immigration ``mean`` call up
+    to the largest, each summed over its own prefix.
+    """
     if not 0.0 <= x <= 1.0:
         raise ValueError("PGF argument must lie in [0, 1]")
-    s = chain_logs(spec, n)
-    m = np.asarray(spec.immigration.mean(np.arange(1, n + 1)), dtype=float)
-    rho_jn = np.exp(s[n] - s[1:])
-    return (1.0 - x) ** 2 * float(np.sum(m**2 * rho_jn**2))
+    ns, top = _grid(n)
+    s = chain_logs(spec, top)
+    m2 = np.asarray(spec.immigration.mean(np.arange(1, top + 1)), dtype=float) ** 2
+    sums = np.array([np.sum(m2[:k] * np.exp(s[k] - s[1 : k + 1]) ** 2) for k in ns])
+    bounds = (1.0 - x) ** 2 * sums
+    return bounds if np.ndim(n) else float(bounds[0])
 
 
 def riemann_gap(spec: ScenarioSpec, j: int, n: int, k: int) -> tuple[float, float]:
@@ -210,9 +248,12 @@ def report(spec: ScenarioSpec, n_grid, k_trunc: int | None = None,
         target_pgf = limits.product_law_eval(spec, x_grid, tol).tolist()
     lim_mean, lim_m2 = _limit_moments(law, spec)
     states = engine.propagate_sequence(spec, n_grid, k)
+    ns = np.array([state.n for state in states], dtype=int)
+    bounds = accompanying_gap_bound(spec, ns, 0.0)
+    toeplitz, _ = toeplitz_weights(spec, ns)
+    ratios = condition_ratios(spec, np.maximum(ns, 1))
     rows = []
-    for state in states:
-        n = state.n
+    for i, state in enumerate(states):
         if target_pmf is not None:
             tv = tv_distance(state.pmf, target_pmf)
             gap = tv
@@ -222,22 +263,20 @@ def report(spec: ScenarioSpec, n_grid, k_trunc: int | None = None,
         mean_gap = abs(pgf.factorial_moment(state.pmf, 1) - lim_mean)
         m2 = pgf.factorial_moment(state.pmf, 2)
         m2_gap = abs(m2 - lim_m2) if math.isfinite(lim_m2) else math.nan
-        bound = accompanying_gap_bound(spec, n, 0.0) if n >= 1 else 0.0
-        toeplitz, _ = toeplitz_weights(spec, n) if n >= 1 else (0.0, 0.0)
         mc_tv = None
         if reps is not None:
-            empirical = engine.simulate(spec, n, reps, seed)
+            empirical = engine.simulate(spec, state.n, reps, seed)
             mc_tv = tv_distance(empirical, state.pmf)
         rows.append(
             ReportRow(
-                n=n,
+                n=state.n,
                 tv=tv,
                 pgf_gap=gap if target_pmf is None else math.nan,
                 mean_gap=mean_gap,
                 m2_gap=m2_gap,
-                bound=bound,
-                toeplitz=toeplitz,
-                ratios=condition_ratios(spec, max(n, 1)),
+                bound=float(bounds[i]),
+                toeplitz=float(toeplitz[i]),
+                ratios=ratios[i],
                 mc_tv=mc_tv,
             )
         )

@@ -1048,18 +1048,28 @@ class ConditionRatios:
     partial_sum: float
 
 
-def condition_ratios(spec: ScenarioSpec, n: int) -> ConditionRatios:
-    """Per-n values of the moment ratios the limit-law hypotheses constrain."""
-    if n < 1:
+def condition_ratios(spec: ScenarioSpec, n):
+    """Per-n values of the moment ratios the limit-law hypotheses constrain.
+
+    A scalar n gives one :class:`ConditionRatios`; an array of generations
+    gives a tuple of them, entry i for generation n[i], with the partial
+    sums of 1 - rho_j taken over prefixes of one ``one_minus_rho`` call up
+    to the largest. The scalar is the one-row case of the same code.
+    """
+    ns = np.atleast_1d(np.asarray(n, dtype=int)).tolist()
+    if min(ns, default=1) < 1:
         raise ValueError("generation index must be >= 1")
-    delta = np.float64(spec.offspring.one_minus_rho(n))
-    partial = float(np.sum(spec.offspring.one_minus_rho(np.arange(1, n + 1))))
+    one_minus = spec.offspring.one_minus_rho(np.arange(1, max(ns, default=0) + 1))
+    rows = []
     # 1 - rho_n can underflow to 0: the IEEE quotient, inf or nan, says so
     with np.errstate(divide="ignore", invalid="ignore"):
-        return ConditionRatios(
-            m1_ratio=float(spec.immigration.factorial_moment_at(n, 1) / delta),
-            m2_ratio=float(spec.immigration.factorial_moment_at(n, 2) / delta),
-            g2_ratio=float(spec.offspring.second_deriv(n) / delta),
-            g3_ratio=float(spec.offspring.deriv_at_1(n, 3) / delta),
-            partial_sum=partial,
-        )
+        for k in ns:
+            delta = np.float64(spec.offspring.one_minus_rho(k))
+            rows.append(ConditionRatios(
+                m1_ratio=float(spec.immigration.factorial_moment_at(k, 1) / delta),
+                m2_ratio=float(spec.immigration.factorial_moment_at(k, 2) / delta),
+                g2_ratio=float(spec.offspring.second_deriv(k) / delta),
+                g3_ratio=float(spec.offspring.deriv_at_1(k, 3) / delta),
+                partial_sum=float(np.sum(one_minus[:k])),
+            ))
+    return tuple(rows) if np.ndim(n) else rows[0]

@@ -1,12 +1,14 @@
 import json
 import math
+import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from conftest import constant_spec, make_spec
-from nearcrit import limits, pgf
+from nearcrit import limits, pgf, scenarios
 from nearcrit.diagnostics import (
     _limit_moments,
     _vartheta_all,
@@ -17,7 +19,12 @@ from nearcrit.diagnostics import (
     tv_distance,
 )
 from nearcrit.errors import NumericError, WrongRegimeError
-from nearcrit.families import CompoundPoissonLimit, OffspringFamily, RhoRule
+from nearcrit.families import (
+    CompoundPoissonLimit,
+    OffspringFamily,
+    RhoRule,
+    condition_ratios,
+)
 from nearcrit.linfrac import chain_product
 from nearcrit.scenarios import load_fixture
 from oracles import accompanying_eval, vartheta
@@ -287,3 +294,73 @@ def test_report_outside_scope_raises_wrong_regime():
     )
     with pytest.raises(WrongRegimeError):
         report(spec, [10], 32)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_report_rows_equal_the_scalar_helpers(fixture_specs):
+    # the report reads every row from one pass to the largest n; each row
+    # must still be, bit for bit, what the one-generation calls give
+    grid = [40, 0, 7, 3, 7, 1]
+    for name, spec in fixture_specs.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # clamped immigration
+            rep = report(spec, grid, 32, x_grid=(0.5,))
+        assert [row.n for row in rep.rows] == sorted(set(grid)), name
+        for row in rep.rows:
+            n = row.n
+            assert _bits(row.toeplitz) == _bits(toeplitz_weights(spec, n)[0]), (name, n)
+            assert _bits(row.bound) == _bits(accompanying_gap_bound(spec, n, 0.0)), (name, n)
+            want = astuple(condition_ratios(spec, max(n, 1)))
+            assert _bits(astuple(row.ratios)) == _bits(want), (name, n)
+
+
+def _grid_specs(fixture_specs):
+    # 1 - rho_n = n^-400 underflows to 0 from n = 7 on: inf and nan ratios
+    steep = scenarios.fixture_text("thm6_example2").replace(
+        "offspring.rho.gamma = 2\noffspring.rho.n0 = 0", "offspring.rho.gamma = 400")
+    return {**fixture_specs,
+            "custom_three_term": constant_spec(0.6, 0.3, offspring_coeffs=[0.3, 0.4, 0.3]),
+            "quadratic": make_spec("quadratic", nu=0.8, m1="1*(n+1)^-1"),
+            "steep": scenarios.parse_scenario_text(steep).spec}
+
+
+def test_grid_helpers_equal_their_scalar_form(fixture_specs):
+    ns = np.array([60, 0, 1, 2, 17, 17, 5, 33])
+    for name, spec in _grid_specs(fixture_specs).items():
+        rho_sums, theta_sums = toeplitz_weights(spec, ns)
+        for x in (0.0, 0.3):
+            bounds = accompanying_gap_bound(spec, ns, x)
+            assert _bits(bounds) == _bits(
+                [accompanying_gap_bound(spec, int(n), x) for n in ns]), (name, x)
+        assert _bits(rho_sums) == _bits([toeplitz_weights(spec, int(n))[0] for n in ns]), name
+        assert _bits(theta_sums) == _bits([toeplitz_weights(spec, int(n))[1] for n in ns]), name
+        pos = ns[ns >= 1]
+        grid = condition_ratios(spec, pos)
+        assert len(grid) == len(pos)
+        for n, row in zip(pos, grid):
+            assert _bits(astuple(row)) == _bits(astuple(condition_ratios(spec, int(n)))), (name, n)
+
+
+def test_grid_ratios_keep_the_ieee_quotients_of_an_underflowed_rate(fixture_specs):
+    spec = _grid_specs(fixture_specs)["steep"]
+    ratios = condition_ratios(spec, np.array([10, 1, 3, 40]))
+    assert ratios[0].m1_ratio == ratios[3].m1_ratio == math.inf
+    assert math.isfinite(ratios[1].m1_ratio) and math.isfinite(ratios[2].m1_ratio)
+    assert math.isnan(ratios[0].g2_ratio) and math.isnan(ratios[3].g2_ratio)  # 0/0
+    assert ratios[0].partial_sum == ratios[3].partial_sum
+
+
+def test_grid_helpers_take_empty_grids_and_reject_negative_generations():
+    spec = make_spec()
+    assert toeplitz_weights(spec, np.array([], dtype=int))[0].shape == (0,)
+    assert accompanying_gap_bound(spec, [], 0.0).shape == (0,)
+    assert condition_ratios(spec, []) == ()
+    with pytest.raises(ValueError):
+        toeplitz_weights(spec, [3, -1])
+    with pytest.raises(ValueError):
+        accompanying_gap_bound(spec, -1, 0.0)
+    with pytest.raises(ValueError):
+        condition_ratios(spec, [2, 0])
