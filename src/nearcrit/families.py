@@ -505,9 +505,11 @@ class OffspringFamily:
         The closed-form kinds draw in stages over histograms: for quadratic
         (Bernoulli being the nu = 0 case) the parents without exactly one
         child and then the ones with two among them, for linear-fractional
-        the parents with children, the ones among them with extra children
-        and then the extra children. Each stage splits every occupied cell
-        by conditional binomials (see _split), so the work depends on the
+        the childless parents, the ones among the others with extra children
+        and then the extra children. Each bounded stage, and a custom table,
+        splits every occupied cell with one multinomial draw, its most
+        likely value last (see _multinomial_split); the unbounded extra
+        children go value by value (see _split). The work depends on the
         occupied states, not on the number of trajectories.
         """
         states = np.flatnonzero(h)
@@ -522,8 +524,13 @@ class OffspringFamily:
                 row, kids = row[cell], kids[cell] + 2 * twos
         elif self.kind == "linear_fractional":
             par = self.lf_params(n)
-            row, alive, cnt = _binomial_cells(h[states], states,
-                                              par.alpha / (1.0 - par.beta), rng)
+            # G_n(0) = delta (2 rho + nu)/(2 rho + nu delta) from the unrounded
+            # delta = 1 - rho_n, never 1 - alpha/(1 - beta)
+            delta = float(self.one_minus_rho(n))
+            rho = 1.0 - delta
+            childless = delta * (2.0 * rho + self.nu) / (2.0 * rho + self.nu * delta)
+            row, dead, cnt = _binomial_cells(h[states], states, childless, rng)
+            alive = states[row] - dead
             # a parent with children has more than one with probability beta,
             # and then Geometric(1 - beta) more: m such parents add m plus a
             # NegativeBinomial(m, 1 - beta) count of extra children
@@ -538,24 +545,25 @@ class OffspringFamily:
             laws = [np.ones(1)]
             for _ in range(int(states.max(initial=0))):
                 laws.append(np.convolve(laws[-1], probs))
-            cols = np.zeros((laws[-1].shape[0], states.shape[0]))
+            rows = np.zeros((states.shape[0], laws[-1].shape[0]))
             for i, s in enumerate(states):
-                cols[: laws[s].shape[0], i] = laws[s]
-            haz = _table_hazards(cols)
-            row, kids, cnt = _cells(_split(h[states], lambda k: haz[k], rng))
+                rows[i, : laws[s].shape[0]] = laws[s]
+            row, kids, cnt = _cells(_multinomial_split(h[states], rows, rng))
         out = np.zeros((h.shape[0], int(kids.max(initial=0)) + 1), dtype=np.int64)
         np.add.at(out, (states[row], kids), cnt)
         return out
 
 
 def _split(counts: np.ndarray, hazard: Callable, rng: np.random.Generator) -> np.ndarray:
-    """out[i, k]: how many of ``counts[i]`` independent draws take the value k.
+    """out[i, k]: how many of ``counts[i]`` independent draws take the value k,
+    for the unbounded laws (Poisson immigrants, negative binomial extras).
 
     ``hazard(k)`` is P(X = k | X >= k), a scalar or one value per row. The
     values are visited in increasing order, each taking a Binomial share of
     the draws still left (the conditional-binomial method; Davis, CSDA 16,
-    1993), until no draw is left: an unbounded law is never truncated, and
-    a bounded one stops at its last support point, whose hazard is 1.
+    1993), until no draw is left, so nothing is truncated. A bounded law
+    goes through :func:`_multinomial_split` instead, which runs the same
+    method in one call with each row's most likely value last.
     """
     left = np.array(counts, dtype=np.int64)
     cols = []
@@ -565,20 +573,39 @@ def _split(counts: np.ndarray, hazard: Callable, rng: np.random.Generator) -> np
     return np.array(cols or [left]).T
 
 
+def _multinomial_split(counts: np.ndarray, probs: np.ndarray,
+                       rng: np.random.Generator) -> np.ndarray:
+    """out[i, k]: how many of ``counts[i]`` independent draws take the value
+    k, for bounded laws with P(X = k) proportional to probs[i, k] (or to
+    probs[k], one law for every row).
+
+    One ``rng.multinomial`` call runs the conditional binomials of
+    :func:`_split` in C: value k takes a Binomial share, of probability
+    p_k/(1 - sum_{i<k} p_i), of the draws still left, and a row stops when
+    they are used up. Each row is normalized to sum 1 and its most likely
+    value is drawn last (swapped with the last value, and the counts
+    swapped back), so the remainder 1 - sum_{i<k} p_i never falls below
+    p_max >= 1/S over S values: no conditional probability comes from
+    cancellation, and none rounds above 1.
+    """
+    probs = probs / probs.sum(axis=-1, keepdims=True)
+    if probs.ndim == 1:
+        probs = probs[None, :].repeat(counts.shape[0], axis=0)
+    rows, mode = np.arange(probs.shape[0]), probs.argmax(axis=1)
+    top = probs[rows, mode]
+    probs[rows, mode] = probs[:, -1]
+    probs[:, -1] = top
+    out = rng.multinomial(counts, probs)
+    top = out[:, -1].copy()
+    out[:, -1] = out[rows, mode]
+    out[rows, mode] = top
+    return out
+
+
 def _cells(out: np.ndarray):
     """(row, value, count) of the nonzero entries of a split matrix."""
     row, value = np.nonzero(out)
     return row, value, out[row, value]
-
-
-def _table_hazards(probs: np.ndarray) -> np.ndarray:
-    """P(X = k | X >= k) of bounded laws whose values run down the first axis.
-
-    The tails are summed from the top, so no hazard rounds above 1 and the
-    last support point gets exactly 1.
-    """
-    tails = np.cumsum(probs[::-1], axis=0)[::-1]
-    return np.divide(probs, tails, out=np.ones_like(probs), where=tails > 0.0)
 
 
 def _binomial_cells(counts: np.ndarray, sizes: np.ndarray, p: float,
@@ -586,22 +613,24 @@ def _binomial_cells(counts: np.ndarray, sizes: np.ndarray, p: float,
     """Cells (i, k, c): c of the ``counts[i]`` trajectories, each of
     ``sizes[i]`` units, have exactly k units with an event of probability p.
 
-    Events are counted on the rarer side, probability q = min(p, 1 - p).
-    The hazards come from the binomial weights relative to k = 0,
-    prod_{l<k} (s - l) q / ((l + 1)(1 - q)), summed in logs and scaled by
-    their maximum over k, so no size overflows or vanishes.
+    Events are counted on the rarer side, probability q = min(p, 1 - p), so
+    a caller passes whichever of p and 1 - p it has unrounded. The weights
+    relative to k = 0, prod_{l<k} (s - l) q / ((l + 1)(1 - q)), are summed in
+    logs and scaled by their maximum over k, so no size overflows or
+    vanishes. One :func:`_multinomial_split` then splits every row, its
+    most likely k last.
     """
     q = 1.0 - p if p > 0.5 else p
     if q == 0.0:
         row, k, cnt = np.arange(counts.shape[0]), np.zeros_like(sizes), counts
     else:
-        ks = np.arange(int(sizes.max(initial=0)) + 1)[:, None]
-        logw = np.zeros((ks.shape[0], sizes.shape[0]))
-        np.cumsum(np.log(np.maximum(sizes - ks[:-1], 1) * (q / (1.0 - q) / ks[1:])),
-                  axis=0, out=logw[1:])
-        logw[ks > sizes] = -np.inf
-        haz = _table_hazards(np.exp(logw - logw.max(axis=0)))
-        row, k, cnt = _cells(_split(counts, lambda d: haz[d], rng))
+        ks = np.arange(int(sizes.max(initial=0)) + 1)
+        logw = np.zeros((sizes.shape[0], ks.shape[0]))
+        np.cumsum(np.log(np.maximum(sizes[:, None] - ks[:-1], 1)
+                         * (q / (1.0 - q) / ks[1:])), axis=1, out=logw[:, 1:])
+        logw[ks > sizes[:, None]] = -np.inf
+        weights = np.exp(logw - logw.max(axis=1, keepdims=True))
+        row, k, cnt = _cells(_multinomial_split(counts, weights, rng))
     return row, (sizes[row] - k if p > 0.5 else k), cnt
 
 
@@ -830,11 +859,13 @@ class ImmigrationFamily:
 
     def sample(self, n: int, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """out[v, k]: how many of the h[v] trajectories in state v receive k
-        immigrants in generation ``n``, drawn exactly (see _split).
+        immigrants in generation ``n``, drawn exactly.
 
         Poisson runs the conditional binomials over k until every trajectory
-        is placed; a mixture draws its weight and then the base law, which
-        for Bernoulli is the point mass at 1 and needs no draw.
+        is placed (see _split); a mixture draws its weight and then the base
+        law in one multinomial draw, its most likely value last (see
+        _multinomial_split). For Bernoulli the base is the point mass at 1
+        and needs no draw.
         """
         if self.kind == "poisson":
             lam = float(self.m1.at(n))
@@ -842,10 +873,10 @@ class ImmigrationFamily:
         mixed = rng.binomial(h, float(self.weight(n, "clamped")))
         if self.kind == "bernoulli":
             return np.stack([h - mixed, mixed], axis=1)
-        haz = _table_hazards(_sampling_probs(self.base_law.coeffs))
-        out = _split(mixed, lambda k: haz[k], rng)
+        out = _multinomial_split(mixed, _sampling_probs(self.base_law.coeffs), rng)
         out[:, 0] += h - mixed
-        return out
+        # drop the values nobody drew, so the next histogram stays narrow
+        return out[:, : np.flatnonzero(out.any(axis=0)).max(initial=0) + 1]
 
 
 # ---------------------------------------------------------------------------

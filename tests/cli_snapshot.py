@@ -23,12 +23,16 @@ checkouts agree when ``diff -r`` of their snapshots is empty.
 each: for a file whose text differs only in its numbers, how many numbers
 moved and the largest absolute and relative difference among them
 (relative to the larger magnitude of the pair); otherwise that the text
-differs, or that the file is missing on one side. The exit status is 0
-when the snapshots agree and 1 when a file differs.
+differs, or that the file is missing on one side. A moved ``simulate``
+output also gets the total-variation distance between its two sample laws,
+so a new draw of the same law reads as a small ``tv`` (of the order of
+sqrt(support / reps)). The exit status is 0 when the snapshots agree and 1
+when a file differs.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -91,6 +95,28 @@ def _moved(old: str, new: str) -> str:
     return f"{len(pairs)} numbers moved, max abs {abs_gap:.3e}, max rel {rel_gap:.3e}"
 
 
+def _sample_law(name: str, text: str) -> list[float] | None:
+    """The empirical law printed by a ``simulate`` run, or None for any other
+    output (or one that holds no law, such as an error run's)."""
+    if ".simulate." not in name:
+        return None
+    law = []
+    try:
+        if name.endswith(".json.out"):
+            law = [float(p) for p in json.loads(text)["pmf"]]
+        elif name.endswith(".csv.out") and text.startswith("k,p\n"):
+            law = [float(line.split(",")[1]) for line in text.splitlines()[1:]]
+    except (ValueError, KeyError, IndexError, TypeError):
+        pass
+    return law or None
+
+
+def _tv(a: list[float], b: list[float]) -> float:
+    top = max(len(a), len(b))
+    a, b = a + [0.0] * (top - len(a)), b + [0.0] * (top - len(b))
+    return 0.5 * sum(abs(x - y) for x, y in zip(a, b))
+
+
 def compare(old_dir: Path, new_dir: Path) -> list[str]:
     """One line per file that differs between two snapshot directories."""
     lines = []
@@ -101,7 +127,12 @@ def compare(old_dir: Path, new_dir: Path) -> list[str]:
         if not old.exists() or not new.exists():
             lines.append(f"{name}: only in {old_dir if old.exists() else new_dir}")
         elif old.read_bytes() != new.read_bytes():
-            lines.append(f"{name}: {_moved(old.read_text(), new.read_text())}")
+            old_text, new_text = old.read_text(), new.read_text()
+            line = f"{name}: {_moved(old_text, new_text)}"
+            laws = _sample_law(name, old_text), _sample_law(name, new_text)
+            if None not in laws:
+                line += f", tv {_tv(*laws):.3e}"
+            lines.append(line)
     return lines
 
 

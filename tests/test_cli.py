@@ -477,3 +477,28 @@ def test_snapshot_compare_lists_moved_numbers(tmp_path, capsys):
     assert lines[2] == "reworded.err: text differs"
     assert len(lines) == 3
     assert cli_snapshot.main(["--compare", str(old), str(old)]) == 0
+
+
+def test_snapshot_compare_prints_the_tv_of_moved_samples(tmp_path, capsys):
+    import cli_snapshot
+
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    (old / "a.simulate.csv.out").write_text("k,p\n0,0.5\n1,0.5\n")
+    (new / "a.simulate.csv.out").write_text("k,p\n0,0.25\n1,0.5\n2,0.25\n")
+    (old / "a.simulate.json.out").write_text('{"pmf": [0.5, 0.5], "reps": 4}\n')
+    (new / "a.simulate.json.out").write_text('{"pmf": [0.75, 0.25], "reps": 4}\n')
+    # an error run prints no law, and other commands get no tv
+    (old / "b.simulate.csv.out").write_text("")
+    (new / "b.simulate.csv.out").write_text("k,p\n0,1.0\n")
+    (old / "a.propagate.csv.out").write_text("k,p\n0,0.5\n")
+    (new / "a.propagate.csv.out").write_text("k,p\n0,0.25\n")
+    assert cli_snapshot.main(["--compare", str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "a.propagate.csv.out: 1 numbers moved, max abs 2.500e-01, max rel 5.000e-01",
+        "a.simulate.csv.out: text differs, tv 2.500e-01",
+        "a.simulate.json.out: 2 numbers moved, max abs 2.500e-01, max rel 5.000e-01, "
+        "tv 2.500e-01",
+        "b.simulate.csv.out: text differs",
+    ]

@@ -349,6 +349,30 @@ def test_simulate_custom_families():
     assert tv_distance(emp, state.pmf) <= 0.03
 
 
+def _mc_tv_bound(exact: pgf.Pmf, reps: int) -> float:
+    """High-probability bound on the TV of a ``reps``-sample empirical law
+    to the exact law ``exact``.
+
+    E[TV] <= (1/2) sum_k sqrt(p_k (1 - p_k) / reps); one trajectory moves the
+    TV by at most 1/reps, so McDiarmid adds sqrt(log(1e9) / (2 reps)) for a
+    1e-9 false-alarm rate. Mass beyond the truncation counts twice.
+    """
+    p = np.clip(exact.coeffs, 0.0, 1.0)
+    mean_bound = 0.5 * float(np.sum(np.sqrt(p * (1.0 - p) / reps)))
+    return mean_bound + math.sqrt(math.log(1e9) / (2.0 * reps)) + 2.0 * exact.deficiency
+
+
+@pytest.mark.parametrize("name", scenarios.FIXTURE_NAMES)
+def test_simulate_draws_the_propagated_law_on_every_fixture(name, fixture_specs):
+    # every sampler stage of the bundled scenarios, at the benchmark's sizes
+    spec, reps = fixture_specs[name], 100_000
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # early Bernoulli rates are clamped
+        emp = engine.simulate(spec, 50, reps, seed=19)
+        exact = engine.propagate(spec, 50, 128).pmf
+    assert diagnostics.tv_distance(emp, exact) <= _mc_tv_bound(exact, reps)
+
+
 def _billion_spec(offspring, immigration):
     from nearcrit.families import ImmigrationFamily, PowerSum, log_two_base
 

@@ -489,6 +489,11 @@ def test_validate_rejects_divergence_contradiction():
 # the empty trajectory
 START = np.zeros(8, dtype=np.int64)
 START[[0, 1, 2, 3, 7]] = 4000
+# START plus 4 000 trajectories of 40 parents, for a binomial split whose
+# most likely value lies well inside the row
+WIDE_START = np.zeros(41, dtype=np.int64)
+WIDE_START[: START.shape[0]] = START
+WIDE_START[40] = 4000
 # Pearson p-values below this fail; with the asymptotic chi-square law
 # each assertion has a false-alarm probability of about 1e-6
 P_FLOOR = 1e-6
@@ -564,16 +569,48 @@ OFFSPRING_CASES = {
     "lf_n200": (_offspring("linear_fractional", nu=2.0), 200),
     "custom_table": (OffspringFamily(kind="custom",
                                      table=lambda n: np.array([0.3, 0.4, 0.3])), 1),
+    # q = 0.3 of the parents die: 40 parents lose 12 most likely
+    "bernoulli_q03_s40": (_offspring("bernoulli", c=0.3, n0=0.0), 1),
+    # the most likely total lies inside every row, away from both ends
+    "custom_interior": (OffspringFamily(
+        kind="custom", table=lambda n: np.array([0.1, 0.15, 0.45, 0.3])), 1),
+    # one nonzero entry, not the last: every parent has exactly two children
+    "custom_point": (OffspringFamily(
+        kind="custom", table=lambda n: np.array([0.0, 0.0, 1.0, 0.0])), 1),
 }
+OFFSPRING_STARTS = {"bernoulli_q03_s40": WIDE_START}
 
 
 @pytest.mark.parametrize("case", sorted(OFFSPRING_CASES))
 def test_offspring_sampler_draws_the_exact_one_step_law(case):
     fam, n = OFFSPRING_CASES[case]
-    out = fam.sample(n, START.copy(), np.random.default_rng([5, n]))
+    start = OFFSPRING_STARTS.get(case, START)
+    out = fam.sample(n, start.copy(), np.random.default_rng([5, n]))
     law = fam.pmf(n, 200)
     assert law.deficiency < 1e-12
-    assert _split_pvalue(out, START, _power_law(law.coeffs)) > P_FLOOR
+    assert _split_pvalue(out, start, _power_law(law.coeffs)) > P_FLOOR
+
+
+# 2^62 one-parent trajectories, each childless with a probability near 3e-16
+TINY_START = np.array([0, 2**62], dtype=np.int64)
+
+
+@pytest.mark.parametrize("kind, nu", [("bernoulli", 0.0), ("linear_fractional", 1.0)])
+def test_offspring_sampler_draws_childless_parents_at_a_tiny_rate(kind, nu):
+    # delta = 1 - rho_1 = 3e-16 is about an ulp of 1. Drawing the likely
+    # value first, with probability 1 - delta rounded, draws 26 % too few
+    # Bernoulli deaths; forming the LF childless probability as 1 - p from
+    # p = alpha/(1 - beta) draws 1.3 % too few childless parents
+    fam = _offspring(kind, c=3e-16, n0=0.0, nu=nu)
+    delta = float(fam.one_minus_rho(1))
+    rho = 1.0 - delta
+    # G_1(0) of the LF law with mean rho and G''(1) = nu delta; delta at nu = 0
+    expected = 2.0**62 * delta * (2.0 * rho + nu) / (2.0 * rho + nu * delta)
+    # 200 draws: the LF bias of 1 - p (26 of 2 075) is then 8 sd of the mean
+    counts = [fam.sample(1, TINY_START.copy(), np.random.default_rng(seed))[1, 0]
+              for seed in range(200)]
+    # each count is Binomial(2^62, p) with variance expected (1 - p)
+    assert abs(np.mean(counts) - expected) <= 5.0 * math.sqrt(expected / 200)
 
 
 def test_quadratic_clamped_generation_has_no_single_children():
@@ -660,6 +697,10 @@ IMMIGRATION_CASES = {
     "poisson_heavy": (_immigration("poisson", "5"), 1),
     "custom_delta2": (_immigration("custom", "2*(n+1)^-1", [0.0, 0.0, 1.0]), 3),
     "custom_log_two": (_immigration("custom", "1*n^-1", log_two_base(64)), 2),
+    # the base law's most likely value is inside its support
+    "custom_interior": (_immigration("custom", "1*(n+1)^-1", [0.1, 0.3, 0.4, 0.2]), 1),
+    # one nonzero entry, not the last: every mixed arrival brings one immigrant
+    "custom_point": (_immigration("custom", "1*(n+1)^-1", [0.0, 1.0, 0.0, 0.0]), 1),
 }
 
 
