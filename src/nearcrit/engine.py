@@ -68,7 +68,8 @@ def _advance(spec: ScenarioSpec, law: np.ndarray, a: int, b: int,
     (linear-fractional maps from their closed form, affine maps under
     binomial thinning from one scan over the block, the other polynomial
     kinds by composing each generation's map onto the last one) and
-    multiplying in the block's cohorts H_j(Gbar_{j+1,b}); one :func:`step`
+    multiplying in the block's cohorts H_j(Gbar_{j+1,b}), by a short
+    product once both series are k wide; one :func:`step`
     then applies Gbar_{a+1,b} to the law at a and convolves in the cohorts.
     """
     off = spec.offspring
@@ -79,6 +80,7 @@ def _advance(spec: ScenarioSpec, law: np.ndarray, a: int, b: int,
     else:
         g = np.array([0.0, 1.0])[:k]  # Gbar_{b+1,b}(x) = x
     cohorts = np.ones(1)
+    pad = np.zeros(2 * k - 1)
     for hi in range(b, a, -BLOCK):
         ns = np.arange(max(a, hi - BLOCK) + 1, hi + 1)
         if lf:
@@ -86,7 +88,10 @@ def _advance(spec: ScenarioSpec, law: np.ndarray, a: int, b: int,
         else:
             maps, g = off.compose_back(ns, g, k)
         block = spec.immigration.cohort_product(ns, maps, k)
-        cohorts = np.convolve(cohorts, block)[:k]
+        if cohorts.shape[0] == block.shape[0] == k:
+            cohorts = pgf._short_product(pad, cohorts, block)
+        else:
+            cohorts = np.convolve(cohorts, block)[:k]
     return step(law, g, cohorts, k)
 
 

@@ -187,20 +187,23 @@ def _table_moment(family, n, k: int):
     return moments.reshape(np.shape(n)) if np.ndim(n) else float(moments[0])
 
 
-def _poly_series(p, g, k_trunc: int) -> np.ndarray:
+def _poly_series(p: list, g, k_trunc: int, pad: np.ndarray) -> np.ndarray:
     """Series of sum_i p[i] g^i truncated at ``k_trunc``, by Horner from the
-    top coefficient: one convolution per degree above 1.
+    top coefficient: one product by g per degree above 1, a
+    ``pgf._short_product`` on ``pad`` (2 k_trunc - 1 zeros) once g is
+    ``k_trunc`` wide and ``np.convolve`` while it is narrower.
 
-    For the two- and three-term rows of the offspring families this is one
-    convolution where :func:`pgf.compound` makes several (10 against 23 µs
-    at K = 64); wide polynomials go to ``compound``.
+    ``p`` holds Python floats, so scaling g by them makes no NumPy scalar.
+    For the three-term rows of quadratic offspring this is one product
+    where :func:`pgf.compound` makes several.
     """
-    if p.shape[0] == 1:
-        return p[:1].copy()
+    if len(p) == 1:
+        return np.array(p)
     y = p[-1] * g
     y[0] += p[-2]
+    wide = g.shape[0] == k_trunc
     for c in p[-3::-1]:
-        y = np.convolve(y, g)[:k_trunc]
+        y = pgf._short_product(pad, y, g) if wide else np.convolve(y, g)[:k_trunc]
         y[0] += c
     return y
 
@@ -463,10 +466,12 @@ class OffspringFamily:
         so maps[-1] is ``g`` itself, zero-padded to a common width; and
         out = G_{ns[0]} o maps[0]. Each G_n is its ``pmf`` row truncated at
         ``k_trunc``, without the block's all-zero top columns, applied by
-        Horner (one convolution per degree above 1); every term is a sum of
-        products of nonnegative coefficients, so nothing below ``k_trunc``
-        is lost. Under rows of width 2 an affine ``g`` stays affine, and one
-        scan composes the block's (p0, p1) pairs.
+        Horner (:func:`_poly_series`: one product per degree above 1, each
+        forming only the ``k_trunc`` kept coefficients once the map is that
+        wide); every term is a sum of products of nonnegative coefficients,
+        so nothing below ``k_trunc`` is lost. Under rows of width 2 an
+        affine ``g`` stays affine, and one scan composes the block's
+        (p0, p1) pairs.
         """
         rows = self.pmf(ns, k_trunc)
         # a zero top column (quadratic with nu = 0) would only add width
@@ -492,10 +497,12 @@ class OffspringFamily:
             return pairs[1:, :width].astype(float), pairs[0, :width].astype(float)
         maps = np.zeros((count, k_trunc))
         width = 1
+        coefs = rows.tolist()
+        pad = np.zeros(2 * k_trunc - 1)
         for i in range(count - 1, -1, -1):
             maps[i, : g.shape[0]] = g
             width = max(width, g.shape[0])
-            g = _poly_series(rows[i], g, k_trunc)
+            g = _poly_series(coefs[i], g, k_trunc, pad)
         return maps[:, :width], g
 
     def sample(self, n: int, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:

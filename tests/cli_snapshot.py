@@ -21,8 +21,10 @@ checkouts agree when ``diff -r`` of their snapshots is empty.
 
 ``--compare A B`` lists every file of two snapshots that differs, one line
 each: for a file whose text differs only in its numbers, how many numbers
-moved and the largest absolute and relative difference among them
-(relative to the larger magnitude of the pair); otherwise that the text
+moved, the largest absolute and relative difference among them (relative
+to the larger magnitude of the pair) and the old and new text of the pair
+with the largest relative one, so a move at rounding level (2.2e-16 to
+4.4e-16 reads as 0.5 relative) shows as such; otherwise that the text
 differs, or that the file is missing on one side. A moved ``simulate``
 output also gets the total-variation distance between its two sample laws,
 so a new draw of the same law reads as a small ``tv`` (of the order of
@@ -88,11 +90,15 @@ def _moved(old: str, new: str) -> str:
     """How the text ``new`` differs from ``old``, as one report field."""
     if _NUMBER.sub("#", old) != _NUMBER.sub("#", new):
         return "text differs"
-    pairs = [(float(a), float(b)) for a, b in
-             zip(_NUMBER.findall(old), _NUMBER.findall(new)) if a != b]
+    texts = [(a, b) for a, b in zip(_NUMBER.findall(old), _NUMBER.findall(new))
+             if a != b]
+    pairs = [(float(a), float(b)) for a, b in texts]
     abs_gap = max(abs(a - b) for a, b in pairs)
-    rel_gap = max(abs(a - b) / max(abs(a), abs(b)) for a, b in pairs)
-    return f"{len(pairs)} numbers moved, max abs {abs_gap:.3e}, max rel {rel_gap:.3e}"
+    # 0.0 and -0.0 differ in text only
+    rel = [abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0 for a, b in pairs]
+    top = max(range(len(rel)), key=rel.__getitem__)
+    return (f"{len(pairs)} numbers moved, max abs {abs_gap:.3e}, "
+            f"max rel {rel[top]:.3e} ({texts[top][0]} -> {texts[top][1]})")
 
 
 def _sample_law(name: str, text: str) -> list[float] | None:

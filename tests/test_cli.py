@@ -473,7 +473,7 @@ def test_snapshot_compare_lists_moved_numbers(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"gone.rc: only in {old}"
     assert lines[1] == ("moved.out: 2 numbers moved, max abs 1.110e-16, "
-                               "max rel 5.000e-01")
+                        "max rel 5.000e-01 (1e-20 -> 2e-20)")
     assert lines[2] == "reworded.err: text differs"
     assert len(lines) == 3
     assert cli_snapshot.main(["--compare", str(old), str(old)]) == 0
@@ -496,9 +496,35 @@ def test_snapshot_compare_prints_the_tv_of_moved_samples(tmp_path, capsys):
     (new / "a.propagate.csv.out").write_text("k,p\n0,0.25\n")
     assert cli_snapshot.main(["--compare", str(old), str(new)]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "a.propagate.csv.out: 1 numbers moved, max abs 2.500e-01, max rel 5.000e-01",
+        "a.propagate.csv.out: 1 numbers moved, max abs 2.500e-01, max rel 5.000e-01 "
+        "(0.5 -> 0.25)",
         "a.simulate.csv.out: text differs, tv 2.500e-01",
-        "a.simulate.json.out: 2 numbers moved, max abs 2.500e-01, max rel 5.000e-01, "
-        "tv 2.500e-01",
+        "a.simulate.json.out: 2 numbers moved, max abs 2.500e-01, max rel 5.000e-01 "
+        "(0.5 -> 0.25), tv 2.500e-01",
         "b.simulate.csv.out: text differs",
+    ]
+
+
+def test_snapshot_compare_prints_the_values_behind_the_largest_relative_move(
+        tmp_path, capsys):
+    # a rounding-level gap reads as a large relative move; the printed pair
+    # shows it for what it is, beside a larger absolute move elsewhere
+    import cli_snapshot
+
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    (old / "a.report.csv.out").write_text(
+        "n,tv,mean_gap\n100,0.25,2.220446049250313e-16\n")
+    (new / "a.report.csv.out").write_text(
+        "n,tv,mean_gap\n100,0.2500000000000009,4.440892098500626e-16\n")
+    # a signed zero moves in text only, and must not divide by zero
+    (old / "b.report.csv.out").write_text("n,tv\n100,0.0\n")
+    (new / "b.report.csv.out").write_text("n,tv\n100,-0.0\n")
+    assert cli_snapshot.main(["--compare", str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "a.report.csv.out: 2 numbers moved, max abs 8.882e-16, max rel 5.000e-01 "
+        "(2.220446049250313e-16 -> 4.440892098500626e-16)",
+        "b.report.csv.out: 1 numbers moved, max abs 0.000e+00, max rel 0.000e+00 "
+        "(0.0 -> -0.0)",
     ]
