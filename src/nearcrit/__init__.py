@@ -17,7 +17,6 @@ from .families import (
 )
 from .limits import (
     IntensityMeasure,
-    NegBinParams,
     cp_intensity_finite,
     cp_intensity_series,
     general_limit_pmf,
@@ -39,7 +38,6 @@ __all__ = [
     "ImmigrationFamily",
     "IntensityMeasure",
     "LinearFractional",
-    "NegBinParams",
     "OffspringFamily",
     "Pmf",
     "PowerSum",

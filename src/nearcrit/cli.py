@@ -100,7 +100,7 @@ def _limit_output(sf: ScenarioFile, args: argparse.Namespace, k: int, xs,
     else:  # Poisson, negative binomial and compound Poisson have a PMF
         if atoms is not None:
             meta["atoms"] = [float(v) for v in atoms.atoms]
-        return _pmf_text(diagnostics._limit_pmf(law, k), args.format, meta)
+        return _pmf_text(limits.limit_pmf(law, k), args.format, meta)
     return _pgf_grid_text(xs, vals, args.format, meta)
 
 

@@ -26,14 +26,8 @@ import numpy as np
 from . import engine, limits, pgf
 from .errors import NumericError, WrongRegimeError
 from .families import (
-    CompoundPoissonLimit,
     ConditionRatios,
-    GeneralExpLimit,
-    LimitLaw,
-    NegativeBinomialLimit,
     OutsideScope,
-    PoissonLimit,
-    ProductLimit,
     ScenarioSpec,
     classify,
     condition_ratios,
@@ -70,22 +64,25 @@ def _grid(n) -> tuple[np.ndarray, int]:
 
 def _chord_slopes(spec: ScenarioSpec, rho_jn: np.ndarray) -> np.ndarray:
     """vartheta_{j,n} for j = 1..n from rho_jn[j-1] = rho_[j,n]."""
-    n = len(rho_jn)
-    if not np.all(rho_jn > 0.0):
-        j = int(np.argmin(rho_jn > 0.0)) + 1
-        raise NumericError(f"chain product rho_[{j},{n}] underflows to 0")
-    g = spec.offspring.pgf_at(np.arange(1, n + 1), 1.0 - rho_jn)
-    return (1.0 - g) / rho_jn
+    g = spec.offspring.pgf_at(np.arange(1, len(rho_jn) + 1), 1.0 - rho_jn)
+    # rho_[j,n] can underflow to 0: the IEEE quotient, 0/0 = nan, says so
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (1.0 - g) / rho_jn
 
 
 def _vartheta_all(spec: ScenarioSpec, n: int) -> np.ndarray:
     """Chord slopes vartheta_{j,n} = (1 - G_j(1 - rho_[j,n])) / rho_[j,n], j = 1..n.
 
     Each lies in (0, rho_j] by convexity, with rho_j - vartheta_{j,n} <=
-    rho_[j,n] G_j''(1); they are the rates of the upper bound.
+    rho_[j,n] G_j''(1); they are the rates of the upper bound. A chain
+    product that underflows to 0 raises :class:`NumericError`.
     """
     s = chain_logs(spec, n)
-    return _chord_slopes(spec, np.exp(s[n] - s[1:]))
+    rho_jn = np.exp(s[n] - s[1:])
+    if not np.all(rho_jn > 0.0):
+        j = int(np.argmin(rho_jn > 0.0)) + 1
+        raise NumericError(f"chain product rho_[{j},{n}] underflows to 0")
+    return _chord_slopes(spec, rho_jn)
 
 
 def toeplitz_weights(spec: ScenarioSpec, n):
@@ -98,7 +95,8 @@ def toeplitz_weights(spec: ScenarioSpec, n):
     entry i for generation n[i], from one :func:`chain_logs` and one
     ``one_minus_rho`` call up to the largest. Each entry is summed over its
     own prefix, so the scalar is the one-row case of the same code. The
-    second sum costs one ``pgf_at`` pass of length n per entry.
+    second sum costs one ``pgf_at`` pass of length n per entry, and reads
+    nan where a chain product rho_[j,n] it needs underflows to 0.
     """
     ns, top = _grid(n)
     s = chain_logs(spec, top)
@@ -203,33 +201,6 @@ class ConvergenceReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _limit_moments(law: LimitLaw, spec: ScenarioSpec) -> tuple[float, float]:
-    """(mean, second factorial moment) of the classified limit."""
-    if isinstance(law, PoissonLimit):
-        return law.lam, law.lam**2
-    if isinstance(law, NegativeBinomialLimit):
-        mean = law.r * law.p / (1.0 - law.p)
-        m2 = law.r * (law.r + 1.0) * (law.p / (1.0 - law.p)) ** 2
-        return mean, m2
-    if isinstance(law, (CompoundPoissonLimit, GeneralExpLimit)):
-        # (log PGF)'(1) = lambda_1 and (log PGF)''(1) = lambda_2
-        lam1 = spec.lambda_l(1)
-        return lam1, lam1**2 + spec.lambda_l(2)
-    if isinstance(law, ProductLimit):
-        return limits.product_law_mean(spec), math.nan
-    raise ValueError(f"no limit moments for {law.describe()}")
-
-
-def _limit_pmf(law: LimitLaw, k_trunc: int) -> pgf.Pmf | None:
-    """Limit PMF when computable, else None (PGF-grid comparison instead)."""
-    if isinstance(law, PoissonLimit):
-        return limits.poisson_pmf(law.lam, k_trunc)
-    if isinstance(law, NegativeBinomialLimit):
-        return limits.nb_pmf(law.r, law.p, k_trunc)
-    atoms = limits.limit_atoms(law)
-    return None if atoms is None else limits.cp_pmf(atoms, k_trunc)
-
-
 def report(spec: ScenarioSpec, n_grid, k_trunc: int | None = None,
            reps: int | None = None, seed: int = 0,
            x_grid=DEFAULT_X_GRID, tol: float = 1e-7) -> ConvergenceReport:
@@ -243,10 +214,10 @@ def report(spec: ScenarioSpec, n_grid, k_trunc: int | None = None,
     if isinstance(law, OutsideScope):
         raise WrongRegimeError(f"cannot build a report: {law.reason}")
     k = spec.k_trunc if k_trunc is None else k_trunc
-    target_pmf = _limit_pmf(law, k)
+    target_pmf = limits.limit_pmf(law, k)
     if target_pmf is None:
         target_pgf = limits.product_law_eval(spec, x_grid, tol).tolist()
-    lim_mean, lim_m2 = _limit_moments(law, spec)
+    lim_mean, lim_m2 = limits.limit_moments(law, spec)
     states = engine.propagate_sequence(spec, n_grid, k)
     ns = np.array([state.n for state in states], dtype=int)
     bounds = accompanying_gap_bound(spec, ns, 0.0)

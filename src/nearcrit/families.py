@@ -922,7 +922,6 @@ class GeneralExpLimit:
 
     rule: str
     lam: float
-    nu: float
 
     def describe(self) -> str:
         return f"GeneralExp rule={self.rule} lambda={self.lam:.17g}"
@@ -952,13 +951,6 @@ LimitLaw = Union[
 ]
 
 
-def _log_series_lambda(l: int) -> float:
-    return math.factorial(l - 1) / l
-
-
-LAMBDA_RULES = {"log_series": _log_series_lambda}
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Full description of one inhomogeneous process plus declared limits."""
@@ -977,10 +969,8 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.horizon < 0 or self.k_trunc < 1:
             raise ScenarioValidationError("horizon must be >= 0 and K >= 1")
-        if self.lambda_rule is not None and self.lambda_rule not in LAMBDA_RULES:
-            raise ScenarioValidationError(
-                f"unknown lambda rule {self.lambda_rule!r}"
-            )
+        if self.lambda_rule not in (None, "log_series"):
+            raise ScenarioValidationError(f"unknown lambda rule {self.lambda_rule!r}")
 
     # -- declared moment-ratio limits ---------------------------------------
 
@@ -990,12 +980,12 @@ class ScenarioSpec:
             raise ValueError("index must be >= 1")
         if self.lambda_seq is not None:
             return self.lambda_seq[l - 1] if l <= len(self.lambda_seq) else 0.0
-        if self.lambda_rule is not None:
-            return LAMBDA_RULES[self.lambda_rule](l)
+        if self.lambda_rule == "log_series":
+            return math.factorial(l - 1) / l
         return self.lam if l == 1 else 0.0
 
     def lambda_over_factorial(self, l: int) -> float:
-        """lambda_l / l!, computed stably for the named rules."""
+        """lambda_l / l!, computed stably for the log-series rule."""
         if self.lambda_rule == "log_series":
             return 1.0 / l**2
         return self.lambda_l(l) / math.factorial(l)
@@ -1064,7 +1054,7 @@ def classify(spec: ScenarioSpec) -> LimitLaw:
         if spec.lambda_seq is not None:
             return CompoundPoissonLimit(tuple(spec.lambda_seq))
         if spec.lambda_rule is not None:
-            return GeneralExpLimit(spec.lambda_rule, spec.lam, spec.nu)
+            return GeneralExpLimit(spec.lambda_rule, spec.lam)
         if spec.immigration.m2_ratio_vanishes(spec.offspring.rho_rule):
             return PoissonLimit(spec.lam)
         return OutsideScope(

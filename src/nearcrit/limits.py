@@ -23,7 +23,15 @@ from .errors import (
     UnsupportedFamilyError,
     WrongRegimeError,
 )
-from .families import CompoundPoissonLimit, GeneralExpLimit, LimitLaw, ScenarioSpec
+from .families import (
+    CompoundPoissonLimit,
+    GeneralExpLimit,
+    LimitLaw,
+    NegativeBinomialLimit,
+    PoissonLimit,
+    ProductLimit,
+    ScenarioSpec,
+)
 
 _ATOM_CLAMP = 1e-12
 
@@ -33,8 +41,6 @@ class IntensityMeasure:
     """Finite intensity measure on {1, 2, ...}; ``atoms[j-1]`` is mu{j}."""
 
     atoms: np.ndarray
-    tail_bound: float = 0.0
-    series_depth: int = 0
 
     def __post_init__(self):
         a = np.atleast_1d(np.asarray(self.atoms, dtype=float))
@@ -56,45 +62,25 @@ class IntensityMeasure:
         powers = x ** np.arange(1, self.atoms.shape[0] + 1)
         return math.exp(float(np.sum(self.atoms * (powers - 1.0))))
 
-    def mean(self) -> float:
-        return float(np.sum(self.atoms * np.arange(1, self.atoms.shape[0] + 1)))
-
-
-@dataclass(frozen=True)
-class NegBinParams:
-    """Negative binomial parameters; PGF ((1-p)/(1-px))^r."""
-
-    r: float
-    p: float
-
-    def __post_init__(self):
-        if self.r <= 0 or not 0.0 < self.p < 1.0:
-            raise ValueError("need r > 0 and p in (0, 1)")
-
-    def pgf_at(self, x: float) -> float:
-        return ((1.0 - self.p) / (1.0 - self.p * x)) ** self.r
-
-    def mean(self) -> float:
-        return self.r * self.p / (1.0 - self.p)
-
 
 def poisson_pmf(lam: float, k_trunc: int) -> pgf.Pmf:
     """Poisson(lam) truncated at ``k_trunc``; Poisson(0) is the point mass at 0."""
     return pgf.Pmf(pgf.poisson_coeffs(lam, k_trunc))
 
 
-def nb_params(lam: float, nu: float) -> NegBinParams:
+def nb_params(lam: float, nu: float) -> NegativeBinomialLimit:
     """Negative binomial target (r, p) = (2 lam/nu, nu/(2+nu)) for nu > 0."""
     if lam <= 0:
         raise ValueError("lam must be positive")
     if nu <= 0:
         raise ValueError("nu must be positive; nu = 0 is the Poisson regime")
-    return NegBinParams(2.0 * lam / nu, nu / (2.0 + nu))
+    return NegativeBinomialLimit(2.0 * lam / nu, nu / (2.0 + nu))
 
 
 def nb_pmf(r: float, p: float, k_trunc: int) -> pgf.Pmf:
-    """NB(r, p) truncated at ``k_trunc``, see :func:`pgf.nb_coeffs`."""
-    NegBinParams(r, p)
+    """NB(r, p), PGF ((1-p)/(1-px))^r, truncated at ``k_trunc``."""
+    if r <= 0 or not 0.0 < p < 1.0:
+        raise ValueError("need r > 0 and p in (0, 1)")
     return pgf.Pmf(pgf.nb_coeffs(r, p, k_trunc))
 
 
@@ -159,8 +145,7 @@ def cp_intensity_series(rule: Callable[[int], float], tol: float,
         raise SeriesDivergenceError("intensity series terms overflow in the shift")
     if np.any(atoms < -_ATOM_CLAMP):
         raise NotADistributionError("rule produces a negative intensity atom")
-    return IntensityMeasure(atoms, tail_bound=float(abs(atoms[-1])),
-                            series_depth=c.shape[0] - 1)
+    return IntensityMeasure(atoms)
 
 
 def log_series_intensity(j: int) -> float:
@@ -187,7 +172,7 @@ def log_series_measure(j_max: int = 64) -> IntensityMeasure:
     k = np.arange(1, j_max + 65)
     tails = np.cumsum(np.ldexp(1.0 / k, -k)[::-1])[::-1]
     atoms = tails[:j_max] / k[:j_max]
-    return IntensityMeasure(atoms, tail_bound=float(atoms[-1]))
+    return IntensityMeasure(atoms)
 
 
 def cp_pmf(measure: IntensityMeasure, k_trunc: int) -> pgf.Pmf:
@@ -262,6 +247,35 @@ def limit_atoms(law: LimitLaw) -> IntensityMeasure | None:
     if isinstance(law, GeneralExpLimit) and law.rule == "log_series":
         return log_series_measure()
     return None
+
+
+def limit_pmf(law: LimitLaw, k_trunc: int) -> pgf.Pmf | None:
+    """PMF of a classified limit law truncated at ``k_trunc``; None for the
+    laws compared on a PGF grid instead (the product law)."""
+    if isinstance(law, PoissonLimit):
+        return poisson_pmf(law.lam, k_trunc)
+    if isinstance(law, NegativeBinomialLimit):
+        return nb_pmf(law.r, law.p, k_trunc)
+    atoms = limit_atoms(law)
+    return None if atoms is None else cp_pmf(atoms, k_trunc)
+
+
+def limit_moments(law: LimitLaw, spec: ScenarioSpec) -> tuple[float, float]:
+    """(mean, second factorial moment) of a classified limit law; the product
+    law's second moment is nan."""
+    if isinstance(law, PoissonLimit):
+        return law.lam, law.lam**2
+    if isinstance(law, NegativeBinomialLimit):
+        mean = law.r * law.p / (1.0 - law.p)
+        m2 = law.r * (law.r + 1.0) * (law.p / (1.0 - law.p)) ** 2
+        return mean, m2
+    if isinstance(law, (CompoundPoissonLimit, GeneralExpLimit)):
+        # (log PGF)'(1) = lambda_1 and (log PGF)''(1) = lambda_2
+        lam1 = spec.lambda_l(1)
+        return lam1, lam1**2 + spec.lambda_l(2)
+    if isinstance(law, ProductLimit):
+        return product_law_mean(spec), math.nan
+    raise ValueError(f"no limit moments for {law.describe()}")
 
 
 # ---------------------------------------------------------------------------

@@ -131,10 +131,6 @@ class CenteredSeries:
     def __len__(self) -> int:
         return self.coeffs.shape[0]
 
-    @property
-    def order(self) -> int:
-        return self.coeffs.shape[0] - 1
-
     def value_at(self, x: float) -> float:
         """Evaluate the series at ``x`` (Horner in the shifted variable)."""
         return float(np.polyval(self.coeffs[::-1], x - 1.0))

@@ -189,6 +189,23 @@ def test_limits_command_cp_atoms_json(tmp_path, capsys):
     assert len(payload["pmf"]) == 24
 
 
+@pytest.mark.parametrize("name", [
+    n for n, law in EXPECTED_LAWS.items()
+    if law in (PoissonLimit, CompoundPoissonLimit, NegativeBinomialLimit)])
+def test_limits_command_prints_the_limits_module_target(tmp_path, capsys, name):
+    # a law with a PMF: the command prints limits.limit_pmf and
+    # limits.limit_atoms of the classified law, bit for bit
+    spec = scenarios.load_fixture(name).spec
+    law = classify(spec)
+    path = fixture_path(name, tmp_path)
+    code = cli.main(["--scenario", path, "--command", "limits", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["pmf"] == limits.limit_pmf(law, spec.k_trunc).coeffs.tolist()
+    atoms = limits.limit_atoms(law)
+    assert payload.get("atoms") == (None if atoms is None else atoms.atoms.tolist())
+
+
 def test_limits_command_general_exp_grid(tmp_path, capsys):
     # the grid comes from the law's atoms, so --tol does not reach it
     path = fixture_path("thm4_log2", tmp_path)
@@ -303,6 +320,22 @@ def test_product_limit_with_rates_below_the_float_range(tmp_path, capsys, rule):
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert rows[1]["n"] == 10
     assert rows[1]["condition_ratios"]["m1_ratio"] == math.inf
+
+
+def test_report_where_a_chain_product_underflows(tmp_path, capsys):
+    # rho_[1,n] underflows near n = 7500; only the discarded second Toeplitz
+    # sum needs it, so the report answers
+    text = scenarios.fixture_text("thm1_poisson")
+    for old, new in (("rho.gamma = 1", "rho.gamma = 0.3"), ("rho.n0 = 1", "rho.n0 = 0"),
+                     ("2*(n+1)^-1", "1*(n+1)^-0.3"), ("lambda = 2", "lambda = 1")):
+        text = text.replace(old, new)
+    p = tmp_path / "underflow.scn"
+    p.write_text(text)
+    code = cli.main(["--scenario", str(p), "--command", "report", "--n-grid", "10000"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[0] == "n,tv,mean_gap,m2_gap,bound,toeplitz"
+    assert out.splitlines()[1].startswith("10000,")
 
 
 def test_exit_code_numeric_error(tmp_path, capsys):

@@ -10,7 +10,6 @@ from scipy import stats
 from conftest import constant_spec, make_spec
 from nearcrit import limits, pgf, scenarios
 from nearcrit.diagnostics import (
-    _limit_moments,
     _vartheta_all,
     accompanying_gap_bound,
     report,
@@ -154,7 +153,11 @@ def test_vartheta_all_rejects_underflowed_chain_product():
     # sum_l log rho_l ~ -n^0.7 / 0.7 passes -745 near n = 7500
     spec = make_spec(gamma=0.3, n0=0.0)
     with pytest.raises(NumericError, match="underflows"):
-        toeplitz_weights(spec, 10_000)
+        _vartheta_all(spec, 10_000)
+    # the Toeplitz sums do not raise: the second reads the IEEE quotient
+    rho_sum, theta_sum = toeplitz_weights(spec, 10_000)
+    assert math.isfinite(rho_sum)
+    assert math.isnan(theta_sum)
 
 
 def test_accompanying_gap_bound_edges():
@@ -254,7 +257,7 @@ def test_compound_poisson_limit_moments_are_those_of_its_atoms(lambdas):
     jj = np.arange(1, atoms.shape[0] + 1)
     mean = float(np.sum(jj * atoms))
     m2 = mean**2 + float(np.sum(jj * (jj - 1) * atoms))
-    got = _limit_moments(CompoundPoissonLimit(lambdas), spec)
+    got = limits.limit_moments(CompoundPoissonLimit(lambdas), spec)
     assert got == pytest.approx((mean, m2), rel=1e-14)
 
 

@@ -13,6 +13,7 @@ from nearcrit.errors import (
     SeriesDivergenceError,
     WrongRegimeError,
 )
+from nearcrit.families import NegativeBinomialLimit, classify
 from nearcrit.linfrac import chain_product
 from nearcrit.scenarios import load_fixture
 from oracles import general_limit_pgf
@@ -37,6 +38,20 @@ def test_nb_params_formula_and_guards():
         limits.nb_params(1.0, 0.0)
     with pytest.raises(ValueError):
         limits.nb_params(0.0, 1.0)
+
+
+def test_nb_params_is_the_classified_negative_binomial_law():
+    spec = load_fixture("thm5_nb").spec
+    law = classify(spec)
+    par = limits.nb_params(spec.lam, spec.nu)
+    assert isinstance(par, NegativeBinomialLimit)
+    assert (par.r, par.p) == (law.r, law.p)
+
+
+def test_nb_pmf_guards_its_parameters():
+    for r, p in ((0.0, 0.5), (-1.0, 0.5), (2.0, 0.0), (2.0, 1.0)):
+        with pytest.raises(ValueError, match=r"need r > 0 and p in \(0, 1\)"):
+            limits.nb_pmf(r, p, 8)
 
 
 def test_nb_pmf_against_scipy():
