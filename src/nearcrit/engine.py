@@ -4,7 +4,9 @@ The law of generation b follows from the law at any earlier a < b by the
 product over immigrant cohorts,
 F_b(x) = F_a(Gbar_{a+1,b}(x)) prod_{j=a+1..b} H_j(Gbar_{j+1,b}(x)), with
 Gbar_{j,b} = G_j o ... o G_b; :func:`propagate_sequence` evaluates it on
-truncated coefficient series. The same quantities can be evaluated
+truncated coefficient series, for every interval between consecutive
+targets from one backward sweep, and closes the intervals with one
+:func:`step` each. The same quantities can be evaluated
 scalar-wise through the composed offspring maps, giving an independent
 second route for cross-checks, and a seeded vectorized simulator gives a
 third. The one-generation :func:`step` stays as the forward oracle.
@@ -12,6 +14,7 @@ third. The one-generation :func:`step` stays as the forward oracle.
 
 from __future__ import annotations
 
+import bisect
 import warnings
 from dataclasses import dataclass
 
@@ -59,54 +62,73 @@ def step(prev, offspring_pmf, immigration_pmf, k_trunc: int):
     )
 
 
-def _advance(spec: ScenarioSpec, law: np.ndarray, a: int, b: int,
-             k: int) -> np.ndarray:
-    """Coefficients of the law at generation b > a from those at a.
+def _sweep(spec: ScenarioSpec, tops: list, k: int) -> list:
+    """(Gbar_{a+1,b}, prod_{j=a+1..b} H_j(Gbar_{j+1,b})) truncated at k for
+    each interval (a, b] between consecutive entries of 0 and ``tops``
+    (ascending, positive), in that order.
 
-    Walks j = b, ..., a+1 backward in blocks of :data:`BLOCK`, holding the
-    composed maps Gbar_{j+1,b} of one block as series truncated at k
-    (linear-fractional maps from their closed form, affine maps under
-    binomial thinning from one scan over the block, the other polynomial
-    kinds by composing each generation's map onto the last one) and
-    multiplying in the block's cohorts H_j(Gbar_{j+1,b}), by a short
-    product once both series are k wide; one :func:`step`
-    then applies Gbar_{a+1,b} to the law at a and convolves in the cohorts.
+    One backward sweep over generations N = tops[-1], ..., 1 in blocks of
+    :data:`BLOCK` serves every interval: the targets cut each block into
+    pieces, and the family tables of a block are fetched and validated
+    once. Its composed maps Gbar_{j+1,b} come, for every piece at once,
+    from the closed form (linear-fractional), from one segmented scan
+    (affine maps under binomial thinning) or from one Horner pass that
+    restarts from x at each target (the other polynomial kinds); the top
+    piece continues the map carried down from the block above. The
+    cohort terms H_j(Gbar_{j+1,b}) are built once per block and
+    :func:`pgf.product` multiplies each piece; a piece whose interval goes
+    on below the block passes its map and product down.
     """
-    off = spec.offspring
-    lf = off.kind == "linear_fractional"
-    if lf:
-        alpha, beta = linfrac.composed_params_all(spec, b)
-        g = lf_coeffs(alpha[a : a + 1], beta[a : a + 1], k)[0]
-    else:
-        g = np.array([0.0, 1.0])[:k]  # Gbar_{b+1,b}(x) = x
-    cohorts = np.ones(1)
+    off, imm = spec.offspring, spec.immigration
+    if off.kind == "linear_fractional":
+        alpha, beta = linfrac.interval_params(spec, tops)
+        # the cohort of a target b meets the identity Gbar_{b+1,b}
+        cohort_alpha, cohort_beta = alpha.copy(), beta.copy()
+        cohort_alpha[tops], cohort_beta[tops] = 1.0, 0.0
+    identity = np.array([0.0, 1.0])[:k]  # Gbar_{b+1,b}(x) = x
+    g, cohorts = identity, np.ones(1)
     pad = np.zeros(2 * k - 1)
-    for hi in range(b, a, -BLOCK):
-        ns = np.arange(max(a, hi - BLOCK) + 1, hi + 1)
-        if lf:
-            maps = lf_coeffs(alpha[ns], beta[ns], k)
+    closed = []
+    for hi in range(tops[-1], 0, -BLOCK):
+        lo = max(0, hi - BLOCK)
+        ns = np.arange(lo + 1, hi + 1)
+        # a piece starts at each generation right above a target
+        inner = tops[bisect.bisect_right(tops, lo) : bisect.bisect_left(tops, hi)]
+        starts = [0] + [t - lo for t in inner]
+        if off.kind == "linear_fractional":
+            maps = lf_coeffs(cohort_alpha[ns], cohort_beta[ns], k)
+            bottoms = [lo + i for i in starts]
+            outs = list(lf_coeffs(alpha[bottoms], beta[bottoms], k))
         else:
-            maps, g = off.compose_back(ns, g, k)
-        block = spec.immigration.cohort_product(ns, maps, k)
-        if cohorts.shape[0] == block.shape[0] == k:
-            cohorts = pgf._short_product(pad, cohorts, block)
+            maps, outs = off.compose_back(ns, g, k, starts)
+        parts = imm.cohort_product(ns, maps, k, starts)
+        if cohorts.shape[0] == parts[-1].shape[0] == k:
+            parts[-1] = pgf._short_product(pad, cohorts, parts[-1])
         else:
-            cohorts = np.convolve(cohorts, block)[:k]
-    return step(law, g, cohorts, k)
+            parts[-1] = np.convolve(cohorts, parts[-1])[:k]
+        closed.extend(zip(outs[:0:-1], parts[:0:-1]))
+        if lo == 0 or lo in tops:
+            closed.append((outs[0], parts[0]))
+            g, cohorts = identity, np.ones(1)
+        else:
+            g, cohorts = outs[0], parts[0]
+    return closed[::-1]
 
 
 def propagate_sequence(spec: ScenarioSpec, ns, k_trunc: int | None = None,
                        initial: pgf.Pmf | None = None) -> list[GenerationState]:
-    """States at every requested generation, one interval after another.
+    """States at every requested generation from one backward sweep.
 
-    Each interval between consecutive targets (from 0, with X_0 = 0 or the
-    ``initial`` law) is closed by :func:`_advance`, the product formula of
-    the module docstring. The work per generation is one offspring map
-    applied to a series and one cohort term, which :func:`pgf.product`
-    multiplies out per block; under Bernoulli offspring both are built for
-    the whole block at once. Memory stays at one block of maps and tables,
-    whatever n is. The law is wrapped in a validated :class:`pgf.Pmf` at
-    each target, where its deficiency is read off.
+    :func:`_sweep` gives, for each interval between consecutive targets
+    (from 0, with X_0 = 0 or the ``initial`` law), the composed map
+    Gbar_{a+1,b} and the product of its cohorts, the product formula of
+    the module docstring; then one :func:`step` per target closes the
+    intervals in order. The work per generation is one offspring map
+    applied to a series and one cohort term, whatever the number of
+    targets, and each target adds one closing step. Memory stays at one
+    block of maps and tables plus two series per target, whatever n is.
+    The law is wrapped in a validated :class:`pgf.Pmf` at each target,
+    where its deficiency is read off.
 
     Every series operation is a sum of products of nonnegative
     coefficients truncated at K (the Poisson exponent's constant term only
@@ -122,12 +144,13 @@ def propagate_sequence(spec: ScenarioSpec, ns, k_trunc: int | None = None,
         raise ValueError("generation index must be >= 0")
     k = spec.k_trunc if k_trunc is None else k_trunc
     law = (pgf.Pmf.delta(0) if initial is None else initial).coeffs
-    out, prev = {}, 0
-    for n in targets:
-        if n > prev:
-            law = _advance(spec, law, prev, n, k)
+    out = {}
+    tops = [n for n in targets if n > 0]
+    if 0 in targets:
+        out[0] = pgf.Pmf(law)
+    for n, (g, cohorts) in zip(tops, _sweep(spec, tops, k) if tops else []):
+        law = step(law, g, cohorts, k)
         out[n] = pgf.Pmf(law)
-        prev = n
     states = []
     for n in targets:
         deficiency = out[n].deficiency

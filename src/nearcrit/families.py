@@ -10,7 +10,6 @@ hypotheses over the declared constants.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 import warnings
@@ -208,50 +207,39 @@ def _poly_series(p: list, g, k_trunc: int, pad: np.ndarray) -> np.ndarray:
     return y
 
 
-@functools.lru_cache(maxsize=16)
-def _binomial_hankel(b: tuple):
-    """H[m, l] = b[l+m] C(l+m, l), zero where l + m is beyond ``b``; None when
-    a binomial overflows the float range (a base law wider than ~1000)."""
-    w = len(b)
-    pascal = np.zeros((w, w))  # pascal[n, l] = C(n, l)
-    pascal[:, 0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, w):
-            pascal[n, 1:] = pascal[n - 1, 1:] + pascal[n - 1, :-1]
-    if not np.isfinite(pascal).all():
-        return None
-    n = np.add.outer(np.arange(w), np.arange(w))
-    inside = n < w
-    n = np.minimum(n, w - 1)
-    hank = np.where(inside, np.asarray(b)[n] * pascal[n, np.arange(w)], 0.0)
-    hank.setflags(write=False)
-    return hank
+def _affine_scan(rows: np.ndarray, g: np.ndarray, pieces: list, width: int):
+    """:meth:`OffspringFamily.compose_back` for rows (p0, p1) and an affine
+    ``g``: the pieces (lo, hi) of rows, the top one over g and the others
+    over x, composed by one doubling scan with a piece axis (Hillis &
+    Steele; Blelloch, CMU-CS-90-190).
 
-
-def _affine_compose(b: np.ndarray, maps: np.ndarray):
-    """Rows b(g0 + g1 x) for the affine maps g0 + g1 x held in ``maps``.
-
-    b(g0 + g1 x)_l = g1^l sum_m b_{l+m} C(l+m, l) g0^m: one product of the
-    Vandermonde matrix of g0 with :func:`_binomial_hankel`, all terms
-    nonnegative.
-    None when the binomials overflow.
+    Column p of (a, s) holds the rows of piece p, led by identity maps up
+    to the longest piece, and then its own entry (g or x); entry i starts
+    as G_{ns[i]} = (a, s) = (p0, p1), and a step of span d composes entries
+    i and i + d into (a_i + s_i a_{i+d}, s_i s_{i+d}), so after
+    log2(longest piece) doubling steps a_i + s_i x is G_{ns[i]} o ... o
+    (g or x); the leading identities change nothing. Every later cohort
+    shares the chain s = p1 p1' ..., so it runs in long double. A single
+    piece is composed exactly as an unsegmented scan of the rows and g.
     """
-    hank = _binomial_hankel(tuple(b.tolist()))
-    if hank is None:
-        return None
-    g1 = maps[:, 1] if maps.shape[1] > 1 else np.zeros(maps.shape[0])
-    # einsum, not matmul: a threaded BLAS product of a block spends more
-    # waking its thread pool (about 6 ms on 2 cores) than computing
-    vander = np.einsum("jm,ml->jl", _powers(maps[:, 0], b.shape[0]), hank)
-    return vander * _powers(g1, b.shape[0])
-
-
-def _powers(x: np.ndarray, count: int) -> np.ndarray:
-    """out[i, m] = x[i]^m for m < count, by running products."""
-    out = np.empty((x.shape[0], count))
-    out[:, 0] = 1.0
-    out[:, 1:] = x[:, None]
-    return np.cumprod(out, axis=1, out=out)
+    longest = max(hi - lo for lo, hi in pieces)
+    cols = np.zeros((2, longest + 1, len(pieces)), dtype=np.longdouble)
+    cols[1, longest] = 1.0  # x, the entry of every piece but the top
+    for p, (lo, hi) in enumerate(pieces):
+        cols[1, : longest - hi + lo, p] = 1.0
+        cols[: rows.shape[1], longest - hi + lo : longest, p] = rows[lo:hi].T
+    cols[:, longest, -1] = 0.0
+    cols[: g.shape[0], longest, -1] = g
+    a, s = cols
+    span = 1
+    while span <= longest:
+        a[:-span] = a[:-span] + s[:-span] * a[span:]
+        s[:-span] = s[:-span] * s[span:]
+        span *= 2
+    maps = [cols[:width, longest + 1 - hi + lo :, p].T for p, (lo, hi) in enumerate(pieces)]
+    outs = [cols[:width, longest - hi + lo, p].astype(float)
+            for p, (lo, hi) in enumerate(pieces)]
+    return np.concatenate(maps).astype(float), outs
 
 
 def lf_coeffs(alpha, beta, k_trunc: int) -> np.ndarray:
@@ -381,17 +369,21 @@ class OffspringFamily:
             return self.nu * delta
         return _quadratic_g2(delta, self.nu)
 
-    def deriv_at_1(self, n: int, s: int) -> float:
-        """s-th derivative of G_n at 1."""
+    def deriv_at_1(self, n, s: int):
+        """s-th derivative of G_n at 1; maps over arrays of generations, a
+        scalar n gives a float."""
         if s < 1:
             raise ValueError("derivative order must be >= 1")
         if s == 1:
-            return float(self.mean(n))
-        if self.kind == "linear_fractional":
-            return self.lf_params(n).deriv_at_1(s)
-        if self.kind == "custom":
-            return _table_moment(self, n, s)
-        return float(self.second_deriv(n)) if s == 2 else 0.0
+            vals = self.mean(n)
+        elif self.kind == "linear_fractional":
+            alpha, beta = self.params(n)
+            vals = math.factorial(s) * alpha * beta ** (s - 1) / (1.0 - beta) ** (s + 1)
+        elif self.kind == "custom":
+            vals = _table_moment(self, n, s)
+        else:
+            vals = self.second_deriv(n) if s == 2 else np.zeros(np.shape(n))
+        return float(vals) if np.ndim(n) == 0 else np.asarray(vals, dtype=float)
 
     def params(self, ns):
         """Closed-form parameters of G_n; maps over arrays of generations.
@@ -458,52 +450,49 @@ class OffspringFamily:
             raw = pgf.coeff_table(np.stack(self.params(ns), axis=1)[:, :k_trunc])
         return raw if np.ndim(n) else pgf.Pmf(raw[0])
 
-    def compose_back(self, ns, g, k_trunc: int):
-        """Apply the maps of generations ``ns`` (ascending) to the series
-        ``g``, last generation first; polynomial kinds only.
+    def compose_back(self, ns, g, k_trunc: int, starts=None):
+        """Apply the maps of generations ``ns`` (ascending) to series, last
+        generation first, in pieces; polynomial kinds only.
 
-        Returns ``(maps, out)``: maps[i] = G_{ns[i]+1} o ... o G_{ns[-1]} o g,
-        so maps[-1] is ``g`` itself, zero-padded to a common width; and
-        out = G_{ns[0]} o maps[0]. Each G_n is its ``pmf`` row truncated at
+        ``starts`` (ascending row indices, the first 0; by default one
+        piece) splits ``ns`` into consecutive pieces: the top piece is
+        applied to the series ``g``, every other piece to the identity x.
+        Returns ``(maps, outs)``, with ``outs`` a list when ``starts`` is
+        given and the one piece's series otherwise:
+        maps[i] = G_{ns[i]+1} o ... o G_{top of its piece} o (g or x), so
+        the top row of a piece holds g or x itself, zero-padded to a common
+        width; and outs[p] = G_{ns[starts[p]]} o maps[starts[p]], the whole
+        piece composed. Each G_n is its ``pmf`` row truncated at
         ``k_trunc``, without the block's all-zero top columns, applied by
         Horner (:func:`_poly_series`: one product per degree above 1, each
         forming only the ``k_trunc`` kept coefficients once the map is that
         wide); every term is a sum of products of nonnegative coefficients,
         so nothing below ``k_trunc`` is lost. Under rows of width 2 an
-        affine ``g`` stays affine, and one scan composes the block's
-        (p0, p1) pairs.
+        affine ``g`` stays affine, and one segmented scan composes the
+        (p0, p1) pairs of all pieces.
         """
         rows = self.pmf(ns, k_trunc)
         # a zero top column (quadratic with nu = 0) would only add width
         used = np.flatnonzero(rows.any(axis=0))
         rows = rows[:, : used[-1] + 1 if used.size else 1]
         count = rows.shape[0]
+        pieces = pgf._pieces(starts, count)
         if rows.shape[1] <= 2 and g.shape[0] <= 2:
-            # row i starts as G_{ns[i]} = (p0, p1) and row count as g; a
-            # step of span d composes rows i and i + d into
-            # (a_i + s_i a_{i+d}, s_i s_{i+d}), so after log2(count) doubling
-            # steps a_i + s_i x = G_{ns[i]} o ... o g. Every later cohort
-            # shares the chain s = p1 p1' ..., so it runs in long double
-            pairs = np.zeros((count + 1, 2), dtype=np.longdouble)
-            pairs[:count, : rows.shape[1]] = rows
-            pairs[count, : g.shape[0]] = g
-            a, s = pairs[:, 0], pairs[:, 1]
-            span = 1
-            while span <= count:
-                a[:-span] = a[:-span] + s[:-span] * a[span:]
-                s[:-span] = s[:-span] * s[span:]
-                span *= 2
-            width = min(2, k_trunc)
-            return pairs[1:, :width].astype(float), pairs[0, :width].astype(float)
+            maps, outs = _affine_scan(rows, g, pieces, min(2, k_trunc))
+            return maps, outs if starts is not None else outs[0]
         maps = np.zeros((count, k_trunc))
         width = 1
         coefs = rows.tolist()
         pad = np.zeros(2 * k_trunc - 1)
-        for i in range(count - 1, -1, -1):
-            maps[i, : g.shape[0]] = g
-            width = max(width, g.shape[0])
-            g = _poly_series(coefs[i], g, k_trunc, pad)
-        return maps[:, :width], g
+        outs = []
+        for lo, hi in pieces[::-1]:
+            for i in range(hi - 1, lo - 1, -1):
+                maps[i, : g.shape[0]] = g
+                width = max(width, g.shape[0])
+                g = _poly_series(coefs[i], g, k_trunc, pad)
+            outs.append(g)
+            g = np.array([0.0, 1.0])[:k_trunc]
+        return maps[:, :width], outs[::-1] if starts is not None else outs[0]
 
     def sample(self, n: int, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """out[s, t]: how many of the h[s] trajectories with s parents in
@@ -780,11 +769,14 @@ class ImmigrationFamily:
         )
         return np.minimum(w, 1.0)
 
-    def factorial_moment_at(self, n: int, k: int) -> float:
-        """m_{n,k} = H_n^(k)(1)."""
+    def factorial_moment_at(self, n, k: int):
+        """m_{n,k} = H_n^(k)(1); maps over arrays of generations, a scalar n
+        gives a float."""
         if self.kind == "poisson":
-            return float(self.m1.at(n)) ** k
-        return float(self.weight(n, "declared")) * pgf.factorial_moment(self.base_law, k)
+            vals = np.asarray(self.m1.at(n), dtype=float) ** k
+        else:
+            vals = self.weight(n, "declared") * pgf.factorial_moment(self.base_law, k)
+        return float(vals) if np.ndim(n) == 0 else vals
 
     def m2_ratio_vanishes(self, rho_rule: RhoRule) -> bool:
         """Whether m_{n,2}/(1 - rho_n) -> 0, decided from the rules."""
@@ -820,37 +812,49 @@ class ImmigrationFamily:
             raw[:, 0] += 1.0 - w
         return pgf.coeff_table(raw) if np.ndim(n) else pgf.Pmf(raw[0])
 
-    def cohort_product(self, ns, maps, k_trunc: int) -> np.ndarray:
+    def cohort_product(self, ns, maps, k_trunc: int, starts=None):
         """prod_i H_{ns[i]}(maps[i]) truncated at ``k_trunc``, at the clamped
         rates; ``maps`` holds one coefficient series per generation.
+
+        ``starts`` (ascending row indices, the first 0) splits the rows into
+        consecutive pieces and gives the list of the pieces' products; the
+        terms are built once for all rows.
 
         * poisson: the exponent sum_i m_i (maps_i - 1); over affine maps it
           is A + lam x, with lam = sum_i m_i g1_i, and the product is
           e^(A + lam) times the Poisson(lam) coefficients; over wider maps
-          it goes through one :func:`pgf.exp_series`;
+          it goes through one :func:`pgf.exp_series` per piece;
         * a custom mixture over affine maps g0 + g1 x: H = 1 - w + w B, with
-          B(g0 + g1 x) for the whole block from one matrix product
-          (:func:`_affine_compose`) on the base law truncated at k_trunc;
+          B(g0 + g1 x) for all rows from one matrix product
+          (:func:`pgf.affine_compose`) on the base law truncated at k_trunc;
         * otherwise the ``pmf`` rows I_n applied to the maps: I_n0 + I_n1 g
           for Bernoulli, :func:`pgf.compound` for wider rows.
 
-        :func:`pgf.product` then multiplies the cohort series. All terms
-        are nonnegative apart from the Poisson exponent's constant, which
-        only scales the result.
+        :func:`pgf.product` then multiplies the cohort series of each piece.
+        All terms are nonnegative apart from the Poisson exponent's
+        constant, which only scales the result.
         """
         if self.kind == "poisson":
             m = self.m1.at(ns)
+            pieces = pgf._pieces(starts, len(ns))
             if maps.shape[1] <= 2:
-                lam = float(m @ maps[:, 1]) if maps.shape[1] == 2 else 0.0
-                scale = math.exp(float(m @ (maps[:, 0] - 1.0)) + lam)
-                return scale * pgf.poisson_coeffs(lam, k_trunc)
-            expo = np.zeros(k_trunc)
-            expo[: maps.shape[1]] = np.einsum("j,jl->l", m, maps)
-            expo[0] = m @ (maps[:, 0] - 1.0)
-            return pgf.exp_series(expo, k_trunc).coeffs
+                lam, scale = np.zeros(len(pieces)), np.zeros(len(pieces))
+                for p, (lo, hi) in enumerate(pieces):
+                    mp, gp = m[lo:hi], maps[lo:hi]
+                    lam[p] = float(mp @ gp[:, 1]) if maps.shape[1] == 2 else 0.0
+                    scale[p] = math.exp(float(mp @ (gp[:, 0] - 1.0)) + lam[p])
+                out = list(scale[:, None] * pgf.poisson_coeffs(lam, k_trunc))
+            else:
+                out = []
+                for lo, hi in pieces:
+                    expo = np.zeros(k_trunc)
+                    expo[: maps.shape[1]] = np.einsum("j,jl->l", m[lo:hi], maps[lo:hi])
+                    expo[0] = m[lo:hi] @ (maps[lo:hi, 0] - 1.0)
+                    out.append(pgf.exp_series(expo, k_trunc).coeffs)
+            return out if starts is not None else out[0]
         terms = None
         if self.kind == "custom" and maps.shape[1] <= 2 < self.base_law.coeffs.shape[0]:
-            wide = _affine_compose(self.base_law.coeffs[:k_trunc], maps)
+            wide = pgf.affine_compose(self.base_law.coeffs[:k_trunc], maps)
             if wide is not None:
                 w = self.weight(ns, "clamped")
                 terms = w[:, None] * wide
@@ -862,7 +866,7 @@ class ImmigrationFamily:
                 terms[:, 0] += rows[:, 0]
             else:
                 terms = [pgf.compound(r, g, k_trunc) for r, g in zip(rows, maps)]
-        return pgf.product(terms, k_trunc)
+        return pgf.product(terms, k_trunc, starts)
 
     def sample(self, n: int, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """out[v, k]: how many of the h[v] trajectories in state v receive k
@@ -911,6 +915,16 @@ class CompoundPoissonLimit:
 class NegativeBinomialLimit:
     r: float
     p: float
+
+    @classmethod
+    def from_limits(cls, lam: float, nu: float) -> "NegativeBinomialLimit":
+        """The target (r, p) = (2 lam/nu, nu/(2+nu)) of the limit constants
+        lam > 0 and nu > 0."""
+        if lam <= 0:
+            raise ValueError("lam must be positive")
+        if nu <= 0:
+            raise ValueError("nu must be positive; nu = 0 is the Poisson regime")
+        return cls(2.0 * lam / nu, nu / (2.0 + nu))
 
     def describe(self) -> str:
         return f"NegativeBinomial r={self.r:.17g} p={self.p:.17g}"
@@ -1061,7 +1075,7 @@ def classify(spec: ScenarioSpec) -> LimitLaw:
             "second immigration moments do not vanish relative to 1-rho"
         )
     if spec.immigration.m2_ratio_vanishes(spec.offspring.rho_rule):
-        return NegativeBinomialLimit(2.0 * spec.lam / spec.nu, spec.nu / (2.0 + spec.nu))
+        return NegativeBinomialLimit.from_limits(spec.lam, spec.nu)
     return OutsideScope("nu > 0 requires second immigration moments o(1-rho)")
 
 
@@ -1080,24 +1094,25 @@ def condition_ratios(spec: ScenarioSpec, n):
     """Per-n values of the moment ratios the limit-law hypotheses constrain.
 
     A scalar n gives one :class:`ConditionRatios`; an array of generations
-    gives a tuple of them, entry i for generation n[i], with the partial
-    sums of 1 - rho_j taken over prefixes of one ``one_minus_rho`` call up
-    to the largest. The scalar is the one-row case of the same code.
+    gives a tuple of them, entry i for generation n[i]. Each ratio is one
+    array operation on the family moments at all the generations, and the
+    partial sums of 1 - rho_j are taken over prefixes of one
+    ``one_minus_rho`` call up to the largest, so the scalar is the one-row
+    case of the same code.
     """
-    ns = np.atleast_1d(np.asarray(n, dtype=int)).tolist()
-    if min(ns, default=1) < 1:
+    ns = np.atleast_1d(np.asarray(n, dtype=int))
+    if ns.min(initial=1) < 1:
         raise ValueError("generation index must be >= 1")
-    one_minus = spec.offspring.one_minus_rho(np.arange(1, max(ns, default=0) + 1))
-    rows = []
+    top = int(ns.max(initial=0))
+    one_minus = spec.offspring.one_minus_rho(np.arange(1, top + 1))
+    off, imm = spec.offspring, spec.immigration
+    delta = np.asarray(off.one_minus_rho(ns), dtype=float)
     # 1 - rho_n can underflow to 0: the IEEE quotient, inf or nan, says so
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k in ns:
-            delta = np.float64(spec.offspring.one_minus_rho(k))
-            rows.append(ConditionRatios(
-                m1_ratio=float(spec.immigration.factorial_moment_at(k, 1) / delta),
-                m2_ratio=float(spec.immigration.factorial_moment_at(k, 2) / delta),
-                g2_ratio=float(spec.offspring.second_deriv(k) / delta),
-                g3_ratio=float(spec.offspring.deriv_at_1(k, 3) / delta),
-                partial_sum=float(np.sum(one_minus[:k])),
-            ))
-    return tuple(rows) if np.ndim(n) else rows[0]
+        cols = (imm.factorial_moment_at(ns, 1) / delta,
+                imm.factorial_moment_at(ns, 2) / delta,
+                off.second_deriv(ns) / delta,
+                off.deriv_at_1(ns, 3) / delta,
+                np.array([np.sum(one_minus[:k]) for k in ns.tolist()]))
+    rows = tuple(ConditionRatios(*row) for row in zip(*(c.tolist() for c in cols)))
+    return rows if np.ndim(n) else rows[0]

@@ -70,11 +70,7 @@ def poisson_pmf(lam: float, k_trunc: int) -> pgf.Pmf:
 
 def nb_params(lam: float, nu: float) -> NegativeBinomialLimit:
     """Negative binomial target (r, p) = (2 lam/nu, nu/(2+nu)) for nu > 0."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if nu <= 0:
-        raise ValueError("nu must be positive; nu = 0 is the Poisson regime")
-    return NegativeBinomialLimit(2.0 * lam / nu, nu / (2.0 + nu))
+    return NegativeBinomialLimit.from_limits(lam, nu)
 
 
 def nb_pmf(r: float, p: float, k_trunc: int) -> pgf.Pmf:
@@ -88,16 +84,18 @@ def nb_pmf(r: float, p: float, k_trunc: int) -> pgf.Pmf:
 # compound Poisson intensities
 
 
+def _cascade_error(zero_at: int, idx: int) -> ValueError:
+    return ValueError(f"lambda_{idx} > 0 after lambda_{zero_at} = 0; "
+                      "a vanished moment ratio cannot reappear")
+
+
 def _check_cascade(lambdas) -> None:
     seen_zero_at = None
     for idx, val in enumerate(lambdas, start=1):
         if idx >= 2 and val == 0.0 and seen_zero_at is None:
             seen_zero_at = idx
         elif seen_zero_at is not None and val != 0.0:
-            raise ValueError(
-                f"lambda_{idx} > 0 after lambda_{seen_zero_at} = 0; "
-                "a vanished moment ratio cannot reappear"
-            )
+            raise _cascade_error(seen_zero_at, idx)
 
 
 def cp_intensity_finite(lambdas) -> IntensityMeasure:
@@ -201,26 +199,37 @@ def _centered_cut(c_rule: Callable[[int], float], k_trunc: int, tol: float,
     The term c_l (x-1)^l moves coefficient k by |c_l| C(l, k), so the series
     ends at the first l with |c_l| max_{k < k_trunc} C(l, k) below tol/100,
     or at the first c_l = 0: by the cascade rule a vanished moment ratio
-    never reappears. The test looks at that one term and trusts the rest to
-    be smaller. No cut within ``l_cap`` terms, or a term that overflows,
-    raises :class:`SeriesDivergenceError`.
+    never reappears, and a nonzero c_{l+1} after c_l = 0 (l >= 2) raises
+    the ValueError of that rule, as :func:`cp_intensity_finite` does. The
+    test looks at that one term and trusts the rest to be smaller. No cut
+    within ``l_cap`` terms, or a term that overflows, raises
+    :class:`SeriesDivergenceError`.
     """
     log_target = math.log(tol * 1e-2)
     coeffs = [0.0]
     for l in range(1, l_cap + 1):
-        try:
-            c = float(c_rule(l))
-        except OverflowError:
-            c = math.inf
+        c = _term(c_rule, l)
         if not math.isfinite(c):
             raise SeriesDivergenceError(f"centered coefficient c_{l} overflows")
         coeffs.append(c)
-        if c == 0.0 or math.log(abs(c)) + _max_binom_log(l, k_trunc) < log_target:
+        if c == 0.0:
+            if l >= 2 and _term(c_rule, l + 1) != 0.0:
+                raise _cascade_error(l, l + 1)
+            return np.array(coeffs)
+        if math.log(abs(c)) + _max_binom_log(l, k_trunc) < log_target:
             return np.array(coeffs)
     raise SeriesDivergenceError(
         f"centered coefficients do not truncate within {l_cap} terms "
         f"for {k_trunc} output columns"
     )
+
+
+def _term(c_rule: Callable[[int], float], l: int) -> float:
+    """c_l as a float, inf where the rule overflows."""
+    try:
+        return float(c_rule(l))
+    except OverflowError:
+        return math.inf
 
 
 def general_limit_pmf(c_rule: Callable[[int], float], k_trunc: int,

@@ -133,19 +133,43 @@ def composed_params_all(spec: "ScenarioSpec", n: int):
     First derivative at 1 is the product rho_{j+1}...rho_n (computed in log
     space); second derivative is the weighted sum over interior factors.
     """
+    return interval_params(spec, [n])
+
+
+def interval_params(spec: "ScenarioSpec", tops):
+    """(alpha_j, beta_j), j = 0..N, of the maps G_{j+1} o ... o G_b that
+    compose each interval (a, b] between consecutive entries of 0 and
+    ``tops`` (ascending, N = tops[-1]) from j, a <= j < b, to its top;
+    entry N is the identity.
+
+    One :func:`chain_logs` pass to N serves every interval, and each entry
+    is what :func:`composed_params_all` at n = b gives.
+    """
     _require_lf(spec)
-    if n == 0:
-        return np.ones(1), np.zeros(1)
-    s = chain_logs(spec, n)
+    top = int(tops[-1])
+    alpha, beta = np.ones(top + 1), np.zeros(top + 1)
+    if top == 0:
+        return alpha, beta
+    s = chain_logs(spec, top)
+    g2 = spec.offspring.second_deriv(np.arange(1, top + 1))
     rho1 = float(spec.offspring.mean(1))
-    d1 = np.exp(s[n] - s)  # d1[j] = rho_[j,n] for j >= 1
-    d1[0] *= rho1
-    g2 = spec.offspring.second_deriv(np.arange(1, n + 1))
-    # w_i = G_i''(1) * exp(S_{i-1}) * rho_[i,n]^2 for i = 1..n
-    w = g2 * np.exp(s[:-1]) * np.exp(2.0 * (s[n] - s[1:]))
+    for a, b in zip([0, *tops[:-1]], tops):
+        al, be = _composed_params(s, g2, rho1, int(a), int(b))
+        alpha[a:b], beta[a:b] = al[:-1], be[:-1]
+    return alpha, beta
+
+
+def _composed_params(s, g2, rho1: float, a: int, b: int):
+    """(alpha_j, beta_j) of G_{j+1} o ... o G_b for j = a..b, from the chain
+    logs S through b, g2[i-1] = G_i''(1) and rho_1."""
+    d1 = np.exp(s[b] - s[a : b + 1])  # d1[j-a] = rho_[j,b] for j >= 1
+    # w_i = G_i''(1) * exp(S_{i-1}) * rho_[i,b]^2 for i = a+1..b
+    w = g2[a:b] * np.exp(s[a:b]) * np.exp(2.0 * (s[b] - s[a + 1 : b + 1]))
     suffix = np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]])
-    d2 = np.exp(-s) * suffix
-    d2[0] = w[0] + rho1 * suffix[1]
+    d2 = np.exp(-s[a : b + 1]) * suffix
+    if a == 0:
+        d1[0] *= rho1
+        d2[0] = w[0] + rho1 * suffix[1]
     with np.errstate(invalid="ignore", divide="ignore"):
         denom = 2.0 * d1 + d2
         alpha = 4.0 * d1**3 / denom**2

@@ -11,11 +11,12 @@ operations on it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import NotADistributionError, NumericError
 
@@ -189,6 +190,55 @@ def _short_product(pad: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.correlate(pad, b[::-1], "valid")
 
 
+@functools.lru_cache(maxsize=8)
+def _binomials(w: int):
+    """(B, idx): B[m, l] = C(l+m, l) where l + m < w and zero beyond, and
+    idx[m, l] = min(l + m, w - 1); None when a binomial overflows the float
+    range (w beyond ~1000)."""
+    pascal = np.zeros((w, w))  # pascal[n, l] = C(n, l)
+    pascal[:, 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, w):
+            pascal[n, 1:] = pascal[n - 1, 1:] + pascal[n - 1, :-1]
+    if not np.isfinite(pascal).all():
+        return None
+    n = np.add.outer(np.arange(w), np.arange(w))
+    idx = np.minimum(n, w - 1)
+    binom = np.where(n < w, pascal[idx, np.arange(w)], 0.0)
+    binom.setflags(write=False)
+    idx.setflags(write=False)
+    return binom, idx
+
+
+def _powers(x: np.ndarray, count: int) -> np.ndarray:
+    """out[i, m] = x[i]^m for m < count, by running products."""
+    out = np.empty((x.shape[0], count))
+    out[:, 0] = 1.0
+    out[:, 1:] = x[:, None]
+    return np.cumprod(out, axis=1, out=out)
+
+
+def affine_compose(c, maps: np.ndarray):
+    """Rows c(g0 + g1 x) for the affine maps g0 + g1 x held in ``maps``, the
+    law ``c`` thinned and shifted, as wide as ``c``; None when the
+    binomials overflow.
+
+    c(g0 + g1 x)_l = g1^l sum_m c_{l+m} C(l+m, l) g0^m: one product of the
+    Vandermonde matrix of g0 with the Hankel matrix c_{l+m} C(l+m, l) of
+    :func:`_binomials`, all terms nonnegative.
+    """
+    c = np.asarray(c, dtype=float)
+    tables = _binomials(c.shape[0])
+    if tables is None:
+        return None
+    binom, idx = tables
+    g1 = maps[:, 1] if maps.shape[1] > 1 else np.zeros(maps.shape[0])
+    # einsum, not matmul: a threaded BLAS product of a block spends more
+    # waking its thread pool (about 6 ms on 2 cores) than computing
+    vander = np.einsum("jm,ml->jl", _powers(maps[:, 0], c.shape[0]), c[idx] * binom)
+    return vander * _powers(g1, c.shape[0])
+
+
 def compound(count, jump, k_trunc: int):
     """Law of a ``count``-indexed sum of i.i.d. ``jump`` draws.
 
@@ -197,7 +247,10 @@ def compound(count, jump, k_trunc: int):
     term up to the last nonzero one enters, however small; only exact
     trailing zeros are skipped.
 
-    The polynomial sum_{k<top} count_k J^k is evaluated by the
+    An affine jump g0 + g1 x (binomial thinning) gives the count law
+    thinned by :func:`affine_compose`, one matrix-vector product, unless
+    its binomials overflow. Otherwise the polynomial sum_{k<top} count_k J^k
+    is evaluated by the
     baby-step/giant-step scheme of Paterson & Stockmeyer (SIAM J. Comput. 2,
     1973): with s = ceil(sqrt(top)), the powers J^0..J^s take s - 1
     convolutions, one matrix product forms the blocks
@@ -214,12 +267,16 @@ def compound(count, jump, k_trunc: int):
     """
     if k_trunc <= 0:
         raise ValueError("truncation length must be positive")
-    cw = _coeffs(count)
+    cw, jc = _coeffs(count), _coeffs(jump)[:k_trunc]
+    thinned = affine_compose(cw, jc[None, :]) if jc.shape[0] <= 2 else None
+    if thinned is not None:
+        out = np.zeros(k_trunc)
+        out[: min(cw.shape[0], k_trunc)] = thinned[0, :k_trunc]
+        return _as_given(out, count)
     nonzero = np.flatnonzero(cw)
     top = int(nonzero[-1]) + 1 if nonzero.size else 1
     s = math.isqrt(top - 1) + 1
     q = -(-top // s)
-    jc = _coeffs(jump)[:k_trunc]
     powers = np.zeros((s, k_trunc))
     powers[0, 0] = 1.0
     pad = np.zeros(2 * k_trunc - 1)
@@ -250,56 +307,86 @@ _PAIR_WIDTH, _PAIR_ROWS = 32, 16
 def _pair_level(t: np.ndarray, k_trunc: int) -> np.ndarray:
     """Row i is t[2i] t[2i+1] truncated at ``k_trunc``, for an even number
     of rows: one einsum of each even row against the sliding windows of the
-    zero-padded odd row after it."""
+    zero-padded odd row after it, a read-only strided view of the pad."""
     h, w = t.shape[0] // 2, t.shape[1]
     ow = min(2 * w - 1, k_trunc)
     pad = np.zeros((h, w - 1 + ow), dtype=t.dtype)
     pad[:, w - 1 : w - 1 + min(w, ow)] = t[1::2, :ow]
-    win = sliding_window_view(pad, w, axis=1)
+    step_r, step_l = pad.strides
+    win = as_strided(pad, (h, ow, w), (step_r, step_l, step_l), writeable=False)
     return np.einsum("ri,rli->rl", t[0::2, ::-1], win)
 
 
-def product(terms, k_trunc: int) -> np.ndarray:
+def _pieces(starts, count: int) -> list:
+    """Row bounds (lo, hi) of the consecutive pieces into which ``starts``
+    (ascending row indices, the first 0) cuts ``count`` rows; None gives
+    one piece."""
+    cuts = [0] if starts is None else [int(i) for i in starts]
+    return list(zip(cuts, cuts[1:] + [count]))
+
+
+def product(terms, k_trunc: int, starts=None):
     """Coefficients of the product of the series in the rows of ``terms``,
     truncated at ``k_trunc``; no rows give the series 1.
 
-    While at least ``_PAIR_ROWS`` rows remain, none wider than
-    ``_PAIR_WIDTH``, they are multiplied in pairs, all pairs of a level in
-    one vectorized pass, so each level halves the rows and about doubles
-    their width (an odd row out waits for the end). The rest is multiplied
-    into a running product, one row at a time: a row wider than
-    ``_PAIR_WIDTH`` by a :func:`_short_product` once the product is
-    ``k_trunc`` wide, a narrower one (or while the product grows) by
-    ``np.convolve``. A level of narrow rows costs about as much as five
-    convolutions and saves one per pair, but its multiply-adds grow with
-    the square of the width: 256 rows of width 2 take 5 levels and 8
-    convolutions, while 64-wide rows take one product each, as a running
-    product would. Either way each coefficient is a sum of products of
-    nonnegative operands, exact up to rounding.
+    ``starts`` (ascending row indices, the first 0) splits the rows into
+    consecutive pieces and gives the list of the pieces' products, one per
+    piece, each computed as that piece alone would be.
+
+    While at least ``_PAIR_ROWS`` rows of pieces with two or more rows
+    remain, none wider than ``_PAIR_WIDTH``, they are multiplied in pairs
+    within their piece, all pairs of all pieces in one vectorized pass, so
+    each level halves every piece and about doubles the width; a piece of
+    odd length is first padded with the series 1, which moves no
+    coefficient. The rest of each piece is multiplied into a running
+    product, one row at a time: a row wider than ``_PAIR_WIDTH`` by a
+    :func:`_short_product` once the product is ``k_trunc`` wide, a narrower
+    one (or while the product grows) by ``np.convolve``. A level of narrow
+    rows costs about as much as five convolutions and saves one per pair,
+    but its multiply-adds grow with the square of the width: 256 rows of
+    width 2 take 5 levels and 8 convolutions, while 64-wide rows take one
+    product each, as a running product would. Either way each coefficient
+    is a sum of products of nonnegative operands, exact up to rounding.
     """
     t = np.asarray(terms, dtype=float)
-    rest = []
-    if t.shape[0] >= _PAIR_ROWS and t.shape[1] <= _PAIR_WIDTH:
+    sizes = [hi - lo for lo, hi in _pieces(starts, t.shape[0])]
+
+    def pairing() -> bool:
+        return (t.shape[1] <= _PAIR_WIDTH
+                and sum(z for z in sizes if z > 1) >= _PAIR_ROWS)
+
+    if pairing():
         # the rows of one block are nearly equal, so a level rounds them
         # alike and doubles the rounding of the levels before it; in long
         # double that stays far below float64's own rounding
         t = t.astype(np.longdouble)
-        while t.shape[0] >= _PAIR_ROWS and t.shape[1] <= _PAIR_WIDTH:
-            if t.shape[0] % 2:
-                rest.append(t[-1].astype(float))
-                t = t[:-1]
+        while pairing():
+            if any(z % 2 for z in sizes):
+                # each odd piece gets the series 1 after its last row
+                slots, at = [], 0
+                for z in sizes:
+                    slots.extend(range(at, at + z))
+                    at += z + z % 2
+                padded = np.zeros((at, t.shape[1]), dtype=t.dtype)
+                padded[:, 0] = 1.0
+                padded[slots] = t
+                t = padded
+                sizes = [z + z % 2 for z in sizes]
             t = _pair_level(t, k_trunc)
+            sizes = [z // 2 for z in sizes]
         t = t.astype(float)
-    out = np.ones(1)
     pad = np.zeros(t.shape[1] - 1 + k_trunc) if t.shape[1] > _PAIR_WIDTH else None
-    for row in t:
-        if pad is not None and out.shape[0] == k_trunc:
-            out = _short_product(pad, out, row)
-        else:
-            out = np.convolve(out, row)[:k_trunc]
-    for row in rest:
-        out = np.convolve(out, row)[:k_trunc]
-    return out
+    out, lo = [], 0
+    for size in sizes:
+        acc = t[lo, :k_trunc].copy() if size else np.ones(1)
+        for row in t[lo + 1 : lo + size]:
+            if pad is not None and acc.shape[0] == k_trunc:
+                acc = _short_product(pad, acc, row)
+            else:
+                acc = np.convolve(acc, row)[:k_trunc]
+        out.append(acc)
+        lo += size
+    return out if starts is not None else out[0]
 
 
 def evaluate(p: Pmf, x: float) -> float:
@@ -309,15 +396,21 @@ def evaluate(p: Pmf, x: float) -> float:
     return float(np.polyval(p.coeffs[::-1], x))
 
 
-def factorial_moment(p: Pmf, k: int) -> float:
-    """k-th factorial moment sum_j j(j-1)...(j-k+1) coeffs[j]."""
+def factorial_moment(p, k: int):
+    """k-th factorial moment sum_j j(j-1)...(j-k+1) coeffs[j].
+
+    ``p`` is a :class:`Pmf` (a float out) or a table with one law per row
+    (one moment per row); the law is the one-row case of the same sum.
+    """
     if k < 1:
         raise ValueError("moment order must be >= 1")
-    j = np.arange(p.coeffs.shape[0], dtype=float)
+    c = p.coeffs if isinstance(p, Pmf) else np.asarray(p, dtype=float)
+    j = np.arange(c.shape[-1], dtype=float)
     ff = np.ones_like(j)
     for i in range(k):
         ff *= j - i
-    return float(np.sum(ff * p.coeffs))
+    moments = np.sum(ff * c, axis=-1)
+    return float(moments) if c.ndim == 1 else moments
 
 
 def taylor_shift(c, a: float, k_trunc: int) -> np.ndarray:

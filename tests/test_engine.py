@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import constant_spec, make_spec
-from nearcrit import diagnostics, engine, linfrac, pgf, scenarios
+from nearcrit import diagnostics, engine, families, linfrac, pgf, scenarios
 from nearcrit.diagnostics import accompanying_gap_bound
 from nearcrit.errors import NumericError
 from nearcrit.families import (
@@ -446,7 +446,8 @@ def test_default_truncation_nb_target():
 def _step_loop(spec, targets, k, initial=None):
     """The forward recursion one Pmf-typed step at a time, over the scalar
     pmf(n, K) of each generation (the oracle of propagate_sequence)."""
-    law, out = pgf.Pmf.delta(0) if initial is None else initial, {}
+    law = pgf.Pmf.delta(0) if initial is None else initial
+    out = {0: law} if 0 in targets else {}
     for n in range(1, max(targets) + 1):
         law = engine.step(law, spec.offspring.pmf(n, k), spec.immigration.pmf(n, k), k)
         if n in targets:
@@ -643,6 +644,84 @@ def test_sweep_matches_the_step_loop_for_every_kind(offspring, immigration, rho1
     _assert_within_the_step_loop_deficiency(spec, [*_EDGES, *extra], k, initial)
 
 
+def _sweep_specs():
+    specs = {name: scenarios.load_fixture(name).spec for name in scenarios.FIXTURE_NAMES}
+    specs.update({
+        "quadratic": make_spec("quadratic", nu=0.8, imm_kind="poisson"),
+        "linear_fractional": make_spec("linear_fractional", nu=0.5),
+        "custom_affine": constant_spec(0.7, 0.4, imm_kind="poisson"),
+        "four_term_table": _four_term_spec(),
+    })
+    return specs
+
+
+_SWEEP_SPECS = _sweep_specs()
+_AROUND_EDGES = sorted({0, 1, 2, *_EDGES, *(e + 2 for e in _EDGES)})
+
+
+@given(
+    name=st.sampled_from(sorted(_SWEEP_SPECS)),
+    targets=st.lists(st.one_of(st.sampled_from(_AROUND_EDGES),
+                               st.integers(0, 2 * engine.BLOCK + 4)),
+                     min_size=1, max_size=8),
+    k=st.sampled_from([1, 3, 16]),
+)
+@settings(max_examples=25, deadline=None)
+def test_every_target_of_a_sweep_is_its_lone_propagation(name, targets, k):
+    # duplicates, 0 and generations on block edges; each entry must be what
+    # propagate gives for that target alone, up to the rounding of either
+    # route (n k eps relative per coefficient, as in the step-loop check)
+    # and the mass either truncation drops: cutting at the targets below
+    # drops mass beyond K that a lone route keeps, and whose offspring would
+    # have reached lower coefficients too. A deficiency read as 1 - sum
+    # cannot show a drop below the rounding of that sum, so each dropped
+    # mass is taken as the deficiency plus the margin
+    spec = _SWEEP_SPECS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # clamped rates, small-K truncation
+        states = engine.propagate_sequence(spec, targets, k)
+        alone = [engine.propagate(spec, state.n, k) for state in states]
+    assert [s.n for s in states] == sorted(set(targets))
+    for state, ref in zip(states, alone):
+        margin = 2 * max(state.n, 1) * k * np.finfo(float).eps
+        lost = max(state.cumulative_deficiency, ref.cumulative_deficiency) + margin
+        gap = np.abs(state.pmf.coeffs - ref.pmf.coeffs)
+        assert np.all(gap <= margin * ref.pmf.coeffs + lost), (name, state.n)
+        assert gap.sum() <= lost, (name, state.n)
+    _assert_within_the_step_loop_deficiency(spec, targets, k)
+
+
+def test_a_report_closes_each_row_with_one_step(fixture_specs, monkeypatch):
+    # one engine.step per row; the backward sweep itself (compose_back and
+    # cohort_product, one call per block) does not grow with the rows
+    spec = fixture_specs["thm1_poisson"]
+    calls = {"step": 0, "compose_back": 0, "cohort_product": 0}
+
+    def counting(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    counting(engine, "step")
+    counting(families.OffspringFamily, "compose_back")
+    counting(families.ImmigrationFamily, "cohort_product")
+    seen = {}
+    for rows in (1, 4, 30):
+        grid = np.linspace(1800 / rows, 1800, rows).round().astype(int)
+        for key in calls:
+            calls[key] = 0
+        rep = diagnostics.report(spec, grid, 32)
+        assert len(rep.rows) == rows
+        assert calls["step"] == rows
+        seen[rows] = (calls["compose_back"], calls["cohort_product"])
+    blocks = -(-1800 // engine.BLOCK)
+    assert set(seen.values()) == {(blocks, blocks)}
+
+
 @pytest.mark.parametrize("immigration", ["bernoulli", "poisson"])
 def test_sweep_pads_a_custom_law_of_changing_width(immigration):
     # rows of width 2 and 3 share a table, zero-padded to the wider one
@@ -657,10 +736,8 @@ def test_sweep_pads_a_custom_law_of_changing_width(immigration):
 def test_a_base_law_too_wide_for_float_binomials_is_applied_row_by_row():
     # C(1099, 549) overflows a float, so the block's Vandermonde product is
     # unavailable and each cohort applies its pmf row instead
-    from nearcrit import families
-
     base = np.full(1100, 1.0 / 1100)
-    assert families._affine_compose(base, np.array([[0.5, 0.5]])) is None
+    assert pgf.affine_compose(base, np.array([[0.5, 0.5]])) is None
     spec = dataclasses.replace(make_spec(), immigration=ImmigrationFamily(
         kind="custom", m1=PowerSum.parse("0.5*(n+1)^-1"), base=tuple(base)))
     _assert_within_the_step_loop_deficiency(spec, [1, 3], 1100)

@@ -125,6 +125,18 @@ def test_cp_intensity_series_on_a_finite_sequence():
     assert np.all(measure.atoms[2:] == 0.0)
 
 
+def test_cp_intensity_series_applies_the_cascade_rule_at_a_zero():
+    # lambda_2 = 0 followed by lambda_3 = 1/3 > 0: the finite form rejects
+    # the sequence, and the series form must not cut it silently at l = 2
+    rule = lambda l: 0.0 if l == 2 else 1.0 / l  # noqa: E731
+    with pytest.raises(ValueError, match="lambda_3 > 0 after lambda_2 = 0"):
+        limits.cp_intensity_finite([1.0, 0.0, 1.0 / 3.0, 0.0])
+    with pytest.raises(ValueError, match="lambda_3 > 0 after lambda_2 = 0"):
+        limits.cp_intensity_series(rule, tol=1e-10, j_max=4)
+    with pytest.raises(ValueError, match="lambda_3 > 0 after lambda_2 = 0"):
+        limits.general_limit_pmf(lambda l: rule(l) / math.factorial(l), 8)
+
+
 def test_cp_intensity_series_divergence_signal():
     with pytest.raises(SeriesDivergenceError):
         limits.cp_intensity_series(
