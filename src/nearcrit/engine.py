@@ -20,14 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linfrac, pgf
+from . import pgf
 from .errors import NumericError
 from .families import (
     NegativeBinomialLimit,
     PoissonLimit,
     ScenarioSpec,
     classify,
-    lf_coeffs,
 )
 
 DEFICIENCY_FLAG = 1e-6
@@ -71,20 +70,15 @@ def _sweep(spec: ScenarioSpec, tops: list, k: int) -> list:
     :data:`BLOCK` serves every interval: the targets cut each block into
     pieces, and the family tables of a block are fetched and validated
     once. Its composed maps Gbar_{j+1,b} come, for every piece at once,
-    from the closed form (linear-fractional), from one segmented scan
-    (affine maps under binomial thinning) or from one Horner pass that
-    restarts from x at each target (the other polynomial kinds); the top
-    piece continues the map carried down from the block above. The
-    cohort terms H_j(Gbar_{j+1,b}) are built once per block and
-    :func:`pgf.product` multiplies each piece; a piece whose interval goes
-    on below the block passes its map and product down.
+    from the offspring law's ``_block_maps``: the closed form
+    (linear-fractional), one segmented scan (affine maps under binomial
+    thinning) or one Horner pass that restarts from x at each target (the
+    other polynomial kinds); the top piece continues the map carried down
+    from the block above. The cohort terms H_j(Gbar_{j+1,b}) are built once
+    per block and :func:`pgf.product` multiplies each piece; a piece whose
+    interval goes on below the block passes its map and product down.
     """
-    off, imm = spec.offspring, spec.immigration
-    if off.kind == "linear_fractional":
-        alpha, beta = linfrac.interval_params(spec, tops)
-        # the cohort of a target b meets the identity Gbar_{b+1,b}
-        cohort_alpha, cohort_beta = alpha.copy(), beta.copy()
-        cohort_alpha[tops], cohort_beta[tops] = 1.0, 0.0
+    imm, block_maps = spec.immigration, spec.offspring._block_maps(spec, tops, k)
     identity = np.array([0.0, 1.0])[:k]  # Gbar_{b+1,b}(x) = x
     g, cohorts = identity, np.ones(1)
     pad = np.zeros(2 * k - 1)
@@ -95,12 +89,7 @@ def _sweep(spec: ScenarioSpec, tops: list, k: int) -> list:
         # a piece starts at each generation right above a target
         inner = tops[bisect.bisect_right(tops, lo) : bisect.bisect_left(tops, hi)]
         starts = [0] + [t - lo for t in inner]
-        if off.kind == "linear_fractional":
-            maps = lf_coeffs(cohort_alpha[ns], cohort_beta[ns], k)
-            bottoms = [lo + i for i in starts]
-            outs = list(lf_coeffs(alpha[bottoms], beta[bottoms], k))
-        else:
-            maps, outs = off.compose_back(ns, g, k, starts)
+        maps, outs = block_maps(ns, g, starts)
         parts = imm.cohort_product(ns, maps, k, starts)
         if cohorts.shape[0] == parts[-1].shape[0] == k:
             parts[-1] = pgf._short_product(pad, cohorts, parts[-1])

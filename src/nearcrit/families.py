@@ -3,9 +3,14 @@
 Families are immutable value objects built from closed-form parameter
 rules: the offspring mean follows rho_n = 1 - c (n + n0)^(-gamma) and
 immigration means are finite sums of power terms coef (n + shift)^(-power).
-Each family exposes PGF values, derivatives at 1, extracted PMFs and exact
-samplers per generation, and the scenario wrapper dispatches the limit-law
-hypotheses over the declared constants.
+Each kind of law is one small frozen dataclass under the base
+:class:`OffspringFamily` (Bernoulli, quadratic, linear-fractional, custom
+table) or :class:`ImmigrationFamily` (Poisson, Bernoulli, custom mixture)
+that takes only the fields its kind reads and holds its own formulas: PGF
+values, derivatives at 1, extracted PMFs and exact samplers per
+generation, and its part of the propagation and product-law routes. One
+table, :data:`FAMILIES`, names each class in scenario files. The scenario
+wrapper dispatches the limit-law hypotheses over the declared constants.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from . import pgf
 from .errors import NumericError, ScenarioValidationError
-from .linfrac import LinearFractional, lf_alpha_beta, lf_value
+from .linfrac import LinearFractional, interval_params, lf_alpha_beta, lf_value
 
 _NUM = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _TERM_RE = re.compile(
@@ -168,24 +173,6 @@ class RhoRule:
 # offspring
 
 
-def _table_moment(family, n, k: int):
-    """k-th factorial moment of a custom table at generations ``n``.
-
-    One array operation on the ``params`` columns, validated as one
-    :func:`pgf.coeff_table`; maps over arrays, a scalar n gives a float.
-    """
-    cols = family.params(n)
-    table = np.stack(cols, axis=-1).reshape(-1, len(cols))
-    if table.size:
-        table = pgf.coeff_table(table)
-    j = np.arange(len(cols), dtype=float)
-    ff = np.ones_like(j)
-    for i in range(k):
-        ff *= j - i
-    moments = np.sum(table * ff, axis=-1)
-    return moments.reshape(np.shape(n)) if np.ndim(n) else float(moments[0])
-
-
 def _poly_series(p: list, g, k_trunc: int, pad: np.ndarray) -> np.ndarray:
     """Series of sum_i p[i] g^i truncated at ``k_trunc``, by Horner from the
     top coefficient: one product by g per degree above 1, a
@@ -286,140 +273,58 @@ def _quadratic_pgf(par, x):
     return 1.0 - (1.0 - x) * (p1 + p2 * (1.0 + x))
 
 
-# G_n(x) = formula(params(n), x) for each closed-form kind
-_PGF_FORMULAS = {
-    "bernoulli": _polynomial_pgf,
-    "quadratic": _quadratic_pgf,
-    "linear_fractional": lf_value,
-    "custom": _polynomial_pgf,
-}
+class _ByName(type):
+    """Metaclass of the family bases: ``OffspringFamily(kind=name, **fields)``
+    builds the class that :data:`FAMILIES` names, for callers that hold a
+    kind name (perfbench's product-law check builds a Bernoulli twin so)."""
+
+    def __call__(cls, *args, kind=None, **fields):
+        if kind is not None:
+            cls = family_class(cls.role, kind)
+        return super().__call__(*args, **fields)
 
 
-@dataclass(frozen=True)
-class OffspringFamily:
-    """Offspring law per generation; kind selects the closed form
-    G_n(x) = pgf_formula(params(n), x).
+class OffspringFamily(metaclass=_ByName):
+    """Offspring law per generation: one frozen dataclass per kind, which
+    takes only the fields it reads and is named ``kind`` in scenario files.
 
-    * quadratic: degree-2 polynomial with G_n''(1) = nu (1 - rho_n), capped
-      at rho_n in the early generations outside the window
-    * bernoulli: G_n(x) = 1 - rho_n + rho_n x, the quadratic with nu = 0
-    * linear_fractional: LF map with G_n''(1) = nu (1 - rho_n)
-    * custom: user PMF table per n, the polynomial sum_k p_k(n) x^k
+    Each kind gives its closed form G_n(x) = pgf_formula(params(n), x) and
+    G_n''(1) = ``second_deriv(n)``. The base serves the kinds with a rho
+    rule, whose parameters come from the unrounded 1 - rho_n, never from
+    1 - rho_n rounded through rho_n; a custom table overrides ``mean``,
+    ``one_minus_rho`` and ``params``.
     """
 
-    kind: str
-    rho_rule: RhoRule | None = None
-    nu: float = 0.0
-    table: Callable[[int], np.ndarray] | None = None
+    role = "offspring"
+    # composed maps G_{j+1} o ... o G_n stay linear-fractional (linfrac)
+    composes_lf = False
 
     def __post_init__(self):
-        if self.kind not in ("bernoulli", "quadratic", "linear_fractional", "custom"):
-            raise ScenarioValidationError(f"unknown offspring family {self.kind!r}")
-        if self.kind == "custom":
-            if self.table is None:
-                raise ScenarioValidationError("custom offspring needs a PMF table")
-            return
-        if self.rho_rule is None:
-            raise ScenarioValidationError(f"{self.kind} offspring needs a rho rule")
         if self.nu < 0:
             raise ScenarioValidationError("nu must be nonnegative")
-        if self.kind == "bernoulli" and self.nu != 0.0:
-            raise ScenarioValidationError("Bernoulli offspring forces nu = 0")
-
-    # -- mean sequence ------------------------------------------------------
 
     def mean(self, n):
-        if self.kind == "custom":
-            return _table_moment(self, n, 1)
         return self.rho_rule.rho(n)
 
     def one_minus_rho(self, n):
-        if self.kind == "custom":
-            return 1.0 - self.mean(n)
         return self.rho_rule.one_minus_rho(n)
 
-    def start_offset(self) -> int:
-        """First generation whose parameters are not window-clamped, by the
-        test of :func:`_quadratic_g2`; 1 - rho_n decreases to 0, so the test
-        holds from one generation on, which doubling and bisection find."""
-        if self.kind != "quadratic":
-            return 1
-
-        def opened(n: int) -> bool:
-            delta = float(self.rho_rule.one_minus_rho(n))
-            return self.nu * delta <= 1.0 - delta
-
-        lo, hi = 0, 1  # opened(hi), and lo = 0 or not opened(lo)
-        while not opened(hi):
-            if hi == 2**1023:  # the next generation is beyond the float range
-                raise NumericError("quadratic window stays clamped beyond n = 2^1023")
-            lo, hi = hi, 2 * hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if opened(mid) else (mid, hi)
-        return hi
+    def params(self, ns):
+        """Closed-form parameters of G_n; maps over arrays of generations."""
+        return self._params(self.rho_rule.one_minus_rho(ns))
 
     def second_deriv(self, n):
-        """G_n''(1): nu (1 - rho_n), for quadratic (and Bernoulli, nu = 0)
-        capped at rho_n by the window of :func:`_quadratic_g2`."""
-        if self.kind == "custom":
-            return _table_moment(self, n, 2)
-        delta = self.one_minus_rho(n)
-        if self.kind == "linear_fractional":
-            return self.nu * delta
-        return _quadratic_g2(delta, self.nu)
+        return self._higher_deriv(n, 2)
 
     def deriv_at_1(self, n, s: int):
         """s-th derivative of G_n at 1; maps over arrays of generations, a
         scalar n gives a float."""
         if s < 1:
             raise ValueError("derivative order must be >= 1")
-        if s == 1:
-            vals = self.mean(n)
-        elif self.kind == "linear_fractional":
-            alpha, beta = self.params(n)
-            vals = math.factorial(s) * alpha * beta ** (s - 1) / (1.0 - beta) ** (s + 1)
-        elif self.kind == "custom":
-            vals = _table_moment(self, n, s)
-        else:
-            vals = self.second_deriv(n) if s == 2 else np.zeros(np.shape(n))
+        vals = self.mean(n) if s == 1 else self._higher_deriv(n, s)
         return float(vals) if np.ndim(n) == 0 else np.asarray(vals, dtype=float)
 
-    def params(self, ns):
-        """Closed-form parameters of G_n; maps over arrays of generations.
-
-        * bernoulli: (1 - rho_n, rho_n)
-        * quadratic: (p0, p1, p2)
-        * linear_fractional: (alpha, beta), checked like LinearFractional
-        * custom: the table's coefficients (p_0, ..., p_d), each row
-          zero-padded to the widest row; an empty ``ns`` gives one zero
-          column
-        """
-        if self.kind == "custom":
-            ns = np.asarray(ns)
-            rows = [np.asarray(self.table(int(m)), dtype=float) for m in ns.flat]
-            raw = np.zeros((ns.size, max((r.shape[0] for r in rows), default=1)))
-            for row, r in zip(raw, rows):
-                row[: r.shape[0]] = r
-            return tuple(col.reshape(ns.shape) for col in raw.T)
-        # curvatures come from the unrounded 1 - rho_n, never from 1 - rho_n
-        # rounded through rho_n
-        delta = self.rho_rule.one_minus_rho(ns)
-        if self.kind == "bernoulli":
-            rho = 1.0 - delta
-            return 1.0 - rho, rho
-        if self.kind == "linear_fractional":
-            return lf_alpha_beta(1.0 - delta, self.nu * delta)
-        return _quadratic_params(delta, self.nu)
-
-    @property
-    def pgf_formula(self) -> Callable:
-        """f with G_n(x) = f(params(n), x), on floats or broadcasting arrays."""
-        return _PGF_FORMULAS[self.kind]
-
     def lf_params(self, n: int) -> LinearFractional:
-        if self.kind == "linear_fractional":
-            return LinearFractional(*(float(v) for v in self.params(n)))
         raise ScenarioValidationError(f"{self.kind} offspring has no LF parameters")
 
     def pgf_at(self, n, x):
@@ -440,15 +345,13 @@ class OffspringFamily:
         A scalar n gives a :class:`pgf.Pmf`; an array of generations gives
         a :func:`pgf.coeff_table` with one row per generation, from one
         ``params`` call. The scalar is the one-row case of the same table.
-        Linear-fractional rows hold p_0 = 1 - alpha/(1 - beta) and
-        p_k = alpha beta^(k-1); the other kinds hold their parameters.
         """
-        ns = np.atleast_1d(n)
-        if self.kind == "linear_fractional":
-            raw = lf_coeffs(*self.params(ns), k_trunc)
-        else:
-            raw = pgf.coeff_table(np.stack(self.params(ns), axis=1)[:, :k_trunc])
+        raw = self._rows(np.atleast_1d(n), k_trunc)
         return raw if np.ndim(n) else pgf.Pmf(raw[0])
+
+    def _rows(self, ns, k_trunc: int) -> np.ndarray:
+        # the parameters are the coefficients
+        return pgf.coeff_table(np.stack(self.params(ns), axis=1)[:, :k_trunc])
 
     def compose_back(self, ns, g, k_trunc: int, starts=None):
         """Apply the maps of generations ``ns`` (ascending) to series, last
@@ -494,60 +397,244 @@ class OffspringFamily:
             g = np.array([0.0, 1.0])[:k_trunc]
         return maps[:, :width], outs[::-1] if starts is not None else outs[0]
 
+    def _block_maps(self, spec, tops, k_trunc: int) -> Callable:
+        """f(ns, g, starts) -> (maps, outs) of one block of ``engine._sweep``:
+        :meth:`compose_back` onto the series g the sweep carries down."""
+        return lambda ns, g, starts: self.compose_back(ns, g, k_trunc, starts)
+
+    def _product_maps(self, rho, composed: Callable) -> Callable:
+        """v -> Gbar_{j+1,inf}(1 - v), j = 1..len(rho), for the product law,
+        given rho[j-1] = rho_[j,inf]: ``composed()``, over a finite horizon."""
+        return composed()
+
     def sample(self, n: int, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """out[s, t]: how many of the h[s] trajectories with s parents in
         generation ``n`` have t children in total, drawn exactly.
 
-        The closed-form kinds draw in stages over histograms: for quadratic
-        (Bernoulli being the nu = 0 case) the parents without exactly one
-        child and then the ones with two among them, for linear-fractional
-        the childless parents, the ones among the others with extra children
-        and then the extra children. Each bounded stage, and a custom table,
-        splits every occupied cell with one multinomial draw, its most
-        likely value last (see _multinomial_split); the unbounded extra
-        children go value by value (see _split). The work depends on the
-        occupied states, not on the number of trajectories.
+        Each kind's ``_draw`` runs in stages over histograms, giving cells
+        (row of an occupied state, children, count): for quadratic the
+        parents without exactly one child and then the ones with two among
+        them, for linear-fractional the childless parents, the ones among
+        the others with extra children and then the extra children. Each
+        bounded stage, and a custom table, splits every occupied cell with
+        one multinomial draw, its most likely value last (see
+        _multinomial_split); the unbounded extra children go value by value
+        (see _split). The work depends on the occupied states, not on the
+        number of trajectories.
         """
         states = np.flatnonzero(h)
-        if self.kind in ("bernoulli", "quadratic"):
-            # Bernoulli is the nu = 0 quadratic
-            p0, _, p2 = (float(v) for v in
-                         _quadratic_params(self.one_minus_rho(n), self.nu))
-            row, split, cnt = _binomial_cells(h[states], states, p0 + p2, rng)
-            kids = states[row] - split
-            if p2:  # none of the split parents has two children when p2 = 0
-                cell, twos, cnt = _binomial_cells(cnt, split, p2 / (p0 + p2), rng)
-                row, kids = row[cell], kids[cell] + 2 * twos
-        elif self.kind == "linear_fractional":
-            par = self.lf_params(n)
-            # G_n(0) = delta (2 rho + nu)/(2 rho + nu delta) from the unrounded
-            # delta = 1 - rho_n, never 1 - alpha/(1 - beta)
-            delta = float(self.one_minus_rho(n))
-            rho = 1.0 - delta
-            childless = delta * (2.0 * rho + self.nu) / (2.0 * rho + self.nu * delta)
-            row, dead, cnt = _binomial_cells(h[states], states, childless, rng)
-            alive = states[row] - dead
-            # a parent with children has more than one with probability beta,
-            # and then Geometric(1 - beta) more: m such parents add m plus a
-            # NegativeBinomial(m, 1 - beta) count of extra children
-            cell, more, cnt = _binomial_cells(cnt, alive, par.beta, rng)
-            row, kids = row[cell], alive[cell] + more
-            cell, extra, cnt = _cells(_split(
-                cnt, lambda y: _nb_hazard(more, par.beta, y), rng))
-            row, kids = row[cell], kids[cell] + extra
-        else:
-            # custom table: the s-fold convolution of the table for s parents
-            probs = _sampling_probs(np.asarray(self.table(n), dtype=float))
-            laws = [np.ones(1)]
-            for _ in range(int(states.max(initial=0))):
-                laws.append(np.convolve(laws[-1], probs))
-            rows = np.zeros((states.shape[0], laws[-1].shape[0]))
-            for i, s in enumerate(states):
-                rows[i, : laws[s].shape[0]] = laws[s]
-            row, kids, cnt = _cells(_multinomial_split(h[states], rows, rng))
+        row, kids, cnt = self._draw(n, h[states], states, rng)
         out = np.zeros((h.shape[0], int(kids.max(initial=0)) + 1), dtype=np.int64)
         np.add.at(out, (states[row], kids), cnt)
         return out
+
+    def _check(self) -> None:
+        """The first hard check of :meth:`ScenarioSpec.validate`."""
+
+    def _notes(self) -> list[str]:
+        return []
+
+
+@dataclass(frozen=True)
+class QuadraticOffspring(OffspringFamily):
+    """Degree-2 polynomial, params (p0, p1, p2), with G_n''(1) = nu (1 - rho_n)
+    capped at rho_n by the window of :func:`_quadratic_g2`."""
+
+    kind = "quadratic"
+    rho_rule: RhoRule
+    nu: float = 0.0
+    pgf_formula = staticmethod(_quadratic_pgf)
+
+    def _params(self, delta):
+        return _quadratic_params(delta, self.nu)
+
+    def _higher_deriv(self, n, s: int):
+        if s == 2:
+            return _quadratic_g2(self.one_minus_rho(n), self.nu)
+        return np.zeros(np.shape(n))
+
+    def start_offset(self) -> int:
+        """First generation whose parameters are not window-clamped, by the
+        test of :func:`_quadratic_g2`; 1 - rho_n decreases to 0, so the test
+        holds from one generation on, which doubling and bisection find."""
+
+        def opened(n: int) -> bool:
+            delta = float(self.rho_rule.one_minus_rho(n))
+            return self.nu * delta <= 1.0 - delta
+
+        lo, hi = 0, 1  # opened(hi), and lo = 0 or not opened(lo)
+        while not opened(hi):
+            if hi == 2**1023:  # the next generation is beyond the float range
+                raise NumericError("quadratic window stays clamped beyond n = 2^1023")
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if opened(mid) else (mid, hi)
+        return hi
+
+    def _notes(self) -> list[str]:
+        start = self.start_offset()
+        note = f"quadratic window clamps generations below n={start}"
+        return [note] if start > 1 else []
+
+    def _draw(self, n: int, counts, states, rng):
+        p0, _, p2 = (float(v) for v in
+                     _quadratic_params(self.one_minus_rho(n), self.nu))
+        row, split, cnt = _binomial_cells(counts, states, p0 + p2, rng)
+        kids = states[row] - split
+        if p2:  # none of the split parents has two children when p2 = 0
+            cell, twos, cnt = _binomial_cells(cnt, split, p2 / (p0 + p2), rng)
+            row, kids = row[cell], kids[cell] + 2 * twos
+        return row, kids, cnt
+
+
+@dataclass(frozen=True)
+class BernoulliOffspring(QuadraticOffspring):
+    """G_n(x) = 1 - rho_n + rho_n x, params (1 - rho_n, rho_n): the quadratic
+    law with nu = 0, whose sampler it keeps, and its composed maps are
+    affine."""
+
+    kind = "bernoulli"
+    composes_lf = True
+    pgf_formula = staticmethod(_polynomial_pgf)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.nu != 0.0:
+            raise ScenarioValidationError("Bernoulli offspring forces nu = 0")
+
+    def _params(self, delta):
+        rho = 1.0 - delta
+        return 1.0 - rho, rho
+
+    def _product_maps(self, rho, composed: Callable) -> Callable:
+        return lambda v: 1.0 - rho * v
+
+
+@dataclass(frozen=True)
+class LinearFractionalOffspring(OffspringFamily):
+    """LF map with G_n''(1) = nu (1 - rho_n), params (alpha, beta) checked
+    like LinearFractional; its ``pmf`` rows hold p_0 = 1 - alpha/(1 - beta)
+    and p_k = alpha beta^(k-1)."""
+
+    kind = "linear_fractional"
+    rho_rule: RhoRule
+    nu: float = 0.0
+    composes_lf = True
+    pgf_formula = staticmethod(lf_value)
+
+    def _params(self, delta):
+        return lf_alpha_beta(1.0 - delta, self.nu * delta)
+
+    def second_deriv(self, n):
+        return self.nu * self.one_minus_rho(n)
+
+    def _higher_deriv(self, n, s: int):
+        alpha, beta = self.params(n)
+        return math.factorial(s) * alpha * beta ** (s - 1) / (1.0 - beta) ** (s + 1)
+
+    def lf_params(self, n: int) -> LinearFractional:
+        return LinearFractional(*(float(v) for v in self.params(n)))
+
+    def _rows(self, ns, k_trunc: int) -> np.ndarray:
+        return lf_coeffs(*self.params(ns), k_trunc)
+
+    def _block_maps(self, spec, tops, k_trunc: int) -> Callable:
+        # Gbar_{j+1,b} in closed form for every interval, from one
+        # interval_params; the series carried down is not needed
+        alpha, beta = interval_params(spec, tops)
+        # the cohort of a target b meets the identity Gbar_{b+1,b}
+        cohort_alpha, cohort_beta = alpha.copy(), beta.copy()
+        cohort_alpha[tops], cohort_beta[tops] = 1.0, 0.0
+
+        def block(ns, g, starts):
+            bottoms = [int(ns[0]) - 1 + i for i in starts]
+            return (lf_coeffs(cohort_alpha[ns], cohort_beta[ns], k_trunc),
+                    list(lf_coeffs(alpha[bottoms], beta[bottoms], k_trunc)))
+
+        return block
+
+    def _check(self) -> None:
+        if self.rho_rule.rho(1) <= 0.0:
+            raise ScenarioValidationError("offspring.rho gives rho_1 = 0, which "
+                                          "linear-fractional offspring cannot take")
+
+    def _draw(self, n: int, counts, states, rng):
+        par = self.lf_params(n)
+        # G_n(0) = delta (2 rho + nu)/(2 rho + nu delta) from the unrounded
+        # delta = 1 - rho_n, never 1 - alpha/(1 - beta)
+        delta = float(self.one_minus_rho(n))
+        rho = 1.0 - delta
+        childless = delta * (2.0 * rho + self.nu) / (2.0 * rho + self.nu * delta)
+        row, dead, cnt = _binomial_cells(counts, states, childless, rng)
+        alive = states[row] - dead
+        # a parent with children has more than one with probability beta,
+        # and then Geometric(1 - beta) more: m such parents add m plus a
+        # NegativeBinomial(m, 1 - beta) count of extra children
+        cell, more, cnt = _binomial_cells(cnt, alive, par.beta, rng)
+        row, kids = row[cell], alive[cell] + more
+        cell, extra, cnt = _cells(_split(
+            cnt, lambda y: _nb_hazard(more, par.beta, y), rng))
+        return row[cell], kids[cell] + extra, cnt
+
+
+@dataclass(frozen=True)
+class CustomOffspring(OffspringFamily):
+    """User PMF table per n, the polynomial sum_k p_k(n) x^k, with no rho
+    rule: it has no file form and no product law."""
+
+    kind = "custom"
+    rho_rule = None
+    pgf_formula = staticmethod(_polynomial_pgf)
+    table: Callable[[int], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if self.table is None:
+            raise ScenarioValidationError("custom offspring needs a PMF table")
+
+    def mean(self, n):
+        return self._higher_deriv(n, 1)
+
+    def one_minus_rho(self, n):
+        return 1.0 - self.mean(n)
+
+    def params(self, ns):
+        """The table's coefficients (p_0, ..., p_d), each row zero-padded to
+        the widest row; an empty ``ns`` gives one zero column."""
+        ns = np.asarray(ns)
+        rows = [np.asarray(self.table(int(m)), dtype=float) for m in ns.flat]
+        raw = np.zeros((ns.size, max((r.shape[0] for r in rows), default=1)))
+        for row, r in zip(raw, rows):
+            row[: r.shape[0]] = r
+        return tuple(col.reshape(ns.shape) for col in raw.T)
+
+    def _higher_deriv(self, n, s: int):
+        """s-th factorial moment of the table at generations ``n``.
+
+        One array operation on the ``params`` columns, validated as one
+        :func:`pgf.coeff_table`; maps over arrays, a scalar n gives a float.
+        """
+        cols = self.params(n)
+        table = np.stack(cols, axis=-1).reshape(-1, len(cols))
+        if table.size:
+            table = pgf.coeff_table(table)
+        j = np.arange(len(cols), dtype=float)
+        ff = np.ones_like(j)
+        for i in range(s):
+            ff *= j - i
+        moments = np.sum(table * ff, axis=-1)
+        return moments.reshape(np.shape(n)) if np.ndim(n) else float(moments[0])
+
+    def _draw(self, n: int, counts, states, rng):
+        # the s-fold convolution of the table for s parents
+        probs = _sampling_probs(np.asarray(self.table(n), dtype=float))
+        laws = [np.ones(1)]
+        for _ in range(int(states.max(initial=0))):
+            laws.append(np.convolve(laws[-1], probs))
+        rows = np.zeros((states.shape[0], laws[-1].shape[0]))
+        for i, s in enumerate(states):
+            rows[i, : laws[s].shape[0]] = laws[s]
+        return _cells(_multinomial_split(counts, rows, rng))
 
 
 def _split(counts: np.ndarray, hazard: Callable, rng: np.random.Generator) -> np.ndarray:
@@ -699,90 +786,54 @@ BASE_LAWS: dict[str, Callable[[int], np.ndarray]] = {
 RATE_RULES = ("declared", "clamped")
 
 
-@dataclass(frozen=True)
-class ImmigrationFamily:
-    """Immigration law per generation.
+class ImmigrationFamily(metaclass=_ByName):
+    """Immigration law per generation: one frozen dataclass per kind, which
+    takes only the fields it reads and is named ``kind`` in scenario files.
 
-    * poisson:   H_n(x) = exp{m_{n,1}(x - 1)}
-    * custom:    mixture toward a fixed base law B: H_n = 1 + w_n (B - 1),
-      with w_n = m_{n,1}/B'(1) so the mean matches the m1 rule
-    * bernoulli: the mixture toward B(x) = x, H_n(x) = 1 + m_{n,1}(x - 1)
+    Every kind's mean is its m1 rule, and ``sample`` gives out[v, k], how
+    many of the h[v] trajectories in state v receive k immigrants in
+    generation n, drawn exactly. The base serves the mixtures toward a
+    fixed base law B, H_n = 1 + w_n (B - 1) with w_n = m_{n,1}/B'(1) so the
+    mean matches the m1 rule; Poisson immigration overrides what differs.
 
     Mixture weights follow one of two rules (:data:`RATE_RULES`): the
     product law uses the declared weights; the finite-n routes (PMFs,
-    sampling, and their PGF oracles) need probabilities, so there Bernoulli
-    weights are clamped at 1 with a warning and custom weights above 1 are
-    rejected.
+    sampling, and their PGF oracles) need probabilities, so there each
+    mixture's ``_clamp`` caps or rejects weights above 1.
     """
 
-    kind: str
-    m1: PowerSum | None = None
-    base: tuple[float, ...] | None = None
-    base_name: str | None = None
-    # the validated base law of a mixture kind and its mean, built once
-    base_law: pgf.Pmf | None = field(default=None, init=False, repr=False,
-                                     compare=False)
-    base_mean: float | None = field(default=None, init=False, repr=False,
-                                    compare=False)
+    role = "immigration"
+    # the named base law of a custom mixture, which the file form reads
+    base = base_name = None
 
-    def __post_init__(self):
-        if self.kind not in ("bernoulli", "poisson", "custom"):
-            raise ScenarioValidationError(f"unknown immigration family {self.kind!r}")
-        if self.m1 is None:
-            raise ScenarioValidationError("immigration needs an m1 rule")
-        if self.kind == "custom":
-            if self.base is None:
-                raise ScenarioValidationError("custom immigration needs a base law")
-            object.__setattr__(self, "base", tuple(float(v) for v in self.base))
-        if self.kind != "poisson":
-            base = self.base if self.kind == "custom" else (0.0, 1.0)
-            law = pgf.Pmf(np.asarray(base))
-            object.__setattr__(self, "base_law", law)
-            object.__setattr__(self, "base_mean", pgf.factorial_moment(law, 1))
+    def _set_base(self, coeffs) -> None:
+        # the validated base law and its mean, built once
+        law = pgf.Pmf(np.asarray(coeffs))
+        object.__setattr__(self, "base_law", law)
+        object.__setattr__(self, "base_mean", pgf.factorial_moment(law, 1))
 
     def mean(self, n):
         """Declared m_{n,1} straight from the rule (never clamped)."""
         return self.m1.at(n)
 
     def weight(self, ns, rates: str):
-        """Mixture weights w_n = m_{n,1}/B'(1) under the named rule.
-
-        "declared" returns them as they are; "clamped" (the finite-n routes)
-        caps Bernoulli weights at 1 with a warning and rejects a custom
-        weight above 1.
-        """
+        """Mixture weights w_n = m_{n,1}/B'(1) under the named rule."""
         if rates not in RATE_RULES:
             raise ValueError(f"unknown rate rule {rates!r}")
         w = self.m1.at(ns) / self.base_mean
         if rates == "declared" or (w <= 1.0).all():
             return w
-        if self.kind == "custom":
-            first = np.flatnonzero(~(np.ravel(w) <= 1.0))[0]
-            raise ScenarioValidationError(
-                f"mixture weight {np.ravel(w)[first]:.4g} at "
-                f"n={np.ravel(ns)[first]} is not a probability"
-            )
-        warnings.warn(
-            "Bernoulli immigration mean exceeds 1 for early generations; "
-            "rate clamped (early-generation adjustment)",
-            stacklevel=3,
-        )
-        return np.minimum(w, 1.0)
+        return self._clamp(w, ns)
 
     def factorial_moment_at(self, n, k: int):
         """m_{n,k} = H_n^(k)(1); maps over arrays of generations, a scalar n
         gives a float."""
-        if self.kind == "poisson":
-            vals = np.asarray(self.m1.at(n), dtype=float) ** k
-        else:
-            vals = self.weight(n, "declared") * pgf.factorial_moment(self.base_law, k)
+        vals = self.weight(n, "declared") * pgf.factorial_moment(self.base_law, k)
         return float(vals) if np.ndim(n) == 0 else vals
 
     def m2_ratio_vanishes(self, rho_rule: RhoRule) -> bool:
         """Whether m_{n,2}/(1 - rho_n) -> 0, decided from the rules."""
         p1, _ = self.m1.leading()
-        if self.kind == "poisson":
-            return 2.0 * p1 > rho_rule.gamma
         return pgf.factorial_moment(self.base_law, 2) == 0.0 or p1 > rho_rule.gamma
 
     def pgf_values(self, ns, xs, rates: str) -> np.ndarray:
@@ -790,8 +841,6 @@ class ImmigrationFamily:
 
         ``rates`` names the weight rule, "declared" or "clamped".
         """
-        if self.kind == "poisson":
-            return np.exp(self.m1.at(ns) * (xs - 1.0))
         base = _polynomial_pgf(self.base_law.coeffs, xs)
         return 1.0 + self.weight(ns, rates) * (base - 1.0)
 
@@ -803,14 +852,14 @@ class ImmigrationFamily:
         ``m1.at`` or ``weight`` call. The scalar is the one-row case of the
         same table.
         """
-        ns = np.atleast_1d(n)
-        if self.kind == "poisson":
-            raw = pgf.poisson_coeffs(self.m1.at(ns), k_trunc)
-        else:
-            w = self.weight(ns, "clamped")
-            raw = w[:, None] * self.base_law.coeffs[:k_trunc]
-            raw[:, 0] += 1.0 - w
+        raw = self._rows(np.atleast_1d(n), k_trunc)
         return pgf.coeff_table(raw) if np.ndim(n) else pgf.Pmf(raw[0])
+
+    def _rows(self, ns, k_trunc: int) -> np.ndarray:
+        w = self.weight(ns, "clamped")
+        raw = w[:, None] * self.base_law.coeffs[:k_trunc]
+        raw[:, 0] += 1.0 - w
+        return raw
 
     def cohort_product(self, ns, maps, k_trunc: int, starts=None):
         """prod_i H_{ns[i]}(maps[i]) truncated at ``k_trunc``, at the clamped
@@ -820,40 +869,18 @@ class ImmigrationFamily:
         consecutive pieces and gives the list of the pieces' products; the
         terms are built once for all rows.
 
-        * poisson: the exponent sum_i m_i (maps_i - 1); over affine maps it
-          is A + lam x, with lam = sum_i m_i g1_i, and the product is
-          e^(A + lam) times the Poisson(lam) coefficients; over wider maps
-          it goes through one :func:`pgf.exp_series` per piece;
-        * a custom mixture over affine maps g0 + g1 x: H = 1 - w + w B, with
-          B(g0 + g1 x) for all rows from one matrix product
-          (:func:`pgf.affine_compose`) on the base law truncated at k_trunc;
+        * a mixture over affine maps g0 + g1 x and a base law wider than 2:
+          H = 1 - w + w B, with B(g0 + g1 x) for all rows from one matrix
+          product (:func:`pgf.affine_compose`) on the base law truncated at
+          k_trunc;
         * otherwise the ``pmf`` rows I_n applied to the maps: I_n0 + I_n1 g
           for Bernoulli, :func:`pgf.compound` for wider rows.
 
         :func:`pgf.product` then multiplies the cohort series of each piece.
-        All terms are nonnegative apart from the Poisson exponent's
-        constant, which only scales the result.
+        All terms are nonnegative. Poisson immigration has its own route.
         """
-        if self.kind == "poisson":
-            m = self.m1.at(ns)
-            pieces = pgf._pieces(starts, len(ns))
-            if maps.shape[1] <= 2:
-                lam, scale = np.zeros(len(pieces)), np.zeros(len(pieces))
-                for p, (lo, hi) in enumerate(pieces):
-                    mp, gp = m[lo:hi], maps[lo:hi]
-                    lam[p] = float(mp @ gp[:, 1]) if maps.shape[1] == 2 else 0.0
-                    scale[p] = math.exp(float(mp @ (gp[:, 0] - 1.0)) + lam[p])
-                out = list(scale[:, None] * pgf.poisson_coeffs(lam, k_trunc))
-            else:
-                out = []
-                for lo, hi in pieces:
-                    expo = np.zeros(k_trunc)
-                    expo[: maps.shape[1]] = np.einsum("j,jl->l", m[lo:hi], maps[lo:hi])
-                    expo[0] = m[lo:hi] @ (maps[lo:hi, 0] - 1.0)
-                    out.append(pgf.exp_series(expo, k_trunc).coeffs)
-            return out if starts is not None else out[0]
         terms = None
-        if self.kind == "custom" and maps.shape[1] <= 2 < self.base_law.coeffs.shape[0]:
+        if maps.shape[1] <= 2 < self.base_law.coeffs.shape[0]:
             wide = pgf.affine_compose(self.base_law.coeffs[:k_trunc], maps)
             if wide is not None:
                 w = self.weight(ns, "clamped")
@@ -868,26 +895,157 @@ class ImmigrationFamily:
                 terms = [pgf.compound(r, g, k_trunc) for r, g in zip(rows, maps)]
         return pgf.product(terms, k_trunc, starts)
 
-    def sample(self, n: int, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """out[v, k]: how many of the h[v] trajectories in state v receive k
-        immigrants in generation ``n``, drawn exactly.
+    def _chi(self, u: float) -> float:
+        """chi(u) = u - psi(u) of the product law's bracket, where
+        H_j(1 - u) = 1 - m_{j,1} psi(u) (README.md): 0 where psi(u) = u
+        (Bernoulli) or log H_j is exact (Poisson)."""
+        return 0.0
 
-        Poisson runs the conditional binomials over k until every trajectory
-        is placed (see _split); a mixture draws its weight and then the base
-        law in one multinomial draw, its most likely value last (see
-        _multinomial_split). For Bernoulli the base is the point mass at 1
-        and needs no draw.
-        """
-        if self.kind == "poisson":
-            lam = float(self.m1.at(n))
-            return _split(h, lambda k: _poisson_hazard(lam, k), rng)
+    def _log_slack(self, m: float, v: float) -> float:
+        # -(log(1 - m_j psi) + m_j psi) <= m_j (this) for psi <= v, m_j <= m
+        return m * v * v / (2 * (1 - m * v)) if m * v < 1 else math.inf
+
+    def _notes(self) -> list[str]:
+        return []
+
+
+@dataclass(frozen=True)
+class PoissonImmigration(ImmigrationFamily):
+    """H_n(x) = exp{m_{n,1}(x - 1)}; no weight rule applies."""
+
+    kind = "poisson"
+    m1: PowerSum
+
+    def factorial_moment_at(self, n, k: int):
+        vals = np.asarray(self.m1.at(n), dtype=float) ** k
+        return float(vals) if np.ndim(n) == 0 else vals
+
+    def m2_ratio_vanishes(self, rho_rule: RhoRule) -> bool:
+        p1, _ = self.m1.leading()
+        return 2.0 * p1 > rho_rule.gamma
+
+    def pgf_values(self, ns, xs, rates: str) -> np.ndarray:
+        return np.exp(self.m1.at(ns) * (xs - 1.0))
+
+    def _rows(self, ns, k_trunc: int) -> np.ndarray:
+        return pgf.poisson_coeffs(self.m1.at(ns), k_trunc)
+
+    def cohort_product(self, ns, maps, k_trunc: int, starts=None):
+        """The exponent sum_i m_i (maps_i - 1): over affine maps it is
+        A + lam x, with lam = sum_i m_i g1_i, and the product is e^(A + lam)
+        times the Poisson(lam) coefficients; over wider maps it goes
+        through one :func:`pgf.exp_series` per piece. The exponent's
+        constant only scales the result."""
+        m = self.m1.at(ns)
+        pieces = pgf._pieces(starts, len(ns))
+        if maps.shape[1] <= 2:
+            lam, scale = np.zeros(len(pieces)), np.zeros(len(pieces))
+            for p, (lo, hi) in enumerate(pieces):
+                mp, gp = m[lo:hi], maps[lo:hi]
+                lam[p] = float(mp @ gp[:, 1]) if maps.shape[1] == 2 else 0.0
+                scale[p] = math.exp(float(mp @ (gp[:, 0] - 1.0)) + lam[p])
+            out = list(scale[:, None] * pgf.poisson_coeffs(lam, k_trunc))
+        else:
+            out = []
+            for lo, hi in pieces:
+                expo = np.zeros(k_trunc)
+                expo[: maps.shape[1]] = np.einsum("j,jl->l", m[lo:hi], maps[lo:hi])
+                expo[0] = m[lo:hi] @ (maps[lo:hi, 0] - 1.0)
+                out.append(pgf.exp_series(expo, k_trunc).coeffs)
+        return out if starts is not None else out[0]
+
+    def _log_slack(self, m: float, v: float) -> float:
+        return 0.0  # log H_j = -m_{j,1} u_j exactly
+
+    def sample(self, n: int, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        # conditional binomials over k until every trajectory is placed
+        lam = float(self.m1.at(n))
+        return _split(h, lambda k: _poisson_hazard(lam, k), rng)
+
+
+@dataclass(frozen=True)
+class BernoulliImmigration(ImmigrationFamily):
+    """The mixture toward B(x) = x, H_n(x) = 1 + m_{n,1}(x - 1); weights
+    above 1 are clamped at 1 with a warning."""
+
+    kind = "bernoulli"
+    m1: PowerSum
+
+    def __post_init__(self):
+        self._set_base((0.0, 1.0))
+
+    def _clamp(self, w, ns):
+        warnings.warn(
+            "Bernoulli immigration mean exceeds 1 for early generations; "
+            "rate clamped (early-generation adjustment)",
+            stacklevel=4,
+        )
+        return np.minimum(w, 1.0)
+
+    def _notes(self) -> list[str]:
+        m_first = float(self.mean(1))
+        if m_first > 1.0:
+            return [f"Bernoulli immigration mean {m_first:.4g} at n=1 exceeds 1; "
+                    "PMF/sampling paths clamp it"]
+        return []
+
+    def sample(self, n: int, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        # the weight's binomial; the point mass at 1 needs no draw
         mixed = rng.binomial(h, float(self.weight(n, "clamped")))
-        if self.kind == "bernoulli":
-            return np.stack([h - mixed, mixed], axis=1)
+        return np.stack([h - mixed, mixed], axis=1)
+
+
+@dataclass(frozen=True)
+class CustomImmigration(ImmigrationFamily):
+    """The mixture toward a declared base law, named in :data:`BASE_LAWS`
+    when it has a file form; weights above 1 are rejected."""
+
+    kind = "custom"
+    m1: PowerSum
+    base: tuple[float, ...] | None = None
+    base_name: str | None = None
+
+    def __post_init__(self):
+        if self.base is None:
+            raise ScenarioValidationError("custom immigration needs a base law")
+        object.__setattr__(self, "base", tuple(float(v) for v in self.base))
+        self._set_base(self.base)
+
+    def _clamp(self, w, ns):
+        first = np.flatnonzero(~(np.ravel(w) <= 1.0))[0]
+        raise ScenarioValidationError(
+            f"mixture weight {np.ravel(w)[first]:.4g} at "
+            f"n={np.ravel(ns)[first]} is not a probability"
+        )
+
+    def _chi(self, u: float) -> float:
+        return u - (1.0 - pgf.evaluate(self.base_law, 1.0 - u)) / self.base_mean
+
+    def sample(self, n: int, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        # the weight's binomial, then the base law in one multinomial draw,
+        # its most likely value last (see _multinomial_split)
+        mixed = rng.binomial(h, float(self.weight(n, "clamped")))
         out = _multinomial_split(mixed, _sampling_probs(self.base_law.coeffs), rng)
         out[:, 0] += h - mixed
         # drop the values nobody drew, so the next histogram stays narrow
         return out[:, : np.flatnonzero(out.any(axis=0)).max(initial=0) + 1]
+
+
+# each family class by its ``<role>.family`` name in scenario files
+FAMILIES = {
+    "offspring": {cls.kind: cls for cls in (
+        BernoulliOffspring, QuadraticOffspring, LinearFractionalOffspring, CustomOffspring)},
+    "immigration": {cls.kind: cls for cls in (
+        PoissonImmigration, BernoulliImmigration, CustomImmigration)},
+}
+
+
+def family_class(role: str, name: str) -> type:
+    """The class that ``<role>.family = name`` names in a scenario file."""
+    try:
+        return FAMILIES[role][name]
+    except KeyError:
+        raise ScenarioValidationError(f"unknown {role} family {name!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -1006,19 +1164,25 @@ class ScenarioSpec:
 
     def validate(self) -> list[str]:
         """Hard checks raise; soft mismatches come back as warnings."""
-        notes = []
-        rho_rule = self.offspring.rho_rule
-        if self.offspring.kind == "linear_fractional" and rho_rule.rho(1) <= 0.0:
-            raise ScenarioValidationError("offspring.rho gives rho_1 = 0, which "
-                                          "linear-fractional offspring cannot take")
+        off, imm = self.offspring, self.immigration
+        off._check()
+        rho_rule = off.rho_rule
         if rho_rule is not None and rho_rule.divergent_sum() != self.divergent:
             raise ScenarioValidationError(
                 "declared divergence flag contradicts the rho rule "
                 f"(gamma={rho_rule.gamma:g})"
             )
+        # the classify branch that builds the negative binomial target
+        if (self.divergent and self.nu != 0.0 and self.lam <= 0
+                and rho_rule is not None and imm.m2_ratio_vanishes(rho_rule)):
+            raise ScenarioValidationError(
+                f"limits.lambda = {self.lam:g} must be positive: the negative "
+                "binomial limit has r = 2 lambda/nu"
+            )
+        notes = []
         n = max(self.horizon, 1)
-        delta = float(self.offspring.one_minus_rho(n))
-        m1 = float(self.immigration.mean(n))
+        delta = float(off.one_minus_rho(n))
+        m1 = float(imm.mean(n))
         if delta > 0:
             lam_at_n = m1 / delta
             if self.lam > 0 and abs(lam_at_n - self.lam) > 0.1 * self.lam:
@@ -1026,7 +1190,7 @@ class ScenarioSpec:
                     f"declared lambda={self.lam:g} vs rule value {lam_at_n:.4g} "
                     f"at n={n} (>10% off)"
                 )
-            g2 = float(self.offspring.second_deriv(n))
+            g2 = float(off.second_deriv(n))
             nu_at_n = g2 / delta
             if self.nu > 0 and abs(nu_at_n - self.nu) > 0.1 * self.nu:
                 notes.append(
@@ -1035,20 +1199,7 @@ class ScenarioSpec:
                 )
             if self.nu == 0 and nu_at_n > 0.1:
                 notes.append(f"declared nu=0 but rule gives {nu_at_n:.4g} at n={n}")
-        if self.immigration.kind == "bernoulli":
-            m_first = float(self.immigration.mean(1))
-            if m_first > 1.0:
-                notes.append(
-                    f"Bernoulli immigration mean {m_first:.4g} at n=1 exceeds 1; "
-                    "PMF/sampling paths clamp it"
-                )
-        if self.offspring.kind == "quadratic":
-            start = self.offspring.start_offset()
-            if start > 1:
-                notes.append(
-                    f"quadratic window clamps generations below n={start}"
-                )
-        return notes
+        return notes + imm._notes() + off._notes()
 
 
 def classify(spec: ScenarioSpec) -> LimitLaw:

@@ -309,14 +309,10 @@ def _power_of_two(start: int, ok: Callable, what: str, tol: float) -> int:
 def _r_bracket(imm, nu: float, tail, v: float) -> tuple[float, float]:
     """(midpoint, half-width) of an interval holding sum_{j>J} r_j at x = 1 - v,
     from ``tail`` = (sum_{j>J} m_{j,1}, Lambda_J, m_{J+1}); see README.md."""
-    (s, lam, m_next), chi_lo, chi_hi = tail, 0.0, 0.0
-    if imm.kind == "custom":
-        u_lo = max(0.0, math.exp(-lam) * v - nu * lam * v * v / 2)
-        chi_lo, chi_hi = (u - (1.0 - pgf.evaluate(imm.base_law, 1.0 - u))
-                          / imm.base_mean for u in (u_lo, v))
-    p3 = m_next * v * v / (2 * (1 - m_next * v)) if m_next * v < 1 else math.inf
-    lo = s * chi_lo - (0.0 if imm.kind == "poisson" else s * p3)
-    hi = s * (chi_hi + nu * lam * v * v / 2)
+    s, lam, m_next = tail
+    u_lo = max(0.0, math.exp(-lam) * v - nu * lam * v * v / 2)
+    lo = s * imm._chi(u_lo) - s * imm._log_slack(m_next, v)
+    hi = s * (imm._chi(v) + nu * lam * v * v / 2)
     return (lo + hi) / 2, (hi - lo) / 2
 
 
@@ -327,7 +323,7 @@ def _product_terms(spec: ScenarioSpec, tol: float) -> tuple:
     if spec.divergent:
         raise WrongRegimeError("the product law needs sum(1-rho_n) < inf")
     off, imm = spec.offspring, spec.immigration
-    rule, m1, nu = off.rho_rule, imm.m1, off.nu
+    rule, m1 = off.rho_rule, imm.m1
     if rule is None:
         raise UnsupportedFamilyError("the product law needs a rho rule")
     share = tol / 8
@@ -337,7 +333,7 @@ def _product_terms(spec: ScenarioSpec, tol: float) -> tuple:
         return m1.tail_bound(j), rule.log_tail(j), float(m1.at(j + 1))
 
     head = _power_of_two(
-        start, lambda j: _r_bracket(imm, nu, tail(j), 1.0)[1] <= share, "head", tol)
+        start, lambda j: _r_bracket(imm, off.nu, tail(j), 1.0)[1] <= share, "head", tol)
     # the M tail beyond J lies in [e^-Lambda_J, 1] sum_{j>J} m_{j,1}
     top = max(head, _power_of_two(
         start, lambda j: -math.expm1(-rule.log_tail(j)) * m1.tail_bound(j) / 2
@@ -349,6 +345,18 @@ def _product_terms(spec: ScenarioSpec, tol: float) -> tuple:
     mean = float(np.sum(m * np.exp(log_rho))
                  + m1.tail_bound(top) * (1 + np.exp(log_rho[-1])) / 2)
     return log_rho, m, mean, head, tail(head)
+
+
+def _composed_maps(spec: ScenarioSpec, head: int, tol: float) -> Callable:
+    """v -> Gbar_{j+1,inf}(1 - v), j = 1..head, composed over a horizon N
+    from 1 - rho_[N,inf] v, which is below Gbar_{N+1,inf}(1 - v) by
+    convexity; the composition start gets tol/8, see README.md."""
+    off = spec.offspring
+    m_all, lam = spec.immigration.m1.tail_bound(0), off.rho_rule.log_tail
+    horizon = _power_of_two(
+        head, lambda j: off.nu * lam(j) * m_all / 2 <= tol / 8, "horizon", tol)
+    return lambda v: engine.composed_eval_all(
+        spec, horizon, 1.0 - math.exp(-lam(horizon)) * v)[1 : head + 1]
 
 
 def product_law_eval(spec: ScenarioSpec, x, tol: float = 1e-7):
@@ -364,16 +372,9 @@ def product_law_eval(spec: ScenarioSpec, x, tol: float = 1e-7):
         raise ValueError("PGF argument must lie in [0, 1]")
     log_rho, m, mean, head, tail = _product_terms(spec, tol)
     off, imm, rho, vals = spec.offspring, spec.immigration, np.exp(log_rho[:head]), []
-    if off.kind != "bernoulli":  # the composition start gets tol/8, see README.md
-        m_all, lam = imm.m1.tail_bound(0), off.rho_rule.log_tail
-        horizon = _power_of_two(
-            head, lambda j: off.nu * lam(j) * m_all / 2 <= tol / 8, "horizon", tol)
+    maps = off._product_maps(rho, lambda: _composed_maps(spec, head, tol))
     for v in 1.0 - xs.ravel():
-        if off.kind == "bernoulli":
-            y = 1.0 - rho * v
-        else:  # 1 - rho_[N,inf] v is below Gbar_{N+1,inf}(x) by convexity
-            start = 1.0 - math.exp(-lam(horizon)) * v
-            y = engine.composed_eval_all(spec, horizon, start)[1 : head + 1]
+        y = maps(v)
         h = imm.pgf_values(np.arange(1, head + 1), y, "declared")
         if np.min(h) < -1e-12:
             raise NotADistributionError("a product factor went negative; immigration "

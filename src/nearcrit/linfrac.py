@@ -95,7 +95,7 @@ def lf_alpha_beta(d1, d2):
 
 
 def _require_lf(spec: "ScenarioSpec") -> None:
-    if spec.offspring.kind not in ("linear_fractional", "bernoulli"):
+    if not spec.offspring.composes_lf:
         raise UnsupportedFamilyError(
             "closed-form composed maps need linear-fractional or Bernoulli offspring"
         )

@@ -16,11 +16,11 @@ from typing import Any, Callable, NamedTuple
 from .errors import ScenarioParseError, ScenarioValidationError
 from .families import (
     BASE_LAWS,
-    ImmigrationFamily,
-    OffspringFamily,
+    FAMILIES,
     PowerSum,
     RhoRule,
     ScenarioSpec,
+    family_class,
 )
 
 
@@ -116,8 +116,8 @@ KEYS = {
 }
 
 
-# keys that only a custom immigration law reads
-_CUSTOM_IMMIGRATION_KEYS = ("immigration.base", "immigration.support")
+# keys that only a family with a base law field (custom immigration) reads
+_BASE_KEYS = ("immigration.base", "immigration.support")
 
 
 def _parse_kv(text: str, origin: str) -> dict[str, Any]:
@@ -150,8 +150,9 @@ def _parse_kv(text: str, origin: str) -> dict[str, Any]:
             raise ScenarioParseError(
                 f"{origin}: value for {key} is not {_WHAT[entry.parse]}: {raw!r}"
             ) from None
-    if values["immigration.family"] in ("bernoulli", "poisson"):
-        for key in _CUSTOM_IMMIGRATION_KEYS:
+    imm = FAMILIES["immigration"].get(values["immigration.family"])
+    if imm is not None and "base" not in imm.__dataclass_fields__:
+        for key in _BASE_KEYS:
             if key in table:
                 raise ScenarioParseError(
                     f"{origin}: {key} applies only to custom immigration"
@@ -164,10 +165,14 @@ def parse_scenario_text(text: str, origin: str = "<string>",
     v = _parse_kv(text, origin)
     rho = RhoRule(c=v["offspring.rho.c"], gamma=v["offspring.rho.gamma"],
                   n0=v["offspring.rho.n0"])
-    offspring = OffspringFamily(kind=v["offspring.family"], rho_rule=rho,
-                                nu=v["offspring.nu"])
-    base, base_name = None, v["immigration.base"]
-    if v["immigration.family"] == "custom":
+    # a custom table takes neither, and rejects the file for its missing table
+    off = family_class("offspring", v["offspring.family"])
+    offered = {"rho_rule": rho, "nu": v["offspring.nu"]}
+    offspring = off(**{k: x for k, x in offered.items() if k in off.__dataclass_fields__})
+    imm = family_class("immigration", v["immigration.family"])
+    fields = {"m1": v["immigration.m1.rule"]}
+    if "base" in imm.__dataclass_fields__:
+        base_name = v["immigration.base"]
         if base_name is None:
             raise ScenarioParseError(
                 f"{origin}: custom immigration needs immigration.base"
@@ -178,10 +183,9 @@ def parse_scenario_text(text: str, origin: str = "<string>",
                 f"(known: {sorted(BASE_LAWS)})"
             )
         support = v["immigration.support"]
-        base = tuple(float(x) for x in BASE_LAWS[base_name](support))
-    immigration = ImmigrationFamily(kind=v["immigration.family"],
-                                    m1=v["immigration.m1.rule"], base=base,
-                                    base_name=base_name)
+        fields.update(base=tuple(float(x) for x in BASE_LAWS[base_name](support)),
+                      base_name=base_name)
+    immigration = imm(**fields)
     spec = ScenarioSpec(
         offspring=offspring, immigration=immigration,
         lam=v["limits.lambda"], nu=v["limits.nu"], divergent=v["limits.divergent"],
@@ -209,7 +213,7 @@ def parse_scenario(path) -> ScenarioFile:
 def serialize_scenario(sf: ScenarioFile) -> str:
     """Canonical text for a scenario; parse(serialize(.)) round-trips."""
     imm = sf.spec.immigration
-    if sf.spec.offspring.table is not None:
+    if sf.spec.offspring.rho_rule is None:
         raise ScenarioValidationError("table-backed families have no file form")
     if imm.base is not None and imm.base_name is None:
         raise ScenarioValidationError(

@@ -3,8 +3,10 @@ import pytest
 
 from nearcrit import scenarios
 from nearcrit.families import (
-    ImmigrationFamily,
-    OffspringFamily,
+    FAMILIES,
+    BernoulliImmigration,
+    CustomOffspring,
+    PoissonImmigration,
     PowerSum,
     RhoRule,
     ScenarioSpec,
@@ -23,10 +25,10 @@ def make_spec(offspring_kind="bernoulli", *, c=1.0, gamma=1.0, n0=1.0, nu=0.0,
               divergent=True, horizon=100, k_trunc=64, **kwargs) -> ScenarioSpec:
     """Small scenario builder for tests."""
     return ScenarioSpec(
-        offspring=OffspringFamily(
-            kind=offspring_kind, rho_rule=RhoRule(c=c, gamma=gamma, n0=n0), nu=nu
+        offspring=FAMILIES["offspring"][offspring_kind](
+            rho_rule=RhoRule(c=c, gamma=gamma, n0=n0), nu=nu
         ),
-        immigration=ImmigrationFamily(kind=imm_kind, m1=PowerSum.parse(m1)),
+        immigration=FAMILIES["immigration"][imm_kind](m1=PowerSum.parse(m1)),
         lam=lam,
         nu=nu if decl_nu is None else decl_nu,
         divergent=divergent,
@@ -45,11 +47,11 @@ def constant_spec(rho: float, m: float, *, imm_kind="bernoulli",
         else np.asarray(offspring_coeffs, dtype=float)
     )
     if imm_kind == "bernoulli":
-        imm = ImmigrationFamily(kind="bernoulli", m1=PowerSum.parse(f"{m}"))
+        imm = BernoulliImmigration(m1=PowerSum.parse(f"{m}"))
     else:
-        imm = ImmigrationFamily(kind="poisson", m1=PowerSum.parse(f"{m}"))
+        imm = PoissonImmigration(m1=PowerSum.parse(f"{m}"))
     return ScenarioSpec(
-        offspring=OffspringFamily(kind="custom", table=lambda n: off),
+        offspring=CustomOffspring(table=lambda n: off),
         immigration=imm,
         lam=0.0,
         nu=0.0,

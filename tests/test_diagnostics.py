@@ -20,7 +20,8 @@ from nearcrit.diagnostics import (
 from nearcrit.errors import NumericError, WrongRegimeError
 from nearcrit.families import (
     CompoundPoissonLimit,
-    OffspringFamily,
+    CustomImmigration,
+    QuadraticOffspring,
     RhoRule,
     condition_ratios,
 )
@@ -114,8 +115,8 @@ def test_vartheta_bernoulli_equals_rho():
 
 def test_vartheta_quadratic_chord_value():
     # G with rho = 0.9, nu = 1 evaluated at 1 - 0.5: (1 - 0.5625)/0.5
-    fam = OffspringFamily(
-        kind="quadratic", rho_rule=RhoRule(c=1.0, gamma=1.0, n0=9.0), nu=1.0
+    fam = QuadraticOffspring(
+        rho_rule=RhoRule(c=1.0, gamma=1.0, n0=9.0), nu=1.0
     )
     chord = (1.0 - fam.pgf_at(1, 0.5)) / 0.5
     assert chord == pytest.approx(0.875, abs=1e-15)
@@ -285,8 +286,7 @@ def test_report_outside_scope_raises_wrong_regime():
     base_spec = make_spec("quadratic", nu=1.0, m1="1*(n+1)^-1", lam=1.0)
     spec = type(base_spec)(
         offspring=base_spec.offspring,
-        immigration=ImmigrationFamily(
-            kind="custom",
+        immigration=CustomImmigration(
             m1=PowerSum.parse("1*(n+1)^-1"),
             base=tuple(log_two_base(16)),
             base_name="log_two",

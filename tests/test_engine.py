@@ -12,8 +12,13 @@ from nearcrit import diagnostics, engine, families, linfrac, pgf, scenarios
 from nearcrit.diagnostics import accompanying_gap_bound
 from nearcrit.errors import NumericError
 from nearcrit.families import (
+    FAMILIES,
+    BernoulliImmigration,
+    CustomImmigration,
+    CustomOffspring,
     ImmigrationFamily,
     OffspringFamily,
+    PoissonImmigration,
     PowerSum,
     RhoRule,
     ScenarioSpec,
@@ -167,8 +172,8 @@ def test_array_evaluation_matches_per_generation_route(kind, gamma, n0, rho1,
 def test_composed_eval_all_custom_table_goes_step_by_step():
     # rows of two widths: the zero padding of the narrow ones moves no bit
     table = {n: [0.3, 0.4, 0.3] if n % 2 else [0.45, 0.55] for n in range(1, 6)}
-    spec = dataclasses.replace(constant_spec(0.6, 0.3), offspring=OffspringFamily(
-        kind="custom", table=lambda n: np.array(table[n])))
+    spec = dataclasses.replace(constant_spec(0.6, 0.3), offspring=CustomOffspring(
+        table=lambda n: np.array(table[n])))
     want = _per_step_composed(spec.offspring, 5, 0.4)
     got = engine.composed_eval_all(spec, 5, 0.4)
     assert got.tolist() == want.tolist()
@@ -328,8 +333,7 @@ def test_simulate_custom_families():
     from nearcrit.families import ImmigrationFamily, PowerSum, log_two_base
 
     spec = make_spec(n0=0.0, m1="1*n^-1", lam=1.0)
-    mix = ImmigrationFamily(
-        kind="custom",
+    mix = CustomImmigration(
         m1=PowerSum.parse("1*n^-1"),
         base=tuple(log_two_base(64)),
         base_name="log_two",
@@ -381,7 +385,7 @@ def _billion_spec(offspring, immigration):
                      imm_kind=kind, k_trunc=128)
     if immigration != "custom":
         return spec
-    mix = ImmigrationFamily(kind="custom", m1=PowerSum.parse("1*(n+1)^-1"),
+    mix = CustomImmigration(m1=PowerSum.parse("1*(n+1)^-1"),
                             base=tuple(log_two_base(64)), base_name="log_two")
     return dataclasses.replace(spec, immigration=mix)
 
@@ -505,9 +509,9 @@ def test_propagation_is_exact_to_rounding_below_k(fixture_specs, name):
 
 def _four_term_spec():
     # a custom offspring table of width 4: two Horner steps per generation
-    off = OffspringFamily(kind="custom", table=lambda n: np.array(
+    off = CustomOffspring(table=lambda n: np.array(
         [0.5 / (n + 1), 1.0 - 0.7 / (n + 1), 0.1 / (n + 1), 0.1 / (n + 1)]))
-    imm = ImmigrationFamily(kind="bernoulli", m1=PowerSum.parse("1*(n+1)^-1"))
+    imm = BernoulliImmigration(m1=PowerSum.parse("1*(n+1)^-1"))
     return ScenarioSpec(offspring=off, immigration=imm, lam=1.0, nu=0.0,
                         divergent=True)
 
@@ -603,17 +607,17 @@ def _sweep_spec(offspring, immigration, rho1, gamma, nu, coef):
             p0, p2 = rho1 / (n + 1.0), nu / (n + 2.0)
             return np.array([p0, 1.0 - p0 - p2, p2])
 
-        off = OffspringFamily(kind="custom", table=table)
+        off = CustomOffspring(table=table)
     else:
-        off = OffspringFamily(kind=offspring,
-                              nu=0.0 if offspring == "bernoulli" else nu,
-                              rho_rule=RhoRule(c=1.0 - rho1, gamma=gamma))
+        off = FAMILIES["offspring"][offspring](
+            nu=0.0 if offspring == "bernoulli" else nu,
+            rho_rule=RhoRule(c=1.0 - rho1, gamma=gamma))
     rule = PowerSum.parse(f"{coef}*(n+1)^-{gamma}")
     if immigration == "custom":
-        imm = ImmigrationFamily(kind="custom", m1=rule, base=tuple(log_two_base(6)),
+        imm = CustomImmigration(m1=rule, base=tuple(log_two_base(6)),
                                 base_name="log_two")
     else:
-        imm = ImmigrationFamily(kind=immigration, m1=rule)
+        imm = FAMILIES["immigration"][immigration](m1=rule)
     return ScenarioSpec(offspring=off, immigration=imm, lam=coef, nu=0.0,
                         divergent=gamma <= 1.0)
 
@@ -725,9 +729,9 @@ def test_a_report_closes_each_row_with_one_step(fixture_specs, monkeypatch):
 @pytest.mark.parametrize("immigration", ["bernoulli", "poisson"])
 def test_sweep_pads_a_custom_law_of_changing_width(immigration):
     # rows of width 2 and 3 share a table, zero-padded to the wider one
-    off = OffspringFamily(kind="custom", table=lambda n: np.array(
+    off = CustomOffspring(table=lambda n: np.array(
         [0.3, 0.5, 0.2] if n % 3 else [0.4, 0.6]))
-    imm = ImmigrationFamily(kind=immigration, m1=PowerSum.parse("0.9*(n+1)^-0.8"))
+    imm = FAMILIES["immigration"][immigration](m1=PowerSum.parse("0.9*(n+1)^-0.8"))
     spec = ScenarioSpec(offspring=off, immigration=imm, lam=1.0, nu=0.0,
                         divergent=True)
     _assert_within_the_step_loop_deficiency(spec, [engine.BLOCK, engine.BLOCK + 1], 48)
@@ -738,8 +742,8 @@ def test_a_base_law_too_wide_for_float_binomials_is_applied_row_by_row():
     # unavailable and each cohort applies its pmf row instead
     base = np.full(1100, 1.0 / 1100)
     assert pgf.affine_compose(base, np.array([[0.5, 0.5]])) is None
-    spec = dataclasses.replace(make_spec(), immigration=ImmigrationFamily(
-        kind="custom", m1=PowerSum.parse("0.5*(n+1)^-1"), base=tuple(base)))
+    spec = dataclasses.replace(make_spec(), immigration=CustomImmigration(
+        m1=PowerSum.parse("0.5*(n+1)^-1"), base=tuple(base)))
     _assert_within_the_step_loop_deficiency(spec, [1, 3], 1100)
 
 
@@ -750,7 +754,7 @@ def test_deep_propagation_holds_one_block_of_tables(fixture_specs, immigration):
     import tracemalloc
 
     spec = fixture_specs["thm1_poisson"]
-    imm = ImmigrationFamily(kind=immigration, m1=spec.immigration.m1)
+    imm = FAMILIES["immigration"][immigration](m1=spec.immigration.m1)
     spec = dataclasses.replace(spec, immigration=imm)
     tracemalloc.start()
     try:
@@ -805,7 +809,7 @@ def test_affine_chain_matches_long_double_at_n_10000(fixture_specs):
     lambda n: np.array([0.25 / n, 1.0 - 0.5 / n]),
 ])
 def test_affine_maps_match_the_sequential_recurrence(table):
-    off = OffspringFamily(kind="custom", table=table)
+    off = CustomOffspring(table=table)
     ns = np.arange(200, 456)
     g = np.array([0.1, 0.7])
     maps, out = off.compose_back(ns, g, 16)
@@ -823,7 +827,7 @@ def test_affine_maps_match_the_sequential_recurrence(table):
 def test_poisson_cohorts_over_affine_maps_match_exp_series(width):
     # the exponent sum_j m_j (g_j - 1) = A + lam x gives e^(A + lam) times
     # the Poisson(lam) law
-    imm = ImmigrationFamily(kind="poisson", m1=PowerSum.parse("3*(n+1)^-0.7"))
+    imm = PoissonImmigration(m1=PowerSum.parse("3*(n+1)^-0.7"))
     ns = np.arange(1, 257)
     rng = np.random.default_rng(1)
     maps = rng.uniform(0.0, 0.5, (ns.shape[0], 2))[:, :width]

@@ -13,14 +13,20 @@ from nearcrit import engine, families, pgf, scenarios
 from nearcrit.errors import (NotADistributionError, NumericError,
                              ScenarioValidationError)
 from nearcrit.families import (
+    FAMILIES,
     RATE_RULES,
-    ImmigrationFamily,
+    BernoulliImmigration,
+    BernoulliOffspring,
+    CustomImmigration,
+    CustomOffspring,
+    LinearFractionalOffspring,
     NegativeBinomialLimit,
-    OffspringFamily,
     OutsideScope,
+    PoissonImmigration,
     PoissonLimit,
     PowerSum,
     ProductLimit,
+    QuadraticOffspring,
     RhoRule,
     ScenarioSpec,
     classify,
@@ -84,8 +90,8 @@ def test_rho_rule_guards():
 
 def test_bernoulli_pgf_value():
     # rho_1 = 0.9 via c=0.1: G(0) = 1 - rho = 0.1
-    fam = OffspringFamily(
-        kind="bernoulli", rho_rule=RhoRule(c=0.1, gamma=1.0, n0=0.0)
+    fam = BernoulliOffspring(
+        rho_rule=RhoRule(c=0.1, gamma=1.0, n0=0.0)
     )
     assert fam.pgf_at(1, 0.0) == pytest.approx(0.1, abs=1e-15)
     assert fam.pgf_at(1, 0.5) == pytest.approx(0.55, abs=1e-15)
@@ -93,16 +99,16 @@ def test_bernoulli_pgf_value():
 
 def test_quadratic_construction_and_value():
     # rho = 0.9, nu = 1: p2 = 0.05, p1 = 0.8, p0 = 0.15; G(0.5) = 0.5625
-    fam = OffspringFamily(
-        kind="quadratic", rho_rule=RhoRule(c=1.0, gamma=1.0, n0=9.0), nu=1.0
+    fam = QuadraticOffspring(
+        rho_rule=RhoRule(c=1.0, gamma=1.0, n0=9.0), nu=1.0
     )
     assert np.allclose(np.array(fam.params(1)), [0.15, 0.8, 0.05], atol=1e-15)
     assert fam.pgf_at(1, 0.5) == pytest.approx(0.5625, abs=1e-15)
 
 
 def test_linear_fractional_normalization_and_derivs():
-    fam = OffspringFamily(
-        kind="linear_fractional", rho_rule=RhoRule(c=1.0, gamma=1.0, n0=1.0), nu=1.0
+    fam = LinearFractionalOffspring(
+        rho_rule=RhoRule(c=1.0, gamma=1.0, n0=1.0), nu=1.0
     )
     for n in (1, 5, 40):
         rho = float(fam.rho_rule.rho(n))
@@ -114,8 +120,8 @@ def test_linear_fractional_normalization_and_derivs():
 def test_lf_curvature_from_unrounded_one_minus_rho():
     # 1 - rho_n = 1e-10 here: curvature built from the rounded 1.0 - rho_n
     # carries a relative error near eps / 1e-10
-    fam = OffspringFamily(
-        kind="linear_fractional", rho_rule=RhoRule(c=1.0, gamma=2.0), nu=1.0
+    fam = LinearFractionalOffspring(
+        rho_rule=RhoRule(c=1.0, gamma=2.0), nu=1.0
     )
     n = 100_000
     want = fam.nu * float(fam.one_minus_rho(n))
@@ -125,8 +131,8 @@ def test_lf_curvature_from_unrounded_one_minus_rho():
 def test_lf_known_parameter_pair():
     # d1 = 0.9, d2 = 0.2 inverts to alpha = 0.729, beta = 0.1, whose
     # derivatives at 1 are 0.9 and 0.2 again.
-    fam = OffspringFamily(
-        kind="linear_fractional", rho_rule=RhoRule(c=1.0, gamma=1.0, n0=9.0), nu=2.0
+    fam = LinearFractionalOffspring(
+        rho_rule=RhoRule(c=1.0, gamma=1.0, n0=9.0), nu=2.0
     )
     par = fam.lf_params(1)  # rho_1 = 0.9, G'' = 2*(1-0.9) = 0.2
     assert par.alpha == pytest.approx(0.729, abs=1e-15)
@@ -136,8 +142,8 @@ def test_lf_known_parameter_pair():
 
 
 def test_lf_pmf_is_geometric():
-    fam = OffspringFamily(
-        kind="linear_fractional", rho_rule=RhoRule(c=1.0, gamma=1.0, n0=1.0), nu=1.0
+    fam = LinearFractionalOffspring(
+        rho_rule=RhoRule(c=1.0, gamma=1.0, n0=1.0), nu=1.0
     )
     par = fam.lf_params(3)
     p = fam.pmf(3, 30)
@@ -149,8 +155,8 @@ def test_lf_pmf_is_geometric():
 
 
 def test_quadratic_pmf_reproduces_targets():
-    fam = OffspringFamily(
-        kind="quadratic", rho_rule=RhoRule(c=1.0, gamma=1.0, n0=1.0), nu=0.5
+    fam = QuadraticOffspring(
+        rho_rule=RhoRule(c=1.0, gamma=1.0, n0=1.0), nu=0.5
     )
     for n in (1, 7, 100):
         p = fam.pmf(n, 3)
@@ -162,8 +168,8 @@ def test_quadratic_pmf_reproduces_targets():
 
 
 def test_quadratic_window_clamps_early_generations():
-    fam = OffspringFamily(
-        kind="quadratic", rho_rule=RhoRule(c=1.0, gamma=1.0, n0=0.0), nu=2.0
+    fam = QuadraticOffspring(
+        rho_rule=RhoRule(c=1.0, gamma=1.0, n0=0.0), nu=2.0
     )
     # rho_1 = 0 forces G_1''(1) = 0; admissibility starts later
     assert float(fam.second_deriv(1)) == 0.0
@@ -176,8 +182,8 @@ def test_quadratic_window_clamped_params_stay_probabilities():
     # a window-clamped generation needs p1 = 0 exactly: a rounded p1 < 0 or
     # p0 + p2 > 1 is not a probability, and the sampler rejects it
     for nu in np.linspace(0.5, 20.0, 40):
-        fam = OffspringFamily(
-            kind="quadratic", rho_rule=RhoRule(c=1.0, gamma=1.0, n0=0.0), nu=nu
+        fam = QuadraticOffspring(
+            rho_rule=RhoRule(c=1.0, gamma=1.0, n0=0.0), nu=nu
         )
         ns = np.arange(1, 61)
         p0, p1, p2 = fam.params(ns)
@@ -189,12 +195,11 @@ def test_quadratic_window_clamped_params_stay_probabilities():
 
 def test_pgf_normalized_and_mean_matches_across_families():
     fams = [
-        OffspringFamily(kind="bernoulli", rho_rule=RhoRule(c=1.0, gamma=1.0, n0=1.0)),
-        OffspringFamily(
-            kind="quadratic", rho_rule=RhoRule(c=1.0, gamma=1.0, n0=1.0), nu=0.7
+        BernoulliOffspring(rho_rule=RhoRule(c=1.0, gamma=1.0, n0=1.0)),
+        QuadraticOffspring(
+            rho_rule=RhoRule(c=1.0, gamma=1.0, n0=1.0), nu=0.7
         ),
-        OffspringFamily(
-            kind="linear_fractional",
+        LinearFractionalOffspring(
             rho_rule=RhoRule(c=1.0, gamma=1.0, n0=1.0),
             nu=0.7,
         ),
@@ -208,8 +213,8 @@ def test_pgf_normalized_and_mean_matches_across_families():
 
 
 def test_custom_table_pgf_at_broadcasts():
-    fam = OffspringFamily(
-        kind="custom", table=lambda n: np.array([0.5 / n, 1.0 - 0.5 / n])
+    fam = CustomOffspring(
+        table=lambda n: np.array([0.5 / n, 1.0 - 0.5 / n])
     )
     ns = np.arange(1, 6)
     xs = np.linspace(0.0, 1.0, 5)
@@ -235,8 +240,7 @@ def test_polynomial_pgf_is_polyval_bit_for_bit(coeffs, pad, x):
 
 
 def test_custom_params_are_the_padded_table_columns():
-    fam = OffspringFamily(kind="custom",
-                          table=lambda n: np.array([0.5, 0.5] if n % 2 else [0.25] * 4))
+    fam = CustomOffspring(table=lambda n: np.array([0.5, 0.5] if n % 2 else [0.25] * 4))
     cols = fam.params(np.array([[1, 2], [3, 4]]))
     assert len(cols) == 4 and all(col.shape == (2, 2) for col in cols)
     assert np.stack(cols, axis=-1).tolist() == [
@@ -255,7 +259,7 @@ def test_custom_moments_come_from_the_table_columns():
         return np.array([[0.5 - q, 0.5 + q], [q, 0.25, 0.75 - q],
                          [0.25, q, 0.25, 0.5 - q]][n % 3])
 
-    fam = OffspringFamily(kind="custom", table=table)
+    fam = CustomOffspring(table=table)
     ns = np.arange(1, 40).reshape(3, 13)
     by_pmf = {k: np.array([pgf.factorial_moment(pgf.Pmf(table(int(n))), k)
                            for n in ns.flat]).reshape(ns.shape) for k in (1, 2, 3)}
@@ -267,7 +271,7 @@ def test_custom_moments_come_from_the_table_columns():
             assert abs(fam.deriv_at_1(n, s) - by_pmf[k].flat[n - 1]) <= 1e-15
         assert isinstance(fam.mean(n), float) and fam.deriv_at_1(n, 4) == 0.0
     assert fam.one_minus_rho(np.arange(1, 1)).shape == (0,)
-    bad = OffspringFamily(kind="custom", table=lambda n: np.array([0.7, 0.4]))
+    bad = CustomOffspring(table=lambda n: np.array([0.7, 0.4]))
     with pytest.raises(NotADistributionError):
         bad.mean(np.arange(1, 4))
 
@@ -275,8 +279,8 @@ def test_custom_moments_come_from_the_table_columns():
 def test_lf_pmf_expansion_matches_function_values():
     # dual route: the geometric coefficient formula against direct
     # evaluation of the rational generating function
-    fam = OffspringFamily(
-        kind="linear_fractional", rho_rule=RhoRule(c=1.0, gamma=1.0, n0=1.0), nu=1.0
+    fam = LinearFractionalOffspring(
+        rho_rule=RhoRule(c=1.0, gamma=1.0, n0=1.0), nu=1.0
     )
     p = fam.pmf(4, 200)
     for x in (0.0, 0.3, 0.8, 1.0):
@@ -286,13 +290,13 @@ def test_lf_pmf_expansion_matches_function_values():
 
 def test_immigration_moments_by_kind():
     rule = PowerSum.parse("1*(n+1)^-1")
-    bern = ImmigrationFamily(kind="bernoulli", m1=rule)
+    bern = BernoulliImmigration(m1=rule)
     assert bern.factorial_moment_at(5, 1) == pytest.approx(1 / 6)
     assert bern.factorial_moment_at(5, 2) == 0.0
-    poi = ImmigrationFamily(kind="poisson", m1=rule)
+    poi = PoissonImmigration(m1=rule)
     assert poi.factorial_moment_at(5, 2) == pytest.approx((1 / 6) ** 2)
-    mix = ImmigrationFamily(
-        kind="custom", m1=rule, base=tuple(log_two_base(64)), base_name="log_two"
+    mix = CustomImmigration(
+        m1=rule, base=tuple(log_two_base(64)), base_name="log_two"
     )
     # the base has k-th factorial moment (k-1)!, so m_{n,k} = (k-1)!/(n+1)
     assert mix.factorial_moment_at(5, 1) == pytest.approx(1 / 6, abs=1e-12)
@@ -301,8 +305,8 @@ def test_immigration_moments_by_kind():
 
 def test_immigration_mixture_pmf_mass():
     rule = PowerSum.parse("1*n^-1")
-    mix = ImmigrationFamily(
-        kind="custom", m1=rule, base=tuple(log_two_base(64)), base_name="log_two"
+    mix = CustomImmigration(
+        m1=rule, base=tuple(log_two_base(64)), base_name="log_two"
     )
     p = mix.pmf(3, 64)
     assert p.coeffs.sum() + p.deficiency == pytest.approx(1.0, abs=1e-12)
@@ -310,7 +314,7 @@ def test_immigration_mixture_pmf_mass():
 
 
 def test_bernoulli_rate_clamps_with_warning():
-    imm = ImmigrationFamily(kind="bernoulli", m1=PowerSum.parse("2*n^-1"))
+    imm = BernoulliImmigration(m1=PowerSum.parse("2*n^-1"))
     with pytest.warns(UserWarning):
         assert float(imm.weight(1, "clamped")) == 1.0
     assert float(imm.weight(4, "clamped")) == pytest.approx(0.5)
@@ -342,8 +346,8 @@ def test_custom_weight_above_one_is_rejected_on_every_finite_route(fixture_specs
 def test_bernoulli_immigration_is_the_mixture_toward_one(m1):
     # weights at most 1: Bernoulli and the custom mixture toward the point
     # mass at 1 agree bit for bit
-    bern = ImmigrationFamily(kind="bernoulli", m1=PowerSum.parse(m1))
-    mix = ImmigrationFamily(kind="custom", m1=PowerSum.parse(m1), base=(0.0, 1.0))
+    bern = BernoulliImmigration(m1=PowerSum.parse(m1))
+    mix = CustomImmigration(m1=PowerSum.parse(m1), base=(0.0, 1.0))
     ns, xs = np.arange(1, 41), np.linspace(0.0, 1.0, 40)
     for rates in RATE_RULES:
         assert np.array_equal(bern.pgf_values(ns, xs, rates),
@@ -378,11 +382,10 @@ def test_classify_product_regime():
 def test_classify_outside_scope_for_fat_second_moments():
     # nu > 0 with immigration whose m2/(1-rho) does not vanish
     spec = ScenarioSpec(
-        offspring=OffspringFamily(
-            kind="quadratic", rho_rule=RhoRule(c=1.0, gamma=1.0, n0=1.0), nu=1.0
+        offspring=QuadraticOffspring(
+            rho_rule=RhoRule(c=1.0, gamma=1.0, n0=1.0), nu=1.0
         ),
-        immigration=ImmigrationFamily(
-            kind="custom",
+        immigration=CustomImmigration(
             m1=PowerSum.parse("1*(n+1)^-1"),
             base=tuple(log_two_base(64)),
             base_name="log_two",
@@ -551,8 +554,8 @@ def _power_law(unit_law):
 
 
 def _offspring(kind, c=1.0, gamma=1.0, n0=1.0, nu=0.0):
-    return OffspringFamily(kind=kind, rho_rule=RhoRule(c=c, gamma=gamma, n0=n0),
-                           nu=nu)
+    return FAMILIES["offspring"][kind](rho_rule=RhoRule(c=c, gamma=gamma, n0=n0),
+                                      nu=nu)
 
 
 OFFSPRING_CASES = {
@@ -567,16 +570,15 @@ OFFSPRING_CASES = {
     # rho_1 = 1/2 and beta = 1/2: many parents with several extra children
     "lf_early": (_offspring("linear_fractional", nu=2.0), 1),
     "lf_n200": (_offspring("linear_fractional", nu=2.0), 200),
-    "custom_table": (OffspringFamily(kind="custom",
-                                     table=lambda n: np.array([0.3, 0.4, 0.3])), 1),
+    "custom_table": (CustomOffspring(table=lambda n: np.array([0.3, 0.4, 0.3])), 1),
     # q = 0.3 of the parents die: 40 parents lose 12 most likely
     "bernoulli_q03_s40": (_offspring("bernoulli", c=0.3, n0=0.0), 1),
     # the most likely total lies inside every row, away from both ends
-    "custom_interior": (OffspringFamily(
-        kind="custom", table=lambda n: np.array([0.1, 0.15, 0.45, 0.3])), 1),
+    "custom_interior": (CustomOffspring(
+        table=lambda n: np.array([0.1, 0.15, 0.45, 0.3])), 1),
     # one nonzero entry, not the last: every parent has exactly two children
-    "custom_point": (OffspringFamily(
-        kind="custom", table=lambda n: np.array([0.0, 0.0, 1.0, 0.0])), 1),
+    "custom_point": (CustomOffspring(
+        table=lambda n: np.array([0.0, 0.0, 1.0, 0.0])), 1),
 }
 OFFSPRING_STARTS = {"bernoulli_q03_s40": WIDE_START}
 
@@ -684,8 +686,8 @@ def test_offspring_sampler_on_empty_population(case):
 
 def _immigration(kind, m1, base=None):
     if base is None:
-        return ImmigrationFamily(kind=kind, m1=PowerSum.parse(m1))
-    return ImmigrationFamily(kind=kind, m1=PowerSum.parse(m1), base=tuple(base))
+        return FAMILIES["immigration"][kind](m1=PowerSum.parse(m1))
+    return FAMILIES["immigration"][kind](m1=PowerSum.parse(m1), base=tuple(base))
 
 
 IMMIGRATION_CASES = {
@@ -766,21 +768,18 @@ def test_binomial_split_handles_large_states():
 
 # one family of each kind, for the table tests
 _TABLE_OFFSPRING = {
-    "bernoulli": OffspringFamily(kind="bernoulli",
-                                 rho_rule=RhoRule(c=1.0, gamma=0.7, n0=1.0)),
-    "quadratic": OffspringFamily(kind="quadratic",
-                                 rho_rule=RhoRule(c=1.0, gamma=0.7, n0=0.0), nu=3.0),
-    "linear_fractional": OffspringFamily(
-        kind="linear_fractional", rho_rule=RhoRule(c=1.0, gamma=0.7, n0=1.0), nu=1.3),
+    "bernoulli": BernoulliOffspring(rho_rule=RhoRule(c=1.0, gamma=0.7, n0=1.0)),
+    "quadratic": QuadraticOffspring(rho_rule=RhoRule(c=1.0, gamma=0.7, n0=0.0), nu=3.0),
+    "linear_fractional": LinearFractionalOffspring(
+        rho_rule=RhoRule(c=1.0, gamma=0.7, n0=1.0), nu=1.3),
     # the width of the law changes with n: rows are zero-padded
-    "custom": OffspringFamily(
-        kind="custom",
+    "custom": CustomOffspring(
         table=lambda n: np.array([0.3, 0.5, 0.2] if n % 3 else [0.4, 0.6])),
 }
 _TABLE_IMMIGRATION = {
-    "bernoulli": ImmigrationFamily(kind="bernoulli", m1=PowerSum.parse("2*n^-0.8")),
-    "poisson": ImmigrationFamily(kind="poisson", m1=PowerSum.parse("3*(n+1)^-0.8")),
-    "custom": ImmigrationFamily(kind="custom", m1=PowerSum.parse("1*(n+1)^-0.8"),
+    "bernoulli": BernoulliImmigration(m1=PowerSum.parse("2*n^-0.8")),
+    "poisson": PoissonImmigration(m1=PowerSum.parse("3*(n+1)^-0.8")),
+    "custom": CustomImmigration(m1=PowerSum.parse("1*(n+1)^-0.8"),
                                 base=tuple(log_two_base(48)), base_name="log_two"),
 }
 _TABLE_NS = np.concatenate([np.arange(1, 40), [511, 512, 513, 1024, 5000]])
@@ -827,8 +826,8 @@ _BAD_ROWS = {
 @pytest.mark.parametrize("bad", _BAD_ROWS)
 def test_bad_custom_row_is_rejected_by_the_table_as_by_pmf(bad):
     row = np.array(_BAD_ROWS[bad])
-    fam = OffspringFamily(
-        kind="custom", table=lambda n: row if n == 3 else np.array([0.2, 0.5, 0.3]))
+    fam = CustomOffspring(
+        table=lambda n: row if n == 3 else np.array([0.2, 0.5, 0.3]))
     with pytest.raises(NotADistributionError) as by_pmf:
         pgf.Pmf(row)
     with pytest.raises(NotADistributionError) as by_table:
@@ -847,3 +846,51 @@ def test_a_table_warns_when_any_generation_is_clamped():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         imm.pmf(np.arange(3, 600), 4)
+
+
+_RULE, _M1 = RhoRule(c=1.0, gamma=1.0, n0=1.0), PowerSum.parse("1*(n+1)^-1")
+_TABLE = {"table": lambda n: np.array([0.5, 0.5])}
+_BASE = {"base": (0.0, 1.0)}
+_BASES = {"offspring": families.OffspringFamily,
+          "immigration": families.ImmigrationFamily}
+
+# (class, fields): each kind given a field its formulas never read
+_UNREAD_FIELDS = {
+    "custom_nu": (CustomOffspring, {**_TABLE, "nu": 3.0}),
+    "custom_rho_rule": (CustomOffspring, {**_TABLE, "rho_rule": _RULE}),
+    "bernoulli_table": (BernoulliOffspring, {"rho_rule": _RULE, **_TABLE}),
+    "quadratic_table": (QuadraticOffspring, {"rho_rule": _RULE, **_TABLE}),
+    "lf_table": (LinearFractionalOffspring, {"rho_rule": _RULE, **_TABLE}),
+    "poisson_base": (PoissonImmigration, {"m1": _M1, **_BASE}),
+    "poisson_base_name": (PoissonImmigration, {"m1": _M1, "base_name": "log_two"}),
+    "bernoulli_base": (BernoulliImmigration, {"m1": _M1, **_BASE}),
+    "bernoulli_base_name": (BernoulliImmigration,
+                            {"m1": _M1, "base_name": "log_two"}),
+}
+
+
+@pytest.mark.parametrize("case", _UNREAD_FIELDS)
+def test_a_kind_takes_no_field_it_does_not_read(case):
+    cls, fields = _UNREAD_FIELDS[case]
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        cls(**fields)
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        _BASES[cls.role](kind=cls.kind, **fields)
+
+
+def test_bernoulli_offspring_takes_only_nu_zero():
+    assert BernoulliOffspring(rho_rule=_RULE, nu=0.0) == BernoulliOffspring(_RULE)
+    with pytest.raises(ScenarioValidationError, match="forces nu = 0"):
+        BernoulliOffspring(rho_rule=_RULE, nu=3.0)
+
+
+def test_a_base_named_with_kind_builds_that_kinds_class():
+    for role, base in _BASES.items():
+        for name, cls in FAMILIES[role].items():
+            assert cls.kind == name and issubclass(cls, base)
+    assert (families.OffspringFamily(kind="bernoulli", rho_rule=_RULE)
+            == BernoulliOffspring(rho_rule=_RULE))
+    assert (families.ImmigrationFamily(kind="poisson", m1=_M1)
+            == PoissonImmigration(m1=_M1))
+    with pytest.raises(ScenarioValidationError, match="unknown offspring family 'foo'"):
+        families.OffspringFamily(kind="foo", rho_rule=_RULE)

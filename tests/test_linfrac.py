@@ -11,7 +11,7 @@ from conftest import make_spec
 from nearcrit.scenarios import load_fixture
 from nearcrit import engine, linfrac, pgf
 from nearcrit.errors import UnsupportedFamilyError
-from nearcrit.families import ImmigrationFamily, log_two_base
+from nearcrit.families import FAMILIES, log_two_base
 from nearcrit.linfrac import LinearFractional
 from oracles import (
     accompanying_eval,
@@ -127,8 +127,8 @@ def test_generation_pgf_takes_every_immigration_kind(kind):
     # H_j(Gbar) is exact for every kind: the product form agrees with
     # coefficient propagation within the truncated mass
     spec = load_fixture("lf_crosscheck").spec
-    base = tuple(log_two_base(64)) if kind == "custom" else None
-    imm = ImmigrationFamily(kind=kind, m1=spec.immigration.m1, base=base)
+    base = {"base": tuple(log_two_base(64))} if kind == "custom" else {}
+    imm = FAMILIES["immigration"][kind](m1=spec.immigration.m1, **base)
     spec = dataclasses.replace(spec, immigration=imm)
     law = engine.propagate(spec, 50, 400).pmf
     for x in np.linspace(0.0, 1.0, 11):

@@ -15,8 +15,9 @@ from nearcrit import limits
 from nearcrit.errors import NumericError, UnsupportedFamilyError
 from nearcrit.families import (
     BASE_LAWS,
-    ImmigrationFamily,
-    OffspringFamily,
+    FAMILIES,
+    CustomOffspring,
+    PoissonImmigration,
     PowerSum,
     PowerTerm,
     RhoRule,
@@ -70,8 +71,8 @@ def test_mean_serves_every_offspring_kind():
 
 def test_product_law_needs_a_rho_rule():
     spec = ScenarioSpec(
-        offspring=OffspringFamily(kind="custom", table=lambda n: np.array([0.1, 0.9])),
-        immigration=ImmigrationFamily(kind="poisson", m1=PowerSum.parse("1*n^-2")),
+        offspring=CustomOffspring(table=lambda n: np.array([0.1, 0.9])),
+        immigration=PoissonImmigration(m1=PowerSum.parse("1*n^-2")),
         lam=0.0, nu=0.0, divergent=False,
     )
     with pytest.raises(UnsupportedFamilyError):
@@ -140,12 +141,13 @@ def product_specs(draw):
         min_size=1, max_size=2))
     m1 = PowerSum(tuple(PowerTerm(a, s, p) for a, s, p in terms))
     imm_kind = draw(st.sampled_from(["bernoulli", "poisson", "custom"]))
-    base = None
+    base = {}
     if imm_kind == "custom":
-        base = tuple(BASE_LAWS[draw(st.sampled_from(["log_two", "delta2"]))](64))
+        name = draw(st.sampled_from(["log_two", "delta2"]))
+        base = {"base": tuple(BASE_LAWS[name](64))}
     return ScenarioSpec(
-        offspring=OffspringFamily(kind=kind, rho_rule=RhoRule(c, gamma, n0), nu=nu),
-        immigration=ImmigrationFamily(kind=imm_kind, m1=m1, base=base),
+        offspring=FAMILIES["offspring"][kind](rho_rule=RhoRule(c, gamma, n0), nu=nu),
+        immigration=FAMILIES["immigration"][imm_kind](m1=m1, **base),
         lam=0.0, nu=nu, divergent=False,
     )
 

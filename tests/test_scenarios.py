@@ -5,11 +5,15 @@ import pytest
 from nearcrit import cli, scenarios
 from nearcrit.errors import ScenarioParseError, ScenarioValidationError
 from nearcrit.families import (
-    ImmigrationFamily,
-    OffspringFamily,
+    BernoulliImmigration,
+    BernoulliOffspring,
+    CustomImmigration,
+    CustomOffspring,
+    OutsideScope,
     PowerSum,
     RhoRule,
     ScenarioSpec,
+    classify,
 )
 
 
@@ -104,15 +108,15 @@ def _file(offspring, immigration):
 
 
 def test_serialize_refuses_a_table_backed_offspring_family():
-    offspring = OffspringFamily(kind="custom", table=lambda n: [0.5, 0.5])
-    immigration = ImmigrationFamily(kind="bernoulli", m1=PowerSum.parse("1*n^-1"))
+    offspring = CustomOffspring(table=lambda n: [0.5, 0.5])
+    immigration = BernoulliImmigration(m1=PowerSum.parse("1*n^-1"))
     with pytest.raises(ScenarioValidationError, match="table-backed"):
         scenarios.serialize_scenario(_file(offspring, immigration))
 
 
 def test_serialize_refuses_a_custom_base_without_a_name():
-    offspring = OffspringFamily(kind="bernoulli", rho_rule=RhoRule(1.0, 1.0, 1.0))
-    immigration = ImmigrationFamily(kind="custom", m1=PowerSum.parse("1*n^-1"),
+    offspring = BernoulliOffspring(rho_rule=RhoRule(1.0, 1.0, 1.0))
+    immigration = CustomImmigration(m1=PowerSum.parse("1*n^-1"),
                                     base=(0.0, 0.0, 1.0))
     with pytest.raises(ScenarioValidationError, match="named base"):
         scenarios.serialize_scenario(_file(offspring, immigration))
@@ -122,3 +126,65 @@ def test_unknown_fixture_name():
     for load in (scenarios.fixture_text, scenarios.load_fixture):
         with pytest.raises(ScenarioParseError, match="thm2_missing"):
             load("thm2_missing")
+
+
+# (fixture, line, replacement, message): files that parse but name a family
+# kind, or a limit constant, that the scenario cannot take
+VALIDATION_FAULTS = {
+    "unknown_offspring": ("thm1_poisson", "offspring.family = bernoulli",
+                          "offspring.family = foo", "unknown offspring family 'foo'"),
+    "custom_offspring": ("thm1_poisson", "offspring.family = bernoulli",
+                         "offspring.family = custom",
+                         "custom offspring needs a PMF table"),
+    "unknown_immigration": ("thm1_poisson", "immigration.family = bernoulli",
+                            "immigration.family = foo",
+                            "unknown immigration family 'foo'"),
+    "bernoulli_with_nu": ("thm1_poisson", "limits.nu = 0",
+                          "limits.nu = 0\noffspring.nu = 3",
+                          "Bernoulli offspring forces nu = 0"),
+    "nb_with_lambda_zero": ("thm5_nb", "limits.lambda = 1", "limits.lambda = 0",
+                            "limits.lambda"),
+}
+
+
+@pytest.mark.parametrize("fault", VALIDATION_FAULTS)
+def test_family_or_limit_fault_is_a_validation_error_naming_it(fault, tmp_path,
+                                                                capsys):
+    fixture, old, new, message = VALIDATION_FAULTS[fault]
+    text = _edit(fixture, old, new)
+    with pytest.raises(ScenarioValidationError) as info:
+        scenarios.parse_scenario_text(text)
+    assert message in str(info.value)
+    path = tmp_path / f"{fault}.scn"
+    path.write_text(text)
+    assert cli.main(["--scenario", str(path), "--command", "classify"]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_lambda_zero_outside_every_regime_is_accepted():
+    # nu > 0 with delta2 immigration: no negative binomial target to build
+    text = _edit("thm5_nb", "immigration.family = bernoulli",
+                 "immigration.family = custom\nimmigration.base = delta2")
+    sf = scenarios.parse_scenario_text(text.replace("limits.lambda = 1",
+                                                    "limits.lambda = 0"))
+    assert isinstance(classify(sf.spec), OutsideScope)
+
+
+@pytest.mark.parametrize("offspring", ["bernoulli", "quadratic", "linear_fractional"])
+@pytest.mark.parametrize("immigration", ["bernoulli", "poisson", "custom"])
+def test_serialize_round_trips_every_file_form_kind_pair(offspring, immigration):
+    nu = "0" if offspring == "bernoulli" else "1"
+    text = "\n".join([
+        f"offspring.family = {offspring}", "offspring.rho.n0 = 1",
+        f"offspring.nu = {nu}", f"immigration.family = {immigration}",
+        "immigration.m1.rule = 1*(n+1)^-1", "limits.lambda = 1",
+        f"limits.nu = {nu}", "limits.divergent = true",
+    ] + (["immigration.base = log_two", "immigration.support = 32"]
+         if immigration == "custom" else []))
+    sf = scenarios.parse_scenario_text(text)
+    assert (sf.spec.offspring.kind, sf.spec.immigration.kind) == (offspring,
+                                                                    immigration)
+    out = scenarios.serialize_scenario(sf)
+    again = scenarios.parse_scenario_text(out)
+    assert again.spec == sf.spec
+    assert scenarios.serialize_scenario(again) == out
