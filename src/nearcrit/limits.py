@@ -9,6 +9,7 @@ cross-checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -31,6 +32,7 @@ from .families import (
     PoissonLimit,
     ProductLimit,
     ScenarioSpec,
+    hurwitz_zeta,
 )
 
 _ATOM_CLAMP = 1e-12
@@ -316,10 +318,39 @@ def _r_bracket(imm, nu: float, tail, v: float) -> tuple[float, float]:
     return (lo + hi) / 2, (hi - lo) / 2
 
 
+def _m_bracket(rule, m1, j: int, lam: float) -> tuple[float, float, float]:
+    """(midpoint, half-width) of an interval holding the M tail sum_{l>j}
+    m_{l,1} e^-Lambda_l, and S = sum_{l>j} m_{l,1} plus its error bound, from
+    1 - Lambda <= e^-Lambda <= 1 - Lambda + Lambda^2/2 and Lambda_l <= lam =
+    Lambda_j, each end no looser than [e^-lam S, S]; see README.md."""
+    c, g, q = rule.c, rule.gamma, 1.0 + rule.n0
+    d_max = float(rule.one_minus_rho(j + 2))
+    # c zeta(g, l+q) <= Lambda_l <= c zeta(g, .) + c^2 zeta(2g, .) (1 - rho_l <= 1/2),
+    # q^(1-s)/(s-1) <= zeta(s, q) <= q^(1-s)/(s-1) + q^-s, and c (l+q)^-g <= d_max:
+    # Lambda_l is at most the (coef, power) pairs of l + q in lam_hi
+    lam_hi = ((c / (g - 1) + c * d_max / (2 * g - 1), g - 1), (c + c * d_max, g))
+    s_lo = s_hi = d_lo = d_hi = 0.0
+    for t in m1.terms:
+        v, e = hurwitz_zeta(t.power, j + 1 + t.shift)
+        s_lo, s_hi = s_lo + t.coef * (v - e), s_hi + t.coef * (v + e)
+        # (l + shift)^-p (l + q)^-a lies between (l + far)^-(p+a) and (l + near)^-(p+a)
+        near, far = sorted((t.shift, q))
+        v, e = hurwitz_zeta(t.power + g - 1, j + 1 + far)
+        d_lo += t.coef * c / (g - 1) * (v - e)
+        d_hi += sum(t.coef * a * sum(hurwitz_zeta(t.power + p, j + 1 + near))
+                    for a, p in lam_hi)
+    # D = sum_{l>j} m_{l,1} Lambda_l is in [d_lo, d_hi]; the tail in
+    # [S - D, S - D + lam D/2], and in [e^-lam S, S]
+    lo = max(s_lo - d_hi, math.exp(-lam) * s_lo)
+    hi = min(s_hi - d_lo + lam * d_hi / 2, s_hi)
+    return (lo + hi) / 2, (hi - lo) / 2, s_hi
+
+
 def _product_terms(spec: ScenarioSpec, tol: float) -> tuple:
     """x-independent part: (log rho_[j,inf] and m_{j,1} for j = 1..J, M, head,
     r-tail data). The M tail and the r tail each get tol/8 of log g(0); their
-    closed-form bounds pick J and the head, from where log_tail holds."""
+    closed-form brackets, each evaluated once per candidate length, pick J and
+    the head, from where 1 - rho <= 1/2 and so log_tail and the M bracket hold."""
     if spec.divergent:
         raise WrongRegimeError("the product law needs sum(1-rho_n) < inf")
     off, imm = spec.offspring, spec.immigration
@@ -329,22 +360,22 @@ def _product_terms(spec: ScenarioSpec, tol: float) -> tuple:
     share = tol / 8
     start = _power_of_two(64, lambda j: rule.one_minus_rho(j + 1) <= 0.5, "head", tol)
 
+    @functools.cache
     def tail(j):
-        return m1.tail_bound(j), rule.log_tail(j), float(m1.at(j + 1))
+        """(r-tail data (S, Lambda_j, m_{j+1,1}), M-tail midpoint, its half-width)"""
+        lam = rule.log_tail(j)
+        mid, half, s = _m_bracket(rule, m1, j, lam)
+        return (s, lam, float(m1.at(j + 1))), mid, half
 
-    head = _power_of_two(
-        start, lambda j: _r_bracket(imm, off.nu, tail(j), 1.0)[1] <= share, "head", tol)
-    # the M tail beyond J lies in [e^-Lambda_J, 1] sum_{j>J} m_{j,1}
-    top = max(head, _power_of_two(
-        start, lambda j: -math.expm1(-rule.log_tail(j)) * m1.tail_bound(j) / 2
-        <= share, "head", tol))
+    head = _power_of_two(start, lambda j: _r_bracket(imm, off.nu, tail(j)[0], 1.0)[1]
+                         <= share, "head", tol)
+    top = max(head, _power_of_two(start, lambda j: tail(j)[2] <= share, "head", tol))
     # log rho_[j,inf] = sum_{j<l<=top} log rho_l - Lambda_top; rho_1 never enters
     logs = np.log1p(-off.one_minus_rho(np.arange(top, 1, -1)))
-    log_rho = np.concatenate([np.cumsum(logs)[::-1], [0.0]]) - rule.log_tail(top)
+    log_rho = np.concatenate([np.cumsum(logs)[::-1], [0.0]]) - tail(top)[0][1]
     m = m1.at(np.arange(1, top + 1))
-    mean = float(np.sum(m * np.exp(log_rho))
-                 + m1.tail_bound(top) * (1 + np.exp(log_rho[-1])) / 2)
-    return log_rho, m, mean, head, tail(head)
+    mean = float(np.sum(m * np.exp(log_rho)) + tail(top)[1])
+    return log_rho, m, mean, head, tail(head)[0]
 
 
 def _composed_maps(spec: ScenarioSpec, head: int, tol: float) -> Callable:
@@ -387,8 +418,11 @@ def product_law_eval(spec: ScenarioSpec, x, tol: float = 1e-7):
 
 
 def product_law_mean(spec: ScenarioSpec, tol: float = 1e-8) -> float:
-    """Mean sum_j m_{j,1} rho_[j,inf] of the product law within ``tol``;
-    by the chain rule it holds for every offspring and immigration kind."""
+    """Mean sum_j m_{j,1} rho_[j,inf] of the product law within ``tol``: an
+    explicit head of J terms plus the midpoint of the second-order tail
+    bracket (:func:`_m_bracket`), J the smallest power of two from 64 whose
+    half-width is at most tol/8. By the chain rule it holds for every
+    offspring and immigration kind."""
     return _product_terms(spec, tol)[2]
 
 

@@ -2,6 +2,7 @@
 tolerances, the Euler-Maclaurin tails it rests on, and a differential
 check against explicit summation of its log factors."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -171,3 +172,75 @@ def test_product_law_matches_explicit_summation(spec, x):
     except NumericError:
         reject()
     assert abs(got - want) <= tol + tol_o
+
+
+def test_mean_head_length_falls_to_the_cube_root_rate():
+    # the second-order M-tail bracket has half-width of order J^-3 here; the
+    # first-order one, of order J^-2, needed J = 8192 and 2^21
+    spec = load_fixture("thm6_example1").spec
+    assert len(limits._product_terms(spec, 1e-7)[1]) <= 512
+    assert len(limits._product_terms(spec, 1e-12)[1]) <= 1 << 15
+    mean = limits.product_law_mean(spec, tol=1e-12)
+    assert mean == pytest.approx(math.pi**2 / 6.0, abs=1e-12)
+
+
+def test_slow_immigration_rule_answers_at_tol_1e_10():
+    # m1 = 0.5 n^-1.5 needed a head beyond PRODUCT_CAP at tol 1e-10 under the
+    # first-order M-tail bracket, which gave 0.6206931223454861 at tol 1e-8
+    base = load_fixture("thm6_example1").spec
+    imm = dataclasses.replace(base.immigration, m1=PowerSum.parse("0.5*n^-1.5"))
+    spec = dataclasses.replace(base, immigration=imm)
+    got = limits.product_law_eval(spec, 0.5, tol=1e-10)
+    assert got == pytest.approx(0.6206931223454861, abs=1e-8 + 1e-10)
+
+
+def test_rule_out_of_reach_still_names_the_head_cap():
+    spec = make_spec(gamma=1.05, n0=1.0, m1="1*n^-1.05", lam=1.0, divergent=False)
+    with pytest.raises(NumericError, match=f"head beyond {limits.PRODUCT_CAP}"):
+        limits.product_law_mean(spec, tol=1e-10)
+
+
+BRACKET_TOP = 1 << 22
+
+
+@st.composite
+def mean_tail_rules(draw):
+    """(rho rule, m1) with gamma and the m1 powers in [1.3, 3] and m1 shifts drawn
+    apart from the rho shift 1 + n0."""
+    n0 = draw(st.floats(0.0, 4.0))
+    gamma = draw(st.floats(1.3, 3.0))
+    c = draw(st.floats(0.05, 0.95)) * (1.0 + n0) ** gamma
+    terms = draw(st.lists(
+        st.tuples(st.floats(0.05, 0.5), st.floats(0.0, 3.0), st.floats(1.3, 3.0)),
+        min_size=1, max_size=2))
+    m1 = PowerSum(tuple(PowerTerm(a, s, p) for a, s, p in terms))
+    return RhoRule(c, gamma, n0), m1
+
+
+def _mean_tails(rule, m1, js) -> list[float]:
+    """Midpoints of sum_{l>j} m_{l,1} rho_[l,inf], summed explicitly up to
+    TOP; only floats leave, so no failing example holds the arrays."""
+    # Lambda_l = -log rho_[l,inf] for l = TOP..65, summed down from TOP
+    ls = np.arange(BRACKET_TOP, 64, -1, dtype=float)
+    neg_log_rho = -np.log1p(-rule.one_minus_rho(ls))
+    lam = np.cumsum(neg_log_rho) - neg_log_rho + rule.log_tail(BRACKET_TOP)
+    terms = m1.at(ls) * np.exp(-lam)
+    return [float(np.sum(terms[: BRACKET_TOP - j])) for j in js]
+
+
+@given(rules=mean_tail_rules())
+@settings(max_examples=20, deadline=None)
+def test_mean_tail_bracket_holds_against_explicit_sum(rules):
+    rule, m1 = rules
+    js = (64, 256, 1024)
+    # beyond TOP the tail lies in [e^-Lambda_TOP, 1] sum_{l>TOP} m_{l,1}
+    s_top, lam_top = m1.tail_bound(BRACKET_TOP), rule.log_tail(BRACKET_TOP)
+    rest_mid = s_top * (1.0 + math.exp(-lam_top)) / 2
+    rest_half = -s_top * math.expm1(-lam_top) / 2
+    for j, head in zip(js, _mean_tails(rule, m1, js)):
+        want = head + rest_mid
+        lam = rule.log_tail(j)
+        mid, half, s = limits._m_bracket(rule, m1, j, lam)
+        assert abs(want - mid) <= half + rest_half + 1e-14 * want
+        # never wider than the first-order bracket [e^-Lambda_j, 1] S
+        assert half <= -s * math.expm1(-lam) / 2 + 1e-12 * s
