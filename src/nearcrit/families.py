@@ -402,11 +402,6 @@ class OffspringFamily(metaclass=_ByName):
         :meth:`compose_back` onto the series g the sweep carries down."""
         return lambda ns, g, starts: self.compose_back(ns, g, k_trunc, starts)
 
-    def _product_maps(self, rho, composed: Callable) -> Callable:
-        """v -> Gbar_{j+1,inf}(1 - v), j = 1..len(rho), for the product law,
-        given rho[j-1] = rho_[j,inf]: ``composed()``, over a finite horizon."""
-        return composed()
-
     def sample(self, n: int, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """out[s, t]: how many of the h[s] trajectories with s parents in
         generation ``n`` have t children in total, drawn exactly.
@@ -506,9 +501,6 @@ class BernoulliOffspring(QuadraticOffspring):
     def _params(self, delta):
         rho = 1.0 - delta
         return 1.0 - rho, rho
-
-    def _product_maps(self, rho, composed: Callable) -> Callable:
-        return lambda v: 1.0 - rho * v
 
 
 @dataclass(frozen=True)

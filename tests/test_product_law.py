@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import zeta
 
 from conftest import make_spec
-from nearcrit import limits
+from nearcrit import engine, limits
 from nearcrit.errors import NumericError, UnsupportedFamilyError
 from nearcrit.families import (
     BASE_LAWS,
@@ -26,7 +26,7 @@ from nearcrit.families import (
     hurwitz_zeta,
 )
 from nearcrit.scenarios import load_fixture
-from oracles import product_law_bruteforce
+from oracles import BRUTEFORCE_ERROR, product_law_bruteforce
 
 CLOSED_FORM_XS = (0.0, 0.25, 0.5, 0.9, 1.0 - 1e-9)
 
@@ -80,13 +80,87 @@ def test_product_law_needs_a_rho_rule():
         limits.product_law_eval(spec, 0.5)
 
 
-def test_unreachable_tolerance_names_the_cap():
-    # the composition start moves log g by nu Lambda_N / 2 ~ 1/(2 N): no
-    # horizon up to HORIZON_CAP reaches 1e-12
-    spec = make_spec("quadratic", gamma=2.0, n0=1.0, nu=1.0, m1="1*n^-2",
+def _example1_copy(kind, nu):
+    """thm6_example1 with n0 = 1 (rho_1 > 0, which linear-fractional maps
+    need) and offspring.nu = limits.nu = ``nu``."""
+    base = load_fixture("thm6_example1").spec
+    off = FAMILIES["offspring"][kind](rho_rule=RhoRule(1.0, 2.0, 1.0), nu=nu)
+    return dataclasses.replace(base, offspring=off, nu=nu)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "linear_fractional"])
+@pytest.mark.parametrize("nu", [0.1, 1.0])
+def test_copies_of_example1_answer_at_tol_1e_7_and_1e_12(kind, nu):
+    # these needed a composition horizon beyond 2^20 at both tolerances; the
+    # declared immigration rate 2 at n = 1 makes the first factor negative
+    # below x = 0.25, for Bernoulli offspring too
+    spec = _example1_copy(kind, nu)
+    xs = (0.5, 0.9)
+    want = [product_law_bruteforce(spec, x, 1e-9) for x in xs]
+    for tol in (1e-7, 1e-12):
+        got = limits.product_law_eval(spec, xs, tol)
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, abs=tol + BRUTEFORCE_ERROR)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "linear_fractional"])
+@pytest.mark.parametrize("nu", [0.1, 1.0, 2.0])
+def test_tail_bracket_holds_the_maps_composed_from_a_deeper_one(kind, nu):
+    # Gbar_{N+1,8N} applied to either end of the bracket at 8N lands inside
+    # the bracket at N, and on linear-fractional maps the closed-form head
+    # is the composition from the midpoint at N
+    spec = _example1_copy(kind, nu)
+    off, v, n = spec.offspring, 1.0, 64
+
+    def ends(j):
+        lam = off.rho_rule.log_tail(j)
+        mid, half = limits._c_bracket(off, j, lam)
+        return [1.0 - math.exp(-lam) * v / (1.0 + c * v)
+                for c in (mid - half, mid + half)]
+
+    lo, hi = ends(n)
+    deep = [engine.composed_eval_all(spec, 8 * n, x)[n] for x in ends(8 * n)]
+    assert lo <= deep[0] <= deep[1] <= hi
+    assert deep[1] - deep[0] < (hi - lo) / 100
+    if kind == "linear_fractional":
+        terms = limits._product_terms(spec, 1e-4)
+        head = terms[3]
+        lam = off.rho_rule.log_tail(head)
+        mid = limits._c_bracket(off, head, lam)[0]
+        composed = engine.composed_eval_all(
+            spec, head, 1.0 - math.exp(-lam) * v / (1.0 + mid * v))[1:]
+        got = limits._head_maps(spec, terms, np.exp(terms[0][:head]), 1e-4)(v)
+        assert np.max(np.abs(got - composed)) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "linear_fractional"])
+def test_fast_immigration_rule_takes_the_tail_past_the_head(kind):
+    # with m1 = n^-6 the r tail stops the head at 64, but the C bracket
+    # needs N = 2048 at tol 1e-9
+    spec = make_spec(kind, c=1.0, gamma=2.0, n0=1.0, nu=1.0, m1="1*n^-6",
                      lam=1.0, divergent=False)
-    with pytest.raises(NumericError, match=f"beyond {limits.HORIZON_CAP}"):
-        limits.product_law_eval(spec, 0.5, tol=1e-12)
+    assert limits._product_terms(spec, 1e-9)[3] == 64
+    got = limits.product_law_eval(spec, 0.0, 1e-9)
+    want = product_law_bruteforce(spec, 0.0, 1e-10)
+    assert got == pytest.approx(want, abs=1e-9 + BRUTEFORCE_ERROR)
+
+
+def test_tail_starts_where_the_quadratic_window_is_open(monkeypatch):
+    # rho_n = 1 - 0.9 (201/(n + 200))^2 with nu = 2: the head stops at 128,
+    # but the window of _quadratic_g2 opens only at n = 131, so the maps are
+    # composed over 256 generations, not 128
+    spec = make_spec("quadratic", c=0.9 * 201**2, gamma=2.0, n0=200.0, nu=2.0,
+                     m1="0.01*n^-3", lam=1.0, divergent=False)
+    assert limits._product_terms(spec, 1e-3)[3] == 128
+    assert spec.offspring.start_offset() == 131
+    lengths, real = [], engine.composed_eval_all
+    monkeypatch.setattr(engine, "composed_eval_all",
+                        lambda s, n, x: lengths.append(n) or real(s, n, x))
+    got = limits.product_law_eval(spec, 0.0, 1e-3)
+    monkeypatch.undo()
+    assert lengths == [256]
+    want = product_law_bruteforce(spec, 0.0, 1e-9)
+    assert got == pytest.approx(want, abs=1e-3 + BRUTEFORCE_ERROR)
 
 
 @pytest.mark.parametrize("s", [1.01, 1.5, 2.0, 3.0, 7.5, 40.0])
@@ -136,7 +210,7 @@ def product_specs(draw):
     gamma = draw(st.floats(1.05, 3.0))
     c = draw(st.floats(0.05, 0.95)) * (1.0 + n0) ** gamma  # rho_1 > 0
     kind = draw(st.sampled_from(["bernoulli", "quadratic", "linear_fractional"]))
-    nu = 0.0 if kind == "bernoulli" else draw(st.floats(0.0, 0.05))
+    nu = 0.0 if kind == "bernoulli" else draw(st.floats(0.0, 2.0))
     terms = draw(st.lists(
         st.tuples(st.floats(0.05, 0.5), st.floats(0.0, 3.0), st.floats(1.05, 3.0)),
         min_size=1, max_size=2))
@@ -158,15 +232,16 @@ def product_specs(draw):
 def test_product_law_matches_explicit_summation(spec, x):
     tol = 1e-6
     try:
-        got = limits.product_law_eval(spec, x, tol)
-    except NumericError as exc:
-        # no head or horizon under the caps meets tol: refused, not guessed
-        assert "beyond" in str(exc)
+        limits._product_terms(spec, tol)
+    except NumericError:
+        # no head under PRODUCT_CAP meets tol: refused, not guessed
+        # (test_rule_out_of_reach_still_names_the_head_cap)
         reject()
-    # the explicit sum stops at 2^20 terms (2^14 where it composes maps one
-    # generation at a time), with its own tolerance
-    depth = 1 << 20 if spec.offspring.kind == "bernoulli" else 1 << 14
-    tol_o = max(tol, 1.1 * (1.0 - x) * spec.immigration.m1.tail_bound(depth))
+    # the composed maps beyond the head have no cap of their own
+    got = limits.product_law_eval(spec, x, tol)
+    # the explicit sum, with its own tolerance, which also covers the
+    # factors beyond 2^20 that it takes at first order
+    tol_o = max(tol, 1.1 * (1.0 - x) * spec.immigration.m1.tail_bound(1 << 20))
     try:
         want = product_law_bruteforce(spec, x, tol_o, horizon_cap=1 << 18)
     except NumericError:
