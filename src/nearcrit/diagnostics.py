@@ -269,7 +269,9 @@ def report(spec: ScenarioSpec, n_grid, k_trunc: int | None = None,
 
     When the limit PMF is unavailable (product regime) the tv column
     carries the sup-norm PGF gap over ``x_grid`` instead, against the
-    product law evaluated to within ``tol``.
+    product law evaluated to within ``tol``. With ``reps`` the mc_tv column
+    compares each row with its Monte Carlo law, all rows from one seeded
+    run (:func:`engine.simulate_sequence`).
     """
     law = classify(spec)
     if isinstance(law, OutsideScope):
@@ -293,14 +295,14 @@ def report(spec: ScenarioSpec, n_grid, k_trunc: int | None = None,
                for law in laws]
     means = pgf.factorial_moment(table, 1)
     m2s = pgf.factorial_moment(table, 2)
+    # one seeded run to the largest n serves every row; each row's law is
+    # the one simulate(spec, n, reps, seed) gives
+    empirical = None if reps is None else engine.simulate_sequence(spec, ns, reps, seed)
     rows = []
     for i, state in enumerate(states):
         tv = float(tvs[i])
         m2_gap = abs(float(m2s[i]) - lim_m2) if math.isfinite(lim_m2) else math.nan
-        mc_tv = None
-        if reps is not None:
-            empirical = engine.simulate(spec, state.n, reps, seed)
-            mc_tv = tv_distance(empirical, state.pmf)
+        mc_tv = None if empirical is None else tv_distance(empirical[i], state.pmf)
         rows.append(
             ReportRow(
                 n=state.n,

@@ -202,34 +202,85 @@ def pgf_via_product(spec: ScenarioSpec, n: int, x: float) -> float:
 # Monte Carlo
 
 
-def simulate(spec: ScenarioSpec, n: int, reps: int, seed: int) -> pgf.Pmf:
-    """Empirical law of generation ``n`` from ``reps`` seeded trajectories.
+def _histogram(values: np.ndarray, counts: np.ndarray):
+    """(states, counts) of the occupied states, ascending: ``counts`` summed
+    at ``values`` in int64, so every count stays exact up to 2^63 - 1."""
+    h = np.zeros(int(values.max()) + 1, dtype=np.int64)
+    np.add.at(h, values, counts)
+    states = h.nonzero()[0]
+    return states, h[states]
 
-    Trajectories are i.i.d., so the population is held as a histogram:
-    h[s] trajectories with s individuals. Each generation the family
-    samplers split every occupied state exactly by conditional binomials
-    (offspring, then immigrants), and the new histogram sums the
-    anti-diagonals of the immigration split. One PCG64 stream seeded with
-    ``seed`` drives the whole run, so results are reproducible, and the work
-    per generation depends on the occupied states, not on ``reps``. One seed
-    gives a different sample, of the same law, than releases that drew
-    per-trajectory variates.
+
+def _histograms(spec: ScenarioSpec, top: int, reps: int, seed: int):
+    """Yield (n, states, counts) for n = 0..top: the occupied trajectory
+    states of generation n, ascending, and how many of the ``reps``
+    trajectories hold each, as int64.
+
+    The parameters of each block of :data:`BLOCK` generations come from
+    one array call per family (``_sample_params``), so memory does not grow
+    with the number of generations. Each generation the offspring
+    ``_draw`` splits the occupied states into cells (row, children, count),
+    which sum into the histogram of children; the immigration ``_draw``
+    splits its occupied states into cells (row, immigrants, count), and the
+    next histogram sums the counts at state + immigrants. No array spans
+    every state times every total: a generation costs a few NumPy passes
+    over the occupied cells, and a bounded stage one multinomial table over
+    the occupied states and the values they can take.
     """
-    if n < 0:
+    rng = np.random.default_rng(seed)
+    off, imm = spec.offspring, spec.immigration
+    states, counts = np.zeros(1, dtype=np.int64), np.array([reps], dtype=np.int64)
+    yield 0, states, counts
+    for lo in range(1, top + 1, BLOCK):
+        ns = np.arange(lo, min(lo + BLOCK, top + 1))
+        for n, off_par, imm_par in zip(ns.tolist(), off._sample_params(ns),
+                                       imm._sample_params(ns)):
+            _, kids, cnt = off._draw(off_par, counts, states, rng)
+            states, counts = _histogram(kids, cnt)
+            value, cnt = imm._draw(imm_par, counts, rng)
+            states, counts = _histogram(states[:, None] + value, cnt)
+            yield n, states, counts
+
+
+def simulate_sequence(spec: ScenarioSpec, ns, reps: int, seed: int) -> list[pgf.Pmf]:
+    """Empirical laws at every requested generation (sorted, as
+    :func:`propagate_sequence` gives its states) from one seeded run of
+    ``reps`` trajectories to the largest.
+
+    The stream draws generations 1, 2, ... alike whatever the target, so
+    each law equals :func:`simulate` at its own n, bit for bit.
+    """
+    targets = sorted(set(int(n) for n in ns))
+    if targets and targets[0] < 0:
         raise ValueError("generation index must be >= 0")
     if reps < 1:
         raise ValueError("need at least one trajectory")
     if reps > np.iinfo(np.int64).max:
         raise ValueError(f"reps={reps} does not fit in a 64-bit count")
-    rng = np.random.default_rng(seed)
-    h = np.array([reps], dtype=np.int64)
-    for gen in range(1, n + 1):
-        kids = spec.offspring.sample(gen, h, rng).sum(axis=0)
-        arrivals = spec.immigration.sample(gen, kids, rng)
-        h = np.zeros(arrivals.shape[0] + arrivals.shape[1] - 1, dtype=np.int64)
-        for k in range(arrivals.shape[1]):
-            h[k : k + arrivals.shape[0]] += arrivals[:, k]
-    return pgf.Pmf(h[: np.flatnonzero(h)[-1] + 1] / reps)
+    laws = {}
+    for n, states, counts in _histograms(spec, targets[-1] if targets else 0, reps, seed):
+        if n in targets:
+            h = np.zeros(int(states[-1]) + 1, dtype=np.int64)
+            h[states] = counts
+            laws[n] = pgf.Pmf(h / reps)
+    return [laws[n] for n in targets]
+
+
+def simulate(spec: ScenarioSpec, n: int, reps: int, seed: int) -> pgf.Pmf:
+    """Empirical law of generation ``n`` from ``reps`` seeded trajectories.
+
+    Trajectories are i.i.d., so the population is held as a histogram:
+    counts[i] trajectories with states[i] individuals, over the occupied
+    states only. Each generation the family samplers split every occupied
+    state exactly by conditional binomials (offspring, then immigrants)
+    into cells, and the next histogram sums them (:func:`_histograms`). One
+    PCG64 stream seeded with ``seed`` drives the whole run, so results are
+    reproducible, and the work and memory per generation depend on the
+    occupied states and the values they can take, not on ``reps``. One
+    seed gives a different sample, of the same law, than releases that
+    drew per-trajectory variates.
+    """
+    return simulate_sequence(spec, [n], reps, seed)[0]
 
 
 def default_truncation(spec: ScenarioSpec) -> int:

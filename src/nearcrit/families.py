@@ -406,21 +406,26 @@ class OffspringFamily(metaclass=_ByName):
         """out[s, t]: how many of the h[s] trajectories with s parents in
         generation ``n`` have t children in total, drawn exactly.
 
-        Each kind's ``_draw`` runs in stages over histograms, giving cells
-        (row of an occupied state, children, count): for quadratic the
-        parents without exactly one child and then the ones with two among
-        them, for linear-fractional the childless parents, the ones among
-        the others with extra children and then the extra children. Each
-        bounded stage, and a custom table, splits every occupied cell with
-        one multinomial draw, its most likely value last (see
-        _multinomial_split); the unbounded extra children go value by value
-        (see _split). The work depends on the occupied states, not on the
-        number of trajectories.
+        The dense view of one generation of ``_draw``, which Monte Carlo
+        runs on directly: it takes the floats of ``_sample_params`` and the
+        occupied states with their counts, and gives cells (row of an
+        occupied state, children, count) as three arrays that broadcast to
+        one shape, zero counts allowed. It runs in stages: for quadratic
+        the parents without exactly one child and then the ones with two
+        among them, for linear-fractional the childless parents, the ones
+        among the others with extra children and then the extra children.
+        Each bounded stage, and a custom table, splits every occupied cell
+        with one multinomial draw, its most likely value last (see
+        :func:`_mode_last`); the unbounded extra children go value by value
+        (see :func:`_split`). The work depends on the occupied states, not
+        on the number of trajectories.
         """
         states = np.flatnonzero(h)
-        row, kids, cnt = self._draw(n, h[states], states, rng)
-        out = np.zeros((h.shape[0], int(kids.max(initial=0)) + 1), dtype=np.int64)
-        np.add.at(out, (states[row], kids), cnt)
+        par = self._sample_params(np.array([n]))[0]
+        row, kids, cnt = np.broadcast_arrays(*self._draw(par, h[states], states, rng))
+        live = cnt > 0
+        out = np.zeros((h.shape[0], int(kids[live].max(initial=0)) + 1), dtype=np.int64)
+        np.add.at(out, (states[row[live]], kids[live]), cnt[live])
         return out
 
     def _check(self) -> None:
@@ -472,15 +477,21 @@ class QuadraticOffspring(OffspringFamily):
         note = f"quadratic window clamps generations below n={start}"
         return [note] if start > 1 else []
 
-    def _draw(self, n: int, counts, states, rng):
-        p0, _, p2 = (float(v) for v in
-                     _quadratic_params(self.one_minus_rho(n), self.nu))
+    def _sample_params(self, ns) -> list:
+        """What ``_draw`` reads at each generation of ``ns``, from one array
+        call for a whole run: (p0, p2) of the quadratic law (p2 = 0 for
+        Bernoulli)."""
+        p0, _, p2 = _quadratic_params(self.one_minus_rho(ns), self.nu)
+        return list(zip(p0.tolist(), p2.tolist()))
+
+    def _draw(self, par, counts, states, rng):
+        p0, p2 = par
+        if not p2:  # none of the split parents has two children
+            split, cnt = _binomial_split(counts, states, p0, rng)
+            return np.arange(states.shape[0])[:, None], states[:, None] - split, cnt
         row, split, cnt = _binomial_cells(counts, states, p0 + p2, rng)
-        kids = states[row] - split
-        if p2:  # none of the split parents has two children when p2 = 0
-            cell, twos, cnt = _binomial_cells(cnt, split, p2 / (p0 + p2), rng)
-            row, kids = row[cell], kids[cell] + 2 * twos
-        return row, kids, cnt
+        twos, cnt = _binomial_split(cnt, split, p2 / (p0 + p2), rng)
+        return row[:, None], (states[row] - split)[:, None] + 2 * twos, cnt
 
 
 @dataclass(frozen=True)
@@ -551,11 +562,15 @@ class LinearFractionalOffspring(OffspringFamily):
             raise ScenarioValidationError("offspring.rho gives rho_1 = 0, which "
                                           "linear-fractional offspring cannot take")
 
-    def _draw(self, n: int, counts, states, rng):
-        par = self.lf_params(n)
-        # G_n(0) = delta (2 rho + nu)/(2 rho + nu delta) from the unrounded
-        # delta = 1 - rho_n, never 1 - alpha/(1 - beta)
-        delta = float(self.one_minus_rho(n))
+    def _sample_params(self, ns) -> list:
+        # (1 - rho_n, beta_n): the childless probability comes from the
+        # unrounded 1 - rho_n, never from 1 - alpha/(1 - beta)
+        delta = self.one_minus_rho(ns)
+        return list(zip(delta.tolist(), self._params(delta)[1].tolist()))
+
+    def _draw(self, par, counts, states, rng):
+        delta, beta = par
+        # G_n(0) = delta (2 rho + nu)/(2 rho + nu delta)
         rho = 1.0 - delta
         childless = delta * (2.0 * rho + self.nu) / (2.0 * rho + self.nu * delta)
         row, dead, cnt = _binomial_cells(counts, states, childless, rng)
@@ -563,11 +578,11 @@ class LinearFractionalOffspring(OffspringFamily):
         # a parent with children has more than one with probability beta,
         # and then Geometric(1 - beta) more: m such parents add m plus a
         # NegativeBinomial(m, 1 - beta) count of extra children
-        cell, more, cnt = _binomial_cells(cnt, alive, par.beta, rng)
-        row, kids = row[cell], alive[cell] + more
-        cell, extra, cnt = _cells(_split(
-            cnt, lambda y: _nb_hazard(more, par.beta, y), rng))
-        return row[cell], kids[cell] + extra, cnt
+        cell, more, cnt = _binomial_cells(cnt, alive, beta, rng)
+        # the hazards of four values at a time: most parents have fewer extras
+        out = _split(cnt, lambda y: _nb_hazard(more, beta, np.arange(y, y + 4)).T, rng)
+        kids = (alive[cell] + more)[:, None] + np.arange(out.shape[1])
+        return row[cell][:, None], kids, out
 
 
 @dataclass(frozen=True)
@@ -617,113 +632,154 @@ class CustomOffspring(OffspringFamily):
         moments = np.sum(table * ff, axis=-1)
         return moments.reshape(np.shape(n)) if np.ndim(n) else float(moments[0])
 
-    def _draw(self, n: int, counts, states, rng):
+    def _sample_params(self, ns) -> list:
+        return [_sampling_probs(np.asarray(self.table(int(m)), dtype=float))
+                for m in np.ravel(ns)]
+
+    def _draw(self, probs, counts, states, rng):
         # the s-fold convolution of the table for s parents
-        probs = _sampling_probs(np.asarray(self.table(n), dtype=float))
         laws = [np.ones(1)]
         for _ in range(int(states.max(initial=0))):
             laws.append(np.convolve(laws[-1], probs))
         rows = np.zeros((states.shape[0], laws[-1].shape[0]))
         for i, s in enumerate(states):
             rows[i, : laws[s].shape[0]] = laws[s]
-        return _cells(_multinomial_split(counts, rows, rng))
+        table, kids = _mode_last(rows)
+        return np.arange(states.shape[0])[:, None], kids, rng.multinomial(counts, table)
 
 
-def _split(counts: np.ndarray, hazard: Callable, rng: np.random.Generator) -> np.ndarray:
+def _split(counts: np.ndarray, hazards: Callable, rng: np.random.Generator) -> np.ndarray:
     """out[i, k]: how many of ``counts[i]`` independent draws take the value k,
     for the unbounded laws (Poisson immigrants, negative binomial extras).
 
-    ``hazard(k)`` is P(X = k | X >= k), a scalar or one value per row. The
+    ``hazards(k)`` lists P(X = j | X >= j) for a block of values j = k,
+    k + 1, ... of its choosing, each a scalar or one value per row. The
     values are visited in increasing order, each taking a Binomial share of
     the draws still left (the conditional-binomial method; Davis, CSDA 16,
-    1993), until no draw is left, so nothing is truncated. A bounded law
-    goes through :func:`_multinomial_split` instead, which runs the same
-    method in one call with each row's most likely value last.
+    1993), until no draw is left, so nothing is truncated. A bounded law is
+    one ``rng.multinomial`` draw instead, which runs the same method in C
+    with each row's most likely value last (:func:`_mode_last`).
     """
     left = np.array(counts, dtype=np.int64)
     cols = []
     while left.any():
-        cols.append(rng.binomial(left, hazard(len(cols))))
-        left -= cols[-1]
+        for hazard in hazards(len(cols)):
+            cols.append(rng.binomial(left, hazard))
+            left -= cols[-1]
+            if not left.any():
+                break
     return np.array(cols or [left]).T
 
 
-def _multinomial_split(counts: np.ndarray, probs: np.ndarray,
-                       rng: np.random.Generator) -> np.ndarray:
-    """out[i, k]: how many of ``counts[i]`` independent draws take the value
-    k, for bounded laws with P(X = k) proportional to probs[i, k] (or to
-    probs[k], one law for every row).
+def _mode_last(probs: np.ndarray):
+    """(table, perm): ``probs`` normalized to sum 1 along its last axis, with
+    each row's most likely value swapped into the last column, and that
+    swap: column c of a row of the table holds the probability of value
+    perm[c] (perm[i, c] for row i). A swap is its own inverse, so perm also
+    takes a draw's columns back to values.
 
-    One ``rng.multinomial`` call runs the conditional binomials of
+    ``rng.multinomial`` over the table runs the conditional binomials of
     :func:`_split` in C: value k takes a Binomial share, of probability
     p_k/(1 - sum_{i<k} p_i), of the draws still left, and a row stops when
-    they are used up. Each row is normalized to sum 1 and its most likely
-    value is drawn last (swapped with the last value, and the counts
-    swapped back), so the remainder 1 - sum_{i<k} p_i never falls below
-    p_max >= 1/S over S values: no conditional probability comes from
-    cancellation, and none rounds above 1.
+    they are used up. With the most likely value last the remainder
+    1 - sum_{i<k} p_i never falls below p_max >= 1/S over S values: no
+    conditional probability comes from cancellation, and none rounds above
+    1. ``probs`` is normalized in place.
     """
-    probs = probs / probs.sum(axis=-1, keepdims=True)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
+    mode = probs.argmax(axis=-1)
+    width = probs.shape[-1]
+    perm = np.arange(width)
     if probs.ndim == 1:
-        probs = probs[None, :].repeat(counts.shape[0], axis=0)
-    rows, mode = np.arange(probs.shape[0]), probs.argmax(axis=1)
-    top = probs[rows, mode]
-    probs[rows, mode] = probs[:, -1]
-    probs[:, -1] = top
-    out = rng.multinomial(counts, probs)
-    top = out[:, -1].copy()
-    out[:, -1] = out[rows, mode]
-    out[rows, mode] = top
-    return out
+        perm[mode], perm[-1] = width - 1, mode
+        return probs[perm], perm
+    rows = np.arange(probs.shape[0])
+    perm = perm[None, :].repeat(rows.shape[0], axis=0)
+    perm[rows, mode] = width - 1
+    perm[:, -1] = mode
+    return probs[rows[:, None], perm], perm
 
 
 def _cells(out: np.ndarray):
     """(row, value, count) of the nonzero entries of a split matrix."""
-    row, value = np.nonzero(out)
+    row, value = out.nonzero()
     return row, value, out[row, value]
+
+
+def _binomial_draw(counts: np.ndarray, sizes: np.ndarray, p: float,
+                   rng: np.random.Generator):
+    """(k, out): out[i, c] of the ``counts[i]`` trajectories, each of
+    ``sizes[i]`` units, have exactly k[i, c] units with an event of the
+    rarer probability q = min(p, 1 - p), so a caller passes whichever of p
+    and 1 - p it has unrounded.
+
+    The Binomial(sizes[i], q) weights relative to k = 0,
+    prod_{l<k} (s - l) q / ((l + 1)(1 - q)), are summed in logs and scaled
+    by their maximum over k, so no size overflows or vanishes; a factor
+    s - l <= 0 is log 0 = -inf, which every later k keeps, so the values
+    beyond s get weight 0 without a mask. One ``rng.multinomial`` draw over
+    their :func:`_mode_last` table splits every row, its most likely k
+    last; the columns keep the order of the draw, and k is their swap.
+    """
+    q = 1.0 - p if p > 0.5 else p
+    if q == 0.0:
+        return np.zeros((sizes.shape[0], 1), dtype=np.intp), counts[:, None]
+    ls = np.arange(int(sizes.max(initial=0)) + 1)
+    logw = np.zeros((sizes.shape[0], ls.shape[0]))
+    factors = logw[:, 1:]
+    np.multiply(np.maximum(sizes[:, None] - ls[:-1], 0), q / (1.0 - q) / ls[1:], out=factors)
+    with np.errstate(divide="ignore"):
+        np.log(factors, out=factors)
+    np.add.accumulate(logw, axis=1, out=logw)
+    logw -= np.maximum.reduce(logw, axis=1, keepdims=True)
+    table, k = _mode_last(np.exp(logw, out=logw))
+    return k, rng.multinomial(counts, table)
+
+
+def _binomial_split(counts: np.ndarray, sizes: np.ndarray, p: float,
+                    rng: np.random.Generator):
+    """(events, out): out[i, c] of the ``counts[i]`` trajectories, each of
+    ``sizes[i]`` units, have exactly events[i, c] units with an event of
+    probability p (:func:`_binomial_draw`). Every column of row i is a cell,
+    zero counts included; a last stage passes them on as they are."""
+    k, out = _binomial_draw(counts, sizes, p, rng)
+    return (sizes[:, None] - k if p > 0.5 else k), out
 
 
 def _binomial_cells(counts: np.ndarray, sizes: np.ndarray, p: float,
                     rng: np.random.Generator):
-    """Cells (i, k, c): c of the ``counts[i]`` trajectories, each of
-    ``sizes[i]`` units, have exactly k units with an event of probability p.
-
-    Events are counted on the rarer side, probability q = min(p, 1 - p), so
-    a caller passes whichever of p and 1 - p it has unrounded. The weights
-    relative to k = 0, prod_{l<k} (s - l) q / ((l + 1)(1 - q)), are summed in
-    logs and scaled by their maximum over k, so no size overflows or
-    vanishes. One :func:`_multinomial_split` then splits every row, its
-    most likely k last.
-    """
-    q = 1.0 - p if p > 0.5 else p
-    if q == 0.0:
-        row, k, cnt = np.arange(counts.shape[0]), np.zeros_like(sizes), counts
-    else:
-        ks = np.arange(int(sizes.max(initial=0)) + 1)
-        logw = np.zeros((sizes.shape[0], ks.shape[0]))
-        np.cumsum(np.log(np.maximum(sizes[:, None] - ks[:-1], 1)
-                         * (q / (1.0 - q) / ks[1:])), axis=1, out=logw[:, 1:])
-        logw[ks > sizes[:, None]] = -np.inf
-        weights = np.exp(logw - logw.max(axis=1, keepdims=True))
-        row, k, cnt = _cells(_multinomial_split(counts, weights, rng))
+    """The nonzero cells (i, e, c) of :func:`_binomial_split`, ordered by
+    row and then the rarer count: c of the ``counts[i]`` trajectories have
+    e events. A stage that a later stage splits further passes these on,
+    so the later stage's rows come in the order its draw is defined in."""
+    k, out = _binomial_draw(counts, sizes, p, rng)
+    # the swap k takes the draw's columns back to value order
+    row, k, cnt = _cells(out[np.arange(out.shape[0])[:, None], k])
     return row, (sizes[row] - k if p > 0.5 else k), cnt
 
 
-def _nb_hazard(m: np.ndarray, beta: float, y: int) -> np.ndarray:
-    """P(Y = y | Y >= y) for Y ~ NegativeBinomial(m, 1 - beta), per entry of m.
+def _nb_hazard(m: np.ndarray, beta: float, y) -> np.ndarray:
+    """P(Y = y | Y >= y) for Y ~ NegativeBinomial(m, 1 - beta), per entry of m
+    and, for an array of values y, per value along the last axis.
 
     P(Y >= y) = P(Binomial(m + y - 1, 1 - beta) <= m - 1) is a finite sum,
     which makes the hazard (1 - beta) over 1 + sum_{j=1..m-1} of
     prod_{l<j} (m - 1 - l) beta / ((y + 1 + l)(1 - beta)); m = 0 is Y = 0.
     Every term is positive, so the sums carry no cancellation; a sum beyond
-    the float range is inf and its hazard 0.
+    the float range is inf and its hazard 0. Each value's hazards are the
+    same floats whether it comes alone or in an array.
     """
+    ys = np.asarray(y, dtype=float)[..., None]
     ls = np.arange(max(int(m.max(initial=0)) - 1, 0))
-    inside = ls < m[:, None] - 1
-    factors = np.where(inside, (m[:, None] - 1 - ls)
-                       * (beta / (1.0 - beta) / (y + 1.0 + ls)), 1.0)
-    sums = 1.0 + np.sum(np.cumprod(factors, axis=1), axis=1, where=inside)
-    return np.where(m > 0, (1.0 - beta) / sums, 1.0)
+    # the terms past j = m - 1 are 0; a product past inf is then nan, which
+    # fmin reads as the inf sum it stands for
+    factors = (np.maximum(m[:, None] - 1 - ls, 0)[:, None]
+               * (beta / (1.0 - beta) / (ys + 1.0 + ls)))
+    terms = np.multiply.accumulate(factors, axis=-1)
+    sums = 1.0 + np.fmin(np.add.reduce(terms, axis=-1), np.inf)
+    # m = 0 has sums = 1 and hazard 1
+    hazards = (1.0 - beta * (m > 0))[:, None] / sums
+    return hazards.reshape(m.shape + np.shape(y))
 
 
 def _poisson_hazard(lam: float, k: int) -> float:
@@ -784,9 +840,10 @@ class ImmigrationFamily(metaclass=_ByName):
 
     Every kind's mean is its m1 rule, and ``sample`` gives out[v, k], how
     many of the h[v] trajectories in state v receive k immigrants in
-    generation n, drawn exactly. The base serves the mixtures toward a
-    fixed base law B, H_n = 1 + w_n (B - 1) with w_n = m_{n,1}/B'(1) so the
-    mean matches the m1 rule; Poisson immigration overrides what differs.
+    generation n, drawn exactly: the dense view of the cells of ``_draw``.
+    The base serves the mixtures toward a fixed base law B,
+    H_n = 1 + w_n (B - 1) with w_n = m_{n,1}/B'(1) so the mean matches the
+    m1 rule; Poisson immigration overrides what differs.
 
     Mixture weights follow one of two rules (:data:`RATE_RULES`): the
     product law uses the declared weights; the finite-n routes (PMFs,
@@ -897,6 +954,29 @@ class ImmigrationFamily(metaclass=_ByName):
         # -(log(1 - m_j psi) + m_j psi) <= m_j (this) for psi <= v, m_j <= m
         return m * v * v / (2 * (1 - m * v)) if m * v < 1 else math.inf
 
+    def sample(self, n: int, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """out[v, k]: how many of the h[v] trajectories in state v receive k
+        immigrants in generation ``n``, drawn exactly.
+
+        ``_draw`` splits only the occupied states, given the floats of
+        ``_sample_params`` and their counts: it gives (value, out), out[i, c]
+        of the counts[i] trajectories receiving value[c] (value[i, c])
+        immigrants, zero counts allowed. Monte Carlo runs on these cells.
+        """
+        states = np.flatnonzero(h)
+        par = self._sample_params(np.array([n]))[0]
+        value, cnt = self._draw(par, h[states], rng)
+        row, value, cnt = np.broadcast_arrays(states[:, None], value, cnt)
+        live = cnt > 0
+        out = np.zeros((h.shape[0], int(value[live].max(initial=0)) + 1), dtype=np.int64)
+        np.add.at(out, (row[live], value[live]), cnt[live])
+        return out
+
+    def _sample_params(self, ns) -> list:
+        """What ``_draw`` reads at each generation of ``ns``, from one array
+        call for a whole run: the mixture weight at the clamped rates."""
+        return self.weight(ns, "clamped").tolist()
+
     def _notes(self) -> list[str]:
         return []
 
@@ -949,10 +1029,13 @@ class PoissonImmigration(ImmigrationFamily):
     def _log_slack(self, m: float, v: float) -> float:
         return 0.0  # log H_j = -m_{j,1} u_j exactly
 
-    def sample(self, n: int, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def _sample_params(self, ns) -> list:
+        return np.asarray(self.m1.at(ns), dtype=float).tolist()
+
+    def _draw(self, lam, counts, rng):
         # conditional binomials over k until every trajectory is placed
-        lam = float(self.m1.at(n))
-        return _split(h, lambda k: _poisson_hazard(lam, k), rng)
+        out = _split(counts, lambda k: [_poisson_hazard(lam, k)], rng)
+        return np.arange(out.shape[1]), out
 
 
 @dataclass(frozen=True)
@@ -981,10 +1064,12 @@ class BernoulliImmigration(ImmigrationFamily):
                     "PMF/sampling paths clamp it"]
         return []
 
-    def sample(self, n: int, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def _draw(self, w, counts, rng):
         # the weight's binomial; the point mass at 1 needs no draw
-        mixed = rng.binomial(h, float(self.weight(n, "clamped")))
-        return np.stack([h - mixed, mixed], axis=1)
+        mixed = rng.binomial(counts, w)
+        out = np.empty((counts.shape[0], 2), dtype=np.int64)
+        out[:, 0], out[:, 1] = counts - mixed, mixed
+        return np.arange(2), out
 
 
 @dataclass(frozen=True)
@@ -1013,14 +1098,19 @@ class CustomImmigration(ImmigrationFamily):
     def _chi(self, u: float) -> float:
         return u - (1.0 - pgf.evaluate(self.base_law, 1.0 - u)) / self.base_mean
 
-    def sample(self, n: int, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def _sample_params(self, ns) -> list:
+        # the base law's mode-last table is one for the whole run
+        table = _mode_last(_sampling_probs(self.base_law.coeffs))
+        return [(w, table) for w in super()._sample_params(ns)]
+
+    def _draw(self, par, counts, rng):
         # the weight's binomial, then the base law in one multinomial draw,
-        # its most likely value last (see _multinomial_split)
-        mixed = rng.binomial(h, float(self.weight(n, "clamped")))
-        out = _multinomial_split(mixed, _sampling_probs(self.base_law.coeffs), rng)
-        out[:, 0] += h - mixed
-        # drop the values nobody drew, so the next histogram stays narrow
-        return out[:, : np.flatnonzero(out.any(axis=0)).max(initial=0) + 1]
+        # its most likely value last (see _mode_last)
+        w, (table, perm) = par
+        mixed = rng.binomial(counts, w)
+        out = rng.multinomial(mixed, table)
+        out[:, perm[0]] += counts - mixed  # the column of value 0
+        return perm, out
 
 
 # each family class by its ``<role>.family`` name in scenario files

@@ -436,6 +436,9 @@ def product_law_eval(spec: ScenarioSpec, x, tol: float = 1e-7):
     rho_[j,inf] shared by all x and r_j = log H_j(Gbar_{j+1,inf}(x)) + (1-x)
     m_{j,1} rho_[j,inf] summed over a head, the rest bracketed (README.md).
     Rounding adds a few ulps per head term; past the cap: NumericError.
+    The brackets' midpoints can put g above 1 by up to tol; every PGF value
+    is at most 1, so such a value is returned as 1, which only moves it
+    toward the true value and keeps it within tol.
     """
     xs = np.asarray(x, dtype=float)
     if not np.all((0.0 <= xs) & (xs <= 1.0)):
@@ -451,8 +454,9 @@ def product_law_eval(spec: ScenarioSpec, x, tol: float = 1e-7):
                                         "rates are inconsistent with the composed maps")
         r = np.sum(np.log(np.maximum(h, tol / 2)) + m[:head] * rho * v)
         r += _r_bracket(imm, off.nu, tail, v)[0]
-        # g is at most its least factor, so a factor below tol/2 gives 0
-        vals.append(math.exp(r - v * mean) if np.min(h) > tol / 2 else 0.0)
+        # g is at most its least factor, so a factor below tol/2 gives 0;
+        # g <= 1 (see the docstring)
+        vals.append(min(math.exp(r - v * mean), 1.0) if np.min(h) > tol / 2 else 0.0)
     return vals[0] if xs.ndim == 0 else np.reshape(vals, xs.shape)
 
 

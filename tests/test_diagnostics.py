@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from conftest import constant_spec, make_spec
-from nearcrit import limits, pgf, scenarios
+from nearcrit import engine, limits, pgf, scenarios
 from nearcrit.diagnostics import (
     _vartheta_all,
     accompanying_gap_bound,
@@ -240,6 +240,17 @@ def test_report_includes_mc_column_on_request():
     assert rep.rows[0].mc_tv < 0.05
     text = rep.to_csv(include_mc=True)
     assert text.splitlines()[0].endswith(",mc_tv")
+
+
+def test_report_mc_rows_are_their_own_simulate_runs():
+    # one run to the largest n serves every row, drawn as the per-row runs
+    spec = load_fixture("thm1_poisson").spec
+    rep = report(spec, [40, 10, 25], 64, reps=20_000, seed=7)
+    states = engine.propagate_sequence(spec, [40, 10, 25], 64)
+    assert [row.n for row in rep.rows] == [state.n for state in states] == [10, 25, 40]
+    for row, state in zip(rep.rows, states):
+        own = engine.simulate(spec, row.n, 20_000, 7)
+        assert row.mc_tv == tv_distance(own, state.pmf)
 
 
 def test_report_compound_poisson_regime():

@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -421,6 +425,59 @@ def test_simulate_rejects_reps_beyond_int64():
         engine.simulate(spec, 3, 2**63, seed=1)
     emp = engine.simulate(spec, 3, 2**63 - 1, seed=1)
     assert emp.coeffs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_simulate_histogram_stays_exact_beyond_2_53():
+    # float64 counts (np.bincount's weights) round above 2^53: 2^62 + 1
+    # would sum to 2^62, and 2^63 - 1 would wrap to a negative count
+    reps = 2**62 + 1
+    spec = make_spec(m1="2*(n+1)^-1", lam=2.0)
+    for n, states, counts in engine._histograms(spec, 4, reps, seed=3):
+        assert counts.dtype == np.int64 and np.all(counts > 0)
+        assert int(counts.sum()) == reps
+        assert np.all(np.diff(states) > 0)
+    assert n == 4 and states.shape[0] > 1
+
+
+@pytest.mark.parametrize("offspring, immigration", [
+    ("bernoulli", "poisson"), ("quadratic", "bernoulli"),
+    ("linear_fractional", "custom"),
+])
+def test_simulate_sequence_equals_one_run_per_target(offspring, immigration):
+    # the stream draws generations 1, 2, ... alike whatever the target
+    spec = _billion_spec(offspring, immigration)
+    targets = [7, 0, 25, 7, 12]
+    laws = engine.simulate_sequence(spec, targets, 20_000, seed=5)
+    assert len(laws) == 4
+    for n, law in zip(sorted(set(targets)), laws):
+        assert np.array_equal(law.coeffs, engine.simulate(spec, n, 20_000, seed=5).coeffs)
+
+
+def test_simulate_memory_grows_with_the_states_not_their_square():
+    # one immigrant cohort of 5000 a generation: states reach about 22 600,
+    # and a dense states x totals matrix needs 1.7 GiB (15892 x 14345)
+    # before n = 6; the histogram of cells needs about 0.2 GB
+    code = """
+import resource, sys
+limit = 3 * 2**29  # 1.5 GiB of address space
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from nearcrit import engine
+from nearcrit.families import (BernoulliOffspring, CustomImmigration, PowerSum,
+                               RhoRule, ScenarioSpec)
+spec = ScenarioSpec(
+    offspring=BernoulliOffspring(rho_rule=RhoRule(c=0.5, gamma=1.0)),
+    immigration=CustomImmigration(m1=PowerSum.parse("5000*n^-0.5"),
+                                  base=(0.0,) * 5000 + (1.0,)),
+    lam=0.0, nu=0.0, divergent=True, horizon=6, k_trunc=64)
+law = engine.simulate(spec, 6, 200, seed=1)
+print(law.coeffs.shape[0], repr(float(law.coeffs.sum())))
+"""
+    src = str(Path(engine.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert run.returncode == 0, run.stderr
+    width, total = run.stdout.split()
+    assert int(width) > 15_000 and float(total) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_simulate_rejects_a_negative_generation_as_propagate_does():

@@ -163,6 +163,19 @@ def test_tail_starts_where_the_quadratic_window_is_open(monkeypatch):
     assert got == pytest.approx(want, abs=1e-3 + BRUTEFORCE_ERROR)
 
 
+@pytest.mark.parametrize("tol", [0.1, 1e-3])
+def test_product_law_never_exceeds_one(tol):
+    # the brackets' midpoints put g(0) at 1.0104 (tol 0.1) and 1.0000367
+    # (tol 1e-3) on this rule; the true value is 0.9999907 and no PGF value
+    # exceeds 1
+    spec = make_spec("quadratic", c=0.9 * 201**2, gamma=2.0, n0=200.0, nu=2.0,
+                     imm_kind="poisson", m1="0.001*n^-1.5", lam=1.0, divergent=False)
+    got = limits.product_law_eval(spec, 0.0, tol)
+    want = product_law_bruteforce(spec, 0.0, 1e-9)
+    assert got <= 1.0
+    assert got == pytest.approx(want, abs=tol + BRUTEFORCE_ERROR)
+
+
 @pytest.mark.parametrize("s", [1.01, 1.5, 2.0, 3.0, 7.5, 40.0])
 @pytest.mark.parametrize("q", [0.5, 1.0, 16.0, 17.0, 1000.5, 1e6])
 def test_hurwitz_zeta_against_scipy(s, q):
@@ -247,6 +260,21 @@ def test_product_law_matches_explicit_summation(spec, x):
     except NumericError:
         reject()
     assert abs(got - want) <= tol + tol_o
+
+
+def test_bruteforce_refuses_while_its_extrapolants_drift():
+    # gamma = 1.11 keeps Lambda_H near 2 at every feasible horizon, where the
+    # first-order Richardson model fails: the extrapolants creep toward
+    # product_law_eval's 0.9998725 by about 3e-7 per doubling, and the oracle
+    # once stopped on such a step at 0.9998646
+    spec = ScenarioSpec(
+        offspring=FAMILIES["offspring"]["quadratic"](
+            rho_rule=RhoRule(c=1.0571981966165698, gamma=1.109375, n0=2.0), nu=0.5),
+        immigration=FAMILIES["immigration"]["bernoulli"](
+            m1=PowerSum((PowerTerm(0.5, 0.0, 2.0),) * 2)),
+        lam=0.0, nu=0.5, divergent=False)
+    with pytest.raises(NumericError, match="composition horizon beyond"):
+        product_law_bruteforce(spec, 0.75, 1e-6, horizon_cap=1 << 18)
 
 
 def test_mean_head_length_falls_to_the_cube_root_rate():
