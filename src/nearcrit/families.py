@@ -479,8 +479,8 @@ class QuadraticOffspring(OffspringFamily):
 
     def _sample_params(self, ns) -> list:
         """What ``_draw`` reads at each generation of ``ns``, from one array
-        call for a whole run: (p0, p2) of the quadratic law (p2 = 0 for
-        Bernoulli)."""
+        call for a block of generations: (p0, p2) of the quadratic law
+        (p2 = 0 for Bernoulli)."""
         p0, _, p2 = _quadratic_params(self.one_minus_rho(ns), self.nu)
         return list(zip(p0.tolist(), p2.tolist()))
 
@@ -579,8 +579,7 @@ class LinearFractionalOffspring(OffspringFamily):
         # and then Geometric(1 - beta) more: m such parents add m plus a
         # NegativeBinomial(m, 1 - beta) count of extra children
         cell, more, cnt = _binomial_cells(cnt, alive, beta, rng)
-        # the hazards of four values at a time: most parents have fewer extras
-        out = _split(cnt, lambda y: _nb_hazard(more, beta, np.arange(y, y + 4)).T, rng)
+        out = _split(cnt, lambda y: _nb_hazard(more, beta, y), rng)
         kids = (alive[cell] + more)[:, None] + np.arange(out.shape[1])
         return row[cell][:, None], kids, out
 
@@ -648,12 +647,11 @@ class CustomOffspring(OffspringFamily):
         return np.arange(states.shape[0])[:, None], kids, rng.multinomial(counts, table)
 
 
-def _split(counts: np.ndarray, hazards: Callable, rng: np.random.Generator) -> np.ndarray:
+def _split(counts: np.ndarray, hazard: Callable, rng: np.random.Generator) -> np.ndarray:
     """out[i, k]: how many of ``counts[i]`` independent draws take the value k,
     for the unbounded laws (Poisson immigrants, negative binomial extras).
 
-    ``hazards(k)`` lists P(X = j | X >= j) for a block of values j = k,
-    k + 1, ... of its choosing, each a scalar or one value per row. The
+    ``hazard(k)`` is P(X = k | X >= k), a scalar or one value per row. The
     values are visited in increasing order, each taking a Binomial share of
     the draws still left (the conditional-binomial method; Davis, CSDA 16,
     1993), until no draw is left, so nothing is truncated. A bounded law is
@@ -663,11 +661,8 @@ def _split(counts: np.ndarray, hazards: Callable, rng: np.random.Generator) -> n
     left = np.array(counts, dtype=np.int64)
     cols = []
     while left.any():
-        for hazard in hazards(len(cols)):
-            cols.append(rng.binomial(left, hazard))
-            left -= cols[-1]
-            if not left.any():
-                break
+        cols.append(rng.binomial(left, hazard(len(cols))))
+        left -= cols[-1]
     return np.array(cols or [left]).T
 
 
@@ -758,28 +753,21 @@ def _binomial_cells(counts: np.ndarray, sizes: np.ndarray, p: float,
     return row, (sizes[row] - k if p > 0.5 else k), cnt
 
 
-def _nb_hazard(m: np.ndarray, beta: float, y) -> np.ndarray:
-    """P(Y = y | Y >= y) for Y ~ NegativeBinomial(m, 1 - beta), per entry of m
-    and, for an array of values y, per value along the last axis.
+def _nb_hazard(m: np.ndarray, beta: float, y: int) -> np.ndarray:
+    """P(Y = y | Y >= y) for Y ~ NegativeBinomial(m, 1 - beta), per entry of m.
 
     P(Y >= y) = P(Binomial(m + y - 1, 1 - beta) <= m - 1) is a finite sum,
     which makes the hazard (1 - beta) over 1 + sum_{j=1..m-1} of
     prod_{l<j} (m - 1 - l) beta / ((y + 1 + l)(1 - beta)); m = 0 is Y = 0.
     Every term is positive, so the sums carry no cancellation; a sum beyond
-    the float range is inf and its hazard 0. Each value's hazards are the
-    same floats whether it comes alone or in an array.
+    the float range is inf and its hazard 0.
     """
-    ys = np.asarray(y, dtype=float)[..., None]
     ls = np.arange(max(int(m.max(initial=0)) - 1, 0))
-    # the terms past j = m - 1 are 0; a product past inf is then nan, which
-    # fmin reads as the inf sum it stands for
-    factors = (np.maximum(m[:, None] - 1 - ls, 0)[:, None]
-               * (beta / (1.0 - beta) / (ys + 1.0 + ls)))
-    terms = np.multiply.accumulate(factors, axis=-1)
-    sums = 1.0 + np.fmin(np.add.reduce(terms, axis=-1), np.inf)
-    # m = 0 has sums = 1 and hazard 1
-    hazards = (1.0 - beta * (m > 0))[:, None] / sums
-    return hazards.reshape(m.shape + np.shape(y))
+    inside = ls < m[:, None] - 1
+    factors = np.where(inside, (m[:, None] - 1 - ls)
+                       * (beta / (1.0 - beta) / (y + 1.0 + ls)), 1.0)
+    sums = 1.0 + np.sum(np.cumprod(factors, axis=1), axis=1, where=inside)
+    return np.where(m > 0, (1.0 - beta) / sums, 1.0)
 
 
 def _poisson_hazard(lam: float, k: int) -> float:
@@ -974,7 +962,8 @@ class ImmigrationFamily(metaclass=_ByName):
 
     def _sample_params(self, ns) -> list:
         """What ``_draw`` reads at each generation of ``ns``, from one array
-        call for a whole run: the mixture weight at the clamped rates."""
+        call for a block of generations: the mixture weight at the clamped
+        rates."""
         return self.weight(ns, "clamped").tolist()
 
     def _notes(self) -> list[str]:
@@ -1034,7 +1023,7 @@ class PoissonImmigration(ImmigrationFamily):
 
     def _draw(self, lam, counts, rng):
         # conditional binomials over k until every trajectory is placed
-        out = _split(counts, lambda k: [_poisson_hazard(lam, k)], rng)
+        out = _split(counts, lambda k: _poisson_hazard(lam, k), rng)
         return np.arange(out.shape[1]), out
 
 
@@ -1099,7 +1088,7 @@ class CustomImmigration(ImmigrationFamily):
         return u - (1.0 - pgf.evaluate(self.base_law, 1.0 - u)) / self.base_mean
 
     def _sample_params(self, ns) -> list:
-        # the base law's mode-last table is one for the whole run
+        # the base law's mode-last table, one for every generation of the block
         table = _mode_last(_sampling_probs(self.base_law.coeffs))
         return [(w, table) for w in super()._sample_params(ns)]
 

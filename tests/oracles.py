@@ -107,13 +107,11 @@ def product_law_bruteforce(spec, x: float, tol: float,
     Lambda_2H / Lambda_H -> r = 2^(1 - gamma); the Richardson extrapolant
     E_H = log g_2H + (log g_2H - log g_H) r / (1 - r), which is
     2 log g_2H - log g_H at gamma = 2, cancels it. H doubles from 64 until
-    E moves by less than tol/10 and by no more than at the doubling before:
-    where Lambda_H stays large (gamma near 1) the model fails and E creeps
-    by steady small steps. NumericError is raised past ``horizon_cap``.
-    Float compositions have their own rounding: over 2^20 linear-fractional
-    maps they differ from long-double ones by up to 7e-12 in Gbar, which the
-    extrapolant triples, so tests state the oracle's error beside their
-    tolerance.
+    E moves by less than tol/10, and NumericError is raised past
+    ``horizon_cap``. Float compositions have their own rounding: over 2^20
+    linear-fractional maps they differ from long-double ones by up to 7e-12
+    in Gbar, which the extrapolant triples, so tests state the oracle's
+    error beside their tolerance.
     """
     if x == 1.0:
         return 1.0
@@ -145,12 +143,10 @@ def product_law_bruteforce(spec, x: float, tol: float,
         return math.exp(log_g0) if log_g0 > -math.inf else 0.0
     r = 2.0 ** (1.0 - g)
     h, lo, hi = 128, log_g(64), log_g(128)
-    est = step = math.nan
+    est = math.nan
     while hi > -math.inf:
         prev, est = est, hi + (hi - lo) * r / (1.0 - r)
-        # converged: a small step that is no larger than the one before
-        last, step = step, abs(est - prev)
-        if step < tol / 10 and step <= last:
+        if abs(est - prev) < tol / 10:
             return math.exp(est)
         h *= 2
         if h > horizon_cap:

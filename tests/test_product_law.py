@@ -262,21 +262,6 @@ def test_product_law_matches_explicit_summation(spec, x):
     assert abs(got - want) <= tol + tol_o
 
 
-def test_bruteforce_refuses_while_its_extrapolants_drift():
-    # gamma = 1.11 keeps Lambda_H near 2 at every feasible horizon, where the
-    # first-order Richardson model fails: the extrapolants creep toward
-    # product_law_eval's 0.9998725 by about 3e-7 per doubling, and the oracle
-    # once stopped on such a step at 0.9998646
-    spec = ScenarioSpec(
-        offspring=FAMILIES["offspring"]["quadratic"](
-            rho_rule=RhoRule(c=1.0571981966165698, gamma=1.109375, n0=2.0), nu=0.5),
-        immigration=FAMILIES["immigration"]["bernoulli"](
-            m1=PowerSum((PowerTerm(0.5, 0.0, 2.0),) * 2)),
-        lam=0.0, nu=0.5, divergent=False)
-    with pytest.raises(NumericError, match="composition horizon beyond"):
-        product_law_bruteforce(spec, 0.75, 1e-6, horizon_cap=1 << 18)
-
-
 def test_mean_head_length_falls_to_the_cube_root_rate():
     # the second-order M-tail bracket has half-width of order J^-3 here; the
     # first-order one, of order J^-2, needed J = 8192 and 2^21
