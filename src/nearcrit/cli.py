@@ -104,6 +104,35 @@ def _limit_output(sf: ScenarioFile, args: argparse.Namespace, k: int, xs,
     return _pgf_grid_text(xs, vals, args.format, meta)
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ScenarioValidationError(message)
+
+
+def _check_run(command: str, *, k, ns, reps, seed, xs, tol) -> None:
+    """Reject out-of-range run parameters (flag or file) of ``command``
+    before any of them reaches the engine: each is an input error (exit 3),
+    while a ValueError from deeper down is a fault of the program."""
+    uses = {
+        "propagate": ("k", "ns"),
+        "simulate": ("ns", "reps"),
+        "report": ("k", "ns", "reps", "xs", "tol"),
+        "limits": ("k", "xs", "tol"),
+    }.get(command, ())
+    if "k" in uses:
+        _require(k >= 1, f"K={k}: truncation length must be >= 1")
+    if "ns" in uses:
+        _require(min(ns, default=0) >= 0, "generation index must be >= 0")
+    if "reps" in uses and reps is not None:  # Monte Carlo runs
+        _require(reps >= 1, "need at least one trajectory")
+        _require(reps < 2**63, f"reps={reps} does not fit in a 64-bit count")
+        _require(seed >= 0, f"seed={seed} must be >= 0")
+    if "xs" in uses:
+        _require(all(0.0 <= x <= 1.0 for x in xs), "PGF argument must lie in [0, 1]")
+    if "tol" in uses:
+        _require(tol > 0.0, f"tol={tol!r} must be positive")
+
+
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command; returns the exit status, writing artifacts."""
     sf = parse_scenario(args.scenario)
@@ -115,6 +144,11 @@ def run(args: argparse.Namespace) -> int:
     seed = _first(args.seed, sf.defaults.seed, 0)
     xs = _first(args.x_grid, sf.defaults.x_grid, diagnostics.DEFAULT_X_GRID)
     tol = _first(args.tol, sf.defaults.tol, _DEFAULT_TOL)
+    # the Monte Carlo column of a report comes from --reps only, never from run.reps
+    reps = args.reps if args.command == "report" else _first(args.reps, sf.defaults.reps)
+    grid = _first(args.n_grid, sf.defaults.n_grid, (spec.horizon,))
+    _check_run(args.command, k=k, ns=grid if args.command == "report" else (n,),
+               reps=reps, seed=seed, xs=xs, tol=tol)
 
     if args.command == "classify":
         law = classify(spec)
@@ -132,7 +166,6 @@ def run(args: argparse.Namespace) -> int:
             {"scenario": spec.name, "command": "propagate", "n": n, "K": k},
         )
     elif args.command == "simulate":
-        reps = _first(args.reps, sf.defaults.reps)
         if reps is None:
             raise ScenarioValidationError("simulate needs --reps")
         empirical = engine.simulate(spec, n, reps, seed)
@@ -148,10 +181,8 @@ def run(args: argparse.Namespace) -> int:
             },
         )
     elif args.command == "report":
-        # the Monte Carlo column comes from --reps only, never from run.reps
-        grid = _first(args.n_grid, sf.defaults.n_grid, (spec.horizon,))
         rep = diagnostics.report(
-            spec, grid, k, reps=args.reps, seed=seed, x_grid=xs, tol=tol
+            spec, grid, k, reps=reps, seed=seed, x_grid=xs, tol=tol
         )
         text = rep.to_json() if args.format == "json" else rep.to_csv(
             include_mc=args.reps is not None
@@ -176,7 +207,7 @@ def main(argv=None) -> int:
     except ScenarioParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ScenarioValidationError, ValueError) as exc:
+    except ScenarioValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except WrongRegimeError as exc:

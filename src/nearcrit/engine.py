@@ -42,10 +42,43 @@ class GenerationState:
     truncated: bool = False
 
 
-# generations whose family tables and composed maps one fetch covers in the
-# backward pass; in perfbench's exact_deep, blocks of 64 to 256 ran alike,
-# while 512 ran about 12 % slower and held 0.4 MB more at peak
-BLOCK = 256
+# cells (generations x row width) of the widest table that one block of the
+# backward pass builds: 256 generations at K = 64. A block holds CELLS over
+# its widest row, and never fewer than MIN_BLOCK generations; on the K-wide
+# route (quadratic thm5_nb at K = 64 and 128, linear-fractional at 128)
+# blocks of 64, 256 and 1024 generations ran within the noise of each other
+# on a shared 2-core x86-64 machine, and 256 holds the table at K = 64 to
+# the budget. Monte Carlo fetches parameters in blocks of MIN_BLOCK.
+CELLS = 256 * 64
+MIN_BLOCK = 256
+
+
+def block_length(spec: ScenarioSpec, k: int) -> int:
+    """Generations per block of :func:`_sweep` at truncation ``k``: CELLS
+    over the widest row the block builds, the composed maps or the cohort
+    terms, whose widths the family classes give; at least MIN_BLOCK."""
+    maps = spec.offspring.map_width(k)
+    widest = max(maps, spec.immigration.term_width(maps, k))
+    return max(MIN_BLOCK, CELLS // widest)
+
+
+def _block(tops: list, hi: int, length: int):
+    """(lo, inner): the next block (lo, hi] of the sweep below ``hi`` and
+    the targets strictly inside it.
+
+    The block spans ``length`` generations, down to 0 at most, unless the
+    table of the affine scan, (longest piece + 1) x pieces, would exceed
+    CELLS: then it ends at the lowest target that keeps it within.
+    """
+    lo = max(0, hi - length)
+    inner = tops[bisect.bisect_right(tops, lo) : bisect.bisect_left(tops, hi)]
+    bounds = [hi, *inner[::-1], lo]
+    longest = 0
+    for count in range(1, len(bounds)):
+        longest = max(longest, bounds[count - 1] - bounds[count])
+        if count > 1 and (longest + 1) * count > CELLS:
+            return bounds[count - 1], inner[len(inner) + 2 - count :]
+    return lo, inner
 
 
 def step(prev, offspring_pmf, immigration_pmf, k_trunc: int):
@@ -67,9 +100,10 @@ def _sweep(spec: ScenarioSpec, tops: list, k: int) -> list:
     (ascending, positive), in that order.
 
     One backward sweep over generations N = tops[-1], ..., 1 in blocks of
-    :data:`BLOCK` serves every interval: the targets cut each block into
-    pieces, and the family tables of a block are fetched and validated
-    once. Its composed maps Gbar_{j+1,b} come, for every piece at once,
+    :func:`block_length` serves every interval: the targets cut each block
+    into pieces (and may end it early, see :func:`_block`), and the family
+    tables of a block are fetched and validated once. Its composed maps
+    Gbar_{j+1,b} come, for every piece at once,
     from the offspring law's ``_block_maps``: the closed form
     (linear-fractional), one segmented scan (affine maps under binomial
     thinning) or one Horner pass that restarts from x at each target (the
@@ -79,15 +113,16 @@ def _sweep(spec: ScenarioSpec, tops: list, k: int) -> list:
     interval goes on below the block passes its map and product down.
     """
     imm, block_maps = spec.immigration, spec.offspring._block_maps(spec, tops, k)
+    length = block_length(spec, k)
     identity = np.array([0.0, 1.0])[:k]  # Gbar_{b+1,b}(x) = x
     g, cohorts = identity, np.ones(1)
     pad = np.zeros(2 * k - 1)
     closed = []
-    for hi in range(tops[-1], 0, -BLOCK):
-        lo = max(0, hi - BLOCK)
+    hi = tops[-1]
+    while hi > 0:
+        lo, inner = _block(tops, hi, length)
         ns = np.arange(lo + 1, hi + 1)
         # a piece starts at each generation right above a target
-        inner = tops[bisect.bisect_right(tops, lo) : bisect.bisect_left(tops, hi)]
         starts = [0] + [t - lo for t in inner]
         maps, outs = block_maps(ns, g, starts)
         parts = imm.cohort_product(ns, maps, k, starts)
@@ -101,6 +136,7 @@ def _sweep(spec: ScenarioSpec, tops: list, k: int) -> list:
             g, cohorts = identity, np.ones(1)
         else:
             g, cohorts = outs[0], parts[0]
+        hi = lo
     return closed[::-1]
 
 
@@ -115,7 +151,9 @@ def propagate_sequence(spec: ScenarioSpec, ns, k_trunc: int | None = None,
     intervals in order. The work per generation is one offspring map
     applied to a series and one cohort term, whatever the number of
     targets, and each target adds one closing step. Memory stays at one
-    block of maps and tables plus two series per target, whatever n is.
+    block of maps and tables, each at most CELLS entries (MIN_BLOCK x K
+    once K-wide rows pass CELLS / MIN_BLOCK), plus two series per target,
+    whatever n is.
     The law is wrapped in a validated :class:`pgf.Pmf` at each target,
     where its deficiency is read off.
 
@@ -216,7 +254,7 @@ def _histograms(spec: ScenarioSpec, top: int, reps: int, seed: int):
     states of generation n, ascending, and how many of the ``reps``
     trajectories hold each, as int64.
 
-    The parameters of each block of :data:`BLOCK` generations come from
+    The parameters of each block of :data:`MIN_BLOCK` generations come from
     one array call per family (``_sample_params``), so memory does not grow
     with the number of generations. Each generation the offspring
     ``_draw`` splits the occupied states into cells (row, children, count),
@@ -231,8 +269,8 @@ def _histograms(spec: ScenarioSpec, top: int, reps: int, seed: int):
     off, imm = spec.offspring, spec.immigration
     states, counts = np.zeros(1, dtype=np.int64), np.array([reps], dtype=np.int64)
     yield 0, states, counts
-    for lo in range(1, top + 1, BLOCK):
-        ns = np.arange(lo, min(lo + BLOCK, top + 1))
+    for lo in range(1, top + 1, MIN_BLOCK):
+        ns = np.arange(lo, min(lo + MIN_BLOCK, top + 1))
         for n, off_par, imm_par in zip(ns.tolist(), off._sample_params(ns),
                                        imm._sample_params(ns)):
             _, kids, cnt = off._draw(off_par, counts, states, rng)

@@ -173,23 +173,21 @@ class RhoRule:
 # offspring
 
 
-def _poly_series(p: list, g, k_trunc: int, pad: np.ndarray) -> np.ndarray:
+def _poly_series(p: list, g, k_trunc: int) -> np.ndarray:
     """Series of sum_i p[i] g^i truncated at ``k_trunc``, by Horner from the
-    top coefficient: one product by g per degree above 1, a
-    ``pgf._short_product`` on ``pad`` (2 k_trunc - 1 zeros) once g is
-    ``k_trunc`` wide and ``np.convolve`` while it is narrower.
+    top coefficient with one ``np.convolve`` by g per degree above 1: the
+    steps of :meth:`OffspringFamily.compose_back` that need no short
+    product, while g is narrower than ``k_trunc`` or the row has degree
+    below 2.
 
     ``p`` holds Python floats, so scaling g by them makes no NumPy scalar.
-    For the three-term rows of quadratic offspring this is one product
-    where :func:`pgf.compound` makes several.
     """
     if len(p) == 1:
         return np.array(p)
     y = p[-1] * g
     y[0] += p[-2]
-    wide = g.shape[0] == k_trunc
     for c in p[-3::-1]:
-        y = pgf._short_product(pad, y, g) if wide else np.convolve(y, g)[:k_trunc]
+        y = np.convolve(y, g)[:k_trunc]
         y[0] += c
     return y
 
@@ -298,6 +296,8 @@ class OffspringFamily(metaclass=_ByName):
     role = "offspring"
     # composed maps G_{j+1} o ... o G_n stay linear-fractional (linfrac)
     composes_lf = False
+    # they stay affine, g0 + g1 x (binomial thinning): 2 wide, not K
+    composes_affine = False
 
     def __post_init__(self):
         if self.nu < 0:
@@ -367,9 +367,11 @@ class OffspringFamily(metaclass=_ByName):
         width; and outs[p] = G_{ns[starts[p]]} o maps[starts[p]], the whole
         piece composed. Each G_n is its ``pmf`` row truncated at
         ``k_trunc``, without the block's all-zero top columns, applied by
-        Horner (:func:`_poly_series`: one product per degree above 1, each
-        forming only the ``k_trunc`` kept coefficients once the map is that
-        wide); every term is a sum of products of nonnegative coefficients,
+        Horner with one product per degree above 1: ``np.convolve``
+        (:func:`_poly_series`) while the map is narrower than ``k_trunc``,
+        and once it is that wide a short product on one pad per block
+        (``pgf._short_products``), which forms only the kept coefficients;
+        every term is a sum of products of nonnegative coefficients,
         so nothing below ``k_trunc`` is lost. Under rows of width 2 an
         affine ``g`` stays affine, and one segmented scan composes the
         (p0, p1) pairs of all pieces.
@@ -386,16 +388,36 @@ class OffspringFamily(metaclass=_ByName):
         maps = np.zeros((count, k_trunc))
         width = 1
         coefs = rows.tolist()
-        pad = np.zeros(2 * k_trunc - 1)
+        tail, times = pgf._short_products(np.zeros(2 * k_trunc - 1), k_trunc)
         outs = []
         for lo, hi in pieces[::-1]:
             for i in range(hi - 1, lo - 1, -1):
-                maps[i, : g.shape[0]] = g
-                width = max(width, g.shape[0])
-                g = _poly_series(coefs[i], g, k_trunc, pad)
+                p = coefs[i]
+                if g.shape[0] < k_trunc or len(p) < 3:
+                    maps[i, : g.shape[0]] = g
+                    width = max(width, g.shape[0])
+                    g = _poly_series(p, g, k_trunc)
+                    continue
+                # Horner on the K-wide g: p_d g + p_{d-1} formed in the pad's
+                # tail, then one short product by g per lower coefficient
+                maps[i] = g
+                width = k_trunc
+                rev = g[::-1]
+                np.multiply(g, p[-1], out=tail)
+                tail[0] += p[-2]
+                for c in p[-3:0:-1]:
+                    tail[:] = times(rev)
+                    tail[0] += c
+                g = times(rev)
+                g[0] += p[0]
             outs.append(g)
             g = np.array([0.0, 1.0])[:k_trunc]
         return maps[:, :width], outs[::-1] if starts is not None else outs[0]
+
+    def map_width(self, k_trunc: int) -> int:
+        """Columns of the composed maps of one block of ``engine._sweep``:
+        2 when they stay affine, else ``k_trunc``."""
+        return 2 if self.composes_affine else k_trunc
 
     def _block_maps(self, spec, tops, k_trunc: int) -> Callable:
         """f(ns, g, starts) -> (maps, outs) of one block of ``engine._sweep``:
@@ -501,7 +523,7 @@ class BernoulliOffspring(QuadraticOffspring):
     affine."""
 
     kind = "bernoulli"
-    composes_lf = True
+    composes_lf = composes_affine = True
     pgf_formula = staticmethod(_polynomial_pgf)
 
     def __post_init__(self):
@@ -932,6 +954,16 @@ class ImmigrationFamily(metaclass=_ByName):
                 terms = [pgf.compound(r, g, k_trunc) for r, g in zip(rows, maps)]
         return pgf.product(terms, k_trunc, starts)
 
+    def term_width(self, map_width: int, k_trunc: int) -> int:
+        """Columns of the cohort terms that :meth:`cohort_product` builds
+        over maps ``map_width`` wide: over affine maps, the base law's
+        (cut at ``k_trunc``) when it is wider than 2; the maps' own under a
+        base law of width 2 (Bernoulli); ``k_trunc`` otherwise."""
+        base = min(self.base_law.coeffs.shape[0], k_trunc)
+        if map_width <= 2 < base:
+            return base
+        return map_width if base == 2 else k_trunc
+
     def _chi(self, u: float) -> float:
         """chi(u) = u - psi(u) of the product law's bracket, where
         H_j(1 - u) = 1 - m_{j,1} psi(u) (README.md): 0 where psi(u) = u
@@ -1014,6 +1046,9 @@ class PoissonImmigration(ImmigrationFamily):
                 expo[0] = m[lo:hi] @ (maps[lo:hi, 0] - 1.0)
                 out.append(pgf.exp_series(expo, k_trunc).coeffs)
         return out if starts is not None else out[0]
+
+    def term_width(self, map_width: int, k_trunc: int) -> int:
+        return map_width  # no terms: the exponent combines the maps
 
     def _log_slack(self, m: float, v: float) -> float:
         return 0.0  # log H_j = -m_{j,1} u_j exactly

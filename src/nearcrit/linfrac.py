@@ -150,30 +150,35 @@ def interval_params(spec: "ScenarioSpec", tops):
     if top == 0:
         return alpha, beta
     s = chain_logs(spec, top)
-    g2 = spec.offspring.second_deriv(np.arange(1, top + 1))
-    rho1 = float(spec.offspring.mean(1))
+    ns = np.arange(1, top + 1)
+    g2, rho = spec.offspring.second_deriv(ns), spec.offspring.mean(ns)
     for a, b in zip([0, *tops[:-1]], tops):
-        al, be = _composed_params(s, g2, rho1, int(a), int(b))
+        al, be = _composed_params(s, g2, rho, int(a), int(b))
         alpha[a:b], beta[a:b] = al[:-1], be[:-1]
     return alpha, beta
 
 
-def _composed_params(s, g2, rho1: float, a: int, b: int):
+def _composed_params(s, g2, rho, a: int, b: int):
     """(alpha_j, beta_j) of G_{j+1} o ... o G_b for j = a..b, from the chain
-    logs S through b, g2[i-1] = G_i''(1) and rho_1."""
+    logs S through b, g2[i-1] = G_i''(1) and rho[i-1] = rho_i.
+
+    The chain rule gives the first derivative at 1, d1_j = rho_[j,b], and
+    the second, d2_j = 2 d1_j T_j with
+    T_j = sum_{i=j+1..b} G_i''(1) rho_[i,b] / (2 rho_i), so the LF map with
+    those derivatives has alpha = d1/(1 + T)^2 and beta = T/(1 + T). Every
+    factor is a probability or a second derivative, so nothing overflows
+    or turns into 0/0 however far the chain decays: the same map written
+    as 4 d1^3/(2 d1 + d2)^2 gave 0/0 once rho_[j,b] fell below about
+    1e-160, and d2 as exp(-S_j) times a sum overflows from S_j < -709 on.
+    """
     d1 = np.exp(s[b] - s[a : b + 1])  # d1[j-a] = rho_[j,b] for j >= 1
-    # w_i = G_i''(1) * exp(S_{i-1}) * rho_[i,b]^2 for i = a+1..b
-    w = g2[a:b] * np.exp(s[a:b]) * np.exp(2.0 * (s[b] - s[a + 1 : b + 1]))
-    suffix = np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]])
-    d2 = np.exp(-s[a : b + 1]) * suffix
     if a == 0:
-        d1[0] *= rho1
-        d2[0] = w[0] + rho1 * suffix[1]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        denom = 2.0 * d1 + d2
-        alpha = 4.0 * d1**3 / denom**2
-        beta = d2 / denom
-    return alpha, beta
+        d1[0] *= rho[0]
+    # a Bernoulli rho_1 = 0 has G_1''(1) = 0: its term is 0, not 0/0
+    terms = np.divide(g2[a:b] * d1[1:], 2.0 * rho[a:b],
+                      out=np.zeros(b - a), where=g2[a:b] != 0.0)
+    t = np.concatenate([np.cumsum(terms[::-1])[::-1], [0.0]])
+    return d1 / (1.0 + t) ** 2, t / (1.0 + t)
 
 
 def generation_pgf(spec: "ScenarioSpec", n: int, x: float) -> float:

@@ -179,15 +179,27 @@ def _short_product(pad: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Allocating the pad inside would cost that gain again, and a narrow b
     gains little, so callers keep narrow operands on ``np.convolve``.
     """
-    lead = b.shape[0] - 1
-    k = pad.shape[0] - lead
-    if a.shape[0] == k:  # the running K-wide series of every caller
-        pad[lead:] = a
+    tail, times = _short_products(pad, pad.shape[0] - b.shape[0] + 1)
+    if a.shape[0] == tail.shape[0]:  # the running K-wide series of every caller
+        tail[:] = a
     else:
-        w = min(a.shape[0], k)
-        pad[lead : lead + w] = a[:w]
-        pad[lead + w :] = 0.0
-    return np.correlate(pad, b[::-1], "valid")
+        w = min(a.shape[0], tail.shape[0])
+        tail[:w] = a[:w]
+        tail[w:] = 0.0
+    return times(b[::-1])
+
+
+def _short_products(pad: np.ndarray, k: int):
+    """:func:`_short_product` bound to ``pad`` for a loop of products:
+    ``(tail, times)``, with ``tail`` the last ``k`` entries of the pad.
+
+    A loop writes its K-wide series a into ``tail`` (or forms it there, as
+    with ``np.multiply(..., out=tail)``), and ``times(r)``, r the other
+    operand b reversed, returns np.convolve(a, b)[:K] exactly as
+    :func:`_short_product` forms it. A loop that reverses its operands once
+    per block makes one ``np.correlate`` per product and no Python frame.
+    """
+    return pad[pad.shape[0] - k :], functools.partial(np.correlate, pad)
 
 
 @functools.lru_cache(maxsize=8)
@@ -340,13 +352,15 @@ def product(terms, k_trunc: int, starts=None):
     odd length is first padded with the series 1, which moves no
     coefficient. The rest of each piece is multiplied into a running
     product, one row at a time: a row wider than ``_PAIR_WIDTH`` by a
-    :func:`_short_product` once the product is ``k_trunc`` wide, a narrower
-    one (or while the product grows) by ``np.convolve``. A level of narrow
-    rows costs about as much as five convolutions and saves one per pair,
-    but its multiply-adds grow with the square of the width: 256 rows of
-    width 2 take 5 levels and 8 convolutions, while 64-wide rows take one
-    product each, as a running product would. Either way each coefficient
-    is a sum of products of nonnegative operands, exact up to rounding.
+    short product once the product is ``k_trunc`` wide (the rows reversed
+    once, then per row one copy into a pad and one ``np.correlate``, see
+    :func:`_short_products`), a narrower one (or while the product grows)
+    by ``np.convolve``. A level of narrow rows costs about as much as five
+    convolutions and saves one per pair, but its multiply-adds grow with
+    the square of the width: 256 rows of width 2 take 5 levels and 8
+    convolutions, while 64-wide rows take one product each, as a running
+    product would. Either way each coefficient is a sum of products of
+    nonnegative operands, exact up to rounding.
     """
     t = np.asarray(terms, dtype=float)
     sizes = [hi - lo for lo, hi in _pieces(starts, t.shape[0])]
@@ -375,15 +389,19 @@ def product(terms, k_trunc: int, starts=None):
             t = _pair_level(t, k_trunc)
             sizes = [z // 2 for z in sizes]
         t = t.astype(float)
-    pad = np.zeros(t.shape[1] - 1 + k_trunc) if t.shape[1] > _PAIR_WIDTH else None
+    wide = t.shape[1] > _PAIR_WIDTH
+    if wide:  # the rows reversed once, for one correlate per short product
+        tail, times = _short_products(np.zeros(t.shape[1] - 1 + k_trunc), k_trunc)
+        rev = t[:, ::-1].copy()
     out, lo = [], 0
     for size in sizes:
         acc = t[lo, :k_trunc].copy() if size else np.ones(1)
-        for row in t[lo + 1 : lo + size]:
-            if pad is not None and acc.shape[0] == k_trunc:
-                acc = _short_product(pad, acc, row)
+        for i in range(lo + 1, lo + size):
+            if wide and acc.shape[0] == k_trunc:
+                tail[:] = acc
+                acc = times(rev[i])
             else:
-                acc = np.convolve(acc, row)[:k_trunc]
+                acc = np.convolve(acc, t[i])[:k_trunc]
         out.append(acc)
         lo += size
     return out if starts is not None else out[0]

@@ -411,6 +411,45 @@ def test_simulate_negative_generation_is_a_validation_error(tmp_path, capsys):
     assert "generation index must be >= 0" in captured.err
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--command", "propagate", "--n", "-1"], "generation index must be >= 0"),
+    (["--command", "propagate", "--n", "5", "--K", "0"], "K=0: truncation length"),
+    (["--command", "report", "--n-grid", "5,-3"], "generation index must be >= 0"),
+    (["--command", "report", "--n-grid", "5", "--K", "-2"], "K=-2: truncation length"),
+    (["--command", "report", "--n-grid", "5", "--reps", "0"], "at least one trajectory"),
+    (["--command", "report", "--n-grid", "5", "--reps", "10", "--seed", "-1"],
+     "seed=-1 must be >= 0"),
+    (["--command", "report", "--n-grid", "5", "--x-grid", "0.5,1.5"],
+     "PGF argument must lie in [0, 1]"),
+    (["--command", "simulate", "--n", "3", "--reps", "0"], "at least one trajectory"),
+    (["--command", "limits", "--x-grid", "-0.5"], "PGF argument must lie in [0, 1]"),
+    (["--command", "limits", "--tol", "0"], "tol=0.0 must be positive"),
+    (["--command", "limits", "--K", "0"], "K=0: truncation length"),
+], ids=["n", "K", "n_grid", "report_K", "report_reps", "seed", "x_grid",
+        "simulate_reps", "limits_x", "tol", "limits_K"])
+def test_out_of_range_run_parameters_are_validation_errors(tmp_path, capsys, flags,
+                                                           message):
+    path = fixture_path("thm6_example1", tmp_path)
+    assert cli.main(["--scenario", path, *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error: ")
+    assert message in captured.err
+
+
+def test_an_internal_value_error_is_not_a_validation_error(tmp_path, monkeypatch):
+    # a ValueError raised inside the library is a fault of the program: it
+    # surfaces as an exception (a traceback and exit 1 from the shell), not
+    # as exit 3 for bad input
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(engine, "propagate", broken)
+    path = fixture_path("thm1_poisson", tmp_path)
+    with pytest.raises(ValueError, match="internal fault"):
+        cli.main(["--scenario", path, "--command", "propagate", "--n", "3"])
+
+
 @pytest.mark.parametrize("exc,line", [
     (MemoryError("Unable to allocate 8.00 EiB"), "error: Unable to allocate 8.00 EiB"),
     (MemoryError(), "error: MemoryError"),

@@ -505,14 +505,22 @@ def test_default_truncation_nb_target():
 
 
 def _step_loop(spec, targets, k, initial=None):
-    """The forward recursion one Pmf-typed step at a time, over the scalar
-    pmf(n, K) of each generation (the oracle of propagate_sequence)."""
+    """The forward recursion one step per generation (the oracle of
+    propagate_sequence), over the pmf(n, K) rows of each generation, with a
+    validated Pmf at each target. The rows come from one table per 1024
+    generations, and the steps run on coefficient vectors: about 30 us per
+    generation, where a Pmf-typed step over scalar pmf calls took 200 us,
+    too slow for targets that straddle blocks of 8192 generations."""
     law = pgf.Pmf.delta(0) if initial is None else initial
     out = {0: law} if 0 in targets else {}
-    for n in range(1, max(targets) + 1):
-        law = engine.step(law, spec.offspring.pmf(n, k), spec.immigration.pmf(n, k), k)
-        if n in targets:
-            out[n] = law
+    law, top = law.coeffs, max(targets)
+    for lo in range(1, top + 1, 1024):
+        ns = np.arange(lo, min(lo + 1024, top + 1))
+        for n, g, h in zip(ns.tolist(), spec.offspring.pmf(ns, k),
+                           spec.immigration.pmf(ns, k)):
+            law = engine.step(law, g, h, k)
+            if n in targets:
+                out[n] = pgf.Pmf(law)
     return out
 
 
@@ -573,19 +581,43 @@ def _four_term_spec():
                         divergent=True)
 
 
+@pytest.mark.parametrize("name", ["thm5_nb", "four_term_table"])
+def test_wide_horner_is_the_short_product_horner_bit_for_bit(fixture_specs, name):
+    # once the map is K wide, compose_back forms p_d g + p_{d-1} in the pad
+    # and makes one correlate per lower coefficient: the arithmetic of
+    # Horner with one pgf._short_product per degree above 1
+    spec = _four_term_spec() if name == "four_term_table" else fixture_specs[name]
+    k, ns = 64, np.arange(300, 340)
+    g = spec.offspring.compose_back(np.arange(340, 400), np.array([0.0, 1.0]), k)[1]
+    assert g.shape == (k,)
+    maps, out = spec.offspring.compose_back(ns, g, k)
+    pad, want = np.zeros(2 * k - 1), [g]
+    for p in spec.offspring.pmf(ns, k)[::-1].tolist():
+        y = p[-1] * want[-1]
+        y[0] += p[-2]
+        for c in p[-3::-1]:
+            y = pgf._short_product(pad, y, want[-1])
+            y[0] += c
+        want.append(y)
+    assert maps.tobytes() == np.array(want[-2::-1]).tobytes()
+    assert out.tobytes() == want[-1].tobytes()
+
+
 @pytest.mark.parametrize("name", ["thm5_nb", "four_term_table", "lf_crosscheck"])
 def test_wide_propagation_is_exact_to_rounding_below_k(fixture_specs, name):
     # at K = 256 every product of two K-wide series is a short product: the
     # Horner steps of compose_back (quadratic offspring and the 4-wide
     # table), the running pgf.product of K-wide cohort terms (all three; LF
     # maps are K wide from the start), the product across the two blocks of
-    # the interval (4, BLOCK + 8] and the compound that closes it, with the
-    # law at 4 as its count. Terms below 1e-40 of the
+    # the interval (4, L + 8], L the block length, and the compound that
+    # closes it, with the law at 4 as its count. Terms below 1e-40 of the
     # reference move its result by at most about n (2k)^2 1e-40 = 7e-33,
     # far below the 1e-11 relative asked of coefficients of 1e-12 or more;
     # the floor takes the LF sweep from 16 to 60 s down to 0.4 s.
     spec = _four_term_spec() if name == "four_term_table" else fixture_specs[name]
-    n, k = engine.BLOCK + 8, 256
+    k = 256
+    n = engine.block_length(spec, k) + 8
+    assert n == 264  # K-wide rows: the shortest block
     got = engine.propagate_sequence(spec, [4, n], k)[-1].pmf.coeffs
     ref = _long_double_sweep(spec, n, k, floor=1e-40)
     big = ref >= 1e-12
@@ -624,8 +656,11 @@ def test_propagation_agrees_with_the_product_route(fixture_specs, name):
             assert -1e-13 <= gap <= state.cumulative_deficiency + 1e-13, x
 
 
-# generations on both sides of the first and second block
-_EDGES = (engine.BLOCK - 1, engine.BLOCK, engine.BLOCK + 1, 2 * engine.BLOCK)
+def _edges(spec, k):
+    """Generations on both sides of the first and second block of the sweep
+    of ``spec`` at truncation ``k``, from the block rule."""
+    length = engine.block_length(spec, k)
+    return (length - 1, length, length + 1, 2 * length)
 
 
 def _assert_within_the_step_loop_deficiency(spec, targets, k, initial=None):
@@ -688,21 +723,34 @@ def _sweep_spec(offspring, immigration, rho1, gamma, nu, coef):
     nu=st.floats(0.01, 0.4),
     coef=st.floats(0.0, 1.0),
     k=st.integers(1, 8),
-    extra=st.lists(st.integers(1, 2 * engine.BLOCK), max_size=3),
+    extra=st.lists(st.floats(0.0, 1.0), max_size=3),
     start=st.one_of(st.none(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)),
 )
 # the two deficiencies differ by 1.1e-15 at n = 512, above a fixed 1e-15
 @example(offspring="bernoulli", immigration="custom", rho1=0.5,
          gamma=1.4215323566076148, nu=0.25, coef=0.01, k=1, extra=[], start=None)
+# edges of a narrow sweep (8192 generations per block) and a K-wide one (2048)
+@example(offspring="bernoulli", immigration="bernoulli", rho1=0.5, gamma=0.8,
+         nu=0.1, coef=0.5, k=8, extra=[], start=None)
+@example(offspring="quadratic", immigration="bernoulli", rho1=0.5, gamma=0.8,
+         nu=0.1, coef=0.5, k=8, extra=[], start=None)
+# rho_[j,n] falls to 1e-229 by n = 16384: the composed LF parameters, once
+# formed as 4 d1^3/(2 d1 + d2)^2, were 0/0 wherever it was below 1e-160
+@example(offspring="linear_fractional", immigration="bernoulli", rho1=0.25,
+         gamma=0.375, nu=0.25, coef=0.0, k=1, extra=[], start=None)
 @settings(max_examples=30, deadline=None)
 def test_sweep_matches_the_step_loop_for_every_kind(offspring, immigration, rho1,
                                                      gamma, nu, coef, k, extra,
                                                      start):
+    # the targets straddle the first and second block of this sweep, and
+    # the extra ones fall anywhere in those two blocks
     spec = _sweep_spec(offspring, immigration, rho1, gamma, nu, coef)
     initial = None
     if start is not None and sum(start) > 0:
         initial = pgf.Pmf(np.array(start) / sum(start))
-    _assert_within_the_step_loop_deficiency(spec, [*_EDGES, *extra], k, initial)
+    edges = _edges(spec, k)
+    extra = [1 + round(u * (edges[-1] - 1)) for u in extra]
+    _assert_within_the_step_loop_deficiency(spec, [*edges, *extra], k, initial)
 
 
 def _sweep_specs():
@@ -717,18 +765,21 @@ def _sweep_specs():
 
 
 _SWEEP_SPECS = _sweep_specs()
-_AROUND_EDGES = sorted({0, 1, 2, *_EDGES, *(e + 2 for e in _EDGES)})
 
 
 @given(
     name=st.sampled_from(sorted(_SWEEP_SPECS)),
-    targets=st.lists(st.one_of(st.sampled_from(_AROUND_EDGES),
-                               st.integers(0, 2 * engine.BLOCK + 4)),
-                     min_size=1, max_size=8),
     k=st.sampled_from([1, 3, 16]),
+    data=st.data(),
 )
 @settings(max_examples=25, deadline=None)
-def test_every_target_of_a_sweep_is_its_lone_propagation(name, targets, k):
+def test_every_target_of_a_sweep_is_its_lone_propagation(name, k, data):
+    spec = _SWEEP_SPECS[name]
+    edges = _edges(spec, k)
+    around = sorted({0, 1, 2, *edges, *(e + 2 for e in edges)})
+    targets = data.draw(st.lists(st.one_of(st.sampled_from(around),
+                                           st.integers(0, edges[-1] + 4)),
+                                 min_size=1, max_size=8), label="targets")
     # duplicates, 0 and generations on block edges; each entry must be what
     # propagate gives for that target alone, up to the rounding of either
     # route (n k eps relative per coefficient, as in the step-loop check)
@@ -737,7 +788,6 @@ def test_every_target_of_a_sweep_is_its_lone_propagation(name, targets, k):
     # have reached lower coefficients too. A deficiency read as 1 - sum
     # cannot show a drop below the rounding of that sum, so each dropped
     # mass is taken as the deficiency plus the margin
-    spec = _SWEEP_SPECS[name]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # clamped rates, small-K truncation
         states = engine.propagate_sequence(spec, targets, k)
@@ -752,10 +802,9 @@ def test_every_target_of_a_sweep_is_its_lone_propagation(name, targets, k):
     _assert_within_the_step_loop_deficiency(spec, targets, k)
 
 
-def test_a_report_closes_each_row_with_one_step(fixture_specs, monkeypatch):
-    # one engine.step per row; the backward sweep itself (compose_back and
-    # cohort_product, one call per block) does not grow with the rows
-    spec = fixture_specs["thm1_poisson"]
+def _counting(monkeypatch):
+    """Counts of engine.step, compose_back and cohort_product calls, from
+    wrappers that ``monkeypatch`` installs."""
     calls = {"step": 0, "compose_back": 0, "cohort_product": 0}
 
     def counting(owner, name):
@@ -770,17 +819,59 @@ def test_a_report_closes_each_row_with_one_step(fixture_specs, monkeypatch):
     counting(engine, "step")
     counting(families.OffspringFamily, "compose_back")
     counting(families.ImmigrationFamily, "cohort_product")
-    seen = {}
-    for rows in (1, 4, 30):
-        grid = np.linspace(1800 / rows, 1800, rows).round().astype(int)
-        for key in calls:
-            calls[key] = 0
-        rep = diagnostics.report(spec, grid, 32)
-        assert len(rep.rows) == rows
-        assert calls["step"] == rows
-        seen[rows] = (calls["compose_back"], calls["cohort_product"])
-    blocks = -(-1800 // engine.BLOCK)
-    assert set(seen.values()) == {(blocks, blocks)}
+    return calls
+
+
+def test_a_report_closes_each_row_with_one_step(fixture_specs, monkeypatch):
+    # one engine.step per row; the backward sweep itself (compose_back and
+    # cohort_product, one call per block) does not grow with the rows: one
+    # block of 8192 generations for Bernoulli maps and cohorts (thm1), four
+    # of 512 for the K-wide maps of quadratic offspring (thm5) at K = 32
+    calls = _counting(monkeypatch)
+    for name, blocks in (("thm1_poisson", 1), ("thm5_nb", 4)):
+        spec = fixture_specs[name]
+        assert -(-1800 // engine.block_length(spec, 32)) == blocks
+        seen = {}
+        for rows in (1, 4, 30):
+            grid = np.linspace(1800 / rows, 1800, rows).round().astype(int)
+            for key in calls:
+                calls[key] = 0
+            rep = diagnostics.report(spec, grid, 32)
+            assert len(rep.rows) == rows
+            assert calls["step"] == rows
+            seen[rows] = (calls["compose_back"], calls["cohort_product"])
+        assert set(seen.values()) == {(blocks, blocks)}, name
+
+
+def test_a_narrow_sweep_runs_in_one_block(fixture_specs, monkeypatch):
+    # Bernoulli maps and cohorts are 2 wide, so 1600 generations at K = 64
+    # fit one block of 8192, where 256-generation blocks took 7
+    calls = _counting(monkeypatch)
+    spec = fixture_specs["thm1_poisson"]
+    assert engine.block_length(spec, 64) == engine.CELLS // 2
+    engine.propagate(spec, 1600, 64)
+    assert calls == {"step": 1, "compose_back": 1, "cohort_product": 1}
+
+
+def test_a_long_piece_with_many_short_ones_cuts_the_block(fixture_specs):
+    # one block of 8192 generations would hold the piece (30, 8000] and 30
+    # one-generation pieces below it; their affine scan table, (longest
+    # piece + 1) x pieces = 7971 x 31 entries of two long doubles, takes
+    # 7.9 MB (the sweep peaked at 12 MB uncut), so the block ends at a
+    # target where the table fits CELLS; the report then peaks at 1.5 MB
+    import tracemalloc
+
+    spec = fixture_specs["thm1_poisson"]
+    grid = [*range(1, 31), 8000]
+    assert engine._block(grid, 8000, engine.block_length(spec, 64)) == (29, [30])
+    tracemalloc.start()
+    try:
+        rep = diagnostics.report(spec, grid, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [row.n for row in rep.rows] == grid
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("immigration", ["bernoulli", "poisson"])
@@ -791,7 +882,9 @@ def test_sweep_pads_a_custom_law_of_changing_width(immigration):
     imm = FAMILIES["immigration"][immigration](m1=PowerSum.parse("0.9*(n+1)^-0.8"))
     spec = ScenarioSpec(offspring=off, immigration=imm, lam=1.0, nu=0.0,
                         divergent=True)
-    _assert_within_the_step_loop_deficiency(spec, [engine.BLOCK, engine.BLOCK + 1], 48)
+    length = engine.block_length(spec, 48)
+    assert length == engine.CELLS // 48  # K-wide maps of a custom table
+    _assert_within_the_step_loop_deficiency(spec, [length, length + 1], 48)
 
 
 def test_a_base_law_too_wide_for_float_binomials_is_applied_row_by_row():

@@ -482,6 +482,23 @@ def test_short_product_keeps_the_first_k_coefficients(k):
             assert float(rel.max()) <= 8 * np.finfo(float).eps, (wa, wb)
 
 
+@pytest.mark.parametrize("width", [40, 64])
+def test_product_of_wide_rows_is_a_running_short_product_bit_for_bit(width):
+    # rows wider than _PAIR_WIDTH are reversed once and each goes in by one
+    # correlate on a shared pad: the arithmetic of one _short_product per
+    # row, once the running product is K wide (np.convolve before)
+    k = 64
+    t = np.random.default_rng(width).uniform(size=(9, width)) / width
+    pad = np.zeros(width - 1 + k)
+    want = t[0, :k].copy()
+    for row in t[1:]:
+        if want.shape[0] == k:
+            want = pgf._short_product(pad, want, row)
+        else:
+            want = np.convolve(want, row)[:k]
+    assert pgf.product(t, k).tobytes() == want.tobytes()
+
+
 def test_product_of_no_rows_is_one():
     assert pgf.product(np.zeros((0, 3)), 8).tolist() == [1.0]
 
