@@ -62,25 +62,6 @@ def block_length(spec: ScenarioSpec, k: int) -> int:
     return max(MIN_BLOCK, CELLS // widest)
 
 
-def _block(tops: list, hi: int, length: int):
-    """(lo, inner): the next block (lo, hi] of the sweep below ``hi`` and
-    the targets strictly inside it.
-
-    The block spans ``length`` generations, down to 0 at most, unless the
-    table of the affine scan, (longest piece + 1) x pieces, would exceed
-    CELLS: then it ends at the lowest target that keeps it within.
-    """
-    lo = max(0, hi - length)
-    inner = tops[bisect.bisect_right(tops, lo) : bisect.bisect_left(tops, hi)]
-    bounds = [hi, *inner[::-1], lo]
-    longest = 0
-    for count in range(1, len(bounds)):
-        longest = max(longest, bounds[count - 1] - bounds[count])
-        if count > 1 and (longest + 1) * count > CELLS:
-            return bounds[count - 1], inner[len(inner) + 2 - count :]
-    return lo, inner
-
-
 def step(prev, offspring_pmf, immigration_pmf, k_trunc: int):
     """One generation: compound with offspring, convolve in immigration.
 
@@ -101,10 +82,9 @@ def _sweep(spec: ScenarioSpec, tops: list, k: int) -> list:
 
     One backward sweep over generations N = tops[-1], ..., 1 in blocks of
     :func:`block_length` serves every interval: the targets cut each block
-    into pieces (and may end it early, see :func:`_block`), and the family
-    tables of a block are fetched and validated once. Its composed maps
-    Gbar_{j+1,b} come, for every piece at once,
-    from the offspring law's ``_block_maps``: the closed form
+    into pieces, and the family tables of a block are fetched and
+    validated once. Its composed maps Gbar_{j+1,b} come, for every piece at
+    once, from the offspring law's ``_block_maps``: the closed form
     (linear-fractional), one segmented scan (affine maps under binomial
     thinning) or one Horner pass that restarts from x at each target (the
     other polynomial kinds); the top piece continues the map carried down
@@ -118,11 +98,11 @@ def _sweep(spec: ScenarioSpec, tops: list, k: int) -> list:
     g, cohorts = identity, np.ones(1)
     pad = np.zeros(2 * k - 1)
     closed = []
-    hi = tops[-1]
-    while hi > 0:
-        lo, inner = _block(tops, hi, length)
+    for hi in range(tops[-1], 0, -length):
+        lo = max(0, hi - length)
         ns = np.arange(lo + 1, hi + 1)
         # a piece starts at each generation right above a target
+        inner = tops[bisect.bisect_right(tops, lo) : bisect.bisect_left(tops, hi)]
         starts = [0] + [t - lo for t in inner]
         maps, outs = block_maps(ns, g, starts)
         parts = imm.cohort_product(ns, maps, k, starts)
@@ -136,7 +116,6 @@ def _sweep(spec: ScenarioSpec, tops: list, k: int) -> list:
             g, cohorts = identity, np.ones(1)
         else:
             g, cohorts = outs[0], parts[0]
-        hi = lo
     return closed[::-1]
 
 

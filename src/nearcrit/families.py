@@ -142,8 +142,9 @@ class RhoRule:
     n0: float = 0.0
 
     def __post_init__(self):
-        if self.c <= 0 or self.gamma <= 0 or self.n0 < 0:
-            raise ScenarioValidationError("rho rule needs c > 0, gamma > 0, n0 >= 0")
+        if not (0 < self.c < math.inf and 0 < self.gamma < math.inf
+                and 0 <= self.n0 < math.inf):
+            raise ScenarioValidationError("rho rule needs finite c > 0, gamma > 0, n0 >= 0")
         if self.c * (1.0 + self.n0) ** -self.gamma > 1.0:
             raise ScenarioValidationError("rho rule gives rho_1 < 0")
 
@@ -195,36 +196,41 @@ def _poly_series(p: list, g, k_trunc: int) -> np.ndarray:
 def _affine_scan(rows: np.ndarray, g: np.ndarray, pieces: list, width: int):
     """:meth:`OffspringFamily.compose_back` for rows (p0, p1) and an affine
     ``g``: the pieces (lo, hi) of rows, the top one over g and the others
-    over x, composed by one doubling scan with a piece axis (Hillis &
-    Steele; Blelloch, CMU-CS-90-190).
+    over x, composed by one segmented doubling scan over the rows followed
+    by g (Hillis & Steele; Blelloch, CMU-CS-90-190).
 
-    Column p of (a, s) holds the rows of piece p, led by identity maps up
-    to the longest piece, and then its own entry (g or x); entry i starts
-    as G_{ns[i]} = (a, s) = (p0, p1), and a step of span d composes entries
-    i and i + d into (a_i + s_i a_{i+d}, s_i s_{i+d}), so after
-    log2(longest piece) doubling steps a_i + s_i x is G_{ns[i]} o ... o
-    (g or x); the leading identities change nothing. Every later cohort
-    shares the chain s = p1 p1' ..., so it runs in long double. A single
-    piece is composed exactly as an unsegmented scan of the rows and g.
+    Entry i starts as G_{ns[i]} = (a, s) = (p0, p1), and a step of span d
+    composes entries i and i + d into (a_i + s_i a_{i+d}, s_i s_{i+d}) when
+    i + d lies in the piece of i or is g; an entry of a lower piece whose
+    partner lies beyond it keeps its value. So after log2(longest piece)
+    steps a_i + s_i x is G_{ns[i]} o ... o (g or x), x the identity that
+    ends every lower piece, and the work and memory do not depend on how
+    the rows fall into pieces. Every later cohort shares the chain
+    s = p1 p1' ..., so the scan runs in long double. The pieces are not
+    empty; a single piece is composed exactly as an unsegmented scan.
     """
-    longest = max(hi - lo for lo, hi in pieces)
-    cols = np.zeros((2, longest + 1, len(pieces)), dtype=np.longdouble)
-    cols[1, longest] = 1.0  # x, the entry of every piece but the top
-    for p, (lo, hi) in enumerate(pieces):
-        cols[1, : longest - hi + lo, p] = 1.0
-        cols[: rows.shape[1], longest - hi + lo : longest, p] = rows[lo:hi].T
-    cols[:, longest, -1] = 0.0
-    cols[: g.shape[0], longest, -1] = g
+    count = rows.shape[0]
+    cols = np.zeros((2, count + 1), dtype=np.longdouble)
+    cols[: rows.shape[1], :count] = rows.T
+    cols[: g.shape[0], count] = g
+    # distance of each entry of a lower piece to the piece's last row: the
+    # entries below span keep their value; the top piece ends at g, and
+    # the slices of a step stop there
+    gap = np.concatenate([np.arange(hi - lo)[::-1] for lo, hi in pieces[:-1]] or [[]])
+    order = np.argsort(gap, kind="stable")
+    gap, longest = gap[order], max(hi - lo for lo, hi in pieces)
     a, s = cols
     span = 1
     while span <= longest:
+        keep = order[: np.searchsorted(gap, span)]
+        held = cols[:, keep]
         a[:-span] = a[:-span] + s[:-span] * a[span:]
         s[:-span] = s[:-span] * s[span:]
+        cols[:, keep] = held
         span *= 2
-    maps = [cols[:width, longest + 1 - hi + lo :, p].T for p, (lo, hi) in enumerate(pieces)]
-    outs = [cols[:width, longest - hi + lo, p].astype(float)
-            for p, (lo, hi) in enumerate(pieces)]
-    return np.concatenate(maps).astype(float), outs
+    maps = cols[:width, 1:].T.astype(float)
+    maps[[hi - 1 for _, hi in pieces[:-1]]] = np.array([0.0, 1.0])[:width]  # x
+    return maps, [cols[:width, lo].astype(float) for lo, _ in pieces]
 
 
 def lf_coeffs(alpha, beta, k_trunc: int) -> np.ndarray:
@@ -296,12 +302,10 @@ class OffspringFamily(metaclass=_ByName):
     role = "offspring"
     # composed maps G_{j+1} o ... o G_n stay linear-fractional (linfrac)
     composes_lf = False
-    # they stay affine, g0 + g1 x (binomial thinning): 2 wide, not K
-    composes_affine = False
 
     def __post_init__(self):
-        if self.nu < 0:
-            raise ScenarioValidationError("nu must be nonnegative")
+        if not 0 <= self.nu < math.inf:
+            raise ScenarioValidationError("nu must be finite and nonnegative")
 
     def mean(self, n):
         return self.rho_rule.rho(n)
@@ -415,9 +419,12 @@ class OffspringFamily(metaclass=_ByName):
         return maps[:, :width], outs[::-1] if starts is not None else outs[0]
 
     def map_width(self, k_trunc: int) -> int:
-        """Columns of the composed maps of one block of ``engine._sweep``:
-        2 when they stay affine, else ``k_trunc``."""
-        return 2 if self.composes_affine else k_trunc
+        """Columns of the composed maps of one block of ``engine._sweep``,
+        at most: ``k_trunc``, or 2 for a kind whose ``pmf`` rows are 2 wide
+        at every generation, which :meth:`compose_back` keeps affine. A
+        kind whose rows only happen to be 2 wide (a custom table) is still
+        composed affinely, in a block sized for ``k_trunc``."""
+        return k_trunc
 
     def _block_maps(self, spec, tops, k_trunc: int) -> Callable:
         """f(ns, g, starts) -> (maps, outs) of one block of ``engine._sweep``:
@@ -469,6 +476,10 @@ class QuadraticOffspring(OffspringFamily):
 
     def _params(self, delta):
         return _quadratic_params(delta, self.nu)
+
+    def map_width(self, k_trunc: int) -> int:
+        # nu = 0 sets p2 = 0 at every generation (Bernoulli too)
+        return min(2, k_trunc) if self.nu == 0.0 else k_trunc
 
     def _higher_deriv(self, n, s: int):
         if s == 2:
@@ -523,7 +534,7 @@ class BernoulliOffspring(QuadraticOffspring):
     affine."""
 
     kind = "bernoulli"
-    composes_lf = composes_affine = True
+    composes_lf = True
     pgf_formula = staticmethod(_polynomial_pgf)
 
     def __post_init__(self):
@@ -583,6 +594,14 @@ class LinearFractionalOffspring(OffspringFamily):
         if self.rho_rule.rho(1) <= 0.0:
             raise ScenarioValidationError("offspring.rho gives rho_1 = 0, which "
                                           "linear-fractional offspring cannot take")
+        # beta_n = d2/(2 d1 + d2), (d1, d2) = (rho_n, nu (1 - rho_n)), is
+        # largest and alpha_n = 4 d1^3/(2 d1 + d2)^2 smallest at n = 1
+        delta = float(self.one_minus_rho(1))
+        d1, d2 = 1.0 - delta, self.nu * delta
+        if not (d2 / (2.0 * d1 + d2) < 1.0 and 4.0 * d1**3 / (2.0 * d1 + d2)**2 > 0.0):
+            raise ScenarioValidationError(
+                f"offspring.nu = {self.nu:g} rounds G_1 to beta = 1 or alpha = 0, "
+                "no linear-fractional law")
 
     def _sample_params(self, ns) -> list:
         # (1 - rho_n, beta_n): the childless probability comes from the
@@ -956,13 +975,11 @@ class ImmigrationFamily(metaclass=_ByName):
 
     def term_width(self, map_width: int, k_trunc: int) -> int:
         """Columns of the cohort terms that :meth:`cohort_product` builds
-        over maps ``map_width`` wide: over affine maps, the base law's
-        (cut at ``k_trunc``) when it is wider than 2; the maps' own under a
-        base law of width 2 (Bernoulli); ``k_trunc`` otherwise."""
-        base = min(self.base_law.coeffs.shape[0], k_trunc)
-        if map_width <= 2 < base:
-            return base
-        return map_width if base == 2 else k_trunc
+        over maps ``map_width`` wide: those of the maps or of the base law
+        cut at ``k_trunc``, whichever is wider (a base law too wide for
+        float binomials, see :func:`pgf.affine_compose`, gives
+        ``k_trunc``-wide terms, in blocks of MIN_BLOCK anyway)."""
+        return max(map_width, min(self.base_law.coeffs.shape[0], k_trunc))
 
     def _chi(self, u: float) -> float:
         """chi(u) = u - psi(u) of the product law's bracket, where
@@ -1166,6 +1183,31 @@ class PoissonLimit:
         return f"Poisson lambda={self.lam:.17g}"
 
 
+def cascade_fault(zero_at: int, idx: int) -> str:
+    """The cascade rule's message for lambda_idx > 0 after lambda_zero_at = 0."""
+    return (f"lambda_{idx} > 0 after lambda_{zero_at} = 0; "
+            "a vanished moment ratio cannot reappear")
+
+
+def lambda_seq_fault(lambdas) -> str | None:
+    """Why ``lambdas`` cannot be the moment-ratio limits (lambda_1, ...,
+    lambda_J) of a compound Poisson limit, or None: it needs two values or
+    more, all finite and nonnegative, the last zero, and by the cascade
+    rule none nonzero after a zero from lambda_2 on."""
+    lam = [float(v) for v in lambdas]
+    if len(lam) < 2:
+        return "need at least (lambda_1, lambda_2=0)"
+    if lam[-1] != 0.0:
+        return "the final lambda must be zero"
+    if not all(0.0 <= v < math.inf for v in lam):
+        return "lambda values must be finite and nonnegative"
+    zero_at = lam.index(0.0, 1) + 1
+    for idx, v in enumerate(lam[zero_at:], start=zero_at + 1):
+        if v != 0.0:
+            return cascade_fault(zero_at, idx)
+    return None
+
+
 @dataclass(frozen=True)
 class CompoundPoissonLimit:
     lambdas: tuple[float, ...]
@@ -1247,8 +1289,15 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.horizon < 0 or self.k_trunc < 1:
             raise ScenarioValidationError("horizon must be >= 0 and K >= 1")
+        if not (0.0 <= self.lam < math.inf and 0.0 <= self.nu < math.inf):
+            raise ScenarioValidationError(
+                f"limits.lambda = {self.lam:g} and limits.nu = {self.nu:g} "
+                "must be finite and >= 0")
         if self.lambda_rule not in (None, "log_series"):
             raise ScenarioValidationError(f"unknown lambda rule {self.lambda_rule!r}")
+        fault = None if self.lambda_seq is None else lambda_seq_fault(self.lambda_seq)
+        if fault is not None:
+            raise ScenarioValidationError(f"limits.lambda_seq: {fault}")
 
     # -- declared moment-ratio limits ---------------------------------------
 
@@ -1279,12 +1328,20 @@ class ScenarioSpec:
                 f"(gamma={rho_rule.gamma:g})"
             )
         # the classify branch that builds the negative binomial target
-        if (self.divergent and self.nu != 0.0 and self.lam <= 0
+        if (self.divergent and self.nu != 0.0
                 and rho_rule is not None and imm.m2_ratio_vanishes(rho_rule)):
-            raise ScenarioValidationError(
-                f"limits.lambda = {self.lam:g} must be positive: the negative "
-                "binomial limit has r = 2 lambda/nu"
-            )
+            if self.lam <= 0:
+                raise ScenarioValidationError(
+                    f"limits.lambda = {self.lam:g} must be positive: the negative "
+                    "binomial limit has r = 2 lambda/nu"
+                )
+            target = NegativeBinomialLimit.from_limits(self.lam, self.nu)
+            if not (target.r > 0.0 and target.p < 1.0):
+                raise ScenarioValidationError(
+                    f"limits.nu = {self.nu:g} against limits.lambda = {self.lam:g} "
+                    f"rounds the negative binomial limit to r = {target.r:g}, "
+                    f"p = {target.p:.17g}"
+                )
         notes = []
         n = max(self.horizon, 1)
         delta = float(off.one_minus_rho(n))

@@ -32,7 +32,9 @@ from .families import (
     PoissonLimit,
     ProductLimit,
     ScenarioSpec,
+    cascade_fault,
     hurwitz_zeta,
+    lambda_seq_fault,
 )
 
 _ATOM_CLAMP = 1e-12
@@ -86,36 +88,18 @@ def nb_pmf(r: float, p: float, k_trunc: int) -> pgf.Pmf:
 # compound Poisson intensities
 
 
-def _cascade_error(zero_at: int, idx: int) -> ValueError:
-    return ValueError(f"lambda_{idx} > 0 after lambda_{zero_at} = 0; "
-                      "a vanished moment ratio cannot reappear")
-
-
-def _check_cascade(lambdas) -> None:
-    seen_zero_at = None
-    for idx, val in enumerate(lambdas, start=1):
-        if idx >= 2 and val == 0.0 and seen_zero_at is None:
-            seen_zero_at = idx
-        elif seen_zero_at is not None and val != 0.0:
-            raise _cascade_error(seen_zero_at, idx)
-
-
 def cp_intensity_finite(lambdas) -> IntensityMeasure:
     """Atoms mu{j} = (1/j!) sum_{i=0}^{J-j-1} (-1)^i lambda_{j+i} / i!.
 
     They are the x-basis coefficients j >= 1 of sum_l lambda_l (x-1)^l / l!,
     so one :func:`pgf.taylor_shift` by -1 gives them all. The sequence must
-    end in a zero and respect the cascade rule; a negative atom means the
-    lambda sequence is inadmissible.
+    pass :func:`lambda_seq_fault` (a scenario file's is checked when it is
+    read); a negative atom means the lambda sequence is inadmissible.
     """
     lam = [float(v) for v in lambdas]
-    if len(lam) < 2:
-        raise ValueError("need at least (lambda_1, lambda_2=0)")
-    if lam[-1] != 0.0:
-        raise ValueError("the final lambda must be zero")
-    if any(v < 0 for v in lam):
-        raise ValueError("lambda values must be nonnegative")
-    _check_cascade(lam)
+    fault = lambda_seq_fault(lam)
+    if fault is not None:
+        raise ValueError(fault)
     c = [0.0] + [v / math.factorial(l) for l, v in enumerate(lam, start=1)]
     atoms = pgf.taylor_shift(c, -1.0, len(lam))[1:]
     if np.any(atoms < -_ATOM_CLAMP):
@@ -216,7 +200,7 @@ def _centered_cut(c_rule: Callable[[int], float], k_trunc: int, tol: float,
         coeffs.append(c)
         if c == 0.0:
             if l >= 2 and _term(c_rule, l + 1) != 0.0:
-                raise _cascade_error(l, l + 1)
+                raise ValueError(cascade_fault(l, l + 1))
             return np.array(coeffs)
         if math.log(abs(c)) + _max_binom_log(l, k_trunc) < log_target:
             return np.array(coeffs)

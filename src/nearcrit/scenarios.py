@@ -183,6 +183,9 @@ def parse_scenario_text(text: str, origin: str = "<string>",
                 f"(known: {sorted(BASE_LAWS)})"
             )
         support = v["immigration.support"]
+        if support < 1:
+            raise ScenarioValidationError(
+                f"immigration.support = {support} must be >= 1")
         fields.update(base=tuple(float(x) for x in BASE_LAWS[base_name](support)),
                       base_name=base_name)
     immigration = imm(**fields)

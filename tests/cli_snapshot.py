@@ -12,7 +12,7 @@ Runs five commands on every bundled fixture in csv and json (70 runs):
 ``propagate --n 200 --K 64`` and ``simulate --n 50 --reps 20000 --seed 7``.
 Then ``classify`` on malformed copies of ``thm1_poisson`` and
 ``thm3_cp_finite``, one per fault of the scenario-file format (MALFORMED),
-and one command in csv on each copy in VARIANTS (84 runs in all). Each
+and one command in csv on each copy in VARIANTS (85 runs in all). Each
 run leaves ``<stem>.out`` (stdout), ``<stem>.rc`` (exit code) and
 ``<stem>.err``, the stderr lines that start with ``error:`` or
 ``warning:``; Python's own warning lines carry source line numbers, which
@@ -65,6 +65,9 @@ MALFORMED = {
                          "immigration.base = delta3"),
     "bad_lambda_seq": ("thm3_cp_finite", "limits.lambda_seq = 2,1,0",
                        "limits.lambda_seq = 2;1;0"),
+    # parses, but a lambda sequence must end in a zero (exit 3, not a traceback)
+    "bad_lambda_seq_tail": ("thm3_cp_finite", "limits.lambda_seq = 2,1,0",
+                            "limits.lambda_seq = 2,1"),
     "bad_n_grid": ("thm1_poisson", "run.n_grid = 100,1000,10000",
                    "run.n_grid = 100,1e3"),
     "bad_x_grid": ("thm3_cp_finite", "run.n_grid = 100,1000",

@@ -437,6 +437,41 @@ def test_out_of_range_run_parameters_are_validation_errors(tmp_path, capsys, fla
     assert message in captured.err
 
 
+# faults of the file's values that the library would meet only deep inside
+# a command: each is read as bad input, for every command
+@pytest.mark.parametrize("fixture,old,new,message", [
+    ("thm3_cp_finite", "limits.lambda_seq = 2,1,0", "limits.lambda_seq = 2,1",
+     "the final lambda must be zero"),
+    ("thm3_cp_finite", "limits.lambda_seq = 2,1,0", "limits.lambda_seq = 1,0,2,0",
+     "lambda_3 > 0 after lambda_2 = 0"),
+    ("thm3_cp_finite", "limits.lambda_seq = 2,1,0", "limits.lambda_seq = -1,0",
+     "lambda values must be finite and nonnegative"),
+    ("thm1_poisson", "limits.lambda = 2", "limits.lambda = -1", "must be finite and >= 0"),
+    ("thm5_nb", "limits.nu = 1", "limits.nu = -1", "must be finite and >= 0"),
+    ("thm5_nb", "limits.nu = 1", "limits.nu = 1e300",
+     "rounds the negative binomial limit"),
+    ("thm6_example1", "offspring.rho.gamma = 2", "offspring.rho.gamma = nan",
+     "rho rule needs finite"),
+    ("lf_crosscheck", "offspring.nu = 1", "offspring.nu = 1e300",
+     "no linear-fractional law"),
+    ("thm4_log2", "immigration.support = 64", "immigration.support = 0",
+     "immigration.support = 0 must be >= 1"),
+], ids=["lambda_seq_tail", "lambda_seq_cascade", "lambda_seq_negative", "lambda",
+        "nu", "nu_huge", "rho_nan", "lf_nu_huge", "support"])
+@pytest.mark.parametrize("command", ["classify", "limits", "report", "propagate",
+                                     "simulate"])
+def test_bad_limit_constants_and_rules_are_validation_errors(tmp_path, capsys, fixture,
+                                                            old, new, message, command):
+    text = scenarios.fixture_text(fixture)
+    assert old in text
+    p = tmp_path / "bad.scn"
+    p.write_text(text.replace(old, new))
+    argv = ["--scenario", str(p), "--command", command, "--n", "20", "--n-grid", "20",
+            "--reps", "10"]
+    assert cli.main(argv) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_an_internal_value_error_is_not_a_validation_error(tmp_path, monkeypatch):
     # a ValueError raised inside the library is a fault of the program: it
     # surfaces as an exception (a traceback and exit 1 from the shell), not

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import os
@@ -663,6 +664,22 @@ def _edges(spec, k):
     return (length - 1, length, length + 1, 2 * length)
 
 
+# a budget of 2 x 64 cells, at least 16 generations a block: every kind's
+# sweep then straddles blocks within a few hundred generations, where the
+# real budget runs narrow sweeps in blocks of 8192 and more
+_SMALL_BLOCKS = (2 * 64, 16)
+_REAL_BLOCKS = (engine.CELLS, engine.MIN_BLOCK)
+
+
+@contextlib.contextmanager
+def _blocks(cells, min_block):
+    """engine.CELLS and engine.MIN_BLOCK set to the given budget."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "CELLS", cells)
+        patch.setattr(engine, "MIN_BLOCK", min_block)
+        yield
+
+
 def _assert_within_the_step_loop_deficiency(spec, targets, k, initial=None):
     """propagate_sequence loses no more mass than the step loop, and differs
     from it by no more than that loss: both sit below the exact law, and the
@@ -725,32 +742,37 @@ def _sweep_spec(offspring, immigration, rho1, gamma, nu, coef):
     k=st.integers(1, 8),
     extra=st.lists(st.floats(0.0, 1.0), max_size=3),
     start=st.one_of(st.none(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)),
+    blocks=st.just(_SMALL_BLOCKS),
 )
-# the two deficiencies differ by 1.1e-15 at n = 512, above a fixed 1e-15
+# in blocks of 256 generations the two deficiencies differ by 1.1e-15 at
+# n = 512, above a fixed 1e-15
 @example(offspring="bernoulli", immigration="custom", rho1=0.5,
-         gamma=1.4215323566076148, nu=0.25, coef=0.01, k=1, extra=[], start=None)
+         gamma=1.4215323566076148, nu=0.25, coef=0.01, k=1, extra=[], start=None,
+         blocks=(256, 256))
 # edges of a narrow sweep (8192 generations per block) and a K-wide one (2048)
 @example(offspring="bernoulli", immigration="bernoulli", rho1=0.5, gamma=0.8,
-         nu=0.1, coef=0.5, k=8, extra=[], start=None)
+         nu=0.1, coef=0.5, k=8, extra=[], start=None, blocks=_REAL_BLOCKS)
 @example(offspring="quadratic", immigration="bernoulli", rho1=0.5, gamma=0.8,
-         nu=0.1, coef=0.5, k=8, extra=[], start=None)
+         nu=0.1, coef=0.5, k=8, extra=[], start=None, blocks=_REAL_BLOCKS)
 # rho_[j,n] falls to 1e-229 by n = 16384: the composed LF parameters, once
 # formed as 4 d1^3/(2 d1 + d2)^2, were 0/0 wherever it was below 1e-160
 @example(offspring="linear_fractional", immigration="bernoulli", rho1=0.25,
-         gamma=0.375, nu=0.25, coef=0.0, k=1, extra=[], start=None)
+         gamma=0.375, nu=0.25, coef=0.0, k=1, extra=[], start=None,
+         blocks=_REAL_BLOCKS)
 @settings(max_examples=30, deadline=None)
 def test_sweep_matches_the_step_loop_for_every_kind(offspring, immigration, rho1,
                                                      gamma, nu, coef, k, extra,
-                                                     start):
+                                                     start, blocks):
     # the targets straddle the first and second block of this sweep, and
     # the extra ones fall anywhere in those two blocks
     spec = _sweep_spec(offspring, immigration, rho1, gamma, nu, coef)
     initial = None
     if start is not None and sum(start) > 0:
         initial = pgf.Pmf(np.array(start) / sum(start))
-    edges = _edges(spec, k)
-    extra = [1 + round(u * (edges[-1] - 1)) for u in extra]
-    _assert_within_the_step_loop_deficiency(spec, [*edges, *extra], k, initial)
+    with _blocks(*blocks):
+        edges = _edges(spec, k)
+        extra = [1 + round(u * (edges[-1] - 1)) for u in extra]
+        _assert_within_the_step_loop_deficiency(spec, [*edges, *extra], k, initial)
 
 
 def _sweep_specs():
@@ -774,7 +796,11 @@ _SWEEP_SPECS = _sweep_specs()
 )
 @settings(max_examples=25, deadline=None)
 def test_every_target_of_a_sweep_is_its_lone_propagation(name, k, data):
-    spec = _SWEEP_SPECS[name]
+    with _blocks(*_SMALL_BLOCKS):
+        _check_every_target_alone(_SWEEP_SPECS[name], k, data)
+
+
+def _check_every_target_alone(spec, k, data):
     edges = _edges(spec, k)
     around = sorted({0, 1, 2, *edges, *(e + 2 for e in edges)})
     targets = data.draw(st.lists(st.one_of(st.sampled_from(around),
@@ -797,8 +823,8 @@ def test_every_target_of_a_sweep_is_its_lone_propagation(name, k, data):
         margin = 2 * max(state.n, 1) * k * np.finfo(float).eps
         lost = max(state.cumulative_deficiency, ref.cumulative_deficiency) + margin
         gap = np.abs(state.pmf.coeffs - ref.pmf.coeffs)
-        assert np.all(gap <= margin * ref.pmf.coeffs + lost), (name, state.n)
-        assert gap.sum() <= lost, (name, state.n)
+        assert np.all(gap <= margin * ref.pmf.coeffs + lost), state.n
+        assert gap.sum() <= lost, state.n
     _assert_within_the_step_loop_deficiency(spec, targets, k)
 
 
@@ -853,17 +879,16 @@ def test_a_narrow_sweep_runs_in_one_block(fixture_specs, monkeypatch):
     assert calls == {"step": 1, "compose_back": 1, "cohort_product": 1}
 
 
-def test_a_long_piece_with_many_short_ones_cuts_the_block(fixture_specs):
-    # one block of 8192 generations would hold the piece (30, 8000] and 30
-    # one-generation pieces below it; their affine scan table, (longest
-    # piece + 1) x pieces = 7971 x 31 entries of two long doubles, takes
-    # 7.9 MB (the sweep peaked at 12 MB uncut), so the block ends at a
-    # target where the table fits CELLS; the report then peaks at 1.5 MB
+def test_a_long_piece_with_many_short_ones_stays_within_the_budget(fixture_specs):
+    # one block of 8192 generations holds the piece (30, 8000] and 30
+    # one-generation pieces below it; the affine scan runs over the rows
+    # and g alone, 8001 entries of two long doubles, where a table padded
+    # to the longest piece, 7971 x 31 such entries, took 7.9 MB
     import tracemalloc
 
     spec = fixture_specs["thm1_poisson"]
     grid = [*range(1, 31), 8000]
-    assert engine._block(grid, 8000, engine.block_length(spec, 64)) == (29, [30])
+    assert engine.block_length(spec, 64) >= 8000
     tracemalloc.start()
     try:
         rep = diagnostics.report(spec, grid, 64)
@@ -872,6 +897,15 @@ def test_a_long_piece_with_many_short_ones_cuts_the_block(fixture_specs):
         tracemalloc.stop()
     assert [row.n for row in rep.rows] == grid
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP_SPECS))
+def test_block_maps_are_no_wider_than_the_block_rule_assumes(name):
+    # the width that sizes a block bounds the maps its sweep builds
+    spec, k = _SWEEP_SPECS[name], 16
+    block = spec.offspring._block_maps(spec, [300], k)
+    maps, _ = block(np.arange(1, 301), np.array([0.0, 1.0]), [0, 100])
+    assert maps.shape[1] <= spec.offspring.map_width(k)
 
 
 @pytest.mark.parametrize("immigration", ["bernoulli", "poisson"])
