@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import engine, limits, pgf
-from .errors import NumericError, WrongRegimeError
+from .errors import WrongRegimeError
 from .families import (
     ConditionRatios,
     OutsideScope,
@@ -117,21 +117,6 @@ def _chord_slopes(spec: ScenarioSpec, rho_jn: np.ndarray) -> np.ndarray:
     # rho_[j,n] can underflow to 0: the IEEE quotient, 0/0 = nan, says so
     with np.errstate(divide="ignore", invalid="ignore"):
         return (1.0 - g) / rho_jn
-
-
-def _vartheta_all(spec: ScenarioSpec, n: int) -> np.ndarray:
-    """Chord slopes vartheta_{j,n} = (1 - G_j(1 - rho_[j,n])) / rho_[j,n], j = 1..n.
-
-    Each lies in (0, rho_j] by convexity, with rho_j - vartheta_{j,n} <=
-    rho_[j,n] G_j''(1); they are the rates of the upper bound. A chain
-    product that underflows to 0 raises :class:`NumericError`.
-    """
-    s = chain_logs(spec, n)
-    rho_jn = np.exp(s[n] - s[1:])
-    if not np.all(rho_jn > 0.0):
-        j = int(np.argmin(rho_jn > 0.0)) + 1
-        raise NumericError(f"chain product rho_[{j},{n}] underflows to 0")
-    return _chord_slopes(spec, rho_jn)
 
 
 def toeplitz_weights(spec: ScenarioSpec, n):
@@ -248,18 +233,22 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        def fields(obj) -> dict:  # nan and inf have no JSON form (RFC 8259): null
+            return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                    for k, v in asdict(obj).items()}
+
         payload = {
             "scenario": self.scenario,
             "law": self.law,
             "rows": [
                 {
-                    **{k: v for k, v in asdict(row).items() if k != "ratios"},
-                    "condition_ratios": asdict(row.ratios),
+                    **{k: v for k, v in fields(row).items() if k != "ratios"},
+                    "condition_ratios": fields(row.ratios),
                 }
                 for row in self.rows
             ],
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def report(spec: ScenarioSpec, n_grid, k_trunc: int | None = None,

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import pgf
 from .errors import NumericError, ScenarioValidationError
-from .linfrac import LinearFractional, interval_params, lf_alpha_beta, lf_value
+from .linfrac import (LinearFractional, interval_params, lf_alpha_beta, lf_deriv_at_1,
+                      lf_value)
 
 _NUM = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _TERM_RE = re.compile(
@@ -357,15 +358,13 @@ class OffspringFamily(metaclass=_ByName):
         # the parameters are the coefficients
         return pgf.coeff_table(np.stack(self.params(ns), axis=1)[:, :k_trunc])
 
-    def compose_back(self, ns, g, k_trunc: int, starts=None):
+    def compose_back(self, ns, g, k_trunc: int, starts):
         """Apply the maps of generations ``ns`` (ascending) to series, last
         generation first, in pieces; polynomial kinds only.
 
-        ``starts`` (ascending row indices, the first 0; by default one
-        piece) splits ``ns`` into consecutive pieces: the top piece is
-        applied to the series ``g``, every other piece to the identity x.
-        Returns ``(maps, outs)``, with ``outs`` a list when ``starts`` is
-        given and the one piece's series otherwise:
+        ``starts`` (ascending row indices, the first 0) splits ``ns`` into
+        consecutive pieces: the top piece is applied to the series ``g``,
+        every other piece to the identity x. Returns ``(maps, outs)``:
         maps[i] = G_{ns[i]+1} o ... o G_{top of its piece} o (g or x), so
         the top row of a piece holds g or x itself, zero-padded to a common
         width; and outs[p] = G_{ns[starts[p]]} o maps[starts[p]], the whole
@@ -387,8 +386,7 @@ class OffspringFamily(metaclass=_ByName):
         count = rows.shape[0]
         pieces = pgf._pieces(starts, count)
         if rows.shape[1] <= 2 and g.shape[0] <= 2:
-            maps, outs = _affine_scan(rows, g, pieces, min(2, k_trunc))
-            return maps, outs if starts is not None else outs[0]
+            return _affine_scan(rows, g, pieces, min(2, k_trunc))
         maps = np.zeros((count, k_trunc))
         width = 1
         coefs = rows.tolist()
@@ -416,7 +414,7 @@ class OffspringFamily(metaclass=_ByName):
                 g[0] += p[0]
             outs.append(g)
             g = np.array([0.0, 1.0])[:k_trunc]
-        return maps[:, :width], outs[::-1] if starts is not None else outs[0]
+        return maps[:, :width], outs[::-1]
 
     def map_width(self, k_trunc: int) -> int:
         """Columns of the composed maps of one block of ``engine._sweep``,
@@ -430,32 +428,6 @@ class OffspringFamily(metaclass=_ByName):
         """f(ns, g, starts) -> (maps, outs) of one block of ``engine._sweep``:
         :meth:`compose_back` onto the series g the sweep carries down."""
         return lambda ns, g, starts: self.compose_back(ns, g, k_trunc, starts)
-
-    def sample(self, n: int, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """out[s, t]: how many of the h[s] trajectories with s parents in
-        generation ``n`` have t children in total, drawn exactly.
-
-        The dense view of one generation of ``_draw``, which Monte Carlo
-        runs on directly: it takes the floats of ``_sample_params`` and the
-        occupied states with their counts, and gives cells (row of an
-        occupied state, children, count) as three arrays that broadcast to
-        one shape, zero counts allowed. It runs in stages: for quadratic
-        the parents without exactly one child and then the ones with two
-        among them, for linear-fractional the childless parents, the ones
-        among the others with extra children and then the extra children.
-        Each bounded stage, and a custom table, splits every occupied cell
-        with one multinomial draw, its most likely value last (see
-        :func:`_mode_last`); the unbounded extra children go value by value
-        (see :func:`_split`). The work depends on the occupied states, not
-        on the number of trajectories.
-        """
-        states = np.flatnonzero(h)
-        par = self._sample_params(np.array([n]))[0]
-        row, kids, cnt = np.broadcast_arrays(*self._draw(par, h[states], states, rng))
-        live = cnt > 0
-        out = np.zeros((h.shape[0], int(kids[live].max(initial=0)) + 1), dtype=np.int64)
-        np.add.at(out, (states[row[live]], kids[live]), cnt[live])
-        return out
 
     def _check(self) -> None:
         """The first hard check of :meth:`ScenarioSpec.validate`."""
@@ -566,8 +538,7 @@ class LinearFractionalOffspring(OffspringFamily):
         return self.nu * self.one_minus_rho(n)
 
     def _higher_deriv(self, n, s: int):
-        alpha, beta = self.params(n)
-        return math.factorial(s) * alpha * beta ** (s - 1) / (1.0 - beta) ** (s + 1)
+        return lf_deriv_at_1(self.params(n), s)
 
     def lf_params(self, n: int) -> LinearFractional:
         return LinearFractional(*(float(v) for v in self.params(n)))
@@ -665,11 +636,7 @@ class CustomOffspring(OffspringFamily):
         table = np.stack(cols, axis=-1).reshape(-1, len(cols))
         if table.size:
             table = pgf.coeff_table(table)
-        j = np.arange(len(cols), dtype=float)
-        ff = np.ones_like(j)
-        for i in range(s):
-            ff *= j - i
-        moments = np.sum(table * ff, axis=-1)
+        moments = pgf.factorial_moment(table, s)
         return moments.reshape(np.shape(n)) if np.ndim(n) else float(moments[0])
 
     def _sample_params(self, ns) -> list:
@@ -867,9 +834,8 @@ class ImmigrationFamily(metaclass=_ByName):
     """Immigration law per generation: one frozen dataclass per kind, which
     takes only the fields it reads and is named ``kind`` in scenario files.
 
-    Every kind's mean is its m1 rule, and ``sample`` gives out[v, k], how
-    many of the h[v] trajectories in state v receive k immigrants in
-    generation n, drawn exactly: the dense view of the cells of ``_draw``.
+    Every kind's mean is its m1 rule, and its ``_draw`` splits the occupied
+    states into cells (see :func:`engine._histograms`).
     The base serves the mixtures toward a fixed base law B,
     H_n = 1 + w_n (B - 1) with w_n = m_{n,1}/B'(1) so the mean matches the
     m1 rule; Poisson immigration overrides what differs.
@@ -909,10 +875,11 @@ class ImmigrationFamily(metaclass=_ByName):
         vals = self.weight(n, "declared") * pgf.factorial_moment(self.base_law, k)
         return float(vals) if np.ndim(n) == 0 else vals
 
-    def m2_ratio_vanishes(self, rho_rule: RhoRule) -> bool:
-        """Whether m_{n,2}/(1 - rho_n) -> 0, decided from the rules."""
-        p1, _ = self.m1.leading()
-        return pgf.factorial_moment(self.base_law, 2) == 0.0 or p1 > rho_rule.gamma
+    def m2_ratio_vanishes(self, rho_rule: RhoRule | None) -> bool | None:
+        """Whether m_{n,2}/(1 - rho_n) -> 0 by the rules; None if it needs a missing rho rule."""
+        if pgf.factorial_moment(self.base_law, 2) == 0.0:
+            return True
+        return None if rho_rule is None else self.m1.leading()[0] > rho_rule.gamma
 
     def pgf_values(self, ns, xs, rates: str) -> np.ndarray:
         """H_n(x) at generations ``ns`` and matching points ``xs``.
@@ -939,7 +906,7 @@ class ImmigrationFamily(metaclass=_ByName):
         raw[:, 0] += 1.0 - w
         return raw
 
-    def cohort_product(self, ns, maps, k_trunc: int, starts=None):
+    def cohort_product(self, ns, maps, k_trunc: int, starts):
         """prod_i H_{ns[i]}(maps[i]) truncated at ``k_trunc``, at the clamped
         rates; ``maps`` holds one coefficient series per generation.
 
@@ -991,24 +958,6 @@ class ImmigrationFamily(metaclass=_ByName):
         # -(log(1 - m_j psi) + m_j psi) <= m_j (this) for psi <= v, m_j <= m
         return m * v * v / (2 * (1 - m * v)) if m * v < 1 else math.inf
 
-    def sample(self, n: int, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """out[v, k]: how many of the h[v] trajectories in state v receive k
-        immigrants in generation ``n``, drawn exactly.
-
-        ``_draw`` splits only the occupied states, given the floats of
-        ``_sample_params`` and their counts: it gives (value, out), out[i, c]
-        of the counts[i] trajectories receiving value[c] (value[i, c])
-        immigrants, zero counts allowed. Monte Carlo runs on these cells.
-        """
-        states = np.flatnonzero(h)
-        par = self._sample_params(np.array([n]))[0]
-        value, cnt = self._draw(par, h[states], rng)
-        row, value, cnt = np.broadcast_arrays(states[:, None], value, cnt)
-        live = cnt > 0
-        out = np.zeros((h.shape[0], int(value[live].max(initial=0)) + 1), dtype=np.int64)
-        np.add.at(out, (row[live], value[live]), cnt[live])
-        return out
-
     def _sample_params(self, ns) -> list:
         """What ``_draw`` reads at each generation of ``ns``, from one array
         call for a block of generations: the mixture weight at the clamped
@@ -1030,9 +979,8 @@ class PoissonImmigration(ImmigrationFamily):
         vals = np.asarray(self.m1.at(n), dtype=float) ** k
         return float(vals) if np.ndim(n) == 0 else vals
 
-    def m2_ratio_vanishes(self, rho_rule: RhoRule) -> bool:
-        p1, _ = self.m1.leading()
-        return 2.0 * p1 > rho_rule.gamma
+    def m2_ratio_vanishes(self, rho_rule: RhoRule | None) -> bool | None:
+        return None if rho_rule is None else 2.0 * self.m1.leading()[0] > rho_rule.gamma
 
     def pgf_values(self, ns, xs, rates: str) -> np.ndarray:
         return np.exp(self.m1.at(ns) * (xs - 1.0))
@@ -1040,7 +988,7 @@ class PoissonImmigration(ImmigrationFamily):
     def _rows(self, ns, k_trunc: int) -> np.ndarray:
         return pgf.poisson_coeffs(self.m1.at(ns), k_trunc)
 
-    def cohort_product(self, ns, maps, k_trunc: int, starts=None):
+    def cohort_product(self, ns, maps, k_trunc: int, starts):
         """The exponent sum_i m_i (maps_i - 1): over affine maps it is
         A + lam x, with lam = sum_i m_i g1_i, and the product is e^(A + lam)
         times the Poisson(lam) coefficients; over wider maps it goes
@@ -1062,7 +1010,7 @@ class PoissonImmigration(ImmigrationFamily):
                 expo[: maps.shape[1]] = np.einsum("j,jl->l", m[lo:hi], maps[lo:hi])
                 expo[0] = m[lo:hi] @ (maps[lo:hi, 0] - 1.0)
                 out.append(pgf.exp_series(expo, k_trunc).coeffs)
-        return out if starts is not None else out[0]
+        return out
 
     def term_width(self, map_width: int, k_trunc: int) -> int:
         return map_width  # no terms: the exponent combines the maps
@@ -1383,12 +1331,16 @@ def classify(spec: ScenarioSpec) -> LimitLaw:
             return CompoundPoissonLimit(tuple(spec.lambda_seq))
         if spec.lambda_rule is not None:
             return GeneralExpLimit(spec.lambda_rule, spec.lam)
-        if spec.immigration.m2_ratio_vanishes(spec.offspring.rho_rule):
+    vanishes = spec.immigration.m2_ratio_vanishes(spec.offspring.rho_rule)
+    if vanishes is None:
+        return OutsideScope("the offspring has no rho rule to decide m_{n,2}/(1-rho_n) -> 0")
+    if spec.nu == 0.0:
+        if vanishes:
             return PoissonLimit(spec.lam)
         return OutsideScope(
             "second immigration moments do not vanish relative to 1-rho"
         )
-    if spec.immigration.m2_ratio_vanishes(spec.offspring.rho_rule):
+    if vanishes:
         return NegativeBinomialLimit.from_limits(spec.lam, spec.nu)
     return OutsideScope("nu > 0 requires second immigration moments o(1-rho)")
 

@@ -132,19 +132,6 @@ def cp_intensity_series(rule: Callable[[int], float], tol: float,
     return IntensityMeasure(atoms)
 
 
-def log_series_intensity(j: int) -> float:
-    """Worked intensity mu{j} = (1/j) sum_{k>=j} 1/(k 2^k), the j-th atom of
-    :func:`log_series_measure`.
-
-    This is the compound Poisson representation of the limit whose
-    moment-ratio sequence is lambda_l = (l-1)!/l, for which the alternating
-    intensity series itself diverges.
-    """
-    if j < 1:
-        raise ValueError("atom index must be >= 1")
-    return float(log_series_measure(j).atoms[-1])
-
-
 def log_series_measure(j_max: int = 64) -> IntensityMeasure:
     """Atoms mu{j} = (1/j) sum_{k>=j} 1/(k 2^k), j = 1..``j_max``.
 

@@ -61,17 +61,17 @@ class LinearFractional:
         return lf_value((self.alpha, self.beta), x)
 
     def deriv_at_1(self, s: int) -> float:
-        """s-th derivative at 1: s! alpha beta^(s-1) / (1-beta)^(s+1)."""
+        """s-th derivative at 1 (:func:`lf_deriv_at_1`)."""
         if s < 1:
             raise ValueError("derivative order must be >= 1")
-        if s == 1:
-            return self.alpha / (1.0 - self.beta) ** 2
-        return (
-            math.factorial(s)
-            * self.alpha
-            * self.beta ** (s - 1)
-            / (1.0 - self.beta) ** (s + 1)
-        )
+        return lf_deriv_at_1((self.alpha, self.beta), s)
+
+
+def lf_deriv_at_1(par, s: int):
+    """f^(s)(1) = s! alpha beta^(s-1) / (1-beta)^(s+1) for parameters
+    par = (alpha, beta) and s >= 1; floats or broadcasting arrays."""
+    alpha, beta = par
+    return math.factorial(s) * alpha * beta ** (s - 1) / (1.0 - beta) ** (s + 1)
 
 
 def lf_alpha_beta(d1, d2):
@@ -126,23 +126,14 @@ def chain_product(spec: "ScenarioSpec", j: int, n: int) -> float:
     return val
 
 
-def composed_params_all(spec: "ScenarioSpec", n: int):
-    """(alpha_j, beta_j) arrays of the maps G_{j+1} o ... o G_n, j = 0..n.
-
-    First derivative at 1 is the product rho_{j+1}...rho_n (computed in log
-    space); second derivative is the weighted sum over interior factors.
-    """
-    return interval_params(spec, [n])
-
-
 def interval_params(spec: "ScenarioSpec", tops):
     """(alpha_j, beta_j), j = 0..N, of the maps G_{j+1} o ... o G_b that
     compose each interval (a, b] between consecutive entries of 0 and
     ``tops`` (ascending, N = tops[-1]) from j, a <= j < b, to its top;
     entry N is the identity.
 
-    One :func:`chain_logs` pass to N serves every interval, and each entry
-    is what :func:`composed_params_all` at n = b gives.
+    One :func:`chain_logs` pass to N serves every interval; ``tops`` = [n]
+    gives the maps G_{j+1} o ... o G_n for j = 0..n.
     """
     _require_lf(spec)
     top = int(tops[-1])
@@ -192,7 +183,7 @@ def generation_pgf(spec: "ScenarioSpec", n: int, x: float) -> float:
         raise ValueError("PGF argument must lie in [0, 1]")
     if n == 0:
         return 1.0
-    alpha, beta = composed_params_all(spec, n)
+    alpha, beta = interval_params(spec, [n])
     gbar = lf_value((alpha[1 : n + 1], beta[1 : n + 1]), x)
     ns = np.arange(1, n + 1)
     return float(np.prod(spec.immigration.pgf_values(ns, gbar, "clamped")))

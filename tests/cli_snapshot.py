@@ -9,10 +9,12 @@ to this script), so one script can snapshot two checkouts.
 
 Runs five commands on every bundled fixture in csv and json (70 runs):
 ``classify``, ``report`` and ``limits`` at the fixture defaults,
-``propagate --n 200 --K 64`` and ``simulate --n 50 --reps 20000 --seed 7``.
+``propagate --n 200 --K 64`` and ``simulate --n 50 --reps 20000 --seed 7``;
+and ``report --reps 2000 --seed 3`` in csv (REPORT_MC, 7 runs), whose
+Monte Carlo column draws every row from one seeded run.
 Then ``classify`` on malformed copies of ``thm1_poisson`` and
 ``thm3_cp_finite``, one per fault of the scenario-file format (MALFORMED),
-and one command in csv on each copy in VARIANTS (85 runs in all). Each
+and one command in csv on each copy in VARIANTS (92 runs in all). Each
 run leaves ``<stem>.out`` (stdout), ``<stem>.rc`` (exit code) and
 ``<stem>.err``, the stderr lines that start with ``error:`` or
 ``warning:``; Python's own warning lines carry source line numbers, which
@@ -50,6 +52,9 @@ COMMANDS = {
     "propagate": ["--n", "200", "--K", "64"],
     "simulate": ["--n", "50", "--reps", "20000", "--seed", "7"],
 }
+
+# run in csv only, as <fixture>.report_mc.csv
+REPORT_MC = ["--command", "report", "--reps", "2000", "--seed", "3"]
 
 # stem: (fixture, line to replace, replacement)
 MALFORMED = {
@@ -182,6 +187,8 @@ def main(argv: list[str]) -> int:
                 _run(out, f"{scn.stem}.{command}.{fmt}", fixtures, env,
                      ["--scenario", scn.name, "--command", command,
                       "--format", fmt, *extra])
+        _run(out, f"{scn.stem}.report_mc.csv", fixtures, env,
+             ["--scenario", scn.name, *REPORT_MC, "--format", "csv"])
     copies = {stem: (fixture, [(old, new)], ["--command", "classify"])
               for stem, (fixture, old, new) in MALFORMED.items()}
     with tempfile.TemporaryDirectory() as tmp:

@@ -10,7 +10,8 @@ the x and (x-1) bases by binomial columns and alternating sums, the
 general exponential law by pointwise summation of its centered series,
 the exponential companion of the product over composed maps, and the
 derivatives at 1 of composed maps of any family by truncated
-Taylor-series composition, with the limits of their sums.
+Taylor-series composition, with the limits of their sums; and, as a view
+only, a family sampler's cells laid out as a dense matrix.
 """
 
 from __future__ import annotations
@@ -42,6 +43,26 @@ def lf_pmf_coeffs(par: LinearFractional, k_trunc: int) -> np.ndarray:
     out[0] = 1.0 - par.alpha / (1.0 - par.beta)
     if k_trunc > 1:
         out[1:] = par.alpha * par.beta ** np.arange(k_trunc - 1)
+    return out
+
+
+def sample_dense(fam, n: int, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """out[s, t]: how many of the h[s] trajectories in state s draw t in
+    generation ``n``, children in total or immigrants: the family's
+    ``_draw`` over the occupied states, as ``engine._histograms`` makes it.
+    """
+    states = np.flatnonzero(h)
+    par = fam._sample_params(np.array([n]))[0]
+    if fam.role == "offspring":
+        row, value, cnt = fam._draw(par, h[states], states, rng)
+        row = states[row]
+    else:
+        value, cnt = fam._draw(par, h[states], rng)
+        row = states[:, None]
+    row, value, cnt = np.broadcast_arrays(row, value, cnt)
+    live = cnt > 0
+    out = np.zeros((h.shape[0], int(value[live].max(initial=0)) + 1), dtype=np.int64)
+    np.add.at(out, (row[live], value[live]), cnt[live])
     return out
 
 

@@ -1,7 +1,7 @@
 import json
 import math
 import warnings
-from dataclasses import astuple
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
@@ -10,14 +10,14 @@ from scipy import stats
 from conftest import constant_spec, make_spec
 from nearcrit import engine, limits, pgf, scenarios
 from nearcrit.diagnostics import (
-    _vartheta_all,
+    _chord_slopes,
     accompanying_gap_bound,
     report,
     riemann_gap,
     toeplitz_weights,
     tv_distance,
 )
-from nearcrit.errors import NumericError, WrongRegimeError
+from nearcrit.errors import WrongRegimeError
 from nearcrit.families import (
     CompoundPoissonLimit,
     CustomImmigration,
@@ -25,7 +25,7 @@ from nearcrit.families import (
     RhoRule,
     condition_ratios,
 )
-from nearcrit.linfrac import chain_product
+from nearcrit.linfrac import chain_logs, chain_product
 from nearcrit.scenarios import load_fixture
 from oracles import accompanying_eval, vartheta
 
@@ -145,17 +145,17 @@ def test_vartheta_all_matches_scalar_chord_slopes(fixture_specs):
     for name in ("thm1_poisson", "thm5_nb", "lf_crosscheck"):
         spec = fixture_specs[name]
         n = 150
-        got = _vartheta_all(spec, n)
+        s = chain_logs(spec, n)
+        got = _chord_slopes(spec, np.exp(s[n] - s[1:]))
         want = np.array([vartheta(spec, j, n) for j in range(1, n + 1)])
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-def test_vartheta_all_rejects_underflowed_chain_product():
-    # sum_l log rho_l ~ -n^0.7 / 0.7 passes -745 near n = 7500
+def test_toeplitz_sums_read_an_underflowed_chain_product():
+    # sum_l log rho_l ~ -n^0.7 / 0.7 passes -745 near n = 7500, so
+    # rho_[j,n] underflows to 0 for small j; the Toeplitz sums do not
+    # raise: the second reads the IEEE quotient
     spec = make_spec(gamma=0.3, n0=0.0)
-    with pytest.raises(NumericError, match="underflows"):
-        _vartheta_all(spec, 10_000)
-    # the Toeplitz sums do not raise: the second reads the IEEE quotient
     rho_sum, theta_sum = toeplitz_weights(spec, 10_000)
     assert math.isfinite(rho_sum)
     assert math.isnan(theta_sum)
@@ -213,15 +213,28 @@ def test_report_csv_schema():
     assert text.endswith("\n")
 
 
-def test_report_json_mirrors_fields():
-    spec = load_fixture("thm1_poisson").spec
-    rep = report(spec, [10], 32)
-    payload = json.loads(rep.to_json())
-    row = payload["rows"][0]
-    for key in ("n", "tv", "mean_gap", "m2_gap", "bound", "toeplitz",
-                "condition_ratios"):
-        assert key in row
-    assert "m1_ratio" in row["condition_ratios"]
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_report_json_mirrors_fields(fixture_specs):
+    # one report per regime, and the steep rule's ratios, which divide by
+    # an underflowed 1 - rho_n. JSON (RFC 8259) has no NaN or Infinity, so
+    # a value that is not finite is null: pgf_gap in the PMF regimes,
+    # m2_gap in the product regime
+    for name, spec in _grid_specs(fixture_specs).items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # clamped immigration
+            rep = report(spec, [1, 10], 32, x_grid=(0.5,))
+        payload = json.loads(rep.to_json(), parse_constant=_no_constant)
+        for row, got in zip(rep.rows, payload["rows"]):
+            got.update(ratios := got.pop("condition_ratios"))
+            assert set(ratios) == set(asdict(row.ratios)), name
+            want = {**asdict(row), **asdict(row.ratios)}
+            assert set(got) == set(want) - {"ratios"} and None in got.values(), name
+            for key, value in got.items():
+                assert value == want[key] or (
+                    value is None and not math.isfinite(want[key])), (name, key)
 
 
 def test_report_product_regime_uses_pgf_gap():

@@ -29,7 +29,7 @@ from nearcrit.families import (
     ScenarioSpec,
     log_two_base,
 )
-from oracles import accompanying_eval, vartheta
+from oracles import accompanying_eval, sample_dense, vartheta
 
 CLOSED_FORMS = ("bernoulli", "quadratic", "linear_fractional")
 
@@ -120,7 +120,7 @@ def test_composed_eval_diagonal_and_bernoulli_affine():
 
 def test_composed_eval_matches_lf_closed_form():
     spec = make_spec("linear_fractional", nu=1.0)
-    alpha, beta = linfrac.composed_params_all(spec, 12)
+    alpha, beta = linfrac.interval_params(spec, [12])
     for j, x in ((0, 0.0), (3, 0.5), (11, 0.9)):
         assert engine.composed_eval_all(spec, 12, x)[j] == pytest.approx(
             linfrac.lf_value((alpha[j], beta[j]), x), abs=1e-12
@@ -199,7 +199,8 @@ def test_closed_forms_make_no_scalar_pgf_calls(monkeypatch, kind):
     monkeypatch.setattr(OffspringFamily, "pgf_at", counting)
     engine.composed_eval_all(spec, 300, 0.4)
     assert calls == []
-    diagnostics._vartheta_all(spec, 300)
+    s = linfrac.chain_logs(spec, 300)
+    diagnostics._chord_slopes(spec, np.exp(s[300] - s[1:]))
     assert len(calls) == 1
 
 
@@ -454,6 +455,24 @@ def test_simulate_sequence_equals_one_run_per_target(offspring, immigration):
         assert np.array_equal(law.coeffs, engine.simulate(spec, n, 20_000, seed=5).coeffs)
 
 
+@pytest.mark.parametrize("name", ["thm5_nb", "lf_crosscheck", "thm3_cp_finite"])
+def test_histograms_are_the_dense_sampler_draws(fixture_specs, name):
+    # every generation of the run is oracles.sample_dense's offspring draw
+    # and then its immigration draw on the same stream, so the sampler
+    # tests that run on that helper test this path
+    spec = fixture_specs[name]
+    rng = np.random.default_rng(11)
+    h = np.array([5000], dtype=np.int64)
+    for n, states, counts in engine._histograms(spec, 40, 5000, 11):
+        if n:
+            kids = sample_dense(spec.offspring, n, h, rng).sum(axis=0)
+            arrivals = sample_dense(spec.immigration, n, kids, rng)
+            old, new = arrivals.nonzero()  # state old + new, the counts exact in float
+            h = np.bincount(old + new, arrivals[old, new]).astype(np.int64)
+        assert np.array_equal(h.nonzero()[0], states) and np.array_equal(h[states], counts)
+    assert states.shape[0] > 5
+
+
 def test_simulate_memory_grows_with_the_states_not_their_square():
     # one immigrant cohort of 5000 a generation: states reach about 22 600,
     # and a dense states x totals matrix needs 1.7 GiB (15892 x 14345)
@@ -589,9 +608,9 @@ def test_wide_horner_is_the_short_product_horner_bit_for_bit(fixture_specs, name
     # Horner with one pgf._short_product per degree above 1
     spec = _four_term_spec() if name == "four_term_table" else fixture_specs[name]
     k, ns = 64, np.arange(300, 340)
-    g = spec.offspring.compose_back(np.arange(340, 400), np.array([0.0, 1.0]), k)[1]
+    g = spec.offspring.compose_back(np.arange(340, 400), np.array([0.0, 1.0]), k, [0])[1][0]
     assert g.shape == (k,)
-    maps, out = spec.offspring.compose_back(ns, g, k)
+    maps, (out,) = spec.offspring.compose_back(ns, g, k, [0])
     pad, want = np.zeros(2 * k - 1), [g]
     for p in spec.offspring.pmf(ns, k)[::-1].tolist():
         y = p[-1] * want[-1]
@@ -954,7 +973,8 @@ def test_quadratic_offspring_without_curvature_propagates_as_bernoulli():
     # nu = 0 leaves the quadratic rows an all-zero third column, which
     # compose_back drops, so both kinds take the affine route
     quad_spec = make_spec("quadratic", nu=0.0)
-    maps, _ = quad_spec.offspring.compose_back(np.arange(1, 257), np.array([0.0, 1.0]), 64)
+    maps, _ = quad_spec.offspring.compose_back(np.arange(1, 257), np.array([0.0, 1.0]), 64,
+                                               [0])
     assert maps.shape == (256, 2)
     for n, k in [(1400, 64), (300, 32), (1000, 128)]:
         quad = engine.propagate(quad_spec, n, k).pmf.coeffs
@@ -996,7 +1016,7 @@ def test_affine_maps_match_the_sequential_recurrence(table):
     off = CustomOffspring(table=table)
     ns = np.arange(200, 456)
     g = np.array([0.1, 0.7])
-    maps, out = off.compose_back(ns, g, 16)
+    maps, (out,) = off.compose_back(ns, g, 16, [0])
     rows = off.pmf(ns, 16).astype(np.longdouble)
     want = np.zeros((ns.shape[0] + 1, 2), dtype=np.longdouble)
     want[-1] = g
@@ -1016,7 +1036,7 @@ def test_poisson_cohorts_over_affine_maps_match_exp_series(width):
     rng = np.random.default_rng(1)
     maps = rng.uniform(0.0, 0.5, (ns.shape[0], 2))[:, :width]
     k = 48
-    got = imm.cohort_product(ns, maps, k)
+    (got,) = imm.cohort_product(ns, maps, k, [0])
     m = imm.m1.at(ns)
     expo = np.zeros(k)
     expo[:width] = m @ maps

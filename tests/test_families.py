@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import make_spec
-from nearcrit import engine, families, pgf, scenarios
+from nearcrit import diagnostics, engine, families, pgf, scenarios
 from nearcrit.errors import (NotADistributionError, NumericError,
-                             ScenarioValidationError)
+                             ScenarioValidationError, WrongRegimeError)
 from nearcrit.families import (
     FAMILIES,
     RATE_RULES,
@@ -34,7 +34,7 @@ from nearcrit.families import (
     log_two_base,
 )
 from nearcrit.linfrac import LinearFractional
-from oracles import lf_pmf_coeffs
+from oracles import lf_pmf_coeffs, sample_dense
 
 
 def test_power_sum_parse_and_eval():
@@ -190,7 +190,7 @@ def test_quadratic_window_clamped_params_stay_probabilities():
         assert np.all(p1 >= 0.0) and np.all(p0 + p2 <= 1.0)
         assert np.all(p1[nu > ns - 1] == 0.0)  # nu > rho_n/(1 - rho_n)
         for n in range(1, int(nu) + 3):
-            fam.sample(n, np.array([3, 1, 0, 2]), np.random.default_rng(n))
+            sample_dense(fam, n, np.array([3, 1, 0, 2]), np.random.default_rng(n))
 
 
 def test_pgf_normalized_and_mean_matches_across_families():
@@ -418,6 +418,24 @@ def test_classify_with_poisson_immigration():
     assert (law.r, law.p) == (2.0, pytest.approx(1.0 / 3.0))
 
 
+@pytest.mark.parametrize("nu", [0.0, 1.0])
+@pytest.mark.parametrize("imm", [
+    PoissonImmigration(m1=PowerSum.parse("1*(n+1)^-1")),
+    CustomImmigration(m1=PowerSum.parse("1*(n+1)^-1"), base=(0.0, 0.5, 0.5)),
+], ids=["poisson", "custom"])
+def test_classify_custom_offspring_names_the_missing_rho_rule(imm, nu):
+    # m_{n,2}/(1 - rho_n) -> 0 is decided against a rho rule; a table has none
+    spec = ScenarioSpec(offspring=CustomOffspring(table=lambda n: np.array([0.1, 0.9])),
+                        immigration=imm, lam=1.0, nu=nu, divergent=True)
+    law = classify(spec)
+    assert isinstance(law, OutsideScope) and "no rho rule" in law.reason
+    with pytest.raises(WrongRegimeError, match="no rho rule"):
+        diagnostics.report(spec, [10], 16)
+    # Bernoulli immigration has m_{n,2} = 0, which needs no rule
+    bern = dataclasses.replace(spec, immigration=BernoulliImmigration(m1=imm.m1), nu=0.0)
+    assert classify(bern) == PoissonLimit(1.0)
+
+
 def test_declared_moment_ratio_limits(fixture_specs):
     seq = fixture_specs["thm3_cp_finite"]  # lambda_seq = 2,1,0
     assert [seq.lambda_l(l) for l in (1, 2, 3, 4)] == [2.0, 1.0, 0.0, 0.0]
@@ -587,7 +605,7 @@ OFFSPRING_STARTS = {"bernoulli_q03_s40": WIDE_START}
 def test_offspring_sampler_draws_the_exact_one_step_law(case):
     fam, n = OFFSPRING_CASES[case]
     start = OFFSPRING_STARTS.get(case, START)
-    out = fam.sample(n, start.copy(), np.random.default_rng([5, n]))
+    out = sample_dense(fam, n, start.copy(), np.random.default_rng([5, n]))
     law = fam.pmf(n, 200)
     assert law.deficiency < 1e-12
     assert _split_pvalue(out, start, _power_law(law.coeffs)) > P_FLOOR
@@ -609,7 +627,7 @@ def test_offspring_sampler_draws_childless_parents_at_a_tiny_rate(kind, nu):
     # G_1(0) of the LF law with mean rho and G''(1) = nu delta; delta at nu = 0
     expected = 2.0**62 * delta * (2.0 * rho + nu) / (2.0 * rho + nu * delta)
     # 200 draws: the LF bias of 1 - p (26 of 2 075) is then 8 sd of the mean
-    counts = [fam.sample(1, TINY_START.copy(), np.random.default_rng(seed))[1, 0]
+    counts = [sample_dense(fam, 1, TINY_START.copy(), np.random.default_rng(seed))[1, 0]
               for seed in range(200)]
     # each count is Binomial(2^62, p) with variance expected (1 - p)
     assert abs(np.mean(counts) - expected) <= 5.0 * math.sqrt(expected / 200)
@@ -619,7 +637,7 @@ def test_quadratic_clamped_generation_has_no_single_children():
     fam, n = OFFSPRING_CASES["quadratic_clamped"]
     p0, p1, p2 = fam.params(n)
     assert p1 == 0.0 and p0 + p2 == 1.0
-    out = fam.sample(n, START.copy(), np.random.default_rng(3))
+    out = sample_dense(fam, n, START.copy(), np.random.default_rng(3))
     assert np.array_equal(out.sum(axis=1), START)
     assert not np.any(out[:, 1::2])
 
@@ -627,7 +645,7 @@ def test_quadratic_clamped_generation_has_no_single_children():
 def test_bernoulli_offspring_all_die_when_rho_is_zero(fixture_specs):
     fam = fixture_specs["thm4_log2"].offspring
     assert float(fam.rho_rule.rho(1)) == 0.0
-    out = fam.sample(1, START.copy(), np.random.default_rng(1))
+    out = sample_dense(fam, 1, START.copy(), np.random.default_rng(1))
     assert out.shape == (START.shape[0], 1) and np.array_equal(out[:, 0], START)
 
 
@@ -637,8 +655,8 @@ def test_bernoulli_offspring_samples_as_the_nu_zero_quadratic(c, n0, n):
     bern = _offspring("bernoulli", c=c, n0=n0)
     quad = _offspring("quadratic", c=c, n0=n0, nu=0.0)
     for seed in range(3):
-        assert np.array_equal(bern.sample(n, START.copy(), np.random.default_rng(seed)),
-                              quad.sample(n, START.copy(), np.random.default_rng(seed)))
+        assert np.array_equal(sample_dense(bern, n, START.copy(), np.random.default_rng(seed)),
+                              sample_dense(quad, n, START.copy(), np.random.default_rng(seed)))
 
 
 @pytest.mark.parametrize("kind, nu", [("bernoulli", 0.0), ("quadratic", 1.0)])
@@ -647,7 +665,7 @@ def test_offspring_sampler_when_one_minus_rho_underflows(kind, nu):
     # twos stage (probability p2/(p0 + p2)) must not divide 0 by 0
     fam = _offspring(kind, gamma=400.0, nu=nu)
     assert float(fam.one_minus_rho(10)) == 0.0
-    out = fam.sample(10, START.copy(), np.random.default_rng(4))
+    out = sample_dense(fam, 10, START.copy(), np.random.default_rng(4))
     assert np.array_equal(np.diagonal(out), START[: out.shape[1]])
     assert out.sum() == START.sum()
 
@@ -677,10 +695,10 @@ def test_start_offset_beyond_the_float_range_is_a_numeric_error():
 def test_offspring_sampler_on_empty_population(case):
     fam, n = OFFSPRING_CASES[case]
     # 50 trajectories without parents have no children
-    out = fam.sample(n, np.array([50]), np.random.default_rng(1))
+    out = sample_dense(fam, n, np.array([50]), np.random.default_rng(1))
     assert np.array_equal(out, [[50]])
     # no trajectories at all: every row is empty
-    out = fam.sample(n, np.zeros(4, dtype=np.int64), np.random.default_rng(1))
+    out = sample_dense(fam, n, np.zeros(4, dtype=np.int64), np.random.default_rng(1))
     assert out.shape == (4, 1) and not np.any(out)
 
 
@@ -709,7 +727,7 @@ IMMIGRATION_CASES = {
 @pytest.mark.parametrize("case", sorted(IMMIGRATION_CASES))
 def test_immigration_sampler_draws_the_exact_law(case):
     imm, n = IMMIGRATION_CASES[case]
-    out = imm.sample(n, START.copy(), np.random.default_rng([7, n]))
+    out = sample_dense(imm, n, START.copy(), np.random.default_rng([7, n]))
     law = imm.pmf(n, 64)
     assert law.deficiency < 1e-12
     assert _split_pvalue(out, START, lambda s: law.coeffs) > P_FLOOR
@@ -718,14 +736,14 @@ def test_immigration_sampler_draws_the_exact_law(case):
 @pytest.mark.parametrize("kind", ["bernoulli", "poisson", "custom"])
 def test_immigration_sampler_with_zero_rate(kind):
     imm = _immigration(kind, "0", [0.0, 0.0, 1.0] if kind == "custom" else None)
-    out = imm.sample(4, START.copy(), np.random.default_rng(2))
+    out = sample_dense(imm, 4, START.copy(), np.random.default_rng(2))
     assert np.array_equal(out[:, 0], START) and not np.any(out[:, 1:])
 
 
 def test_mixture_weight_above_one_is_rejected_by_sampler_and_pmf():
     imm = _immigration("custom", "5*(n+1)^-1", [0.0, 0.0, 1.0])
     for call in (lambda: imm.pmf(1, 8),
-                 lambda: imm.sample(1, np.array([10]), np.random.default_rng(0))):
+                 lambda: sample_dense(imm, 1, np.array([10]), np.random.default_rng(0))):
         with pytest.raises(ScenarioValidationError, match="mixture weight 1.25"):
             call()
 
@@ -760,7 +778,7 @@ def test_binomial_split_handles_large_states():
     h[[3, 1100]] = [7, 4000]
     rng = np.random.default_rng(4)
     fam = _offspring("bernoulli", c=0.5, n0=0.0)  # q = 1/2 at n = 1
-    out = fam.sample(1, h, rng)
+    out = sample_dense(fam, 1, h, rng)
     assert np.array_equal(out.sum(axis=1), h)
     assert _split_pvalue(out, h, lambda s: stats.binom.pmf(np.arange(s + 1), s, 0.5)
                          ) > P_FLOOR

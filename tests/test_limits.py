@@ -145,11 +145,10 @@ def test_cp_intensity_series_divergence_signal():
 
 
 def test_log_series_intensity_values():
-    assert limits.log_series_intensity(1) == pytest.approx(math.log(2.0), abs=1e-15)
-    assert limits.log_series_intensity(2) == pytest.approx(
-        (math.log(2.0) - 0.5) / 2.0, abs=1e-15
-    )
-    vals = [limits.log_series_intensity(j) for j in range(1, 65)]
+    # mu{j}, the last atom of the measure cut at j
+    vals = [float(limits.log_series_measure(j).atoms[-1]) for j in range(1, 65)]
+    assert vals[0] == pytest.approx(math.log(2.0), abs=1e-15)
+    assert vals[1] == pytest.approx((math.log(2.0) - 0.5) / 2.0, abs=1e-15)
     assert all(v > 0 for v in vals)
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -160,7 +159,7 @@ def test_log_series_atoms_match_exact_tail_sums():
     measure = limits.log_series_measure(64)
     for j in range(1, 65):
         exact = sum(Fraction(1, k * 2**k) for k in range(j, j + 150)) / j
-        for got in (measure.atoms[j - 1], limits.log_series_intensity(j)):
+        for got in (measure.atoms[j - 1], limits.log_series_measure(j).atoms[-1]):
             assert abs(Fraction(got) - exact) <= Fraction(1, 10**15) * exact
 
 

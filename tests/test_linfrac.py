@@ -87,13 +87,13 @@ def test_composition_closure_property(outer, inner):
 
 def test_composed_map_at_the_diagonal_is_identity():
     spec = make_spec("linear_fractional", nu=1.0)
-    alpha, beta = linfrac.composed_params_all(spec, 7)
+    alpha, beta = linfrac.interval_params(spec, [7])
     assert (alpha[7], beta[7]) == (1.0, 0.0)
 
 
 def test_composed_map_bernoulli_collapses_to_chain_product():
     spec = make_spec("bernoulli")
-    alpha, beta = linfrac.composed_params_all(spec, 9)
+    alpha, beta = linfrac.interval_params(spec, [9])
     assert beta[2] == pytest.approx(0.0, abs=1e-15)
     assert alpha[2] == pytest.approx(linfrac.chain_product(spec, 2, 9), abs=1e-12)
 
@@ -104,7 +104,7 @@ def test_composed_map_matches_compose_fold():
     folded = LinearFractional(1.0, 0.0)  # identity map
     for l in range(n, j, -1):
         folded = lf_compose(spec.offspring.lf_params(l), folded)
-    alpha, beta = linfrac.composed_params_all(spec, n)
+    alpha, beta = linfrac.interval_params(spec, [n])
     assert alpha[j] == pytest.approx(folded.alpha, abs=1e-12)
     assert beta[j] == pytest.approx(folded.beta, abs=1e-12)
 
@@ -112,7 +112,7 @@ def test_composed_map_matches_compose_fold():
 def test_composed_map_rejects_other_families():
     spec = make_spec("quadratic", nu=1.0)
     with pytest.raises(UnsupportedFamilyError):
-        linfrac.composed_params_all(spec, 4)
+        linfrac.interval_params(spec, [4])
 
 
 def test_generation_pgf_first_step_is_immigration():
@@ -265,7 +265,7 @@ def test_composed_deriv_quadratic_two_step_hand_sum():
 def test_composed_deriv_matches_lf_closed_form():
     spec = make_spec("linear_fractional", nu=1.0)
     j, n = 2, 20
-    alpha, beta = linfrac.composed_params_all(spec, n)
+    alpha, beta = linfrac.interval_params(spec, [n])
     par = LinearFractional(alpha[j], beta[j])
     prof = composed_deriv_profile(spec, n, 4)
     for k in (1, 2, 3, 4):
@@ -353,7 +353,7 @@ def test_composed_params_partial_fraction_form():
     # beta = T/(1+T)
     spec = make_spec("linear_fractional", nu=1.0)
     n = 40
-    alpha, beta = linfrac.composed_params_all(spec, n)
+    alpha, beta = linfrac.interval_params(spec, [n])
     s = linfrac.chain_logs(spec, n)
     for j in (1, 5, 20, 39):
         big_t = sum(
