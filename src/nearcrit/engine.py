@@ -55,10 +55,10 @@ MIN_BLOCK = 256
 
 def block_length(spec: ScenarioSpec, k: int) -> int:
     """Generations per block of :func:`_sweep` at truncation ``k``: CELLS
-    over the widest row the block builds, the composed maps or the cohort
-    terms, whose widths the family classes give; at least MIN_BLOCK."""
-    maps = spec.offspring.map_width(k)
-    widest = max(maps, spec.immigration.term_width(maps, k))
+    over the widest row the block builds, the cohort terms' width, which
+    the immigration class gives over the offspring class's map width and
+    is never below it; at least MIN_BLOCK."""
+    widest = spec.immigration.term_width(spec.offspring.map_width(k), k)
     return max(MIN_BLOCK, CELLS // widest)
 
 
@@ -82,15 +82,17 @@ def _sweep(spec: ScenarioSpec, tops: list, k: int) -> list:
 
     One backward sweep over generations N = tops[-1], ..., 1 in blocks of
     :func:`block_length` serves every interval: the targets cut each block
-    into pieces, and the family tables of a block are fetched and
-    validated once. Its composed maps Gbar_{j+1,b} come, for every piece at
-    once, from the offspring law's ``_block_maps``: the closed form
-    (linear-fractional), one segmented scan (affine maps under binomial
-    thinning) or one Horner pass that restarts from x at each target (the
-    other polynomial kinds); the top piece continues the map carried down
-    from the block above. The cohort terms H_j(Gbar_{j+1,b}) are built once
-    per block and :func:`pgf.product` multiplies each piece; a piece whose
-    interval goes on below the block passes its map and product down.
+    into pieces, listed once per block as row bounds (lo, hi) that every
+    step of the block reads, and the family tables of a block are fetched
+    and validated once. Its composed maps Gbar_{j+1,b} come, for every
+    piece at once, from the offspring law's ``_block_maps``: the closed
+    form (linear-fractional), one segmented scan (affine maps under
+    binomial thinning) or one Horner pass that restarts from x at each
+    target (the other polynomial kinds); the top piece continues the map
+    carried down from the block above. The cohort terms H_j(Gbar_{j+1,b})
+    are built once per block and :func:`pgf.product` multiplies each piece;
+    a piece whose interval goes on below the block passes its map and
+    product down.
     """
     imm, block_maps = spec.immigration, spec.offspring._block_maps(spec, tops, k)
     length = block_length(spec, k)
@@ -103,9 +105,10 @@ def _sweep(spec: ScenarioSpec, tops: list, k: int) -> list:
         ns = np.arange(lo + 1, hi + 1)
         # a piece starts at each generation right above a target
         inner = tops[bisect.bisect_right(tops, lo) : bisect.bisect_left(tops, hi)]
-        starts = [0] + [t - lo for t in inner]
-        maps, outs = block_maps(ns, g, starts)
-        parts = imm.cohort_product(ns, maps, k, starts)
+        cuts = [0] + [t - lo for t in inner] + [hi - lo]
+        pieces = list(zip(cuts, cuts[1:]))
+        maps, outs = block_maps(ns, g, pieces)
+        parts = imm.cohort_product(ns, maps, k, pieces)
         if cohorts.shape[0] == parts[-1].shape[0] == k:
             parts[-1] = pgf._short_product(pad, cohorts, parts[-1])
         else:

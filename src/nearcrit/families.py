@@ -18,15 +18,14 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
 from . import pgf
 from .errors import NumericError, ScenarioValidationError
-from .linfrac import (LinearFractional, interval_params, lf_alpha_beta, lf_deriv_at_1,
-                      lf_value)
+from .linfrac import interval_params, lf_alpha_beta, lf_deriv_at_1, lf_value
 
 _NUM = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _TERM_RE = re.compile(
@@ -294,10 +293,10 @@ class OffspringFamily(metaclass=_ByName):
     takes only the fields it reads and is named ``kind`` in scenario files.
 
     Each kind gives its closed form G_n(x) = pgf_formula(params(n), x) and
-    G_n''(1) = ``second_deriv(n)``. The base serves the kinds with a rho
-    rule, whose parameters come from the unrounded 1 - rho_n, never from
-    1 - rho_n rounded through rho_n; a custom table overrides ``mean``,
-    ``one_minus_rho`` and ``params``.
+    its derivatives at 1, ``deriv_at_1(n, s)``. The base serves the kinds
+    with a rho rule, whose parameters come from the unrounded 1 - rho_n,
+    never from 1 - rho_n rounded through rho_n; a custom table overrides
+    ``mean``, ``one_minus_rho`` and ``params``.
     """
 
     role = "offspring"
@@ -318,9 +317,6 @@ class OffspringFamily(metaclass=_ByName):
         """Closed-form parameters of G_n; maps over arrays of generations."""
         return self._params(self.rho_rule.one_minus_rho(ns))
 
-    def second_deriv(self, n):
-        return self._higher_deriv(n, 2)
-
     def deriv_at_1(self, n, s: int):
         """s-th derivative of G_n at 1; maps over arrays of generations, a
         scalar n gives a float."""
@@ -328,9 +324,6 @@ class OffspringFamily(metaclass=_ByName):
             raise ValueError("derivative order must be >= 1")
         vals = self.mean(n) if s == 1 else self._higher_deriv(n, s)
         return float(vals) if np.ndim(n) == 0 else np.asarray(vals, dtype=float)
-
-    def lf_params(self, n: int) -> LinearFractional:
-        raise ScenarioValidationError(f"{self.kind} offspring has no LF parameters")
 
     def pgf_at(self, n, x):
         """G_n(x); convex, nondecreasing, G_n(1) = 1.
@@ -358,17 +351,17 @@ class OffspringFamily(metaclass=_ByName):
         # the parameters are the coefficients
         return pgf.coeff_table(np.stack(self.params(ns), axis=1)[:, :k_trunc])
 
-    def compose_back(self, ns, g, k_trunc: int, starts):
+    def compose_back(self, ns, g, k_trunc: int, pieces):
         """Apply the maps of generations ``ns`` (ascending) to series, last
         generation first, in pieces; polynomial kinds only.
 
-        ``starts`` (ascending row indices, the first 0) splits ``ns`` into
-        consecutive pieces: the top piece is applied to the series ``g``,
-        every other piece to the identity x. Returns ``(maps, outs)``:
+        ``pieces`` holds the row bounds (lo, hi) of consecutive pieces that
+        cover ``ns``: the top piece is applied to the series ``g``, every
+        other piece to the identity x. Returns ``(maps, outs)``:
         maps[i] = G_{ns[i]+1} o ... o G_{top of its piece} o (g or x), so
         the top row of a piece holds g or x itself, zero-padded to a common
-        width; and outs[p] = G_{ns[starts[p]]} o maps[starts[p]], the whole
-        piece composed. Each G_n is its ``pmf`` row truncated at
+        width; and outs[p] = G_{ns[lo]} o maps[lo] for piece p = (lo, hi),
+        the whole piece composed. Each G_n is its ``pmf`` row truncated at
         ``k_trunc``, without the block's all-zero top columns, applied by
         Horner with one product per degree above 1: ``np.convolve``
         (:func:`_poly_series`) while the map is narrower than ``k_trunc``,
@@ -383,11 +376,9 @@ class OffspringFamily(metaclass=_ByName):
         # a zero top column (quadratic with nu = 0) would only add width
         used = np.flatnonzero(rows.any(axis=0))
         rows = rows[:, : used[-1] + 1 if used.size else 1]
-        count = rows.shape[0]
-        pieces = pgf._pieces(starts, count)
         if rows.shape[1] <= 2 and g.shape[0] <= 2:
             return _affine_scan(rows, g, pieces, min(2, k_trunc))
-        maps = np.zeros((count, k_trunc))
+        maps = np.zeros((rows.shape[0], k_trunc))
         width = 1
         coefs = rows.tolist()
         tail, times = pgf._short_products(np.zeros(2 * k_trunc - 1), k_trunc)
@@ -425,9 +416,9 @@ class OffspringFamily(metaclass=_ByName):
         return k_trunc
 
     def _block_maps(self, spec, tops, k_trunc: int) -> Callable:
-        """f(ns, g, starts) -> (maps, outs) of one block of ``engine._sweep``:
+        """f(ns, g, pieces) -> (maps, outs) of one block of ``engine._sweep``:
         :meth:`compose_back` onto the series g the sweep carries down."""
-        return lambda ns, g, starts: self.compose_back(ns, g, k_trunc, starts)
+        return lambda ns, g, pieces: self.compose_back(ns, g, k_trunc, pieces)
 
     def _check(self) -> None:
         """The first hard check of :meth:`ScenarioSpec.validate`."""
@@ -534,14 +525,11 @@ class LinearFractionalOffspring(OffspringFamily):
     def _params(self, delta):
         return lf_alpha_beta(1.0 - delta, self.nu * delta)
 
-    def second_deriv(self, n):
-        return self.nu * self.one_minus_rho(n)
-
     def _higher_deriv(self, n, s: int):
+        # G_n''(1) is the rule value, which the parameters carry to rounding
+        if s == 2:
+            return self.nu * self.one_minus_rho(n)
         return lf_deriv_at_1(self.params(n), s)
-
-    def lf_params(self, n: int) -> LinearFractional:
-        return LinearFractional(*(float(v) for v in self.params(n)))
 
     def _rows(self, ns, k_trunc: int) -> np.ndarray:
         return lf_coeffs(*self.params(ns), k_trunc)
@@ -554,8 +542,8 @@ class LinearFractionalOffspring(OffspringFamily):
         cohort_alpha, cohort_beta = alpha.copy(), beta.copy()
         cohort_alpha[tops], cohort_beta[tops] = 1.0, 0.0
 
-        def block(ns, g, starts):
-            bottoms = [int(ns[0]) - 1 + i for i in starts]
+        def block(ns, g, pieces):
+            bottoms = [int(ns[0]) - 1 + lo for lo, _ in pieces]
             return (lf_coeffs(cohort_alpha[ns], cohort_beta[ns], k_trunc),
                     list(lf_coeffs(alpha[bottoms], beta[bottoms], k_trunc)))
 
@@ -906,13 +894,14 @@ class ImmigrationFamily(metaclass=_ByName):
         raw[:, 0] += 1.0 - w
         return raw
 
-    def cohort_product(self, ns, maps, k_trunc: int, starts):
-        """prod_i H_{ns[i]}(maps[i]) truncated at ``k_trunc``, at the clamped
-        rates; ``maps`` holds one coefficient series per generation.
+    def cohort_product(self, ns, maps, k_trunc: int, pieces):
+        """prod_i H_{ns[i]}(maps[i]) over each piece, truncated at
+        ``k_trunc``, at the clamped rates; ``maps`` holds one coefficient
+        series per generation.
 
-        ``starts`` (ascending row indices, the first 0) splits the rows into
-        consecutive pieces and gives the list of the pieces' products; the
-        terms are built once for all rows.
+        ``pieces`` holds the row bounds (lo, hi) of consecutive pieces that
+        cover the rows, and the list of the pieces' products comes back;
+        the terms are built once for all rows.
 
         * a mixture over affine maps g0 + g1 x and a base law wider than 2:
           H = 1 - w + w B, with B(g0 + g1 x) for all rows from one matrix
@@ -938,7 +927,7 @@ class ImmigrationFamily(metaclass=_ByName):
                 terms[:, 0] += rows[:, 0]
             else:
                 terms = [pgf.compound(r, g, k_trunc) for r, g in zip(rows, maps)]
-        return pgf.product(terms, k_trunc, starts)
+        return pgf.product(terms, k_trunc, pieces)
 
     def term_width(self, map_width: int, k_trunc: int) -> int:
         """Columns of the cohort terms that :meth:`cohort_product` builds
@@ -988,14 +977,13 @@ class PoissonImmigration(ImmigrationFamily):
     def _rows(self, ns, k_trunc: int) -> np.ndarray:
         return pgf.poisson_coeffs(self.m1.at(ns), k_trunc)
 
-    def cohort_product(self, ns, maps, k_trunc: int, starts):
-        """The exponent sum_i m_i (maps_i - 1): over affine maps it is
-        A + lam x, with lam = sum_i m_i g1_i, and the product is e^(A + lam)
-        times the Poisson(lam) coefficients; over wider maps it goes
-        through one :func:`pgf.exp_series` per piece. The exponent's
+    def cohort_product(self, ns, maps, k_trunc: int, pieces):
+        """The exponent sum_i m_i (maps_i - 1) of each piece: over affine
+        maps it is A + lam x, with lam = sum_i m_i g1_i, and the product is
+        e^(A + lam) times the Poisson(lam) coefficients; over wider maps it
+        goes through one :func:`pgf.exp_series` per piece. The exponent's
         constant only scales the result."""
         m = self.m1.at(ns)
-        pieces = pgf._pieces(starts, len(ns))
         if maps.shape[1] <= 2:
             lam, scale = np.zeros(len(pieces)), np.zeros(len(pieces))
             for p, (lo, hi) in enumerate(pieces):
@@ -1259,12 +1247,6 @@ class ScenarioSpec:
             return math.factorial(l - 1) / l
         return self.lam if l == 1 else 0.0
 
-    def lambda_over_factorial(self, l: int) -> float:
-        """lambda_l / l!, computed stably for the log-series rule."""
-        if self.lambda_rule == "log_series":
-            return 1.0 / l**2
-        return self.lambda_l(l) / math.factorial(l)
-
     def validate(self) -> list[str]:
         """Hard checks raise; soft mismatches come back as warnings."""
         off, imm = self.offspring, self.immigration
@@ -1301,7 +1283,7 @@ class ScenarioSpec:
                     f"declared lambda={self.lam:g} vs rule value {lam_at_n:.4g} "
                     f"at n={n} (>10% off)"
                 )
-            g2 = float(off.second_deriv(n))
+            g2 = off.deriv_at_1(n, 2)
             nu_at_n = g2 / delta
             if self.nu > 0 and abs(nu_at_n - self.nu) > 0.1 * self.nu:
                 notes.append(
@@ -1377,7 +1359,7 @@ def condition_ratios(spec: ScenarioSpec, n):
     with np.errstate(divide="ignore", invalid="ignore"):
         cols = (imm.factorial_moment_at(ns, 1) / delta,
                 imm.factorial_moment_at(ns, 2) / delta,
-                off.second_deriv(ns) / delta,
+                off.deriv_at_1(ns, 2) / delta,
                 off.deriv_at_1(ns, 3) / delta,
                 np.array([np.sum(one_minus[:k]) for k in ns.tolist()]))
     rows = tuple(ConditionRatios(*row) for row in zip(*(c.tolist() for c in cols)))

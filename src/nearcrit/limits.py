@@ -394,7 +394,7 @@ def _head_maps(spec: ScenarioSpec, terms: tuple, rho, tol: float) -> Callable:
             spec, n, 1.0 - math.exp(-lam(n)) * v / (1.0 + c_n * v))[1 : head + 1]
     # C_j = sum_{j<l<=N} a_l rho_[l,inf] + C_N, a_l = G_l''(1)/(2 rho_l)
     ls = np.arange(2, n + 1)
-    a = off.second_deriv(ls) / (2 * off.mean(ls))
+    a = off.deriv_at_1(ls, 2) / (2 * off.mean(ls))
     a_rho = a * np.exp(_log_rho(off, n, lam(n))[1:])
     c = np.concatenate([np.cumsum(a_rho[::-1])[::-1], [0.0]])[:head] + c_n
     return lambda v: 1.0 - rho * v / (1.0 + c * v)

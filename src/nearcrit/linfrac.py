@@ -142,7 +142,7 @@ def interval_params(spec: "ScenarioSpec", tops):
         return alpha, beta
     s = chain_logs(spec, top)
     ns = np.arange(1, top + 1)
-    g2, rho = spec.offspring.second_deriv(ns), spec.offspring.mean(ns)
+    g2, rho = spec.offspring.deriv_at_1(ns, 2), spec.offspring.mean(ns)
     for a, b in zip([0, *tops[:-1]], tops):
         al, be = _composed_params(s, g2, rho, int(a), int(b))
         alpha[a:b], beta[a:b] = al[:-1], be[:-1]

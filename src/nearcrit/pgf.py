@@ -12,6 +12,7 @@ operations on it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -329,21 +330,11 @@ def _pair_level(t: np.ndarray, k_trunc: int) -> np.ndarray:
     return np.einsum("ri,rli->rl", t[0::2, ::-1], win)
 
 
-def _pieces(starts, count: int) -> list:
-    """Row bounds (lo, hi) of the consecutive pieces into which ``starts``
-    (ascending row indices, the first 0) cuts ``count`` rows; None gives
-    one piece."""
-    cuts = [0] if starts is None else [int(i) for i in starts]
-    return list(zip(cuts, cuts[1:] + [count]))
-
-
-def product(terms, k_trunc: int, starts=None):
-    """Coefficients of the product of the series in the rows of ``terms``,
-    truncated at ``k_trunc``; no rows give the series 1.
-
-    ``starts`` (ascending row indices, the first 0) splits the rows into
-    consecutive pieces and gives the list of the pieces' products, one per
-    piece, each computed as that piece alone would be.
+def product(terms, k_trunc: int, pieces):
+    """Products of the series in the rows of ``terms``, one per piece,
+    truncated at ``k_trunc``: ``pieces`` holds the row bounds (lo, hi) of
+    consecutive pieces from row 0 on, and each product is computed as that
+    piece alone would be; a piece of no rows gives the series 1.
 
     While at least ``_PAIR_ROWS`` rows of pieces with two or more rows
     remain, none wider than ``_PAIR_WIDTH``, they are multiplied in pairs
@@ -363,7 +354,7 @@ def product(terms, k_trunc: int, starts=None):
     nonnegative operands, exact up to rounding.
     """
     t = np.asarray(terms, dtype=float)
-    sizes = [hi - lo for lo, hi in _pieces(starts, t.shape[0])]
+    sizes = [hi - lo for lo, hi in pieces]
 
     def pairing() -> bool:
         return (t.shape[1] <= _PAIR_WIDTH
@@ -375,19 +366,11 @@ def product(terms, k_trunc: int, starts=None):
         # double that stays far below float64's own rounding
         t = t.astype(np.longdouble)
         while pairing():
-            if any(z % 2 for z in sizes):
-                # each odd piece gets the series 1 after its last row
-                slots, at = [], 0
-                for z in sizes:
-                    slots.extend(range(at, at + z))
-                    at += z + z % 2
-                padded = np.zeros((at, t.shape[1]), dtype=t.dtype)
-                padded[:, 0] = 1.0
-                padded[slots] = t
-                t = padded
-                sizes = [z + z % 2 for z in sizes]
+            ends = [e for e, z in zip(itertools.accumulate(sizes), sizes) if z % 2]
+            if ends:  # each odd piece gets the series 1 after its last row
+                t = np.insert(t, ends, np.eye(1, t.shape[1]), axis=0)
             t = _pair_level(t, k_trunc)
-            sizes = [z // 2 for z in sizes]
+            sizes = [(z + 1) // 2 for z in sizes]
         t = t.astype(float)
     wide = t.shape[1] > _PAIR_WIDTH
     if wide:  # the rows reversed once, for one correlate per short product
@@ -404,7 +387,7 @@ def product(terms, k_trunc: int, starts=None):
                 acc = np.convolve(acc, t[i])[:k_trunc]
         out.append(acc)
         lo += size
-    return out if starts is not None else out[0]
+    return out
 
 
 def evaluate(p: Pmf, x: float) -> float:

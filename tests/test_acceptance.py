@@ -124,12 +124,13 @@ def test_criterion_5_limit_constructors_cross_checks():
         )
         ok_nb = ok_nb and tv <= 1e-9
 
-    spec = load_fixture("thm4_log2").spec
+    # lambda_l / l! of the fixture's log-series rule, lambda_l = (l - 1)!/l
+    assert load_fixture("thm4_log2").spec.lambda_rule == "log_series"
     atoms = limits.log_series_measure(64)
     worst = max(
         abs(
             atoms.pgf_at(x)
-            - general_limit_pgf(spec.lambda_over_factorial, x, tol=1e-10)
+            - general_limit_pgf(lambda l: 1.0 / l**2, x, tol=1e-10)
         )
         for x in X_GRID_11
     )

@@ -131,7 +131,7 @@ def test_vartheta_bounded_by_rho_and_curvature():
         theta = vartheta(spec, j, n)
         rho_j = float(spec.offspring.rho_rule.rho(j))
         assert 0.0 < theta <= rho_j + 1e-15
-        slack = chain_product(spec, j, n) * float(spec.offspring.second_deriv(j))
+        slack = chain_product(spec, j, n) * spec.offspring.deriv_at_1(j, 2)
         assert rho_j - theta <= slack + 1e-12
 
 

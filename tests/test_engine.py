@@ -21,7 +21,6 @@ from nearcrit.families import (
     BernoulliImmigration,
     CustomImmigration,
     CustomOffspring,
-    ImmigrationFamily,
     OffspringFamily,
     PoissonImmigration,
     PowerSum,
@@ -608,9 +607,10 @@ def test_wide_horner_is_the_short_product_horner_bit_for_bit(fixture_specs, name
     # Horner with one pgf._short_product per degree above 1
     spec = _four_term_spec() if name == "four_term_table" else fixture_specs[name]
     k, ns = 64, np.arange(300, 340)
-    g = spec.offspring.compose_back(np.arange(340, 400), np.array([0.0, 1.0]), k, [0])[1][0]
+    g = spec.offspring.compose_back(np.arange(340, 400), np.array([0.0, 1.0]), k,
+                                    [(0, 60)])[1][0]
     assert g.shape == (k,)
-    maps, (out,) = spec.offspring.compose_back(ns, g, k, [0])
+    maps, (out,) = spec.offspring.compose_back(ns, g, k, [(0, ns.shape[0])])
     pad, want = np.zeros(2 * k - 1), [g]
     for p in spec.offspring.pmf(ns, k)[::-1].tolist():
         y = p[-1] * want[-1]
@@ -923,7 +923,7 @@ def test_block_maps_are_no_wider_than_the_block_rule_assumes(name):
     # the width that sizes a block bounds the maps its sweep builds
     spec, k = _SWEEP_SPECS[name], 16
     block = spec.offspring._block_maps(spec, [300], k)
-    maps, _ = block(np.arange(1, 301), np.array([0.0, 1.0]), [0, 100])
+    maps, _ = block(np.arange(1, 301), np.array([0.0, 1.0]), [(0, 100), (100, 300)])
     assert maps.shape[1] <= spec.offspring.map_width(k)
 
 
@@ -974,7 +974,7 @@ def test_quadratic_offspring_without_curvature_propagates_as_bernoulli():
     # compose_back drops, so both kinds take the affine route
     quad_spec = make_spec("quadratic", nu=0.0)
     maps, _ = quad_spec.offspring.compose_back(np.arange(1, 257), np.array([0.0, 1.0]), 64,
-                                               [0])
+                                               [(0, 256)])
     assert maps.shape == (256, 2)
     for n, k in [(1400, 64), (300, 32), (1000, 128)]:
         quad = engine.propagate(quad_spec, n, k).pmf.coeffs
@@ -1016,7 +1016,7 @@ def test_affine_maps_match_the_sequential_recurrence(table):
     off = CustomOffspring(table=table)
     ns = np.arange(200, 456)
     g = np.array([0.1, 0.7])
-    maps, (out,) = off.compose_back(ns, g, 16, [0])
+    maps, (out,) = off.compose_back(ns, g, 16, [(0, ns.shape[0])])
     rows = off.pmf(ns, 16).astype(np.longdouble)
     want = np.zeros((ns.shape[0] + 1, 2), dtype=np.longdouble)
     want[-1] = g
@@ -1036,7 +1036,7 @@ def test_poisson_cohorts_over_affine_maps_match_exp_series(width):
     rng = np.random.default_rng(1)
     maps = rng.uniform(0.0, 0.5, (ns.shape[0], 2))[:, :width]
     k = 48
-    (got,) = imm.cohort_product(ns, maps, k, [0])
+    (got,) = imm.cohort_product(ns, maps, k, [(0, ns.shape[0])])
     m = imm.m1.at(ns)
     expo = np.zeros(k)
     expo[:width] = m @ maps

@@ -33,7 +33,7 @@ from nearcrit.families import (
     condition_ratios,
     log_two_base,
 )
-from nearcrit.linfrac import LinearFractional
+from nearcrit.linfrac import LinearFractional, lf_deriv_at_1
 from oracles import lf_pmf_coeffs, sample_dense
 
 
@@ -128,13 +128,23 @@ def test_lf_curvature_from_unrounded_one_minus_rho():
     assert fam.deriv_at_1(n, 2) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def test_lf_second_derivative_is_the_rule_value():
+    # G_n''(1) = nu (1 - rho_n) bit for bit, the value the closed form,
+    # the diagnostics and the product law read; the parameters give it
+    # back only to rounding. Higher orders come from the parameters.
+    fam = make_spec("linear_fractional", nu=1.3).offspring
+    ns = np.arange(1, 2001)
+    assert fam.deriv_at_1(ns, 2).tobytes() == (fam.nu * fam.one_minus_rho(ns)).tobytes()
+    assert fam.deriv_at_1(ns, 3).tobytes() == lf_deriv_at_1(fam.params(ns), 3).tobytes()
+
+
 def test_lf_known_parameter_pair():
     # d1 = 0.9, d2 = 0.2 inverts to alpha = 0.729, beta = 0.1, whose
     # derivatives at 1 are 0.9 and 0.2 again.
     fam = LinearFractionalOffspring(
         rho_rule=RhoRule(c=1.0, gamma=1.0, n0=9.0), nu=2.0
     )
-    par = fam.lf_params(1)  # rho_1 = 0.9, G'' = 2*(1-0.9) = 0.2
+    par = LinearFractional(*map(float, fam.params(1)))  # rho_1 = 0.9, G'' = 2*(1-0.9) = 0.2
     assert par.alpha == pytest.approx(0.729, abs=1e-15)
     assert par.beta == pytest.approx(0.1, abs=1e-15)
     assert par.deriv_at_1(1) == pytest.approx(0.9, abs=1e-12)
@@ -145,7 +155,7 @@ def test_lf_pmf_is_geometric():
     fam = LinearFractionalOffspring(
         rho_rule=RhoRule(c=1.0, gamma=1.0, n0=1.0), nu=1.0
     )
-    par = fam.lf_params(3)
+    par = LinearFractional(*map(float, fam.params(3)))
     p = fam.pmf(3, 30)
     ks = np.arange(1, 30)
     assert np.max(
@@ -172,7 +182,7 @@ def test_quadratic_window_clamps_early_generations():
         rho_rule=RhoRule(c=1.0, gamma=1.0, n0=0.0), nu=2.0
     )
     # rho_1 = 0 forces G_1''(1) = 0; admissibility starts later
-    assert float(fam.second_deriv(1)) == 0.0
+    assert fam.deriv_at_1(1, 2) == 0.0
     assert fam.start_offset() > 1
     p = fam.pmf(1, 3)
     assert np.all(p.coeffs >= 0)
@@ -265,7 +275,7 @@ def test_custom_moments_come_from_the_table_columns():
                            for n in ns.flat]).reshape(ns.shape) for k in (1, 2, 3)}
     assert np.max(np.abs(fam.mean(ns) - by_pmf[1])) <= 1e-15
     assert np.max(np.abs(fam.one_minus_rho(ns) - (1.0 - by_pmf[1]))) <= 1e-15
-    assert np.max(np.abs(fam.second_deriv(ns) - by_pmf[2])) <= 1e-15
+    assert np.max(np.abs(fam.deriv_at_1(ns, 2) - by_pmf[2])) <= 1e-15
     for n in (1, 2, 3, 17):
         for s, k in ((1, 1), (2, 2), (3, 3)):
             assert abs(fam.deriv_at_1(n, s) - by_pmf[k].flat[n - 1]) <= 1e-15
@@ -439,10 +449,8 @@ def test_classify_custom_offspring_names_the_missing_rho_rule(imm, nu):
 def test_declared_moment_ratio_limits(fixture_specs):
     seq = fixture_specs["thm3_cp_finite"]  # lambda_seq = 2,1,0
     assert [seq.lambda_l(l) for l in (1, 2, 3, 4)] == [2.0, 1.0, 0.0, 0.0]
-    assert seq.lambda_over_factorial(2) == 0.5
     plain = fixture_specs["thm1_poisson"]  # lambda = 2, no sequence or rule
     assert [plain.lambda_l(l) for l in (1, 2)] == [2.0, 0.0]
-    assert [plain.lambda_over_factorial(l) for l in (1, 2)] == [2.0, 0.0]
     with pytest.raises(ValueError):
         plain.lambda_l(0)
 
@@ -680,7 +688,7 @@ def test_start_offset_is_the_first_generation_outside_the_clamp(c, gamma, n0, nu
     fam = _offspring("quadratic", c=c, gamma=gamma, n0=n0, nu=nu)
     start = fam.start_offset()
     for n in range(1, start + 20):
-        clamped = fam.second_deriv(n) < nu * fam.one_minus_rho(n)
+        clamped = fam.deriv_at_1(n, 2) < nu * fam.one_minus_rho(n)
         assert clamped == (n < start)
 
 
@@ -829,7 +837,7 @@ def test_lf_rows_match_the_geometric_oracle():
         assert np.array_equal(row, lf_pmf_coeffs(LinearFractional(a, b), 64))
         # the scalar parameter rule differs from the array rule by an ulp in
         # (alpha, beta), which p_k = alpha beta^(k-1) scales by at most k
-        want = lf_pmf_coeffs(fam.lf_params(int(n)), 64)
+        want = lf_pmf_coeffs(LinearFractional(*map(float, fam.params(int(n)))), 64)
         assert np.all(np.abs(row - want) <= 64 * 4 * np.finfo(float).eps * want)
 
 

@@ -166,10 +166,11 @@ def test_log_series_atoms_match_exact_tail_sums():
 def test_log_series_paths_agree_on_grid():
     # compound Poisson atoms versus direct centered-series evaluation
     measure = limits.log_series_measure(64)
-    spec = load_fixture("thm4_log2").spec
+    # lambda_l / l! of the fixture's log-series rule, lambda_l = (l - 1)!/l
+    assert load_fixture("thm4_log2").spec.lambda_rule == "log_series"
     for x in np.arange(0.0, 1.0, 0.1):
         a = measure.pgf_at(float(x))
-        b = general_limit_pgf(spec.lambda_over_factorial, float(x), tol=1e-10)
+        b = general_limit_pgf(lambda l: 1.0 / l**2, float(x), tol=1e-10)
         assert a == pytest.approx(b, abs=1e-8)
 
 

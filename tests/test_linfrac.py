@@ -103,7 +103,7 @@ def test_composed_map_matches_compose_fold():
     j, n = 3, 6
     folded = LinearFractional(1.0, 0.0)  # identity map
     for l in range(n, j, -1):
-        folded = lf_compose(spec.offspring.lf_params(l), folded)
+        folded = lf_compose(LinearFractional(*map(float, spec.offspring.params(l))), folded)
     alpha, beta = linfrac.interval_params(spec, [n])
     assert alpha[j] == pytest.approx(folded.alpha, abs=1e-12)
     assert beta[j] == pytest.approx(folded.beta, abs=1e-12)
@@ -255,7 +255,7 @@ def test_composed_deriv_quadratic_two_step_hand_sum():
     spec = make_spec("quadratic", nu=1.0)
     j, n = 4, 6
     rho = [float(spec.offspring.rho_rule.rho(l)) for l in range(0, n + 1)]
-    g2 = [float(spec.offspring.second_deriv(l)) for l in range(0, n + 1)]
+    g2 = [spec.offspring.deriv_at_1(l, 2) for l in range(0, n + 1)]
     # sum_i G_i''(1) rho_[j,i-1] rho_[i,n]^2 over i = j+1..n
     want = g2[5] * 1.0 * (rho[6]) ** 2 + g2[6] * rho[5] * 1.0
     got = composed_deriv_profile(spec, n, 2)[j, 1]

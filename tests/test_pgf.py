@@ -455,7 +455,7 @@ def test_product_matches_a_running_convolution(width, rows):
     want = np.ones(1)
     for row in terms:
         want = np.convolve(want, row)[:k]
-    got = pgf.product(terms, k)
+    (got,) = pgf.product(terms, k, [(0, rows)])
     assert got.shape == want.shape
     assert float(np.max(np.abs(got - want) / want)) <= 1e-14
 
@@ -496,11 +496,38 @@ def test_product_of_wide_rows_is_a_running_short_product_bit_for_bit(width):
             want = pgf._short_product(pad, want, row)
         else:
             want = np.convolve(want, row)[:k]
-    assert pgf.product(t, k).tobytes() == want.tobytes()
+    (got,) = pgf.product(t, k, [(0, t.shape[0])])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("width", [2, 5, 40])
+def test_product_of_pieces_matches_a_running_convolution_per_piece(width):
+    # pieces of 1, 2, 5, 16 and 33 rows and one of none: widths 2 and 5 are
+    # multiplied in paired long-double levels across the pieces, where each
+    # odd piece gets a unit row, and width 40 by running short products; a
+    # level widens a short piece's product by exact zeros
+    k = _PRODUCT_K
+    sizes = [1, 2, 5, 0, 16, 33]
+    cuts = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    pieces = list(zip(cuts, cuts[1:]))
+    rng = np.random.default_rng(width)
+    decay = 10.0 ** (-200.0 * np.arange(width) / (k - 1))
+    terms = rng.uniform(0.5, 1.0, (cuts[-1], width)) * decay
+    got = pgf.product(terms, k, pieces)
+    assert len(got) == len(pieces)
+    for (lo, hi), piece in zip(pieces, got):
+        want = np.ones(1)
+        for row in terms[lo:hi]:
+            want = np.convolve(want, row)[:k]
+        assert not piece[want.shape[0]:].any()
+        rel = np.abs(piece[: want.shape[0]] - want) / want
+        assert float(rel.max()) <= 1e-14, (lo, hi)
+    assert got[sizes.index(0)].tolist() == [1.0]
 
 
 def test_product_of_no_rows_is_one():
-    assert pgf.product(np.zeros((0, 3)), 8).tolist() == [1.0]
+    (got,) = pgf.product(np.zeros((0, 3)), 8, [(0, 0)])
+    assert got.tolist() == [1.0]
 
 
 def test_compound_at_large_k_matches_horner():

@@ -95,7 +95,8 @@ def test_quadratic_window_opening_late_is_found_and_noted():
     start = sf.spec.offspring.start_offset()
     assert abs(start - 2001**2) <= 1
     assert f"quadratic window clamps generations below n={start}" in sf.notes
-    g2, delta = sf.spec.offspring.second_deriv, sf.spec.offspring.one_minus_rho
+    off = sf.spec.offspring
+    g2, delta = (lambda n: off.deriv_at_1(n, 2)), off.one_minus_rho
     assert g2(start) == 2000 * delta(start)
     assert g2(start - 1) < 2000 * delta(start - 1)
 
