@@ -90,15 +90,17 @@ def _sweep(spec: ScenarioSpec, tops: list, k: int) -> list:
     binomial thinning) or one Horner pass that restarts from x at each
     target (the other polynomial kinds); the top piece continues the map
     carried down from the block above. The cohort terms H_j(Gbar_{j+1,b})
-    are built once per block and :func:`pgf.product` multiplies each piece;
-    a piece whose interval goes on below the block passes its map and
-    product down.
+    are built once per block and :func:`pgf.product` multiplies each piece,
+    K wide; one short product multiplies the top piece's product into the
+    one carried down, which starts as the series 1. A piece whose interval
+    goes on below the block passes its map and product down.
     """
     imm, block_maps = spec.immigration, spec.offspring._block_maps(spec, tops, k)
     length = block_length(spec, k)
     identity = np.array([0.0, 1.0])[:k]  # Gbar_{b+1,b}(x) = x
-    g, cohorts = identity, np.ones(1)
-    pad = np.zeros(2 * k - 1)
+    unit = np.eye(1, k)[0]  # the empty product of cohorts, K wide
+    g, cohorts = identity, unit
+    tail, times = pgf._short_products(k)
     closed = []
     for hi in range(tops[-1], 0, -length):
         lo = max(0, hi - length)
@@ -109,14 +111,12 @@ def _sweep(spec: ScenarioSpec, tops: list, k: int) -> list:
         pieces = list(zip(cuts, cuts[1:]))
         maps, outs = block_maps(ns, g, pieces)
         parts = imm.cohort_product(ns, maps, k, pieces)
-        if cohorts.shape[0] == parts[-1].shape[0] == k:
-            parts[-1] = pgf._short_product(pad, cohorts, parts[-1])
-        else:
-            parts[-1] = np.convolve(cohorts, parts[-1])[:k]
+        tail[:] = cohorts
+        parts[-1] = times(parts[-1][::-1])
         closed.extend(zip(outs[:0:-1], parts[:0:-1]))
         if lo == 0 or lo in tops:
             closed.append((outs[0], parts[0]))
-            g, cohorts = identity, np.ones(1)
+            g, cohorts = identity, unit
         else:
             g, cohorts = outs[0], parts[0]
     return closed[::-1]

@@ -174,25 +174,6 @@ class RhoRule:
 # offspring
 
 
-def _poly_series(p: list, g, k_trunc: int) -> np.ndarray:
-    """Series of sum_i p[i] g^i truncated at ``k_trunc``, by Horner from the
-    top coefficient with one ``np.convolve`` by g per degree above 1: the
-    steps of :meth:`OffspringFamily.compose_back` that need no short
-    product, while g is narrower than ``k_trunc`` or the row has degree
-    below 2.
-
-    ``p`` holds Python floats, so scaling g by them makes no NumPy scalar.
-    """
-    if len(p) == 1:
-        return np.array(p)
-    y = p[-1] * g
-    y[0] += p[-2]
-    for c in p[-3::-1]:
-        y = np.convolve(y, g)[:k_trunc]
-        y[0] += c
-    return y
-
-
 def _affine_scan(rows: np.ndarray, g: np.ndarray, pieces: list, width: int):
     """:meth:`OffspringFamily.compose_back` for rows (p0, p1) and an affine
     ``g``: the pieces (lo, hi) of rows, the top one over g and the others
@@ -223,10 +204,11 @@ def _affine_scan(rows: np.ndarray, g: np.ndarray, pieces: list, width: int):
     span = 1
     while span <= longest:
         keep = order[: np.searchsorted(gap, span)]
-        held = cols[:, keep]
+        held = cols[:, keep] if keep.size else None
         a[:-span] = a[:-span] + s[:-span] * a[span:]
         s[:-span] = s[:-span] * s[span:]
-        cols[:, keep] = held
+        if keep.size:
+            cols[:, keep] = held
         span *= 2
     maps = cols[:width, 1:].T.astype(float)
     maps[[hi - 1 for _, hi in pieces[:-1]]] = np.array([0.0, 1.0])[:width]  # x
@@ -359,42 +341,42 @@ class OffspringFamily(metaclass=_ByName):
         cover ``ns``: the top piece is applied to the series ``g``, every
         other piece to the identity x. Returns ``(maps, outs)``:
         maps[i] = G_{ns[i]+1} o ... o G_{top of its piece} o (g or x), so
-        the top row of a piece holds g or x itself, zero-padded to a common
-        width; and outs[p] = G_{ns[lo]} o maps[lo] for piece p = (lo, hi),
-        the whole piece composed. Each G_n is its ``pmf`` row truncated at
-        ``k_trunc``, without the block's all-zero top columns, applied by
-        Horner with one product per degree above 1: ``np.convolve``
-        (:func:`_poly_series`) while the map is narrower than ``k_trunc``,
-        and once it is that wide a short product on one pad per block
+        the top row of a piece holds g or x itself; and
+        outs[p] = G_{ns[lo]} o maps[lo] for piece p = (lo, hi), the whole
+        piece composed. Each G_n is its ``pmf`` row truncated at
+        ``k_trunc``, without the block's all-zero top columns. Under rows of
+        width 2 an affine ``g`` stays affine, and one segmented scan
+        composes the (p0, p1) pairs of all pieces into 2-wide maps.
+        Otherwise every series is ``k_trunc`` wide, g and x zero-padded
+        from a piece's first generation on, and G_n is applied by Horner
+        with one short product per degree above 1 on one pad per block
         (``pgf._short_products``), which forms only the kept coefficients;
-        every term is a sum of products of nonnegative coefficients,
-        so nothing below ``k_trunc`` is lost. Under rows of width 2 an
-        affine ``g`` stays affine, and one segmented scan composes the
-        (p0, p1) pairs of all pieces.
+        a row of degree at most 1 takes none. Every term is a sum of
+        products of nonnegative coefficients, so nothing below ``k_trunc``
+        is lost.
         """
         rows = self.pmf(ns, k_trunc)
-        # a zero top column (quadratic with nu = 0) would only add width
+        # a zero top column (quadratic with nu = 0) would only add degree
         used = np.flatnonzero(rows.any(axis=0))
         rows = rows[:, : used[-1] + 1 if used.size else 1]
         if rows.shape[1] <= 2 and g.shape[0] <= 2:
             return _affine_scan(rows, g, pieces, min(2, k_trunc))
         maps = np.zeros((rows.shape[0], k_trunc))
-        width = 1
         coefs = rows.tolist()
-        tail, times = pgf._short_products(np.zeros(2 * k_trunc - 1), k_trunc)
+        tail, times = pgf._short_products(k_trunc)
+        x = np.eye(1, k_trunc, 1)[0]
+        g = np.append(g, np.zeros(k_trunc - g.shape[0]))
         outs = []
         for lo, hi in pieces[::-1]:
             for i in range(hi - 1, lo - 1, -1):
                 p = coefs[i]
-                if g.shape[0] < k_trunc or len(p) < 3:
-                    maps[i, : g.shape[0]] = g
-                    width = max(width, g.shape[0])
-                    g = _poly_series(p, g, k_trunc)
-                    continue
-                # Horner on the K-wide g: p_d g + p_{d-1} formed in the pad's
-                # tail, then one short product by g per lower coefficient
                 maps[i] = g
-                width = k_trunc
+                if len(p) < 3:  # degree at most 1: no product
+                    g = p[-1] * g if len(p) == 2 else np.zeros(k_trunc)
+                    g[0] += p[0]
+                    continue
+                # Horner on g: p_d g + p_{d-1} formed in the pad's tail, then
+                # one short product by g per lower coefficient
                 rev = g[::-1]
                 np.multiply(g, p[-1], out=tail)
                 tail[0] += p[-2]
@@ -404,8 +386,8 @@ class OffspringFamily(metaclass=_ByName):
                 g = times(rev)
                 g[0] += p[0]
             outs.append(g)
-            g = np.array([0.0, 1.0])[:k_trunc]
-        return maps[:, :width], outs[::-1]
+            g = x
+        return maps, outs[::-1]
 
     def map_width(self, k_trunc: int) -> int:
         """Columns of the composed maps of one block of ``engine._sweep``,
@@ -635,7 +617,7 @@ class CustomOffspring(OffspringFamily):
         # the s-fold convolution of the table for s parents
         laws = [np.ones(1)]
         for _ in range(int(states.max(initial=0))):
-            laws.append(np.convolve(laws[-1], probs))
+            laws.append(pgf.convolve(laws[-1], probs, len(laws[-1]) + len(probs) - 1))
         rows = np.zeros((states.shape[0], laws[-1].shape[0]))
         for i, s in enumerate(states):
             rows[i, : laws[s].shape[0]] = laws[s]

@@ -10,6 +10,7 @@ cross-checks.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -169,28 +170,43 @@ def _centered_cut(c_rule: Callable[[int], float], k_trunc: int, tol: float,
     """(0, c_1, ..., c_L): the centered series sum_l c_l (x-1)^l, cut for
     its x-basis coefficients below x^``k_trunc``.
 
-    The term c_l (x-1)^l moves coefficient k by |c_l| C(l, k), so the series
-    ends at the first l with |c_l| max_{k < k_trunc} C(l, k) below tol/100,
-    or at the first c_l = 0: by the cascade rule a vanished moment ratio
-    never reappears, and a nonzero c_{l+1} after c_l = 0 (l >= 2) raises
-    the ValueError of that rule, as :func:`cp_intensity_finite` does. The
-    test looks at that one term and trusts the rest to be smaller. No cut
-    within ``l_cap`` terms, or a term that overflows, raises
+    The term c_l (x-1)^l moves coefficient k by |c_l| C(l, k). The series
+    ends at the first L whose term and the L terms after it each move no
+    coefficient by tol/100, |c_l| max_{k < k_trunc} C(l, k) < tol/100 for
+    l = L, ..., 2L, so a small term among larger ones does not end it. The
+    check stops early at a term the rule cannot give as a float (lambda_l
+    or l! beyond the float range); the terms beyond that one, or beyond 2L,
+    are trusted to stay below. The series also ends at the first c_l = 0:
+    by the cascade rule a vanished moment ratio never reappears, and a
+    nonzero c_{l+1} after c_l = 0 (l >= 2) raises the ValueError of that
+    rule, as :func:`cp_intensity_finite` does. No cut within ``l_cap``
+    terms, or a kept term that overflows, raises
     :class:`SeriesDivergenceError`.
     """
     log_target = math.log(tol * 1e-2)
     coeffs = [0.0]
+
+    def term(l: int) -> float:
+        while len(coeffs) <= l:
+            coeffs.append(_term(c_rule, len(coeffs)))
+        return coeffs[l]
+
+    def small(l: int) -> bool:
+        c = coeffs[l]
+        return c == 0.0 or math.log(abs(c)) + _max_binom_log(l, k_trunc) < log_target
+
     for l in range(1, l_cap + 1):
-        c = _term(c_rule, l)
-        if not math.isfinite(c):
+        if not math.isfinite(term(l)):
             raise SeriesDivergenceError(f"centered coefficient c_{l} overflows")
-        coeffs.append(c)
-        if c == 0.0:
+        if coeffs[l] == 0.0:
             if l >= 2 and _term(c_rule, l + 1) != 0.0:
                 raise ValueError(cascade_fault(l, l + 1))
-            return np.array(coeffs)
-        if math.log(abs(c)) + _max_binom_log(l, k_trunc) < log_target:
-            return np.array(coeffs)
+            return np.array(coeffs[: l + 1])
+        # the terms l..2l, up to the first the rule cannot give as a float
+        checked = itertools.takewhile(lambda m: math.isfinite(term(m)),
+                                      range(l, 2 * l + 1))
+        if all(small(m) for m in checked):
+            return np.array(coeffs[: l + 1])
     raise SeriesDivergenceError(
         f"centered coefficients do not truncate within {l_cap} terms "
         f"for {k_trunc} output columns"
@@ -209,12 +225,12 @@ def general_limit_pmf(c_rule: Callable[[int], float], k_trunc: int,
                       tol: float = 1e-10, l_cap: int = 10_000) -> pgf.Pmf:
     """PMF of the law with PGF exp{sum_l c_l (x-1)^l}, c_l = lambda_l / l!.
 
-    The series is cut by :func:`_centered_cut`: at the first term that
-    moves none of the ``k_trunc`` output columns by tol/100, or at the first
-    c_l = 0. No cut within ``l_cap`` terms, or a term that overflows,
-    raises :class:`SeriesDivergenceError`. A negative output coefficient
-    signals that the sequence does not define a distribution at this
-    truncation.
+    The series is cut by :func:`_centered_cut`: at the first term L that,
+    with each of the L terms after it, moves none of the ``k_trunc`` output
+    columns by tol/100, or at the first c_l = 0. No cut within ``l_cap``
+    terms, or a term that overflows, raises :class:`SeriesDivergenceError`.
+    A negative output coefficient signals that the sequence does not define
+    a distribution at this truncation.
     """
     c = _centered_cut(c_rule, k_trunc, tol, l_cap)
     return pgf.exp_centered(pgf.CenteredSeries(c), k_trunc)

@@ -164,43 +164,25 @@ def convolve(a, b, k_trunc: int):
     return _as_given(out, a)
 
 
-def _short_product(pad: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.convolve(a, b)[:K]`` forming only the K kept coefficients, the
+def _short_products(k: int):
+    """``(tail, times)`` for a loop of products of series ``k`` wide, each
+    forming only the k kept coefficients of np.convolve(a, b)[:k], the
     "short product" of Mulders (AAECC 11, 2000).
 
-    ``pad`` is a zero-filled scratch vector of length len(b) - 1 + K,
-    allocated by the caller once for a loop of products against operands of
-    b's width. Each call writes ``a`` into its last K entries, cut at K or
-    zero-filled up to it, and correlates the pad with b reversed, so
-    coefficient l is sum_j a_{l-j} b_j, with exact zeros for the terms
-    beyond either series. ``np.convolve`` forms all len(a) + len(b) - 1
-    coefficients and the slice drops K - 1 of them: for K-wide operands
-    this takes 2.2 against 2.9 µs at K = 64, 4.3 against 5.8 µs at K = 128
-    and 9.9 against 11.1 µs at K = 256 (NumPy 2.4, 2-core x86-64 Xeon).
-    Allocating the pad inside would cost that gain again, and a narrow b
-    gains little, so callers keep narrow operands on ``np.convolve``.
+    ``tail`` is the last k entries of a zero-filled pad of length 2k - 1. A
+    loop writes its series a into ``tail`` (or forms it there, as with
+    ``np.multiply(..., out=tail)``), and ``times(r)``, r the other operand
+    b reversed, correlates the pad with r: coefficient l is
+    sum_j a_{l-j} b_j. Every operand of the propagation route is
+    zero-padded to k, which adds only exact zeros. ``np.convolve`` forms
+    all 2k - 1 coefficients and the slice drops k - 1 of them: this takes
+    2.2 against 2.9 µs at k = 64, 4.3 against 5.8 µs at k = 128 and 9.9
+    against 11.1 µs at k = 256 (NumPy 2.4, 2-core x86-64 Xeon). A loop that
+    reverses its operands once makes one ``np.correlate`` per product and
+    no Python frame.
     """
-    tail, times = _short_products(pad, pad.shape[0] - b.shape[0] + 1)
-    if a.shape[0] == tail.shape[0]:  # the running K-wide series of every caller
-        tail[:] = a
-    else:
-        w = min(a.shape[0], tail.shape[0])
-        tail[:w] = a[:w]
-        tail[w:] = 0.0
-    return times(b[::-1])
-
-
-def _short_products(pad: np.ndarray, k: int):
-    """:func:`_short_product` bound to ``pad`` for a loop of products:
-    ``(tail, times)``, with ``tail`` the last ``k`` entries of the pad.
-
-    A loop writes its K-wide series a into ``tail`` (or forms it there, as
-    with ``np.multiply(..., out=tail)``), and ``times(r)``, r the other
-    operand b reversed, returns np.convolve(a, b)[:K] exactly as
-    :func:`_short_product` forms it. A loop that reverses its operands once
-    per block makes one ``np.correlate`` per product and no Python frame.
-    """
-    return pad[pad.shape[0] - k :], functools.partial(np.correlate, pad)
+    pad = np.zeros(2 * k - 1)
+    return pad[k - 1 :], functools.partial(np.correlate, pad)
 
 
 @functools.lru_cache(maxsize=8)
@@ -268,20 +250,20 @@ def compound(count, jump, k_trunc: int):
     1973): with s = ceil(sqrt(top)), the powers J^0..J^s take s - 1
     convolutions, one matrix product forms the blocks
     B_b = sum_{i<s} count_{bs+i} J^i, and Horner in J^s combines them in
-    ceil(top/s) - 1 more; a product of two ``k_trunc``-wide series is a
-    :func:`_short_product`. Each output coefficient below ``k_trunc`` is a sum
-    of products of nonnegative operands, so it carries only rounding error,
-    relative to its own size, of a few ulps per operation on its path; the
-    one loss is the mass beyond ``k_trunc``, which lands in the deficiency
-    and is never renormalized.
+    ceil(top/s) - 1 more, each a short product (:func:`_short_products`) on
+    the jump zero-padded to ``k_trunc``. Each output coefficient below
+    ``k_trunc`` is a sum of products of nonnegative operands, so it carries
+    only rounding error, relative to its own size, of a few ulps per
+    operation on its path; the one loss is the mass beyond ``k_trunc``,
+    which lands in the deficiency and is never renormalized.
 
     Operands and result follow :func:`convolve`: a :class:`Pmf` ``count``
     gives a validated :class:`Pmf` out, a vector gives a vector out.
     """
     if k_trunc <= 0:
         raise ValueError("truncation length must be positive")
-    cw, jc = _coeffs(count), _coeffs(jump)[:k_trunc]
-    thinned = affine_compose(cw, jc[None, :]) if jc.shape[0] <= 2 else None
+    cw, j = _coeffs(count), _coeffs(jump)[:k_trunc]
+    thinned = affine_compose(cw, j[None, :]) if j.shape[0] <= 2 else None
     if thinned is not None:
         out = np.zeros(k_trunc)
         out[: min(cw.shape[0], k_trunc)] = thinned[0, :k_trunc]
@@ -290,25 +272,22 @@ def compound(count, jump, k_trunc: int):
     top = int(nonzero[-1]) + 1 if nonzero.size else 1
     s = math.isqrt(top - 1) + 1
     q = -(-top // s)
-    powers = np.zeros((s, k_trunc))
+    tail, times = _short_products(k_trunc)
+    powers = np.zeros((s + 1, k_trunc))  # J^0 .. J^s
     powers[0, 0] = 1.0
-    pad = np.zeros(2 * k_trunc - 1)
-    giant = jc
-    for i in range(1, s):
-        powers[i, : giant.shape[0]] = giant
-        if jc.shape[0] == k_trunc:
-            giant = _short_product(pad, giant, jc)
-        else:
-            giant = np.convolve(giant, jc)[:k_trunc]
+    powers[1, : j.shape[0]] = j
+    rev = powers[1, ::-1].copy()
+    for i in range(2, s + 1):
+        tail[:] = powers[i - 1]
+        powers[i] = times(rev)
     kept = np.zeros(q * s)
     kept[:top] = cw[:top]
-    blocks = kept.reshape(q, s) @ powers
+    blocks = kept.reshape(q, s) @ powers[:s]
+    giant = powers[s, ::-1].copy()
     out = blocks[q - 1]
     for b in range(q - 2, -1, -1):
-        if giant.shape[0] == k_trunc:
-            out = _short_product(pad, out, giant) + blocks[b]
-        else:
-            out = np.convolve(out, giant)[:k_trunc] + blocks[b]
+        tail[:] = out
+        out = times(giant) + blocks[b]
     return _as_given(out, count)
 
 
@@ -332,9 +311,10 @@ def _pair_level(t: np.ndarray, k_trunc: int) -> np.ndarray:
 
 def product(terms, k_trunc: int, pieces):
     """Products of the series in the rows of ``terms``, one per piece,
-    truncated at ``k_trunc``: ``pieces`` holds the row bounds (lo, hi) of
-    consecutive pieces from row 0 on, and each product is computed as that
-    piece alone would be; a piece of no rows gives the series 1.
+    truncated at ``k_trunc`` and ``k_trunc`` wide: ``pieces`` holds the row
+    bounds (lo, hi) of consecutive pieces from row 0 on, and each product
+    is computed as that piece alone would be; a piece of no rows gives the
+    series 1.
 
     While at least ``_PAIR_ROWS`` rows of pieces with two or more rows
     remain, none wider than ``_PAIR_WIDTH``, they are multiplied in pairs
@@ -342,16 +322,14 @@ def product(terms, k_trunc: int, pieces):
     each level halves every piece and about doubles the width; a piece of
     odd length is first padded with the series 1, which moves no
     coefficient. The rest of each piece is multiplied into a running
-    product, one row at a time: a row wider than ``_PAIR_WIDTH`` by a
-    short product once the product is ``k_trunc`` wide (the rows reversed
-    once, then per row one copy into a pad and one ``np.correlate``, see
-    :func:`_short_products`), a narrower one (or while the product grows)
-    by ``np.convolve``. A level of narrow rows costs about as much as five
-    convolutions and saves one per pair, but its multiply-adds grow with
-    the square of the width: 256 rows of width 2 take 5 levels and 8
-    convolutions, while 64-wide rows take one product each, as a running
-    product would. Either way each coefficient is a sum of products of
-    nonnegative operands, exact up to rounding.
+    product, one short product per row (:func:`_short_products`): the
+    rows zero-padded to ``k_trunc`` and reversed once, then per row one
+    copy into the pad and one ``np.correlate``. A level of narrow rows is
+    a few vectorized passes and saves one short product per pair, but its
+    multiply-adds grow with the square of the width: 256 rows of width 2
+    take 5 levels and 8 short products, while 64-wide rows take one short
+    product each. Either way each coefficient is a sum of
+    products of nonnegative operands, exact up to rounding.
     """
     t = np.asarray(terms, dtype=float)
     sizes = [hi - lo for lo, hi in pieces]
@@ -371,21 +349,17 @@ def product(terms, k_trunc: int, pieces):
                 t = np.insert(t, ends, np.eye(1, t.shape[1]), axis=0)
             t = _pair_level(t, k_trunc)
             sizes = [(z + 1) // 2 for z in sizes]
-        t = t.astype(float)
-    wide = t.shape[1] > _PAIR_WIDTH
-    if wide:  # the rows reversed once, for one correlate per short product
-        tail, times = _short_products(np.zeros(t.shape[1] - 1 + k_trunc), k_trunc)
-        rev = t[:, ::-1].copy()
+    w = min(t.shape[1], k_trunc)
+    # the rows zero-padded and reversed, back in float64
+    rev = np.zeros((t.shape[0], k_trunc))
+    rev[:, k_trunc - w :] = t[:, w - 1 :: -1]
+    tail, times = _short_products(k_trunc)
     out, lo = [], 0
     for size in sizes:
-        acc = t[lo, :k_trunc].copy() if size else np.ones(1)
+        tail[:] = rev[lo, ::-1] if size else np.eye(1, k_trunc)[0]
         for i in range(lo + 1, lo + size):
-            if wide and acc.shape[0] == k_trunc:
-                tail[:] = acc
-                acc = times(rev[i])
-            else:
-                acc = np.convolve(acc, t[i])[:k_trunc]
-        out.append(acc)
+            tail[:] = times(rev[i])
+        out.append(tail.copy())
         lo += size
     return out
 

@@ -600,27 +600,53 @@ def _four_term_spec():
                         divergent=True)
 
 
+def _short_product_horner(rows, g, k):
+    """The series G_n o ... o g for each generation of ``rows``, last first:
+    Horner on ``g`` zero-padded to ``k``, with one short product per degree
+    above 1."""
+    tail, times = pgf._short_products(k)
+    want = [np.append(g, np.zeros(k - g.shape[0]))]
+    for p in rows[::-1].tolist():
+        y = p[-1] * want[-1]
+        y[0] += p[-2]
+        for c in p[-3::-1]:
+            tail[:] = y
+            y = times(want[-1][::-1])
+            y[0] += c
+        want.append(y)
+    return want
+
+
 @pytest.mark.parametrize("name", ["thm5_nb", "four_term_table"])
 def test_wide_horner_is_the_short_product_horner_bit_for_bit(fixture_specs, name):
-    # once the map is K wide, compose_back forms p_d g + p_{d-1} in the pad
-    # and makes one correlate per lower coefficient: the arithmetic of
-    # Horner with one pgf._short_product per degree above 1
+    # compose_back forms p_d g + p_{d-1} in the pad and makes one correlate
+    # per lower coefficient: the arithmetic of Horner with one short
+    # product per degree above 1
     spec = _four_term_spec() if name == "four_term_table" else fixture_specs[name]
     k, ns = 64, np.arange(300, 340)
     g = spec.offspring.compose_back(np.arange(340, 400), np.array([0.0, 1.0]), k,
                                     [(0, 60)])[1][0]
     assert g.shape == (k,)
     maps, (out,) = spec.offspring.compose_back(ns, g, k, [(0, ns.shape[0])])
-    pad, want = np.zeros(2 * k - 1), [g]
-    for p in spec.offspring.pmf(ns, k)[::-1].tolist():
-        y = p[-1] * want[-1]
-        y[0] += p[-2]
-        for c in p[-3::-1]:
-            y = pgf._short_product(pad, y, want[-1])
-            y[0] += c
-        want.append(y)
+    want = _short_product_horner(spec.offspring.pmf(ns, k), g, k)
     assert maps.tobytes() == np.array(want[-2::-1]).tobytes()
     assert out.tobytes() == want[-1].tobytes()
+
+
+@pytest.mark.parametrize("name", ["thm5_nb", "four_term_table"])
+def test_horner_from_x_is_the_short_product_horner_bit_for_bit(fixture_specs, name):
+    # a piece that starts at x, while the composed map is narrower than K:
+    # x is zero-padded to K, and every generation is the same Horner as on
+    # a K-wide map; the lower piece restarts from x
+    spec = _four_term_spec() if name == "four_term_table" else fixture_specs[name]
+    k, ns = 64, np.arange(300, 310)
+    maps, outs = spec.offspring.compose_back(ns, np.array([0.0, 1.0]), k,
+                                             [(0, 4), (4, 10)])
+    rows, x = spec.offspring.pmf(ns, k), np.array([0.0, 1.0])
+    top, low = _short_product_horner(rows[4:], x, k), _short_product_horner(rows[:4], x, k)
+    assert np.count_nonzero(top[3]) < k  # still narrower than K there
+    assert maps.tobytes() == np.array(low[-2::-1] + top[-2::-1]).tobytes()
+    assert [o.tobytes() for o in outs] == [low[-1].tobytes(), top[-1].tobytes()]
 
 
 @pytest.mark.parametrize("name", ["thm5_nb", "four_term_table", "lf_crosscheck"])

@@ -137,6 +137,18 @@ def test_cp_intensity_series_applies_the_cascade_rule_at_a_zero():
         limits.general_limit_pmf(lambda l: rule(l) / math.factorial(l), 8)
 
 
+@pytest.mark.parametrize("r", [0.375, 0.4])
+def test_cp_intensity_series_cut_before_the_terms_leave_the_float_range(r):
+    # lambda_l = l! r^l, so c_l = r^l and mu{j} = r^j/(1 + r)^(j+1). The cut
+    # near l = 100 checks the terms after it up to the first that cannot be
+    # a float: l! past l = 170 (r = 0.375), lambda_l itself past l = 206
+    # (r = 0.4)
+    measure = limits.cp_intensity_series(
+        lambda l: math.exp(l * math.log(r) + math.lgamma(l + 1)), tol=1e-10)
+    j = np.arange(1, 65)
+    assert np.max(np.abs(measure.atoms - r**j / (1 + r) ** (j + 1))) <= 1e-10
+
+
 def test_cp_intensity_series_divergence_signal():
     with pytest.raises(SeriesDivergenceError):
         limits.cp_intensity_series(
@@ -222,6 +234,19 @@ def test_general_limit_pmf_value_at_zero_for_divergent_cp():
 def test_general_limit_pmf_signals_non_truncatable():
     with pytest.raises(SeriesDivergenceError):
         limits.general_limit_pmf(lambda l: 1.0 / l**2, 8, tol=1e-6, l_cap=3000)
+
+
+def test_general_limit_pmf_does_not_end_at_one_small_term():
+    # lambda_l = 1/l except lambda_3 = 1e-30: c_3 moves no column, but c_4
+    # moves one by 0.0625; a cut at l = 3 gave 0.4724, 0.2362, 0.1771
+    def c_rule(l):
+        return (1e-30 if l == 3 else 1.0 / l) / math.factorial(l)
+
+    got = limits.general_limit_pmf(c_rule, 8)
+    full = [0.0] + [c_rule(l) for l in range(1, 61)]
+    want = pgf.exp_centered(pgf.CenteredSeries(full), 8)
+    assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-10
+    assert got.coeffs[:3] == pytest.approx([0.4766, 0.2218, 0.1940], abs=1e-4)
 
 
 def test_cp_pmf_composes_with_poisson():

@@ -442,12 +442,20 @@ def test_poisson_coeffs_map_over_an_array_of_means():
 _PRODUCT_K = 64
 
 
+def _padded(a, k):
+    """``a`` cut at ``k`` coefficients or zero-padded up to them."""
+    out = np.zeros(k)
+    out[: min(len(a), k)] = a[:k]
+    return out
+
+
 @pytest.mark.parametrize("width", [1, 2, 3, _PRODUCT_K // 2, _PRODUCT_K])
 @pytest.mark.parametrize("rows", [1, 2, 255, 256])
 def test_product_matches_a_running_convolution(width, rows):
     # row coefficients decay geometrically towards 1e-200 at index K - 1, so
     # every product coefficient below K stays a normal float; rows of width
-    # K/2 are the widest that are multiplied pairwise
+    # K/2 are the widest that are multiplied pairwise. The product is the
+    # running convolution zero-padded to K
     k = _PRODUCT_K
     rng = np.random.default_rng(width * 1000 + rows)
     decay = 10.0 ** (-200.0 * np.arange(width) / (k - 1))
@@ -456,26 +464,27 @@ def test_product_matches_a_running_convolution(width, rows):
     for row in terms:
         want = np.convolve(want, row)[:k]
     (got,) = pgf.product(terms, k, [(0, rows)])
-    assert got.shape == want.shape
-    assert float(np.max(np.abs(got - want) / want)) <= 1e-14
+    assert got.shape == (k,)
+    assert not got[want.shape[0]:].any()
+    assert float(np.max(np.abs(got[: want.shape[0]] - want) / want)) <= 1e-14
 
 
 @pytest.mark.parametrize("k", [1, 2, 63, 64, 257])
 def test_short_product_keeps_the_first_k_coefficients(k):
-    # operands narrower than, as wide as and wider than K; for each b, every
-    # a goes through one pad, widest first, so a stale tail left by a wider
-    # a would leak into a narrower one's product. Both routes sum the same
+    # operands narrower than, as wide as and wider than K, each cut at K or
+    # zero-padded up to it, all through one pad. Both routes sum the same
     # nonnegative terms in their own order: 4.3 ulps apart at worst over
     # 300 seeds at K = 257
     rng = np.random.default_rng(k)
     widths = sorted({1, max(1, k // 2), k, k + 3})
+    tail, times = pgf._short_products(k)
     for wb in widths:
         b = rng.uniform(size=wb)
-        pad = np.zeros(wb - 1 + k)
         for wa in widths[::-1]:
             a = rng.uniform(size=wa)
             want = np.convolve(a, b)[:k]
-            got = pgf._short_product(pad, a, b)
+            tail[:] = _padded(a, k)
+            got = times(_padded(b, k)[::-1])
             assert got.shape == (k,)
             assert not got[want.shape[0]:].any(), (wa, wb)
             rel = np.abs(got[: want.shape[0]] - want) / want
@@ -484,18 +493,16 @@ def test_short_product_keeps_the_first_k_coefficients(k):
 
 @pytest.mark.parametrize("width", [40, 64])
 def test_product_of_wide_rows_is_a_running_short_product_bit_for_bit(width):
-    # rows wider than _PAIR_WIDTH are reversed once and each goes in by one
-    # correlate on a shared pad: the arithmetic of one _short_product per
-    # row, once the running product is K wide (np.convolve before)
+    # rows wider than _PAIR_WIDTH are zero-padded to K, reversed once, and
+    # each goes in by one correlate on a shared pad: the arithmetic of one
+    # short product per row on the K-wide series
     k = 64
     t = np.random.default_rng(width).uniform(size=(9, width)) / width
-    pad = np.zeros(width - 1 + k)
-    want = t[0, :k].copy()
+    tail, times = pgf._short_products(k)
+    want = _padded(t[0], k)
     for row in t[1:]:
-        if want.shape[0] == k:
-            want = pgf._short_product(pad, want, row)
-        else:
-            want = np.convolve(want, row)[:k]
+        tail[:] = want
+        want = times(_padded(row, k)[::-1])
     (got,) = pgf.product(t, k, [(0, t.shape[0])])
     assert got.tobytes() == want.tobytes()
 
@@ -519,15 +526,16 @@ def test_product_of_pieces_matches_a_running_convolution_per_piece(width):
         want = np.ones(1)
         for row in terms[lo:hi]:
             want = np.convolve(want, row)[:k]
+        assert piece.shape == (k,)
         assert not piece[want.shape[0]:].any()
         rel = np.abs(piece[: want.shape[0]] - want) / want
         assert float(rel.max()) <= 1e-14, (lo, hi)
-    assert got[sizes.index(0)].tolist() == [1.0]
+    assert got[sizes.index(0)].tolist() == _padded([1.0], k).tolist()
 
 
 def test_product_of_no_rows_is_one():
     (got,) = pgf.product(np.zeros((0, 3)), 8, [(0, 0)])
-    assert got.tolist() == [1.0]
+    assert got.tolist() == _padded([1.0], 8).tolist()
 
 
 def test_compound_at_large_k_matches_horner():
