@@ -10,16 +10,19 @@ that takes only the fields its kind reads and holds its own formulas: PGF
 values, derivatives at 1, extracted PMFs and exact samplers per
 generation, and its part of the propagation and product-law routes. One
 table, :data:`FAMILIES`, names each class in scenario files. The scenario
-wrapper dispatches the limit-law hypotheses over the declared constants.
+wrapper derives the limit constants from the rules and dispatches the
+limit-law hypotheses over them.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Union
+from itertools import zip_longest
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -796,6 +799,10 @@ BASE_LAWS: dict[str, Callable[[int], np.ndarray]] = {
     "delta2": lambda support: np.array([0.0, 0.0, 1.0])[:support],
 }
 
+# the moment-ratio rule of a named base whose cut at ``immigration.support``
+# would make its limit a finite compound Poisson: log_two has f_l = (l - 1)!
+BASE_RULES = {"log_two": "log_series"}
+
 
 RATE_RULES = ("declared", "clamped")
 
@@ -845,11 +852,18 @@ class ImmigrationFamily(metaclass=_ByName):
         vals = self.weight(n, "declared") * pgf.factorial_moment(self.base_law, k)
         return float(vals) if np.ndim(n) == 0 else vals
 
-    def m2_ratio_vanishes(self, rho_rule: RhoRule | None) -> bool | None:
-        """Whether m_{n,2}/(1 - rho_n) -> 0 by the rules; None if it needs a missing rho rule."""
-        if pgf.factorial_moment(self.base_law, 2) == 0.0:
-            return True
-        return None if rho_rule is None else self.m1.leading()[0] > rho_rule.gamma
+    def lambda_ratios(self, lam: float) -> tuple[float, ...] | str:
+        """lambda_l = lim m_{n,l}/(l (1 - rho_n)) for lambda_1 = ``lam``, as
+        (lambda_1, ..., 0) up to the first zero, or the name of a rule: of a
+        mixture, lam f_l/(l f_1) from the factorial moments f_l = l! b_l of
+        the base law, B(1 + t) = sum_l b_l t^l, or the rule of a named base
+        in :data:`BASE_RULES`."""
+        if self.base_name in BASE_RULES:
+            return BASE_RULES[self.base_name]
+        coeffs = self.base_law.coeffs
+        b = pgf.taylor_shift(coeffs, 1.0, coeffs.shape[0] + 1).tolist()
+        ratios = [lam * (math.factorial(l - 1) * b[l] / b[1]) for l in range(1, len(b))]
+        return tuple(ratios[: ratios.index(0.0, 1) + 1])
 
     def pgf_values(self, ns, xs, rates: str) -> np.ndarray:
         """H_n(x) at generations ``ns`` and matching points ``xs``.
@@ -950,8 +964,8 @@ class PoissonImmigration(ImmigrationFamily):
         vals = np.asarray(self.m1.at(n), dtype=float) ** k
         return float(vals) if np.ndim(n) == 0 else vals
 
-    def m2_ratio_vanishes(self, rho_rule: RhoRule | None) -> bool | None:
-        return None if rho_rule is None else 2.0 * self.m1.leading()[0] > rho_rule.gamma
+    def lambda_ratios(self, lam: float) -> tuple[float, ...]:
+        return lam, 0.0  # m_{n,2} = m_{n,1}^2 vanishes against 1 - rho_n
 
     def pgf_values(self, ns, xs, rates: str) -> np.ndarray:
         return np.exp(self.m1.at(ns) * (xs - 1.0))
@@ -1046,6 +1060,9 @@ class CustomImmigration(ImmigrationFamily):
             raise ScenarioValidationError("custom immigration needs a base law")
         object.__setattr__(self, "base", tuple(float(v) for v in self.base))
         self._set_base(self.base)
+        if not self.base_mean > 0.0:
+            raise ScenarioValidationError("custom immigration needs a base law "
+                                          "with a positive mean")
 
     def _clamp(self, w, ns):
         first = np.flatnonzero(~(np.ravel(w) <= 1.0))[0]
@@ -1143,12 +1160,17 @@ class NegativeBinomialLimit:
     @classmethod
     def from_limits(cls, lam: float, nu: float) -> "NegativeBinomialLimit":
         """The target (r, p) = (2 lam/nu, nu/(2+nu)) of the limit constants
-        lam > 0 and nu > 0."""
+        lam > 0 and nu > 0; NumericError if it rounds to r = 0 or p = 1."""
         if lam <= 0:
             raise ValueError("lam must be positive")
         if nu <= 0:
             raise ValueError("nu must be positive; nu = 0 is the Poisson regime")
-        return cls(2.0 * lam / nu, nu / (2.0 + nu))
+        target = cls(2.0 * lam / nu, nu / (2.0 + nu))
+        if not (target.r > 0.0 and target.p < 1.0):
+            raise NumericError(f"nu = {nu!r} against lambda = {lam!r} rounds the "
+                               f"negative binomial limit to r = {target.r!r}, "
+                               f"p = {target.p!r}")
+        return target
 
     def describe(self) -> str:
         return f"NegativeBinomial r={self.r:.17g} p={self.p:.17g}"
@@ -1189,15 +1211,37 @@ LimitLaw = Union[
 ]
 
 
+class LimitConstants(NamedTuple):
+    """The limit constants that the rules fix, None where they fix none: the
+    divergence of sum(1 - rho_n), lambda = lim m_{n,1}/(1 - rho_n), nu =
+    lim G_n''(1)/(1 - rho_n) and the ratios lambda_l."""
+
+    divergent: bool | None = None
+    lam: float | None = None
+    nu: float | None = None
+    ratios: tuple[float, ...] | str | None = None
+
+
+def _agrees(declared, derived) -> bool:
+    """Exactly for the divergence and a rule name; within 1e-9 relative for
+    lambda, nu and each lambda_l, a sequence read with zeros past its end."""
+    if isinstance(declared, (bool, str)) or isinstance(derived, str):
+        return declared == derived
+    a, b = (v if isinstance(v, (tuple, list)) else (v,) for v in (declared, derived))
+    return all(abs(x - y) <= 1e-9 * abs(y) for x, y in zip_longest(a, b, fillvalue=0.0))
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Full description of one inhomogeneous process plus declared limits."""
+    """Full description of one inhomogeneous process. ``lam``, ``nu``,
+    ``divergent``, ``lambda_seq`` and ``lambda_rule`` are optional declared
+    values, which only :meth:`validate` reads, against :meth:`constants`."""
 
     offspring: OffspringFamily
     immigration: ImmigrationFamily
-    lam: float
-    nu: float
-    divergent: bool
+    lam: float | None = None
+    nu: float | None = None
+    divergent: bool | None = None
     horizon: int = 1000
     k_trunc: int = 64
     lambda_seq: tuple[float, ...] | None = None
@@ -1207,106 +1251,71 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.horizon < 0 or self.k_trunc < 1:
             raise ScenarioValidationError("horizon must be >= 0 and K >= 1")
-        if not (0.0 <= self.lam < math.inf and 0.0 <= self.nu < math.inf):
-            raise ScenarioValidationError(
-                f"limits.lambda = {self.lam:g} and limits.nu = {self.nu:g} "
-                "must be finite and >= 0")
-        if self.lambda_rule not in (None, "log_series"):
+        for key, v in (("limits.lambda", self.lam), ("limits.nu", self.nu)):
+            if v is not None and not 0.0 <= v < math.inf:
+                raise ScenarioValidationError(f"{key} = {v:g} must be finite and >= 0")
+        if self.lambda_rule not in (None, *BASE_RULES.values()):
             raise ScenarioValidationError(f"unknown lambda rule {self.lambda_rule!r}")
         fault = None if self.lambda_seq is None else lambda_seq_fault(self.lambda_seq)
         if fault is not None:
             raise ScenarioValidationError(f"limits.lambda_seq: {fault}")
 
-    # -- declared moment-ratio limits ---------------------------------------
-
-    def lambda_l(self, l: int) -> float:
-        """Declared limit of m_{n,l} / (l (1 - rho_n))."""
-        if l < 1:
-            raise ValueError("index must be >= 1")
-        if self.lambda_seq is not None:
-            return self.lambda_seq[l - 1] if l <= len(self.lambda_seq) else 0.0
-        if self.lambda_rule == "log_series":
-            return math.factorial(l - 1) / l
-        return self.lam if l == 1 else 0.0
+    def constants(self) -> LimitConstants:
+        """Divergence is gamma <= 1 of the rho rule. When the sum diverges and
+        m1 = a n^-p + ... decays no slower than 1 - rho_n = c (n + n0)^-gamma,
+        lambda is a/c (p = gamma) or 0 (p > gamma), and nu the offspring's
+        (0 for Bernoulli). A custom table has no rho rule and no constants."""
+        rule = self.offspring.rho_rule
+        if rule is None:
+            return LimitConstants()
+        p, a = self.immigration.m1.leading()
+        if not rule.divergent_sum() or p < rule.gamma:
+            return LimitConstants(rule.divergent_sum())
+        lam = a / rule.c if p == rule.gamma else 0.0
+        return LimitConstants(True, lam, self.offspring.nu,
+                              self.immigration.lambda_ratios(lam))
 
     def validate(self) -> list[str]:
-        """Hard checks raise; soft mismatches come back as warnings."""
-        off, imm = self.offspring, self.immigration
-        off._check()
-        rho_rule = off.rho_rule
-        if rho_rule is not None and rho_rule.divergent_sum() != self.divergent:
-            raise ScenarioValidationError(
-                "declared divergence flag contradicts the rho rule "
-                f"(gamma={rho_rule.gamma:g})"
-            )
-        # the classify branch that builds the negative binomial target
-        if (self.divergent and self.nu != 0.0
-                and rho_rule is not None and imm.m2_ratio_vanishes(rho_rule)):
-            if self.lam <= 0:
-                raise ScenarioValidationError(
-                    f"limits.lambda = {self.lam:g} must be positive: the negative "
-                    "binomial limit has r = 2 lambda/nu"
-                )
-            target = NegativeBinomialLimit.from_limits(self.lam, self.nu)
-            if not (target.r > 0.0 and target.p < 1.0):
-                raise ScenarioValidationError(
-                    f"limits.nu = {self.nu:g} against limits.lambda = {self.lam:g} "
-                    f"rounds the negative binomial limit to r = {target.r:g}, "
-                    f"p = {target.p:.17g}"
-                )
-        notes = []
-        n = max(self.horizon, 1)
-        delta = float(off.one_minus_rho(n))
-        m1 = float(imm.mean(n))
-        if delta > 0:
-            lam_at_n = m1 / delta
-            if self.lam > 0 and abs(lam_at_n - self.lam) > 0.1 * self.lam:
-                notes.append(
-                    f"declared lambda={self.lam:g} vs rule value {lam_at_n:.4g} "
-                    f"at n={n} (>10% off)"
-                )
-            g2 = off.deriv_at_1(n, 2)
-            nu_at_n = g2 / delta
-            if self.nu > 0 and abs(nu_at_n - self.nu) > 0.1 * self.nu:
-                notes.append(
-                    f"declared nu={self.nu:g} vs rule value {nu_at_n:.4g} "
-                    f"at n={n} (>10% off)"
-                )
-            if self.nu == 0 and nu_at_n > 0.1:
-                notes.append(f"declared nu=0 but rule gives {nu_at_n:.4g} at n={n}")
-        return notes + imm._notes() + off._notes()
+        """Hard checks raise, notes on clamped generations come back. Each
+        declared limit constant must agree with the one the rules fix; one
+        they do not fix is not read."""
+        self.offspring._check()
+        const = self.constants()
+        checks = (("limits.divergent", self.divergent, const.divergent),
+                  ("limits.lambda", self.lam, const.lam), ("limits.nu", self.nu, const.nu),
+                  ("limits.lambda_seq", self.lambda_seq, const.ratios),
+                  ("limits.lambda_rule", self.lambda_rule, const.ratios))
+        for key, declared, derived in checks:
+            if None not in (declared, derived) and not _agrees(declared, derived):
+                raise ScenarioValidationError(f"{key} = {json.dumps(declared)} but the "
+                                              f"rules give {json.dumps(derived)}")
+        return self.immigration._notes() + self.offspring._notes()
 
 
 def classify(spec: ScenarioSpec) -> LimitLaw:
-    """Dispatch the scenario onto its limit law from the declared rules.
-
-    The divergence of sum(1 - rho_n) is a declared, rule-validated flag;
-    moment-ratio conditions are decided by comparing rule exponents, never
-    estimated from finitely many terms.
-    """
-    if not spec.divergent:
+    """Dispatch the scenario onto its limit law over the constants its rules
+    fix (:meth:`ScenarioSpec.constants`). With lambda_2 = 0 it is NB(2
+    lambda/nu, nu/(2 + nu)), or Poisson(lambda) when nu = 0 or lambda = 0
+    (the point mass at 0); otherwise nu = 0 is needed, and the ratios give
+    the compound Poisson or named-rule law."""
+    divergent, lam, nu, ratios = spec.constants()
+    if divergent is None:
+        return OutsideScope("the offspring has no rho rule to fix the limit constants")
+    if not divergent:
         if spec.immigration.m1.summable():
             return ProductLimit()
-        return OutsideScope(
-            "sum(1-rho_n) < inf needs summable immigration means"
-        )
-    if spec.nu == 0.0:
-        if spec.lambda_seq is not None:
-            return CompoundPoissonLimit(tuple(spec.lambda_seq))
-        if spec.lambda_rule is not None:
-            return GeneralExpLimit(spec.lambda_rule, spec.lam)
-    vanishes = spec.immigration.m2_ratio_vanishes(spec.offspring.rho_rule)
-    if vanishes is None:
-        return OutsideScope("the offspring has no rho rule to decide m_{n,2}/(1-rho_n) -> 0")
-    if spec.nu == 0.0:
-        if vanishes:
-            return PoissonLimit(spec.lam)
-        return OutsideScope(
-            "second immigration moments do not vanish relative to 1-rho"
-        )
-    if vanishes:
-        return NegativeBinomialLimit.from_limits(spec.lam, spec.nu)
-    return OutsideScope("nu > 0 requires second immigration moments o(1-rho)")
+        return OutsideScope("sum(1-rho_n) < inf needs summable immigration means")
+    if lam is None:
+        return OutsideScope("immigration means decay slower than 1-rho_n: lambda = inf")
+    if isinstance(ratios, str) or ratios[1] != 0.0:
+        if nu != 0.0:
+            return OutsideScope("nu > 0 requires second immigration moments o(1-rho)")
+        if isinstance(ratios, str):
+            return GeneralExpLimit(ratios, lam)
+        return CompoundPoissonLimit(ratios)
+    if nu == 0.0 or lam == 0.0:
+        return PoissonLimit(lam)
+    return NegativeBinomialLimit.from_limits(lam, nu)
 
 
 @dataclass(frozen=True)

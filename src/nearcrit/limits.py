@@ -123,8 +123,12 @@ def cp_intensity_series(rule: Callable[[int], float], tol: float,
     that overflows, raises :class:`SeriesDivergenceError`; a negative atom
     means the rule is inadmissible.
     """
-    c = _centered_cut(lambda l: rule(l) / math.factorial(l), j_max + 1, tol,
-                      j_max + i_max)
+
+    def c_rule(l):  # lambda_l/l! from the exact ratio, so l! need not be a float
+        num, den = rule(l).as_integer_ratio()
+        return num / (den * math.factorial(l))
+
+    c = _centered_cut(c_rule, j_max + 1, tol, j_max + i_max)
     atoms = pgf.taylor_shift(c, -1.0, j_max + 1)[1:]
     if not np.all(np.isfinite(atoms)):
         raise SeriesDivergenceError("intensity series terms overflow in the shift")
@@ -133,8 +137,9 @@ def cp_intensity_series(rule: Callable[[int], float], tol: float,
     return IntensityMeasure(atoms)
 
 
-def log_series_measure(j_max: int = 64) -> IntensityMeasure:
-    """Atoms mu{j} = (1/j) sum_{k>=j} 1/(k 2^k), j = 1..``j_max``.
+def log_series_measure(j_max: int = 64, lam: float = 1.0) -> IntensityMeasure:
+    """Atoms mu{j} = (lam/j) sum_{k>=j} 1/(k 2^k), j = 1..``j_max``, of the
+    log_series rule lambda_l = lam (l - 1)!/l, which they are linear in.
 
     Each tail is a sum of positive terms, taken from its small end over
     k <= j_max + 64 (the rest is below 2^-64 of it), so every atom is
@@ -143,7 +148,7 @@ def log_series_measure(j_max: int = 64) -> IntensityMeasure:
     """
     k = np.arange(1, j_max + 65)
     tails = np.cumsum(np.ldexp(1.0 / k, -k)[::-1])[::-1]
-    atoms = tails[:j_max] / k[:j_max]
+    atoms = lam * (tails[:j_max] / k[:j_max])
     return IntensityMeasure(atoms)
 
 
@@ -238,12 +243,12 @@ def general_limit_pmf(c_rule: Callable[[int], float], k_trunc: int,
 
 def limit_atoms(law: LimitLaw) -> IntensityMeasure | None:
     """Compound Poisson atoms of a classified limit law: the finite form for
-    a lambda sequence, the closed form for the log-series rule; None for
-    every other law."""
+    a lambda sequence, the closed form for the log-series rule at its
+    lambda; None for every other law."""
     if isinstance(law, CompoundPoissonLimit):
         return cp_intensity_finite(law.lambdas)
     if isinstance(law, GeneralExpLimit) and law.rule == "log_series":
-        return log_series_measure()
+        return log_series_measure(lam=law.lam)
     return None
 
 
@@ -267,10 +272,11 @@ def limit_moments(law: LimitLaw, spec: ScenarioSpec) -> tuple[float, float]:
         mean = law.r * law.p / (1.0 - law.p)
         m2 = law.r * (law.r + 1.0) * (law.p / (1.0 - law.p)) ** 2
         return mean, m2
-    if isinstance(law, (CompoundPoissonLimit, GeneralExpLimit)):
-        # (log PGF)'(1) = lambda_1 and (log PGF)''(1) = lambda_2
-        lam1 = spec.lambda_l(1)
-        return lam1, lam1**2 + spec.lambda_l(2)
+    # (log PGF)'(1) = lambda_1 and (log PGF)''(1) = lambda_2
+    if isinstance(law, CompoundPoissonLimit):
+        return law.lambdas[0], law.lambdas[0] ** 2 + law.lambdas[1]
+    if isinstance(law, GeneralExpLimit):  # log_series: lambda_2 = lam/2
+        return law.lam, law.lam**2 + law.lam / 2
     if isinstance(law, ProductLimit):
         return product_law_mean(spec), math.nan
     raise ValueError(f"no limit moments for {law.describe()}")
@@ -344,12 +350,12 @@ def _product_terms(spec: ScenarioSpec, tol: float) -> tuple:
     r-tail data). The M tail and the r tail each get tol/8 of log g(0); their
     closed-form brackets, each evaluated once per candidate length, pick J and
     the head, from where 1 - rho <= 1/2 and so log_tail and the M bracket hold."""
-    if spec.divergent:
-        raise WrongRegimeError("the product law needs sum(1-rho_n) < inf")
     off, imm = spec.offspring, spec.immigration
     rule, m1 = off.rho_rule, imm.m1
     if rule is None:
         raise UnsupportedFamilyError("the product law needs a rho rule")
+    if rule.divergent_sum():
+        raise WrongRegimeError("the product law needs sum(1-rho_n) < inf")
     share = tol / 8
     start = _power_of_two(64, lambda j: rule.one_minus_rho(j + 1) <= 0.5, tol)
 

@@ -101,9 +101,9 @@ KEYS = {
     "immigration.support": Key(int, 64, _support),
     "immigration.m1.rule": Key(PowerSum.parse, REQUIRED,
                                attrgetter("spec.immigration.m1")),
-    "limits.lambda": Key(float, 0.0, attrgetter("spec.lam")),
-    "limits.nu": Key(float, 0.0, attrgetter("spec.nu")),
-    "limits.divergent": Key(_bool, REQUIRED, attrgetter("spec.divergent")),
+    "limits.lambda": Key(float, None, attrgetter("spec.lam")),
+    "limits.nu": Key(float, None, attrgetter("spec.nu")),
+    "limits.divergent": Key(_bool, None, attrgetter("spec.divergent")),
     "limits.lambda_seq": Key(_floats, None, attrgetter("spec.lambda_seq")),
     "limits.lambda_rule": Key(str, None, attrgetter("spec.lambda_rule")),
     "run.n": Key(int, 1000, attrgetter("spec.horizon")),

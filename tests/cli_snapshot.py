@@ -12,9 +12,11 @@ Runs five commands on every bundled fixture in csv and json (70 runs):
 ``propagate --n 200 --K 64`` and ``simulate --n 50 --reps 20000 --seed 7``;
 and ``report --reps 2000 --seed 3`` in csv (REPORT_MC, 7 runs), whose
 Monte Carlo column draws every row from one seeded run.
-Then ``classify`` on malformed copies of ``thm1_poisson`` and
-``thm3_cp_finite``, one per fault of the scenario-file format (MALFORMED),
-and one command in csv on each copy in VARIANTS (92 runs in all). Each
+Then ``classify`` on malformed copies of ``thm1_poisson``,
+``thm3_cp_finite`` and ``thm5_nb``, one per fault of the scenario-file
+format and three whose declared limit constants are not the ones the rules
+give (MALFORMED), and one command in csv on each copy in VARIANTS (96 runs
+in all). Each
 run leaves ``<stem>.out`` (stdout), ``<stem>.rc`` (exit code) and
 ``<stem>.err``, the stderr lines that start with ``error:`` or
 ``warning:``; Python's own warning lines carry source line numbers, which
@@ -79,6 +81,11 @@ MALFORMED = {
                    "run.n_grid = 100,1000\nrun.x_grid = 0.5,x"),
     "bad_rule": ("thm1_poisson", "immigration.m1.rule = 2*(n+1)^-1",
                  "immigration.m1.rule = 2*(n+1)^+1"),
+    # parse, but declare limit constants the rules do not give (exit 3)
+    "bad_lambda_declared": ("thm1_poisson", "limits.lambda = 2", "limits.lambda = 2.15"),
+    "bad_lambda_seq_declared": ("thm3_cp_finite", "limits.lambda_seq = 2,1,0",
+                                "limits.lambda_seq = 2,0.5,0"),
+    "bad_nb_lambda_declared": ("thm5_nb", "limits.lambda = 1", "limits.lambda = 3"),
 }
 
 # stem: (fixture, [(line to replace, replacement), ...], command line):
@@ -95,6 +102,12 @@ VARIANTS = {
         ["--command", "limits", "--x-grid", "0.25,0.5,0.9", "--tol", "1e-7"])
     for kind in ("quadratic", "linear_fractional")
 }
+# thm1_poisson without its limits.* lines, whose report the rules alone fix
+VARIANTS["thm1_poisson_rules_only"] = (
+    "thm1_poisson",
+    [(f"{line}\n", "") for line in ("limits.lambda = 2", "limits.nu = 0",
+                                    "limits.divergent = true")],
+    ["--command", "report"])
 
 
 def _run(out: Path, stem: str, cwd: Path, env: dict, argv: list[str]) -> None:

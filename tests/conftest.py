@@ -21,16 +21,17 @@ def fixture_specs():
 
 
 def make_spec(offspring_kind="bernoulli", *, c=1.0, gamma=1.0, n0=1.0, nu=0.0,
-              imm_kind="bernoulli", m1="1*(n+1)^-1", lam=1.0, decl_nu=None,
-              divergent=True, horizon=100, k_trunc=64, **kwargs) -> ScenarioSpec:
-    """Small scenario builder for tests."""
+              imm_kind="bernoulli", m1="1*(n+1)^-1", lam=None, decl_nu=None,
+              divergent=None, horizon=100, k_trunc=64, **kwargs) -> ScenarioSpec:
+    """Small scenario builder for tests; ``lam``, ``decl_nu`` and ``divergent``
+    are the optional declared limit constants."""
     return ScenarioSpec(
         offspring=FAMILIES["offspring"][offspring_kind](
             rho_rule=RhoRule(c=c, gamma=gamma, n0=n0), nu=nu
         ),
         immigration=FAMILIES["immigration"][imm_kind](m1=PowerSum.parse(m1)),
         lam=lam,
-        nu=nu if decl_nu is None else decl_nu,
+        nu=decl_nu,
         divergent=divergent,
         horizon=horizon,
         k_trunc=k_trunc,

@@ -283,7 +283,8 @@ def test_simulate_rejects_mixture_weight_above_one(tmp_path, capsys):
     # delta2 has mean 2, so the rule 5/(n+1) asks for weight 1.25 at n = 1
     text = scenarios.fixture_text("thm3_cp_finite").replace(
         "immigration.m1.rule = 2*(n+1)^-1", "immigration.m1.rule = 5*(n+1)^-1"
-    )
+    ).replace("limits.lambda = 2\nlimits.lambda_seq = 2,1,0",
+              "limits.lambda = 5\nlimits.lambda_seq = 5,2.5,0")
     p = tmp_path / "heavy_mixture.scn"
     p.write_text(text)
     for flags in (["--command", "simulate", "--n", "3", "--reps", "100"],
@@ -341,13 +342,16 @@ def test_report_where_a_chain_product_underflows(tmp_path, capsys):
 
 
 def test_exit_code_numeric_error(tmp_path, capsys):
-    # a lambda sequence with a negative intensity atom trips the numeric path
+    # a lambda sequence with a negative intensity atom is not the one the
+    # rules give, which is checked when the file is read
     text = scenarios.fixture_text("thm3_cp_finite").replace(
         "limits.lambda_seq = 2,1,0", "limits.lambda_seq = 1,2,0"
     )
     p = tmp_path / "negatom.scn"
     p.write_text(text)
-    assert cli.main(["--scenario", str(p), "--command", "limits"]) == 4
+    assert cli.main(["--scenario", str(p), "--command", "limits"]) == 3
+    assert ("limits.lambda_seq = [1.0, 2.0, 0.0] but the rules give [2.0, 1.0, 0.0]"
+            in capsys.readouterr().err)
 
 
 def test_exit_code_numeric_error_from_composed_maps(tmp_path, monkeypatch):
@@ -450,15 +454,23 @@ def test_out_of_range_run_parameters_are_validation_errors(tmp_path, capsys, fla
     ("thm1_poisson", "limits.lambda = 2", "limits.lambda = -1", "must be finite and >= 0"),
     ("thm5_nb", "limits.nu = 1", "limits.nu = -1", "must be finite and >= 0"),
     ("thm5_nb", "limits.nu = 1", "limits.nu = 1e300",
-     "rounds the negative binomial limit"),
+     "limits.nu = 1e+300 but the rules give 1.0"),
     ("thm6_example1", "offspring.rho.gamma = 2", "offspring.rho.gamma = nan",
      "rho rule needs finite"),
     ("lf_crosscheck", "offspring.nu = 1", "offspring.nu = 1e300",
      "no linear-fractional law"),
     ("thm4_log2", "immigration.support = 64", "immigration.support = 0",
      "immigration.support = 0 must be >= 1"),
+    # declared limit constants that are not the ones the rules give
+    ("thm1_poisson", "limits.lambda = 2", "limits.lambda = 2.15",
+     "limits.lambda = 2.15 but the rules give 2.0"),
+    ("thm3_cp_finite", "limits.lambda_seq = 2,1,0", "limits.lambda_seq = 2,0.5,0",
+     "limits.lambda_seq = [2.0, 0.5, 0.0] but the rules give [2.0, 1.0, 0.0]"),
+    ("thm5_nb", "limits.lambda = 1", "limits.lambda = 3",
+     "limits.lambda = 3.0 but the rules give 1.0"),
 ], ids=["lambda_seq_tail", "lambda_seq_cascade", "lambda_seq_negative", "lambda",
-        "nu", "nu_huge", "rho_nan", "lf_nu_huge", "support"])
+        "nu", "nu_huge", "rho_nan", "lf_nu_huge", "support", "lambda_mismatch",
+        "lambda_seq_mismatch", "nb_lambda_mismatch"])
 @pytest.mark.parametrize("command", ["classify", "limits", "report", "propagate",
                                      "simulate"])
 def test_bad_limit_constants_and_rules_are_validation_errors(tmp_path, capsys, fixture,
@@ -471,6 +483,27 @@ def test_bad_limit_constants_and_rules_are_validation_errors(tmp_path, capsys, f
             "--reps", "10"]
     assert cli.main(argv) == 3
     assert message in capsys.readouterr().err
+
+
+def test_limits_keys_only_check_what_the_rules_give(tmp_path, capsys):
+    # thm1_poisson without its limits.* lines: the rules give every constant,
+    # so every output is byte-identical
+    text = scenarios.fixture_text("thm1_poisson")
+    bare = "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("limits."))
+    assert bare.count("\n") == text.count("\n") - 3
+    outs = {}
+    for kind, body in (("declared", text), ("bare", bare)):
+        (tmp_path / kind).mkdir()
+        p = tmp_path / kind / "thm1_poisson.scn"
+        p.write_text(body)
+        for command in ("classify", "report", "limits"):
+            for fmt in ("csv", "json"):
+                assert cli.main(["--scenario", str(p), "--command", command,
+                                 "--format", fmt]) == 0
+                outs[kind, command, fmt] = capsys.readouterr()
+    for (kind, command, fmt), got in outs.items():
+        assert got == outs["declared", command, fmt], (command, fmt)
 
 
 def test_an_internal_value_error_is_not_a_validation_error(tmp_path, monkeypatch):

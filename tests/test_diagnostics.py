@@ -221,8 +221,12 @@ def test_report_json_mirrors_fields(fixture_specs):
     # one report per regime, and the steep rule's ratios, which divide by
     # an underflowed 1 - rho_n. JSON (RFC 8259) has no NaN or Infinity, so
     # a value that is not finite is null: pgf_gap in the PMF regimes,
-    # m2_gap in the product regime
-    for name, spec in _grid_specs(fixture_specs).items():
+    # m2_gap in the product regime. A custom table has no rho rule, so no
+    # limit constants and no report
+    specs = _grid_specs(fixture_specs)
+    with pytest.raises(WrongRegimeError, match="no rho rule"):
+        report(specs.pop("custom_three_term"), [1, 10], 32)
+    for name, spec in specs.items():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # clamped immigration
             rep = report(spec, [1, 10], 32, x_grid=(0.5,))

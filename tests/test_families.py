@@ -382,6 +382,15 @@ def test_classify_negative_binomial_regime():
     assert law.p == pytest.approx(1.0 / 3.0)
 
 
+def test_classify_lambda_zero_or_a_rounded_nb_target():
+    # m1 decays faster than 1 - rho_n: lambda = 0, the point mass at 0 for any nu
+    for kind, nu in (("bernoulli", 0.0), ("quadratic", 1.0)):
+        assert classify(make_spec(kind, nu=nu, m1="1*(n+1)^-2")) == PoissonLimit(0.0)
+    # nu = 1e17 rounds p = nu/(2 + nu) to 1: a numeric failure, not a law
+    with pytest.raises(NumericError, match="rounds the negative binomial limit"):
+        classify(make_spec("quadratic", nu=1e17))
+
+
 def test_classify_product_regime():
     spec = make_spec(
         gamma=2.0, n0=0.0, m1="1*n^-2 + 1*n^-3", divergent=False
@@ -441,18 +450,37 @@ def test_classify_custom_offspring_names_the_missing_rho_rule(imm, nu):
     assert isinstance(law, OutsideScope) and "no rho rule" in law.reason
     with pytest.raises(WrongRegimeError, match="no rho rule"):
         diagnostics.report(spec, [10], 16)
-    # Bernoulli immigration has m_{n,2} = 0, which needs no rule
+    # Bernoulli immigration has m_{n,2} = 0, but lambda needs the rule too
     bern = dataclasses.replace(spec, immigration=BernoulliImmigration(m1=imm.m1), nu=0.0)
-    assert classify(bern) == PoissonLimit(1.0)
+    assert "no rho rule" in classify(bern).reason
 
 
 def test_declared_moment_ratio_limits(fixture_specs):
+    # each equals lambda f_l/(l f_1) of the base law: delta2 has f = (2, 2, 0)
     seq = fixture_specs["thm3_cp_finite"]  # lambda_seq = 2,1,0
-    assert [seq.lambda_l(l) for l in (1, 2, 3, 4)] == [2.0, 1.0, 0.0, 0.0]
-    plain = fixture_specs["thm1_poisson"]  # lambda = 2, no sequence or rule
-    assert [plain.lambda_l(l) for l in (1, 2)] == [2.0, 0.0]
-    with pytest.raises(ValueError):
-        plain.lambda_l(0)
+    assert seq.constants().ratios == seq.lambda_seq == (2.0, 1.0, 0.0)
+    plain = fixture_specs["thm1_poisson"]  # no sequence or rule: (lambda, 0)
+    assert plain.constants().ratios == (2.0, 0.0)
+    log2 = fixture_specs["thm4_log2"]  # a named base keeps its rule
+    assert log2.constants().ratios == log2.lambda_rule == "log_series"
+    # a mixture toward x is Bernoulli immigration; lambda = 0 ends at lambda_2
+    # and (0, 1/2, 0, 1/2) has f = (2, 3, 3, 0)
+    for base, ratios in (((0.0, 1.0), (2.0, 0.0)), ((0.0, 0.5, 0.0, 0.5), (2.0, 1.5, 1.0, 0.0))):
+        mix = CustomImmigration(m1=PowerSum.parse("1*n^-1"), base=base)
+        assert mix.lambda_ratios(2.0) == pytest.approx(ratios, rel=1e-15)
+        assert mix.lambda_ratios(0.0) == (0.0, 0.0)
+
+
+def test_every_fixture_declares_the_derived_constants(fixture_specs):
+    # bit for bit, so the fixtures' outputs do not depend on the declared lines
+    for name, spec in fixture_specs.items():
+        const = spec.constants()
+        assert spec.divergent is const.divergent, name
+        pairs = ((spec.lam, const.lam), (spec.nu, const.nu),
+                 (spec.lambda_seq, const.ratios), (spec.lambda_rule, const.ratios))
+        # the product regime fixes no constant beyond the divergence
+        assert (const.lam is None) is (not const.divergent), name
+        assert all(None in (d, r) or d == r for d, r in pairs), name
 
 
 def test_classify_ignores_horizon():
@@ -491,17 +519,20 @@ def test_condition_ratios_partial_sum():
 
 def test_validate_flags_lambda_mismatch():
     spec = make_spec(m1="2*(n+1)^-1", lam=1.0, horizon=500)  # rule says 2
-    notes = spec.validate()
-    assert any("lambda" in note for note in notes)
+    with pytest.raises(ScenarioValidationError,
+                       match=r"limits.lambda = 1.0 but the rules give 2.0"):
+        spec.validate()
+    # within 1e-9 relative is the same constant
+    assert make_spec(m1="2*(n+1)^-1", lam=2.0 * (1 + 5e-10)).validate() == []
 
 
-def test_validate_notes_a_declared_nu_the_rule_does_not_give():
-    # quadratic nu = 1: G_n''(1)/(1 - rho_n) = 1 at n = 100
-    off = make_spec("quadratic", nu=1.0, decl_nu=2.0).validate()
-    assert any(n.startswith("declared nu=2 vs rule value 1") for n in off)
-    zero = make_spec("quadratic", nu=1.0, decl_nu=0.0).validate()
-    assert any(n.startswith("declared nu=0 but rule gives 1") for n in zero)
-    assert not any("nu" in n for n in make_spec("quadratic", nu=1.0).validate())
+def test_validate_rejects_a_declared_nu_the_rule_does_not_give():
+    # quadratic nu = 1: G_n''(1)/(1 - rho_n) -> 1
+    for declared in (2.0, 0.0):
+        with pytest.raises(ScenarioValidationError,
+                           match=rf"limits.nu = {declared!r} but the rules give 1.0"):
+            make_spec("quadratic", nu=1.0, decl_nu=declared).validate()
+    assert make_spec("quadratic", nu=1.0, decl_nu=1.0).validate() == []
 
 
 def test_validate_rejects_divergence_contradiction():

@@ -7,15 +7,15 @@ from scipy import stats
 
 from conftest import make_spec
 from nearcrit import engine, limits, pgf
-from nearcrit.diagnostics import tv_distance
+from nearcrit.diagnostics import report, tv_distance
 from nearcrit.errors import (
     NotADistributionError,
     SeriesDivergenceError,
     WrongRegimeError,
 )
-from nearcrit.families import NegativeBinomialLimit, classify
+from nearcrit.families import GeneralExpLimit, NegativeBinomialLimit, classify
 from nearcrit.linfrac import chain_product
-from nearcrit.scenarios import load_fixture
+from nearcrit.scenarios import fixture_text, load_fixture, parse_scenario_text
 from oracles import general_limit_pgf
 
 
@@ -43,7 +43,8 @@ def test_nb_params_formula_and_guards():
 def test_nb_params_is_the_classified_negative_binomial_law():
     spec = load_fixture("thm5_nb").spec
     law = classify(spec)
-    par = limits.nb_params(spec.lam, spec.nu)
+    const = spec.constants()
+    par = limits.nb_params(const.lam, const.nu)
     assert isinstance(par, NegativeBinomialLimit)
     assert (par.r, par.p) == (law.r, law.p)
 
@@ -137,12 +138,13 @@ def test_cp_intensity_series_applies_the_cascade_rule_at_a_zero():
         limits.general_limit_pmf(lambda l: rule(l) / math.factorial(l), 8)
 
 
-@pytest.mark.parametrize("r", [0.375, 0.4])
+@pytest.mark.parametrize("r", [0.375, 0.4, 0.45])
 def test_cp_intensity_series_cut_before_the_terms_leave_the_float_range(r):
     # lambda_l = l! r^l, so c_l = r^l and mu{j} = r^j/(1 + r)^(j+1). The cut
     # near l = 100 checks the terms after it up to the first that cannot be
     # a float: l! past l = 170 (r = 0.375), lambda_l itself past l = 206
-    # (r = 0.4)
+    # (r = 0.4). At r = 0.45 the cut needs terms past l = 170, where c_l is
+    # a float though l! is not
     measure = limits.cp_intensity_series(
         lambda l: math.exp(l * math.log(r) + math.lgamma(l + 1)), tol=1e-10)
     j = np.arange(1, 65)
@@ -184,6 +186,21 @@ def test_log_series_paths_agree_on_grid():
         a = measure.pgf_at(float(x))
         b = general_limit_pgf(lambda l: 1.0 / l**2, float(x), tol=1e-10)
         assert a == pytest.approx(b, abs=1e-8)
+
+
+def test_log_series_limit_scales_with_lambda():
+    # m1 = 0.5/n against 1 - rho_n = 1/n: lambda = 0.5, so lambda_l =
+    # 0.5 (l - 1)!/l and every atom is half the lambda = 1 atom
+    spec = parse_scenario_text(fixture_text("thm4_log2").replace(
+        "1*n^-1", "0.5*n^-1").replace("limits.lambda = 1", "limits.lambda = 0.5")).spec
+    law = classify(spec)
+    assert law == GeneralExpLimit("log_series", 0.5)
+    atoms = limits.limit_atoms(law)
+    assert np.array_equal(atoms.atoms, 0.5 * limits.log_series_measure().atoms)
+    assert abs(atoms.pgf_at(0.0) - 0.6628321) <= 1e-6  # exp(-pi^2/24)
+    assert limits.limit_moments(law, spec) == (0.5, 0.5)
+    tv = [row.tv for row in report(spec, [100, 1000], 128).rows]
+    assert tv[1] < 1e-4 and 5 * tv[1] <= tv[0]
 
 
 def test_cp_consistency_for_convergent_series():

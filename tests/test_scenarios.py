@@ -40,8 +40,6 @@ PARSE_FAULTS = {
                                    "immigration.family"),
     "missing_m1_rule": ("thm1_poisson", "immigration.m1.rule = 2*(n+1)^-1\n", "",
                         "immigration.m1.rule"),
-    "missing_divergent": ("thm1_poisson", "limits.divergent = true\n", "",
-                          "limits.divergent"),
     "custom_without_base": ("thm3_cp_finite", "immigration.base = delta2\n", "",
                             "immigration.base"),
     "custom_unknown_base": ("thm3_cp_finite", "immigration.base = delta2",
@@ -88,9 +86,11 @@ def test_bad_rate_rule_in_a_file_is_a_validation_error(tmp_path, capsys):
 def test_quadratic_window_opening_late_is_found_and_noted():
     # 1 - rho_n = n^-1/2 with nu = 2000: the window nu (1 - rho_n) <= rho_n
     # opens near n = 2001^2 = 4004001, four times beyond a linear scan's reach
+    # m_{n,1} = 1/(n+1) decays faster than 1 - rho_n, so lambda = 0
     text = _edit("thm5_nb", "offspring.rho.gamma = 1\noffspring.rho.n0 = 1\n"
                  "offspring.nu = 1", "offspring.rho.gamma = 0.5\n"
-                 "offspring.rho.n0 = 0\noffspring.nu = 2000")
+                 "offspring.rho.n0 = 0\noffspring.nu = 2000").replace(
+        "limits.lambda = 1\nlimits.nu = 1", "limits.lambda = 0\nlimits.nu = 2000")
     sf = scenarios.parse_scenario_text(text)
     start = sf.spec.offspring.start_offset()
     assert abs(start - 2001**2) <= 1
@@ -162,13 +162,15 @@ def test_family_or_limit_fault_is_a_validation_error_naming_it(fault, tmp_path,
     assert message in capsys.readouterr().err
 
 
-def test_lambda_zero_outside_every_regime_is_accepted():
-    # nu > 0 with delta2 immigration: no negative binomial target to build
+def test_declared_lambda_is_checked_outside_every_regime():
+    # nu > 0 with delta2 immigration has no limit law, but its lambda is 1
     text = _edit("thm5_nb", "immigration.family = bernoulli",
                  "immigration.family = custom\nimmigration.base = delta2")
-    sf = scenarios.parse_scenario_text(text.replace("limits.lambda = 1",
-                                                    "limits.lambda = 0"))
-    assert isinstance(classify(sf.spec), OutsideScope)
+    assert isinstance(classify(scenarios.parse_scenario_text(text).spec), OutsideScope)
+    with pytest.raises(ScenarioValidationError,
+                       match="limits.lambda = 0.0 but the rules give 1.0"):
+        scenarios.parse_scenario_text(text.replace("limits.lambda = 1",
+                                                   "limits.lambda = 0"))
 
 
 @pytest.mark.parametrize("offspring", ["bernoulli", "quadratic", "linear_fractional"])
