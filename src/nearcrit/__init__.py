@@ -20,12 +20,10 @@ from .limits import (
     cp_intensity_finite,
     cp_intensity_series,
     general_limit_pmf,
-    nb_params,
     nb_pmf,
     poisson_pmf,
     product_law_eval,
 )
-from .linfrac import LinearFractional
 from .pgf import CenteredSeries, Pmf, compound, convolve, evaluate, factorial_moment
 from .scenarios import ScenarioFile, load_fixture, parse_scenario
 
@@ -37,7 +35,6 @@ __all__ = [
     "GenerationState",
     "ImmigrationFamily",
     "IntensityMeasure",
-    "LinearFractional",
     "OffspringFamily",
     "Pmf",
     "PowerSum",
@@ -54,7 +51,6 @@ __all__ = [
     "factorial_moment",
     "general_limit_pmf",
     "load_fixture",
-    "nb_params",
     "nb_pmf",
     "parse_scenario",
     "poisson_pmf",

@@ -34,11 +34,11 @@ DEFICIENCY_FLAG = 1e-6
 
 @dataclass(frozen=True)
 class GenerationState:
-    """Law of one generation plus the truncation mass lost getting there."""
+    """Law of one generation; ``pmf.deficiency`` is the truncation mass
+    lost getting there."""
 
     n: int
     pmf: pgf.Pmf
-    cumulative_deficiency: float
     truncated: bool = False
 
 
@@ -169,7 +169,7 @@ def propagate_sequence(spec: ScenarioSpec, ns, k_trunc: int | None = None,
                 f"truncation K={k} loses {deficiency:.3e} mass by n={n}; "
                 "increase K"
             )
-        states.append(GenerationState(n, out[n], deficiency, flagged))
+        states.append(GenerationState(n, out[n], flagged))
     return states
 
 

@@ -125,13 +125,6 @@ class PowerSum:
     def summable(self) -> bool:
         return all(t.power > 1 for t in self.terms)
 
-    def tail_bound(self, j: int) -> float:
-        """sum_{n > j} of the rule plus the error bound of :func:`hurwitz_zeta`."""
-        if not self.summable():
-            raise ScenarioValidationError("tail bound needs all exponents > 1")
-        return sum(t.coef * sum(hurwitz_zeta(t.power, j + 1 + t.shift))
-                   for t in self.terms)
-
     def __str__(self) -> str:
         return " + ".join(str(t) for t in self.terms)
 
@@ -498,8 +491,8 @@ class BernoulliOffspring(QuadraticOffspring):
 @dataclass(frozen=True)
 class LinearFractionalOffspring(OffspringFamily):
     """LF map with G_n''(1) = nu (1 - rho_n), params (alpha, beta) checked
-    like LinearFractional; its ``pmf`` rows hold p_0 = 1 - alpha/(1 - beta)
-    and p_k = alpha beta^(k-1)."""
+    by :func:`linfrac.lf_alpha_beta`; its ``pmf`` rows hold
+    p_0 = 1 - alpha/(1 - beta) and p_k = alpha beta^(k-1)."""
 
     kind = "linear_fractional"
     rho_rule: RhoRule

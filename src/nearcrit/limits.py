@@ -38,8 +38,6 @@ from .families import (
     lambda_seq_fault,
 )
 
-_ATOM_CLAMP = 1e-12
-
 
 @dataclass(frozen=True)
 class IntensityMeasure:
@@ -49,7 +47,7 @@ class IntensityMeasure:
 
     def __post_init__(self):
         a = np.atleast_1d(np.asarray(self.atoms, dtype=float))
-        if np.any(a < -_ATOM_CLAMP):
+        if np.any(a < -pgf.NEGATIVE_CLAMP):
             raise NotADistributionError("intensity atoms must be nonnegative")
         a = np.where(a < 0.0, 0.0, a)
         if not np.all(np.isfinite(a)) or not math.isfinite(float(a.sum())):
@@ -71,11 +69,6 @@ class IntensityMeasure:
 def poisson_pmf(lam: float, k_trunc: int) -> pgf.Pmf:
     """Poisson(lam) truncated at ``k_trunc``; Poisson(0) is the point mass at 0."""
     return pgf.Pmf(pgf.poisson_coeffs(lam, k_trunc))
-
-
-def nb_params(lam: float, nu: float) -> NegativeBinomialLimit:
-    """Negative binomial target (r, p) = (2 lam/nu, nu/(2+nu)) for nu > 0."""
-    return NegativeBinomialLimit.from_limits(lam, nu)
 
 
 def nb_pmf(r: float, p: float, k_trunc: int) -> pgf.Pmf:
@@ -103,7 +96,7 @@ def cp_intensity_finite(lambdas) -> IntensityMeasure:
         raise ValueError(fault)
     c = [0.0] + [v / math.factorial(l) for l, v in enumerate(lam, start=1)]
     atoms = pgf.taylor_shift(c, -1.0, len(lam))[1:]
-    if np.any(atoms < -_ATOM_CLAMP):
+    if np.any(atoms < -pgf.NEGATIVE_CLAMP):
         raise NotADistributionError(
             "lambda sequence produces a negative intensity atom"
         )
@@ -132,7 +125,7 @@ def cp_intensity_series(rule: Callable[[int], float], tol: float,
     atoms = pgf.taylor_shift(c, -1.0, j_max + 1)[1:]
     if not np.all(np.isfinite(atoms)):
         raise SeriesDivergenceError("intensity series terms overflow in the shift")
-    if np.any(atoms < -_ATOM_CLAMP):
+    if np.any(atoms < -pgf.NEGATIVE_CLAMP):
         raise NotADistributionError("rule produces a negative intensity atom")
     return IntensityMeasure(atoms)
 

@@ -11,7 +11,6 @@ F_n(x) built on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -41,30 +40,6 @@ def lf_value(par, x):
     """f(x) for parameters par = (alpha, beta); floats or broadcasting arrays."""
     alpha, beta = par
     return 1.0 - alpha / (1.0 - beta) + alpha * x / (1.0 - beta * x)
-
-
-@dataclass(frozen=True)
-class LinearFractional:
-    """Parameters (alpha, beta) of f(s) = 1 - a/(1-b) + a s/(1-b s).
-
-    beta = 0 degenerates to Bernoulli(alpha); a proper PGF needs
-    alpha in (0, 1], beta in [0, 1) and alpha + beta <= 1.
-    """
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        _check_params(self.alpha, self.beta)
-
-    def value_at(self, x: float) -> float:
-        return lf_value((self.alpha, self.beta), x)
-
-    def deriv_at_1(self, s: int) -> float:
-        """s-th derivative at 1 (:func:`lf_deriv_at_1`)."""
-        if s < 1:
-            raise ValueError("derivative order must be >= 1")
-        return lf_deriv_at_1((self.alpha, self.beta), s)
 
 
 def lf_deriv_at_1(par, s: int):

@@ -133,10 +133,6 @@ class CenteredSeries:
     def __len__(self) -> int:
         return self.coeffs.shape[0]
 
-    def value_at(self, x: float) -> float:
-        """Evaluate the series at ``x`` (Horner in the shifted variable)."""
-        return float(np.polyval(self.coeffs[::-1], x - 1.0))
-
 
 def _coeffs(p) -> np.ndarray:
     return p.coeffs if isinstance(p, Pmf) else p

@@ -2,13 +2,14 @@
 
 Each one is a scalar or textbook form of a quantity the library computes
 by another route: the LF composition by chain-rule derivatives, the LF
-coefficients of one generation from its scalar parameters, the
-Faà di Bruno coefficient of f''(g), the chord slope vartheta, the product
-law by explicit summation, the Poisson and negative binomial
-coefficients by their step-by-step recurrences, the changes between
-the x and (x-1) bases by binomial columns and alternating sums, the
-general exponential law by pointwise summation of its centered series,
-the exponential companion of the product over composed maps, and the
+coefficients of one generation from its scalar parameters, the tail sum
+of a power-sum rule with its error bound, a centered series by Horner,
+the Faà di Bruno coefficient of f''(g), the chord slope vartheta, the
+product law by explicit summation, the Poisson and negative binomial
+coefficients by their step-by-step recurrences, the changes between the
+x and (x-1) bases by binomial columns and alternating sums, the general
+exponential law by pointwise summation of its centered series, the
+exponential companion of the product over composed maps, and the
 derivatives at 1 of composed maps of any family by truncated
 Taylor-series composition, with the limits of their sums; and, as a view
 only, a family sampler's cells laid out as a dense matrix.
@@ -21,29 +22,42 @@ import math
 import numpy as np
 
 from nearcrit import engine
-from nearcrit.errors import NumericError, SeriesDivergenceError
-from nearcrit.linfrac import LinearFractional, chain_product, lf_alpha_beta
+from nearcrit.errors import NumericError, ScenarioValidationError, SeriesDivergenceError
+from nearcrit.families import hurwitz_zeta
+from nearcrit.linfrac import chain_product, lf_alpha_beta, lf_deriv_at_1
 
 
-def lf_from_derivatives(d1: float, d2: float) -> LinearFractional:
-    """The LF map with (f'(1), f''(1)) = (d1, d2), see ``lf_alpha_beta``."""
-    return LinearFractional(*lf_alpha_beta(d1, d2))
+def lf_compose(outer, inner) -> tuple[float, float]:
+    """(alpha, beta) of outer(inner(.)) for LF parameter pairs, via
+    chain-rule derivatives at 1."""
+    d1o, d2o = lf_deriv_at_1(outer, 1), lf_deriv_at_1(outer, 2)
+    d1i, d2i = lf_deriv_at_1(inner, 1), lf_deriv_at_1(inner, 2)
+    return lf_alpha_beta(d1o * d1i, d2o * d1i**2 + d1o * d2i)
 
 
-def lf_compose(outer: LinearFractional, inner: LinearFractional) -> LinearFractional:
-    """Parameters of outer(inner(.)), via chain-rule derivatives at 1."""
-    d1o, d2o = outer.deriv_at_1(1), outer.deriv_at_1(2)
-    d1i, d2i = inner.deriv_at_1(1), inner.deriv_at_1(2)
-    return lf_from_derivatives(d1o * d1i, d2o * d1i**2 + d1o * d2i)
-
-
-def lf_pmf_coeffs(par: LinearFractional, k_trunc: int) -> np.ndarray:
-    """p_0 = 1 - alpha/(1-beta), p_k = alpha beta^(k-1) for k >= 1."""
+def lf_pmf_coeffs(par, k_trunc: int) -> np.ndarray:
+    """p_0 = 1 - alpha/(1-beta), p_k = alpha beta^(k-1) for k >= 1, from
+    par = (alpha, beta)."""
+    alpha, beta = par
     out = np.zeros(k_trunc)
-    out[0] = 1.0 - par.alpha / (1.0 - par.beta)
+    out[0] = 1.0 - alpha / (1.0 - beta)
     if k_trunc > 1:
-        out[1:] = par.alpha * par.beta ** np.arange(k_trunc - 1)
+        out[1:] = alpha * beta ** np.arange(k_trunc - 1)
     return out
+
+
+def tail_bound(rule, j: int) -> float:
+    """sum_{n > j} of a summable ``PowerSum`` plus the error bound of
+    ``hurwitz_zeta``."""
+    if not rule.summable():
+        raise ScenarioValidationError("tail bound needs all exponents > 1")
+    return sum(t.coef * sum(hurwitz_zeta(t.power, j + 1 + t.shift))
+               for t in rule.terms)
+
+
+def centered_value(c, x: float) -> float:
+    """A ``CenteredSeries`` at ``x``: Horner in the shifted variable x - 1."""
+    return float(np.polyval(c.coeffs[::-1], x - 1.0))
 
 
 def sample_dense(fam, n: int, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -153,7 +167,7 @@ def product_law_bruteforce(spec, x: float, tol: float,
     # a factor at or below 0 gives nan or -inf here, and then g = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         first = log_h(psi(1.0 - np.exp(log_rho) * v), m)
-    log_g0 = float(np.sum(first)) - imm.m1.tail_bound(depth) * psi(x)
+    log_g0 = float(np.sum(first)) - tail_bound(imm.m1, depth) * psi(x)
 
     def log_g(h):
         gbar = engine.composed_eval_all(spec, h, 1.0 - math.exp(log_rho[h - 1]) * v)

@@ -13,6 +13,7 @@ import sympy
 
 from nearcrit import cli, engine, limits, linfrac, pgf
 from nearcrit.diagnostics import accompanying_gap_bound, toeplitz_weights, tv_distance
+from nearcrit.families import NegativeBinomialLimit
 from nearcrit.linfrac import chain_product
 from nearcrit.scenarios import fixture_text, load_fixture
 from oracles import (
@@ -113,7 +114,7 @@ def test_criterion_5_limit_constructors_cross_checks():
 
     ok_nb = True
     for lam, nu in ((1.0, 1.0), (2.0, 0.5)):
-        par = limits.nb_params(lam, nu)
+        par = NegativeBinomialLimit.from_limits(lam, nu)
 
         def c_rule(l, lam=lam, nu=nu):
             return lam * (nu / 2.0) ** (l - 1) / l
@@ -271,7 +272,7 @@ def test_criterion_7_monte_carlo_cross_check(tmp_path):
 
 
 def test_criterion_8_nb_to_poisson_continuity():
-    par = limits.nb_params(1.0, 1e-6)
+    par = NegativeBinomialLimit.from_limits(1.0, 1e-6)
     tv = tv_distance(limits.nb_pmf(par.r, par.p, 80), limits.poisson_pmf(1.0, 80))
     _criterion(
         "criterion 8: NB(2l/v, v/(2+v)) -> Poisson(l) as v -> 0",

@@ -58,7 +58,7 @@ def test_propagate_zero_generations():
     spec = make_spec()
     state = engine.propagate(spec, 0, 8)
     assert state.pmf.coeffs[0] == 1.0
-    assert state.cumulative_deficiency == 0.0
+    assert state.pmf.deficiency == 0.0
 
 
 def test_propagate_one_generation_is_immigration():
@@ -89,7 +89,7 @@ def test_propagate_accepts_initial_law():
 def test_cumulative_deficiency_is_nondecreasing():
     spec = make_spec(m1="2*(n+1)^-1", lam=2.0)
     states = engine.propagate_sequence(spec, [5, 20, 80, 200], 16)
-    defs = [s.cumulative_deficiency for s in states]
+    defs = [s.pmf.deficiency for s in states]
     assert all(b >= a for a, b in zip(defs, defs[1:]))
 
 
@@ -106,7 +106,7 @@ def test_propagate_flags_small_truncation():
     with pytest.warns(UserWarning, match="truncation"):
         state = engine.propagate(spec, 200, 3)
     assert state.truncated
-    assert state.cumulative_deficiency > 1e-6
+    assert state.pmf.deficiency > 1e-6
 
 
 def test_composed_eval_diagonal_and_bernoulli_affine():
@@ -252,7 +252,7 @@ def test_coefficient_route_matches_product_route(fixture_specs):
         for x in (0.0, 0.3, 0.7, 1.0):
             a = pgf.evaluate(state.pmf, x)
             b = engine.pgf_via_product(spec, 40, x)
-            assert a == pytest.approx(b, abs=state.cumulative_deficiency + 1e-9)
+            assert a == pytest.approx(b, abs=state.pmf.deficiency + 1e-9)
 
 
 def test_mean_identity(fixture_specs):
@@ -699,7 +699,7 @@ def test_propagation_agrees_with_the_product_route(fixture_specs, name):
         state = engine.propagate(spec, n, 64)
         for x in (0.0, 0.45, 0.9):
             gap = engine.pgf_via_product(spec, n, x) - pgf.evaluate(state.pmf, x)
-            assert -1e-13 <= gap <= state.cumulative_deficiency + 1e-13, x
+            assert -1e-13 <= gap <= state.pmf.deficiency + 1e-13, x
 
 
 def _edges(spec, k):
@@ -751,7 +751,7 @@ def _assert_within_the_step_loop_deficiency(spec, targets, k, initial=None):
         margin = 2 * state.n * k * np.finfo(float).eps
         gap = float(np.sum(np.abs(state.pmf.coeffs - ref.coeffs)))
         assert gap <= ref.deficiency + margin, state.n
-        assert state.cumulative_deficiency <= ref.deficiency + margin, state.n
+        assert state.pmf.deficiency <= ref.deficiency + margin, state.n
 
 
 def _sweep_spec(offspring, immigration, rho1, gamma, nu, coef):
@@ -866,7 +866,7 @@ def _check_every_target_alone(spec, k, data):
     assert [s.n for s in states] == sorted(set(targets))
     for state, ref in zip(states, alone):
         margin = 2 * max(state.n, 1) * k * np.finfo(float).eps
-        lost = max(state.cumulative_deficiency, ref.cumulative_deficiency) + margin
+        lost = max(state.pmf.deficiency, ref.pmf.deficiency) + margin
         gap = np.abs(state.pmf.coeffs - ref.pmf.coeffs)
         assert np.all(gap <= margin * ref.pmf.coeffs + lost), state.n
         assert gap.sum() <= lost, state.n

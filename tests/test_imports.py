@@ -3,10 +3,15 @@
 Each module is parsed with :mod:`ast`; a name that a module-level import
 binds must be loaded somewhere in the module, either at module level or
 inside a function that does not bind the same name itself, or be listed
-in ``__all__``. ``from __future__`` imports bind nothing.
+in ``__all__``. ``from __future__`` imports bind nothing. Importing the
+command line adds no module from outside the standard library and numpy.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,3 +115,19 @@ def test_a_name_rebound_inside_a_function_is_not_a_read():
         "        return pi\n"
     )
     assert unused_imports(source) == [(1, "os"), (3, "pi")]
+
+
+def test_the_command_line_imports_only_the_stdlib_and_numpy():
+    # a fresh interpreter that has numpy already: what importing the CLI adds
+    probe = (
+        "import json, sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import nearcrit.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    added = {name.split(".")[0] for name in json.loads(out)}
+    assert "nearcrit" in added
+    assert added - {"nearcrit", "numpy"} <= sys.stdlib_module_names

@@ -32,19 +32,19 @@ def test_poisson_pmf_mean():
 
 
 def test_nb_params_formula_and_guards():
-    par = limits.nb_params(1.0, 1.0)
+    par = NegativeBinomialLimit.from_limits(1.0, 1.0)
     assert (par.r, par.p) == (2.0, pytest.approx(1.0 / 3.0))
     with pytest.raises(ValueError):
-        limits.nb_params(1.0, 0.0)
+        NegativeBinomialLimit.from_limits(1.0, 0.0)
     with pytest.raises(ValueError):
-        limits.nb_params(0.0, 1.0)
+        NegativeBinomialLimit.from_limits(0.0, 1.0)
 
 
 def test_nb_params_is_the_classified_negative_binomial_law():
     spec = load_fixture("thm5_nb").spec
     law = classify(spec)
     const = spec.constants()
-    par = limits.nb_params(const.lam, const.nu)
+    par = NegativeBinomialLimit.from_limits(const.lam, const.nu)
     assert isinstance(par, NegativeBinomialLimit)
     assert (par.r, par.p) == (law.r, law.p)
 
@@ -64,13 +64,13 @@ def test_nb_pmf_against_scipy():
 
 def test_nb_pmf_mean_matches_poisson_regime_mean():
     for lam, nu in ((1.0, 1.0), (2.5, 0.4)):
-        par = limits.nb_params(lam, nu)
+        par = NegativeBinomialLimit.from_limits(lam, nu)
         p = limits.nb_pmf(par.r, par.p, 400)
         assert pgf.factorial_moment(p, 1) == pytest.approx(lam, abs=1e-10)
 
 
 def test_nb_to_poisson_continuity():
-    par = limits.nb_params(1.0, 1e-6)
+    par = NegativeBinomialLimit.from_limits(1.0, 1e-6)
     nb = limits.nb_pmf(par.r, par.p, 80)
     poi = limits.poisson_pmf(1.0, 80)
     assert tv_distance(nb, poi) <= 1e-5
@@ -227,7 +227,7 @@ def test_general_limit_pmf_poisson_special_case():
 
 def test_general_limit_pmf_matches_nb():
     for lam, nu in ((1.0, 1.0), (2.0, 0.5)):
-        par = limits.nb_params(lam, nu)
+        par = NegativeBinomialLimit.from_limits(lam, nu)
 
         def c_rule(l, lam=lam, nu=nu):
             return lam * (nu / 2.0) ** (l - 1) / l

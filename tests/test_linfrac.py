@@ -12,7 +12,7 @@ from nearcrit.scenarios import load_fixture
 from nearcrit import engine, linfrac, pgf
 from nearcrit.errors import UnsupportedFamilyError
 from nearcrit.families import FAMILIES, log_two_base
-from nearcrit.linfrac import LinearFractional
+from nearcrit.linfrac import lf_alpha_beta, lf_deriv_at_1, lf_value
 from oracles import (
     accompanying_eval,
     composed_deriv_profile,
@@ -20,59 +20,58 @@ from oracles import (
     faa_f2_coefficient,
     faa_weight,
     lf_compose,
-    lf_from_derivatives,
 )
 
 
 def test_inversion_identity_map():
-    par = lf_from_derivatives(1.0, 0.0)
-    assert (par.alpha, par.beta) == (1.0, 0.0)
+    par = lf_alpha_beta(1.0, 0.0)
+    assert par == (1.0, 0.0)
     for x in (0.0, 0.3, 1.0):
-        assert par.value_at(x) == pytest.approx(x, abs=1e-15)
+        assert lf_value(par, x) == pytest.approx(x, abs=1e-15)
 
 
 def test_inversion_known_pair():
-    par = lf_from_derivatives(0.9, 0.2)
-    assert par.alpha == pytest.approx(0.729, abs=1e-15)
-    assert par.beta == pytest.approx(0.1, abs=1e-15)
+    alpha, beta = lf_alpha_beta(0.9, 0.2)
+    assert alpha == pytest.approx(0.729, abs=1e-15)
+    assert beta == pytest.approx(0.1, abs=1e-15)
 
 
 def test_inversion_roundtrip():
-    start = LinearFractional(0.5, 0.25)
-    back = lf_from_derivatives(start.deriv_at_1(1), start.deriv_at_1(2))
-    assert back.alpha == pytest.approx(0.5, abs=1e-12)
-    assert back.beta == pytest.approx(0.25, abs=1e-12)
+    start = (0.5, 0.25)
+    alpha, beta = lf_alpha_beta(lf_deriv_at_1(start, 1), lf_deriv_at_1(start, 2))
+    assert alpha == pytest.approx(0.5, abs=1e-12)
+    assert beta == pytest.approx(0.25, abs=1e-12)
 
 
 def test_inversion_rejects_bad_first_derivative():
     with pytest.raises(ValueError):
-        lf_from_derivatives(0.0, 0.1)
+        lf_alpha_beta(0.0, 0.1)
 
 
 def test_compose_with_identity():
-    f = LinearFractional(0.729, 0.1)
-    out = lf_compose(LinearFractional(1.0, 0.0), f)
-    assert out.alpha == pytest.approx(f.alpha, abs=1e-14)
-    assert out.beta == pytest.approx(f.beta, abs=1e-14)
+    f = (0.729, 0.1)
+    alpha, beta = lf_compose((1.0, 0.0), f)
+    assert alpha == pytest.approx(f[0], abs=1e-14)
+    assert beta == pytest.approx(f[1], abs=1e-14)
 
 
 def test_compose_bernoullis_multiply():
-    out = lf_compose(LinearFractional(0.7, 0.0), LinearFractional(0.5, 0.0))
-    assert out.alpha == pytest.approx(0.35, abs=1e-14)
-    assert out.beta == pytest.approx(0.0, abs=1e-14)
+    alpha, beta = lf_compose((0.7, 0.0), (0.5, 0.0))
+    assert alpha == pytest.approx(0.35, abs=1e-14)
+    assert beta == pytest.approx(0.0, abs=1e-14)
 
 
 def test_compose_matches_nested_evaluation():
-    f = LinearFractional(0.729, 0.1)
+    f = (0.729, 0.1)
     out = lf_compose(f, f)
     for x in (0.0, 0.25, 0.5, 0.75, 1.0):
-        assert out.value_at(x) == pytest.approx(f.value_at(f.value_at(x)), abs=1e-12)
+        assert lf_value(out, x) == pytest.approx(lf_value(f, lf_value(f, x)), abs=1e-12)
 
 
 admissible = st.tuples(
     st.floats(min_value=0.05, max_value=0.95),
     st.floats(min_value=0.0, max_value=0.9),
-).filter(lambda ab: ab[0] + ab[1] <= 1.0).map(lambda ab: LinearFractional(*ab))
+).filter(lambda ab: ab[0] + ab[1] <= 1.0)
 
 
 @given(admissible, admissible)
@@ -80,8 +79,8 @@ admissible = st.tuples(
 def test_composition_closure_property(outer, inner):
     out = lf_compose(outer, inner)
     for x in np.linspace(0.0, 1.0, 33):
-        assert out.value_at(float(x)) == pytest.approx(
-            outer.value_at(inner.value_at(float(x))), abs=1e-12
+        assert lf_value(out, float(x)) == pytest.approx(
+            lf_value(outer, lf_value(inner, float(x))), abs=1e-12
         )
 
 
@@ -101,12 +100,12 @@ def test_composed_map_bernoulli_collapses_to_chain_product():
 def test_composed_map_matches_compose_fold():
     spec = make_spec("linear_fractional", nu=1.0)
     j, n = 3, 6
-    folded = LinearFractional(1.0, 0.0)  # identity map
+    folded = (1.0, 0.0)  # identity map
     for l in range(n, j, -1):
-        folded = lf_compose(LinearFractional(*map(float, spec.offspring.params(l))), folded)
+        folded = lf_compose(tuple(map(float, spec.offspring.params(l))), folded)
     alpha, beta = linfrac.interval_params(spec, [n])
-    assert alpha[j] == pytest.approx(folded.alpha, abs=1e-12)
-    assert beta[j] == pytest.approx(folded.beta, abs=1e-12)
+    assert alpha[j] == pytest.approx(folded[0], abs=1e-12)
+    assert beta[j] == pytest.approx(folded[1], abs=1e-12)
 
 
 def test_composed_map_rejects_other_families():
@@ -266,10 +265,10 @@ def test_composed_deriv_matches_lf_closed_form():
     spec = make_spec("linear_fractional", nu=1.0)
     j, n = 2, 20
     alpha, beta = linfrac.interval_params(spec, [n])
-    par = LinearFractional(alpha[j], beta[j])
     prof = composed_deriv_profile(spec, n, 4)
     for k in (1, 2, 3, 4):
-        assert prof[j, k - 1] == pytest.approx(par.deriv_at_1(k), rel=1e-10)
+        assert prof[j, k - 1] == pytest.approx(
+            lf_deriv_at_1((alpha[j], beta[j]), k), rel=1e-10)
 
 
 def test_deriv_profile_agrees_with_pointwise():

@@ -26,7 +26,7 @@ from nearcrit.families import (
     hurwitz_zeta,
 )
 from nearcrit.scenarios import load_fixture
-from oracles import BRUTEFORCE_ERROR, product_law_bruteforce
+from oracles import BRUTEFORCE_ERROR, product_law_bruteforce, tail_bound
 
 CLOSED_FORM_XS = (0.0, 0.25, 0.5, 0.9, 1.0 - 1e-9)
 
@@ -198,7 +198,7 @@ def test_hurwitz_zeta_log_scale_avoids_overflow():
 def test_power_sum_tail_against_scipy(j):
     rule = PowerSum.parse("0.5*(n+2.5)^-1.5 + 2*n^-2 + 0.25*(n+1)^-3")
     want = sum(t.coef * zeta(t.power, j + 1 + t.shift) for t in rule.terms)
-    assert want <= rule.tail_bound(j) <= want * (1.0 + 1e-13)
+    assert want <= tail_bound(rule, j) <= want * (1.0 + 1e-13)
 
 
 @pytest.mark.parametrize("c,gamma,n0", [(1.0, 2.0, 0.0), (0.5, 1.2, 3.0),
@@ -254,7 +254,7 @@ def test_product_law_matches_explicit_summation(spec, x):
     got = limits.product_law_eval(spec, x, tol)
     # the explicit sum, with its own tolerance, which also covers the
     # factors beyond 2^20 that it takes at first order
-    tol_o = max(tol, 1.1 * (1.0 - x) * spec.immigration.m1.tail_bound(1 << 20))
+    tol_o = max(tol, 1.1 * (1.0 - x) * tail_bound(spec.immigration.m1, 1 << 20))
     try:
         want = product_law_bruteforce(spec, x, tol_o, horizon_cap=1 << 18)
     except NumericError:
@@ -322,7 +322,7 @@ def test_mean_tail_bracket_holds_against_explicit_sum(rules):
     rule, m1 = rules
     js = (64, 256, 1024)
     # beyond TOP the tail lies in [e^-Lambda_TOP, 1] sum_{l>TOP} m_{l,1}
-    s_top, lam_top = m1.tail_bound(BRACKET_TOP), rule.log_tail(BRACKET_TOP)
+    s_top, lam_top = tail_bound(m1, BRACKET_TOP), rule.log_tail(BRACKET_TOP)
     rest_mid = s_top * (1.0 + math.exp(-lam_top)) / 2
     rest_half = -s_top * math.expm1(-lam_top) / 2
     for j, head in zip(js, _mean_tails(rule, m1, js)):
