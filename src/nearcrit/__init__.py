@@ -24,13 +24,12 @@ from .limits import (
     poisson_pmf,
     product_law_eval,
 )
-from .pgf import CenteredSeries, Pmf, compound, convolve, evaluate, factorial_moment
+from .pgf import Pmf, compound, convolve, evaluate, factorial_moment
 from .scenarios import ScenarioFile, load_fixture, parse_scenario
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CenteredSeries",
     "ConvergenceReport",
     "GenerationState",
     "ImmigrationFamily",

@@ -184,9 +184,7 @@ def run(args: argparse.Namespace) -> int:
         rep = diagnostics.report(
             spec, grid, k, reps=reps, seed=seed, x_grid=xs, tol=tol
         )
-        text = rep.to_json() if args.format == "json" else rep.to_csv(
-            include_mc=args.reps is not None
-        )
+        text = rep.to_json() if args.format == "json" else rep.to_csv()
     elif args.command == "limits":
         text = _limit_output(sf, args, k, xs, tol)
     else:  # pragma: no cover - argparse restricts choices

@@ -221,8 +221,10 @@ class ConvergenceReport:
 
     CSV_COLUMNS = ("n", "tv", "mean_gap", "m2_gap", "bound", "toeplitz")
 
-    def to_csv(self, include_mc: bool = False) -> str:
-        cols = list(self.CSV_COLUMNS) + (["mc_tv"] if include_mc else [])
+    def to_csv(self) -> str:
+        """The CSV_COLUMNS of each row, and mc_tv when a row has one."""
+        mc = any(row.mc_tv is not None for row in self.rows)
+        cols = list(self.CSV_COLUMNS) + (["mc_tv"] if mc else [])
         lines = [",".join(cols)]
         for row in self.rows:
             vals = [f"{row.n:d}"]

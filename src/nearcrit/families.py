@@ -346,10 +346,11 @@ class OffspringFamily(metaclass=_ByName):
         Otherwise every series is ``k_trunc`` wide, g and x zero-padded
         from a piece's first generation on, and G_n is applied by Horner
         with one short product per degree above 1 on one pad per block
-        (``pgf._short_products``), which forms only the kept coefficients;
-        a row of degree at most 1 takes none. Every term is a sum of
-        products of nonnegative coefficients, so nothing below ``k_trunc``
-        is lost.
+        (``pgf._short_products``), which forms only the kept coefficients.
+        Rows narrower than 3 are zero-padded to 3 once per block, so a row
+        of degree at most 1 takes the same Horner steps with p2 = 0, which
+        adds only exact zeros. Every term is a sum of products of
+        nonnegative coefficients, so nothing below ``k_trunc`` is lost.
         """
         rows = self.pmf(ns, k_trunc)
         # a zero top column (quadratic with nu = 0) would only add degree
@@ -357,6 +358,8 @@ class OffspringFamily(metaclass=_ByName):
         rows = rows[:, : used[-1] + 1 if used.size else 1]
         if rows.shape[1] <= 2 and g.shape[0] <= 2:
             return _affine_scan(rows, g, pieces, min(2, k_trunc))
+        if rows.shape[1] < 3:
+            rows = np.pad(rows, ((0, 0), (0, 3 - rows.shape[1])))
         maps = np.zeros((rows.shape[0], k_trunc))
         coefs = rows.tolist()
         tail, times = pgf._short_products(k_trunc)
@@ -367,10 +370,6 @@ class OffspringFamily(metaclass=_ByName):
             for i in range(hi - 1, lo - 1, -1):
                 p = coefs[i]
                 maps[i] = g
-                if len(p) < 3:  # degree at most 1: no product
-                    g = p[-1] * g if len(p) == 2 else np.zeros(k_trunc)
-                    g[0] += p[0]
-                    continue
                 # Horner on g: p_d g + p_{d-1} formed in the pad's tail, then
                 # one short product by g per lower coefficient
                 rev = g[::-1]

@@ -95,16 +95,11 @@ def cp_intensity_finite(lambdas) -> IntensityMeasure:
     if fault is not None:
         raise ValueError(fault)
     c = [0.0] + [v / math.factorial(l) for l, v in enumerate(lam, start=1)]
-    atoms = pgf.taylor_shift(c, -1.0, len(lam))[1:]
-    if np.any(atoms < -pgf.NEGATIVE_CLAMP):
-        raise NotADistributionError(
-            "lambda sequence produces a negative intensity atom"
-        )
-    return IntensityMeasure(atoms)
+    return IntensityMeasure(pgf.taylor_shift(c, -1.0, len(lam))[1:])
 
 
 def cp_intensity_series(rule: Callable[[int], float], tol: float,
-                        j_max: int = 64, i_max: int = 10_000) -> IntensityMeasure:
+                        j_max: int = 64) -> IntensityMeasure:
     """Atoms mu{j} = (1/j!) sum_{i>=0} (-1)^i lambda_{j+i}/i!, j <= ``j_max``,
     from a rule l -> lambda_l.
 
@@ -112,21 +107,19 @@ def cp_intensity_series(rule: Callable[[int], float], tol: float,
     sum_l lambda_l (x-1)^l / l!: the centered series is cut for the
     ``j_max`` + 1 columns 0..j_max by :func:`_centered_cut`, which also ends
     it at the first lambda_l = 0, and one :func:`pgf.taylor_shift` by -1
-    gives every atom. No cut within ``j_max`` + ``i_max`` terms, or a term
-    that overflows, raises :class:`SeriesDivergenceError`; a negative atom
-    means the rule is inadmissible.
+    gives every atom. No cut within ``_CUT_TERMS`` terms, or a term that
+    overflows, raises :class:`SeriesDivergenceError`; a negative atom means
+    the rule is inadmissible.
     """
 
     def c_rule(l):  # lambda_l/l! from the exact ratio, so l! need not be a float
         num, den = rule(l).as_integer_ratio()
         return num / (den * math.factorial(l))
 
-    c = _centered_cut(c_rule, j_max + 1, tol, j_max + i_max)
+    c = _centered_cut(c_rule, j_max + 1, tol)
     atoms = pgf.taylor_shift(c, -1.0, j_max + 1)[1:]
     if not np.all(np.isfinite(atoms)):
         raise SeriesDivergenceError("intensity series terms overflow in the shift")
-    if np.any(atoms < -pgf.NEGATIVE_CLAMP):
-        raise NotADistributionError("rule produces a negative intensity atom")
     return IntensityMeasure(atoms)
 
 
@@ -163,8 +156,12 @@ def _max_binom_log(l: int, k_trunc: int) -> float:
     )
 
 
-def _centered_cut(c_rule: Callable[[int], float], k_trunc: int, tol: float,
-                  l_cap: int) -> np.ndarray:
+# most terms a centered series may take before its cut
+_CUT_TERMS = 10_000
+
+
+def _centered_cut(c_rule: Callable[[int], float], k_trunc: int,
+                  tol: float) -> np.ndarray:
     """(0, c_1, ..., c_L): the centered series sum_l c_l (x-1)^l, cut for
     its x-basis coefficients below x^``k_trunc``.
 
@@ -177,7 +174,7 @@ def _centered_cut(c_rule: Callable[[int], float], k_trunc: int, tol: float,
     are trusted to stay below. The series also ends at the first c_l = 0:
     by the cascade rule a vanished moment ratio never reappears, and a
     nonzero c_{l+1} after c_l = 0 (l >= 2) raises the ValueError of that
-    rule, as :func:`cp_intensity_finite` does. No cut within ``l_cap``
+    rule, as :func:`cp_intensity_finite` does. No cut within ``_CUT_TERMS``
     terms, or a kept term that overflows, raises
     :class:`SeriesDivergenceError`.
     """
@@ -193,7 +190,7 @@ def _centered_cut(c_rule: Callable[[int], float], k_trunc: int, tol: float,
         c = coeffs[l]
         return c == 0.0 or math.log(abs(c)) + _max_binom_log(l, k_trunc) < log_target
 
-    for l in range(1, l_cap + 1):
+    for l in range(1, _CUT_TERMS + 1):
         if not math.isfinite(term(l)):
             raise SeriesDivergenceError(f"centered coefficient c_{l} overflows")
         if coeffs[l] == 0.0:
@@ -206,7 +203,7 @@ def _centered_cut(c_rule: Callable[[int], float], k_trunc: int, tol: float,
         if all(small(m) for m in checked):
             return np.array(coeffs[: l + 1])
     raise SeriesDivergenceError(
-        f"centered coefficients do not truncate within {l_cap} terms "
+        f"centered coefficients do not truncate within {_CUT_TERMS} terms "
         f"for {k_trunc} output columns"
     )
 
@@ -220,18 +217,21 @@ def _term(c_rule: Callable[[int], float], l: int) -> float:
 
 
 def general_limit_pmf(c_rule: Callable[[int], float], k_trunc: int,
-                      tol: float = 1e-10, l_cap: int = 10_000) -> pgf.Pmf:
+                      tol: float = 1e-10) -> pgf.Pmf:
     """PMF of the law with PGF exp{sum_l c_l (x-1)^l}, c_l = lambda_l / l!.
 
     The series is cut by :func:`_centered_cut`: at the first term L that,
     with each of the L terms after it, moves none of the ``k_trunc`` output
-    columns by tol/100, or at the first c_l = 0. No cut within ``l_cap``
-    terms, or a term that overflows, raises :class:`SeriesDivergenceError`.
-    A negative output coefficient signals that the sequence does not define
-    a distribution at this truncation.
+    columns by tol/100, or at the first c_l = 0. No cut within
+    ``_CUT_TERMS`` terms, or a term that overflows, raises
+    :class:`SeriesDivergenceError`. The cut series (c_0 = 0) is moved to the
+    x basis by :func:`pgf.taylor_shift` by -1, only the columns that feed
+    the output, and exponentiated by :func:`pgf.exp_series`. A negative
+    output coefficient signals that the sequence does not define a
+    distribution at this truncation.
     """
-    c = _centered_cut(c_rule, k_trunc, tol, l_cap)
-    return pgf.exp_centered(pgf.CenteredSeries(c), k_trunc)
+    c = _centered_cut(c_rule, k_trunc, tol)
+    return pgf.exp_series(pgf.taylor_shift(c, -1.0, min(k_trunc, len(c))), k_trunc)
 
 
 def limit_atoms(law: LimitLaw) -> IntensityMeasure | None:

@@ -105,33 +105,13 @@ class Pmf:
         return self.coeffs.shape[0]
 
     @classmethod
-    def delta(cls, k: int, length: int | None = None) -> "Pmf":
+    def delta(cls, k: int) -> "Pmf":
         """Point mass at ``k``."""
         if k < 0:
             raise ValueError("support point must be nonnegative")
-        n = (k + 1) if length is None else length
-        c = np.zeros(max(n, k + 1))
+        c = np.zeros(k + 1)
         c[k] = 1.0
-        return cls(c[:n] if length is not None else c)
-
-
-@dataclass(frozen=True)
-class CenteredSeries:
-    """Power series in the (x-1) basis; ``coeffs[l]`` multiplies (x-1)^l."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("series must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(c)):
-            raise NumericError("series coefficients must be finite")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    def __len__(self) -> int:
-        return self.coeffs.shape[0]
+        return cls(c)
 
 
 def _coeffs(p) -> np.ndarray:
@@ -423,19 +403,6 @@ def exp_series(a: np.ndarray, k_trunc: int) -> Pmf:
     if not np.all(np.isfinite(b)):
         raise NumericError("series exponentiation overflowed")
     return Pmf(b)
-
-
-def exp_centered(c: CenteredSeries, k_trunc: int) -> Pmf:
-    """PMF whose PGF is exp of the centered series ``c``.
-
-    Requires c_0 = 0 so the PGF equals 1 at x = 1. The series is moved to
-    the x basis by :func:`taylor_shift` by -1, only the ``k_trunc`` columns
-    that feed the output. A negative output coefficient beyond the clamp
-    signals that the series does not define a distribution.
-    """
-    if abs(float(c.coeffs[0])) > 1e-12:
-        raise ValueError("centered series must vanish at x = 1 (c_0 = 0)")
-    return exp_series(taylor_shift(c.coeffs, -1.0, min(k_trunc, len(c))), k_trunc)
 
 
 def poisson_coeffs(lam, k_trunc: int) -> np.ndarray:

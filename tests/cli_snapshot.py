@@ -15,7 +15,7 @@ Monte Carlo column draws every row from one seeded run.
 Then ``classify`` on malformed copies of ``thm1_poisson``,
 ``thm3_cp_finite`` and ``thm5_nb``, one per fault of the scenario-file
 format and three whose declared limit constants are not the ones the rules
-give (MALFORMED), and one command in csv on each copy in VARIANTS (96 runs
+give (MALFORMED), and one command in csv on each copy in VARIANTS (99 runs
 in all). Each
 run leaves ``<stem>.out`` (stdout), ``<stem>.rc`` (exit code) and
 ``<stem>.err``, the stderr lines that start with ``error:`` or
@@ -108,6 +108,18 @@ VARIANTS["thm1_poisson_rules_only"] = (
     [(f"{line}\n", "") for line in ("limits.lambda = 2", "limits.nu = 0",
                                     "limits.divergent = true")],
     ["--command", "report"])
+# immigration kinds no fixture pairs with these offspring laws: Poisson
+# cohorts and custom delta2 cohorts over K-wide quadratic maps, and the
+# product law of a custom mixture
+_DELTA2 = ("immigration.family = bernoulli",
+           "immigration.family = custom\nimmigration.base = delta2\n"
+           "immigration.support = 3")
+VARIANTS["thm5_nb_poisson"] = (
+    "thm5_nb", [("immigration.family = bernoulli", "immigration.family = poisson")],
+    ["--command", "propagate"])
+VARIANTS["thm5_nb_delta2"] = ("thm5_nb", [_DELTA2], ["--command", "propagate"])
+VARIANTS["thm6_example1_delta2"] = (
+    "thm6_example1", [_DELTA2], ["--command", "limits", "--x-grid", "0.25,0.5,0.9"])
 
 
 def _run(out: Path, stem: str, cwd: Path, env: dict, argv: list[str]) -> None:

@@ -56,8 +56,9 @@ def tail_bound(rule, j: int) -> float:
 
 
 def centered_value(c, x: float) -> float:
-    """A ``CenteredSeries`` at ``x``: Horner in the shifted variable x - 1."""
-    return float(np.polyval(c.coeffs[::-1], x - 1.0))
+    """The series sum_l c[l] (x-1)^l at ``x``: Horner in the shifted variable
+    x - 1."""
+    return float(np.polyval(np.asarray(c)[::-1], x - 1.0))
 
 
 def sample_dense(fam, n: int, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -118,8 +119,8 @@ def vartheta(spec, j: int, n: int) -> float:
 
 # error of product_law_bruteforce at tol 1e-9 on the thm6_example1 copies
 # with n0 = 1 and nu <= 1 (tests/test_product_law.py): there its
-# extrapolants stop moving by 1e-10 at H <= 2^18, and they agree with the
-# library at tol 1e-12 to 6e-11
+# extrapolants stop moving by 1e-10 at H <= 2^10, and they agree with the
+# library at tol 1e-12 to 5e-12
 BRUTEFORCE_ERROR = 1e-10
 
 
@@ -134,19 +135,25 @@ def product_law_bruteforce(spec, x: float, tol: float,
     prefix to D = max(2^20, 2 horizon_cap) plus the midpoint-rule integral
     of the rest of -log(1 - d) = d + d^2/2 + ...
 
-    log g_0 takes every factor j <= D at 1 - rho_[j,inf] (1 - x), which is
-    exact for affine maps (nu = 0), and those beyond D at first order,
-    -psi(x) sum_{j>D} m_{j,1}. log g_H takes the factors j <= H over maps
-    composed from the first-order start 1 - rho_[H,inf] (1 - x) instead.
-    That start is off by nu Lambda_H (1 - x)^2 / 2 at leading order, with
-    Lambda_2H / Lambda_H -> r = 2^(1 - gamma); the Richardson extrapolant
-    E_H = log g_2H + (log g_2H - log g_H) r / (1 - r), which is
-    2 log g_2H - log g_H at gamma = 2, cancels it. H doubles from 64 until
-    E moves by less than tol/10, and NumericError is raised past
-    ``horizon_cap``. Float compositions have their own rounding: over 2^20
-    linear-fractional maps they differ from long-double ones by up to 7e-12
-    in Gbar, which the extrapolant triples, so tests state the oracle's
-    error beside their tolerance.
+    With v = 1 - x, log g_0 takes every factor j <= D at the second-order
+    start 1 - rho_[j,inf] v / (1 + C_j v), C_j = nu (1 - rho_[j,inf]) / 2,
+    which is exact for affine maps (nu = 0), and those beyond D at first
+    order, -psi(x) sum_{j>D} m_{j,1}. log g_H takes the factors j <= H over
+    maps composed from that start at H instead. Linear-fractional maps
+    beyond H compose to rho_[H,inf] v / (1 + C v), C = sum_{l>H} a_l
+    rho_[l,inf] with a_l = G_l''(1) / (2 rho_l) = nu (1 - rho_l) / (2 rho_l),
+    and (1 - rho_l) rho_[l,inf] telescopes to C_H; so the start is off by
+    order sum_{l>H} (1 - rho_l)^2, of order H^(1 - 2 gamma), and quadratic
+    maps add terms of that order. The Richardson extrapolant
+    E_H = log g_2H + (log g_2H - log g_H) r / (1 - r), r = 2^(1 - 2 gamma),
+    cancels it. (The first-order start 1 - rho_[H,inf] v is off by
+    nu Lambda_H v^2 / 2 only while Lambda_H is small; at gamma = 1.1875
+    Lambda_H is still 2 at H = 2^18, and an extrapolant built on it missed
+    log g(0) by 4e-6.) H doubles from 64 until E moves by less than tol/10,
+    and NumericError is raised past ``horizon_cap``. Float compositions
+    have their own rounding: over 2^20 linear-fractional maps they differ
+    from long-double ones by up to 7e-12 in Gbar, which the extrapolant at
+    most triples, so tests state the oracle's error beside their tolerance.
     """
     if x == 1.0:
         return 1.0
@@ -164,19 +171,21 @@ def product_law_bruteforce(spec, x: float, tol: float,
         base = imm.base_law.coeffs[::-1]
         psi = lambda y: (1.0 - np.polyval(base, y)) / imm.base_mean  # noqa: E731
         log_h = lambda p, mj: np.log1p(-mj * p)  # noqa: E731
+    rho = np.exp(log_rho)
+    y = rho * v / (1.0 + spec.offspring.nu / 2 * (1.0 - rho) * v)
     # a factor at or below 0 gives nan or -inf here, and then g = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        first = log_h(psi(1.0 - np.exp(log_rho) * v), m)
+        first = log_h(psi(1.0 - y), m)
     log_g0 = float(np.sum(first)) - tail_bound(imm.m1, depth) * psi(x)
 
     def log_g(h):
-        gbar = engine.composed_eval_all(spec, h, 1.0 - math.exp(log_rho[h - 1]) * v)
+        gbar = engine.composed_eval_all(spec, h, 1.0 - y[h - 1])
         with np.errstate(divide="ignore", invalid="ignore"):
             return log_g0 + float(np.sum(log_h(psi(gbar[1:]), m[:h]) - first[:h]))
 
     if spec.offspring.nu == 0:
         return math.exp(log_g0) if log_g0 > -math.inf else 0.0
-    r = 2.0 ** (1.0 - g)
+    r = 2.0 ** (1.0 - 2 * g)
     h, lo, hi = 128, log_g(64), log_g(128)
     est = math.nan
     while hi > -math.inf:

@@ -427,11 +427,12 @@ def test_simulate_negative_generation_is_a_validation_error(tmp_path, capsys):
     (["--command", "report", "--n-grid", "5", "--x-grid", "0.5,1.5"],
      "PGF argument must lie in [0, 1]"),
     (["--command", "simulate", "--n", "3", "--reps", "0"], "at least one trajectory"),
+    (["--command", "simulate", "--n", "3"], "simulate needs --reps"),
     (["--command", "limits", "--x-grid", "-0.5"], "PGF argument must lie in [0, 1]"),
     (["--command", "limits", "--tol", "0"], "tol=0.0 must be positive"),
     (["--command", "limits", "--K", "0"], "K=0: truncation length"),
 ], ids=["n", "K", "n_grid", "report_K", "report_reps", "seed", "x_grid",
-        "simulate_reps", "limits_x", "tol", "limits_K"])
+        "simulate_reps", "simulate_no_reps", "limits_x", "tol", "limits_K"])
 def test_out_of_range_run_parameters_are_validation_errors(tmp_path, capsys, flags,
                                                            message):
     path = fixture_path("thm6_example1", tmp_path)
@@ -461,6 +462,16 @@ def test_out_of_range_run_parameters_are_validation_errors(tmp_path, capsys, fla
      "no linear-fractional law"),
     ("thm4_log2", "immigration.support = 64", "immigration.support = 0",
      "immigration.support = 0 must be >= 1"),
+    ("thm3_cp_finite", "immigration.support = 3", "immigration.support = 2",
+     "custom immigration needs a base law with a positive mean"),
+    ("thm5_nb", "offspring.nu = 1", "offspring.nu = -1",
+     "nu must be finite and nonnegative"),
+    ("thm1_poisson", "run.K = 64", "run.K = 0", "horizon must be >= 0 and K >= 1"),
+    ("thm1_poisson", "run.n = 1000", "run.n = -5", "horizon must be >= 0 and K >= 1"),
+    ("thm4_log2", "limits.lambda_rule = log_series", "limits.lambda_rule = foo",
+     "unknown lambda rule 'foo'"),
+    ("thm3_cp_finite", "limits.lambda_seq = 2,1,0", "limits.lambda_seq = 2",
+     "need at least (lambda_1, lambda_2=0)"),
     # declared limit constants that are not the ones the rules give
     ("thm1_poisson", "limits.lambda = 2", "limits.lambda = 2.15",
      "limits.lambda = 2.15 but the rules give 2.0"),
@@ -469,7 +480,9 @@ def test_out_of_range_run_parameters_are_validation_errors(tmp_path, capsys, fla
     ("thm5_nb", "limits.lambda = 1", "limits.lambda = 3",
      "limits.lambda = 3.0 but the rules give 1.0"),
 ], ids=["lambda_seq_tail", "lambda_seq_cascade", "lambda_seq_negative", "lambda",
-        "nu", "nu_huge", "rho_nan", "lf_nu_huge", "support", "lambda_mismatch",
+        "nu", "nu_huge", "rho_nan", "lf_nu_huge", "support", "delta2_support",
+        "offspring_nu", "run_K", "run_n", "lambda_rule", "lambda_seq_short",
+        "lambda_mismatch",
         "lambda_seq_mismatch", "nb_lambda_mismatch"])
 @pytest.mark.parametrize("command", ["classify", "limits", "report", "propagate",
                                      "simulate"])

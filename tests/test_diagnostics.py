@@ -255,7 +255,7 @@ def test_report_includes_mc_column_on_request():
     rep = report(spec, [30], 64, reps=20_000, seed=7)
     assert rep.rows[0].mc_tv is not None
     assert rep.rows[0].mc_tv < 0.05
-    text = rep.to_csv(include_mc=True)
+    text = rep.to_csv()
     assert text.splitlines()[0].endswith(",mc_tv")
 
 

@@ -966,6 +966,23 @@ def test_sweep_pads_a_custom_law_of_changing_width(immigration):
     _assert_within_the_step_loop_deficiency(spec, [length, length + 1], 48)
 
 
+def test_a_table_that_narrows_below_a_wider_block_matches_the_step_loop():
+    # the table is 3 wide above n = 300 and 2 wide up to it; blocks of 256
+    # generations put n <= 88 under the K-wide map of the block above, so
+    # compose_back zero-pads those rows to 3 and runs Horner with p2 = 0
+    off = CustomOffspring(table=lambda n: np.array(
+        [0.5, 0.3, 0.2] if n > 300 else [0.4, 0.6]))
+    imm = BernoulliImmigration(m1=PowerSum.parse("1*(n+1)^-1"))
+    spec = ScenarioSpec(offspring=off, immigration=imm)
+    assert engine.block_length(spec, 64) == 256
+    got = engine.propagate(spec, 600, 64).pmf.coeffs
+    ref = _step_loop(spec, {600}, 64)[600].coeffs
+    big = ref >= 1e-12
+    assert big.sum() >= 10
+    rel = np.abs(got[big] - ref[big]) / ref[big]
+    assert float(rel.max()) <= 1e-11
+
+
 def test_a_base_law_too_wide_for_float_binomials_is_applied_row_by_row():
     # C(1099, 549) overflows a float, so the block's Vandermonde product is
     # unavailable and each cohort applies its pmf row instead

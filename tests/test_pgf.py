@@ -102,13 +102,13 @@ def test_compound_delta_count_is_self_convolution():
 
 def test_compound_identity_count():
     g = pgf.Pmf(np.array([0.1, 0.2, 0.7]))
-    out = pgf.compound(pgf.Pmf.delta(1, 4), g, 3)
+    out = pgf.compound(pgf.Pmf(np.array([0.0, 1.0, 0.0, 0.0])), g, 3)
     assert np.allclose(out.coeffs, g.coeffs, atol=1e-15)
 
 
 def test_compound_with_unit_jump_is_exact():
     count = pgf.Pmf(np.array([0.125, 0.5, 0.25, 0.125]))
-    out = pgf.compound(count, pgf.Pmf.delta(1, 2), 4)
+    out = pgf.compound(count, pgf.Pmf(np.array([0.0, 1.0])), 4)
     assert np.array_equal(out.coeffs, count.coeffs)
 
 
@@ -158,15 +158,16 @@ def test_factorial_moment_poisson():
     assert pgf.factorial_moment(p, 3) == pytest.approx(1.0, abs=1e-10)
 
 
+# exp of a centered series sum_l c_l (x-1)^l with c_0 = 0: the shift by -1,
+# then exp_series, as limits.general_limit_pmf forms it
 def test_exp_centered_poisson():
-    c = pgf.CenteredSeries(np.array([0.0, 1.0]))
-    out = pgf.exp_centered(c, 30)
+    out = pgf.exp_series(pgf.taylor_shift([0.0, 1.0], -1.0, 2), 30)
     assert out.coeffs[0] == pytest.approx(math.exp(-1.0), abs=1e-14)
     assert np.allclose(out.coeffs, pgf.poisson_coeffs(1.0, 30), atol=1e-14)
 
 
 def test_exp_centered_zero_series_is_point_mass():
-    out = pgf.exp_centered(pgf.CenteredSeries(np.zeros(5)), 4)
+    out = pgf.exp_series(pgf.taylor_shift(np.zeros(5), -1.0, 4), 4)
     assert np.allclose(out.coeffs, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
 
@@ -175,13 +176,8 @@ def test_exp_centered_inverse_square_value_at_zero():
     # zeroth column is computable for this CP-divergent series.
     l = np.arange(1, 2001)
     c = np.concatenate([[0.0], 1.0 / l**2])
-    out = pgf.exp_centered(pgf.CenteredSeries(c), 1)
+    out = pgf.exp_series(pgf.taylor_shift(c, -1.0, 1), 1)
     assert out.coeffs[0] == pytest.approx(math.exp(-math.pi**2 / 12), abs=1e-6)
-
-
-def test_exp_centered_requires_vanishing_constant():
-    with pytest.raises(ValueError):
-        pgf.exp_centered(pgf.CenteredSeries(np.array([0.5, 1.0])), 4)
 
 
 def test_shift_basis_point_mass():
@@ -299,9 +295,9 @@ def test_convolution_adds_means(a, b):
 )
 @settings(max_examples=60, deadline=None)
 def test_exp_centered_matches_log_of_eval(tail):
-    c = pgf.CenteredSeries(np.array([0.0] + tail))
+    c = np.array([0.0] + tail)
     try:
-        out = pgf.exp_centered(c, 80)
+        out = pgf.exp_series(pgf.taylor_shift(c, -1.0, min(80, len(c))), 80)
     except NotADistributionError:
         return  # arbitrary tails need not define a distribution
     if out.deficiency > 1e-11:

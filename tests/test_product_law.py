@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
@@ -240,7 +240,22 @@ def product_specs(draw):
     )
 
 
+def _custom_immigration_spec(base: str) -> ScenarioSpec:
+    """thm6_example1's offspring under a custom immigration mixture, so
+    that every run reaches ``CustomImmigration._chi``."""
+    return ScenarioSpec(
+        offspring=FAMILIES["offspring"]["bernoulli"](rho_rule=RhoRule(1.0, 2.0, 0.0)),
+        immigration=FAMILIES["immigration"]["custom"](
+            m1=PowerSum.parse("0.5*n^-2 + 0.5*n^-3"), base=tuple(BASE_LAWS[base](64))),
+        lam=0.0, nu=0.0, divergent=False,
+    )
+
+
 @given(spec=product_specs(), x=st.floats(0.0, 1.0))
+@example(spec=_custom_immigration_spec("delta2"), x=0.0)
+@example(spec=_custom_immigration_spec("delta2"), x=0.5)
+@example(spec=_custom_immigration_spec("log_two"), x=0.0)
+@example(spec=_custom_immigration_spec("log_two"), x=0.5)
 @settings(max_examples=40, deadline=None)
 def test_product_law_matches_explicit_summation(spec, x):
     tol = 1e-6
