@@ -459,12 +459,13 @@ class QuadraticOffspring(OffspringFamily):
 
     def _draw(self, par, counts, states, rng):
         p0, p2 = par
-        if not p2:  # none of the split parents has two children
-            split, cnt = _binomial_split(counts, states, p0, rng)
-            return np.arange(states.shape[0])[:, None], states[:, None] - split, cnt
+        # the parents without exactly one child, then the twos among them
         row, split, cnt = _binomial_cells(counts, states, p0 + p2, rng)
-        twos, cnt = _binomial_split(cnt, split, p2 / (p0 + p2), rng)
-        return row[:, None], (states[row] - split)[:, None] + 2 * twos, cnt
+        kids = states[row] - split
+        if p2:  # p0 + p2 = 0 leaves no split parent and no 0/0
+            cell, twos, cnt = _binomial_cells(cnt, split, p2 / (p0 + p2), rng)
+            row, kids = row[cell], kids[cell] + 2 * twos
+        return row, kids, cnt
 
 
 @dataclass(frozen=True)
@@ -640,11 +641,11 @@ def _split(counts: np.ndarray, hazard: Callable, rng: np.random.Generator) -> np
 
 
 def _mode_last(probs: np.ndarray):
-    """(table, perm): ``probs`` normalized to sum 1 along its last axis, with
-    each row's most likely value swapped into the last column, and that
-    swap: column c of a row of the table holds the probability of value
-    perm[c] (perm[i, c] for row i). A swap is its own inverse, so perm also
-    takes a draw's columns back to values.
+    """(table, perm): the rows of ``probs`` normalized to sum 1, with each
+    row's most likely value swapped into the last column, and that swap:
+    column c of row i of the table holds the probability of value
+    perm[i, c]. A swap is its own inverse, so perm also takes a draw's
+    columns back to values.
 
     ``rng.multinomial`` over the table runs the conditional binomials of
     :func:`_split` in C: value k takes a Binomial share, of probability
@@ -657,73 +658,49 @@ def _mode_last(probs: np.ndarray):
     probs /= np.add.reduce(probs, axis=-1, keepdims=True)
     mode = probs.argmax(axis=-1)
     width = probs.shape[-1]
-    perm = np.arange(width)
-    if probs.ndim == 1:
-        perm[mode], perm[-1] = width - 1, mode
-        return probs[perm], perm
     rows = np.arange(probs.shape[0])
-    perm = perm[None, :].repeat(rows.shape[0], axis=0)
+    perm = np.arange(width)[None, :].repeat(rows.shape[0], axis=0)
     perm[rows, mode] = width - 1
     perm[:, -1] = mode
     return probs[rows[:, None], perm], perm
 
 
-def _cells(out: np.ndarray):
-    """(row, value, count) of the nonzero entries of a split matrix."""
-    row, value = out.nonzero()
-    return row, value, out[row, value]
-
-
-def _binomial_draw(counts: np.ndarray, sizes: np.ndarray, p: float,
-                   rng: np.random.Generator):
-    """(k, out): out[i, c] of the ``counts[i]`` trajectories, each of
-    ``sizes[i]`` units, have exactly k[i, c] units with an event of the
-    rarer probability q = min(p, 1 - p), so a caller passes whichever of p
-    and 1 - p it has unrounded.
+def _binomial_cells(counts: np.ndarray, sizes: np.ndarray, p: float,
+                    rng: np.random.Generator):
+    """(row, events, count): the nonzero cells of one binomial stage, in
+    which ``count`` of the ``counts[row]`` trajectories, each of
+    ``sizes[row]`` units, have exactly ``events`` units with an event of
+    probability p. Cells come ordered by row and then by the count of the
+    rarer outcome, q = min(p, 1 - p), so a caller passes whichever of p and
+    1 - p it has unrounded, and a later stage's rows come in the order its
+    draw is defined in.
 
     The Binomial(sizes[i], q) weights relative to k = 0,
     prod_{l<k} (s - l) q / ((l + 1)(1 - q)), are summed in logs and scaled
     by their maximum over k, so no size overflows or vanishes; a factor
     s - l <= 0 is log 0 = -inf, which every later k keeps, so the values
     beyond s get weight 0 without a mask. One ``rng.multinomial`` draw over
-    their :func:`_mode_last` table splits every row, its most likely k
-    last; the columns keep the order of the draw, and k is their swap.
+    their :func:`_mode_last` table splits every row, its most likely k last.
     """
     q = 1.0 - p if p > 0.5 else p
     if q == 0.0:
-        return np.zeros((sizes.shape[0], 1), dtype=np.intp), counts[:, None]
-    ls = np.arange(int(sizes.max(initial=0)) + 1)
-    logw = np.zeros((sizes.shape[0], ls.shape[0]))
-    factors = logw[:, 1:]
-    np.multiply(np.maximum(sizes[:, None] - ls[:-1], 0), q / (1.0 - q) / ls[1:], out=factors)
-    with np.errstate(divide="ignore"):
-        np.log(factors, out=factors)
-    np.add.accumulate(logw, axis=1, out=logw)
-    logw -= np.maximum.reduce(logw, axis=1, keepdims=True)
-    table, k = _mode_last(np.exp(logw, out=logw))
-    return k, rng.multinomial(counts, table)
-
-
-def _binomial_split(counts: np.ndarray, sizes: np.ndarray, p: float,
-                    rng: np.random.Generator):
-    """(events, out): out[i, c] of the ``counts[i]`` trajectories, each of
-    ``sizes[i]`` units, have exactly events[i, c] units with an event of
-    probability p (:func:`_binomial_draw`). Every column of row i is a cell,
-    zero counts included; a last stage passes them on as they are."""
-    k, out = _binomial_draw(counts, sizes, p, rng)
-    return (sizes[:, None] - k if p > 0.5 else k), out
-
-
-def _binomial_cells(counts: np.ndarray, sizes: np.ndarray, p: float,
-                    rng: np.random.Generator):
-    """The nonzero cells (i, e, c) of :func:`_binomial_split`, ordered by
-    row and then the rarer count: c of the ``counts[i]`` trajectories have
-    e events. A stage that a later stage splits further passes these on,
-    so the later stage's rows come in the order its draw is defined in."""
-    k, out = _binomial_draw(counts, sizes, p, rng)
+        out, k = counts[:, None], np.zeros((sizes.shape[0], 1), dtype=np.intp)
+    else:
+        ls = np.arange(int(sizes.max(initial=0)) + 1)
+        logw = np.zeros((sizes.shape[0], ls.shape[0]))
+        factors = logw[:, 1:]
+        np.multiply(np.maximum(sizes[:, None] - ls[:-1], 0), q / (1.0 - q) / ls[1:],
+                    out=factors)
+        with np.errstate(divide="ignore"):
+            np.log(factors, out=factors)
+        np.add.accumulate(logw, axis=1, out=logw)
+        logw -= np.maximum.reduce(logw, axis=1, keepdims=True)
+        table, k = _mode_last(np.exp(logw, out=logw))
+        out = rng.multinomial(counts, table)
     # the swap k takes the draw's columns back to value order
-    row, k, cnt = _cells(out[np.arange(out.shape[0])[:, None], k])
-    return row, (sizes[row] - k if p > 0.5 else k), cnt
+    out = out[np.arange(out.shape[0])[:, None], k]
+    row, k = out.nonzero()
+    return row, (sizes[row] - k if p > 0.5 else k), out[row, k]
 
 
 def _nb_hazard(m: np.ndarray, beta: float, y: int) -> np.ndarray:
@@ -1068,8 +1045,8 @@ class CustomImmigration(ImmigrationFamily):
 
     def _sample_params(self, ns) -> list:
         # the base law's mode-last table, one for every generation of the block
-        table = _mode_last(_sampling_probs(self.base_law.coeffs))
-        return [(w, table) for w in super()._sample_params(ns)]
+        table, perm = _mode_last(_sampling_probs(self.base_law.coeffs)[None, :])
+        return [(w, (table[0], perm[0])) for w in super()._sample_params(ns)]
 
     def _draw(self, par, counts, rng):
         # the weight's binomial, then the base law in one multinomial draw,

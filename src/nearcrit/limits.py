@@ -349,6 +349,8 @@ def _product_terms(spec: ScenarioSpec, tol: float) -> tuple:
         raise UnsupportedFamilyError("the product law needs a rho rule")
     if rule.divergent_sum():
         raise WrongRegimeError("the product law needs sum(1-rho_n) < inf")
+    if not m1.summable():
+        raise WrongRegimeError("the product law needs summable immigration means")
     share = tol / 8
     start = _power_of_two(64, lambda j: rule.one_minus_rho(j + 1) <= 0.5, tol)
 
@@ -435,7 +437,7 @@ def product_law_eval(spec: ScenarioSpec, x, tol: float = 1e-7):
     for v in 1.0 - xs.ravel():
         y = maps(v)
         h = imm.pgf_values(np.arange(1, head + 1), y, "declared")
-        if np.min(h) < -1e-12:
+        if np.min(h) < -pgf.NEGATIVE_CLAMP:
             raise NotADistributionError("a product factor went negative; immigration "
                                         "rates are inconsistent with the composed maps")
         r = np.sum(np.log(np.maximum(h, tol / 2)) + m[:head] * rho * v)

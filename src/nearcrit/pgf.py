@@ -204,8 +204,8 @@ def affine_compose(c, maps: np.ndarray):
         return None
     binom, idx = tables
     g1 = maps[:, 1] if maps.shape[1] > 1 else np.zeros(maps.shape[0])
-    # einsum, not matmul: a threaded BLAS product of a block spends more
-    # waking its thread pool (about 6 ms on 2 cores) than computing
+    # einsum, not matmul: matmul is faster at these shapes, but switching
+    # kernels moves outputs at rounding level, so it waits for a measured gain
     vander = np.einsum("jm,ml->jl", _powers(maps[:, 0], c.shape[0]), c[idx] * binom)
     return vander * _powers(g1, c.shape[0])
 

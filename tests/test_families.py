@@ -809,7 +809,7 @@ def test_nb_hazard_matches_the_exact_tail(beta):
         assert np.allclose(got[1:][ok], want, rtol=1e-10, atol=0.0)
 
 
-def test_binomial_split_handles_large_states():
+def test_binomial_cells_handles_large_states():
     # a state of 1100 parents: relative binomial weights reach
     # C(1100, 550) ~ 1e329, beyond the float range, and stay finite through
     # the log scaling

@@ -3,8 +3,10 @@
 Each module is parsed with :mod:`ast`; a name that a module-level import
 binds must be loaded somewhere in the module, either at module level or
 inside a function that does not bind the same name itself, or be listed
-in ``__all__``. ``from __future__`` imports bind nothing. Importing the
-command line adds no module from outside the standard library and numpy.
+in ``__all__``. ``from __future__`` imports bind nothing. Every private
+module-level function or class of the package is read by some module of
+it, as a name or as an attribute. Importing the command line adds no
+module from outside the standard library and numpy.
 """
 
 import ast
@@ -17,7 +19,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "nearcrit").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "nearcrit").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
@@ -115,6 +118,53 @@ def test_a_name_rebound_inside_a_function_is_not_a_read():
         "        return pi\n"
     )
     assert unused_imports(source) == [(1, "os"), (3, "pi")]
+
+
+def unread_private_definitions(sources: dict) -> list:
+    """(module, name) of each private module-level function or class of
+    ``sources`` ({module: source}) that no module of them reads, as a name
+    or as an attribute; a mention in a docstring or other string is no
+    read."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    return sorted((module, node.name) for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and node.name.startswith("_") and not node.name.startswith("__")
+                  and node.name not in reads)
+
+
+def test_every_private_definition_of_the_package_is_read():
+    assert unread_private_definitions({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def test_a_private_definition_named_only_in_a_docstring_is_unread():
+    sources = {
+        "a": (
+            "def _by_name():\n"
+            "    \"\"\"Not :func:`_in_docstring`.\"\"\"\n"
+            "def _by_attribute():\n"
+            "    pass\n"
+            "class _InDocstring:\n"
+            "    pass\n"
+            "def _in_docstring():\n"
+            "    return _by_name()\n"
+            "def __dunder__():\n"
+            "    pass\n"
+        ),
+        "b": (
+            "\"\"\"Uses :class:`a._InDocstring`.\"\"\"\n"
+            "import a\n"
+            "a._by_attribute()\n"
+            "a._in_docstring = None\n"
+        ),
+    }
+    assert unread_private_definitions(sources) == [("a", "_InDocstring"), ("a", "_in_docstring")]
 
 
 def test_the_command_line_imports_only_the_stdlib_and_numpy():

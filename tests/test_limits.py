@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -13,7 +14,13 @@ from nearcrit.errors import (
     SeriesDivergenceError,
     WrongRegimeError,
 )
-from nearcrit.families import GeneralExpLimit, NegativeBinomialLimit, classify
+from nearcrit.families import (
+    GeneralExpLimit,
+    NegativeBinomialLimit,
+    PowerSum,
+    ProductLimit,
+    classify,
+)
 from nearcrit.linfrac import chain_product
 from nearcrit.scenarios import fixture_text, load_fixture, parse_scenario_text
 from oracles import general_limit_pgf
@@ -276,6 +283,21 @@ def test_product_law_requires_convergent_regime():
     spec = make_spec(m1="2*(n+1)^-1", lam=2.0)  # divergent
     with pytest.raises(WrongRegimeError):
         limits.product_law_eval(spec, 0.5)
+
+
+@pytest.mark.parametrize("m1", ["1*n^-0.5", "1*n^-1"])
+def test_product_law_requires_summable_immigration_means(m1):
+    # thm6_example1's offspring: sum(1 - rho_n) < inf, but sum m_{n,1} = inf;
+    # n^-0.5 gave a negative mean and n^-1 a ZeroDivisionError before the check
+    base = load_fixture("thm6_example1").spec
+    spec = dataclasses.replace(
+        base, immigration=dataclasses.replace(base.immigration, m1=PowerSum.parse(m1)))
+    with pytest.raises(WrongRegimeError, match="summable immigration means"):
+        limits.product_law_eval(spec, 0.5, 1e-6)
+    with pytest.raises(WrongRegimeError, match="summable immigration means"):
+        limits.product_law_mean(spec)
+    with pytest.raises(WrongRegimeError, match="summable immigration means"):
+        limits.limit_moments(ProductLimit(), spec)
 
 
 def test_product_law_at_one():

@@ -251,11 +251,26 @@ def _custom_immigration_spec(base: str) -> ScenarioSpec:
     )
 
 
+def _quadratic_bernoulli_spec(c, gamma, n0, nu, m1) -> ScenarioSpec:
+    """Quadratic offspring under Bernoulli immigration, as ``product_specs``
+    draws them; the examples below once failed against the first-order
+    oracle."""
+    return ScenarioSpec(
+        offspring=FAMILIES["offspring"]["quadratic"](rho_rule=RhoRule(c, gamma, n0), nu=nu),
+        immigration=FAMILIES["immigration"]["bernoulli"](m1=PowerSum.parse(m1)),
+        lam=0.0, nu=nu, divergent=False,
+    )
+
+
 @given(spec=product_specs(), x=st.floats(0.0, 1.0))
 @example(spec=_custom_immigration_spec("delta2"), x=0.0)
 @example(spec=_custom_immigration_spec("delta2"), x=0.5)
 @example(spec=_custom_immigration_spec("log_two"), x=0.0)
 @example(spec=_custom_immigration_spec("log_two"), x=0.5)
+@example(spec=_quadratic_bernoulli_spec(1.0571981966165698, 1.109375, 2.0, 0.5,
+                                       "0.5*n^-2 + 0.5*n^-2"), x=0.75)
+@example(spec=_quadratic_bernoulli_spec(0.5193170509806894, 1.0546875, 1.0, 1.0,
+                                       "0.5*n^-2"), x=0.0)
 @settings(max_examples=40, deadline=None)
 def test_product_law_matches_explicit_summation(spec, x):
     tol = 1e-6
