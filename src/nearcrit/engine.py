@@ -240,6 +240,7 @@ def _histograms(spec: ScenarioSpec, top: int, reps: int, seed: int):
     one array call per family (``_sample_params``), so memory does not grow
     with the number of generations. Each generation the offspring
     ``_draw`` splits the occupied states into cells (row, children, count),
+    a finite law by binomial stages over its values, most likely first,
     which sum into the histogram of children; the immigration ``_draw``
     splits its occupied states into cells (row, immigrants, count), and the
     next histogram sums the counts at state + immigrants. No array spans

@@ -397,6 +397,19 @@ class OffspringFamily(metaclass=_ByName):
         :meth:`compose_back` onto the series g the sweep carries down."""
         return lambda ns, g, pieces: self.compose_back(ns, g, k_trunc, pieces)
 
+    def _draw(self, plan, counts, states, rng):
+        """(row, children, count) cells of a finite law by its plan
+        (:func:`_peel_plans`): one :func:`_binomial_cells` split of the
+        parents left per stage, and the children mode * s plus each stage's
+        step times the rest."""
+        mode, ps, steps, stages = plan
+        row, left, cnt = _binomial_cells(counts, states, ps[0], rng)
+        kids = mode * states[row] + steps[0] * left
+        for j in range(1, stages):
+            cell, left, cnt = _binomial_cells(cnt, left, ps[j], rng)
+            row, kids = row[cell], kids[cell] + steps[j] * left
+        return row, kids, cnt
+
     def _check(self) -> None:
         """The first hard check of :meth:`ScenarioSpec.validate`."""
 
@@ -451,28 +464,16 @@ class QuadraticOffspring(OffspringFamily):
         return [note] if start > 1 else []
 
     def _sample_params(self, ns) -> list:
-        """What ``_draw`` reads at each generation of ``ns``, from one array
-        call for a block of generations: (p0, p2) of the quadratic law
-        (p2 = 0 for Bernoulli)."""
-        p0, _, p2 = _quadratic_params(self.one_minus_rho(ns), self.nu)
-        return list(zip(p0.tolist(), p2.tolist()))
-
-    def _draw(self, par, counts, states, rng):
-        p0, p2 = par
-        # the parents without exactly one child, then the twos among them
-        row, split, cnt = _binomial_cells(counts, states, p0 + p2, rng)
-        kids = states[row] - split
-        if p2:  # p0 + p2 = 0 leaves no split parent and no 0/0
-            cell, twos, cnt = _binomial_cells(cnt, split, p2 / (p0 + p2), rng)
-            row, kids = row[cell], kids[cell] + 2 * twos
-        return row, kids, cnt
+        # (p0, p1, p2) from the unrounded 1 - rho_n; p2 = 0 for Bernoulli
+        p = _quadratic_params(self.one_minus_rho(ns), self.nu)
+        return _peel_plans(np.stack(p, axis=1))
 
 
 @dataclass(frozen=True)
 class BernoulliOffspring(QuadraticOffspring):
     """G_n(x) = 1 - rho_n + rho_n x, params (1 - rho_n, rho_n): the quadratic
-    law with nu = 0, whose sampler it keeps, and its composed maps are
-    affine."""
+    law with nu = 0, sampled from the same (p0, p1, p2), and its composed
+    maps are affine."""
 
     kind = "bernoulli"
     composes_lf = True
@@ -606,19 +607,7 @@ class CustomOffspring(OffspringFamily):
         return moments.reshape(np.shape(n)) if np.ndim(n) else float(moments[0])
 
     def _sample_params(self, ns) -> list:
-        return [_sampling_probs(np.asarray(self.table(int(m)), dtype=float))
-                for m in np.ravel(ns)]
-
-    def _draw(self, probs, counts, states, rng):
-        # the s-fold convolution of the table for s parents
-        laws = [np.ones(1)]
-        for _ in range(int(states.max(initial=0))):
-            laws.append(pgf.convolve(laws[-1], probs, len(laws[-1]) + len(probs) - 1))
-        rows = np.zeros((states.shape[0], laws[-1].shape[0]))
-        for i, s in enumerate(states):
-            rows[i, : laws[s].shape[0]] = laws[s]
-        table, kids = _mode_last(rows)
-        return np.arange(states.shape[0])[:, None], kids, rng.multinomial(counts, table)
+        return _peel_plans(_sampling_probs(np.stack(self.params(ns), axis=1)))
 
 
 def _split(counts: np.ndarray, hazard: Callable, rng: np.random.Generator) -> np.ndarray:
@@ -629,8 +618,7 @@ def _split(counts: np.ndarray, hazard: Callable, rng: np.random.Generator) -> np
     values are visited in increasing order, each taking a Binomial share of
     the draws still left (the conditional-binomial method; Davis, CSDA 16,
     1993), until no draw is left, so nothing is truncated. A bounded law is
-    one ``rng.multinomial`` draw instead, which runs the same method in C
-    with each row's most likely value last (:func:`_mode_last`).
+    one ``rng.multinomial`` draw instead (:func:`_mode_last`).
     """
     left = np.array(counts, dtype=np.int64)
     cols = []
@@ -641,19 +629,16 @@ def _split(counts: np.ndarray, hazard: Callable, rng: np.random.Generator) -> np
 
 
 def _mode_last(probs: np.ndarray):
-    """(table, perm): the rows of ``probs`` normalized to sum 1, with each
-    row's most likely value swapped into the last column, and that swap:
-    column c of row i of the table holds the probability of value
-    perm[i, c]. A swap is its own inverse, so perm also takes a draw's
-    columns back to values.
+    """(table, perm): the rows of ``probs`` normalized in place to sum 1,
+    each row's most likely value swapped into the last column, and that
+    swap: column c of row i holds value perm[i, c], and perm, its own
+    inverse, takes a draw's columns back to values.
 
     ``rng.multinomial`` over the table runs the conditional binomials of
     :func:`_split` in C: value k takes a Binomial share, of probability
-    p_k/(1 - sum_{i<k} p_i), of the draws still left, and a row stops when
-    they are used up. With the most likely value last the remainder
-    1 - sum_{i<k} p_i never falls below p_max >= 1/S over S values: no
-    conditional probability comes from cancellation, and none rounds above
-    1. ``probs`` is normalized in place.
+    p_k/(1 - sum_{i<k} p_i), of the draws left. With the mode last that
+    remainder never falls below p_max >= 1/S over S values, so no
+    conditional probability comes from cancellation or rounds above 1.
     """
     probs /= np.add.reduce(probs, axis=-1, keepdims=True)
     mode = probs.argmax(axis=-1)
@@ -670,10 +655,9 @@ def _binomial_cells(counts: np.ndarray, sizes: np.ndarray, p: float,
     """(row, events, count): the nonzero cells of one binomial stage, in
     which ``count`` of the ``counts[row]`` trajectories, each of
     ``sizes[row]`` units, have exactly ``events`` units with an event of
-    probability p. Cells come ordered by row and then by the count of the
-    rarer outcome, q = min(p, 1 - p), so a caller passes whichever of p and
-    1 - p it has unrounded, and a later stage's rows come in the order its
-    draw is defined in.
+    probability p. Cells come ordered by row, then by the count of the
+    rarer outcome, q = min(p, 1 - p); a caller passes whichever of p and
+    1 - p it has unrounded.
 
     The Binomial(sizes[i], q) weights relative to k = 0,
     prod_{l<k} (s - l) q / ((l + 1)(1 - q)), are summed in logs and scaled
@@ -737,13 +721,34 @@ def _poisson_hazard(lam: float, k: int) -> float:
 
 
 def _sampling_probs(table: np.ndarray) -> np.ndarray:
-    total = float(table.sum())
-    if total < 1.0 - 1e-9:
+    """The rows of ``table`` normalized to sum 1, if none misses mass."""
+    total = np.add.reduce(table, axis=-1, keepdims=True)
+    if total.min(initial=1.0) < 1.0 - 1e-9:
         raise NumericError(
-            f"cannot sample a law missing {1.0 - total:.3e} mass; "
+            f"cannot sample a law missing {1.0 - total.min():.3e} mass; "
             "raise the table support"
         )
     return table / total
+
+
+def _peel_plans(probs: np.ndarray) -> list:
+    """(mode, ps, steps, stages) of :meth:`OffspringFamily._draw` per row of
+    ``probs``: the values ranked most likely first (ties to the larger), and
+    one stage per positive value after the mode (at least one), which splits
+    the value before it from the rest at ps[j]: the rest's mass, summed from
+    the smallest, over the mass left (at the first stage the rest's mass
+    alone, 1 - rho_n for Bernoulli), so a rare rest is drawn at its rate.
+    The value split off holds 1/m of the mass left over m values, so
+    ps[j] <= 1 - 1/m; steps[j] is the next value minus it."""
+    padded = np.zeros((probs.shape[0], probs.shape[1] + 1))  # a point mass has a stage too
+    padded[:, :-1] = probs
+    least = padded.argsort(axis=1, kind="stable")  # ties: the smaller value first
+    rest = padded[np.arange(padded.shape[0])[:, None], least].cumsum(axis=1)[:, -2::-1]
+    p = rest.copy()
+    p[:, 1:] /= np.maximum(rest[:, :-1], np.finfo(float).tiny)  # 0/0 past the stages
+    stages = np.maximum((probs > 0.0).sum(axis=1) - 1, 1).tolist()
+    return list(zip(least[:, -1].tolist(), p.tolist(), np.diff(least[:, ::-1]).tolist(),
+                    stages))
 
 
 # ---------------------------------------------------------------------------
@@ -914,9 +919,23 @@ class ImmigrationFamily(metaclass=_ByName):
 
     def _sample_params(self, ns) -> list:
         """What ``_draw`` reads at each generation of ``ns``, from one array
-        call for a block of generations: the mixture weight at the clamped
-        rates."""
-        return self.weight(ns, "clamped").tolist()
+        call for a block: the weight at the clamped rates, the base law's
+        :func:`_mode_last` table over its positive values, and value 0 and
+        those values."""
+        table, perm = _mode_last(_sampling_probs(self.base_law.coeffs)[None, :])
+        live = table[0] > 0.0
+        base = table[0][live], np.append(0, perm[0][live])
+        return [(w, base) for w in self.weight(ns, "clamped").tolist()]
+
+    def _draw(self, par, counts, rng):
+        # the weight's binomial, then the base law in one multinomial draw;
+        # a one-value base (Bernoulli's point mass at 1) needs no draw
+        w, (table, values) = par
+        mixed = rng.binomial(counts, w)
+        out = np.empty((counts.shape[0], values.shape[0]), dtype=np.int64)
+        out[:, 0] = counts - mixed
+        out[:, 1:] = rng.multinomial(mixed, table) if table.shape[0] > 1 else mixed[:, None]
+        return values, out
 
     def _notes(self) -> list[str]:
         return []
@@ -1006,13 +1025,6 @@ class BernoulliImmigration(ImmigrationFamily):
                     "PMF/sampling paths clamp it"]
         return []
 
-    def _draw(self, w, counts, rng):
-        # the weight's binomial; the point mass at 1 needs no draw
-        mixed = rng.binomial(counts, w)
-        out = np.empty((counts.shape[0], 2), dtype=np.int64)
-        out[:, 0], out[:, 1] = counts - mixed, mixed
-        return np.arange(2), out
-
 
 @dataclass(frozen=True)
 class CustomImmigration(ImmigrationFamily):
@@ -1042,20 +1054,6 @@ class CustomImmigration(ImmigrationFamily):
 
     def _chi(self, u: float) -> float:
         return u - (1.0 - pgf.evaluate(self.base_law, 1.0 - u)) / self.base_mean
-
-    def _sample_params(self, ns) -> list:
-        # the base law's mode-last table, one for every generation of the block
-        table, perm = _mode_last(_sampling_probs(self.base_law.coeffs)[None, :])
-        return [(w, (table[0], perm[0])) for w in super()._sample_params(ns)]
-
-    def _draw(self, par, counts, rng):
-        # the weight's binomial, then the base law in one multinomial draw,
-        # its most likely value last (see _mode_last)
-        w, (table, perm) = par
-        mixed = rng.binomial(counts, w)
-        out = rng.multinomial(mixed, table)
-        out[:, perm[0]] += counts - mixed  # the column of value 0
-        return perm, out
 
 
 # each family class by its ``<role>.family`` name in scenario files

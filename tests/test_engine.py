@@ -472,19 +472,21 @@ def test_histograms_are_the_dense_sampler_draws(fixture_specs, name):
     assert states.shape[0] > 5
 
 
-def test_simulate_memory_grows_with_the_states_not_their_square():
-    # one immigrant cohort of 5000 a generation: states reach about 22 600,
-    # and a dense states x totals matrix needs 1.7 GiB (15892 x 14345)
-    # before n = 6; the histogram of cells needs about 0.2 GB
-    code = """
+def _simulate_under_address_limit(offspring: str):
+    """(width, total) of ``simulate`` at n = 6 with 200 reps, run in a child
+    process under 1.5 GiB of address space, for the offspring family built
+    by the expression ``offspring`` and one immigrant cohort of 5000 a
+    generation."""
+    code = f"""
 import resource, sys
 limit = 3 * 2**29  # 1.5 GiB of address space
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+import numpy as np
 from nearcrit import engine
-from nearcrit.families import (BernoulliOffspring, CustomImmigration, PowerSum,
-                               RhoRule, ScenarioSpec)
+from nearcrit.families import (BernoulliOffspring, CustomImmigration, CustomOffspring,
+                               PowerSum, RhoRule, ScenarioSpec)
 spec = ScenarioSpec(
-    offspring=BernoulliOffspring(rho_rule=RhoRule(c=0.5, gamma=1.0)),
+    offspring={offspring},
     immigration=CustomImmigration(m1=PowerSum.parse("5000*n^-0.5"),
                                   base=(0.0,) * 5000 + (1.0,)),
     lam=0.0, nu=0.0, divergent=True, horizon=6, k_trunc=64)
@@ -496,7 +498,25 @@ print(law.coeffs.shape[0], repr(float(law.coeffs.sum())))
                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert run.returncode == 0, run.stderr
     width, total = run.stdout.split()
-    assert int(width) > 15_000 and float(total) == pytest.approx(1.0, abs=1e-12)
+    return int(width), float(total)
+
+
+def test_simulate_memory_grows_with_the_states_not_their_square():
+    # states reach about 22 600, and a dense states x totals matrix needs
+    # 1.7 GiB (15892 x 14345) before n = 6; the histogram of cells needs
+    # about 0.2 GB
+    width, total = _simulate_under_address_limit(
+        "BernoulliOffspring(rho_rule=RhoRule(c=0.5, gamma=1.0))")
+    assert width > 15_000 and total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_simulate_memory_of_a_custom_offspring_table():
+    # states reach about 30 000: the table's s-fold convolutions up to the
+    # largest state s, about s^2 coefficients, need several GiB; a binomial
+    # stage over the 190 occupied states needs about 0.2 GB
+    width, total = _simulate_under_address_limit(
+        "CustomOffspring(table=lambda n: np.array([0.25, 0.5, 0.25]))")
+    assert width > 15_000 and total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_simulate_rejects_a_negative_generation_as_propagate_does():

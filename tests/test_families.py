@@ -624,6 +624,8 @@ OFFSPRING_CASES = {
     "quadratic_n5": (_offspring("quadratic", nu=1.0), 5),
     # nu = 2 > rho_2/(1 - rho_2) = 1: window-clamped, p1 = 0 and q = 1
     "quadratic_clamped": (_offspring("quadratic", n0=0.0, nu=2.0), 2),
+    # p0 = 0.675 > p2 = 0.225 > p1 = 0.1: no child first, then two, then one
+    "quadratic_early": (_offspring("quadratic", c=0.45, n0=0.0, nu=1.0), 1),
     # rho_1 = 1/2 and beta = 1/2: many parents with several extra children
     "lf_early": (_offspring("linear_fractional", nu=2.0), 1),
     "lf_n200": (_offspring("linear_fractional", nu=2.0), 200),
@@ -636,6 +638,9 @@ OFFSPRING_CASES = {
     # one nonzero entry, not the last: every parent has exactly two children
     "custom_point": (CustomOffspring(
         table=lambda n: np.array([0.0, 0.0, 1.0, 0.0])), 1),
+    # six values, the mode inside and a zero among them: no stage for value 2
+    "custom_six": (CustomOffspring(
+        table=lambda n: np.array([0.1, 0.2, 0.0, 0.35, 0.25, 0.1])), 1),
 }
 OFFSPRING_STARTS = {"bernoulli_q03_s40": WIDE_START}
 
@@ -669,6 +674,17 @@ def test_offspring_sampler_draws_childless_parents_at_a_tiny_rate(kind, nu):
     counts = [sample_dense(fam, 1, TINY_START.copy(), np.random.default_rng(seed))[1, 0]
               for seed in range(200)]
     # each count is Binomial(2^62, p) with variance expected (1 - p)
+    assert abs(np.mean(counts) - expected) <= 5.0 * math.sqrt(expected / 200)
+
+
+def test_custom_offspring_draws_a_rare_value_at_a_tiny_rate():
+    # the first stage splits the twos, 3e-16 of the parents, from the ones:
+    # drawing the ones at 1 - 3e-16 rounded would draw the twos at another rate
+    fam = CustomOffspring(table=lambda n: np.array([0.0, 1.0 - 3e-16, 3e-16]))
+    p2 = float(families._sampling_probs(fam.table(1))[2])
+    expected = 2.0**62 * p2
+    counts = [sample_dense(fam, 1, TINY_START.copy(), np.random.default_rng(seed))[1, 2]
+              for seed in range(200)]
     assert abs(np.mean(counts) - expected) <= 5.0 * math.sqrt(expected / 200)
 
 
