@@ -18,8 +18,6 @@ from .families import (
 from .limits import (
     IntensityMeasure,
     cp_intensity_finite,
-    cp_intensity_series,
-    general_limit_pmf,
     nb_pmf,
     poisson_pmf,
     product_law_eval,
@@ -45,10 +43,8 @@ __all__ = [
     "condition_ratios",
     "convolve",
     "cp_intensity_finite",
-    "cp_intensity_series",
     "evaluate",
     "factorial_moment",
-    "general_limit_pmf",
     "load_fixture",
     "nb_pmf",
     "parse_scenario",

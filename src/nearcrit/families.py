@@ -826,18 +826,34 @@ class ImmigrationFamily(metaclass=_ByName):
         vals = self.weight(n, "declared") * pgf.factorial_moment(self.base_law, k)
         return float(vals) if np.ndim(n) == 0 else vals
 
-    def lambda_ratios(self, lam: float) -> tuple[float, ...] | str:
-        """lambda_l = lim m_{n,l}/(l (1 - rho_n)) for lambda_1 = ``lam``, as
-        (lambda_1, ..., 0) up to the first zero, or the name of a rule: of a
-        mixture, lam f_l/(l f_1) from the factorial moments f_l = l! b_l of
-        the base law, B(1 + t) = sum_l b_l t^l, or the rule of a named base
-        in :data:`BASE_RULES`."""
+    def limit_atoms(self, lam: float) -> np.ndarray | str:
+        """Atoms mu{1}, ... of the compound Poisson limit at lambda = ``lam``
+        and nu = 0, :func:`limits.cp_limit_atoms` on the base law, or the
+        rule of a named base in :data:`BASE_RULES`."""
         if self.base_name in BASE_RULES:
             return BASE_RULES[self.base_name]
-        coeffs = self.base_law.coeffs
-        b = pgf.taylor_shift(coeffs, 1.0, coeffs.shape[0] + 1).tolist()
-        ratios = [lam * (math.factorial(l - 1) * b[l] / b[1]) for l in range(1, len(b))]
-        return tuple(ratios[: ratios.index(0.0, 1) + 1])
+        from .limits import cp_limit_atoms  # limits imports this module
+        return cp_limit_atoms(self.base_law.coeffs, lam, self.base_mean)
+
+    def lambda_ratios(self, lam: float) -> tuple[float, ...] | str:
+        """lambda_l = lim m_{n,l}/(l (1 - rho_n)) for lambda_1 = ``lam``, as
+        (lambda_1, ..., 0) up to the first zero, or the name of a rule: the
+        factorial moments lambda_l = sum_{i>=l} i(i-1)...(i-l+1) mu{i} of
+        the :meth:`limit_atoms`, sums of positive terms (one beyond the
+        float range reads inf)."""
+        atoms = self.limit_atoms(lam)
+        if isinstance(atoms, str):
+            return atoms
+        # the tails never grow: the atoms are positive up to B's degree; each
+        # sum runs over i >= l, so an overflowed (i)_l never meets a zero
+        a = np.trim_zeros(atoms, "b")
+        i = np.arange(1.0, a.shape[0] + 1)
+        falling, ratios = i, []
+        with np.errstate(over="ignore"):
+            for l in range(1, a.shape[0] + 1):
+                ratios.append(float(falling @ a[l - 1:]))
+                falling = falling[1:] * (i[l:] - l)
+        return (*ratios, 0.0) if ratios else (0.0, 0.0)  # lambda = 0: (0, 0)
 
     def pgf_values(self, ns, xs, rates: str) -> np.ndarray:
         """H_n(x) at generations ``ns`` and matching points ``xs``.
@@ -952,8 +968,9 @@ class PoissonImmigration(ImmigrationFamily):
         vals = np.asarray(self.m1.at(n), dtype=float) ** k
         return float(vals) if np.ndim(n) == 0 else vals
 
-    def lambda_ratios(self, lam: float) -> tuple[float, ...]:
-        return lam, 0.0  # m_{n,2} = m_{n,1}^2 vanishes against 1 - rho_n
+    def limit_atoms(self, lam: float) -> np.ndarray:
+        # B(x) = x: m_{n,2} = m_{n,1}^2 vanishes against 1 - rho_n
+        return np.array([lam])
 
     def pgf_values(self, ns, xs, rates: str) -> np.ndarray:
         return np.exp(self.m1.at(ns) * (xs - 1.0))
@@ -1112,7 +1129,11 @@ def lambda_seq_fault(lambdas) -> str | None:
 
 @dataclass(frozen=True)
 class CompoundPoissonLimit:
+    """The moment-ratio limits lambda_l and the atoms mu{i} they are the
+    factorial moments of (:meth:`ImmigrationFamily.lambda_ratios`)."""
+
     lambdas: tuple[float, ...]
+    atoms: tuple[float, ...]
 
     def describe(self) -> str:
         inner = ",".join(f"{v:.17g}" for v in self.lambdas)
@@ -1145,7 +1166,9 @@ class NegativeBinomialLimit:
 
 @dataclass(frozen=True)
 class GeneralExpLimit:
-    """Exponential of a centered series with moment-ratio limits lambda_l."""
+    """The compound Poisson limit of a named base law in :data:`BASE_RULES`,
+    its atoms from the base's untruncated tails
+    (:func:`limits.log_series_measure` for log_two)."""
 
     rule: str
     lam: float
@@ -1191,11 +1214,12 @@ class LimitConstants(NamedTuple):
 
 def _agrees(declared, derived) -> bool:
     """Exactly for the divergence and a rule name; within 1e-9 relative for
-    lambda, nu and each lambda_l, a sequence read with zeros past its end."""
+    lambda, nu and each lambda_l, a sequence read with zeros past its end; a
+    lambda_l beyond the float range (inf) agrees with none."""
     if isinstance(declared, (bool, str)) or isinstance(derived, str):
         return declared == derived
     a, b = (v if isinstance(v, (tuple, list)) else (v,) for v in (declared, derived))
-    return all(abs(x - y) <= 1e-9 * abs(y) for x, y in zip_longest(a, b, fillvalue=0.0))
+    return all(math.isclose(x, y, rel_tol=1e-9) for x, y in zip_longest(a, b, fillvalue=0.0))
 
 
 @dataclass(frozen=True)
@@ -1263,8 +1287,9 @@ def classify(spec: ScenarioSpec) -> LimitLaw:
     """Dispatch the scenario onto its limit law over the constants its rules
     fix (:meth:`ScenarioSpec.constants`). With lambda_2 = 0 it is NB(2
     lambda/nu, nu/(2 + nu)), or Poisson(lambda) when nu = 0 or lambda = 0
-    (the point mass at 0); otherwise nu = 0 is needed, and the ratios give
-    the compound Poisson or named-rule law."""
+    (the point mass at 0); otherwise nu = 0 is needed, and the law is
+    compound Poisson with the immigration's ``limit_atoms``, or the
+    named-rule law."""
     divergent, lam, nu, ratios = spec.constants()
     if divergent is None:
         return OutsideScope("the offspring has no rho rule to fix the limit constants")
@@ -1279,7 +1304,7 @@ def classify(spec: ScenarioSpec) -> LimitLaw:
             return OutsideScope("nu > 0 requires second immigration moments o(1-rho)")
         if isinstance(ratios, str):
             return GeneralExpLimit(ratios, lam)
-        return CompoundPoissonLimit(ratios)
+        return CompoundPoissonLimit(ratios, tuple(spec.immigration.limit_atoms(lam).tolist()))
     if nu == 0.0 or lam == 0.0:
         return PoissonLimit(lam)
     return NegativeBinomialLimit.from_limits(lam, nu)

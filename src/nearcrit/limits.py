@@ -1,16 +1,15 @@
 """Constructors and evaluators for the limit laws.
 
-Covers the Poisson and negative binomial targets, compound Poisson
-intensities (finite sequences and alternating series), the general
-exponential-of-a-centered-series law, and the infinite-product law of the
-fast-convergence regime, together with the worked closed forms used as
-cross-checks.
+Covers the Poisson and negative binomial targets, the compound Poisson
+limits (one formula from the tails of the immigration base law; the
+alternating sum over a lambda sequence stays as an oracle), and the
+infinite-product law of the fast-convergence regime, together with the
+worked closed forms used as cross-checks.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -21,7 +20,6 @@ from . import engine, pgf
 from .errors import (
     NotADistributionError,
     NumericError,
-    SeriesDivergenceError,
     UnsupportedFamilyError,
     WrongRegimeError,
 )
@@ -33,9 +31,9 @@ from .families import (
     PoissonLimit,
     ProductLimit,
     ScenarioSpec,
-    cascade_fault,
     hurwitz_zeta,
     lambda_seq_fault,
+    log_two_base,
 )
 
 
@@ -88,7 +86,9 @@ def cp_intensity_finite(lambdas) -> IntensityMeasure:
     They are the x-basis coefficients j >= 1 of sum_l lambda_l (x-1)^l / l!,
     so one :func:`pgf.taylor_shift` by -1 gives them all. The sequence must
     pass :func:`lambda_seq_fault` (a scenario file's is checked when it is
-    read); a negative atom means the lambda sequence is inadmissible.
+    read); a negative atom means the lambda sequence is inadmissible. The
+    sum alternates, so it cancels on long sequences: no command reaches it,
+    and it stays an independent check of :func:`cp_limit_atoms`.
     """
     lam = [float(v) for v in lambdas]
     fault = lambda_seq_fault(lam)
@@ -98,44 +98,30 @@ def cp_intensity_finite(lambdas) -> IntensityMeasure:
     return IntensityMeasure(pgf.taylor_shift(c, -1.0, len(lam))[1:])
 
 
-def cp_intensity_series(rule: Callable[[int], float], tol: float,
-                        j_max: int = 64) -> IntensityMeasure:
-    """Atoms mu{j} = (1/j!) sum_{i>=0} (-1)^i lambda_{j+i}/i!, j <= ``j_max``,
-    from a rule l -> lambda_l.
+def cp_limit_atoms(base, lam: float, mean: float) -> np.ndarray:
+    """Atoms mu{i} = lam T_{i-1}/(i B'(1)), i = 1..len(base)-1, of the
+    compound Poisson limit at nu = 0 under mixtures toward the base law B =
+    ``base``, B'(1) = ``mean``; Poisson immigration is B(x) = x.
 
-    As in :func:`cp_intensity_finite` they are the x-basis coefficients of
-    sum_l lambda_l (x-1)^l / l!: the centered series is cut for the
-    ``j_max`` + 1 columns 0..j_max by :func:`_centered_cut`, which also ends
-    it at the first lambda_l = 0, and one :func:`pgf.taylor_shift` by -1
-    gives every atom. No cut within ``_CUT_TERMS`` terms, or a term that
-    overflows, raises :class:`SeriesDivergenceError`; a negative atom means
-    the rule is inadmissible.
+    T_j = sum_{k>j} b_k are the tails of B, each summed from the top, so
+    every atom is a sum of positive terms: log g(x) = (lam/B'(1)) times
+    the integral from 0 to x of (1 - B(t))/(1 - t) = sum_j T_j t^j
+    (README.md, "Compound Poisson limits").
     """
-
-    def c_rule(l):  # lambda_l/l! from the exact ratio, so l! need not be a float
-        num, den = rule(l).as_integer_ratio()
-        return num / (den * math.factorial(l))
-
-    c = _centered_cut(c_rule, j_max + 1, tol)
-    atoms = pgf.taylor_shift(c, -1.0, j_max + 1)[1:]
-    if not np.all(np.isfinite(atoms)):
-        raise SeriesDivergenceError("intensity series terms overflow in the shift")
-    return IntensityMeasure(atoms)
+    b = np.asarray(base, dtype=float)
+    tails = np.cumsum(b[:0:-1])[::-1]
+    return (lam / mean) * (tails / np.arange(1, tails.shape[0] + 1))
 
 
 def log_series_measure(j_max: int = 64, lam: float = 1.0) -> IntensityMeasure:
     """Atoms mu{j} = (lam/j) sum_{k>=j} 1/(k 2^k), j = 1..``j_max``, of the
-    log_series rule lambda_l = lam (l - 1)!/l, which they are linear in.
-
-    Each tail is a sum of positive terms, taken from its small end over
-    k <= j_max + 64 (the rest is below 2^-64 of it), so every atom is
-    exact to rounding. The form (log 2 - sum_{k<j} 1/(k 2^k))/j cancels:
-    its relative error is 4e-6 at j = 30 and above 1 at j = 50.
+    log_series rule lambda_l = lam (l - 1)!/l: :func:`cp_limit_atoms` on
+    the log_two base, whose mean is 1, cut at k <= j_max + 64 (the rest of
+    each tail is below 2^-64 of it), so every atom is exact to rounding.
+    The form (log 2 - sum_{k<j} 1/(k 2^k))/j cancels: its relative error is
+    4e-6 at j = 30 and above 1 at j = 50.
     """
-    k = np.arange(1, j_max + 65)
-    tails = np.cumsum(np.ldexp(1.0 / k, -k)[::-1])[::-1]
-    atoms = lam * (tails[:j_max] / k[:j_max])
-    return IntensityMeasure(atoms)
+    return IntensityMeasure(cp_limit_atoms(log_two_base(j_max + 65), lam, 1.0)[:j_max])
 
 
 def cp_pmf(measure: IntensityMeasure, k_trunc: int) -> pgf.Pmf:
@@ -144,102 +130,13 @@ def cp_pmf(measure: IntensityMeasure, k_trunc: int) -> pgf.Pmf:
     return pgf.exp_series(a, k_trunc)
 
 
-# ---------------------------------------------------------------------------
-# general exponential limit
-
-
-def _max_binom_log(l: int, k_trunc: int) -> float:
-    """log of max_{k < k_trunc} C(l, k), attained at k = min(l//2, k_trunc-1)."""
-    k = min(l // 2, k_trunc - 1)
-    return (
-        math.lgamma(l + 1.0) - math.lgamma(k + 1.0) - math.lgamma(l - k + 1.0)
-    )
-
-
-# most terms a centered series may take before its cut
-_CUT_TERMS = 10_000
-
-
-def _centered_cut(c_rule: Callable[[int], float], k_trunc: int,
-                  tol: float) -> np.ndarray:
-    """(0, c_1, ..., c_L): the centered series sum_l c_l (x-1)^l, cut for
-    its x-basis coefficients below x^``k_trunc``.
-
-    The term c_l (x-1)^l moves coefficient k by |c_l| C(l, k). The series
-    ends at the first L whose term and the L terms after it each move no
-    coefficient by tol/100, |c_l| max_{k < k_trunc} C(l, k) < tol/100 for
-    l = L, ..., 2L, so a small term among larger ones does not end it. The
-    check stops early at a term the rule cannot give as a float (lambda_l
-    or l! beyond the float range); the terms beyond that one, or beyond 2L,
-    are trusted to stay below. The series also ends at the first c_l = 0:
-    by the cascade rule a vanished moment ratio never reappears, and a
-    nonzero c_{l+1} after c_l = 0 (l >= 2) raises the ValueError of that
-    rule, as :func:`cp_intensity_finite` does. No cut within ``_CUT_TERMS``
-    terms, or a kept term that overflows, raises
-    :class:`SeriesDivergenceError`.
-    """
-    log_target = math.log(tol * 1e-2)
-    coeffs = [0.0]
-
-    def term(l: int) -> float:
-        while len(coeffs) <= l:
-            coeffs.append(_term(c_rule, len(coeffs)))
-        return coeffs[l]
-
-    def small(l: int) -> bool:
-        c = coeffs[l]
-        return c == 0.0 or math.log(abs(c)) + _max_binom_log(l, k_trunc) < log_target
-
-    for l in range(1, _CUT_TERMS + 1):
-        if not math.isfinite(term(l)):
-            raise SeriesDivergenceError(f"centered coefficient c_{l} overflows")
-        if coeffs[l] == 0.0:
-            if l >= 2 and _term(c_rule, l + 1) != 0.0:
-                raise ValueError(cascade_fault(l, l + 1))
-            return np.array(coeffs[: l + 1])
-        # the terms l..2l, up to the first the rule cannot give as a float
-        checked = itertools.takewhile(lambda m: math.isfinite(term(m)),
-                                      range(l, 2 * l + 1))
-        if all(small(m) for m in checked):
-            return np.array(coeffs[: l + 1])
-    raise SeriesDivergenceError(
-        f"centered coefficients do not truncate within {_CUT_TERMS} terms "
-        f"for {k_trunc} output columns"
-    )
-
-
-def _term(c_rule: Callable[[int], float], l: int) -> float:
-    """c_l as a float, inf where the rule overflows."""
-    try:
-        return float(c_rule(l))
-    except OverflowError:
-        return math.inf
-
-
-def general_limit_pmf(c_rule: Callable[[int], float], k_trunc: int,
-                      tol: float = 1e-10) -> pgf.Pmf:
-    """PMF of the law with PGF exp{sum_l c_l (x-1)^l}, c_l = lambda_l / l!.
-
-    The series is cut by :func:`_centered_cut`: at the first term L that,
-    with each of the L terms after it, moves none of the ``k_trunc`` output
-    columns by tol/100, or at the first c_l = 0. No cut within
-    ``_CUT_TERMS`` terms, or a term that overflows, raises
-    :class:`SeriesDivergenceError`. The cut series (c_0 = 0) is moved to the
-    x basis by :func:`pgf.taylor_shift` by -1, only the columns that feed
-    the output, and exponentiated by :func:`pgf.exp_series`. A negative
-    output coefficient signals that the sequence does not define a
-    distribution at this truncation.
-    """
-    c = _centered_cut(c_rule, k_trunc, tol)
-    return pgf.exp_series(pgf.taylor_shift(c, -1.0, min(k_trunc, len(c))), k_trunc)
-
-
 def limit_atoms(law: LimitLaw) -> IntensityMeasure | None:
-    """Compound Poisson atoms of a classified limit law: the finite form for
-    a lambda sequence, the closed form for the log-series rule at its
-    lambda; None for every other law."""
+    """Compound Poisson atoms of a classified limit law: those
+    :func:`families.classify` keeps for a compound Poisson law, those of the
+    log-series rule at its lambda; None for every other law. Both come
+    from :func:`cp_limit_atoms`."""
     if isinstance(law, CompoundPoissonLimit):
-        return cp_intensity_finite(law.lambdas)
+        return IntensityMeasure(law.atoms)
     if isinstance(law, GeneralExpLimit) and law.rule == "log_series":
         return log_series_measure(lam=law.lam)
     return None

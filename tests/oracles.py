@@ -7,8 +7,10 @@ of a power-sum rule with its error bound, a centered series by Horner,
 the Faà di Bruno coefficient of f''(g), the chord slope vartheta, the
 product law by explicit summation, the Poisson and negative binomial
 coefficients by their step-by-step recurrences, the changes between the
-x and (x-1) bases by binomial columns and alternating sums, the general
-exponential law by pointwise summation of its centered series, the
+x and (x-1) bases by binomial columns and alternating sums, the compound
+Poisson atoms of a lambda rule and the general exponential law by the
+alternating centered series cut for K columns, the general exponential
+law by pointwise summation of its centered series, the
 exponential companion of the product over composed maps, and the
 derivatives at 1 of composed maps of any family by truncated
 Taylor-series composition, with the limits of their sums; and, as a view
@@ -17,13 +19,16 @@ only, a family sampler's cells laid out as a dense matrix.
 
 from __future__ import annotations
 
+import itertools
 import math
+from typing import Callable
 
 import numpy as np
 
-from nearcrit import engine
+from nearcrit import engine, pgf
 from nearcrit.errors import NumericError, ScenarioValidationError, SeriesDivergenceError
-from nearcrit.families import hurwitz_zeta
+from nearcrit.families import cascade_fault, hurwitz_zeta
+from nearcrit.limits import IntensityMeasure
 from nearcrit.linfrac import chain_product, lf_alpha_beta, lf_deriv_at_1
 
 
@@ -262,6 +267,117 @@ def cp_atoms_loop(lambdas) -> np.ndarray:
             total += (-1.0) ** i / math.factorial(i) * lam[j + i - 1]
         atoms[j - 1] = total / math.factorial(j)
     return atoms
+
+
+def cp_intensity_series(rule: Callable[[int], float], tol: float,
+                        j_max: int = 64) -> IntensityMeasure:
+    """Atoms mu{j} = (1/j!) sum_{i>=0} (-1)^i lambda_{j+i}/i!, j <= ``j_max``,
+    from a rule l -> lambda_l, by the alternating centered series.
+
+    As in :func:`limits.cp_intensity_finite` they are the x-basis
+    coefficients of sum_l lambda_l (x-1)^l / l!: the centered series is cut
+    for the ``j_max`` + 1 columns 0..j_max by :func:`_centered_cut`, which
+    also ends it at the first lambda_l = 0, and one :func:`pgf.taylor_shift`
+    by -1 gives every atom. No cut within ``_CUT_TERMS`` terms, or a term that
+    overflows, raises :class:`SeriesDivergenceError`; a negative atom means
+    the rule is inadmissible.
+    """
+
+    def c_rule(l):  # lambda_l/l! from the exact ratio, so l! need not be a float
+        num, den = rule(l).as_integer_ratio()
+        return num / (den * math.factorial(l))
+
+    c = _centered_cut(c_rule, j_max + 1, tol)
+    atoms = pgf.taylor_shift(c, -1.0, j_max + 1)[1:]
+    if not np.all(np.isfinite(atoms)):
+        raise SeriesDivergenceError("intensity series terms overflow in the shift")
+    return IntensityMeasure(atoms)
+
+
+def _max_binom_log(l: int, k_trunc: int) -> float:
+    """log of max_{k < k_trunc} C(l, k), attained at k = min(l//2, k_trunc-1)."""
+    k = min(l // 2, k_trunc - 1)
+    return (
+        math.lgamma(l + 1.0) - math.lgamma(k + 1.0) - math.lgamma(l - k + 1.0)
+    )
+
+
+# most terms a centered series may take before its cut
+_CUT_TERMS = 10_000
+
+
+def _centered_cut(c_rule: Callable[[int], float], k_trunc: int,
+                  tol: float) -> np.ndarray:
+    """(0, c_1, ..., c_L): the centered series sum_l c_l (x-1)^l, cut for
+    its x-basis coefficients below x^``k_trunc``.
+
+    The term c_l (x-1)^l moves coefficient k by |c_l| C(l, k). The series
+    ends at the first L whose term and the L terms after it each move no
+    coefficient by tol/100, |c_l| max_{k < k_trunc} C(l, k) < tol/100 for
+    l = L, ..., 2L, so a small term among larger ones does not end it. The
+    check stops early at a term the rule cannot give as a float (lambda_l
+    or l! beyond the float range); the terms beyond that one, or beyond 2L,
+    are trusted to stay below. The series also ends at the first c_l = 0:
+    by the cascade rule a vanished moment ratio never reappears, and a
+    nonzero c_{l+1} after c_l = 0 (l >= 2) raises the ValueError of that
+    rule, as :func:`limits.cp_intensity_finite` does. No cut within
+    ``_CUT_TERMS`` terms, or a kept term that overflows, raises
+    :class:`SeriesDivergenceError`.
+    """
+    log_target = math.log(tol * 1e-2)
+    coeffs = [0.0]
+
+    def term(l: int) -> float:
+        while len(coeffs) <= l:
+            coeffs.append(_term(c_rule, len(coeffs)))
+        return coeffs[l]
+
+    def small(l: int) -> bool:
+        c = coeffs[l]
+        return c == 0.0 or math.log(abs(c)) + _max_binom_log(l, k_trunc) < log_target
+
+    for l in range(1, _CUT_TERMS + 1):
+        if not math.isfinite(term(l)):
+            raise SeriesDivergenceError(f"centered coefficient c_{l} overflows")
+        if coeffs[l] == 0.0:
+            if l >= 2 and _term(c_rule, l + 1) != 0.0:
+                raise ValueError(cascade_fault(l, l + 1))
+            return np.array(coeffs[: l + 1])
+        # the terms l..2l, up to the first the rule cannot give as a float
+        checked = itertools.takewhile(lambda m: math.isfinite(term(m)),
+                                      range(l, 2 * l + 1))
+        if all(small(m) for m in checked):
+            return np.array(coeffs[: l + 1])
+    raise SeriesDivergenceError(
+        f"centered coefficients do not truncate within {_CUT_TERMS} terms "
+        f"for {k_trunc} output columns"
+    )
+
+
+def _term(c_rule: Callable[[int], float], l: int) -> float:
+    """c_l as a float, inf where the rule overflows."""
+    try:
+        return float(c_rule(l))
+    except OverflowError:
+        return math.inf
+
+
+def general_limit_pmf(c_rule: Callable[[int], float], k_trunc: int,
+                      tol: float = 1e-10) -> pgf.Pmf:
+    """PMF of the law with PGF exp{sum_l c_l (x-1)^l}, c_l = lambda_l / l!.
+
+    The series is cut by :func:`_centered_cut`: at the first term L that,
+    with each of the L terms after it, moves none of the ``k_trunc`` output
+    columns by tol/100, or at the first c_l = 0. No cut within
+    ``_CUT_TERMS`` terms, or a term that overflows, raises
+    :class:`SeriesDivergenceError`. The cut series (c_0 = 0) is moved to the
+    x basis by :func:`pgf.taylor_shift` by -1, only the columns that feed
+    the output, and exponentiated by :func:`pgf.exp_series`. A negative
+    output coefficient signals that the sequence does not define a
+    distribution at this truncation.
+    """
+    c = _centered_cut(c_rule, k_trunc, tol)
+    return pgf.exp_series(pgf.taylor_shift(c, -1.0, min(k_trunc, len(c))), k_trunc)
 
 
 def general_limit_pgf(c_rule, x: float, tol: float = 1e-10,

@@ -23,6 +23,7 @@ from oracles import (
     faa_f2_coefficient,
     faa_weight,
     general_limit_pgf,
+    general_limit_pmf,
     vartheta,
 )
 
@@ -120,7 +121,7 @@ def test_criterion_5_limit_constructors_cross_checks():
             return lam * (nu / 2.0) ** (l - 1) / l
 
         tv = tv_distance(
-            limits.general_limit_pmf(c_rule, 200, tol=1e-10),
+            general_limit_pmf(c_rule, 200, tol=1e-10),
             limits.nb_pmf(par.r, par.p, 200),
         )
         ok_nb = ok_nb and tv <= 1e-9

@@ -286,7 +286,7 @@ def test_compound_poisson_limit_moments_are_those_of_its_atoms(lambdas):
     jj = np.arange(1, atoms.shape[0] + 1)
     mean = float(np.sum(jj * atoms))
     m2 = mean**2 + float(np.sum(jj * (jj - 1) * atoms))
-    got = limits.limit_moments(CompoundPoissonLimit(lambdas), spec)
+    got = limits.limit_moments(CompoundPoissonLimit(lambdas, tuple(atoms)), spec)
     assert got == pytest.approx((mean, m2), rel=1e-14)
 
 

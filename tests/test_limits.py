@@ -11,19 +11,26 @@ from nearcrit import engine, limits, pgf
 from nearcrit.diagnostics import report, tv_distance
 from nearcrit.errors import (
     NotADistributionError,
+    ScenarioValidationError,
     SeriesDivergenceError,
     WrongRegimeError,
 )
 from nearcrit.families import (
+    BernoulliOffspring,
+    CompoundPoissonLimit,
+    CustomImmigration,
     GeneralExpLimit,
     NegativeBinomialLimit,
     PowerSum,
     ProductLimit,
+    RhoRule,
+    ScenarioSpec,
     classify,
+    log_two_base,
 )
 from nearcrit.linfrac import chain_product
 from nearcrit.scenarios import fixture_text, load_fixture, parse_scenario_text
-from oracles import general_limit_pgf
+from oracles import cp_intensity_series, general_limit_pgf, general_limit_pmf
 
 
 def test_poisson_pmf_degenerate_and_values():
@@ -107,7 +114,7 @@ def test_cp_intensity_finite_guards():
 
 
 def test_cp_intensity_series_single_atom():
-    measure = limits.cp_intensity_series(
+    measure = cp_intensity_series(
         lambda l: 1.7 if l == 1 else 0.0, tol=1e-12, j_max=4
     )
     assert measure.atoms[0] == pytest.approx(1.7, abs=1e-14)
@@ -116,7 +123,7 @@ def test_cp_intensity_series_single_atom():
 
 def test_cp_intensity_series_geometric_closed_form():
     c = 0.6
-    measure = limits.cp_intensity_series(lambda l: c**l, tol=1e-13, j_max=12)
+    measure = cp_intensity_series(lambda l: c**l, tol=1e-13, j_max=12)
     jj = np.arange(1, 13)
     want = c**jj * math.exp(-c) / np.vectorize(math.factorial)(jj)
     assert np.max(np.abs(measure.atoms - want)) < 1e-12
@@ -125,7 +132,7 @@ def test_cp_intensity_series_geometric_closed_form():
 def test_cp_intensity_series_on_a_finite_sequence():
     # lambda = (2, 1, 0), zero beyond: the atoms of the finite form
     lam = (2.0, 1.0, 0.0)
-    measure = limits.cp_intensity_series(
+    measure = cp_intensity_series(
         lambda l: lam[l - 1] if l <= len(lam) else 0.0, tol=1e-12, j_max=8
     )
     assert list(measure.atoms[:2]) == list(limits.cp_intensity_finite(lam).atoms)
@@ -140,9 +147,9 @@ def test_cp_intensity_series_applies_the_cascade_rule_at_a_zero():
     with pytest.raises(ValueError, match="lambda_3 > 0 after lambda_2 = 0"):
         limits.cp_intensity_finite([1.0, 0.0, 1.0 / 3.0, 0.0])
     with pytest.raises(ValueError, match="lambda_3 > 0 after lambda_2 = 0"):
-        limits.cp_intensity_series(rule, tol=1e-10, j_max=4)
+        cp_intensity_series(rule, tol=1e-10, j_max=4)
     with pytest.raises(ValueError, match="lambda_3 > 0 after lambda_2 = 0"):
-        limits.general_limit_pmf(lambda l: rule(l) / math.factorial(l), 8)
+        general_limit_pmf(lambda l: rule(l) / math.factorial(l), 8)
 
 
 @pytest.mark.parametrize("r", [0.375, 0.4, 0.45])
@@ -152,7 +159,7 @@ def test_cp_intensity_series_cut_before_the_terms_leave_the_float_range(r):
     # a float: l! past l = 170 (r = 0.375), lambda_l itself past l = 206
     # (r = 0.4). At r = 0.45 the cut needs terms past l = 170, where c_l is
     # a float though l! is not
-    measure = limits.cp_intensity_series(
+    measure = cp_intensity_series(
         lambda l: math.exp(l * math.log(r) + math.lgamma(l + 1)), tol=1e-10)
     j = np.arange(1, 65)
     assert np.max(np.abs(measure.atoms - r**j / (1 + r) ** (j + 1))) <= 1e-10
@@ -160,7 +167,7 @@ def test_cp_intensity_series_cut_before_the_terms_leave_the_float_range(r):
 
 def test_cp_intensity_series_divergence_signal():
     with pytest.raises(SeriesDivergenceError):
-        limits.cp_intensity_series(
+        cp_intensity_series(
             lambda l: math.factorial(l - 1) / l, tol=1e-8, j_max=4
         )
 
@@ -210,11 +217,105 @@ def test_log_series_limit_scales_with_lambda():
     assert tv[1] < 1e-4 and 5 * tv[1] <= tv[0]
 
 
+def _mixture_toward(base) -> ScenarioSpec:
+    """Bernoulli offspring, rho_n = 1 - (n + 1)^-1, and immigration mixed
+    toward a code-built ``base`` at m1 = 2 (n + 1)^-1: lambda = 2, nu = 0."""
+    return ScenarioSpec(
+        offspring=BernoulliOffspring(rho_rule=RhoRule(c=1.0, gamma=1.0, n0=1.0)),
+        immigration=CustomImmigration(m1=PowerSum.parse("2*(n+1)^-1"), base=tuple(base)))
+
+
+def _delta(k: int) -> np.ndarray:
+    return np.eye(k + 1)[k]
+
+
+@pytest.mark.parametrize("base, mass", [
+    (log_two_base(64), 1.0), (_delta(40), 0.99980550), (_delta(200), 0.98848806),
+], ids=["log_two_table", "delta_40", "delta_200"])
+def test_high_degree_mixtures_build_their_compound_poisson_limit(base, mass):
+    # the alternating sum gave negative atoms (log_two passed as a plain
+    # table, delta_40) and overflowed (delta_200); the tails give
+    # mu{i} = (lambda/(i B'(1))) sum_{k>=i} b_k, for delta_k lambda/(k i)
+    spec = _mixture_toward(base)
+    law = classify(spec)
+    assert isinstance(law, CompoundPoissonLimit)
+    atoms = np.array(law.atoms)
+    i = np.arange(1, atoms.shape[0] + 1)
+    assert atoms.shape[0] == base.shape[0] - 1 and np.all(atoms >= 0.0)
+    assert float(i @ atoms) == pytest.approx(2.0, rel=1e-12)
+    tails = [math.fsum(base[j:]) for j in i]
+    assert atoms == pytest.approx(2.0 * np.array(tails) / (i * float(i @ base[1:])),
+                                  rel=1e-14)
+    assert law.lambdas[0] == pytest.approx(2.0, rel=1e-12) and law.lambdas[-1] == 0.0
+    # the mass beyond K of the atoms past K stays a visible deficiency
+    pmf = limits.limit_pmf(law, 64)
+    assert float(pmf.coeffs.sum()) == pytest.approx(mass, abs=1e-8)
+    assert float(pmf.coeffs.sum()) + pmf.deficiency == pytest.approx(1.0, abs=1e-12)
+
+
+def test_a_declared_ratio_never_agrees_with_one_beyond_the_float_range():
+    # delta_200's lambda_l pass 1e308 from l = 149 on and read inf
+    spec = _mixture_toward(_delta(200))
+    ratios = spec.constants().ratios
+    assert math.isinf(ratios[-2]) and ratios[-1] == 0.0
+    declared = tuple(1.0 if math.isinf(v) else v for v in ratios)
+    with pytest.raises(ScenarioValidationError, match="limits.lambda_seq"):
+        dataclasses.replace(spec, lambda_seq=declared).validate()
+
+
+# Richardson's R_n = (8 F_4n - 6 F_2n + F_n)/3 cancels the 1/n and 1/n^2
+# terms of the gap F_n - limit, so it meets the limit far below the gap
+# itself (about 1e-4 at n = 1000). Bounds at n = 1000, with their reading
+# at K = 64 (K = 256 for delta_40, whose exact route loses mass beyond 64
+# on every interval): the limits at nu = 0 within 1e-9 (1.3e-10, 5.8e-11,
+# 4.1e-12, 4.3e-11), the product law's PGF on {0, .25, .5, .75} within
+# 1e-9 (1.7e-11), and the nu > 0 laws within 1e-7 (1.6e-8), where a term
+# of order n^-2 survives. delta_40 is still far from its limit at
+# n = 1000, and reads 1.3e-7 against its bound of 1e-6. thm6_example1 is
+# left out: the finite-n routes clamp its first immigration weight, so the
+# process converges off the product law that classify names, by 0.25
+# (ROADMAP item 14).
+@pytest.mark.parametrize("spec, k, bound", [
+    *(pytest.param(load_fixture(name).spec, 64, bound, id=name) for name, bound in (
+        ("thm1_poisson", 1e-9), ("thm3_cp_finite", 1e-9), ("thm4_log2", 1e-9),
+        ("thm6_example2", 1e-9), ("thm5_nb", 1e-7), ("lf_crosscheck", 1e-7))),
+    pytest.param(_mixture_toward(log_two_base(64)), 64, 1e-9, id="log_two_table"),
+    pytest.param(_mixture_toward(_delta(40)), 256, 1e-6, id="delta_40"),
+])
+def test_limits_match_richardson_extrapolation_of_the_exact_route(spec, k, bound):
+    states = engine.propagate_sequence(spec, [1000, 2000, 4000], k)
+    f_n, f_2n, f_4n = (np.append(s.pmf.coeffs, s.pmf.deficiency) for s in states)
+    r_n = (8.0 * f_4n - 6.0 * f_2n + f_n) / 3.0
+    target = limits.limit_pmf(classify(spec), k)
+    if target is None:  # the product law, on a PGF grid
+        xs = np.array([0.0, 0.25, 0.5, 0.75])
+        gap = np.max(np.abs(np.polyval(r_n[-2::-1], xs)
+                            - limits.product_law_eval(spec, xs, tol=1e-12)))
+    else:  # total variation, the deficiency as an extra atom
+        gap = 0.5 * np.sum(np.abs(r_n - np.append(target.coeffs, target.deficiency)))
+    assert gap <= bound
+
+
+def test_limit_pmfs_match_the_benchmark_oracle():
+    # perfbench checks report's tv against the finite alternating sum over
+    # a compound Poisson law's lambdas, and against the log-series atoms
+    law = classify(load_fixture("thm3_cp_finite").spec)
+    oracle = limits.cp_pmf(limits.cp_intensity_finite(law.lambdas), 64)
+    assert tv_distance(limits.limit_pmf(law, 64), oracle) <= 1e-15
+    law = classify(load_fixture("thm4_log2").spec)
+    assert np.array_equal(limits.limit_pmf(law, 128).coeffs,
+                          limits.cp_pmf(limits.log_series_measure(), 128).coeffs)
+    for j_max, lam in ((1, 1.0), (64, 1.0), (64, 0.5), (200, 2.0 / 3.0)):
+        tails = np.cumsum(log_two_base(j_max + 65)[:0:-1])[::-1]
+        want = lam * (tails[:j_max] / np.arange(1, j_max + 1))
+        assert np.array_equal(limits.log_series_measure(j_max, lam).atoms, want)
+
+
 def test_cp_consistency_for_convergent_series():
     # exp{sum mu_j (x^j - 1)} == exp{sum lambda_l (x-1)^l / l!} when the
     # intensity series converges (geometric lambda)
     c = 0.6
-    measure = limits.cp_intensity_series(lambda l: c**l, tol=1e-13, j_max=40)
+    measure = cp_intensity_series(lambda l: c**l, tol=1e-13, j_max=40)
 
     def c_rule(l):
         return c**l / math.factorial(l)
@@ -226,7 +327,7 @@ def test_cp_consistency_for_convergent_series():
 
 
 def test_general_limit_pmf_poisson_special_case():
-    out = limits.general_limit_pmf(
+    out = general_limit_pmf(
         lambda l: 1.3 if l == 1 else 0.0, 40, tol=1e-12
     )
     assert tv_distance(out, limits.poisson_pmf(1.3, 40)) < 1e-12
@@ -239,7 +340,7 @@ def test_general_limit_pmf_matches_nb():
         def c_rule(l, lam=lam, nu=nu):
             return lam * (nu / 2.0) ** (l - 1) / l
 
-        got = limits.general_limit_pmf(c_rule, 200, tol=1e-10)
+        got = general_limit_pmf(c_rule, 200, tol=1e-10)
         want = limits.nb_pmf(par.r, par.p, 200)
         assert tv_distance(got, want) <= 1e-9
         if nu == 1.0:
@@ -251,13 +352,13 @@ def test_general_limit_pmf_matches_nb():
 
 
 def test_general_limit_pmf_value_at_zero_for_divergent_cp():
-    got = limits.general_limit_pmf(lambda l: 1.0 / l**2, 1, tol=1e-4)
+    got = general_limit_pmf(lambda l: 1.0 / l**2, 1, tol=1e-4)
     assert got.coeffs[0] == pytest.approx(math.exp(-math.pi**2 / 12.0), abs=1e-5)
 
 
 def test_general_limit_pmf_signals_non_truncatable():
     with pytest.raises(SeriesDivergenceError):
-        limits.general_limit_pmf(lambda l: 1.0 / l**2, 8, tol=1e-6)
+        general_limit_pmf(lambda l: 1.0 / l**2, 8, tol=1e-6)
 
 
 def test_general_limit_pmf_does_not_end_at_one_small_term():
@@ -266,7 +367,7 @@ def test_general_limit_pmf_does_not_end_at_one_small_term():
     def c_rule(l):
         return (1e-30 if l == 3 else 1.0 / l) / math.factorial(l)
 
-    got = limits.general_limit_pmf(c_rule, 8)
+    got = general_limit_pmf(c_rule, 8)
     full = [0.0] + [c_rule(l) for l in range(1, 61)]
     want = pgf.exp_series(pgf.taylor_shift(full, -1.0, 8), 8)
     assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-10

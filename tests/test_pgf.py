@@ -159,7 +159,7 @@ def test_factorial_moment_poisson():
 
 
 # exp of a centered series sum_l c_l (x-1)^l with c_0 = 0: the shift by -1,
-# then exp_series, as limits.general_limit_pmf forms it
+# then exp_series, as oracles.general_limit_pmf forms it
 def test_exp_centered_poisson():
     out = pgf.exp_series(pgf.taylor_shift([0.0, 1.0], -1.0, 2), 30)
     assert out.coeffs[0] == pytest.approx(math.exp(-1.0), abs=1e-14)
