@@ -14,12 +14,7 @@ from .errors import (
     ScenarioValidationError,
     WrongRegimeError,
 )
-from .families import (
-    GeneralExpLimit,
-    OutsideScope,
-    ProductLimit,
-    classify,
-)
+from .families import OutsideScope, classify
 from .scenarios import KEYS, ScenarioFile, parse_scenario
 
 EXIT_PARSE = 2
@@ -92,16 +87,14 @@ def _limit_output(sf: ScenarioFile, args: argparse.Namespace, k: int, xs,
     if isinstance(law, OutsideScope):
         raise WrongRegimeError(f"no limit law to output: {law.reason}")
     meta = {"scenario": spec.name, "law": law.describe()}
-    atoms = limits.limit_atoms(law)
-    if isinstance(law, GeneralExpLimit):  # PGF on the grid from its atoms
-        vals = [atoms.pgf_at(x) for x in xs]
-    elif isinstance(law, ProductLimit):  # PGF on the grid, one call
+    pmf = limits.limit_pmf(law, k)
+    if pmf is None:  # the product law: PGF on the grid, one call
         vals = limits.product_law_eval(spec, xs, tol).tolist()
-    else:  # Poisson, negative binomial and compound Poisson have a PMF
-        if atoms is not None:
-            meta["atoms"] = [float(v) for v in atoms.atoms]
-        return _pmf_text(limits.limit_pmf(law, k), args.format, meta)
-    return _pgf_grid_text(xs, vals, args.format, meta)
+        return _pgf_grid_text(xs, vals, args.format, meta)
+    atoms = limits.limit_atoms(law)  # a compound Poisson law shows its atoms
+    if atoms is not None:
+        meta["atoms"] = [float(v) for v in atoms.atoms]
+    return _pmf_text(pmf, args.format, meta)
 
 
 def _require(ok: bool, message: str) -> None:

@@ -614,25 +614,29 @@ def _split(counts: np.ndarray, hazard: Callable, rng: np.random.Generator) -> np
     """out[i, k]: how many of ``counts[i]`` independent draws take the value k,
     for the unbounded laws (Poisson immigrants, negative binomial extras).
 
-    ``hazard(k)`` is P(X = k | X >= k), a scalar or one value per row. The
-    values are visited in increasing order, each taking a Binomial share of
-    the draws still left (the conditional-binomial method; Davis, CSDA 16,
-    1993), until no draw is left, so nothing is truncated. A bounded law is
-    one ``rng.multinomial`` draw instead (:func:`_mode_last`).
+    ``hazard(k)`` is the pair P(X = k | X >= k), P(X > k | X >= k), scalars
+    or one value per row. The values are visited in increasing order, each
+    taking a Binomial share of the draws still left (the conditional-binomial
+    method; Davis, CSDA 16, 1993), until no draw is left, so nothing is
+    truncated. The rarer side is drawn at its own probability, as NumPy
+    draws a p above 1/2 at 1 - p rounded. A bounded law is one
+    ``rng.multinomial`` draw instead (:func:`_mode_to_end`).
     """
     left = np.array(counts, dtype=np.int64)
     cols = []
     while left.any():
-        cols.append(rng.binomial(left, hazard(len(cols))))
+        stay, go = hazard(len(cols))
+        flip = stay > 0.5
+        drawn = rng.binomial(left, np.where(flip, go, stay))
+        cols.append(np.subtract(left, drawn, out=drawn, where=flip))
         left -= cols[-1]
     return np.array(cols or [left]).T
 
 
-def _mode_last(probs: np.ndarray):
-    """(table, perm): the rows of ``probs`` normalized in place to sum 1,
-    each row's most likely value swapped into the last column, and that
-    swap: column c of row i holds value perm[i, c], and perm, its own
-    inverse, takes a draw's columns back to values.
+def _mode_to_end(probs: np.ndarray) -> np.ndarray:
+    """Normalize the rows of ``probs`` in place to sum 1 and swap each row's
+    most likely value into the last column; returns the columns swapped,
+    for :func:`_swap_end` to take a draw's columns back to values.
 
     ``rng.multinomial`` over the table runs the conditional binomials of
     :func:`_split` in C: value k takes a Binomial share, of probability
@@ -642,12 +646,15 @@ def _mode_last(probs: np.ndarray):
     """
     probs /= np.add.reduce(probs, axis=-1, keepdims=True)
     mode = probs.argmax(axis=-1)
-    width = probs.shape[-1]
-    rows = np.arange(probs.shape[0])
-    perm = np.arange(width)[None, :].repeat(rows.shape[0], axis=0)
-    perm[rows, mode] = width - 1
-    perm[:, -1] = mode
-    return probs[rows[:, None], perm], perm
+    _swap_end(probs, mode)
+    return mode
+
+
+def _swap_end(a: np.ndarray, cols: np.ndarray) -> None:
+    """Swap column ``cols[i]`` of each row i of ``a`` with its last column,
+    in place; the same swap undoes it."""
+    rows = np.arange(a.shape[0])
+    a[rows, cols], a[:, -1] = a[:, -1].copy(), a[rows, cols]
 
 
 def _binomial_cells(counts: np.ndarray, sizes: np.ndarray, p: float,
@@ -664,11 +671,11 @@ def _binomial_cells(counts: np.ndarray, sizes: np.ndarray, p: float,
     by their maximum over k, so no size overflows or vanishes; a factor
     s - l <= 0 is log 0 = -inf, which every later k keeps, so the values
     beyond s get weight 0 without a mask. One ``rng.multinomial`` draw over
-    their :func:`_mode_last` table splits every row, its most likely k last.
+    their :func:`_mode_to_end` table splits every row, its most likely k last.
     """
     q = 1.0 - p if p > 0.5 else p
     if q == 0.0:
-        out, k = counts[:, None], np.zeros((sizes.shape[0], 1), dtype=np.intp)
+        out = counts[:, None]
     else:
         ls = np.arange(int(sizes.max(initial=0)) + 1)
         logw = np.zeros((sizes.shape[0], ls.shape[0]))
@@ -679,44 +686,49 @@ def _binomial_cells(counts: np.ndarray, sizes: np.ndarray, p: float,
             np.log(factors, out=factors)
         np.add.accumulate(logw, axis=1, out=logw)
         logw -= np.maximum.reduce(logw, axis=1, keepdims=True)
-        table, k = _mode_last(np.exp(logw, out=logw))
+        table = np.exp(logw, out=logw)
+        mode = _mode_to_end(table)
         out = rng.multinomial(counts, table)
-    # the swap k takes the draw's columns back to value order
-    out = out[np.arange(out.shape[0])[:, None], k]
+        _swap_end(out, mode)  # the draw's columns back to value order
     row, k = out.nonzero()
     return row, (sizes[row] - k if p > 0.5 else k), out[row, k]
 
 
-def _nb_hazard(m: np.ndarray, beta: float, y: int) -> np.ndarray:
-    """P(Y = y | Y >= y) for Y ~ NegativeBinomial(m, 1 - beta), per entry of m.
+def _nb_hazard(m: np.ndarray, beta: float, y: int):
+    """(P(Y = y | Y >= y), P(Y > y | Y >= y)) for Y ~ NegativeBinomial(m,
+    1 - beta), per entry of m.
 
     P(Y >= y) = P(Binomial(m + y - 1, 1 - beta) <= m - 1) is a finite sum,
-    which makes the hazard (1 - beta) over 1 + sum_{j=1..m-1} of
-    prod_{l<j} (m - 1 - l) beta / ((y + 1 + l)(1 - beta)); m = 0 is Y = 0.
-    Every term is positive, so the sums carry no cancellation; a sum beyond
-    the float range is inf and its hazard 0.
+    which makes the pair (1 - beta, beta + rest) over 1 + rest, rest the sum
+    over j = 1..m-1 of prod_{l<j} (m - 1 - l) beta / ((y + 1 + l)(1 - beta));
+    m = 0 is Y = 0. Every term is positive, so neither side carries
+    cancellation; a sum beyond the float range is inf, with the pair (0, 1).
     """
     ls = np.arange(max(int(m.max(initial=0)) - 1, 0))
-    inside = ls < m[:, None] - 1
-    factors = np.where(inside, (m[:, None] - 1 - ls)
-                       * (beta / (1.0 - beta) / (y + 1.0 + ls)), 1.0)
-    sums = 1.0 + np.sum(np.cumprod(factors, axis=1), axis=1, where=inside)
-    return np.where(m > 0, (1.0 - beta) / sums, 1.0)
+    top = m[:, None] - 1
+    inside = ls < top
+    factors = np.where(inside, (top - ls) * (beta / (1.0 - beta) / (y + 1.0 + ls)), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rest = np.sum(np.cumprod(factors, axis=1), axis=1, where=inside)
+        b, whole = beta * (m > 0), 1.0 + rest
+        # go <= 1 as b <= 1, so fmin only takes inf/inf = nan to 1
+        return (1.0 - b) / whole, np.fmin((b + rest) / whole, 1.0)
 
 
-def _poisson_hazard(lam: float, k: int) -> float:
-    """P(X = k | X >= k) for X ~ Poisson(lam).
+def _poisson_hazard(lam: float, k: int) -> tuple[float, float]:
+    """(P(X = k | X >= k), P(X > k | X >= k)) for X ~ Poisson(lam).
 
-    The inverse of sum_{i>=0} lam^i k!/(k+i)!, a series of positive terms
-    summed until the rest, below term * lam/(j + 1 - lam) once j + 1 > lam,
-    is under half an ulp of the sum.
+    1 and rest over 1 + rest, rest = sum_{i>=1} lam^i k!/(k+i)!, a series of
+    positive terms summed until what is left, below term * lam/(j + 1 - lam)
+    once j + 1 > lam, is under half an ulp of rest, so both values are exact
+    to rounding however small.
     """
-    total, term, j = 1.0, 1.0, k + 1
+    rest, term, j = 0.0, 1.0, k + 1
     while True:
         term *= lam / j
-        total += term
-        if j + 1 > lam and term * lam <= (j + 1 - lam) * 2.0**-53 * total:
-            return 1.0 / total
+        rest += term
+        if j + 1 > lam and term * lam <= (j + 1 - lam) * 2.0**-53 * rest:
+            return 1.0 / (1.0 + rest), rest / (1.0 + rest)
         j += 1
 
 
@@ -936,11 +948,13 @@ class ImmigrationFamily(metaclass=_ByName):
     def _sample_params(self, ns) -> list:
         """What ``_draw`` reads at each generation of ``ns``, from one array
         call for a block: the weight at the clamped rates, the base law's
-        :func:`_mode_last` table over its positive values, and value 0 and
+        :func:`_mode_to_end` table over its positive values, and value 0 and
         those values."""
-        table, perm = _mode_last(_sampling_probs(self.base_law.coeffs)[None, :])
+        table = _sampling_probs(self.base_law.coeffs)[None, :]
+        values = np.arange(table.shape[1])[None, :]
+        _swap_end(values, _mode_to_end(table))
         live = table[0] > 0.0
-        base = table[0][live], np.append(0, perm[0][live])
+        base = table[0][live], np.append(0, values[0][live])
         return [(w, base) for w in self.weight(ns, "clamped").tolist()]
 
     def _draw(self, par, counts, rng):

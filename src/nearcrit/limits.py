@@ -53,16 +53,6 @@ class IntensityMeasure:
         a.setflags(write=False)
         object.__setattr__(self, "atoms", a)
 
-    def total(self) -> float:
-        return float(self.atoms.sum())
-
-    def pgf_at(self, x: float) -> float:
-        """exp{sum_j mu{j} (x^j - 1)}."""
-        if not 0.0 <= x <= 1.0:
-            raise ValueError("PGF argument must lie in [0, 1]")
-        powers = x ** np.arange(1, self.atoms.shape[0] + 1)
-        return math.exp(float(np.sum(self.atoms * (powers - 1.0))))
-
 
 def poisson_pmf(lam: float, k_trunc: int) -> pgf.Pmf:
     """Poisson(lam) truncated at ``k_trunc``; Poisson(0) is the point mass at 0."""
@@ -126,7 +116,7 @@ def log_series_measure(j_max: int = 64, lam: float = 1.0) -> IntensityMeasure:
 
 def cp_pmf(measure: IntensityMeasure, k_trunc: int) -> pgf.Pmf:
     """PMF of CP(mu) via exponentiating the x-basis log series directly."""
-    a = np.concatenate([[-measure.total()], measure.atoms])
+    a = np.concatenate([[-measure.atoms.sum()], measure.atoms])
     return pgf.exp_series(a, k_trunc)
 
 
@@ -154,19 +144,19 @@ def limit_pmf(law: LimitLaw, k_trunc: int) -> pgf.Pmf | None:
 
 
 def limit_moments(law: LimitLaw, spec: ScenarioSpec) -> tuple[float, float]:
-    """(mean, second factorial moment) of a classified limit law; the product
-    law's second moment is nan."""
+    """(mean, second factorial moment) of a classified limit law, from its
+    :func:`limit_atoms` where it has atoms; the product law's m2 is nan."""
     if isinstance(law, PoissonLimit):
         return law.lam, law.lam**2
     if isinstance(law, NegativeBinomialLimit):
         mean = law.r * law.p / (1.0 - law.p)
         m2 = law.r * (law.r + 1.0) * (law.p / (1.0 - law.p)) ** 2
         return mean, m2
-    # (log PGF)'(1) = lambda_1 and (log PGF)''(1) = lambda_2
-    if isinstance(law, CompoundPoissonLimit):
-        return law.lambdas[0], law.lambdas[0] ** 2 + law.lambdas[1]
-    if isinstance(law, GeneralExpLimit):  # log_series: lambda_2 = lam/2
-        return law.lam, law.lam**2 + law.lam / 2
+    atoms = limit_atoms(law)
+    if atoms is not None:  # (log PGF)^(s)(1) = lambda_s, the atoms' s-th factorial moment
+        mu = np.append(0.0, atoms.atoms)
+        lam1 = pgf.factorial_moment(mu, 1)
+        return lam1, lam1**2 + pgf.factorial_moment(mu, 2)
     if isinstance(law, ProductLimit):
         return product_law_mean(spec), math.nan
     raise ValueError(f"no limit moments for {law.describe()}")

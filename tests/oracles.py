@@ -255,6 +255,13 @@ def x_basis_by_binomials(c, k_out: int) -> np.ndarray:
     return p
 
 
+def cp_pgf(measure: IntensityMeasure, x: float) -> float:
+    """exp{sum_j mu{j} (x^j - 1)}, the PGF at x of the compound Poisson law
+    of ``measure``, from its atoms."""
+    powers = x ** np.arange(1, measure.atoms.shape[0] + 1)
+    return math.exp(float(np.sum(measure.atoms * (powers - 1.0))))
+
+
 def cp_atoms_loop(lambdas) -> np.ndarray:
     """Compound Poisson atoms mu{j} = (1/j!) sum_{i<J-j} (-1)^i lambda_{j+i}/i!,
     j = 1..J-1, by the double loop of alternating sums, unchecked."""

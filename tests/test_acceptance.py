@@ -19,6 +19,7 @@ from nearcrit.scenarios import fixture_text, load_fixture
 from oracles import (
     accompanying_eval,
     composed_deriv_profile,
+    cp_pgf,
     deriv_sum_limit,
     faa_f2_coefficient,
     faa_weight,
@@ -131,7 +132,7 @@ def test_criterion_5_limit_constructors_cross_checks():
     atoms = limits.log_series_measure(64)
     worst = max(
         abs(
-            atoms.pgf_at(x)
+            cp_pgf(atoms, x)
             - general_limit_pgf(lambda l: 1.0 / l**2, x, tol=1e-10)
         )
         for x in X_GRID_11

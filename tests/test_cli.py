@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import nearcrit
-from nearcrit import cli, diagnostics, engine, limits, scenarios
+from nearcrit import cli, diagnostics, engine, limits, pgf, scenarios
 from nearcrit.errors import ScenarioParseError, ScenarioValidationError
 from nearcrit.families import (
     CompoundPoissonLimit,
@@ -192,10 +192,10 @@ def test_limits_command_cp_atoms_json(tmp_path, capsys):
 
 @pytest.mark.parametrize("name", [
     n for n, law in EXPECTED_LAWS.items()
-    if law in (PoissonLimit, CompoundPoissonLimit, NegativeBinomialLimit)])
+    if law in (PoissonLimit, CompoundPoissonLimit, NegativeBinomialLimit, GeneralExpLimit)])
 def test_limits_command_prints_the_limits_module_target(tmp_path, capsys, name):
-    # a law with a PMF: the command prints limits.limit_pmf and
-    # limits.limit_atoms of the classified law, bit for bit
+    # every law but the product law has a PMF: the command prints
+    # limits.limit_pmf and limits.limit_atoms of the classified law, bit for bit
     spec = scenarios.load_fixture(name).spec
     law = classify(spec)
     path = fixture_path(name, tmp_path)
@@ -208,7 +208,7 @@ def test_limits_command_prints_the_limits_module_target(tmp_path, capsys, name):
 
 
 def test_limits_command_general_exp_grid(tmp_path, capsys):
-    # the grid comes from the law's atoms, so --tol does not reach it
+    # the PMF comes from the law's atoms, so --tol does not reach it
     path = fixture_path("thm4_log2", tmp_path)
     outs = []
     for tol in ([], ["--tol", "1e-7"], ["--tol", "1e-12"]):
@@ -217,7 +217,7 @@ def test_limits_command_general_exp_grid(tmp_path, capsys):
         )
         outs.append(capsys.readouterr().out)
         assert code == 0
-        assert outs[-1].splitlines()[0] == "x,g"
+        assert outs[-1].splitlines()[0] == "k,p"
     assert outs[1] == outs[2]
 
 
@@ -229,13 +229,17 @@ EXP_DILOG = (0.43934643408123622, 0.47134584361759791, 0.50672765576455590,
 
 
 def test_limits_general_exp_grid_is_exp_dilog(tmp_path, capsys):
-    # thm4_log2: lambda_l = (l-1)!/l, so the law is exp(sum (x-1)^l / l^2)
+    # thm4_log2: lambda_l = (l-1)!/l, so the law is exp(sum (x-1)^l / l^2);
+    # the PGF of the printed PMF at K = 128 matches it on the default grid
     path = fixture_path("thm4_log2", tmp_path)
-    assert cli.main(["--scenario", path, "--command", "limits"]) == 0
-    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
-    assert [float(x) for x, _ in rows] == list(diagnostics.DEFAULT_X_GRID)
-    for (_, g), want in zip(rows, EXP_DILOG, strict=True):
-        assert float(g) == pytest.approx(want, abs=1e-15)
+    assert cli.main(["--scenario", path, "--command", "limits", "--K", "128",
+                     "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    law = classify(scenarios.load_fixture("thm4_log2").spec)
+    pmf = limits.limit_pmf(law, 128)
+    assert payload["pmf"] == pmf.coeffs.tolist()
+    for x, want in zip(diagnostics.DEFAULT_X_GRID, EXP_DILOG, strict=True):
+        assert pgf.evaluate(pmf, x) == pytest.approx(want, abs=1e-15)
 
 
 def test_csv_output_uses_17_digits_and_lf_endings(tmp_path):

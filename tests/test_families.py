@@ -688,6 +688,17 @@ def test_custom_offspring_draws_a_rare_value_at_a_tiny_rate():
     assert abs(np.mean(counts) - expected) <= 5.0 * math.sqrt(expected / 200)
 
 
+def test_poisson_immigration_draws_arrivals_at_a_tiny_rate():
+    # lam = 3e-16: P(X = 0) = 1 - lam rounds, so drawing the trajectories
+    # without immigrants at that probability draws 26 % too few arrivals
+    imm = _immigration("poisson", "3e-16")
+    lam = float(imm.m1.at(1))
+    expected = -(2.0**62) * math.expm1(-lam)
+    counts = [sample_dense(imm, 1, TINY_START.copy(), np.random.default_rng(seed))[1, 1:].sum()
+              for seed in range(200)]
+    assert abs(np.mean(counts) - expected) <= 5.0 * math.sqrt(expected / 200)
+
+
 def test_quadratic_clamped_generation_has_no_single_children():
     fam, n = OFFSPRING_CASES["quadratic_clamped"]
     p0, p1, p2 = fam.params(n)
@@ -805,24 +816,38 @@ def test_mixture_weight_above_one_is_rejected_by_sampler_and_pmf():
 
 @pytest.mark.parametrize("lam", [0.0, 1e-9, 0.3, 2.0, 40.0])
 def test_poisson_hazard_matches_the_exact_tail(lam):
+    # both sides of the pair, so neither is 1 minus the other rounded;
+    # relative checks only (approx's default abs=1e-12 would pass any go
+    # near lam = 1e-9)
     for k in range(0, 60):
         sf = stats.poisson.sf(k - 1, lam)
         if sf < 1e-250:
             break
-        want = stats.poisson.pmf(k, lam) / sf
-        assert families._poisson_hazard(lam, k) == pytest.approx(want, rel=1e-12)
+        stay, go = families._poisson_hazard(lam, k)
+        assert stay == pytest.approx(stats.poisson.pmf(k, lam) / sf, rel=1e-12, abs=0.0)
+        assert go == pytest.approx(stats.poisson.sf(k, lam) / sf, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("beta", [0.0, 0.01, 0.5, 0.9])
+# 2^-30, about 1e-9, has an exact complement, so scipy's success
+# probability 1 - beta is the same law; at beta = 1e-9 it rounds, which
+# moves scipy's tail by 3e-8 relative
+@pytest.mark.parametrize("beta", [0.0, 2.0**-30, 0.01, 0.5, 0.9, 0.999])
 def test_nb_hazard_matches_the_exact_tail(beta):
-    ms = np.arange(0, 9)
+    # at beta >= 0.9 the positive sum of 400 producers passes the float
+    # range, where the pair rounds to (0, 1): with no warning and no nan
+    ms = np.append(np.arange(0, 9), 400)
     for y in range(0, 40):
-        got = families._nb_hazard(ms, beta, y)
-        assert got[0] == 1.0  # no producers, no extra children
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stay, go = families._nb_hazard(ms, beta, y)
+        # no producers, no extra children
+        assert (stay[0], go[0]) == (1.0, 0.0)
         sf = stats.nbinom.sf(y - 1, ms[1:], 1.0 - beta)
         ok = sf > 1e-250
         want = stats.nbinom.pmf(y, ms[1:][ok], 1.0 - beta) / sf[ok]
-        assert np.allclose(got[1:][ok], want, rtol=1e-10, atol=0.0)
+        assert np.allclose(stay[1:][ok], want, rtol=1e-10, atol=0.0)
+        want = stats.nbinom.sf(y, ms[1:][ok], 1.0 - beta) / sf[ok]
+        assert np.allclose(go[1:][ok], want, rtol=1e-10, atol=0.0)
 
 
 def test_binomial_cells_handles_large_states():

@@ -30,7 +30,7 @@ from nearcrit.families import (
 )
 from nearcrit.linfrac import chain_product
 from nearcrit.scenarios import fixture_text, load_fixture, parse_scenario_text
-from oracles import cp_intensity_series, general_limit_pgf, general_limit_pmf
+from oracles import cp_intensity_series, cp_pgf, general_limit_pgf, general_limit_pmf
 
 
 def test_poisson_pmf_degenerate_and_values():
@@ -197,7 +197,7 @@ def test_log_series_paths_agree_on_grid():
     # lambda_l / l! of the fixture's log-series rule, lambda_l = (l - 1)!/l
     assert load_fixture("thm4_log2").spec.lambda_rule == "log_series"
     for x in np.arange(0.0, 1.0, 0.1):
-        a = measure.pgf_at(float(x))
+        a = cp_pgf(measure, float(x))
         b = general_limit_pgf(lambda l: 1.0 / l**2, float(x), tol=1e-10)
         assert a == pytest.approx(b, abs=1e-8)
 
@@ -211,7 +211,7 @@ def test_log_series_limit_scales_with_lambda():
     assert law == GeneralExpLimit("log_series", 0.5)
     atoms = limits.limit_atoms(law)
     assert np.array_equal(atoms.atoms, 0.5 * limits.log_series_measure().atoms)
-    assert abs(atoms.pgf_at(0.0) - 0.6628321) <= 1e-6  # exp(-pi^2/24)
+    assert abs(cp_pgf(atoms, 0.0) - 0.6628321) <= 1e-6  # exp(-pi^2/24)
     assert limits.limit_moments(law, spec) == (0.5, 0.5)
     tv = [row.tv for row in report(spec, [100, 1000], 128).rows]
     assert tv[1] < 1e-4 and 5 * tv[1] <= tv[0]
@@ -321,7 +321,7 @@ def test_cp_consistency_for_convergent_series():
         return c**l / math.factorial(l)
 
     for x in np.arange(0.0, 1.01, 0.25):
-        assert measure.pgf_at(float(x)) == pytest.approx(
+        assert cp_pgf(measure, float(x)) == pytest.approx(
             general_limit_pgf(c_rule, float(x), tol=1e-12), abs=1e-8
         )
 
